@@ -228,13 +228,17 @@ def integrate(
                 status = "crossings"
                 break
 
-        # record samples inside this segment
+        # record samples inside this segment: the windows [s_now, seg_end)
+        # tile the run, and only the last one is closed
         if n_samples:
-            mask = (sample_s >= s_now - 1e-12) & (sample_s <= seg_end + 1e-12)
-            for sv in sample_s[mask]:
+            if done or seg_end >= s_max - 1e-12:
+                upper = sample_s <= seg_end + 1e-12
+            else:
+                upper = sample_s < seg_end
+            for sv in sample_s[(sample_s >= s_now) & upper]:
                 yy = sol.sol(min(max(sv, sol.t[0]), sol.t[-1]))
                 samples.append((sv, chart_to_body(yy, m)))
-                h2s.append(_chart_surface(surface, m).hamiltonian2(*yy))
+                h2s.append(chart.hamiltonian2(*yy))
 
         if done:
             s_now = seg_end
@@ -265,7 +269,7 @@ def integrate(
     else:
         s_arr = np.array([s_now])
         st_arr = chart_to_body(y, m)[None, :]
-        h2_arr = np.array([_chart_surface(surface, m).hamiltonian2(*y)])
+        h2_arr = np.array([chart.hamiltonian2(*y)])
 
     return Trajectory(
         s=s_arr,

@@ -11,6 +11,8 @@ for each candidate a polynomial P of degree d that must satisfy a linear
 differential identity.  P enters that identity linearly, so every search is
 an exact linear solve over the coefficient field; a found P is certified by
 an independent residual identity before the equation is declared solvable.
+Before that solve, the system is reduced modulo a large prime, and a rank
+argument there can prove that it has no solution (``modular_rejection``).
 
 Every candidate examined is recorded in a ledger, so a negative answer is a
 finite, checkable case analysis and not just a failure to find something.
@@ -309,8 +311,16 @@ def candidates_for(ode: FuchsianODE, N: int) -> list[Candidate]:
 
 
 # ---------------------------------------------------------------------------
-# searches (exact linear algebra)
+# searches
 # ---------------------------------------------------------------------------
+#
+# Every N shares one linear recursion.  With S = prod(z - a) over the poles,
+# T = S*theta and R2 = S^2*r, the descent from P_N = -P ends in a polynomial
+# P_-1 that is linear in P and vanishes exactly when P solves the search.
+# For N = 1 and 2 it equals (-1)^N * S^(N+1) * L_N(P), where L_N is the
+# classical second- or third-order auxiliary operator; for N >= 4 it is
+# Kovacic's case-3 recursion.  The columns of every search are therefore the
+# descents of the monomials z^0 .. z^(d-1), and the target that of -z^d.
 
 
 def _theta(poles, coeffs) -> RatFunc:
@@ -321,10 +331,14 @@ def _theta(poles, coeffs) -> RatFunc:
     return th
 
 
-def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        raise ValueError("lcm with zero polynomial")
-    return a.exact_div(a.gcd(b)) * b
+def _theta_coeffs(cand: Candidate) -> list:
+    """Residues c_j of theta = sum c_j/(z - a_j): the exponents (N = 1), half
+    the integers e_j (N = 2) or N*f_j/12 (N >= 4)."""
+    if cand.N == 1:
+        return list(cand.exps)
+    if cand.N == 2:
+        return [Fraction(e, 2) for e in cand.exps]
+    return [Fraction(cand.N * f, 12) for f in cand.exps]
 
 
 def _clear(f: RatFunc, m: Poly) -> Poly:
@@ -333,6 +347,35 @@ def _clear(f: RatFunc, m: Poly) -> Poly:
     if not g.is_polynomial():
         raise ValueError("common denominator did not clear the expression")
     return g.num * field_inv(g.den.leading())
+
+
+def _descent_polys(ode: FuchsianODE, coeffs) -> tuple[Poly, Poly, Poly]:
+    """(S, T, R2) = (prod(z - a), S*theta, S^2*r) for theta with residues
+    ``coeffs``, built without rational-function arithmetic."""
+    poles = ode.poles
+    S = Poly.from_roots(poles)
+    T = Poly()
+    for j, c in enumerate(coeffs):
+        if c:
+            T = T + c * Poly.from_roots(poles[:j] + poles[j + 1 :])
+    R2 = (S * S * ode.r.num).exact_div(ode.r.den)
+    return S, T, R2
+
+
+def _case3_descend(N: int, S, T, R2, P) -> list:
+    """Run the downward recursion P_N = -P, ...; returns [P_N, ..., P_-1].
+
+    The polynomials are exact :class:`Poly` values or their images modulo a
+    prime (:class:`_PolyModP`): the recursion uses ring operations only."""
+    seq = [-P]
+    Sp = S.derivative()
+    for i in range(N, -1, -1):
+        Pi = seq[-1]
+        nxt = -(S * Pi.derivative()) + ((N - i) * Sp - T) * Pi
+        if i < N:
+            nxt = nxt - ((N - i) * (i + 1)) * R2 * seq[-2]
+        seq.append(nxt)
+    return seq
 
 
 def _solve_linear(columns: list[Poly], rhs: Poly) -> Optional[list]:
@@ -375,8 +418,14 @@ def _solve_linear(columns: list[Poly], rhs: Poly) -> Optional[list]:
     return sol
 
 
-def _monic_from_solution(d: int, sol: list) -> Poly:
-    return Poly(list(sol[:d]) + [Fraction(1)])
+def _descent_solve(N: int, d: int, S: Poly, T: Poly, R2: Poly) -> Optional[Poly]:
+    """The monic P of degree d whose descent ends in zero, or None."""
+    cols = [_case3_descend(N, S, T, R2, Poly.monomial(i))[-1] for i in range(d)]
+    target = -_case3_descend(N, S, T, R2, Poly.monomial(d))[-1]
+    sol = _solve_linear(cols, target)
+    if sol is None:
+        return None
+    return Poly(list(sol) + [Fraction(1)])
 
 
 @dataclass
@@ -395,117 +444,39 @@ class Solution:
 
 def case1_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     """Monic P of degree d with P'' + 2*theta*P' + (theta' + theta^2 - r)P = 0."""
-    theta = _theta(ode.poles, cand.exps)
-    phi = theta.derivative() + theta * theta - ode.r
-    m = _poly_lcm(phi.den, theta.den * theta.den)
-
-    def lop(mono: Poly) -> Poly:
-        expr = (
-            RatFunc(mono.derivative().derivative())
-            + 2 * theta * RatFunc(mono.derivative())
-            + phi * RatFunc(mono)
-        )
-        return _clear(expr, m)
-
-    d = cand.d
-    cols = [lop(Poly.monomial(i)) for i in range(d)]
-    target = -lop(Poly.monomial(d))
-    if d == 0:
-        if not target.is_zero():
-            return None
-        sol = []
-    else:
-        sol = _solve_linear(cols, target)
-        if sol is None:
-            return None
-    P = _monic_from_solution(d, sol)
+    coeffs = _theta_coeffs(cand)
+    theta = _theta(ode.poles, coeffs)
+    P = _descent_solve(1, cand.d, *_descent_polys(ode, coeffs))
+    if P is None:
+        return None
     omega = theta + RatFunc(P.derivative()) / RatFunc(P)
-    return Solution(N=1, d=d, theta=theta, P=P, omega=omega)
+    return Solution(N=1, d=cand.d, theta=theta, P=P, omega=omega)
 
 
 def case2_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     """Monic P of degree d satisfying the third-order auxiliary equation
     P''' + 3*theta*P'' + (3*theta^2 + 3*theta' - 4r)P'
         + (theta'' + 3*theta*theta' + theta^3 - 4*r*theta - 2*r')P = 0."""
+    coeffs = _theta_coeffs(cand)
+    theta = _theta(ode.poles, coeffs)
+    P = _descent_solve(2, cand.d, *_descent_polys(ode, coeffs))
+    if P is None:
+        return None
     half = Fraction(1, 2)
-    theta = _theta(ode.poles, [half * Fraction(e) for e in cand.exps])
-    r = ode.r
-    a2 = 3 * theta
-    a1 = 3 * theta * theta + 3 * theta.derivative() - 4 * r
-    a0 = (
-        theta.derivative().derivative()
-        + 3 * theta * theta.derivative()
-        + theta * theta * theta
-        - 4 * r * theta
-        - 2 * r.derivative()
-    )
-    m = _poly_lcm(_poly_lcm(a0.den, a1.den), a2.den)
-
-    def lop(mono: Poly) -> Poly:
-        d3 = mono.derivative().derivative().derivative()
-        expr = (
-            RatFunc(d3)
-            + a2 * RatFunc(mono.derivative().derivative())
-            + a1 * RatFunc(mono.derivative())
-            + a0 * RatFunc(mono)
-        )
-        return _clear(expr, m)
-
-    d = cand.d
-    cols = [lop(Poly.monomial(i)) for i in range(d)]
-    target = -lop(Poly.monomial(d))
-    if d == 0:
-        if not target.is_zero():
-            return None
-        sol = []
-    else:
-        sol = _solve_linear(cols, target)
-        if sol is None:
-            return None
-    P = _monic_from_solution(d, sol)
     phi = theta + RatFunc(P.derivative()) / RatFunc(P)
-    psi = half * phi.derivative() + half * phi * phi - r
-    return Solution(N=2, d=d, theta=theta, P=P, phi=phi, psi=psi)
-
-
-def _case3_descend(N: int, S: Poly, T: Poly, R2: Poly, P: Poly) -> list[Poly]:
-    """Run the downward recursion P_N = -P, ...; returns [P_N, ..., P_-1]."""
-    seq = [-P]
-    Sp = S.derivative()
-    for i in range(N, -1, -1):
-        Pi = seq[-1]
-        nxt = -(S * Pi.derivative()) + ((N - i) * Sp - T) * Pi
-        if i < N:
-            nxt = nxt - Poly([(N - i) * (i + 1)]) * R2 * seq[-2]
-        seq.append(nxt)
-    return seq
+    psi = half * phi.derivative() + half * phi * phi - ode.r
+    return Solution(N=2, d=cand.d, theta=theta, P=P, phi=phi, psi=psi)
 
 
 def case3_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     """Monic P of degree d making the degree-N recursion terminate at zero."""
     N = cand.N
-    frac = Fraction(N, 12)
-    theta = _theta(ode.poles, [frac * Fraction(f) for f in cand.exps])
-    S = Poly.from_roots(ode.poles)
-    T = _clear(theta, S)
-    R2 = _clear(ode.r, S * S)
-
-    d = cand.d
-
-    def residual(mono: Poly) -> Poly:
-        return _case3_descend(N, S, T, R2, mono)[-1]
-
-    cols = [residual(Poly.monomial(i)) for i in range(d)]
-    target = -residual(Poly.monomial(d))
-    if d == 0:
-        if not target.is_zero():
-            return None
-        sol = []
-    else:
-        sol = _solve_linear(cols, target)
-        if sol is None:
-            return None
-    P = _monic_from_solution(d, sol)
+    coeffs = _theta_coeffs(cand)
+    theta = _theta(ode.poles, coeffs)
+    S, T, R2 = _descent_polys(ode, coeffs)
+    P = _descent_solve(N, cand.d, S, T, R2)
+    if P is None:
+        return None
     seq = _case3_descend(N, S, T, R2, P)
     if not seq[-1].is_zero():
         return None
@@ -514,10 +485,153 @@ def case3_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     for i in range(N + 1):
         Pi = seq[N - i]  # seq[0] = P_N ... seq[N] = P_0
         coeffs.append(RatFunc(Poly([Fraction(1, factorial(N - i))]) * S**i * Pi))
-    return Solution(N=N, d=d, theta=theta, P=P, minpoly=tuple(coeffs))
+    return Solution(N=N, d=cand.d, theta=theta, P=P, minpoly=tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# certified modular rejection
+# ---------------------------------------------------------------------------
+#
+# Let p be a prime dividing no denominator of the parts a, b of the
+# coefficients a + b*sqrt(D) of S, T and R2, with D a square mod p, s^2 = D.
+# Then a + b*sqrt(D) -> a + b*s (mod p) is a ring homomorphism on those
+# coefficients and commutes with the descent.  Minors commute with it too,
+# so the rank of the reduced system [A_p | b_p] is at most the exact rank of
+# [A | b].  When the d + 1 reduced columns are independent, the exact
+# augmented matrix has rank d + 1 while A has only d columns, so the exact
+# system is inconsistent: the candidate is rejected by a proof.
+
+# primes = 3 (mod 4), so that a square root mod p is a single power
+_PRIMES = (
+    2**61 - 1,
+    2**61 - 45,
+    2**61 - 229,
+    2**61 - 465,
+    2**61 - 829,
+    2**61 - 985,
+    2**61 - 1153,
+    2**61 - 1281,
+)
+
+
+class _PolyModP:
+    """Polynomial over F_p, lowest degree first, with the ring operations
+    :func:`_case3_descend` uses."""
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, coeffs, p: int):
+        c = [x % p for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.c, self.p = c, p
+
+    def __add__(self, other: "_PolyModP") -> "_PolyModP":
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        return _PolyModP([x + y for x, y in zip(a, b)] + a[len(b):], self.p)
+
+    def __neg__(self) -> "_PolyModP":
+        return _PolyModP([-x for x in self.c], self.p)
+
+    def __sub__(self, other: "_PolyModP") -> "_PolyModP":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_PolyModP":
+        if isinstance(other, int):
+            return _PolyModP([x * other for x in self.c], self.p)
+        a, b = self.c, other.c
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _PolyModP(out, self.p)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "_PolyModP":
+        return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
+
+
+def _parts(x: FieldElement) -> tuple[Fraction, Fraction]:
+    """(a, b) with x = a + b*sqrt(D)."""
+    if isinstance(x, QuadExt):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
+    """The first listed prime at which every coefficient has an image, with
+    the images of the polynomials; None when no listed prime qualifies."""
+    # at most one discriminant: field arithmetic refuses to mix two
+    discs = {c.D for poly in polys for c in poly.coeffs if isinstance(c, QuadExt) and c.b}
+    parts = [[_parts(c) for c in poly.coeffs] for poly in polys]
+    dens = {q.denominator for coeffs in parts for ab in coeffs for q in ab}
+    for p in _PRIMES:
+        if any(den % p == 0 for den in dens):
+            continue
+        s = 0
+        if discs:
+            (D,) = discs
+            s = pow(D, (p + 1) // 4, p)
+            if (s * s - D) % p:
+                continue  # D is not a square mod p
+        inv = {den: pow(den, -1, p) for den in dens}
+        images = [
+            _PolyModP(
+                [a.numerator * inv[a.denominator] + b.numerator * inv[b.denominator] * s
+                 for a, b in coeffs],
+                p,
+            )
+            for coeffs in parts
+        ]
+        return p, images
+    return None
+
+
+def _independent_mod(vectors: list[list[int]], p: int) -> bool:
+    """Whether the vectors are linearly independent over F_p."""
+    width = max(map(len, vectors), default=0)
+    pivots: list[tuple[int, list[int]]] = []  # (position, vector with 1 there)
+    for v in vectors:
+        v = v + [0] * (width - len(v))
+        for pos, w in pivots:
+            if v[pos]:
+                f = v[pos]
+                v = [(x - f * y) % p for x, y in zip(v, w)]
+        pos = next((k for k, x in enumerate(v) if x), None)
+        if pos is None:
+            return False
+        inv = pow(v[pos], -1, p)
+        pivots.append((pos, [x * inv % p for x in v]))
+    return True
+
+
+def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
+    """A prime p certifying that ``cand`` has no solution, or None.
+
+    The descents of z^0 .. z^d are reduced modulo p; when they are linearly
+    independent over F_p, no combination of the first d equals minus the
+    last, over F_p or over Q(sqrt(D)).  None means "not proved", and the
+    candidate needs the exact search.
+    """
+    reduced = _reduce_mod_prime(_descent_polys(ode, _theta_coeffs(cand)))
+    if reduced is None:
+        return None
+    p, (S, T, R2) = reduced
+    residuals = [
+        _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
+        for k in range(cand.d + 1)
+    ]
+    return p if _independent_mod(residuals, p) else None
 
 
 def search_for(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
+    """Search one candidate: rejected at once when :func:`modular_rejection`
+    proves it has no solution, solved exactly otherwise."""
+    if modular_rejection(ode, cand) is not None:
+        return None
     if cand.N == 1:
         return case1_search(ode, cand)
     if cand.N == 2:

@@ -47,6 +47,19 @@ def test_clairaut_invariant_on_zonal_surface():
     assert np.max(np.abs(vals - vals[0])) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "y0", [[1.2, 0.4, 0.3, 0.6], [math.pi / 2, 0.0, -1.0, 0.0]], ids=["plain", "meridian"]
+)
+def test_each_sample_emitted_once(y0):
+    # 201 samples over 100 units put one on the 50-unit chunk boundary, which
+    # the plain geodesic reaches; the meridian swaps charts mid-chunk instead
+    surf = PolarSurface.sectoral(3, 0.2)
+    traj = integrate(surf, y0, 100.0, n_samples=201, rtol=1e-10, atol=1e-10)
+    assert len(traj.s) == len(traj.states) == len(traj.h2) == 201
+    assert np.all(np.diff(traj.s) > 0)
+    assert traj.s[0] == 0.0 and traj.s[-1] == 100.0
+
+
 def test_normalize_speed():
     surf = PolarSurface.sectoral(2, 0.1)
     y = normalize_speed(surf, [1.0, 0.5, 3.0, -2.0])

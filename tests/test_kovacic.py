@@ -4,14 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from harmgeo import kovacic
 from harmgeo.algebra import Poly, QuadExt, RatFunc
 from harmgeo.kovacic import (
+    ALL_N,
     FuchsianODE,
+    _case3_descend,
+    _descent_polys,
+    _independent_mod,
+    _solve_linear,
+    _theta,
+    _theta_coeffs,
     candidate_census,
     candidates_for,
     case1_candidates,
     census_cell,
     census_for_order,
+    modular_rejection,
     result_to_json,
     run_kovacic,
     verify_solution,
@@ -198,3 +207,134 @@ def test_result_json_shape():
     assert blob["verdict"] == "Solvable"
     assert blob["solution"]["N"] == 1
     assert isinstance(blob["ledger"], list) and blob["ledger"]
+
+
+# -- one descent for every N, and its certified reduction mod p ---------------------
+
+
+def _classical_operator(N, theta, r):
+    """Coefficient list of L_1 = D^2 + 2 theta D + (theta' + theta^2 - r) or
+    L_2 = D^3 + 3 theta D^2 + (3 theta^2 + 3 theta' - 4 r) D
+          + (theta'' + 3 theta theta' + theta^3 - 4 r theta - 2 r'),
+    lowest derivative first."""
+    th1 = theta.derivative()
+    if N == 1:
+        return [th1 + theta * theta - r, 2 * theta, RatFunc(1)]
+    a0 = th1.derivative() + 3 * theta * th1 + theta**3 - 4 * r * theta - 2 * r.derivative()
+    return [a0, 3 * theta * theta + 3 * th1 - 4 * r, 3 * theta, RatFunc(1)]
+
+
+@pytest.mark.parametrize(
+    "ode",
+    [
+        FuchsianODE.from_nve(equatorial_nve(3, Fraction(1, 4))),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+    ],
+    ids=["equatorial-n3", "dihedral"],
+)
+@pytest.mark.parametrize("N", [1, 2])
+def test_descent_is_scaled_classical_operator(ode, N):
+    """_case3_descend(N, S, S theta, S^2 r, z^k)[-1] = (-1)^N S^(N+1) L_N(z^k)
+    for theta with simple poles at the singular points (any residues)."""
+    coeffs = [Fraction(k + 1, k + 3) for k in range(len(ode.poles))]
+    theta = _theta(ode.poles, coeffs)
+    S = Poly.from_roots(ode.poles)
+    T = RatFunc(S) * theta
+    R2 = RatFunc(S * S) * ode.r
+    assert T.is_polynomial() and R2.is_polynomial()
+    assert _descent_polys(ode, coeffs) == (S, T.num, R2.num)
+    scale = (-1) ** N * RatFunc(S ** (N + 1))
+    ops = [scale * a for a in _classical_operator(N, theta, ode.r)]
+    for k in range(3):
+        derivs = [Poly.monomial(k)]
+        while len(derivs) < len(ops):
+            derivs.append(derivs[-1].derivative())
+        expected = sum((a * RatFunc(dk) for a, dk in zip(ops, derivs)), RatFunc.zero())
+        assert RatFunc(_case3_descend(N, S, T.num, R2.num, Poly.monomial(k))[-1]) == expected, k
+
+
+def test_independence_mod_p():
+    p = kovacic._PRIMES[0]
+    assert _independent_mod([[1], [0, 1], [3, 0, 2]], p)
+    # the third vector is the sum of the first two; lengths differ because
+    # trailing zero coefficients are dropped
+    assert not _independent_mod([[1, 2, 3], [0, 1, 1], [1, 3, 4]], p)
+    assert not _independent_mod([[1], [0, 1], [1, 1]], p)
+    assert not _independent_mod([[2, 4], [p - 1, p - 2]], p)  # -1/2 times the first
+    assert not _independent_mod([[]], p)
+
+
+def _distinct_candidates(ode):
+    seen = {}
+    for N in ALL_N:
+        for cand in candidates_for(ode, N):
+            seen.setdefault((N, cand.d, cand.labels), cand)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_modular_rejection_is_a_certificate(n):
+    """Every candidate of these unsolvable equations is rejected mod p, and
+    the exact system over Q(sqrt(D)) is indeed inconsistent."""
+    ode = FuchsianODE.from_nve(equatorial_nve(n, Fraction(1, 10)))
+    res = run_kovacic(ode)
+    assert res.verdict == "Unsolvable" and all(e.searched for e in res.ledger)
+    cands = _distinct_candidates(ode)
+    assert cands
+    for cand in cands:
+        assert modular_rejection(ode, cand) in kovacic._PRIMES, cand
+        S, T, R2 = _descent_polys(ode, _theta_coeffs(cand))
+        cols = [_case3_descend(cand.N, S, T, R2, Poly.monomial(i))[-1] for i in range(cand.d)]
+        target = -_case3_descend(cand.N, S, T, R2, Poly.monomial(cand.d))[-1]
+        assert _solve_linear(cols, target) is None, cand
+
+
+@pytest.mark.parametrize(
+    "ode",
+    [
+        FuchsianODE.from_nve(equatorial_nve(1, Fraction(1, 10))),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+    ],
+    ids=["n1-witness", "dihedral", "tetrahedral", "octahedral", "icosahedral"],
+)
+def test_solvable_candidate_never_rejected(ode):
+    res = run_kovacic(ode)
+    assert res.solvable
+    won = next(e for e in res.ledger if e.success)
+    cand = next(c for c in candidates_for(ode, won.N) if c.labels == won.labels)
+    assert modular_rejection(ode, cand) is None
+
+
+def _over_quadratic_field(ode, cand):
+    polys = _descent_polys(ode, _theta_coeffs(cand))
+    return any(isinstance(c, QuadExt) and c.b for poly in polys for c in poly.coeffs)
+
+
+def _assert_exact_fallback(monkeypatch, ode, prime, cands):
+    """With ``prime`` as the only listed prime, none of ``cands`` (each
+    rejected mod p by default) is rejected, and the result does not change."""
+    assert cands and all(modular_rejection(ode, c) for c in cands)
+    before = run_kovacic(ode)
+    monkeypatch.setattr(kovacic, "_PRIMES", (prime,))
+    assert all(modular_rejection(ode, c) is None for c in cands)
+    after = run_kovacic(ode)
+    assert (after.verdict, after.ledger) == (before.verdict, before.ledger)
+
+
+def test_nonresidue_prime_falls_back_to_exact_search(monkeypatch):
+    # candidates giving conjugate poles different residues have systems over
+    # Q(sqrt(115)); Euler's criterion picks a listed prime modulo which 115
+    # is not a square
+    ode = FuchsianODE.from_nve(equatorial_nve(4, Fraction(1, 10)))
+    prime = next(p for p in kovacic._PRIMES if pow(115, (p - 1) // 2, p) != 1)
+    cands = [c for c in _distinct_candidates(ode) if _over_quadratic_field(ode, c)]
+    _assert_exact_fallback(monkeypatch, ode, prime, cands)
+
+
+def test_denominator_prime_falls_back_to_exact_search(monkeypatch):
+    # the poles (1 +- sqrt(31))/24 put 3 into the denominators of S
+    ode = FuchsianODE.from_nve(equatorial_nve(5, Fraction(1, 10)))
+    _assert_exact_fallback(monkeypatch, ode, 3, _distinct_candidates(ode))
