@@ -434,10 +434,6 @@ def _as_poly(x):
     return None
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    return p.gcd(q)
-
-
 class RatFunc:
     """Quotient of two polynomials, kept in lowest terms with monic
     denominator."""

@@ -470,12 +470,7 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
         z = e * c
 
         # reference: kernel Christoffels
-        ch = surf.christoffels_at(math.pi / 2, phi)
-        dG = surf.gamma_theta_phiphi_dtheta(math.pi / 2, phi)
-        g = surf.metric_at(math.pi / 2, phi)
-        pd = 1.0 / math.sqrt(g.g_pp)
-        a_ref = -dG * pd * pd
-        b_ref = -2.0 * ch["ttp"] * pd
+        pd, a_ref, b_ref = surf.equator_nve_coeffs(phi)
 
         # exact pipeline transported to arc length
         G = gpp(z)

@@ -442,52 +442,6 @@ class Solution:
     minpoly: Optional[tuple] = None  # N >= 4: coefficients of omega^0..omega^N
 
 
-def case1_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
-    """Monic P of degree d with P'' + 2*theta*P' + (theta' + theta^2 - r)P = 0."""
-    coeffs = _theta_coeffs(cand)
-    theta = _theta(ode.poles, coeffs)
-    P = _descent_solve(1, cand.d, *_descent_polys(ode, coeffs))
-    if P is None:
-        return None
-    omega = theta + RatFunc(P.derivative()) / RatFunc(P)
-    return Solution(N=1, d=cand.d, theta=theta, P=P, omega=omega)
-
-
-def case2_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
-    """Monic P of degree d satisfying the third-order auxiliary equation
-    P''' + 3*theta*P'' + (3*theta^2 + 3*theta' - 4r)P'
-        + (theta'' + 3*theta*theta' + theta^3 - 4*r*theta - 2*r')P = 0."""
-    coeffs = _theta_coeffs(cand)
-    theta = _theta(ode.poles, coeffs)
-    P = _descent_solve(2, cand.d, *_descent_polys(ode, coeffs))
-    if P is None:
-        return None
-    half = Fraction(1, 2)
-    phi = theta + RatFunc(P.derivative()) / RatFunc(P)
-    psi = half * phi.derivative() + half * phi * phi - ode.r
-    return Solution(N=2, d=cand.d, theta=theta, P=P, phi=phi, psi=psi)
-
-
-def case3_search(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
-    """Monic P of degree d making the degree-N recursion terminate at zero."""
-    N = cand.N
-    coeffs = _theta_coeffs(cand)
-    theta = _theta(ode.poles, coeffs)
-    S, T, R2 = _descent_polys(ode, coeffs)
-    P = _descent_solve(N, cand.d, S, T, R2)
-    if P is None:
-        return None
-    seq = _case3_descend(N, S, T, R2, P)
-    if not seq[-1].is_zero():
-        return None
-    # minimal polynomial sum_i S^i P_i / (N-i)! * omega^i, i = 0..N
-    coeffs = []
-    for i in range(N + 1):
-        Pi = seq[N - i]  # seq[0] = P_N ... seq[N] = P_0
-        coeffs.append(RatFunc(Poly([Fraction(1, factorial(N - i))]) * S**i * Pi))
-    return Solution(N=N, d=cand.d, theta=theta, P=P, minpoly=tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # certified modular rejection
 # ---------------------------------------------------------------------------
@@ -629,14 +583,37 @@ def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
 
 def search_for(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     """Search one candidate: rejected at once when :func:`modular_rejection`
-    proves it has no solution, solved exactly otherwise."""
+    proves it has no solution, else the monic P of degree d whose descent
+    ends in zero is solved for exactly.
+
+    The solution carries, for N = 1, omega = theta + P'/P with
+    omega' + omega^2 = r; for N = 2, phi = theta + P'/P and
+    psi = phi'/2 + phi^2/2 - r with omega^2 - phi*omega + psi = 0; for
+    N >= 4, the coefficients S^i P_i / (N-i)! of omega's minimal polynomial.
+    """
     if modular_rejection(ode, cand) is not None:
         return None
-    if cand.N == 1:
-        return case1_search(ode, cand)
-    if cand.N == 2:
-        return case2_search(ode, cand)
-    return case3_search(ode, cand)
+    N, d = cand.N, cand.d
+    coeffs = _theta_coeffs(cand)
+    theta = _theta(ode.poles, coeffs)
+    S, T, R2 = _descent_polys(ode, coeffs)
+    P = _descent_solve(N, d, S, T, R2)
+    if P is None:
+        return None
+    if N == 1:
+        omega = theta + RatFunc(P.derivative()) / RatFunc(P)
+        return Solution(N=1, d=d, theta=theta, P=P, omega=omega)
+    if N == 2:
+        half = Fraction(1, 2)
+        phi = theta + RatFunc(P.derivative()) / RatFunc(P)
+        psi = half * phi.derivative() + half * phi * phi - ode.r
+        return Solution(N=2, d=d, theta=theta, P=P, phi=phi, psi=psi)
+    seq = _case3_descend(N, S, T, R2, P)  # seq[0] = P_N ... seq[N] = P_0
+    minpoly = tuple(
+        RatFunc(Poly([Fraction(1, factorial(N - i))]) * S**i * seq[N - i])
+        for i in range(N + 1)
+    )
+    return Solution(N=N, d=d, theta=theta, P=P, minpoly=minpoly)
 
 
 # ---------------------------------------------------------------------------

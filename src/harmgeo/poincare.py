@@ -143,9 +143,11 @@ def generate_section(
         (n, float(eps), seed, k, n_crossings, s_max, rtol, atol, rotated)
         for k in range(n_traj)
     ]
+    workers = min(workers, n_traj)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a fork-started pool launches all max_workers processes at once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trajectory, jobs))
     else:
@@ -348,13 +350,7 @@ def equator_monodromy(
     surf = PolarSurface.sectoral(n, eps)
 
     def rhs(s, y):
-        phi = y[0]
-        g = surf.metric_at(math.pi / 2, phi)
-        pd = 1.0 / math.sqrt(g.g_pp)
-        ch = surf.christoffels_at(math.pi / 2, phi)
-        dG = surf.gamma_theta_phiphi_dtheta(math.pi / 2, phi)
-        a = -dG * pd * pd
-        b = -2.0 * ch["ttp"] * pd
+        pd, a, b = surf.equator_nve_coeffs(y[0])
         return [pd, y[2], a * y[1] + b * y[2], y[4], a * y[3] + b * y[4]]
 
     def lap(s, y):

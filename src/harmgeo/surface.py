@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from numpy.polynomial import Legendre, Polynomial
+
 from . import kernels
 
 POLE_TOL = 1e-8
@@ -79,6 +81,27 @@ def assoc_legendre_d2(l: int, m: int, x: float) -> float:
     return (2.0 * x * dp - (l * (l + 1) - m * m / omx2) * p) / omx2
 
 
+def assoc_legendre_max(l: int, m: int) -> float:
+    """max |P_l^m| over [-1, 1], for 1 <= m <= l.
+
+    With Q = d^m P_l/dx^m, (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, and
+    its other critical points are the zeros of Q and of
+    -m x Q + (1-x^2) Q'; the maximum sits at a real zero of the latter.
+    """
+    q = Legendre.basis(l).deriv(m).convert(kind=Polynomial)
+    x = Polynomial([0.0, 1.0])
+    crit = (-m * x * q + (1 - x * x) * q.deriv()).roots()
+    return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
+
+
+def _check_deformation(eps: float, h_max: float) -> None:
+    """r = 1 + eps*h stays positive everywhere only when |eps|*max|h| < 1."""
+    if abs(eps) * h_max >= 1.0:
+        raise ValueError(
+            f"|eps| * max|h| = {abs(eps) * h_max:.4g} >= 1: the radius reaches zero"
+        )
+
+
 # ---------------------------------------------------------------------------
 # metric container
 # ---------------------------------------------------------------------------
@@ -123,6 +146,7 @@ class PolarSurface:
     def sectoral(cls, n: int, eps: float) -> "PolarSurface":
         if n < 1:
             raise ValueError("n >= 1 required")
+        _check_deformation(eps, 1.0)
 
         def part(theta, phi, n=n, eps=float(eps)):
             return kernels.sectoral_partials(n, eps, theta, phi)
@@ -134,6 +158,7 @@ class PolarSurface:
         rot = tuple(float(x) for x in rot)
         if len(rot) != 9:
             raise ValueError("rot must be a row-major 3x3 matrix (9 numbers)")
+        _check_deformation(eps, 1.0)
 
         def part(theta, phi, n=n, eps=float(eps), rot=rot[:6]):
             return kernels.chart_sectoral_partials(n, eps, rot, theta, phi)
@@ -144,6 +169,7 @@ class PolarSurface:
     def zonal(cls, l: int, eps: float) -> "PolarSurface":
         if l < 1:
             raise ValueError("l >= 1 required")
+        _check_deformation(eps, 1.0)
 
         def part(theta, phi, l=l, eps=float(eps)):
             x = math.cos(theta)
@@ -162,6 +188,7 @@ class PolarSurface:
     def tesseral(cls, l: int, m: int, eps: float) -> "PolarSurface":
         if not 1 <= m <= l:
             raise ValueError("need 1 <= m <= l")
+        _check_deformation(eps, assoc_legendre_max(l, m))
 
         def part(theta, phi, l=l, m=m, eps=float(eps)):
             x = math.cos(theta)
@@ -244,6 +271,17 @@ class PolarSurface:
             - self.gamma_theta_phiphi(theta - h, phi)
         ) / (2.0 * h)
 
+    def equator_nve_coeffs(self, phi: float) -> tuple:
+        """(phi_dot, a, b) of the normal variation xi'' = a xi + b xi' at phi
+        on the equator theta = pi/2, travelled at unit speed, with
+        a = -d_theta Gamma^theta_phiphi * phi_dot^2 and
+        b = -2 Gamma^theta_thetaphi * phi_dot."""
+        g = self.metric_at(math.pi / 2, phi)
+        pd = 1.0 / math.sqrt(g.g_pp)
+        ch = self.christoffels_at(math.pi / 2, phi)
+        dG = self.gamma_theta_phiphi_dtheta(math.pi / 2, phi)
+        return pd, -dG * pd * pd, -2.0 * ch["ttp"] * pd
+
     def hamiltonian2(self, theta, phi, theta_dot, phi_dot) -> float:
         """2H = g_tt td^2 + 2 g_tp td pd + g_pp pd^2 (arc length when == 1)."""
         g = self.metric_at(theta, phi)
@@ -256,28 +294,7 @@ class PolarSurface:
     def rhs(self, s, y):
         """Geodesic right-hand side for (theta, phi, theta_dot, phi_dot)."""
         theta, phi, td, pd = y
-        if self.family == "sectoral":
-            return kernels.sectoral_rhs(
-                self.params["n"], self.params["eps"], theta, phi, td, pd
-            )
-        if self.family == "rotated":
-            return kernels.chart_sectoral_rhs(
-                self.params["n"],
-                self.params["eps"],
-                self.params["rot"][:6],
-                theta,
-                phi,
-                td,
-                pd,
-            )
-        out = kernels.christoffel(theta, *self._partials(theta, phi))
-        gttt, gttp, gtpp, gptt, gptp, gppp = out[4:]
-        return (
-            td,
-            pd,
-            -(gttt * td * td + 2.0 * gttp * td * pd + gtpp * pd * pd),
-            -(gptt * td * td + 2.0 * gptp * td * pd + gppp * pd * pd),
-        )
+        return kernels.rhs_from_partials(theta, td, pd, self._partials(theta, phi))
 
     def __repr__(self):
         return f"PolarSurface({self.family}, {self.params})"

@@ -43,6 +43,14 @@ def test_computation_failure_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nonpositive_radius_exits_2(tmp_path, capsys):
+    code = run(["--out-dir", tmp_path, "trace", "--family", "tesseral",
+                "--l", "4", "--m", "3", "--eps", "0.15"])
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_global_flags_accepted_before_and_after_subcommand(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -120,6 +120,38 @@ def test_parallel_section_matches_serial():
         assert np.array_equal(ta, tb)
 
 
+def test_pool_no_larger_than_trajectory_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    kw = dict(n_crossings=5, seed=5, rtol=1e-8, atol=1e-8)
+    serial = generate_section(2, 0.2, n_traj=2, workers=1, **kw)
+    pooled = generate_section(2, 0.2, n_traj=2, workers=8, **kw)
+    assert sizes == [2]
+    for ta, tb in zip(serial.trajectories, pooled.trajectories):
+        assert np.array_equal(ta, tb)
+    assert serial.initials == pooled.initials
+    generate_section(2, 0.2, n_traj=1, workers=8, **kw)
+    assert sizes == [2]  # one trajectory runs in-process
+
+
 def test_rotated_section_contains_equator_orbit():
     sec = generate_section(
         3, 0.1, n_traj=2, n_crossings=10, seed=1, rotated=True, rtol=1e-9, atol=1e-9

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
+from harmgeo import kernels
 from harmgeo.surface import (
     PoleError,
     PolarSurface,
     assoc_legendre,
     assoc_legendre_d,
     assoc_legendre_d2,
+    assoc_legendre_max,
 )
 
 
@@ -193,6 +195,40 @@ def test_constructor_validation():
         PolarSurface.tesseral(2, 3, 0.1)
     with pytest.raises(ValueError):
         PolarSurface.rotated_sectoral(2, 0.1, (1, 0, 0))
+
+
+def test_deformation_keeps_radius_positive():
+    # max |P_4^3| is about 34.1, so eps = 0.15 would reach r = -4.1
+    for build in (
+        lambda: PolarSurface.tesseral(4, 3, 0.15),
+        lambda: PolarSurface.sectoral(3, 1.0),
+        lambda: PolarSurface.rotated_sectoral(2, -1.0),
+        lambda: PolarSurface.zonal(2, 1.5),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    PolarSurface.tesseral(2, 1, 0.2)
+    PolarSurface.tesseral(3, 2, 0.15)  # 0.15 * 10/sqrt(3) = 0.866
+
+
+@pytest.mark.parametrize("l,m", [(1, 1), (2, 1), (3, 2), (4, 3), (4, 4), (7, 2)])
+def test_assoc_legendre_max(l, m):
+    grid = max(abs(assoc_legendre(l, m, x)) for x in np.linspace(-1.0, 1.0, 20001))
+    top = assoc_legendre_max(l, m)
+    assert grid <= top * (1 + 1e-12)
+    assert math.isclose(top, grid, rel_tol=1e-6)
+    if m == l:  # P_l^l = (2l-1)!! (1-x^2)^(l/2), largest on the equator
+        assert math.isclose(top, math.prod(range(1, 2 * l, 2)), rel_tol=1e-12)
+
+
+def test_kernel_names_read_by_benchmark():
+    """The benchmark reports ``kernels.BACKEND`` and times
+    ``kernels.sectoral_rhs`` on its own; it must stay the surface RHS."""
+    assert kernels.BACKEND == "python"
+    for n, eps in [(2, 0.1), (3, 0.2), (5, 0.3)]:
+        surf = PolarSurface.sectoral(n, eps)
+        for y in [(1.2, 0.4, 0.3, 0.6), (0.3, 5.1, -0.7, 0.2), (2.9, 2.0, 0.1, -1.1)]:
+            assert kernels.sectoral_rhs(n, eps, *y) == surf.rhs(0.0, y)
 
 
 def test_custom_surface():
