@@ -16,6 +16,7 @@ from .geodesic import (
     integrate,
     lemma1_critical_eps,
     lemma1_poly,
+    normalize_speed,
     nve_dual_residual,
     sphere_closure_error,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "lemma1_critical_eps",
     "lemma1_poly",
     "max_trajectory_occupancy",
+    "normalize_speed",
     "nve_dual_residual",
     "occupancy",
     "partial_fractions",

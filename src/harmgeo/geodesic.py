@@ -18,12 +18,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .algebra import Poly
-from .surface import PolarSurface, PoleError, IDENTITY_ROT
+from .surface import PolarSurface
 from .trigring import sectoral_christoffels
 
 POLE_GUARD = 0.05
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
+SOLVER = "DOP853"  # solve_ivp method
+CHUNK = 50.0  # arc length integrated per solve_ivp call
 
 # chart-to-chart rotation used to step away from a coordinate pole:
 # p_old = R_SWAP @ p_new moves the old pole to the new equator
@@ -39,7 +41,7 @@ class Trajectory:
     h2: np.ndarray  # 2H sampled in the integration chart
     crossings: np.ndarray  # shape (k, 3): s, phi, phi_dot at theta = pi/2
     chart_swaps: int
-    status: str  # "completed", "crossings", or "pole"
+    status: str  # "completed", or "crossings" when n_crossings stopped it
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -113,15 +115,6 @@ def normalize_speed(surface: PolarSurface, y):
     return y
 
 
-def _chart_surface(surface: PolarSurface, m) -> PolarSurface:
-    if m is None:
-        return surface
-    rot9 = tuple(np.asarray(m).reshape(9))
-    return PolarSurface.rotated_sectoral(
-        surface.params["n"], surface.params["eps"], rot9
-    )
-
-
 def integrate(
     surface: PolarSurface,
     y0,
@@ -132,15 +125,14 @@ def integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     renormalize: bool = True,
-    method: str = "DOP853",
-    chunk: float = 50.0,
     section_frame=None,
 ) -> Trajectory:
     """Integrate a geodesic up to arc length ``s_max``.
 
     When the trajectory approaches a coordinate pole (theta within
-    POLE_GUARD), sectoral surfaces are re-expressed in a rotated chart and
-    integration continues seamlessly; other families raise PoleError.
+    POLE_GUARD), the surface is re-expressed in a rotated chart and
+    integration continues seamlessly.  A surface built in a rotated chart
+    starts in that chart; states are always reported in the body chart.
 
     Equator crossings (body z decreasing through zero, i.e. theta increasing
     through pi/2) are always recorded; when ``n_crossings`` is given the run
@@ -148,14 +140,16 @@ def integrate(
     moves the section plane: crossings are then detected on, and reported in,
     that frame's equator instead of the body equator.
     """
+    if s_max <= 0:
+        raise ValueError(f"arc length s_max = {s_max} must be positive")
+    if n_crossings is not None and n_crossings < 1:
+        raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)
     if renormalize:
         y = normalize_speed(surface, y)
 
-    swappable = surface.family in ("sectoral", "rotated")
-    m = None  # chart -> body rotation (None = identity/body chart)
-    if surface.family == "rotated":
-        m = np.asarray(surface.params["rot"], dtype=float).reshape(3, 3)
+    # chart -> body rotation (None = identity/body chart)
+    m = None if surface.rot is None else np.asarray(surface.rot).reshape(3, 3)
     chart = surface
     sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
 
@@ -195,12 +189,12 @@ def integrate(
         section.terminal = False
         section.direction = -1.0
 
-        s_end = min(s_max, s_now + chunk)
+        s_end = min(s_max, s_now + CHUNK)
         sol = solve_ivp(
             chart.rhs,
             (s_now, s_end),
             y,
-            method=method,
+            method=SOLVER,
             rtol=rtol,
             atol=atol,
             dense_output=True,
@@ -249,15 +243,9 @@ def integrate(
         y = sol.y[:, -1]
 
         if hit_pole:
-            if not swappable:
-                raise PoleError(
-                    f"geodesic reached theta = {y[0]:.3f}; chart rotation is "
-                    "only available for sectoral surfaces"
-                )
             y = _chart_to_chart(y, R_SWAP)
-            mm_new = (np.eye(3) if m is None else np.asarray(m)) @ np.asarray(R_SWAP)
-            m = mm_new
-            chart = _chart_surface(surface, m)
+            m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
+            chart = surface.in_chart(m)
             swaps += 1
             if not POLE_GUARD * 2 < y[0] < math.pi - POLE_GUARD * 2:
                 raise RuntimeError("chart rotation failed to leave the pole")

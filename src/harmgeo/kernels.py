@@ -1,10 +1,13 @@
 """Geodesic kernels: Christoffel symbols and the geodesic right-hand side
-from r and its partials, plus the partials of sectoral surfaces.
+from r and its partials, plus the partials of harmonic surfaces.
 
-The hot path of every Poincare-section run is :func:`rhs_from_partials`
-applied to :func:`sectoral_partials` (or :func:`chart_sectoral_partials` in a
-rotated chart); :meth:`harmgeo.surface.PolarSurface.rhs` is that composition
-for every surface family.
+Every surface is r = 1 + eps*Re((x+iy)^m)*Q(z) in body Cartesian coordinates;
+:func:`harmonic_partials` evaluates it in any rotated chart.  In the body
+chart, surfaces with a constant Q (sectoral ones, and tesseral ones with
+m = l) take the cheaper :func:`sectoral_partials`, the hot path of every
+Poincare-section run.
+:meth:`harmgeo.surface.PolarSurface.rhs` is :func:`rhs_from_partials` applied
+to one of the two, for every surface family.
 """
 
 import math
@@ -75,37 +78,71 @@ def sectoral_partials(n, eps, theta, phi):
     return r, rt, rp, rtt, rtp, rpp
 
 
-def chart_sectoral_partials(n, eps, rot, theta, phi):
-    """Sectoral surface expressed in a rotated chart.
+def harmonic_partials(m, q, eps, rot, theta, phi):
+    """r = 1 + eps*Re((x+iy)^m)*Q(z) in a rotated chart, with all partials.
 
-    ``rot`` is the row-major 3x3 matrix taking chart Cartesian coordinates to
-    body Cartesian coordinates; the surface is 1 + eps*Re((x+iy)^n) in body
-    coordinates with (x, y, z) on the unit sphere.
+    (x, y, z) is the body Cartesian point of the unit sphere, ``q`` holds the
+    coefficients of the polynomial Q, lowest degree first, and ``rot`` is the
+    row-major 3x3 matrix taking chart Cartesian coordinates to body ones.
+    Nothing is divided by sin(theta), so the chart poles are safe.
     """
-    wx = complex(rot[0], rot[3])
-    wy = complex(rot[1], rot[4])
-    wz = complex(rot[2], rot[5])
     st = math.sin(theta)
     ct = math.cos(theta)
     cp = math.cos(phi)
     sp = math.sin(phi)
+    # the chart point is (a, b, ct); its second theta-derivative is minus itself
+    a = st * cp
+    b = st * sp
+    c = ct * cp
+    d = ct * sp
 
-    w = wx * (st * cp) + wy * (st * sp) + wz * ct
-    w_t = wx * (ct * cp) + wy * (ct * sp) - wz * st
-    w_p = -wx * (st * sp) + wy * (st * cp)
-    w_tp = -wx * (ct * sp) + wy * (ct * cp)
-    w_pp = -wx * (st * cp) - wy * (st * sp)
+    # W = Re(w^m) with w = x + iy, and its partials; W = 1 when m = 0
+    if m:
+        wx = complex(rot[0], rot[3])
+        wy = complex(rot[1], rot[4])
+        wz = complex(rot[2], rot[5])
+        w = wx * a + wy * b + wz * ct
+        w_t = wx * c + wy * d - wz * st
+        w_p = -wx * b + wy * a
+        w_tp = -wx * d + wy * c
+        w_pp = -wx * a - wy * b
+        wm2 = w ** (m - 2) if m >= 2 else 0.0
+        wm1 = wm2 * w if m >= 2 else 1.0
+        W = (wm1 * w).real
+        W_t = (m * wm1 * w_t).real
+        W_p = (m * wm1 * w_p).real
+        W_tt = (m * (m - 1) * wm2 * w_t * w_t - m * wm1 * w).real
+        W_tp = (m * (m - 1) * wm2 * w_t * w_p + m * wm1 * w_tp).real
+        W_pp = (m * (m - 1) * wm2 * w_p * w_p + m * wm1 * w_pp).real
+    else:
+        W, W_t, W_p, W_tt, W_tp, W_pp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    if len(q) == 1:
+        # constant Q (sectoral): a Poincare-section trajectory that has
+        # swapped charts at a pole spends most of its RHS calls here
+        e = eps * q[0]
+        return 1.0 + e * W, e * W_t, e * W_p, e * W_tt, e * W_tp, e * W_pp
 
-    wn2 = w ** (n - 2) if n >= 2 else 0.0
-    wn1 = wn2 * w if n >= 2 else 1.0
-    wn = wn1 * w
+    # z and its partials, then Q, Q' and Q''/2 at z by Horner
+    z = rot[6] * a + rot[7] * b + rot[8] * ct
+    z_t = rot[6] * c + rot[7] * d - rot[8] * st
+    z_p = -rot[6] * b + rot[7] * a
+    z_tp = -rot[6] * d + rot[7] * c
+    z_pp = -rot[6] * a - rot[7] * b
+    Q = Q1 = Q2 = 0.0
+    for coef in reversed(q):
+        Q2 = Q2 * z + Q1
+        Q1 = Q1 * z + Q
+        Q = Q * z + coef
+    Q2 *= 2.0
 
-    r = 1.0 + eps * wn.real
-    rt = eps * (n * wn1 * w_t).real
-    rp = eps * (n * wn1 * w_p).real
-    rtt = eps * (n * (n - 1) * wn2 * w_t * w_t - n * wn1 * w).real
-    rtp = eps * (n * (n - 1) * wn2 * w_t * w_p + n * wn1 * w_tp).real
-    rpp = eps * (n * (n - 1) * wn2 * w_p * w_p + n * wn1 * w_pp).real
+    r = 1.0 + eps * (W * Q)
+    rt = eps * (W_t * Q + W * Q1 * z_t)
+    rp = eps * (W_p * Q + W * Q1 * z_p)
+    rtt = eps * (W_tt * Q + 2.0 * W_t * Q1 * z_t + W * (Q2 * z_t * z_t - Q1 * z))
+    rtp = eps * (
+        W_tp * Q + W_t * Q1 * z_p + W_p * Q1 * z_t + W * (Q2 * z_t * z_p + Q1 * z_tp)
+    )
+    rpp = eps * (W_pp * Q + 2.0 * W_p * Q1 * z_p + W * (Q2 * z_p * z_p + Q1 * z_pp))
     return r, rt, rp, rtt, rtp, rpp
 
 

@@ -137,6 +137,9 @@ def generate_section(
     ``rotated`` the section plane is rotated a quarter turn about the x axis,
     which puts the equator geodesic itself onto the section.
     """
+    # checked here: a failing integrate only fails its own trajectory
+    if n_crossings < 1:
+        raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     if s_max is None:
         s_max = 8.0 * n_crossings + 100.0
     jobs = [

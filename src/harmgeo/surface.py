@@ -4,15 +4,20 @@ A surface is described by its radial function together with all partial
 derivatives up to second order; everything downstream (metric, Christoffel
 symbols, geodesic equations) is generated from those six numbers per point.
 
-Families:
+Every family is one Cartesian form on the unit sphere,
 
-* ``sectoral``   r = 1 + eps * sin^n(theta) * cos(n*phi)
-* ``zonal``      r = 1 + eps * P_l(cos(theta))          (surface of revolution)
-* ``tesseral``   r = 1 + eps * P_l^m(cos(theta)) * cos(m*phi)
-* ``rotated``    a sectoral surface expressed in a rotated coordinate chart
-* ``custom``     user-supplied callable returning the six partials
+    r = 1 + eps * Re((x + i*y)^m) * Q(z),
 
-Associated Legendre functions here carry no Condon-Shortley phase.
+which equals 1 + eps * P_l^m(cos(theta)) * cos(m*phi) for Q = d^m P_l/dx^m.
+The families are (m, Q) pairs:
+
+* ``sectoral``   m = n, Q = 1        r = 1 + eps * sin^n(theta) * cos(n*phi)
+* ``zonal``      m = 0, Q = P_l      (surface of revolution)
+* ``tesseral``   m, Q = P_l^(m)      r = 1 + eps * P_l^m(cos(theta)) * cos(m*phi)
+
+Any surface can be expressed in a rotated coordinate chart
+(:meth:`PolarSurface.in_chart`); ``rotated`` names a sectoral surface built in
+one.  Associated Legendre functions here carry no Condon-Shortley phase.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
-from numpy.polynomial import Legendre, Polynomial
+import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import kernels
 
@@ -61,37 +68,39 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     return pm1
 
 
-def assoc_legendre_d(l: int, m: int, x: float) -> float:
-    """dP_l^m/dx for |x| < 1, via (1-x^2) P' = (l+m) P_{l-1}^m - l x P_l^m."""
-    omx2 = 1.0 - x * x
-    if omx2 <= 0.0:
-        raise ValueError("derivative formula requires |x| < 1")
-    p = assoc_legendre(l, m, x)
-    pm1 = assoc_legendre(l - 1, m, x) if l - 1 >= m else 0.0
-    return ((l + m) * pm1 - l * x * p) / omx2
+def legendre_q(l: int, m: int) -> tuple:
+    """Coefficients of Q = d^m P_l/dx^m, lowest degree first, so that
+    P_l^m(x) = (1-x^2)^(m/2) Q(x).
 
-
-def assoc_legendre_d2(l: int, m: int, x: float) -> float:
-    """d^2 P_l^m/dx^2 from the associated Legendre differential equation."""
-    omx2 = 1.0 - x * x
-    if omx2 <= 0.0:
-        raise ValueError("second derivative requires |x| < 1")
-    p = assoc_legendre(l, m, x)
-    dp = assoc_legendre_d(l, m, x)
-    return (2.0 * x * dp - (l * (l + 1) - m * m / omx2) * p) / omx2
-
-
-def assoc_legendre_max(l: int, m: int) -> float:
-    """max |P_l^m| over [-1, 1], for 1 <= m <= l.
-
-    With Q = d^m P_l/dx^m, (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, and
-    its other critical points are the zeros of Q and of
-    -m x Q + (1-x^2) Q'; the maximum sits at a real zero of the latter.
+    From P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k) in integers,
+    each coefficient rounded once.
     """
-    q = Legendre.basis(l).deriv(m).convert(kind=Polynomial)
+    if m < 0 or l < m:
+        raise ValueError("need 0 <= m <= l")
+    c = [0] * (l + 1)
+    for k in range(l // 2 + 1):
+        c[l - 2 * k] = (-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l)
+    return tuple(c[j + m] * math.perm(j + m, m) / 2**l for j in range(l - m + 1))
+
+
+def assoc_legendre_max(l: int, m: int, q: Optional[tuple] = None) -> float:
+    """max |P_l^m| over [-1, 1], for 1 <= m <= l; ``q`` is legendre_q(l, m).
+
+    (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, and its other critical
+    points are the zeros of Q and of -m x Q + (1-x^2) Q'; the maximum sits at
+    a real zero of the latter.
+    """
+    q = Polynomial(legendre_q(l, m) if q is None else q)
     x = Polynomial([0.0, 1.0])
     crit = (-m * x * q + (1 - x * x) * q.deriv()).roots()
     return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
+
+
+def _rot9(rot) -> tuple:
+    rot = tuple(float(x) for x in np.ravel(rot))
+    if len(rot) != 9:
+        raise ValueError("rot must be a row-major 3x3 matrix (9 numbers)")
+    return rot
 
 
 def _check_deformation(eps: float, h_max: float) -> None:
@@ -126,20 +135,26 @@ class Metric2:
 
 
 class PolarSurface:
-    """A star-shaped surface given by r(theta, phi) and its partials.
+    """A star-shaped surface r = 1 + eps*Re((x+iy)^m)*Q(z) and its partials.
 
-    ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp).
+    ``q`` holds the coefficients of Q, lowest degree first.  ``rot`` is the
+    row-major chart->body matrix of the coordinate chart, None for the body
+    chart.  ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp).
     """
 
-    def __init__(
-        self,
-        family: str,
-        partials: Callable[[float, float], tuple],
-        params: Optional[dict] = None,
-    ):
+    def __init__(self, family: str, params: dict, m: int, q: tuple, rot=None):
         self.family = family
-        self._partials = partials
-        self.params = dict(params or {})
+        self.params = dict(params)
+        self.m = m
+        self.q = q
+        self.rot = rot
+        eps = self.params["eps"]
+        if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
+            self._partials = partial(kernels.sectoral_partials, m, eps * q[0])
+        else:
+            self._partials = partial(
+                kernels.harmonic_partials, m, q, eps, rot or IDENTITY_ROT
+            )
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -147,70 +162,34 @@ class PolarSurface:
         if n < 1:
             raise ValueError("n >= 1 required")
         _check_deformation(eps, 1.0)
-
-        def part(theta, phi, n=n, eps=float(eps)):
-            return kernels.sectoral_partials(n, eps, theta, phi)
-
-        return cls("sectoral", part, {"n": n, "eps": float(eps)})
+        return cls("sectoral", {"n": n, "eps": float(eps)}, n, (1.0,))
 
     @classmethod
     def rotated_sectoral(cls, n: int, eps: float, rot=IDENTITY_ROT) -> "PolarSurface":
-        rot = tuple(float(x) for x in rot)
-        if len(rot) != 9:
-            raise ValueError("rot must be a row-major 3x3 matrix (9 numbers)")
+        rot = _rot9(rot)
         _check_deformation(eps, 1.0)
-
-        def part(theta, phi, n=n, eps=float(eps), rot=rot[:6]):
-            return kernels.chart_sectoral_partials(n, eps, rot, theta, phi)
-
-        return cls("rotated", part, {"n": n, "eps": float(eps), "rot": rot})
+        return cls("rotated", {"n": n, "eps": float(eps), "rot": rot}, n, (1.0,), rot)
 
     @classmethod
     def zonal(cls, l: int, eps: float) -> "PolarSurface":
         if l < 1:
             raise ValueError("l >= 1 required")
         _check_deformation(eps, 1.0)
-
-        def part(theta, phi, l=l, eps=float(eps)):
-            x = math.cos(theta)
-            st = math.sin(theta)
-            p = assoc_legendre(l, 0, x)
-            dp = assoc_legendre_d(l, 0, x)
-            d2p = assoc_legendre_d2(l, 0, x)
-            r = 1.0 + eps * p
-            r_t = -eps * st * dp
-            r_tt = eps * (st * st * d2p - x * dp)
-            return r, r_t, 0.0, r_tt, 0.0, 0.0
-
-        return cls("zonal", part, {"l": l, "eps": float(eps)})
+        return cls("zonal", {"l": l, "eps": float(eps)}, 0, legendre_q(l, 0))
 
     @classmethod
     def tesseral(cls, l: int, m: int, eps: float) -> "PolarSurface":
         if not 1 <= m <= l:
             raise ValueError("need 1 <= m <= l")
-        _check_deformation(eps, assoc_legendre_max(l, m))
+        q = legendre_q(l, m)
+        _check_deformation(eps, assoc_legendre_max(l, m, q))
+        return cls("tesseral", {"l": l, "m": m, "eps": float(eps)}, m, q)
 
-        def part(theta, phi, l=l, m=m, eps=float(eps)):
-            x = math.cos(theta)
-            st = math.sin(theta)
-            cm = math.cos(m * phi)
-            sm = math.sin(m * phi)
-            p = assoc_legendre(l, m, x)
-            dp = assoc_legendre_d(l, m, x)
-            d2p = assoc_legendre_d2(l, m, x)
-            r = 1.0 + eps * p * cm
-            r_t = -eps * st * dp * cm
-            r_p = -eps * m * p * sm
-            r_tt = eps * (st * st * d2p - x * dp) * cm
-            r_tp = eps * m * st * dp * sm
-            r_pp = -eps * m * m * p * cm
-            return r, r_t, r_p, r_tt, r_tp, r_pp
-
-        return cls("tesseral", part, {"l": l, "m": m, "eps": float(eps)})
-
-    @classmethod
-    def custom(cls, partials: Callable[[float, float], tuple]) -> "PolarSurface":
-        return cls("custom", partials)
+    def in_chart(self, rot) -> "PolarSurface":
+        """The same surface in the chart with row-major chart->body matrix
+        ``rot``."""
+        rot = _rot9(rot)
+        return type(self)(self.family, {**self.params, "rot": rot}, self.m, self.q, rot)
 
     @classmethod
     def from_spec(cls, spec) -> "PolarSurface":

@@ -51,6 +51,21 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psection", "--n", "2", "--eps", "1/4", "--traj", "2", "--crossings", "0"],
+        ["trace", "--n", "2", "--eps", "0.1", "--length", "0"],
+        ["trace", "--n", "2", "--eps", "0.1", "--length", "-5"],
+    ],
+    ids=["crossings0", "length0", "length-5"],
+)
+def test_empty_budget_exits_2(tmp_path, capsys, argv):
+    assert run(["--out-dir", tmp_path] + argv) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_global_flags_accepted_before_and_after_subcommand(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -89,6 +104,18 @@ def test_trace_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "trace_sectoral_n2_eps1over10.csv").read_text().splitlines()
     assert lines[0] == "s,theta,phi,theta_dot,phi_dot,h2"
     assert len(lines) == 21
+
+
+def test_tesseral_trace_defaults_cross_the_pole(tmp_path, capsys):
+    # the default initial state runs into a coordinate pole
+    code = run(["--out-dir", tmp_path, "trace", "--family", "tesseral",
+                "--l", "2", "--m", "1", "--eps", "0.2"])
+    assert code == 0
+    swaps = int(capsys.readouterr().out.split(" chart swaps")[0].split()[-1])
+    assert swaps >= 1
+    lines = (tmp_path / "trace_tesseral_l2m1_eps1over5.csv").read_text().splitlines()
+    assert len(lines) == 1001
+    assert max(abs(float(ln.split(",")[-1]) - 1.0) for ln in lines[1:]) <= 1e-9
 
 
 def test_lemma1_reports_critical_eps(tmp_path, capsys):

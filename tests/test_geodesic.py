@@ -11,6 +11,7 @@ from harmgeo.geodesic import (
     R_SWAP,
     Trajectory,
     _chart_to_chart,
+    _embed,
     chart_to_body,
     clairaut_values,
     integrate,
@@ -93,13 +94,49 @@ def test_meridian_passes_through_pole():
     assert np.max(np.abs(traj.h2 - 1.0)) < 1e-9
 
 
-def test_pole_raises_for_unswappable_family():
-    from harmgeo.surface import PoleError
-
+def test_zonal_meridian_passes_through_pole():
+    """Every family swaps charts at a pole: a zonal meridian stays in its
+    plane through the pole, phi = 0 or pi in the body chart."""
     surf = PolarSurface.zonal(2, 0.1)
     y0 = normalize_speed(surf, [math.pi / 2, 0.0, -1.0, 0.0])
-    with pytest.raises(PoleError):
-        integrate(surf, y0, 10.0, n_samples=10)
+    traj = integrate(surf, y0, 30.0, n_samples=301)
+    assert traj.status == "completed" and traj.chart_swaps >= 1
+    assert np.max(np.abs(traj.h2 - 1.0)) <= 1e-9
+    phi = traj.states[:, 1]
+    assert np.max(np.abs(np.mod(phi + math.pi / 2, math.pi) - math.pi / 2)) <= 1e-9
+
+
+def test_clairaut_invariant_across_chart_swaps():
+    surf = PolarSurface.zonal(3, 0.3)
+    y0 = normalize_speed(surf, [math.pi / 2, 0.3, -1.0, 0.01])
+    traj = integrate(surf, y0, 30.0, n_samples=301)
+    assert traj.chart_swaps >= 1
+    vals = clairaut_values(surf, traj)
+    assert np.max(np.abs(vals - vals[0])) <= 1e-9
+
+
+def test_surface_in_rotated_chart_starts_there():
+    """A surface built in a rotated chart takes its initial state in that
+    chart and reports body-chart states, the same geodesic as in the body
+    chart."""
+    rot = np.asarray(R_SWAP)
+    body = PolarSurface.tesseral(3, 1, 0.1)
+    y0 = normalize_speed(body.in_chart(rot), [1.3, 0.4, 0.5, -0.3])
+    in_chart = integrate(body.in_chart(rot), y0, 5.0, n_samples=6, renormalize=False)
+    in_body = integrate(body, chart_to_body(y0, rot), 5.0, n_samples=6, renormalize=False)
+    for yc, yb in zip(in_chart.states, in_body.states):
+        assert np.allclose(_embed(yc)[0], _embed(yb)[0], atol=1e-9)
+
+
+def test_meaningless_budgets_rejected():
+    surf = PolarSurface.sectoral(3, 0.1)
+    y0 = [math.pi / 2, 0.2, 0.5, 0.5]
+    for kwargs in ({"n_crossings": 0}, {"n_crossings": -2}):
+        with pytest.raises(ValueError, match="n_crossings"):
+            integrate(surf, y0, 100.0, **kwargs)
+    for s_max in (0.0, -5.0):
+        with pytest.raises(ValueError, match="s_max"):
+            integrate(surf, y0, s_max, n_samples=10)
 
 
 # -- section events ---------------------------------------------------------------

@@ -7,13 +7,23 @@ import pytest
 from scipy.special import lpmv
 
 from harmgeo import kernels
+from harmgeo.geodesic import chart_to_body
 from harmgeo.surface import (
     PoleError,
     PolarSurface,
     assoc_legendre,
-    assoc_legendre_d,
-    assoc_legendre_d2,
     assoc_legendre_max,
+    legendre_q,
+)
+
+# chart -> body matrices: the quarter turn integrate swaps in, and a generic one
+R_QUARTER = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0)
+_a, _b = 0.7, 1.9
+R_GENERIC = tuple(
+    (
+        np.array([[math.cos(_a), -math.sin(_a), 0], [math.sin(_a), math.cos(_a), 0], [0, 0, 1]])
+        @ np.array([[1, 0, 0], [0, math.cos(_b), -math.sin(_b)], [0, math.sin(_b), math.cos(_b)]])
+    ).reshape(9)
 )
 
 
@@ -29,25 +39,26 @@ def test_assoc_legendre_against_scipy(l, m):
         assert math.isclose(ours, ref, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("l,m", [(2, 0), (3, 1), (5, 2)])
-def test_assoc_legendre_derivatives_by_finite_differences(l, m):
-    h = 1e-6
-    for x in (-0.6, 0.1, 0.7):
-        fd1 = (assoc_legendre(l, m, x + h) - assoc_legendre(l, m, x - h)) / (2 * h)
-        assert math.isclose(assoc_legendre_d(l, m, x), fd1, rel_tol=1e-8, abs_tol=1e-8)
-        fd2 = (
-            assoc_legendre_d(l, m, x + h) - assoc_legendre_d(l, m, x - h)
-        ) / (2 * h)
-        assert math.isclose(
-            assoc_legendre_d2(l, m, x), fd2, rel_tol=1e-7, abs_tol=1e-7
-        )
-
-
 def test_assoc_legendre_rejects_bad_arguments():
     with pytest.raises(ValueError):
         assoc_legendre(1, 2, 0.5)
     with pytest.raises(ValueError):
-        assoc_legendre_d(2, 0, 1.0)
+        legendre_q(1, 2)
+
+
+@pytest.mark.parametrize("l,m", [(1, 0), (4, 0), (2, 1), (3, 2), (5, 3), (6, 6)])
+def test_cartesian_form_is_assoc_legendre(l, m):
+    """(1-x^2)^(m/2) Q(x) = P_l^m(x), so r = 1 + eps*Re((x+iy)^m)*Q(z) is
+    1 + eps*P_l^m(cos(theta))*cos(m*phi), the poles included."""
+    q = legendre_q(l, m)
+    for x in np.linspace(-1.0, 1.0, 21):
+        ours = (1.0 - x * x) ** (m / 2) * sum(c * x**k for k, c in enumerate(q))
+        assert math.isclose(ours, assoc_legendre(l, m, x), rel_tol=1e-12, abs_tol=1e-12)
+    eps = 0.5 / assoc_legendre_max(l, m) if m else 0.5
+    surf = PolarSurface.tesseral(l, m, eps) if m else PolarSurface.zonal(l, eps)
+    for theta, phi in [(0.0, 0.3), (0.4, 1.0), (1.9, 5.5), (math.pi, 2.0)]:
+        expected = 1.0 + eps * assoc_legendre(l, m, math.cos(theta)) * math.cos(m * phi)
+        assert math.isclose(surf.radius(theta, phi), expected, rel_tol=1e-14)
 
 
 # -- radial partials --------------------------------------------------------------
@@ -87,11 +98,18 @@ def _check_partials(surface, theta, phi, h=1e-4, tol=1e-5):
         PolarSurface.rotated_sectoral(
             2, 0.25, (1, 0, 0, 0, 0, -1, 0, 1, 0)
         ),
+        PolarSurface.zonal(3, 0.3).in_chart(R_QUARTER),
+        PolarSurface.tesseral(2, 1, 0.2).in_chart(R_GENERIC),
+        PolarSurface.tesseral(4, 2, 0.05).in_chart(R_QUARTER),
     ],
-    ids=["sectoral", "zonal", "tesseral", "rotated"],
+    ids=["sectoral", "zonal", "tesseral", "rotated", "zonal-chart",
+         "tesseral-chart", "tesseral42-chart"],
 )
 def test_partials_match_finite_differences(surface):
-    for theta, phi in [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0)]:
+    # the last four points sit within 1e-3 of the chart poles
+    for theta, phi in [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0),
+                       (1e-3, 0.8), (5e-4, 3.9), (math.pi - 1e-3, 2.5),
+                       (math.pi - 2e-4, 5.2)]:
         _check_partials(surface, theta, phi)
 
 
@@ -104,26 +122,28 @@ def test_sectoral_radius_formula():
 
 
 def test_rotated_chart_agrees_with_body_chart():
-    """A rotated-chart surface evaluated at the mapped point gives the same
-    radius as the body chart at the original point."""
-    n, eps = 3, 0.2
-    rot = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
-    body = PolarSurface.sectoral(n, eps)
-    chart = PolarSurface.rotated_sectoral(n, eps, tuple(rot.reshape(9)))
-    theta_c, phi_c = 1.1, 0.8
-    p_chart = np.array(
-        [
-            math.sin(theta_c) * math.cos(phi_c),
-            math.sin(theta_c) * math.sin(phi_c),
-            math.cos(theta_c),
-        ]
-    )
-    p_body = rot @ p_chart
-    theta_b = math.atan2(math.hypot(p_body[0], p_body[1]), p_body[2])
-    phi_b = math.atan2(p_body[1], p_body[0])
-    assert math.isclose(
-        chart.radius(theta_c, phi_c), body.radius(theta_b, phi_b), rel_tol=1e-14
-    )
+    """Every family in a rotated chart, evaluated at a chart state, gives the
+    radius and the speed 2H of the body chart at the same state."""
+    bodies = [
+        PolarSurface.sectoral(3, 0.2),
+        PolarSurface.zonal(2, 0.3),
+        PolarSurface.tesseral(3, 2, 0.15),
+    ]
+    for body in bodies:
+        for rot in (R_QUARTER, R_GENERIC):
+            chart = body.in_chart(rot)
+            assert chart.family == body.family and chart.rot == rot
+            for y_c in [(1.1, 0.8, 0.3, -0.6), (0.2, 4.0, -0.9, 1.7), (2.7, 2.2, 0.5, 0.4)]:
+                y_b = chart_to_body(y_c, np.reshape(rot, (3, 3)))
+                assert math.isclose(
+                    chart.radius(*y_c[:2]), body.radius(*y_b[:2]), rel_tol=1e-14
+                )
+                assert math.isclose(
+                    chart.hamiltonian2(*y_c), body.hamiltonian2(*y_b), rel_tol=1e-12
+                )
+    # rotated_sectoral is the sectoral surface in a chart
+    rotated = PolarSurface.rotated_sectoral(3, 0.2, R_GENERIC)
+    assert rotated.partials(1.1, 0.8) == bodies[0].in_chart(R_GENERIC).partials(1.1, 0.8)
 
 
 # -- metric and symbols -------------------------------------------------------------
@@ -229,9 +249,3 @@ def test_kernel_names_read_by_benchmark():
         surf = PolarSurface.sectoral(n, eps)
         for y in [(1.2, 0.4, 0.3, 0.6), (0.3, 5.1, -0.7, 0.2), (2.9, 2.0, 0.1, -1.1)]:
             assert kernels.sectoral_rhs(n, eps, *y) == surf.rhs(0.0, y)
-
-
-def test_custom_surface():
-    surf = PolarSurface.custom(lambda t, p: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    g = surf.metric_at(1.0, 0.0)
-    assert math.isclose(g.det, math.sin(1.0) ** 2, rel_tol=1e-15)
