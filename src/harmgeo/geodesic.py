@@ -131,7 +131,8 @@ def integrate(
 
     When the trajectory approaches a coordinate pole (theta within
     POLE_GUARD), the surface is re-expressed in a rotated chart and
-    integration continues seamlessly.  A surface built in a rotated chart
+    integration continues seamlessly; a start that is already that close to
+    a pole begins in the rotated chart.  A surface built in a rotated chart
     starts in that chart; states are always reported in the body chart.
 
     Equator crossings (body z decreasing through zero, i.e. theta increasing
@@ -145,19 +146,32 @@ def integrate(
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)
-    if renormalize:
-        y = normalize_speed(surface, y)
 
     # chart -> body rotation (None = identity/body chart)
     m = None if surface.rot is None else np.asarray(surface.rot).reshape(3, 3)
     chart = surface
+    swaps = 0
+
+    def swap_chart(y, m):
+        y = _chart_to_chart(y, R_SWAP)
+        m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
+        if not POLE_GUARD * 2 < y[0] < math.pi - POLE_GUARD * 2:
+            raise RuntimeError("chart rotation failed to leave the pole")
+        return y, m, surface.in_chart(m)
+
+    # the pole events fire on entering the guard band, so a start inside it
+    # moves to the rotated chart before the first step
+    if not POLE_GUARD < y[0] < math.pi - POLE_GUARD:
+        y, m, chart = swap_chart(y, m)
+        swaps += 1
+    if renormalize:
+        y = normalize_speed(chart, y)
     sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
 
     sample_s = np.linspace(0.0, s_max, n_samples) if n_samples else np.array([])
     samples = []
     h2s = []
     crossings = []
-    swaps = 0
     s_now = 0.0
     status = "completed"
 
@@ -243,12 +257,8 @@ def integrate(
         y = sol.y[:, -1]
 
         if hit_pole:
-            y = _chart_to_chart(y, R_SWAP)
-            m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
-            chart = surface.in_chart(m)
+            y, m, chart = swap_chart(y, m)
             swaps += 1
-            if not POLE_GUARD * 2 < y[0] < math.pi - POLE_GUARD * 2:
-                raise RuntimeError("chart rotation failed to leave the pole")
 
     if n_samples:
         s_arr = np.array([s for s, _ in samples])

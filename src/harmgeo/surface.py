@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -83,14 +82,14 @@ def legendre_q(l: int, m: int) -> tuple:
     return tuple(c[j + m] * math.perm(j + m, m) / 2**l for j in range(l - m + 1))
 
 
-def assoc_legendre_max(l: int, m: int, q: Optional[tuple] = None) -> float:
-    """max |P_l^m| over [-1, 1], for 1 <= m <= l; ``q`` is legendre_q(l, m).
+def assoc_legendre_max(l: int, m: int) -> float:
+    """max |P_l^m| over [-1, 1], for 1 <= m <= l.
 
     (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, and its other critical
     points are the zeros of Q and of -m x Q + (1-x^2) Q'; the maximum sits at
     a real zero of the latter.
     """
-    q = Polynomial(legendre_q(l, m) if q is None else q)
+    q = Polynomial(legendre_q(l, m))
     x = Polynomial([0.0, 1.0])
     crit = (-m * x * q + (1 - x * x) * q.deriv()).roots()
     return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
@@ -166,9 +165,9 @@ class PolarSurface:
 
     @classmethod
     def rotated_sectoral(cls, n: int, eps: float, rot=IDENTITY_ROT) -> "PolarSurface":
-        rot = _rot9(rot)
-        _check_deformation(eps, 1.0)
-        return cls("rotated", {"n": n, "eps": float(eps), "rot": rot}, n, (1.0,), rot)
+        surf = cls.sectoral(n, eps).in_chart(rot)
+        surf.family = "rotated"
+        return surf
 
     @classmethod
     def zonal(cls, l: int, eps: float) -> "PolarSurface":
@@ -181,9 +180,8 @@ class PolarSurface:
     def tesseral(cls, l: int, m: int, eps: float) -> "PolarSurface":
         if not 1 <= m <= l:
             raise ValueError("need 1 <= m <= l")
-        q = legendre_q(l, m)
-        _check_deformation(eps, assoc_legendre_max(l, m, q))
-        return cls("tesseral", {"l": l, "m": m, "eps": float(eps)}, m, q)
+        _check_deformation(eps, assoc_legendre_max(l, m))
+        return cls("tesseral", {"l": l, "m": m, "eps": float(eps)}, m, legendre_q(l, m))
 
     def in_chart(self, rot) -> "PolarSurface":
         """The same surface in the chart with row-major chart->body matrix

@@ -106,6 +106,20 @@ def test_zonal_meridian_passes_through_pole():
     assert np.max(np.abs(np.mod(phi + math.pi / 2, math.pi) - math.pi / 2)) <= 1e-9
 
 
+@pytest.mark.parametrize("theta0, theta_dot", [(0.03, -1.0), (math.pi - 0.03, 1.0)])
+def test_start_inside_pole_guard_swaps_first(theta0, theta_dot):
+    """A start within POLE_GUARD of a pole, heading into it, is moved to a
+    rotated chart before the first step and stays on the sphere."""
+    surf = PolarSurface.zonal(2, 0.2)
+    traj = integrate(surf, [theta0, 0.0, theta_dot, 0.0], 20.0, n_samples=201)
+    assert traj.chart_swaps >= 1
+    assert np.max(np.abs(traj.h2 - 1.0)) <= 1e-9
+    theta = traj.states[:, 0]
+    assert theta.min() >= 0.0 and theta.max() <= math.pi
+    phi = traj.states[:, 1]
+    assert np.max(np.abs(np.mod(phi + math.pi / 2, math.pi) - math.pi / 2)) <= 1e-9
+
+
 def test_clairaut_invariant_across_chart_swaps():
     surf = PolarSurface.zonal(3, 0.3)
     y0 = normalize_speed(surf, [math.pi / 2, 0.3, -1.0, 0.01])
