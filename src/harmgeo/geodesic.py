@@ -42,6 +42,8 @@ class Trajectory:
     crossings: np.ndarray  # shape (k, 3): s, phi, phi_dot at theta = pi/2
     chart_swaps: int
     status: str  # "completed", or "crossings" when n_crossings stopped it
+    # shape (k, 2, j) with ``tangents``: d(phi, phi_dot) of each crossing
+    crossing_jacobians: Optional[np.ndarray] = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -90,6 +92,35 @@ def _chart_to_chart(y, rot):
     return _project(rt @ n, rt @ v)
 
 
+def _embed_jacobian(y):
+    """6x4 Jacobian of :func:`_embed`: position rows, then velocity rows."""
+    th, ph, td, pd = y
+    st, ct = math.sin(th), math.cos(th)
+    cp, sp = math.cos(ph), math.sin(ph)
+    e_t = np.array([ct * cp, ct * sp, -st])
+    e_p = np.array([-st * sp, st * cp, 0.0])
+    e_tp = np.array([-ct * sp, ct * cp, 0.0])  # d e_t/d phi = d e_p/d theta
+    n = np.array([st * cp, st * sp, ct])
+    jac = np.zeros((6, 4))
+    jac[:3, 0] = e_t
+    jac[:3, 1] = e_p
+    jac[3:, 0] = -td * n + pd * e_tp
+    jac[3:, 1] = td * e_tp - pd * (n - [0.0, 0.0, ct])
+    jac[3:, 2] = e_t
+    jac[3:, 3] = e_p
+    return jac
+
+
+def _transfer_tangents(y, y_new, rot, tangents):
+    """Carry tangent vectors (columns) at state y to the state y_new of a
+    chart with Cartesian coordinates p_new = rot @ p: the Jacobian of
+    ``_project(rot @ n, rot @ v)``.  Both tangent images lie in the range of
+    the new 6x4 embedding Jacobian, so the least-squares solve is exact."""
+    e = _embed_jacobian(y) @ tangents
+    moved = np.vstack([rot @ e[:3], rot @ e[3:]])
+    return np.linalg.lstsq(_embed_jacobian(y_new), moved, rcond=None)[0]
+
+
 def chart_to_body(y, m):
     """State in a chart with chart->body matrix m, expressed in the body
     chart."""
@@ -115,6 +146,17 @@ def normalize_speed(surface: PolarSurface, y):
     return y
 
 
+def _crossing_jacobian(chart, y, y_out, row_z, rot, tangents):
+    """d(phi, phi_dot) of a section crossing: the tangents at the chart state
+    y, corrected for the shift of the crossing time (dT = -grad.dy /
+    grad.f), then carried to the reported state y_out = _project(rot @ n,
+    rot @ v)."""
+    f = np.asarray(chart.rhs(0.0, y))
+    grad = row_z @ _embed_jacobian(y)[:3]  # of the section function; 0 in velocity
+    on_section = tangents - np.outer(f, grad @ tangents / (grad @ f))
+    return _transfer_tangents(y, y_out, rot, on_section)[[1, 3]]
+
+
 def integrate(
     surface: PolarSurface,
     y0,
@@ -126,6 +168,7 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     renormalize: bool = True,
     section_frame=None,
+    tangents=None,
 ) -> Trajectory:
     """Integrate a geodesic up to arc length ``s_max``.
 
@@ -137,32 +180,48 @@ def integrate(
 
     Equator crossings (body z decreasing through zero, i.e. theta increasing
     through pi/2) are always recorded; when ``n_crossings`` is given the run
-    stops after that many.  ``section_frame`` (a 3x3 body-to-frame rotation)
-    moves the section plane: crossings are then detected on, and reported in,
-    that frame's equator instead of the body equator.
+    stops at the last one asked for and reports the state there.
+    ``section_frame`` (a 3x3 body-to-frame rotation) moves the section plane:
+    crossings are then detected on, and reported in, that frame's equator
+    instead of the body equator.
+
+    ``tangents``, a 4 x j array of variations of ``y0`` (which then must not
+    be renormalized), is integrated alongside the geodesic by its
+    linearization and carried exactly across chart swaps.  Each crossing then
+    also reports the 2 x j derivative of its (phi, phi_dot), the change of
+    crossing time included, in ``Trajectory.crossing_jacobians``.
     """
     if s_max <= 0:
         raise ValueError(f"arc length s_max = {s_max} must be positive")
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)
+    tan = None
+    if tangents is not None:
+        if renormalize:
+            raise ValueError(
+                "tangents need renormalize=False: speed normalization is not differentiated"
+            )
+        tan = np.array(tangents, dtype=float).reshape(4, -1)
 
     # chart -> body rotation (None = identity/body chart)
     m = None if surface.rot is None else np.asarray(surface.rot).reshape(3, 3)
     chart = surface
     swaps = 0
 
-    def swap_chart(y, m):
-        y = _chart_to_chart(y, R_SWAP)
+    def swap_chart(y, m, tan):
+        y_new = _chart_to_chart(y, R_SWAP)
+        if tan is not None:
+            tan = _transfer_tangents(y, y_new, np.asarray(R_SWAP).T, tan)
         m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
-        if not POLE_GUARD * 2 < y[0] < math.pi - POLE_GUARD * 2:
+        if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        return y, m, surface.in_chart(m)
+        return y_new, m, surface.in_chart(m), tan
 
     # the pole events fire on entering the guard band, so a start inside it
     # moves to the rotated chart before the first step
     if not POLE_GUARD < y[0] < math.pi - POLE_GUARD:
-        y, m, chart = swap_chart(y, m)
+        y, m, chart, tan = swap_chart(y, m, tan)
         swaps += 1
     if renormalize:
         y = normalize_speed(chart, y)
@@ -172,6 +231,7 @@ def integrate(
     samples = []
     h2s = []
     crossings = []
+    jacobians = []
     s_now = 0.0
     status = "completed"
 
@@ -200,14 +260,26 @@ def integrate(
             )
             return n
 
-        section.terminal = False
         section.direction = -1.0
+        # stop at the last crossing asked for.  A start on the section that
+        # heads down through it fires at s ~ 0, an event the s_ev filter
+        # below drops, so the first chunk counts one more then
+        section.terminal = 0
+        if n_crossings is not None:
+            section.terminal = n_crossings - len(crossings)
+            if s_now == 0.0:
+                v_z = row_z @ _embed(y)[1]
+                section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
 
         s_end = min(s_max, s_now + CHUNK)
+        if tan is None:
+            rhs, y_start = chart.rhs, y
+        else:
+            rhs, y_start = chart.variational_rhs, np.concatenate([y, tan.ravel()])
         sol = solve_ivp(
-            chart.rhs,
+            rhs,
             (s_now, s_end),
-            y,
+            y_start,
             method=SOLVER,
             rtol=rtol,
             atol=atol,
@@ -221,17 +293,23 @@ def integrate(
 
         # record crossings (converted to body coordinates)
         done = False
+        to_frame = mm if sframe is None else sframe @ mm
         for s_ev, y_ev in zip(sol.t_events[2], sol.y_events[2]):
             if s_ev < 1e-9:  # initial condition sitting on the section
                 continue
+            y_c = y_ev[:4]
             if sframe is None:
-                yb = chart_to_body(y_ev, m)
+                yb = chart_to_body(y_c, m)
             else:
-                n_c, v_c = _embed(y_ev)
+                n_c, v_c = _embed(y_c)
                 yb = _project(sframe @ (mm @ n_c), sframe @ (mm @ v_c))
             crossings.append((s_ev, yb[1], yb[3]))
+            if tan is not None:
+                d_ev = y_ev[4:].reshape(4, -1)
+                jacobians.append(_crossing_jacobian(chart, y_c, yb, row_z, to_frame, d_ev))
             if n_crossings is not None and len(crossings) >= n_crossings:
                 seg_end = s_ev
+                y = y_c
                 done = True
                 status = "crossings"
                 break
@@ -244,7 +322,7 @@ def integrate(
             else:
                 upper = sample_s < seg_end
             for sv in sample_s[(sample_s >= s_now) & upper]:
-                yy = sol.sol(min(max(sv, sol.t[0]), sol.t[-1]))
+                yy = sol.sol(min(max(sv, sol.t[0]), sol.t[-1]))[:4]
                 samples.append((sv, chart_to_body(yy, m)))
                 h2s.append(chart.hamiltonian2(*yy))
 
@@ -254,10 +332,12 @@ def integrate(
 
         hit_pole = len(sol.t_events[0]) > 0 or len(sol.t_events[1]) > 0
         s_now = sol.t[-1]
-        y = sol.y[:, -1]
+        y = sol.y[:4, -1]
+        if tan is not None:
+            tan = sol.y[4:, -1].reshape(4, -1)
 
         if hit_pole:
-            y, m, chart = swap_chart(y, m)
+            y, m, chart, tan = swap_chart(y, m, tan)
             swaps += 1
 
     if n_samples:
@@ -276,6 +356,9 @@ def integrate(
         crossings=np.array(crossings).reshape(-1, 3),
         chart_swaps=swaps,
         status=status,
+        crossing_jacobians=(
+            None if tan is None else np.array(jacobians).reshape(-1, 2, tan.shape[1])
+        ),
     )
 
 
@@ -438,8 +521,8 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     integrated side by side over one full circuit:
 
     * the reference copy uses Christoffel symbols from the numeric kernels
-      (the theta-derivative by central differences), knowing nothing of the
-      symbolic pipeline;
+      (the theta-derivative exact, from the third-order jet), knowing
+      nothing of the symbolic pipeline;
     * the second copy evaluates the exact rational coefficients p(z), q(z)
       transported through z = eps*cos(n*phi(s)), with the transport data
       (phi_dot, z_dot, z_ddot) taken from the exact equatorial metric

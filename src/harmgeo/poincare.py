@@ -49,6 +49,20 @@ def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> np.ndarray:
     return np.array([math.pi / 2, phi, theta_dot, phi_dot])
 
 
+def _equator_state_tangents(n: int, eps: float, y) -> np.ndarray:
+    """4x2 derivative of :func:`equator_state` by (phi, phi_dot) at its
+    output y: theta_dot follows the energy shell 2H = 1."""
+    _, phi, td, pd = y
+    c = math.cos(n * phi)
+    r = 1.0 + eps * c
+    r_p = -eps * n * math.sin(n * phi)
+    r_pp = -eps * n * n * c
+    g_pp = r * r + r_p * r_p
+    td_phi = -r_p * (r * td * td + (r + r_pp) * pd * pd) / (r * r * td)
+    td_pd = -g_pp * pd / (r * r * td)
+    return np.array([[0.0, 0.0], [1.0, 0.0], [td_phi, td_pd], [0.0, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
@@ -214,16 +228,24 @@ def return_map(
     atol: float = 1e-12,
 ) -> tuple[float, float, float]:
     """k-th return of a section point; returns (phi, phi_dot, arc length)."""
+    return _kth_return(n, eps, phi, phi_dot, k, rtol=rtol, atol=atol)[:3]
+
+
+def _kth_return(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
+    """(phi, phi_dot, arc length, 2x2 Jacobian or None) of the k-th return,
+    the Jacobian from the tangent flow when ``tangent`` is set."""
     surf = PolarSurface.sectoral(n, eps)
     y0 = equator_state(n, eps, phi, phi_dot)
     traj = integrate(
         surf, y0, 40.0 * k + 60.0, n_crossings=k, rtol=rtol, atol=atol,
         renormalize=False,
+        tangents=_equator_state_tangents(n, eps, y0) if tangent else None,
     )
     if len(traj.crossings) < k:
         raise RuntimeError(f"no {k}-th return within the arc-length budget")
     s, ph, pd = traj.crossings[k - 1]
-    return float(ph), float(pd), float(s)
+    jac = None if traj.crossing_jacobians is None else traj.crossing_jacobians[k - 1]
+    return float(ph), float(pd), float(s), jac
 
 
 def _wrap(dphi: float) -> float:
@@ -257,25 +279,20 @@ class ClosedGeodesic:
 
 
 def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30):
-    """Newton iteration for a period-k point of the return map."""
+    """Newton iteration for a period-k point of the return map.
+
+    Each step is one integration with the tangent flow, giving the residual
+    and the exact Jacobian together.  Returns (x, residual, monodromy,
+    length) from the converged pass, or None.
+    """
     x = np.array(x0, dtype=float)
-
-    def fval(x):
-        ph, pd, _ = return_map(n, eps, x[0], x[1], k)
-        return np.array([_wrap(ph - x[0]), pd - x[1]])
-
     for _ in range(max_iter):
-        f = fval(x)
+        ph, pd, length, jac = _kth_return(n, eps, x[0], x[1], k, tangent=True)
+        f = np.array([_wrap(ph - x[0]), pd - x[1]])
         if np.max(np.abs(f)) < tol:
-            return x, float(np.max(np.abs(f)))
-        h = 1e-7
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            dx = np.zeros(2)
-            dx[j] = h
-            jac[:, j] = (fval(x + dx) - fval(x - dx)) / (2 * h)
+            return x, float(np.max(np.abs(f))), jac, length
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac - np.eye(2), -f)
         except np.linalg.LinAlgError:
             return None
         if np.max(np.abs(step)) > 0.5:  # diverging away from the seed
@@ -284,15 +301,10 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30):
     return None
 
 
-def monodromy_matrix(n, eps, phi, phi_dot, k, h=1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the k-th return map at a fixed point."""
-    jac = np.zeros((2, 2))
-    for j, dx in enumerate(((h, 0.0), (0.0, h))):
-        pp, pdp, _ = return_map(n, eps, phi + dx[0], phi_dot + dx[1], k)
-        pm, pdm, _ = return_map(n, eps, phi - dx[0], phi_dot - dx[1], k)
-        jac[0, j] = _wrap(pp - pm) / (2 * h)
-        jac[1, j] = (pdp - pdm) / (2 * h)
-    return jac
+def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
+    """Jacobian of the k-th return map at a section point, from the tangent
+    flow (at a fixed point: the monodromy)."""
+    return _kth_return(n, eps, phi, phi_dot, k, tangent=True)[3]
 
 
 def find_closed_geodesics(
@@ -316,13 +328,11 @@ def find_closed_geodesics(
             res = _newton_fixed_point(n, eps, (phi0, 0.0), k)
             if res is None:
                 continue
-            x, resid = res
+            x, resid, mono, length = res
             key = (round(x[0] % TWO_PI, 6), round(x[1], 6), k)
             if key in seen:
                 break
             seen.add(key)
-            mono = monodromy_matrix(n, eps, x[0], x[1], k)
-            _, _, length = return_map(n, eps, x[0], x[1], k)
             out.append(
                 ClosedGeodesic(
                     family=family,

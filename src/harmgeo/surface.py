@@ -3,6 +3,8 @@
 A surface is described by its radial function together with all partial
 derivatives up to second order; everything downstream (metric, Christoffel
 symbols, geodesic equations) is generated from those six numbers per point.
+The tangent flow and the exact derivatives of the Christoffel symbols use the
+third-order jet (ten numbers per point, :func:`harmgeo.kernels.harmonic_jet`).
 
 Every family is one Cartesian form on the unit sphere,
 
@@ -138,7 +140,8 @@ class PolarSurface:
 
     ``q`` holds the coefficients of Q, lowest degree first.  ``rot`` is the
     row-major chart->body matrix of the coordinate chart, None for the body
-    chart.  ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp).
+    chart.  ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp);
+    ``jet(theta, phi)`` adds (r_ttt, r_ttp, r_tpp, r_ppp).
     """
 
     def __init__(self, family: str, params: dict, m: int, q: tuple, rot=None):
@@ -148,6 +151,7 @@ class PolarSurface:
         self.q = q
         self.rot = rot
         eps = self.params["eps"]
+        self._jet = partial(kernels.harmonic_jet, m, q, eps, rot or IDENTITY_ROT)
         if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
             self._partials = partial(kernels.sectoral_partials, m, eps * q[0])
         else:
@@ -212,6 +216,9 @@ class PolarSurface:
     def partials(self, theta: float, phi: float) -> tuple:
         return self._partials(theta, phi)
 
+    def jet(self, theta: float, phi: float) -> tuple:
+        return self._jet(theta, phi)
+
     def radius(self, theta: float, phi: float) -> float:
         return self._partials(theta, phi)[0]
 
@@ -239,14 +246,9 @@ class PolarSurface:
         """Gamma^theta_phiphi, the restoring term of normal variations."""
         return self.christoffels_at(theta, phi)["tpp"]
 
-    def gamma_theta_phiphi_dtheta(
-        self, theta: float, phi: float, h: float = 1e-6
-    ) -> float:
-        """Central-difference theta-derivative of Gamma^theta_phiphi."""
-        return (
-            self.gamma_theta_phiphi(theta + h, phi)
-            - self.gamma_theta_phiphi(theta - h, phi)
-        ) / (2.0 * h)
+    def gamma_theta_phiphi_dtheta(self, theta: float, phi: float) -> float:
+        """Exact theta-derivative of Gamma^theta_phiphi."""
+        return kernels.christoffel_jet(theta, self._jet(theta, phi))[1][2]
 
     def equator_nve_coeffs(self, phi: float) -> tuple:
         """(phi_dot, a, b) of the normal variation xi'' = a xi + b xi' at phi
@@ -255,9 +257,8 @@ class PolarSurface:
         b = -2 Gamma^theta_thetaphi * phi_dot."""
         g = self.metric_at(math.pi / 2, phi)
         pd = 1.0 / math.sqrt(g.g_pp)
-        ch = self.christoffels_at(math.pi / 2, phi)
-        dG = self.gamma_theta_phiphi_dtheta(math.pi / 2, phi)
-        return pd, -dG * pd * pd, -2.0 * ch["ttp"] * pd
+        gam, gam_t, _ = kernels.christoffel_jet(math.pi / 2, self._jet(math.pi / 2, phi))
+        return pd, -gam_t[2] * pd * pd, -2.0 * gam[1] * pd
 
     def hamiltonian2(self, theta, phi, theta_dot, phi_dot) -> float:
         """2H = g_tt td^2 + 2 g_tp td pd + g_pp pd^2 (arc length when == 1)."""
@@ -272,6 +273,12 @@ class PolarSurface:
         """Geodesic right-hand side for (theta, phi, theta_dot, phi_dot)."""
         theta, phi, td, pd = y
         return kernels.rhs_from_partials(theta, td, pd, self._partials(theta, phi))
+
+    def variational_rhs(self, s, y):
+        """:meth:`rhs` for the state y[:4] followed by its linearization
+        applied to the row-major 4 x j block of tangent vectors y[4:]."""
+        theta, phi, td, pd, *tangents = y.tolist()
+        return kernels.variational_rhs(theta, td, pd, self._jet(theta, phi), tangents)
 
     def __repr__(self):
         return f"PolarSurface({self.family}, {self.params})"

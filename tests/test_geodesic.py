@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from harmgeo import kernels
+from harmgeo import geodesic, kernels
 from harmgeo.geodesic import (
     R_SWAP,
     Trajectory,
@@ -23,6 +24,7 @@ from harmgeo.geodesic import (
     nve_dual_residual,
     sphere_closure_error,
 )
+from harmgeo.poincare import equator_state
 from harmgeo.surface import PolarSurface
 
 
@@ -165,6 +167,50 @@ def test_crossings_recorded_and_limited():
     # arc lengths strictly increase and start after the initial point
     s = traj.crossings[:, 0]
     assert s[0] > 1e-9 and np.all(np.diff(s) > 0)
+
+
+def test_crossing_stop_reports_state_at_last_crossing():
+    surf = PolarSurface.sectoral(3, 0.3)
+    traj = integrate(
+        surf, equator_state(3, 0.3, 0.4, 0.2), 200.0, n_crossings=3, renormalize=False
+    )
+    s, phi, phi_dot = traj.crossings[-1]
+    assert traj.s.tolist() == [s]
+    theta, phi_end, _, phi_dot_end = traj.states[0]
+    assert abs(theta - math.pi / 2) <= 1e-12
+    assert (phi_end, phi_dot_end) == (phi, phi_dot)
+    assert abs(traj.h2[0] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("start", ["on-section", "off-section"])
+def test_crossing_limited_run_stops_at_last_crossing(monkeypatch, k, start):
+    """Stopping at the k-th crossing leaves the crossings bit-identical to a
+    full run, and the last solver segment ends there."""
+    surf = PolarSurface.sectoral(3, 0.3)
+    if start == "on-section":
+        y0 = equator_state(3, 0.3, 0.4, 0.2)
+    else:
+        y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
+    full = integrate(surf, y0, 50.0)
+    ends = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        ends.append(sol.t[-1])
+        return sol
+
+    monkeypatch.setattr(geodesic, "solve_ivp", recording_solve_ivp)
+    limited = integrate(surf, y0, 50.0, n_crossings=k)
+    assert len(full.crossings) > k
+    assert np.array_equal(limited.crossings, full.crossings[:k])
+    assert ends[-1] == limited.crossings[-1, 0]
+
+
+def test_tangents_refuse_renormalization():
+    surf = PolarSurface.sectoral(3, 0.1)
+    with pytest.raises(ValueError, match="renormalize"):
+        integrate(surf, [1.2, 0.3, 0.4, 0.5], 5.0, tangents=np.eye(4))
 
 
 def test_crossing_states_lie_on_energy_shell():

@@ -13,6 +13,7 @@ from harmgeo.poincare import (
     find_closed_geodesics,
     generate_section,
     max_trajectory_occupancy,
+    monodromy_matrix,
     occupancy,
     phi_dot_max,
     return_map,
@@ -201,6 +202,49 @@ def test_closed_geodesics_order_two_planar_elliptic():
         assert g.classification == "elliptic"
         assert abs(g.det - 1.0) < 1e-4  # the return map is area-preserving
         assert abs(g.trace) < 2.0
+
+
+def _differenced_return_jacobian(n, eps, phi, phi_dot, k, h=1e-6):
+    jac = np.zeros((2, 2))
+    for j, dx in enumerate(((h, 0.0), (0.0, h))):
+        pp, dp, _ = return_map(n, eps, phi + dx[0], phi_dot + dx[1], k)
+        pm, dm, _ = return_map(n, eps, phi - dx[0], phi_dot - dx[1], k)
+        jac[:, j] = [((pp - pm + math.pi) % TWO_PI - math.pi) / (2 * h), (dp - dm) / (2 * h)]
+    return jac
+
+
+@pytest.mark.parametrize(
+    "n, eps, phi, phi_dot, k",
+    [(2, 0.15, 0.4, 0.2, 1), (2, 0.15, 0.4, 0.2, 2), (3, 0.1, 0.0, 0.0, 1)],
+    ids=["k1", "k2", "meridian"],
+)
+def test_tangent_flow_jacobian_matches_differences(n, eps, phi, phi_dot, k):
+    """The return-map Jacobian from the tangent flow agrees with central
+    differences of return_map; the phi = 0 meridian swaps charts at the
+    south pole and returns in the rotated chart."""
+    exact = monodromy_matrix(n, eps, phi, phi_dot, k)
+    differenced = _differenced_return_jacobian(n, eps, phi, phi_dot, k)
+    assert np.allclose(exact, differenced, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def closed_orbits():
+    return {n: find_closed_geodesics(n, 0.1) for n in (2, 3)}
+
+
+def test_closed_orbit_monodromy_is_area_preserving(closed_orbits):
+    for found in closed_orbits.values():
+        assert found
+        for g in found:
+            assert abs(g.det - 1.0) <= 1e-9
+
+
+def test_symmetric_copies_share_their_trace(closed_orbits):
+    """The six planar n = 3 orbits are copies under the dihedral symmetry,
+    so their monodromies share one trace."""
+    traces = [g.trace for g in closed_orbits[3] if g.family == "planar"]
+    assert len(traces) == 6
+    assert max(traces) - min(traces) <= 1e-9
 
 
 def test_equator_monodromy_shape():

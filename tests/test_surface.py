@@ -113,6 +113,65 @@ def test_partials_match_finite_differences(surface):
         _check_partials(surface, theta, phi)
 
 
+JET_POINTS = [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0), (1e-3, 0.8), (math.pi - 5e-4, 5.2)]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        PolarSurface.sectoral(3, 0.2),
+        PolarSurface.sectoral(1, 0.3),
+        PolarSurface.zonal(2, 0.3),
+        PolarSurface.tesseral(3, 2, 0.15),
+        PolarSurface.tesseral(2, 1, 0.2),
+    ],
+    ids=["sectoral3", "sectoral1", "zonal", "tesseral32", "tesseral21"],
+)
+@pytest.mark.parametrize(
+    "rot", [None, R_QUARTER, R_GENERIC], ids=["body", "quarter", "generic"]
+)
+def test_harmonic_jet_matches_differenced_partials(body, rot):
+    """The ten-entry jet repeats the six partials and its third-order
+    entries are central differences of the second-order ones, also within
+    1e-3 of the chart poles."""
+    surf = body if rot is None else body.in_chart(rot)
+    h = 1e-5
+
+    def parts(theta, phi):
+        return np.array(surf.partials(theta, phi))
+
+    for theta, phi in JET_POINTS:
+        jet = surf.jet(theta, phi)
+        assert np.allclose(jet[:6], parts(theta, phi), rtol=0, atol=1e-13)
+        d_t = (parts(theta + h, phi) - parts(theta - h, phi)) / (2 * h)
+        d_p = (parts(theta, phi + h) - parts(theta, phi - h)) / (2 * h)
+        assert np.allclose(jet[6:], [d_t[3], d_p[3], d_p[4], d_p[5]], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "surf",
+    [
+        PolarSurface.sectoral(2, 0.3),
+        PolarSurface.zonal(3, 0.3).in_chart(R_QUARTER),
+        PolarSurface.tesseral(2, 1, 0.2).in_chart(R_GENERIC),
+    ],
+    ids=["sectoral", "zonal-chart", "tesseral-chart"],
+)
+def test_christoffel_jet_matches_differenced_christoffel(surf):
+    h = 1e-5
+
+    def gamma(theta, phi):
+        return np.array(kernels.christoffel(theta, *surf.partials(theta, phi))[4:])
+
+    for theta, phi in [(0.7, 0.3), (math.pi / 2, 2.1), (2.2, 4.0), (0.1, 5.0)]:
+        gam, gam_t, gam_p = kernels.christoffel_jet(theta, surf.jet(theta, phi))
+        assert np.allclose(gam, gamma(theta, phi), rtol=0, atol=1e-12)
+        d_t = (gamma(theta + h, phi) - gamma(theta - h, phi)) / (2 * h)
+        d_p = (gamma(theta, phi + h) - gamma(theta, phi - h)) / (2 * h)
+        assert np.allclose(gam_t, d_t, rtol=1e-7, atol=1e-7)
+        assert np.allclose(gam_p, d_p, rtol=1e-7, atol=1e-7)
+
+
 def test_sectoral_radius_formula():
     n, eps = 4, 0.2
     surf = PolarSurface.sectoral(n, eps)
@@ -182,18 +241,18 @@ def test_hamiltonian2_is_quadratic_form():
 
 def test_restoring_symbol_derivative_matches_exact_value():
     """On the equator the theta-derivative of Gamma^theta_phiphi drives the
-    normal variation; the finite-difference helper must agree with a direct
-    difference quotient."""
+    normal variation; its exact value from the third-order jet agrees with a
+    central difference of Gamma^theta_phiphi to the difference's error."""
     surf = PolarSurface.sectoral(2, 0.3)
-    theta, phi = math.pi / 2, 0.7
-    h = 1e-6
-    direct = (
-        surf.gamma_theta_phiphi(theta + h, phi)
-        - surf.gamma_theta_phiphi(theta - h, phi)
-    ) / (2 * h)
-    assert math.isclose(
-        surf.gamma_theta_phiphi_dtheta(theta, phi), direct, rel_tol=1e-12
-    )
+    h = 1e-5
+    for theta, phi in [(math.pi / 2, 0.7), (math.pi / 2, 2.0), (1.1, 0.4)]:
+        direct = (
+            surf.gamma_theta_phiphi(theta + h, phi)
+            - surf.gamma_theta_phiphi(theta - h, phi)
+        ) / (2 * h)
+        assert math.isclose(
+            surf.gamma_theta_phiphi_dtheta(theta, phi), direct, rel_tol=1e-7
+        )
 
 
 # -- construction -------------------------------------------------------------------
