@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import Poly
+from .algebra import Poly, RatFunc
 from .surface import PolarSurface
 from .trigring import sectoral_christoffels
 
@@ -514,64 +514,50 @@ def _min_on_interval(p: Poly) -> float:
 
 
 def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
-    """Cross-validate the exact z-domain variational equation against a
-    direct numeric linearization in arc length.
+    """Cross-validate the exact z-domain variational equation against the
+    numeric tangent flow of the equator geodesic.
 
-    Two copies of the normal variational flow along the equator are
-    integrated side by side over one full circuit:
+    One integration over a full circuit of the equator carries two copies
+    of its normal variation:
 
-    * the reference copy uses Christoffel symbols from the numeric kernels
-      (the theta-derivative exact, from the third-order jet), knowing
-      nothing of the symbolic pipeline;
-    * the second copy evaluates the exact rational coefficients p(z), q(z)
-      transported through z = eps*cos(n*phi(s)), with the transport data
-      (phi_dot, z_dot, z_ddot) taken from the exact equatorial metric
-      polynomial.
+    * the reference copy is :meth:`PolarSurface.variational_rhs` on the
+      geodesic state and one tangent column (delta theta, delta phi,
+      delta theta_dot, delta phi_dot), the flow every monodromy uses,
+      knowing nothing of the symbolic pipeline;
+    * the exact copy is xi'' + p(z) xi' + q(z) xi = 0 transported to arc
+      length through z = eps*cos(n*phi), with phi and phi_dot read from the
+      geodesic state.  With w = eps^2 - z^2 and G = g_phiphi on the equator,
+      z_dot^2 = n^2 phi_dot^2 w and z_ddot follows from phi_dot^2 = 1/G, so
 
-    Returns the maximum relative disagreement of (xi, xi') sampled along the
-    circuit.  Both solutions start from (xi, xi') = (1, 0) at phi = pi/(2n),
-    away from the coefficient poles z = +-eps.
+          xi'' = -z_dot S(z) xi' - n^2 phi_dot^2 T(z) xi,
+          S = G'/(2G) + (z + w p)/w,   T = w q,
+
+      where S and T are regular at the turning points z = +-eps.
+
+    Returns the maximum relative disagreement of (xi, xi') with
+    (delta theta, delta theta_dot) sampled along the circuit.  Both start
+    from (1, 0) at phi = pi/(2n).
     """
-    from scipy.integrate import solve_ivp
+    from .nve import equatorial_nve
 
     eps_f = Fraction(eps)
     e = float(eps_f)
-    from .nve import equatorial_nve
-
     data = equatorial_nve(n, eps_f)
-    surf = PolarSurface.sectoral(n, e)
     gpp = data.gpp_equator  # exact g_phiphi as a polynomial in z
-    dgpp = gpp.derivative()
-    p_rf, q_rf = data.p, data.q
+    w = Poly([eps_f * eps_f, 0, -1])
+    s_rf = RatFunc(gpp.derivative(), 2 * gpp) + (Poly([0, 1]) + w * data.p) / w
+    t_rf = w * data.q
+    for f in (s_rf, t_rf):
+        if not (f.den(eps_f) and f.den(-eps_f)):
+            raise RuntimeError("transported NVE coefficient has a pole at z = +-eps")
+    surf = PolarSurface.sectoral(n, e)
 
     def rhs(s, y):
-        phi = y[0]
-        c = math.cos(n * phi)
-        sn = math.sin(n * phi)
-        z = e * c
-
-        # reference: kernel Christoffels
-        pd, a_ref, b_ref = surf.equator_nve_coeffs(phi)
-
-        # exact pipeline transported to arc length
-        G = gpp(z)
-        pd2 = 1.0 / math.sqrt(G)
-        dG_ds = dgpp(z) * (-e * n * sn * pd2)
-        pdd = -0.5 * dG_ds / (G * math.sqrt(G))
-        zdot = -e * n * sn * pd2
-        zdd = -e * n * (n * c * pd2 * pd2 + sn * pdd)
-        q_s = q_rf(z) * zdot * zdot
-        if abs(zdot) > 1e-12:
-            p_s = (zdd - p_rf(z) * zdot * zdot) / zdot
-        else:  # turning point: the xi' coefficient vanishes with z_dot
-            p_s = 0.0
-
-        return [
-            pd,
-            y[2],
-            a_ref * y[1] + b_ref * y[2],
-            y[4],
-            -q_s * y[3] + p_s * y[4],
+        _, phi, _, pd, *_, xi, dxi = y
+        z = e * math.cos(n * phi)
+        zdot = -e * n * math.sin(n * phi) * pd
+        return surf.variational_rhs(s, y[:8]) + [
+            dxi, -zdot * s_rf(z) * dxi - n * n * pd * pd * t_rf(z) * xi
         ]
 
     phi0 = math.pi / (2 * n)
@@ -579,15 +565,16 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     period_guess = 2.0 * math.pi * math.sqrt(g0.g_pp) * 1.5
 
     def lap(s, y):
-        return y[0] - (phi0 + 2.0 * math.pi)
+        return y[1] - (phi0 + 2.0 * math.pi)
 
     lap.terminal = True
     lap.direction = 1.0
 
+    y0 = [math.pi / 2, phi0, 0.0, 1.0 / math.sqrt(g0.g_pp), 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
     sol = solve_ivp(
         rhs,
         (0.0, 10.0 * period_guess),
-        [phi0, 1.0, 0.0, 1.0, 0.0],
+        y0,
         method="DOP853",
         rtol=1e-11,
         atol=1e-11,
@@ -599,9 +586,9 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     s_end = sol.t_events[0][0]
     worst = 0.0
     for s in np.linspace(0.0, s_end, n_checks):
-        y = sol.sol(s)
-        scale = max(abs(y[1]), abs(y[2]), abs(y[3]), abs(y[4]), 1.0)
-        worst = max(worst, abs(y[1] - y[3]) / scale, abs(y[2] - y[4]) / scale)
+        _, _, _, _, d_th, _, d_td, _, xi, dxi = sol.sol(s)
+        scale = max(abs(d_th), abs(d_td), abs(xi), abs(dxi), 1.0)
+        worst = max(worst, abs(d_th - xi) / scale, abs(d_td - dxi) / scale)
     return worst
 
 
@@ -611,6 +598,8 @@ def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
     Found by bisection on min_c f(1, c); below the threshold the restoring
     force points toward the equator everywhere on the equator itself.
     """
+    if not tol > 0:
+        raise ValueError(f"tol = {tol} must be positive")
 
     def margin(e: float) -> float:
         cubic = lemma1_equator_cubic(n, Fraction(e).limit_denominator(10**12))

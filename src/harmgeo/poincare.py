@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geodesic import integrate, normalize_speed
+from .geodesic import R_SWAP, chart_to_body, integrate, normalize_speed
 from .surface import PolarSurface
 
 TWO_PI = 2.0 * math.pi
@@ -89,8 +89,6 @@ def _run_trajectory(args):
     (n, eps, seed, k, n_crossings, s_max, rtol, atol, rotated) = args
     rng = np.random.Generator(np.random.Philox(key=[seed, k]))
     surf = PolarSurface.sectoral(n, eps)
-    from .geodesic import R_SWAP, chart_to_body, normalize_speed
-
     frame = None
     if rotated:
         frame = np.asarray(R_SWAP).T  # body -> rotated section frame
@@ -152,6 +150,8 @@ def generate_section(
     which puts the equator geodesic itself onto the section.
     """
     # checked here: a failing integrate only fails its own trajectory
+    if n_traj < 1:
+        raise ValueError(f"n_traj = {n_traj} must be at least 1")
     if n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     if s_max is None:
@@ -316,6 +316,8 @@ def find_closed_geodesics(
     perpendicular family starts midway between them.  Each seed is tried with
     increasing period until Newton converges.
     """
+    if max_period < 1:
+        raise ValueError(f"max_period = {max_period} must be at least 1")
     out: list[ClosedGeodesic] = []
     seen = set()
     seeds = []
@@ -351,35 +353,27 @@ def find_closed_geodesics(
 def equator_monodromy(
     n: int, eps: float, rtol: float = 1e-11, atol: float = 1e-11
 ) -> np.ndarray:
-    """Monodromy of the equator itself over one full revolution.
+    """Monodromy of the equator itself over one full revolution, acting on
+    the normal variation (xi, xi') = (delta theta, delta theta_dot).
 
-    The equator never crosses the standard section, so its stability is read
-    from the normal variational flow: with xi the normal displacement,
-    xi'' = A(s) xi + B(s) xi' where A = -d_theta Gamma^theta_phiphi * phi_dot^2
-    and B = -2 Gamma^theta_thetaphi * phi_dot along theta = pi/2.
+    The equator never crosses the standard section, so it is followed
+    through the meridian plane phi = 0 instead: the rotated section frame of
+    ``generate_section(rotated=True)``, with the tangent flow started from
+    e_theta and e_theta_dot.  Near phi = 0 that frame's (phi, phi_dot) are
+    (-delta theta, -delta theta_dot) to first order, so the monodromy is
+    minus the crossing Jacobian.
     """
-    from scipy.integrate import solve_ivp
-
     surf = PolarSurface.sectoral(n, eps)
-
-    def rhs(s, y):
-        pd, a, b = surf.equator_nve_coeffs(y[0])
-        return [pd, y[2], a * y[1] + b * y[2], y[4], a * y[3] + b * y[4]]
-
-    def lap(s, y):
-        return y[0] - TWO_PI
-
-    lap.terminal = True
-    lap.direction = 1.0
-
-    y0 = [0.0, 1.0, 0.0, 0.0, 1.0]
-    sol = solve_ivp(
-        rhs, (0.0, 1e4), y0, method="DOP853", rtol=rtol, atol=atol, events=[lap]
+    y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
+    # on the equator g_pp = r^2 + r_phi^2 <= (1 + |eps| (n + 1))^2
+    s_max = TWO_PI * (1.0 + abs(eps) * (n + 1)) + 1.0
+    traj = integrate(
+        surf, y0, s_max, n_crossings=1, rtol=rtol, atol=atol, renormalize=False,
+        section_frame=np.asarray(R_SWAP).T, tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
     )
-    if not sol.t_events[0].size:
+    if not len(traj.crossings):
         raise RuntimeError("equator revolution not completed")
-    yf = sol.y_events[0][0]
-    return np.array([[yf[1], yf[3]], [yf[2], yf[4]]])
+    return -traj.crossing_jacobians[0]
 
 
 # ---------------------------------------------------------------------------

@@ -242,24 +242,6 @@ class PolarSurface:
         keys = ("g_tt", "g_tp", "g_pp", "det", "ttt", "ttp", "tpp", "ptt", "ptp", "ppp")
         return {k: v for k, v in zip(keys[4:], out[4:])}
 
-    def gamma_theta_phiphi(self, theta: float, phi: float) -> float:
-        """Gamma^theta_phiphi, the restoring term of normal variations."""
-        return self.christoffels_at(theta, phi)["tpp"]
-
-    def gamma_theta_phiphi_dtheta(self, theta: float, phi: float) -> float:
-        """Exact theta-derivative of Gamma^theta_phiphi."""
-        return kernels.christoffel_jet(theta, self._jet(theta, phi))[1][2]
-
-    def equator_nve_coeffs(self, phi: float) -> tuple:
-        """(phi_dot, a, b) of the normal variation xi'' = a xi + b xi' at phi
-        on the equator theta = pi/2, travelled at unit speed, with
-        a = -d_theta Gamma^theta_phiphi * phi_dot^2 and
-        b = -2 Gamma^theta_thetaphi * phi_dot."""
-        g = self.metric_at(math.pi / 2, phi)
-        pd = 1.0 / math.sqrt(g.g_pp)
-        gam, gam_t, _ = kernels.christoffel_jet(math.pi / 2, self._jet(math.pi / 2, phi))
-        return pd, -gam_t[2] * pd * pd, -2.0 * gam[1] * pd
-
     def hamiltonian2(self, theta, phi, theta_dot, phi_dot) -> float:
         """2H = g_tt td^2 + 2 g_tp td pd + g_pp pd^2 (arc length when == 1)."""
         g = self.metric_at(theta, phi)

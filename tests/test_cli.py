@@ -57,8 +57,12 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["psection", "--n", "2", "--eps", "1/4", "--traj", "2", "--crossings", "0"],
         ["trace", "--n", "2", "--eps", "0.1", "--length", "0"],
         ["trace", "--n", "2", "--eps", "0.1", "--length", "-5"],
+        ["psection", "--n", "2", "--eps", "1/4", "--traj", "0"],
+        ["closed", "--n", "2", "--eps", "0.1", "--max-period", "0"],
+        ["lemma1", "--n", "2", "--tol", "0"],
+        ["lemma1", "--n", "2", "--tol", "-1"],
     ],
-    ids=["crossings0", "length0", "length-5"],
+    ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2

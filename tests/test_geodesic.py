@@ -283,7 +283,12 @@ def test_lemma1_positive_below_critical_negative_above():
 # -- exact-versus-numeric cross-validation --------------------------------------------
 
 
-def test_dual_variational_flow_agrees():
-    """The exact z-domain variational equation reproduces a direct numeric
-    linearization of the flow around the equator."""
-    assert nve_dual_residual(2, Fraction(1, 5), n_checks=16) < 1e-6
+@pytest.mark.parametrize(
+    "n, eps",
+    [(2, Fraction(1, 5)), (5, Fraction(1, 4)), (7, Fraction(1, 5))],
+    ids=["n2-eps1over5", "n5-eps1over4", "n7-eps1over5"],
+)
+def test_dual_variational_flow_agrees(n, eps):
+    """The exact z-domain variational equation reproduces the tangent flow
+    around the equator, through the turning points z = +-eps."""
+    assert nve_dual_residual(n, eps, n_checks=16) < 1e-6

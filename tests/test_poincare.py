@@ -247,10 +247,27 @@ def test_symmetric_copies_share_their_trace(closed_orbits):
     assert max(traces) - min(traces) <= 1e-9
 
 
-def test_equator_monodromy_shape():
-    mat = equator_monodromy(2, 0.1)
+# (xi, xi') monodromies of the equator at eps 0.1 from a direct integration
+# of the normal variational equation; traces 2.384045041074, 1.739700983031,
+# 1.083750628209 and -1.271901220033
+EQUATOR_MONODROMY = {
+    2: [[1.1920225205398256, -0.6061035160784861],
+        [-0.6944650184294032, 1.1920225205345578]],
+    3: [[0.8698504915161986, 0.7321585019120956],
+        [-0.3323872109279996, 0.869850491515211]],
+    4: [[0.5418753141034265, 1.0483395082698168],
+        [-0.6737999840624048, 0.5418753141051603]],
+    7: [[-0.6359506100149557, -0.6880199294276707],
+        [0.8656243753230826, -0.63595061001835]],
+}
+
+
+@pytest.mark.parametrize("n", sorted(EQUATOR_MONODROMY))
+def test_equator_monodromy_shape(n):
+    mat = equator_monodromy(n, 0.1)
     assert mat.shape == (2, 2)
-    assert abs(np.linalg.det(mat) - 1.0) < 1e-6
+    assert np.allclose(mat, EQUATOR_MONODROMY[n], rtol=0, atol=1e-9)
+    assert abs(np.linalg.det(mat) - 1.0) <= 1e-9
 
 
 # -- writers ------------------------------------------------------------------------

@@ -239,22 +239,6 @@ def test_hamiltonian2_is_quadratic_form():
     assert math.isclose(surf.hamiltonian2(theta, phi, td, pd), expected, rel_tol=1e-15)
 
 
-def test_restoring_symbol_derivative_matches_exact_value():
-    """On the equator the theta-derivative of Gamma^theta_phiphi drives the
-    normal variation; its exact value from the third-order jet agrees with a
-    central difference of Gamma^theta_phiphi to the difference's error."""
-    surf = PolarSurface.sectoral(2, 0.3)
-    h = 1e-5
-    for theta, phi in [(math.pi / 2, 0.7), (math.pi / 2, 2.0), (1.1, 0.4)]:
-        direct = (
-            surf.gamma_theta_phiphi(theta + h, phi)
-            - surf.gamma_theta_phiphi(theta - h, phi)
-        ) / (2 * h)
-        assert math.isclose(
-            surf.gamma_theta_phiphi_dtheta(theta, phi), direct, rel_tol=1e-7
-        )
-
-
 # -- construction -------------------------------------------------------------------
 
 
