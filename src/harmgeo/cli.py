@@ -202,6 +202,7 @@ def cmd_closed(args, out: Path) -> int:
                 "trace": g.trace,
                 "det": g.det,
                 "eigenvalues": [[z.real, z.imag] for z in eig],
+                "stability_margin": g.margin,
                 "classification": g.classification,
             }
         )

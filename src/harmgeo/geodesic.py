@@ -598,6 +598,8 @@ def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
     Found by bisection on min_c f(1, c); below the threshold the restoring
     force points toward the equator everywhere on the equator itself.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
 

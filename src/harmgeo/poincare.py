@@ -271,11 +271,16 @@ class ClosedGeodesic:
         return float(np.linalg.det(self.monodromy))
 
     @property
+    def margin(self) -> float:
+        """Stability margin |tr M| - 2: negative for elliptic orbits,
+        positive for hyperbolic ones."""
+        return abs(self.trace) - 2.0
+
+    @property
     def classification(self) -> str:
-        t = abs(self.trace)
-        if abs(t - 2.0) < 1e-6:
+        if abs(self.margin) < 1e-6:
             return "parabolic"
-        return "elliptic" if t < 2.0 else "hyperbolic"
+        return "elliptic" if self.margin < 0.0 else "hyperbolic"
 
 
 def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30):
@@ -307,46 +312,79 @@ def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     return _kth_return(n, eps, phi, phi_dot, k, tangent=True)[3]
 
 
+def _refine_seed(n, eps, phi0, max_period):
+    """(period, x, residual, monodromy, length) at the first period in
+    1..max_period for which Newton from (phi0, 0) converges, or None."""
+    for k in range(1, max_period + 1):
+        res = _newton_fixed_point(n, eps, (phi0, 0.0), k)
+        if res is not None:
+            return (k, *res)
+    return None
+
+
 def find_closed_geodesics(
     n: int, eps: float, families=("planar", "perpendicular"), max_period: int = 4
 ) -> list[ClosedGeodesic]:
     """Newton-refined fixed points of the return map from symmetry seeds.
 
     Planar seeds sit on the meridian symmetry planes phi = k*pi/n; the
-    perpendicular family starts midway between them.  Each seed is tried with
-    increasing period until Newton converges.
+    perpendicular family starts midway between them.  The dihedral group
+    D_n acts on section points by the rotation (phi, phi_dot) ->
+    (phi + 2*pi/n, phi_dot) and the reflection (phi, phi_dot) -> (-phi,
+    -phi_dot), and the return map commutes with both.  Both have derivative
+    +-I, so Newton started from g*x0 is g applied to Newton started from x0,
+    with the same period, length, residual and monodromy.  The 4n seeds form
+    three classes: planar k even, planar k odd, and every perpendicular seed
+    (the reflection sends k to -k-1).  One seed per class is refined, trying
+    periods 1..max_period until Newton converges; every other seed's result
+    is the class result mapped by its group element.  Seeds keep their
+    order, and a result equal to an earlier one to 6 decimals is dropped.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if max_period < 1:
         raise ValueError(f"max_period = {max_period} must be at least 1")
-    out: list[ClosedGeodesic] = []
-    seen = set()
+    for family in families:
+        if family not in ("planar", "perpendicular"):
+            raise ValueError(f"family {family!r} must be 'planar' or 'perpendicular'")
+    # (family, seed phi, class representative's phi, sign): the seed is the
+    # representative reflected when the sign is -1, then rotated
     seeds = []
     if "planar" in families:
-        seeds += [("planar", k * math.pi / n) for k in range(2 * n)]
+        seeds += [
+            ("planar", k * math.pi / n, (k % 2) * math.pi / n, 1) for k in range(2 * n)
+        ]
     if "perpendicular" in families:
-        seeds += [("perpendicular", (k + 0.5) * math.pi / n) for k in range(2 * n)]
-    for family, phi0 in seeds:
-        for k in range(1, max_period + 1):
-            res = _newton_fixed_point(n, eps, (phi0, 0.0), k)
-            if res is None:
-                continue
-            x, resid, mono, length = res
-            key = (round(x[0] % TWO_PI, 6), round(x[1], 6), k)
-            if key in seen:
-                break
-            seen.add(key)
-            out.append(
-                ClosedGeodesic(
-                    family=family,
-                    phi=float(x[0] % TWO_PI),
-                    phi_dot=float(x[1]),
-                    crossings=k,
-                    length=length,
-                    monodromy=mono,
-                    residual=resid,
-                )
+        seeds += [
+            ("perpendicular", (k + 0.5) * math.pi / n, 0.5 * math.pi / n, (-1) ** k)
+            for k in range(2 * n)
+        ]
+    refined = {}
+    out: list[ClosedGeodesic] = []
+    seen = set()
+    for family, phi0, rep, sign in seeds:
+        if (family, rep) not in refined:
+            refined[family, rep] = _refine_seed(n, eps, rep, max_period)
+        if refined[family, rep] is None:
+            continue
+        k, x, resid, mono, length = refined[family, rep]
+        phi = sign * x[0] + (phi0 - sign * rep)
+        phi_dot = sign * x[1]
+        key = (round(phi % TWO_PI, 6), round(phi_dot, 6), k)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(
+            ClosedGeodesic(
+                family=family,
+                phi=float(phi % TWO_PI),
+                phi_dot=float(phi_dot),
+                crossings=k,
+                length=length,
+                monodromy=mono.copy(),
+                residual=resid,
             )
-            break
+        )
     return out
 
 

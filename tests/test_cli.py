@@ -61,8 +61,12 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["closed", "--n", "2", "--eps", "0.1", "--max-period", "0"],
         ["lemma1", "--n", "2", "--tol", "0"],
         ["lemma1", "--n", "2", "--tol", "-1"],
+        ["closed", "--n", "0", "--eps", "0.1"],
+        ["closed", "--n", "-2", "--eps", "0.1"],
+        ["lemma1", "--n", "0"],
     ],
-    ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1"],
+    ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
+         "closed-n0", "closed-n-2", "lemma1-n0"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2
@@ -149,7 +153,11 @@ def test_closed_reports_classification(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads((tmp_path / "closed_n2_eps1over10.json").read_text())
-    assert report and all("classification" in g for g in report)
+    assert report
+    for g in report:
+        margin = g["stability_margin"]
+        assert margin == pytest.approx(abs(g["trace"]) - 2.0, abs=1e-15)
+        assert (margin < 0) == (g["classification"] == "elliptic")
 
 
 def test_table1_subset(tmp_path, capsys):

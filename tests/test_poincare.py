@@ -227,6 +227,74 @@ def test_tangent_flow_jacobian_matches_differences(n, eps, phi, phi_dot, k):
     assert np.allclose(exact, differenced, atol=1e-6)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n, eps", [(2, 0.15), (3, 0.1)])
+def test_return_map_commutes_with_dihedral_symmetry(n, eps, k):
+    """The rotation (phi, phi_dot) -> (phi + 2 pi/n, phi_dot) and the
+    reflection (phi, phi_dot) -> (-phi, -phi_dot) commute with the return
+    map; both have derivative +-I, so the Jacobian is unchanged."""
+    phi, phi_dot = 0.37, 0.21
+    ph, pd, s = return_map(n, eps, phi, phi_dot, k)
+    jac = monodromy_matrix(n, eps, phi, phi_dot, k)
+    for sign, shift in ((1, TWO_PI / n), (-1, 0.0)):
+        ph_g, pd_g, s_g = return_map(n, eps, sign * phi + shift, sign * phi_dot, k)
+        assert abs((ph_g - (sign * ph + shift) + math.pi) % TWO_PI - math.pi) <= 1e-10
+        assert abs(pd_g - sign * pd) <= 1e-10
+        assert abs(s_g - s) <= 1e-10
+        jac_g = monodromy_matrix(n, eps, sign * phi + shift, sign * phi_dot, k)
+        assert np.allclose(jac_g, jac, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_search_refines_one_seed_per_dihedral_class(monkeypatch, n):
+    """Planar seeds k*pi/n form two D_n classes (k even, k odd) and the
+    perpendicular seeds one, so Newton starts from three points."""
+    from harmgeo import poincare
+
+    starts = []
+
+    def no_convergence(n_, eps, x0, k, **kw):
+        starts.append(tuple(x0))
+        return None
+
+    monkeypatch.setattr(poincare, "_newton_fixed_point", no_convergence)
+    assert find_closed_geodesics(n, 0.1) == []
+    assert len(set(starts)) == 3
+
+
+def test_closed_search_maps_class_result_to_each_seed(monkeypatch):
+    """Each seed gets its class result moved by the seed's group element:
+    a rotation for every planar seed and for perpendicular seeds with k
+    even, a reflection then a rotation for perpendicular seeds with k odd."""
+    from harmgeo import poincare
+
+    n, offset = 3, np.array([0.01, 0.02])
+
+    def fake_fixed_point(n_, eps, x0, k, **kw):
+        return np.asarray(x0) + offset, 0.0, np.eye(2), 6.0
+
+    monkeypatch.setattr(poincare, "_newton_fixed_point", fake_fixed_point)
+    found = find_closed_geodesics(n, 0.1)
+    expected = [("planar", k * math.pi / n, 1) for k in range(2 * n)] + [
+        ("perpendicular", (k + 0.5) * math.pi / n, (-1) ** k) for k in range(2 * n)
+    ]
+    assert len(found) == len(expected)
+    for g, (family, phi0, sign) in zip(found, expected):
+        assert g.family == family and g.crossings == 1
+        assert g.phi == pytest.approx(phi0 + sign * offset[0], abs=1e-14)
+        assert g.phi_dot == pytest.approx(sign * offset[1], abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((0, 0.1), {}), ((-2, 0.1), {}), ((2, 0.1), {"families": ("planr",)})],
+    ids=["n0", "n-2", "family"],
+)
+def test_closed_search_rejects_invalid_arguments(args, kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        find_closed_geodesics(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def closed_orbits():
     return {n: find_closed_geodesics(n, 0.1) for n in (2, 3)}
@@ -245,6 +313,49 @@ def test_symmetric_copies_share_their_trace(closed_orbits):
     traces = [g.trace for g in closed_orbits[3] if g.family == "planar"]
     assert len(traces) == 6
     assert max(traces) - min(traces) <= 1e-9
+
+
+# find_closed_geodesics(3, 0.1) with every seed refined by its own Newton
+# search: (family, phi, phi_dot, period, length, trace, classification)
+CLOSED_N3 = [
+    ("planar", 0.0, 0.0, 1, 6.300870979816756,
+     2.0180624850994455, "hyperbolic"),
+    ("planar", 1.0471975511965976, 0.0, 1, 6.30087097981694,
+     2.018062485095119, "hyperbolic"),
+    ("planar", 2.0943951023931953, 0.0, 1, 6.30087097981663,
+     2.0180624850988393, "hyperbolic"),
+    ("planar", 3.141592653589793, 0.0, 1, 6.300870979817288,
+     2.018062485096792, "hyperbolic"),
+    ("planar", 4.1887902047863905, 0.0, 1, 6.300870979816631,
+     2.0180624850987923, "hyperbolic"),
+    ("planar", 5.235987755982989, 0.0, 1, 6.300870979816938,
+     2.018062485095481, "hyperbolic"),
+    ("perpendicular", 0.4329097941434438, 9.355102438338759e-13, 1, 6.339121529667256,
+     1.879561914306492, "elliptic"),
+    ("perpendicular", 1.661485308249757, -9.130156655628483e-13, 1, 6.3391215296672385,
+     1.8795619143064592, "elliptic"),
+    ("perpendicular", 2.52730489653664, 9.205590675008861e-13, 1, 6.339121529667245,
+     1.8795619143065108, "elliptic"),
+    ("perpendicular", 3.7558804106429498, -9.038692121526942e-13, 1, 6.339121529667244,
+     1.8795619143064433, "elliptic"),
+    ("perpendicular", 4.6216999989298335, 9.44200126722409e-13, 1, 6.3391215296672385,
+     1.8795619143064624, "elliptic"),
+    ("perpendicular", 5.850275513036149, -9.648680915621291e-13, 1, 6.3391215296672465,
+     1.8795619143064608, "elliptic"),
+]
+
+
+def test_closed_orbits_match_per_seed_search(closed_orbits):
+    """Copies built by the dihedral symmetry agree with the orbits each seed
+    found by its own Newton search."""
+    found = closed_orbits[3]
+    assert len(found) == len(CLOSED_N3)
+    for g, (family, phi, phi_dot, period, length, trace, kind) in zip(found, CLOSED_N3):
+        assert (g.family, g.crossings, g.classification) == (family, period, kind)
+        assert abs(g.phi - phi) <= 1e-11
+        assert abs(g.phi_dot - phi_dot) <= 1e-11
+        assert abs(g.length - length) <= 1e-11
+        assert abs(g.trace - trace) <= 1e-9
 
 
 # (xi, xi') monodromies of the equator at eps 0.1 from a direct integration
