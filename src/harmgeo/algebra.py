@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
+_ZERO = Fraction(0)
 FieldElement = Union[Fraction, "QuadExt"]
 
 
@@ -92,6 +93,15 @@ class QuadExt:
             D = None
         self.a, self.b, self.D = a, b, D
 
+    @classmethod
+    def _raw(cls, a: Fraction, b: Fraction, D: int | None) -> "QuadExt":
+        """Element from parts that are already normal: Fractions a and b and
+        a squarefree D, dropped when b == 0.  Arithmetic builds its results
+        here, since their D comes from normalised operands."""
+        x = object.__new__(cls)
+        x.a, x.b, x.D = a, b, (D if b else None)
+        return x
+
     # -- helpers -----------------------------------------------------------
     @property
     def is_rational(self) -> bool:
@@ -114,7 +124,7 @@ class QuadExt:
         if isinstance(x, QuadExt):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x)
+            return cls._raw(Fraction(x), _ZERO, None)
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -122,12 +132,12 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self._join(o))
+        return QuadExt._raw(self.a + o.a, self.b + o.b, self._join(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
+        return QuadExt._raw(-self.a, -self.b, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -144,12 +154,12 @@ class QuadExt:
             return NotImplemented
         D = self._join(o)
         d = D if D is not None else 0
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, D)
+        return QuadExt._raw(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, D)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
+        return QuadExt._raw(self.a, -self.b, self.D)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * (self.D or 0)
@@ -158,7 +168,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero or degenerate element")
-        return QuadExt(self.a / n, -self.b / n, self.D)
+        return QuadExt._raw(self.a / n, -self.b / n, self.D)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -579,16 +589,20 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
     for a in poles:
         lin = Poly([-a, 1])
         m = 0
-        while (rest % lin).is_zero():
-            rest = rest.exact_div(lin)
-            m += 1
+        quo, rem = divmod(rest, lin)
+        while rem.is_zero():
+            rest, m = quo, m + 1
+            quo, rem = divmod(rest, lin)
         if m > 2:
             raise NonFuchsianError(f"pole of order {m} at {a}")
         mult[_key(a)] = m
     if rest.degree > 0:
         raise NonFuchsianError("denominator root outside the declared poles")
 
+    # f.den = prod (z - a)^m, so the expansion equals f exactly when the sum
+    # of beta*den/(z - a)^2 + delta*den/(z - a) over the poles is f.num
     betas, deltas = [], []
+    recon = Poly()
     for a in poles:
         m = mult[_key(a)]
         if m == 0:
@@ -601,6 +615,7 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
         if m == 1:
             betas.append(Fraction(0))
             deltas.append(f.num(a) * field_inv(qa))
+            recon = recon + deltas[-1] * q
         else:
             betas.append(f.num(a) * field_inv(qa))
             # delta = d/dz [num/q] at a
@@ -608,17 +623,13 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
                 qa * qa
             )
             deltas.append(d)
+            recon = recon + betas[-1] * q + d * (q * lin)
 
     sum_delta = sum(deltas, Fraction(0))
     if sum_delta:
         raise IrregularInfinityError(f"residues sum to {sum_delta}, not zero")
 
-    # exact round-trip check
-    recon = RatFunc(Poly())
-    for a, b, d in zip(poles, betas, deltas):
-        lin = Poly([-a, 1])
-        recon = recon + RatFunc(Poly([b]), lin * lin) + RatFunc(Poly([d]), lin)
-    if recon != f:
+    if recon != f.num:
         raise NonFuchsianError("partial-fraction reconstruction mismatch")
 
     beta_inf = sum((b + d * a for a, b, d in zip(poles, betas, deltas)), Fraction(0))

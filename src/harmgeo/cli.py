@@ -269,10 +269,10 @@ def cmd_kovacic(args, out: Path) -> int:
 
 
 def cmd_table1(args, out: Path) -> int:
-    from .kovacic import census_table_json, census_table_text
+    from .kovacic import census_json, census_table, census_text
 
-    orders = range(args.n_min, args.n_max + 1)
-    text = census_table_text(orders)
+    table = census_table(range(args.n_min, args.n_max + 1))
+    text = census_text(table)
     sys.stdout.write(text)
     if args.format in (None, "csv"):
         path = out / "table1.txt"
@@ -282,7 +282,7 @@ def cmd_table1(args, out: Path) -> int:
     if args.format in (None, "json"):
         path = out / "table1.json"
         with open(path, "w") as fh:
-            fh.write(census_table_json(orders))
+            fh.write(census_json(table))
         print(f"wrote {path}")
     return 0
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial
 from typing import Optional, Sequence
@@ -35,6 +36,7 @@ from .algebra import (
     field_inv,
     sqrt_decompose,
 )
+from .nve import equatorial_exponents
 
 CASE_ORDERS = {1: (1,), 2: (2,), 3: (4, 6, 12)}
 ALL_N = (1, 2, 4, 6, 12)
@@ -83,6 +85,26 @@ class FuchsianODE:
             deltas=tuple(pf.deltas),
             beta_inf=_require_rational(pf.beta_inf, "beta_inf"),
         )
+
+    @cached_property
+    def _descent_parts(self) -> tuple[Poly, tuple, Poly]:
+        """S = prod(z - a), the cofactors S/(z - a_j) and R2 = S^2*r: the
+        parts of every descent that no candidate changes."""
+        S = Poly.from_roots(self.poles)
+        cofactors = tuple(S.exact_div(Poly([-a, 1])) for a in self.poles)
+        R2 = (S * S * self.r.num).exact_div(self.r.den)
+        return S, cofactors, R2
+
+
+@dataclass(frozen=True)
+class LocalExponents:
+    """What the candidates read of xi'' = r xi: ``betas``, ``deltas`` and
+    ``beta_inf`` as in :class:`FuchsianODE`.  A delta_j is read only where
+    beta_j = 0, and then only whether it is zero."""
+
+    betas: tuple
+    deltas: tuple
+    beta_inf: Fraction
 
 
 def _require_rational(x, what: str) -> Fraction:
@@ -150,7 +172,7 @@ def _sqrt_1p4b(beta: Fraction):
     return QuadExt(0, q, d)
 
 
-def case1_candidates(ode: FuchsianODE) -> list[Candidate]:
+def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     """All formal +/- exponent selections with a non-negative integer degree.
 
     Coincident exponent values (a pole with beta = 0 contributes the same
@@ -250,7 +272,7 @@ def _f_set_inf(beta_inf: Fraction, N: int) -> list[int]:
     return _int_set(6, steps)
 
 
-def case2_candidates(ode: FuchsianODE) -> list[Candidate]:
+def case2_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     """Integer exponent-set selections for algebraic degree 2.
 
     Selections where every chosen integer is even are excluded: such a
@@ -278,7 +300,7 @@ def case2_candidates(ode: FuchsianODE) -> list[Candidate]:
     return out
 
 
-def case3_candidates(ode: FuchsianODE, N: int) -> list[Candidate]:
+def case3_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
     """Integer exponent-set selections for algebraic degree N in {4, 6, 12}."""
     if N not in (4, 6, 12):
         raise ValueError("N must be 4, 6 or 12")
@@ -286,14 +308,15 @@ def case3_candidates(ode: FuchsianODE, N: int) -> list[Candidate]:
     set_inf = _f_set_inf(ode.beta_inf, N)
     out = []
     for combo in product(*sets):
+        total = sum(combo)
         for f_inf in set_inf:
-            num = Fraction(N * (f_inf - sum(combo)), 12)
-            if num < 0 or num.denominator != 1:
+            num = N * (f_inf - total)
+            if num < 0 or num % 12:
                 continue
             out.append(
                 Candidate(
                     N=N,
-                    d=int(num),
+                    d=num // 12,
                     exps=combo,
                     exp_inf=f_inf,
                     labels=tuple(str(f) for f in combo) + (str(f_inf),),
@@ -302,7 +325,7 @@ def case3_candidates(ode: FuchsianODE, N: int) -> list[Candidate]:
     return out
 
 
-def candidates_for(ode: FuchsianODE, N: int) -> list[Candidate]:
+def candidates_for(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
     if N == 1:
         return case1_candidates(ode)
     if N == 2:
@@ -351,14 +374,12 @@ def _clear(f: RatFunc, m: Poly) -> Poly:
 
 def _descent_polys(ode: FuchsianODE, coeffs) -> tuple[Poly, Poly, Poly]:
     """(S, T, R2) = (prod(z - a), S*theta, S^2*r) for theta with residues
-    ``coeffs``, built without rational-function arithmetic."""
-    poles = ode.poles
-    S = Poly.from_roots(poles)
+    ``coeffs``; only T = sum c_j * S/(z - a_j) depends on the candidate."""
+    S, cofactors, R2 = ode._descent_parts
     T = Poly()
-    for j, c in enumerate(coeffs):
+    for c, cofactor in zip(coeffs, cofactors):
         if c:
-            T = T + c * Poly.from_roots(poles[:j] + poles[j + 1 :])
-    R2 = (S * S * ode.r.num).exact_div(ode.r.den)
+            T = T + c * cofactor
     return S, T, R2
 
 
@@ -716,7 +737,7 @@ def _exp_key(x):
 # ---------------------------------------------------------------------------
 
 
-def candidate_census(ode: FuchsianODE) -> dict[int, dict[int, int]]:
+def candidate_census(ode: FuchsianODE | LocalExponents) -> dict[int, dict[int, int]]:
     """Count candidates by degree d for every algebraic degree N.
 
     N=1 counts formal sign selections (coincident values counted per sign);
@@ -731,15 +752,15 @@ def candidate_census(ode: FuchsianODE) -> dict[int, dict[int, int]]:
     return out
 
 
-def census_for_order(n: int, eps=Fraction(1, 10)) -> dict[int, dict[int, int]]:
-    """Census for the equatorial variational equation of a sectoral surface.
-
-    The local exponent data depends only on n, not on eps, so any rational
-    0 < eps < 1 gives the same table; eps = 1/10 is used by default.
-    """
-    from .nve import equatorial_nve
-
-    return candidate_census(FuchsianODE.from_nve(equatorial_nve(n, eps)))
+def census_for_order(n: int) -> dict[int, dict[int, int]]:
+    """Census for the equatorial variational equation of a sectoral surface,
+    from its closed-form exponents (:func:`nve.equatorial_exponents`), which
+    depend on n alone; every exact derivation checks them."""
+    betas, beta_inf = equatorial_exponents(n)
+    # the only delta read is the one at z = -1, where beta = 0, and
+    # appendix_delta1 says it is nonzero
+    deltas = tuple(Fraction(b == 0) for b in betas)
+    return candidate_census(LocalExponents(betas, deltas, beta_inf))
 
 
 def census_cell(counts: dict[int, int]) -> str:
@@ -748,12 +769,20 @@ def census_cell(counts: dict[int, int]) -> str:
     return ",".join(f"{d}({c})" for d, c in sorted(counts.items()))
 
 
-def census_table_text(orders=range(2, 13)) -> str:
+def census_table(orders=range(2, 13)) -> dict[int, dict[int, dict[int, int]]]:
+    """:func:`census_for_order` for every n in ``orders``, which must not be
+    empty."""
+    table = {n: census_for_order(n) for n in orders}
+    if not table:
+        raise ValueError(f"the range of orders must be non-empty, not {orders}")
+    return table
+
+
+def census_text(table: dict) -> str:
     """Aligned text table of candidate counts d(count) per harmonic order."""
     header = ["n"] + [f"N={N}" for N in ALL_N]
     rows = [header]
-    for n in orders:
-        census = census_for_order(n)
+    for n, census in table.items():
         rows.append([str(n)] + [census_cell(census[N]) for N in ALL_N])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
@@ -764,12 +793,22 @@ def census_table_text(orders=range(2, 13)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def census_table_json(orders=range(2, 13)) -> str:
+def census_json(table: dict) -> str:
     data = {
-        str(n): {str(N): counts for N, counts in census_for_order(n).items()}
-        for n in orders
+        str(n): {str(N): counts for N, counts in census.items()}
+        for n, census in table.items()
     }
     return json.dumps(data, indent=2)
+
+
+def census_table_text(orders=range(2, 13)) -> str:
+    """:func:`census_text` of :func:`census_table`."""
+    return census_text(census_table(orders))
+
+
+def census_table_json(orders=range(2, 13)) -> str:
+    """:func:`census_json` of :func:`census_table`."""
+    return census_json(census_table(orders))
 
 
 def result_to_json(res: KovacicResult) -> str:

@@ -62,6 +62,24 @@ def nve_poles(n: int, eps: Fraction) -> list:
     return [Fraction(-1), eps, -eps, rho_p, rho_m]
 
 
+def equatorial_exponents(n: int) -> tuple[tuple, Fraction]:
+    """Double-pole coefficients of the standard-form equation, which depend
+    on n alone: (betas in :func:`nve_poles` order, beta_inf).
+
+    beta is 0 at z = -1, -3/16 at z = +-eps and 5/16 at the remaining
+    pole(s); beta_inf is (n+1)/n^2, and 45/16 for n = 1.  The only pole with
+    beta = 0, z = -1, has the simple residue :func:`appendix_delta1`
+    = 2/(n(eps^2 - 1)), which is nonzero for every 0 < eps < 1.
+    :func:`equatorial_nve` checks all three against every derivation.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    outer = (Fraction(0), Fraction(-3, 16), Fraction(-3, 16))
+    if n == 1:
+        return outer + (Fraction(5, 16),), Fraction(45, 16)
+    return outer + (Fraction(5, 16),) * 2, Fraction(n + 1, n * n)
+
+
 def equatorial_nve(n: int, eps) -> NVEData:
     """Derive the z-domain NVE exactly for rational 0 < eps < 1.
 
@@ -106,6 +124,11 @@ def equatorial_nve(n: int, eps) -> NVEData:
 
     poles = nve_poles(n, eps)
     pf = extract_fuchsian(r, n, eps)
+    betas, beta_inf = equatorial_exponents(n)
+    if (pf.betas, pf.beta_inf, pf.deltas[0]) != (betas, beta_inf, appendix_delta1(n, eps)):
+        raise RuntimeError(
+            f"exponents derived for n = {n}, eps = {eps} differ from the closed form"
+        )
 
     # metric coefficient on the equator, g~pp = (1+z)^2 + n^2(eps^2 - z^2)
     gpp = Poly([1, 2, 1]) + Poly([nf * nf * eps * eps, 0, -nf * nf])

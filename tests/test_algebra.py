@@ -79,6 +79,22 @@ def test_quadext_sign_matches_float(x):
     assert field_sign(x) == x.sign()
 
 
+@given(st.sampled_from([2, 3, 5, 115]), fractions, fractions, fractions, fractions)
+@settings(max_examples=200, deadline=None)
+def test_quadext_arithmetic_results_are_normalised(D, a, b, c, d):
+    """Arithmetic skips the constructor's normalisation; its results still
+    equal what the constructor makes of the same parts."""
+    x, y = QuadExt(a, b, D), QuadExt(c, d, D)
+    results = [x + y, x - y, x * y, -x, x.conjugate()]
+    if y:
+        results.append(x / y)
+    for z in results:
+        ref = QuadExt(z.a, z.b, D)
+        assert (z.a, z.b, z.D) == (ref.a, ref.b, ref.D)
+        assert (z.D is None) == (z.b == 0)
+        assert type(z.a) is Fraction and type(z.b) is Fraction
+
+
 def test_quadext_conjugate_norm():
     x = QuadExt(3, 2, 5)
     assert x * x.conjugate() == QuadExt(x.norm(), 0, 5)

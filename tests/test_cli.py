@@ -64,9 +64,10 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["closed", "--n", "0", "--eps", "0.1"],
         ["closed", "--n", "-2", "--eps", "0.1"],
         ["lemma1", "--n", "0"],
+        ["table1", "--n-min", "5", "--n-max", "3"],
     ],
     ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
-         "closed-n0", "closed-n-2", "lemma1-n0"],
+         "closed-n0", "closed-n-2", "lemma1-n0", "table1-empty"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2

@@ -10,6 +10,7 @@ from harmgeo.kovacic import (
     ALL_N,
     FuchsianODE,
     _case3_descend,
+    _clear,
     _descent_polys,
     _independent_mod,
     _solve_linear,
@@ -174,8 +175,18 @@ def test_census_counts_for_prime_orders_mostly_empty():
         assert all(not counts for counts in census.values()), n
 
 
-def test_census_independent_of_eps():
-    assert census_for_order(3, Fraction(1, 10)) == census_for_order(3, Fraction(2, 5))
+def test_census_matches_derived_equation():
+    """The closed-form census equals the census of the derived equation."""
+    for n in range(2, 7):
+        for eps in (Fraction(1, 10), Fraction(2, 5)):
+            ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
+            assert candidate_census(ode) == census_for_order(n), (n, eps)
+
+
+def test_census_tables_refuse_empty_range():
+    for table in (kovacic.census_table_text, kovacic.census_table_json):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            table(range(5, 4))
 
 
 def test_census_cell_formatting():
@@ -251,6 +262,36 @@ def test_descent_is_scaled_classical_operator(ode, N):
             derivs.append(derivs[-1].derivative())
         expected = sum((a * RatFunc(dk) for a, dk in zip(ops, derivs)), RatFunc.zero())
         assert RatFunc(_case3_descend(N, S, T.num, R2.num, Poly.monomial(k))[-1]) == expected, k
+
+
+@pytest.mark.parametrize(
+    "n,eps", [(1, Fraction(1, 3)), (3, Fraction(1, 10)), (4, Fraction(1, 10))]
+)
+def test_shared_descent_parts_match_from_scratch(n, eps):
+    """S and R2, built once per equation, and T, summed from the shared
+    cofactors, equal their from-scratch values for every candidate."""
+    ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
+    S = Poly.from_roots(ode.poles)
+    R2 = _clear(ode.r, S * S)
+    cands = _distinct_candidates(ode)
+    assert cands
+    for cand in cands:
+        coeffs = _theta_coeffs(cand)
+        T = _clear(_theta(ode.poles, coeffs), S)
+        assert _descent_polys(ode, coeffs) == (S, T, R2), cand
+
+
+def test_interleaved_runs_match_fresh_runs():
+    """Parts cached on one equation never leak into another."""
+
+    def ode(n, eps):
+        return FuchsianODE.from_nve(equatorial_nve(n, eps))
+
+    a, b = ode(3, Fraction(1, 10)), ode(1, Fraction(1, 3))
+    runs = [run_kovacic(x) for x in (a, b, a)]
+    fresh = [run_kovacic(x) for x in (ode(3, Fraction(1, 10)), ode(1, Fraction(1, 3)))]
+    assert [r.ledger for r in runs] == [fresh[0].ledger, fresh[1].ledger, fresh[0].ledger]
+    assert runs[1].solution.omega == fresh[1].solution.omega
 
 
 def test_independence_mod_p():

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from harmgeo import nve
 from harmgeo.algebra import Poly, QuadExt, RatFunc, rational_sqrt
 from harmgeo.nve import (
     appendix_delta1,
+    equatorial_exponents,
     equatorial_nve,
     nve_poles,
     nve_to_json,
@@ -84,6 +86,24 @@ def test_local_exponent_data(n, eps):
 
     # simple residue at z = -1 has the closed form 2/(n (eps^2 - 1))
     assert rat(data.deltas[0]) == appendix_delta1(n, eps)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_exponents_match_derivation(n):
+    """The census's closed-form exponents against the exact derivation; at
+    eps = 1/5 the poles of n = 5 are rational."""
+    betas, beta_inf = equatorial_exponents(n)
+    for eps in map(Fraction, ("1/10", "1/5", "1/3", "1/2", "9/10")):
+        data = equatorial_nve(n, eps)
+        assert data.betas == betas and data.beta_inf == beta_inf, eps
+        assert data.deltas[0] == appendix_delta1(n, eps) != 0, eps
+
+
+def test_derivation_checks_closed_form_exponents(monkeypatch):
+    betas, beta_inf = equatorial_exponents(3)
+    monkeypatch.setattr(nve, "equatorial_exponents", lambda n: (betas, beta_inf + 1))
+    with pytest.raises(RuntimeError, match="closed form"):
+        equatorial_nve(3, Fraction(1, 10))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
