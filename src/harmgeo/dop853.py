@@ -1,0 +1,292 @@
+"""Dormand-Prince 8(5,3) on lists of Python floats.
+
+The explicit Runge-Kutta pair of Hairer, Norsett & Wanner, *Solving ODEs I*,
+Sec. II.5, as scipy's ``solve_ivp(method="DOP853")`` runs it: the same
+tableau (read from scipy), initial-step rule, step-size controller, combined
+err5/err3 error norm, 7th-order interpolant and event location.  The
+geodesic systems here have 4 to 20 components, where numpy's per-call
+overhead dominates, so the 12 stages are unrolled over the nonzero entries
+of A with one list comprehension per stage, and the interpolant (3 more
+right-hand-side calls) is built only on a step that holds an event root or
+a sample.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from operator import mul
+
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
+
+EPS = 2.0**-52
+SAFETY = 0.9
+MIN_FACTOR = 0.2  # bounds on the step-size change after one step
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+ROOT_TOL = 4 * EPS  # brentq's xtol and rtol for event roots
+
+# the tableau over its nonzero entries: stages 1-4 read stages {0}, {0, 1},
+# {0, 2} and {0, 2, 3}, stage s >= 5 reads 0 and 3..s-1; B, E5 and E3 read
+# stages 0 and 5..11
+_A = _dop.A.tolist()
+_C = _dop.C.tolist()
+C1, C2, C3, C4, C5, C6, C7, C8, C9, C10 = _C[1:11]
+A1_0 = _A[1][0]
+A2_0, A2_1 = _A[2][:2]
+A3_0, A3_2 = _A[3][0], _A[3][2]
+A4_0, A4_2, A4_3 = _A[4][0], *_A[4][2:4]
+A5_0, A5_3, A5_4 = _A[5][0], *_A[5][3:5]
+A6_0, A6_3, A6_4, A6_5 = _A[6][0], *_A[6][3:6]
+A7_0, A7_3, A7_4, A7_5, A7_6 = _A[7][0], *_A[7][3:7]
+A8_0, A8_3, A8_4, A8_5, A8_6, A8_7 = _A[8][0], *_A[8][3:8]
+A9_0, A9_3, A9_4, A9_5, A9_6, A9_7, A9_8 = _A[9][0], *_A[9][3:9]
+A10_0, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _A[10][0], *_A[10][3:10]
+A11_0, A11_3, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10 = _A[11][0], *_A[11][3:11]
+_B = _dop.B.tolist()
+B0, B5, B6, B7, B8, B9, B10, B11 = _B[0], *_B[5:12]
+_E5 = _dop.E5.tolist()
+E5_0, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _E5[0], *_E5[5:12]
+_E3 = _dop.E3.tolist()
+E3_0, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _E3[0], *_E3[5:12]
+
+# the interpolant's three extra stages and its coefficients, dense; used
+# only on steps that hold an event root or a sample
+_EXTRA = [(_C[s], _A[s][:s]) for s in range(13, 16)]
+_D = _dop.D.tolist()
+
+
+@dataclass
+class OdeResult:
+    """What one :func:`solve_ivp` run did.
+
+    ``t`` holds the start and the end of every accepted step; a run stopped
+    by a terminal event ends at that event's root.  ``y`` is the state at
+    ``t[-1]``.  ``t_events[i]`` and ``y_events[i]`` list the roots of event
+    i and the states there; ``samples`` the states at the requested sample
+    times the run reached.  ``nfev`` counts right-hand-side calls and
+    ``rejected`` the steps the controller refused.
+    """
+
+    t: list
+    y: list
+    t_events: list
+    y_events: list
+    samples: list
+    nfev: int
+    rejected: int
+    status: str  # "finished" at the end of the span, "terminated" by an event
+
+
+def _rms(xs) -> float:
+    return math.sqrt(sum(x * x for x in xs) / len(xs))
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
+    """Hairer, Norsett & Wanner's starting step, as scipy selects it; one
+    right-hand-side call."""
+    interval = t_bound - t0
+    scale = [atol + abs(x) * rtol for x in y0]
+    d0 = _rms([x / sc for x, sc in zip(y0, scale)])
+    d1 = _rms([f / sc for f, sc in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, [x + h0 * f for x, f in zip(y0, f0)])
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def _step(fun, t, y, k0, h):
+    """One DOP853 step of size h from (t, y) with k0 = fun(t, y): the stages
+    k0..k11, the new state and its derivative (12 right-hand-side calls)."""
+    k1 = fun(t + C1 * h, [x + h * (A1_0 * a) for x, a in zip(y, k0)])
+    k2 = fun(t + C2 * h, [x + h * (A2_0 * a + A2_1 * b) for x, a, b in zip(y, k0, k1)])
+    k3 = fun(t + C3 * h, [x + h * (A3_0 * a + A3_2 * c) for x, a, c in zip(y, k0, k2)])
+    k4 = fun(t + C4 * h, [
+        x + h * (A4_0 * a + A4_2 * c + A4_3 * d) for x, a, c, d in zip(y, k0, k2, k3)
+    ])
+    k5 = fun(t + C5 * h, [
+        x + h * (A5_0 * a + A5_3 * d + A5_4 * e) for x, a, d, e in zip(y, k0, k3, k4)
+    ])
+    k6 = fun(t + C6 * h, [
+        x + h * (A6_0 * a + A6_3 * d + A6_4 * e + A6_5 * f)
+        for x, a, d, e, f in zip(y, k0, k3, k4, k5)
+    ])
+    k7 = fun(t + C7 * h, [
+        x + h * (A7_0 * a + A7_3 * d + A7_4 * e + A7_5 * f + A7_6 * g)
+        for x, a, d, e, f, g in zip(y, k0, k3, k4, k5, k6)
+    ])
+    k8 = fun(t + C8 * h, [
+        x + h * (A8_0 * a + A8_3 * d + A8_4 * e + A8_5 * f + A8_6 * g + A8_7 * p)
+        for x, a, d, e, f, g, p in zip(y, k0, k3, k4, k5, k6, k7)
+    ])
+    k9 = fun(t + C9 * h, [
+        x + h * (A9_0 * a + A9_3 * d + A9_4 * e + A9_5 * f + A9_6 * g + A9_7 * p
+                 + A9_8 * q)
+        for x, a, d, e, f, g, p, q in zip(y, k0, k3, k4, k5, k6, k7, k8)
+    ])
+    k10 = fun(t + C10 * h, [
+        x + h * (A10_0 * a + A10_3 * d + A10_4 * e + A10_5 * f + A10_6 * g + A10_7 * p
+                 + A10_8 * q + A10_9 * r)
+        for x, a, d, e, f, g, p, q, r in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)
+    ])
+    k11 = fun(t + h, [
+        x + h * (A11_0 * a + A11_3 * d + A11_4 * e + A11_5 * f + A11_6 * g + A11_7 * p
+                 + A11_8 * q + A11_9 * r + A11_10 * s)
+        for x, a, d, e, f, g, p, q, r, s in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)
+    ])
+    y_new = [
+        x + h * (B0 * a + B5 * f + B6 * g + B7 * p + B8 * q + B9 * r + B10 * s + B11 * u)
+        for x, a, f, g, p, q, r, s, u in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)
+    ]
+    return (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11), y_new, fun(t + h, y_new)
+
+
+def _error_norm(ks, h, y, y_new, rtol, atol) -> float:
+    """scipy's combined DOP853 error norm, |h| e5^2 / sqrt((e5^2 +
+    e3^2 / 100) n) with e5, e3 the weighted 2-norms of the two estimates."""
+    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = ks
+    e5 = e3 = 0.0
+    for x, xn, a, f, g, p, q, r, s, u in zip(y, y_new, k0, k5, k6, k7, k8, k9, k10, k11):
+        sc = atol + max(abs(x), abs(xn)) * rtol
+        d5 = (E5_0 * a + E5_5 * f + E5_6 * g + E5_7 * p + E5_8 * q + E5_9 * r
+              + E5_10 * s + E5_11 * u) / sc
+        d3 = (E3_0 * a + E3_5 * f + E3_6 * g + E3_7 * p + E3_8 * q + E3_9 * r
+              + E3_10 * s + E3_11 * u) / sc
+        e5 += d5 * d5
+        e3 += d3 * d3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _interpolant(fun, t, y, h, ks, y_new, f_new):
+    """The 7th-order continuous extension over the step [t, t + h] (3 more
+    right-hand-side calls), as a function of the time."""
+    k = [*ks, f_new]
+    for c, a in _EXTRA:
+        k.append(fun(t + c * h, [x + h * sum(map(mul, a, ki)) for x, ki in zip(y, zip(*k))]))
+    rows = []
+    for x, xn, f0, f1, ki in zip(y, y_new, ks[0], f_new, zip(*k)):
+        dy = xn - x
+        rows.append(
+            (x, dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0), *[h * sum(map(mul, d, ki)) for d in _D])
+        )
+
+    def sol(s):
+        v = (s - t) / h
+        w = 1.0 - v
+        return [
+            x + v * (f0 + w * (f1 + v * (f2 + w * (f3 + v * (f4 + w * (f5 + v * f6))))))
+            for x, f0, f1, f2, f3, f4, f5, f6 in rows
+        ]
+
+    return sol
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound).
+
+    ``fun`` takes and returns sequences of floats.  Each event is a function
+    ``event(t, y)`` with scipy's optional attributes: ``direction`` (> 0
+    fires on increase only, < 0 on decrease only, 0 on both) and
+    ``terminal`` (a count: the run stops at that occurrence's root; 0 or
+    False never stops).  Roots are found on the interpolant with brentq at
+    ``xtol = rtol = 4 EPS``.  ``samples`` is an ascending sequence of times
+    in [t0, t_bound] at which the state is reported.
+
+    Raises RuntimeError when the step size falls below ten units in the
+    last place of t.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t_bound > t:
+        raise ValueError(f"empty span ({t}, {t_bound}): integration runs forward")
+    y = [float(x) for x in y0]
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    nfev = 2
+    rejected = 0
+
+    directions = [getattr(ev, "direction", 0) for ev in events]
+    max_count = [getattr(ev, "terminal", None) or math.inf for ev in events]
+    count = [0] * len(events)
+    g = [ev(t, y) for ev in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    out = []
+    n_samples = len(samples)
+
+    ts = [t]
+    status = None
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        refused = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"step size underflow at t = {t!r}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = h
+            ks, y_new, f_new = _step(fun, t, y, f, h)
+            nfev += 12
+            err = _error_norm(ks, h, y, y_new, rtol, atol)
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if refused else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            refused = True
+            rejected += 1
+        if t_new == t_bound:
+            status = "finished"
+
+        sol = None
+        if events:
+            g_new = [ev(t_new, y_new) for ev in events]
+            active = [
+                i
+                for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+                if (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0)
+            ]
+            g = g_new
+            if active:
+                sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
+                nfev += 3
+                for i in active:
+                    count[i] += 1
+                roots = [
+                    brentq(lambda s, ev=events[i]: ev(s, sol(s)), t, t_new,
+                           xtol=ROOT_TOL, rtol=ROOT_TOL)
+                    for i in active
+                ]
+                if any(count[i] >= max_count[i] for i in active):
+                    # stop at the earliest root whose event reached its count
+                    order = sorted(range(len(active)), key=roots.__getitem__)
+                    active = [active[j] for j in order]
+                    roots = [roots[j] for j in order]
+                    last = next(j for j, i in enumerate(active) if count[i] >= max_count[i])
+                    del active[last + 1:], roots[last + 1:]
+                    status = "terminated"
+                for i, root in zip(active, roots):
+                    t_events[i].append(root)
+                    y_events[i].append(sol(root))
+                if status == "terminated":
+                    t_new = roots[-1]
+                    y_new = sol(t_new)
+
+        while len(out) < n_samples and samples[len(out)] <= t_new:
+            if sol is None:
+                sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
+                nfev += 3
+            out.append(sol(samples[len(out)]))
+
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+
+    return OdeResult(ts, y, t_events, y_events, out, nfev, rejected, status)

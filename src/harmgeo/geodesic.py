@@ -10,22 +10,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra import Poly, RatFunc
+from .dop853 import solve_ivp
 from .surface import PolarSurface
 from .trigring import sectoral_christoffels
 
 POLE_GUARD = 0.05
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
-SOLVER = "DOP853"  # solve_ivp method
-CHUNK = 50.0  # arc length integrated per solve_ivp call
 
 # chart-to-chart rotation used to step away from a coordinate pole:
 # p_old = R_SWAP @ p_new moves the old pole to the new equator
@@ -44,6 +42,10 @@ class Trajectory:
     status: str  # "completed", or "crossings" when n_crossings stopped it
     # shape (k, 2, j) with ``tangents``: d(phi, phi_dot) of each crossing
     crossing_jacobians: Optional[np.ndarray] = None
+    # stepper work: right-hand-side calls, accepted and rejected steps
+    nfev: int = 0
+    steps: int = 0
+    rejected_steps: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -227,13 +229,14 @@ def integrate(
         y = normalize_speed(chart, y)
     sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
 
-    sample_s = np.linspace(0.0, s_max, n_samples) if n_samples else np.array([])
-    samples = []
+    sample_s = np.linspace(0.0, s_max, n_samples).tolist() if n_samples else []
+    samples = []  # body-chart states at the first len(samples) sample_s
     h2s = []
     crossings = []
     jacobians = []
-    s_now = 0.0
     status = "completed"
+    s_now = 0.0
+    nfev = steps = rejected = 0
 
     def pole_n(s, yy):
         return yy[0] - POLE_GUARD
@@ -247,23 +250,21 @@ def integrate(
     pole_s.terminal = True
     pole_s.direction = 1.0
 
-    while s_now < s_max - 1e-12:
+    # one stepper run per chart: to the first pole event, then from each
+    # chart swap to the next, until s_max or the last crossing asked for
+    while True:
         mm = np.asarray(m) if m is not None else np.eye(3)
         row_z = mm[2] if sframe is None else sframe[2] @ mm
+        rz0, rz1, rz2 = row_z.tolist()
 
-        def section(s, yy, row_z=row_z):
+        def section(s, yy):
             st = math.sin(yy[0])
-            n = (
-                row_z[0] * st * math.cos(yy[1])
-                + row_z[1] * st * math.sin(yy[1])
-                + row_z[2] * math.cos(yy[0])
-            )
-            return n
+            return rz0 * st * math.cos(yy[1]) + rz1 * st * math.sin(yy[1]) + rz2 * math.cos(yy[0])
 
         section.direction = -1.0
         # stop at the last crossing asked for.  A start on the section that
         # heads down through it fires at s ~ 0, an event the s_ev filter
-        # below drops, so the first chunk counts one more then
+        # below drops, so the first run counts one more then
         section.terminal = 0
         if n_crossings is not None:
             section.terminal = n_crossings - len(crossings)
@@ -271,28 +272,27 @@ def integrate(
                 v_z = row_z @ _embed(y)[1]
                 section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
 
-        s_end = min(s_max, s_now + CHUNK)
         if tan is None:
             rhs, y_start = chart.rhs, y
         else:
-            rhs, y_start = chart.variational_rhs, np.concatenate([y, tan.ravel()])
+            rhs, y_start = chart.variational_rhs, [*y, *tan.ravel().tolist()]
         sol = solve_ivp(
             rhs,
-            (s_now, s_end),
+            (s_now, s_max),
             y_start,
-            method=SOLVER,
             rtol=rtol,
             atol=atol,
-            dense_output=True,
             events=[pole_n, pole_s, section],
+            samples=sample_s[len(samples):],
         )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-
-        seg_end = sol.t[-1]
+        nfev += sol.nfev
+        steps += len(sol.t) - 1
+        rejected += sol.rejected
+        for yy in sol.samples:
+            samples.append(chart_to_body(yy[:4], m))
+            h2s.append(chart.hamiltonian2(*yy[:4]))
 
         # record crossings (converted to body coordinates)
-        done = False
         to_frame = mm if sframe is None else sframe @ mm
         for s_ev, y_ev in zip(sol.t_events[2], sol.y_events[2]):
             if s_ev < 1e-9:  # initial condition sitting on the section
@@ -305,44 +305,24 @@ def integrate(
                 yb = _project(sframe @ (mm @ n_c), sframe @ (mm @ v_c))
             crossings.append((s_ev, yb[1], yb[3]))
             if tan is not None:
-                d_ev = y_ev[4:].reshape(4, -1)
+                d_ev = np.reshape(y_ev[4:], (4, -1))
                 jacobians.append(_crossing_jacobian(chart, y_c, yb, row_z, to_frame, d_ev))
-            if n_crossings is not None and len(crossings) >= n_crossings:
-                seg_end = s_ev
-                y = y_c
-                done = True
-                status = "crossings"
-                break
 
-        # record samples inside this segment: the windows [s_now, seg_end)
-        # tile the run, and only the last one is closed
-        if n_samples:
-            if done or seg_end >= s_max - 1e-12:
-                upper = sample_s <= seg_end + 1e-12
-            else:
-                upper = sample_s < seg_end
-            for sv in sample_s[(sample_s >= s_now) & upper]:
-                yy = sol.sol(min(max(sv, sol.t[0]), sol.t[-1]))[:4]
-                samples.append((sv, chart_to_body(yy, m)))
-                h2s.append(chart.hamiltonian2(*yy))
-
-        if done:
-            s_now = seg_end
-            break
-
-        hit_pole = len(sol.t_events[0]) > 0 or len(sol.t_events[1]) > 0
         s_now = sol.t[-1]
-        y = sol.y[:4, -1]
+        y = sol.y[:4]
         if tan is not None:
-            tan = sol.y[4:, -1].reshape(4, -1)
-
-        if hit_pole:
-            y, m, chart, tan = swap_chart(y, m, tan)
-            swaps += 1
+            tan = np.reshape(sol.y[4:], (4, -1))
+        if n_crossings is not None and len(crossings) >= n_crossings:
+            status = "crossings"
+            break
+        if not (sol.t_events[0] or sol.t_events[1]) or s_now >= s_max:
+            break
+        y, m, chart, tan = swap_chart(y, m, tan)
+        swaps += 1
 
     if n_samples:
-        s_arr = np.array([s for s, _ in samples])
-        st_arr = np.array([st for _, st in samples])
+        s_arr = np.array(sample_s[: len(samples)])
+        st_arr = np.array(samples)
         h2_arr = np.array(h2s)
     else:
         s_arr = np.array([s_now])
@@ -359,6 +339,9 @@ def integrate(
         crossing_jacobians=(
             None if tan is None else np.array(jacobians).reshape(-1, 2, tan.shape[1])
         ),
+        nfev=nfev,
+        steps=steps,
+        rejected_steps=rejected,
     )
 
 
@@ -535,8 +518,8 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
       where S and T are regular at the turning points z = +-eps.
 
     Returns the maximum relative disagreement of (xi, xi') with
-    (delta theta, delta theta_dot) sampled along the circuit.  Both start
-    from (1, 0) at phi = pi/(2n).
+    (delta theta, delta theta_dot) at ``n_checks`` equally spaced arc
+    lengths of one circuit.  Both start from (1, 0) at phi = pi/(2n).
     """
     from .nve import equatorial_nve
 
@@ -562,31 +545,28 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
 
     phi0 = math.pi / (2 * n)
     g0 = surf.metric_at(math.pi / 2, phi0)
-    period_guess = 2.0 * math.pi * math.sqrt(g0.g_pp) * 1.5
 
-    def lap(s, y):
-        return y[1] - (phi0 + 2.0 * math.pi)
+    # the circuit's arc length, the integral of sqrt(G) over phi: the
+    # trapezoid rule converges geometrically on this periodic integrand, so
+    # the nodes double until it settles
+    def circuit(k):
+        return 2 * math.pi / k * math.fsum(
+            math.sqrt(surf.metric_at(math.pi / 2, 2 * math.pi * j / k).g_pp) for j in range(k)
+        )
 
-    lap.terminal = True
-    lap.direction = 1.0
+    k = 8 * n
+    s_end, s_prev = circuit(k), 0.0
+    while abs(s_end - s_prev) > 1e-13 * s_end:
+        k *= 2
+        s_end, s_prev = circuit(k), s_end
 
     y0 = [math.pi / 2, phi0, 0.0, 1.0 / math.sqrt(g0.g_pp), 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
-    sol = solve_ivp(
-        rhs,
-        (0.0, 10.0 * period_guess),
-        y0,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-11,
-        events=[lap],
-        dense_output=True,
-    )
-    if not sol.t_events[0].size:
-        raise RuntimeError("equatorial circuit not completed")
-    s_end = sol.t_events[0][0]
+    checks = np.linspace(0.0, s_end, n_checks).tolist()
+    sol = solve_ivp(rhs, (0.0, s_end), y0, rtol=1e-11, atol=1e-11, samples=checks)
+    if abs(sol.y[1] - (phi0 + 2.0 * math.pi)) > 1e-8:
+        raise RuntimeError("equatorial circuit not closed")
     worst = 0.0
-    for s in np.linspace(0.0, s_end, n_checks):
-        _, _, _, _, d_th, _, d_td, _, xi, dxi = sol.sol(s)
+    for _, _, _, _, d_th, _, d_td, _, xi, dxi in sol.samples:
         scale = max(abs(d_th), abs(d_td), abs(xi), abs(dxi), 1.0)
         worst = max(worst, abs(d_th - xi) / scale, abs(d_td - dxi) / scale)
     return worst

@@ -259,7 +259,7 @@ class PolarSurface:
     def variational_rhs(self, s, y):
         """:meth:`rhs` for the state y[:4] followed by its linearization
         applied to the row-major 4 x j block of tangent vectors y[4:]."""
-        theta, phi, td, pd, *tangents = y.tolist()
+        theta, phi, td, pd, *tangents = y
         return kernels.variational_rhs(theta, td, pd, self._jet(theta, phi), tangents)
 
     def __repr__(self):

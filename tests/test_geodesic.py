@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from harmgeo import geodesic, kernels
 from harmgeo.geodesic import (
@@ -54,8 +53,9 @@ def test_clairaut_invariant_on_zonal_surface():
     "y0", [[1.2, 0.4, 0.3, 0.6], [math.pi / 2, 0.0, -1.0, 0.0]], ids=["plain", "meridian"]
 )
 def test_each_sample_emitted_once(y0):
-    # 201 samples over 100 units put one on the 50-unit chunk boundary, which
-    # the plain geodesic reaches; the meridian swaps charts mid-chunk instead
+    # 201 samples over 100 units, one every half unit.  The plain geodesic
+    # is one stepper run; the meridian swaps charts at the pole, so its
+    # second run must take exactly the samples the first did not reach
     surf = PolarSurface.sectoral(3, 0.2)
     traj = integrate(surf, y0, 100.0, n_samples=201, rtol=1e-10, atol=1e-10)
     assert len(traj.s) == len(traj.states) == len(traj.h2) == 201
@@ -194,9 +194,10 @@ def test_crossing_limited_run_stops_at_last_crossing(monkeypatch, k, start):
         y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
     full = integrate(surf, y0, 50.0)
     ends = []
+    stepper = geodesic.solve_ivp
 
     def recording_solve_ivp(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
+        sol = stepper(*args, **kwargs)
         ends.append(sol.t[-1])
         return sol
 
@@ -205,6 +206,41 @@ def test_crossing_limited_run_stops_at_last_crossing(monkeypatch, k, start):
     assert len(full.crossings) > k
     assert np.array_equal(limited.crossings, full.crossings[:k])
     assert ends[-1] == limited.crossings[-1, 0]
+
+
+def test_stepper_counters_repeat_and_bound_the_work(monkeypatch):
+    """nfev, steps and rejected_steps repeat exactly, count every RHS call
+    and every accepted step, and a run without samples costs at most 12 RHS
+    calls per attempted step, 3 per event step and 2 per stepper start."""
+    surf = PolarSurface.sectoral(3, 0.2)
+    y0 = normalize_speed(surf, [math.pi / 2, 0.0, -1.0, 0.05])
+    first = integrate(surf, y0, 40.0)
+    rhs_calls, runs = [], []
+    rhs, stepper = PolarSurface.rhs, geodesic.solve_ivp
+
+    def counting_rhs(self, s, y):
+        rhs_calls.append(s)
+        return rhs(self, s, y)
+
+    def recording_solve_ivp(*args, **kwargs):
+        runs.append(stepper(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(PolarSurface, "rhs", counting_rhs)
+    monkeypatch.setattr(geodesic, "solve_ivp", recording_solve_ivp)
+    again = integrate(surf, y0, 40.0)
+    counters = (first.nfev, first.steps, first.rejected_steps)
+    assert counters == (again.nfev, again.steps, again.rejected_steps)
+    assert first.chart_swaps >= 1 and len(first.crossings) >= 1
+    assert first.nfev == len(rhs_calls)
+    assert first.steps == sum(len(sol.t) - 1 for sol in runs) > 0
+    assert first.rejected_steps == sum(sol.rejected for sol in runs)
+    starts = len(runs)
+    assert starts <= first.chart_swaps + 1
+    # event steps: crossings, pole events (one per swap) and a start on the section
+    event_steps = len(first.crossings) + first.chart_swaps + 1
+    attempted = first.steps + first.rejected_steps
+    assert first.nfev <= 12 * attempted + 3 * event_steps + 2 * starts
 
 
 def test_tangents_refuse_renormalization():
