@@ -16,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .algebra import Poly, RatFunc
 from .dop853 import solve_ivp
-from .surface import PolarSurface
+from .surface import POLE_TOL, PolarSurface, PoleError
 from .trigring import sectoral_christoffels
 
 POLE_GUARD = 0.05
@@ -94,35 +95,6 @@ def _chart_to_chart(y, rot):
     return _project(rt @ n, rt @ v)
 
 
-def _embed_jacobian(y):
-    """6x4 Jacobian of :func:`_embed`: position rows, then velocity rows."""
-    th, ph, td, pd = y
-    st, ct = math.sin(th), math.cos(th)
-    cp, sp = math.cos(ph), math.sin(ph)
-    e_t = np.array([ct * cp, ct * sp, -st])
-    e_p = np.array([-st * sp, st * cp, 0.0])
-    e_tp = np.array([-ct * sp, ct * cp, 0.0])  # d e_t/d phi = d e_p/d theta
-    n = np.array([st * cp, st * sp, ct])
-    jac = np.zeros((6, 4))
-    jac[:3, 0] = e_t
-    jac[:3, 1] = e_p
-    jac[3:, 0] = -td * n + pd * e_tp
-    jac[3:, 1] = td * e_tp - pd * (n - [0.0, 0.0, ct])
-    jac[3:, 2] = e_t
-    jac[3:, 3] = e_p
-    return jac
-
-
-def _transfer_tangents(y, y_new, rot, tangents):
-    """Carry tangent vectors (columns) at state y to the state y_new of a
-    chart with Cartesian coordinates p_new = rot @ p: the Jacobian of
-    ``_project(rot @ n, rot @ v)``.  Both tangent images lie in the range of
-    the new 6x4 embedding Jacobian, so the least-squares solve is exact."""
-    e = _embed_jacobian(y) @ tangents
-    moved = np.vstack([rot @ e[:3], rot @ e[3:]])
-    return np.linalg.lstsq(_embed_jacobian(y_new), moved, rcond=None)[0]
-
-
 def chart_to_body(y, m):
     """State in a chart with chart->body matrix m, expressed in the body
     chart."""
@@ -148,15 +120,52 @@ def normalize_speed(surface: PolarSurface, y):
     return y
 
 
-def _crossing_jacobian(chart, y, y_out, row_z, rot, tangents):
-    """d(phi, phi_dot) of a section crossing: the tangents at the chart state
-    y, corrected for the shift of the crossing time (dT = -grad.dy /
-    grad.f), then carried to the reported state y_out = _project(rot @ n,
-    rot @ v)."""
-    f = np.asarray(chart.rhs(0.0, y))
-    grad = row_z @ _embed_jacobian(y)[:3]  # of the section function; 0 in velocity
-    on_section = tangents - np.outer(f, grad @ tangents / (grad @ f))
-    return _transfer_tangents(y, y_out, rot, on_section)[[1, 3]]
+# ---------------------------------------------------------------------------
+# tangent flow: Jacobi fields split into chart-free parts
+# ---------------------------------------------------------------------------
+#
+# A variation (dx, dv) of a geodesic state is a Jacobi field J = dx with
+# covariant derivative DJ = dv + Gamma(v, dx).  Its tangential part g(J, v)
+# is b + a*s, and its normal part w = omega(v, J) (omega the area form) obeys
+# w'' = -K*2H*w.  The four numbers (b, a, w, w') are the same in every chart
+# reached by a rotation, so chart swaps leave them alone.
+
+
+def _velocity_frame(chart, y):
+    """At state y with velocity v: the matrix of dx -> Gamma(v, dx), the
+    lowered velocity g(v, .), the row omega(v, .) and the normal nu with
+    g(nu, v) = 0 and omega(v, nu) = 2H."""
+    th, ph, td, pd = y
+    if abs(math.sin(th)) <= POLE_TOL:
+        raise PoleError(f"variations are not defined at the chart pole theta = {th}")
+    g11, g12, g22, det, a0, a1, a2, b0, b1, b2 = kernels.christoffel(
+        th, *chart.partials(th, ph)
+    )
+    gam_v = np.array([[a0 * td + a1 * pd, a1 * td + a2 * pd],
+                      [b0 * td + b1 * pd, b1 * td + b2 * pd]])
+    v_low = np.array([g11 * td + g12 * pd, g12 * td + g22 * pd])
+    sq = math.sqrt(det)
+    nu = np.array([-v_low[1], v_low[0]]) / sq
+    return gam_v, v_low, sq * np.array([-pd, td]), nu
+
+
+def _jacobi_split(chart, y, tangents):
+    """(b, a, w, w') of each column of the 4 x j variations at state y."""
+    gam_v, v_low, omega_v, _ = _velocity_frame(chart, y)
+    dx = tangents[:2]
+    dj = tangents[2:] + gam_v @ dx
+    return v_low @ dx, v_low @ dj, omega_v @ dx, omega_v @ dj
+
+
+def _jacobi_rebuild(chart, y, s, b, a, w, dw):
+    """4 x j variations (dx, dv) at state y, arc length s after the split,
+    from the parts :func:`_jacobi_split` gave and the integrated (w, w')."""
+    gam_v, v_low, _, nu = _velocity_frame(chart, y)
+    v = np.array(y[2:4], dtype=float)
+    h2 = v_low @ v
+    jac = (np.outer(v, b + a * s) + np.outer(nu, w)) / h2
+    dj = (np.outer(v, a) + np.outer(nu, dw)) / h2
+    return np.vstack([jac, dj - gam_v @ jac])
 
 
 def integrate(
@@ -188,46 +197,49 @@ def integrate(
     instead of the body equator.
 
     ``tangents``, a 4 x j array of variations of ``y0`` (which then must not
-    be renormalized), is integrated alongside the geodesic by its
-    linearization and carried exactly across chart swaps.  Each crossing then
-    also reports the 2 x j derivative of its (phi, phi_dot), the change of
-    crossing time included, in ``Trajectory.crossing_jacobians``.
+    be renormalized), is split once into the chart-free parts of its Jacobi
+    fields, whose normal parts are integrated alongside the geodesic by the
+    Jacobi equation.  Each crossing then also reports the 2 x j derivative
+    of its (phi, phi_dot), the change of crossing time included, in
+    ``Trajectory.crossing_jacobians``.
     """
     if s_max <= 0:
         raise ValueError(f"arc length s_max = {s_max} must be positive")
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)
-    tan = None
+    sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
+    normal = None  # the integrated normal parts (w, w'), flattened
     if tangents is not None:
         if renormalize:
             raise ValueError(
                 "tangents need renormalize=False: speed normalization is not differentiated"
             )
-        tan = np.array(tangents, dtype=float).reshape(4, -1)
+        b, a, w, dw = _jacobi_split(surface, y, np.array(tangents, dtype=float).reshape(4, -1))
+        normal = [*w.tolist(), *dw.tolist()]
+        j = len(b)
+        # crossings are rebuilt in the chart whose equator is the section
+        frame_chart = surface.in_chart(np.eye(3) if sframe is None else sframe.T)
 
     # chart -> body rotation (None = identity/body chart)
     m = None if surface.rot is None else np.asarray(surface.rot).reshape(3, 3)
     chart = surface
     swaps = 0
 
-    def swap_chart(y, m, tan):
+    def swap_chart(y, m):
         y_new = _chart_to_chart(y, R_SWAP)
-        if tan is not None:
-            tan = _transfer_tangents(y, y_new, np.asarray(R_SWAP).T, tan)
         m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        return y_new, m, surface.in_chart(m), tan
+        return y_new, m, surface.in_chart(m)
 
     # the pole events fire on entering the guard band, so a start inside it
     # moves to the rotated chart before the first step
     if not POLE_GUARD < y[0] < math.pi - POLE_GUARD:
-        y, m, chart, tan = swap_chart(y, m, tan)
+        y, m, chart = swap_chart(y, m)
         swaps += 1
     if renormalize:
         y = normalize_speed(chart, y)
-    sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
 
     sample_s = np.linspace(0.0, s_max, n_samples).tolist() if n_samples else []
     samples = []  # body-chart states at the first len(samples) sample_s
@@ -272,10 +284,10 @@ def integrate(
                 v_z = row_z @ _embed(y)[1]
                 section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
 
-        if tan is None:
+        if normal is None:
             rhs, y_start = chart.rhs, y
         else:
-            rhs, y_start = chart.variational_rhs, [*y, *tan.ravel().tolist()]
+            rhs, y_start = chart.jacobi_rhs, [*y, *normal]
         sol = solve_ivp(
             rhs,
             (s_now, s_max),
@@ -293,7 +305,6 @@ def integrate(
             h2s.append(chart.hamiltonian2(*yy[:4]))
 
         # record crossings (converted to body coordinates)
-        to_frame = mm if sframe is None else sframe @ mm
         for s_ev, y_ev in zip(sol.t_events[2], sol.y_events[2]):
             if s_ev < 1e-9:  # initial condition sitting on the section
                 continue
@@ -304,20 +315,24 @@ def integrate(
                 n_c, v_c = _embed(y_c)
                 yb = _project(sframe @ (mm @ n_c), sframe @ (mm @ v_c))
             crossings.append((s_ev, yb[1], yb[3]))
-            if tan is not None:
-                d_ev = np.reshape(y_ev[4:], (4, -1))
-                jacobians.append(_crossing_jacobian(chart, y_c, yb, row_z, to_frame, d_ev))
+            if normal is not None:
+                # there the section is theta = pi/2, so the shift of the
+                # crossing time subtracts f * d_theta / theta_dot
+                d = _jacobi_rebuild(frame_chart, yb, s_ev, b, a, y_ev[4:4 + j], y_ev[4 + j:])
+                f = np.asarray(frame_chart.rhs(s_ev, yb))
+                d -= np.outer(f, d[0] / f[0])
+                jacobians.append(d[[1, 3]])
 
         s_now = sol.t[-1]
         y = sol.y[:4]
-        if tan is not None:
-            tan = np.reshape(sol.y[4:], (4, -1))
+        if normal is not None:
+            normal = sol.y[4:]
         if n_crossings is not None and len(crossings) >= n_crossings:
             status = "crossings"
             break
         if not (sol.t_events[0] or sol.t_events[1]) or s_now >= s_max:
             break
-        y, m, chart, tan = swap_chart(y, m, tan)
+        y, m, chart = swap_chart(y, m)
         swaps += 1
 
     if n_samples:
@@ -337,7 +352,7 @@ def integrate(
         chart_swaps=swaps,
         status=status,
         crossing_jacobians=(
-            None if tan is None else np.array(jacobians).reshape(-1, 2, tan.shape[1])
+            None if normal is None else np.array(jacobians).reshape(-1, 2, j)
         ),
         nfev=nfev,
         steps=steps,
@@ -503,10 +518,10 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     One integration over a full circuit of the equator carries two copies
     of its normal variation:
 
-    * the reference copy is :meth:`PolarSurface.variational_rhs` on the
-      geodesic state and one tangent column (delta theta, delta phi,
-      delta theta_dot, delta phi_dot), the flow every monodromy uses,
-      knowing nothing of the symbolic pipeline;
+    * the reference copy is :meth:`PolarSurface.jacobi_rhs` on the geodesic
+      state and the normal part (w, w') of the Jacobi field of the
+      variation (delta theta, delta theta_dot), the flow every monodromy
+      uses, knowing nothing of the symbolic pipeline;
     * the exact copy is xi'' + p(z) xi' + q(z) xi = 0 transported to arc
       length through z = eps*cos(n*phi), with phi and phi_dot read from the
       geodesic state.  With w = eps^2 - z^2 and G = g_phiphi on the equator,
@@ -518,11 +533,14 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
       where S and T are regular at the turning points z = +-eps.
 
     Returns the maximum relative disagreement of (xi, xi') with
-    (delta theta, delta theta_dot) at ``n_checks`` equally spaced arc
-    lengths of one circuit.  Both start from (1, 0) at phi = pi/(2n).
+    (delta theta, delta theta_dot) rebuilt from (w, w') at ``n_checks``
+    equally spaced arc lengths of one circuit, both ends included.  Both
+    start from (1, 0) at phi = pi/(2n).
     """
     from .nve import equatorial_nve
 
+    if n_checks < 2:
+        raise ValueError(f"n_checks = {n_checks} must be at least 2: s = 0 compares nothing")
     eps_f = Fraction(eps)
     e = float(eps_f)
     data = equatorial_nve(n, eps_f)
@@ -536,10 +554,10 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     surf = PolarSurface.sectoral(n, e)
 
     def rhs(s, y):
-        _, phi, _, pd, *_, xi, dxi = y
+        _, phi, _, pd, _, _, xi, dxi = y
         z = e * math.cos(n * phi)
         zdot = -e * n * math.sin(n * phi) * pd
-        return surf.variational_rhs(s, y[:8]) + [
+        return surf.jacobi_rhs(s, y[:6]) + [
             dxi, -zdot * s_rf(z) * dxi - n * n * pd * pd * t_rf(z) * xi
         ]
 
@@ -560,13 +578,18 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
         k *= 2
         s_end, s_prev = circuit(k), s_end
 
-    y0 = [math.pi / 2, phi0, 0.0, 1.0 / math.sqrt(g0.g_pp), 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    y0 = [math.pi / 2, phi0, 0.0, 1.0 / math.sqrt(g0.g_pp)]
+    b, a, w, dw = _jacobi_split(surf, y0, np.array([[1.0], [0.0], [0.0], [0.0]]))
     checks = np.linspace(0.0, s_end, n_checks).tolist()
-    sol = solve_ivp(rhs, (0.0, s_end), y0, rtol=1e-11, atol=1e-11, samples=checks)
+    sol = solve_ivp(
+        rhs, (0.0, s_end), [*y0, w[0], dw[0], 1.0, 0.0], rtol=1e-11, atol=1e-11, samples=checks
+    )
     if abs(sol.y[1] - (phi0 + 2.0 * math.pi)) > 1e-8:
         raise RuntimeError("equatorial circuit not closed")
     worst = 0.0
-    for _, _, _, _, d_th, _, d_td, _, xi, dxi in sol.samples:
+    for s, yy in zip(checks, sol.samples):
+        d_th, _, d_td, _ = _jacobi_rebuild(surf, yy[:4], s, b, a, yy[4:5], yy[5:6])[:, 0]
+        xi, dxi = yy[6:]
         scale = max(abs(d_th), abs(d_td), abs(xi), abs(dxi), 1.0)
         worst = max(worst, abs(d_th - xi) / scale, abs(d_td - dxi) / scale)
     return worst

@@ -9,10 +9,9 @@ Poincare-section run.
 :meth:`harmgeo.surface.PolarSurface.rhs` is :func:`rhs_from_partials` applied
 to one of the two, for every surface family.
 
-The tangent (variational) flow needs r to third order: :func:`harmonic_jet`
-gives it for every surface and chart, :func:`christoffel_jet` turns it into
-the Christoffel symbols and their partials, and :func:`variational_rhs`
-extends the geodesic right-hand side by its linearization.
+The tangent (variational) flow needs no more than these six partials: the
+normal part of a variation obeys the Jacobi equation w'' = -K*2H*w, with the
+Gaussian curvature K from :func:`curvature`.
 """
 
 import math
@@ -151,208 +150,22 @@ def harmonic_partials(m, q, eps, rot, theta, phi):
     return r, rt, rp, rtt, rtp, rpp
 
 
-# ---------------------------------------------------------------------------
-# third-order jets for the variational (tangent) flow
-# ---------------------------------------------------------------------------
-#
-# A jet holds a function and its partials in the order
-# (f, f_t, f_p, f_tt, f_tp, f_pp, f_ttt, f_ttp, f_tpp, f_ppp).
+def curvature(theta, r, rt, rp, rtt, rtp, rpp):
+    """Gaussian curvature K of a polar surface from r and its partials.
 
-
-def _linear_jet(al, be, ga, a, b, c, d, st, ct):
-    """Jet of al*x + be*y + ga*z on the unit sphere at the chart point
-    (x, y, z) = (a, b, ct), with c = ct*cp and d = ct*sp."""
-    v = al * a + be * b + ga * ct
-    v_t = al * c + be * d - ga * st
-    v_p = be * a - al * b
-    # the chart point is minus its own second theta-derivative
-    return (v, v_t, v_p, -v, be * c - al * d, -al * a - be * b,
-            -v_t, -v_p, -(al * c + be * d), -v_p)
-
-
-def _compose(f0, f1, f2, f3, u):
-    """Jet of f(u) from f and its first three derivatives at u and u's jet."""
-    _, t, p, tt, tp, pp, ttt, ttp, tpp, ppp = u
-    return (
-        f0,
-        f1 * t,
-        f1 * p,
-        f2 * t * t + f1 * tt,
-        f2 * t * p + f1 * tp,
-        f2 * p * p + f1 * pp,
-        f3 * t * t * t + 3.0 * f2 * tt * t + f1 * ttt,
-        f3 * t * t * p + f2 * (tt * p + 2.0 * tp * t) + f1 * ttp,
-        f3 * t * p * p + f2 * (2.0 * tp * p + pp * t) + f1 * tpp,
-        f3 * p * p * p + 3.0 * f2 * pp * p + f1 * ppp,
-    )
-
-
-def _product(u, v):
-    """Jet of u*v (Leibniz rule)."""
-    a, a_t, a_p, a_tt, a_tp, a_pp, a_ttt, a_ttp, a_tpp, a_ppp = u
-    b, b_t, b_p, b_tt, b_tp, b_pp, b_ttt, b_ttp, b_tpp, b_ppp = v
-    return (
-        a * b,
-        a_t * b + a * b_t,
-        a_p * b + a * b_p,
-        a_tt * b + 2.0 * a_t * b_t + a * b_tt,
-        a_tp * b + a_t * b_p + a_p * b_t + a * b_tp,
-        a_pp * b + 2.0 * a_p * b_p + a * b_pp,
-        a_ttt * b + 3.0 * (a_tt * b_t + a_t * b_tt) + a * b_ttt,
-        a_ttp * b + a_tt * b_p + 2.0 * (a_tp * b_t + a_t * b_tp) + a_p * b_tt + a * b_ttp,
-        a_tpp * b + a_pp * b_t + 2.0 * (a_tp * b_p + a_p * b_tp) + a_t * b_pp + a * b_tpp,
-        a_ppp * b + 3.0 * (a_pp * b_p + a_p * b_pp) + a * b_ppp,
-    )
-
-
-def harmonic_jet(m, q, eps, rot, theta, phi):
-    """r = 1 + eps*Re((x+iy)^m)*Q(z) in a rotated chart, with its partials to
-    third order: (r, r_t, r_p, r_tt, r_tp, r_pp, r_ttt, r_ttp, r_tpp, r_ppp).
-
-    Arguments as for :func:`harmonic_partials`; every family and chart,
-    the body chart being ``rot`` = identity.
+    K = r^2 (L N - M^2) / D^2 with D = det g: L, M, N pair the second
+    partials of the position X = r*(unit sphere point) with the normal
+    X_theta x X_phi / r, whose length sqrt(D)/r is left unnormalized so no
+    square root is taken.
     """
     st = math.sin(theta)
     ct = math.cos(theta)
-    cp = math.cos(phi)
-    sp = math.sin(phi)
-    pt = (st * cp, st * sp, ct * cp, ct * sp, st, ct)
-    # e * Re(w^m) with w = x + iy, as a jet; constant when m = 0
-    e = eps * q[0] if len(q) == 1 else eps
-    if m:
-        w = _linear_jet(complex(rot[0], rot[3]), complex(rot[1], rot[4]),
-                        complex(rot[2], rot[5]), *pt)
-        # e * d^k(w^m)/dw^k, zero for k > m
-        f = [0.0] * 4
-        for k in range(min(m, 3) + 1):
-            f[k] = e * math.perm(m, k) * w[0] ** (m - k)
-        jet = [x.real for x in _compose(*f, w)]
-    else:
-        jet = [e] + [0.0] * 9
-    if len(q) > 1:
-        z = _linear_jet(rot[6], rot[7], rot[8], *pt)
-        # Q, Q', Q''/2 and Q'''/6 at z by Horner
-        zz = z[0]
-        q0 = q1 = q2 = q3 = 0.0
-        for coef in reversed(q):
-            q3 = q3 * zz + q2
-            q2 = q2 * zz + q1
-            q1 = q1 * zz + q0
-            q0 = q0 * zz + coef
-        jet = list(_product(jet, _compose(q0, q1, 2.0 * q2, 6.0 * q3, z)))
-    jet[0] += 1.0
-    return tuple(jet)
-
-
-def _christoffel_numerators(g11, g12, g22, a_t, a_p, b_t, b_p, c_t, c_p):
-    """c with Gamma = c / (2 det), from the metric (g11, g12, g22) and its
-    first partials (a = g11, b = g12, c = g22).  Bilinear in the two, so a
-    derivative of c is the sum of two calls."""
-    u = 2.0 * b_t - a_p
-    v = 2.0 * b_p - c_t
-    return (
-        g22 * a_t - g12 * u,
-        g22 * a_p - g12 * c_t,
-        g22 * v - g12 * c_p,
-        g11 * u - g12 * a_t,
-        g11 * c_t - g12 * a_p,
-        g11 * c_p - g12 * v,
-    )
-
-
-def christoffel_jet(theta, jet):
-    """Christoffel symbols and their theta- and phi-derivatives from the
-    third-order jet of r (:func:`harmonic_jet`).
-
-    Returns three lists of six, each ordered (ttt, ttp, tpp, ptt, ptp, ppp)
-    like :func:`christoffel`: Gamma, d_theta Gamma and d_phi Gamma.
-    """
-    r, rt, rp, rtt, rtp, rpp, rttt, rttp, rtpp, rppp = jet
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    s2 = st * st
-    sc = st * ct
-
-    # the metric (g11, g12, g22), its first partials ordered (g11_t, g11_p,
-    # g12_t, g12_p, g22_t, g22_p), and their theta- and phi-derivatives
-    g = (rt * rt + r * r, rt * rp, rp * rp + r * r * s2)
-    dg = (
-        2.0 * (rt * rtt + r * rt),
-        2.0 * (rt * rtp + r * rp),
-        rtt * rp + rt * rtp,
-        rtp * rp + rt * rpp,
-        2.0 * (rp * rtp + r * rt * s2 + r * r * sc),
-        2.0 * (rp * rpp + r * rp * s2),
-    )
-    g11_tp = 2.0 * (rtp * rtt + rt * rttp + rp * rt + r * rtp)
-    g12_tp = rttp * rp + rtt * rpp + rtp * rtp + rt * rtpp
-    g22_tp = 2.0 * (rpp * rtp + rp * rtpp + (rp * rt + r * rtp) * s2 + 2.0 * r * rp * sc)
-    dg_t = (
-        2.0 * (rtt * rtt + rt * rttt + rt * rt + r * rtt),
-        g11_tp,
-        rttt * rp + 2.0 * rtt * rtp + rt * rttp,
-        g12_tp,
-        2.0 * (rtp * rtp + rp * rttp + (rt * rt + r * rtt) * s2
-               + 4.0 * r * rt * sc + r * r * (ct * ct - s2)),
-        g22_tp,
-    )
-    dg_p = (
-        g11_tp,
-        2.0 * (rtp * rtp + rt * rtpp + rp * rp + r * rpp),
-        g12_tp,
-        rtpp * rp + 2.0 * rtp * rpp + rt * rppp,
-        g22_tp,
-        2.0 * (rpp * rpp + rp * rppp + (rp * rp + r * rpp) * s2),
-    )
-
-    g11, g12, g22 = g
-    det = g11 * g22 - g12 * g12
-    h = 0.5 / det
-    gam = [x * h for x in _christoffel_numerators(*g, *dg)]
-    out = [gam]
-    for i, dd in ((0, dg_t), (1, dg_p)):
-        gi = (dg[i], dg[2 + i], dg[4 + i])  # d(g11, g12, g22)
-        k = 2.0 * (gi[0] * g22 + g11 * gi[2] - 2.0 * g12 * gi[1])  # 2 d(det)
-        out.append([
-            h * (x + y - k * gm)
-            for x, y, gm in zip(
-                _christoffel_numerators(*gi, *dg), _christoffel_numerators(*g, *dd), gam
-            )
-        ])
-    return out
-
-
-def variational_rhs(theta, td, pd, jet, tangents):
-    """Geodesic right-hand side extended by its linearization.
-
-    ``tangents`` is a flat row-major 4 x j block of variations of
-    (theta, phi, theta_dot, phi_dot); returns the 4 + 4j derivatives, state
-    first, from the third-order jet of r at (theta, phi).
-    """
-    gam, gam_t, gam_p = christoffel_jet(theta, jet)
-    a0, a1, a2, b0, b1, b2 = gam
-    at0, at1, at2, bt0, bt1, bt2 = gam_t
-    ap0, ap1, ap2, bp0, bp1, bp2 = gam_p
-    tt, tp, pp = td * td, 2.0 * td * pd, pd * pd
-    # partials of the two accelerations by theta, phi, theta_dot, phi_dot
-    rows = (
-        (-(at0 * tt + at1 * tp + at2 * pp), -(ap0 * tt + ap1 * tp + ap2 * pp),
-         -2.0 * (a0 * td + a1 * pd), -2.0 * (a1 * td + a2 * pd)),
-        (-(bt0 * tt + bt1 * tp + bt2 * pp), -(bp0 * tt + bp1 * tp + bp2 * pp),
-         -2.0 * (b0 * td + b1 * pd), -2.0 * (b1 * td + b2 * pd)),
-    )
-    j = len(tangents) // 4
-    d_th = tangents[:j]
-    d_ph = tangents[j:2 * j]
-    d_td = tangents[2 * j:3 * j]
-    d_pd = tangents[3 * j:]
-    out = [td, pd, -(a0 * tt + a1 * tp + a2 * pp), -(b0 * tt + b1 * tp + b2 * pp)]
-    out += d_td
-    out += d_pd
-    for c_t, c_p, c_td, c_pd in rows:
-        out += [c_t * x0 + c_p * x1 + c_td * x2 + c_pd * x3
-                for x0, x1, x2, x3 in zip(d_th, d_ph, d_td, d_pd)]
-    return out
+    st2 = st * st
+    L = st * (r * rtt - r * r - 2.0 * rt * rt)
+    M = st * (r * rtp - 2.0 * rt * rp) - ct * r * rp
+    N = st * (r * rpp - r * r * st2 + r * rt * st * ct - 2.0 * rp * rp)
+    D = r * r * (r * r * st2 + rt * rt * st2 + rp * rp)
+    return r * r * (L * N - M * M) / (D * D)
 
 
 def rhs_from_partials(theta, td, pd, parts):

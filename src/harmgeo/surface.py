@@ -2,9 +2,8 @@
 
 A surface is described by its radial function together with all partial
 derivatives up to second order; everything downstream (metric, Christoffel
-symbols, geodesic equations) is generated from those six numbers per point.
-The tangent flow and the exact derivatives of the Christoffel symbols use the
-third-order jet (ten numbers per point, :func:`harmgeo.kernels.harmonic_jet`).
+symbols, Gaussian curvature, geodesic and Jacobi equations) is generated from
+those six numbers per point.
 
 Every family is one Cartesian form on the unit sphere,
 
@@ -98,9 +97,15 @@ def assoc_legendre_max(l: int, m: int) -> float:
 
 
 def _rot9(rot) -> tuple:
+    """A chart matrix as nine floats; it must be a rotation, since a scaled
+    chart is another surface and a reflected one flips the orientation the
+    Jacobi flow's normal parts are measured in."""
     rot = tuple(float(x) for x in np.ravel(rot))
     if len(rot) != 9:
         raise ValueError("rot must be a row-major 3x3 matrix (9 numbers)")
+    mat = np.reshape(rot, (3, 3))
+    if not (np.max(np.abs(mat @ mat.T - np.eye(3))) <= 1e-12 and np.linalg.det(mat) > 0):
+        raise ValueError("rot must be a rotation: orthonormal with determinant +1")
     return rot
 
 
@@ -140,8 +145,7 @@ class PolarSurface:
 
     ``q`` holds the coefficients of Q, lowest degree first.  ``rot`` is the
     row-major chart->body matrix of the coordinate chart, None for the body
-    chart.  ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp);
-    ``jet(theta, phi)`` adds (r_ttt, r_ttp, r_tpp, r_ppp).
+    chart.  ``partials(theta, phi)`` returns (r, r_t, r_p, r_tt, r_tp, r_pp).
     """
 
     def __init__(self, family: str, params: dict, m: int, q: tuple, rot=None):
@@ -151,7 +155,6 @@ class PolarSurface:
         self.q = q
         self.rot = rot
         eps = self.params["eps"]
-        self._jet = partial(kernels.harmonic_jet, m, q, eps, rot or IDENTITY_ROT)
         if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
             self._partials = partial(kernels.sectoral_partials, m, eps * q[0])
         else:
@@ -216,9 +219,6 @@ class PolarSurface:
     def partials(self, theta: float, phi: float) -> tuple:
         return self._partials(theta, phi)
 
-    def jet(self, theta: float, phi: float) -> tuple:
-        return self._jet(theta, phi)
-
     def radius(self, theta: float, phi: float) -> float:
         return self._partials(theta, phi)[0]
 
@@ -256,11 +256,17 @@ class PolarSurface:
         theta, phi, td, pd = y
         return kernels.rhs_from_partials(theta, td, pd, self._partials(theta, phi))
 
-    def variational_rhs(self, s, y):
-        """:meth:`rhs` for the state y[:4] followed by its linearization
-        applied to the row-major 4 x j block of tangent vectors y[4:]."""
-        theta, phi, td, pd, *tangents = y
-        return kernels.variational_rhs(theta, td, pd, self._jet(theta, phi), tangents)
+    def jacobi_rhs(self, s, y):
+        """:meth:`rhs` for the state y[:4] followed by the Jacobi equation
+        w'' = -K*2H*w of j normal parts w = y[4:4+j] with derivatives
+        w' = y[4+j:]."""
+        theta, phi, td, pd, *w = y
+        parts = self._partials(theta, phi)
+        r, rt, rp = parts[:3]
+        h2 = (rt * td + rp * pd) ** 2 + r * r * (td * td + (math.sin(theta) * pd) ** 2)
+        k = -kernels.curvature(theta, *parts) * h2
+        j = len(w) // 2
+        return [*kernels.rhs_from_partials(theta, td, pd, parts), *w[j:], *(k * x for x in w[:j])]
 
     def __repr__(self):
         return f"PolarSurface({self.family}, {self.params})"

@@ -24,7 +24,7 @@ from harmgeo.geodesic import (
     sphere_closure_error,
 )
 from harmgeo.poincare import equator_state
-from harmgeo.surface import PolarSurface
+from harmgeo.surface import PolarSurface, PoleError
 
 
 # -- integrator quality ------------------------------------------------------------
@@ -144,6 +144,69 @@ def test_surface_in_rotated_chart_starts_there():
         assert np.allclose(_embed(yc)[0], _embed(yb)[0], atol=1e-9)
 
 
+def test_jacobi_parts_rebuild_the_full_variation():
+    """Split, Jacobi flow and rebuild give the whole variation (dx, dv) at a
+    fixed arc length, its part along the geodesic (b + a*s) included, which
+    no crossing Jacobian sees: the crossing-time shift removes it."""
+    surf = PolarSurface.sectoral(3, 0.2)
+    y0, s_end, h = np.array([1.2, 0.4, 0.3, 0.6]), 5.0, 1e-6
+    b, a, w, dw = geodesic._jacobi_split(surf, y0, np.eye(4))
+    assert np.max(np.abs(a)) > 0.1  # the unit variations change the energy
+    sol = geodesic.solve_ivp(
+        surf.jacobi_rhs, (0.0, s_end), [*y0, *w, *dw], rtol=1e-12, atol=1e-12
+    )
+    tan = geodesic._jacobi_rebuild(surf, sol.y[:4], s_end, b, a, sol.y[4:8], sol.y[8:])
+
+    def end(y):
+        traj = integrate(surf, y, s_end, renormalize=False)
+        assert traj.chart_swaps == 0
+        return traj.states[-1]
+
+    differenced = np.column_stack(
+        [(end(y0 + h * e) - end(y0 - h * e)) / (2 * h) for e in np.eye(4)]
+    )
+    assert np.allclose(tan, differenced, rtol=0, atol=1e-6)
+
+
+TANGENT_CASES = {
+    # starts inside the pole guard, so the variations are split before the
+    # first chart swap
+    "pole-start": (PolarSurface.zonal(2, 0.2), [0.03, 0.0, 1.0, 8.0], None),
+    "rotated-chart": (
+        PolarSurface.tesseral(3, 1, 0.1).in_chart(R_SWAP), [1.3, 0.4, 0.5, -0.3], None
+    ),
+    "section-frame": (
+        PolarSurface.sectoral(3, 0.2), [1.2, 0.4, 0.3, 0.6], np.asarray(R_SWAP).T
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TANGENT_CASES))
+def test_tangents_match_differenced_crossings(case):
+    """Crossing Jacobians of the four unit variations, which change the
+    energy, agree with central differences of the crossings themselves."""
+    surf, y0, frame, k = *TANGENT_CASES[case], 2
+
+    def run(y, **kw):
+        return integrate(
+            surf, y, 60.0, n_crossings=k, renormalize=False, section_frame=frame, **kw
+        )
+
+    jac = run(y0, tangents=np.eye(4)).crossing_jacobians
+    assert jac.shape == (k, 2, 4)
+    h = 1e-6
+    differenced = np.zeros((2, 4))
+    for j in range(4):
+        dy = h * np.eye(4)[j]
+        _, ph_p, pd_p = run(y0 + dy).crossings[k - 1]
+        _, ph_m, pd_m = run(y0 - dy).crossings[k - 1]
+        differenced[:, j] = [
+            ((ph_p - ph_m + math.pi) % (2 * math.pi) - math.pi) / (2 * h),
+            (pd_p - pd_m) / (2 * h),
+        ]
+    assert np.allclose(jac[k - 1], differenced, rtol=0, atol=1e-6)
+
+
 def test_meaningless_budgets_rejected():
     surf = PolarSurface.sectoral(3, 0.1)
     y0 = [math.pi / 2, 0.2, 0.5, 0.5]
@@ -249,6 +312,13 @@ def test_tangents_refuse_renormalization():
         integrate(surf, [1.2, 0.3, 0.4, 0.5], 5.0, tangents=np.eye(4))
 
 
+def test_tangents_at_a_chart_pole_raise():
+    """At theta = 0 the chart gives no delta phi a meaning."""
+    surf = PolarSurface.zonal(2, 0.2)
+    with pytest.raises(PoleError):
+        integrate(surf, [0.0, 0.0, 1.0, 0.0], 5.0, renormalize=False, tangents=np.eye(4))
+
+
 def test_crossing_states_lie_on_energy_shell():
     n, eps = 3, 0.15
     surf = PolarSurface.sectoral(n, eps)
@@ -321,10 +391,17 @@ def test_lemma1_positive_below_critical_negative_above():
 
 @pytest.mark.parametrize(
     "n, eps",
-    [(2, Fraction(1, 5)), (5, Fraction(1, 4)), (7, Fraction(1, 5))],
-    ids=["n2-eps1over5", "n5-eps1over4", "n7-eps1over5"],
+    [(2, Fraction(1, 5)), (5, Fraction(1, 4)), (7, Fraction(1, 5)), (7, Fraction(1, 2))],
+    ids=["n2-eps1over5", "n5-eps1over4", "n7-eps1over5", "n7-eps1over2"],
 )
 def test_dual_variational_flow_agrees(n, eps):
     """The exact z-domain variational equation reproduces the tangent flow
     around the equator, through the turning points z = +-eps."""
     assert nve_dual_residual(n, eps, n_checks=16) < 1e-6
+
+
+@pytest.mark.parametrize("n_checks", [-1, 0, 1])
+def test_dual_residual_needs_two_checks(n_checks):
+    """One check is s = 0, where both copies start equal."""
+    with pytest.raises(ValueError, match="n_checks"):
+        nve_dual_residual(2, Fraction(1, 5), n_checks=n_checks)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import lpmv
 
 from harmgeo import kernels
-from harmgeo.geodesic import chart_to_body
+from harmgeo.geodesic import R_SWAP, chart_to_body
 from harmgeo.surface import (
     PoleError,
     PolarSurface,
@@ -113,63 +113,83 @@ def test_partials_match_finite_differences(surface):
         _check_partials(surface, theta, phi)
 
 
-JET_POINTS = [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0), (1e-3, 0.8), (math.pi - 5e-4, 5.2)]
+CURVATURE_POINTS = [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0), (1e-3, 0.8), (math.pi - 5e-4, 5.2)]
+CURVATURE_BODIES = [
+    PolarSurface.sectoral(3, 0.2),
+    PolarSurface.sectoral(1, 0.3),
+    PolarSurface.zonal(2, 0.3),
+    PolarSurface.tesseral(3, 2, 0.15),
+    PolarSurface.tesseral(2, 1, 0.2),
+]
+CURVATURE_IDS = ["sectoral3", "sectoral1", "zonal", "tesseral32", "tesseral21"]
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        PolarSurface.sectoral(3, 0.2),
-        PolarSurface.sectoral(1, 0.3),
-        PolarSurface.zonal(2, 0.3),
-        PolarSurface.tesseral(3, 2, 0.15),
-        PolarSurface.tesseral(2, 1, 0.2),
-    ],
-    ids=["sectoral3", "sectoral1", "zonal", "tesseral32", "tesseral21"],
-)
+@pytest.mark.parametrize("body", CURVATURE_BODIES, ids=CURVATURE_IDS)
 @pytest.mark.parametrize(
     "rot", [None, R_QUARTER, R_GENERIC], ids=["body", "quarter", "generic"]
 )
-def test_harmonic_jet_matches_differenced_partials(body, rot):
-    """The ten-entry jet repeats the six partials and its third-order
-    entries are central differences of the second-order ones, also within
-    1e-3 of the chart poles."""
+def test_curvature_matches_differenced_riemann_tensor(body, rot):
+    """K g_phiphi is R^theta_phi theta phi, built from the Christoffel symbols
+    and their central differences, also within 1e-3 of the chart poles
+    (where g_phiphi ~ 1e-6, so K itself is compared across charts below)."""
     surf = body if rot is None else body.in_chart(rot)
-    h = 1e-5
-
-    def parts(theta, phi):
-        return np.array(surf.partials(theta, phi))
-
-    for theta, phi in JET_POINTS:
-        jet = surf.jet(theta, phi)
-        assert np.allclose(jet[:6], parts(theta, phi), rtol=0, atol=1e-13)
-        d_t = (parts(theta + h, phi) - parts(theta - h, phi)) / (2 * h)
-        d_p = (parts(theta, phi + h) - parts(theta, phi - h)) / (2 * h)
-        assert np.allclose(jet[6:], [d_t[3], d_p[3], d_p[4], d_p[5]], rtol=0, atol=1e-8)
-
-
-@pytest.mark.parametrize(
-    "surf",
-    [
-        PolarSurface.sectoral(2, 0.3),
-        PolarSurface.zonal(3, 0.3).in_chart(R_QUARTER),
-        PolarSurface.tesseral(2, 1, 0.2).in_chart(R_GENERIC),
-    ],
-    ids=["sectoral", "zonal-chart", "tesseral-chart"],
-)
-def test_christoffel_jet_matches_differenced_christoffel(surf):
     h = 1e-5
 
     def gamma(theta, phi):
         return np.array(kernels.christoffel(theta, *surf.partials(theta, phi))[4:])
 
-    for theta, phi in [(0.7, 0.3), (math.pi / 2, 2.1), (2.2, 4.0), (0.1, 5.0)]:
-        gam, gam_t, gam_p = kernels.christoffel_jet(theta, surf.jet(theta, phi))
-        assert np.allclose(gam, gamma(theta, phi), rtol=0, atol=1e-12)
+    for theta, phi in CURVATURE_POINTS:
+        ttt, ttp, tpp, _, ptp, ppp = gamma(theta, phi)
         d_t = (gamma(theta + h, phi) - gamma(theta - h, phi)) / (2 * h)
         d_p = (gamma(theta, phi + h) - gamma(theta, phi - h)) / (2 * h)
-        assert np.allclose(gam_t, d_t, rtol=1e-7, atol=1e-7)
-        assert np.allclose(gam_p, d_p, rtol=1e-7, atol=1e-7)
+        riemann = d_t[2] - d_p[1] + ttt * tpp + ttp * ppp - ttp * ttp - tpp * ptp
+        g_pp = kernels.christoffel(theta, *surf.partials(theta, phi))[2]
+        k = kernels.curvature(theta, *surf.partials(theta, phi))
+        assert math.isclose(k * g_pp, riemann, rel_tol=1e-6, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("body", CURVATURE_BODIES, ids=CURVATURE_IDS)
+@pytest.mark.parametrize("rot", [R_QUARTER, R_GENERIC], ids=["quarter", "generic"])
+def test_curvature_is_the_same_in_every_chart(body, rot):
+    """K is a scalar: a chart point and its body point give the same K, the
+    points next to the chart poles included."""
+    surf = body.in_chart(rot)
+    for theta, phi in CURVATURE_POINTS:
+        y_b = chart_to_body([theta, phi, 0.0, 0.0], np.reshape(rot, (3, 3)))
+        k_chart = kernels.curvature(theta, *surf.partials(theta, phi))
+        k_body = kernels.curvature(y_b[0], *body.partials(y_b[0], y_b[1]))
+        assert math.isclose(k_chart, k_body, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_sphere_curvature_is_one():
+    sphere = PolarSurface.sectoral(2, 0.0)
+    for rot in (None, R_QUARTER, R_GENERIC):
+        surf = sphere if rot is None else sphere.in_chart(rot)
+        for theta, phi in CURVATURE_POINTS:
+            assert abs(kernels.curvature(theta, *surf.partials(theta, phi)) - 1.0) <= 1e-14
+
+
+def test_chart_matrix_must_be_a_rotation():
+    """A scaled chart matrix would build another surface (its radius reaches
+    -0.6 here), a singular or NaN one no chart at all, and a reflection
+    flips the orientation; the charts in use all build."""
+    for rot in (
+        [2, 0, 0, 0, 2, 0, 0, 0, 2],
+        [1, 0, 0, 0, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, -1, 0, 0, 0, 1],
+        [math.nan] * 9,
+    ):
+        with pytest.raises(ValueError, match="rotation"):
+            PolarSurface.from_spec({"family": "rotated", "n": 3, "eps": 0.2, "rot": rot})
+        with pytest.raises(ValueError, match="rotation"):
+            PolarSurface.zonal(2, 0.3).in_chart(rot)
+    swap = np.asarray(R_SWAP)
+    for rot in (
+        np.eye(3), swap, swap @ swap, swap @ swap @ swap, swap.T,
+        np.reshape(R_GENERIC, (3, 3)) @ swap, R_QUARTER, R_GENERIC,
+    ):
+        surf = PolarSurface.tesseral(3, 2, 0.15).in_chart(rot)
+        assert surf.rot == tuple(np.ravel(rot).astype(float))
 
 
 def test_sectoral_radius_formula():
