@@ -191,7 +191,10 @@ def cmd_closed(args, out: Path) -> int:
                                   max_period=args.max_period)
     report = []
     for g in found:
-        eig = np.linalg.eigvals(g.monodromy)
+        # by real, then imaginary part, descending: eigvals' own order follows
+        # rounding noise when M[0,0] = M[1,1], as on reversible orbits
+        eig = sorted(np.linalg.eigvals(g.monodromy).tolist(), key=lambda z: (z.real, z.imag),
+                     reverse=True)
         report.append(
             {
                 "family": g.family,

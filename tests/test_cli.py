@@ -161,6 +161,23 @@ def test_closed_reports_classification(tmp_path, capsys):
         assert (margin < 0) == (g["classification"] == "elliptic")
 
 
+def test_closed_lists_eigenvalues_in_a_fixed_order(tmp_path, capsys):
+    """Eigenvalues by real, then imaginary part, descending.  On the
+    reversible planar orbits M[0,0] = M[1,1] to rounding, where the order
+    np.linalg.eigvals gives follows that rounding."""
+    assert run(["--out-dir", tmp_path, "closed", "--n", "3", "--eps", "0.1"]) == 0
+    report = json.loads((tmp_path / "closed_n3_eps1over10.json").read_text())
+    for g in report:
+        eig = [tuple(z) for z in g["eigenvalues"]]
+        assert eig == sorted(eig, reverse=True)
+    planar = [g for g in report if g["family"] == "planar" and g["classification"] == "hyperbolic"]
+    assert planar
+    for g in planar:
+        (big, big_im), (small, small_im) = g["eigenvalues"]
+        assert big == pytest.approx(1.1437311, abs=1e-6) and big_im == 0.0
+        assert small == pytest.approx(0.8743314, abs=1e-6) and small_im == 0.0
+
+
 def test_table1_subset(tmp_path, capsys):
     code = run(
         ["--out-dir", tmp_path, "table1", "--n-min", "2", "--n-max", "3",
@@ -182,3 +199,23 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "nve_n2_eps1over10.json").exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: with every scipy import made to fail,
+    the package imports and the numeric and exact commands run."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from harmgeo.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['table1', '--n-min', '2', '--n-max', '4'],\n"
+        "             ['kovacic', '--n', '3', '--eps', '1/10'],\n"
+        "             ['trace', '--n', '3', '--eps', '0.2', '--length', '10', '--samples', '50'],\n"
+        "             ['psection', '--n', '3', '--eps', '0.3', '--traj', '2', '--crossings', '3']):\n"
+        "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m]]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) >= 4
