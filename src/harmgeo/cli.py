@@ -222,10 +222,11 @@ def cmd_closed(args, out: Path) -> int:
 def cmd_lemma1(args, out: Path) -> int:
     from .geodesic import lemma1_critical_eps, lemma1_poly
 
+    # an eps with no surface is refused before the bisection runs
+    poly = None if args.eps is None else lemma1_poly(args.n, args.eps)
     crit = lemma1_critical_eps(args.n, tol=args.tol)
     print(f"critical eps for n={args.n}: {crit:.6f}")
-    if args.eps is not None:
-        poly = lemma1_poly(args.n, args.eps)
+    if poly is not None:
         data = {
             "n": args.n,
             "eps": str(args.eps),

@@ -20,7 +20,6 @@ from . import kernels
 from .algebra import Poly, RatFunc
 from .dop853 import solve_ivp
 from .surface import POLE_TOL, PolarSurface, PoleError
-from .trigring import sectoral_christoffels
 
 POLE_GUARD = 0.05
 DEFAULT_RTOL = 1e-12
@@ -389,97 +388,40 @@ def clairaut_values(surface: PolarSurface, traj: Trajectory) -> np.ndarray:
 #
 #   f(u, c) = -Gamma^theta_phiphi * det(g) / (r * cos(theta) * sin^3(theta))
 #
-# with u = sin(theta), c = cos(n*phi) turns out to be a polynomial in u and c.
-# Positivity of f on the whole surface forces normal perturbations of
-# phi-monotone geodesics back toward the equator; the critical deformation
-# eps*(n) is where min_c f(1, c) first touches zero.
-
-
-def _lemma1_numerator(n: int, eps: Fraction):
-    """-(Gamma^theta_phiphi * det) as a TrigPoly; it is odd in cos(theta)."""
-    ch = sectoral_christoffels(n, eps)
-    return -(ch["tpp"].num)
+# with u = sin(theta), c = cos(n*phi) is the polynomial
+#
+#   f = 1 + (n+3) eps c u^n + n^2 eps^2 (1 + (n-1) c^2) u^(2n-2)
+#       + (2n+3) eps^2 c^2 u^(2n) + n^2 eps^3 ((2n+1) c - (n+1) c^3) u^(3n-2)
+#       + (n+1) eps^3 c^3 u^(3n),
+#
+# so its u-exponents lie in {0, n, 2n-2, 2n, 3n-2, 3n}; for n = 1 and 2 some
+# coincide.  Positivity of f on the whole surface forces normal
+# perturbations of phi-monotone geodesics back toward the equator; the
+# critical deformation eps*(n) is where min_c f(1, c) first touches zero.
 
 
 def lemma1_poly(n: int, eps) -> dict[int, Poly]:
-    """Exact expansion f(u, c) = sum_k u^k * (poly in c).
-
-    The exponent support is {0} (the round-sphere term, identically 1)
-    together with {n, 2n-2, 2n, 3n-2, 3n} (collapsed when n = 2).
-    """
+    """Exact expansion f(u, c) = sum_k u^k * (poly in c): coinciding
+    exponents summed, zero terms dropped.  The u^0 term is the round
+    sphere's 1, and 1 + eps^2 when n = 1."""
     eps = Fraction(eps)
-    g = _lemma1_numerator(n, eps)
-
-    # g = A + B*v with A = 0; extract B from the v = +1 / v = -1 values
-    gv1 = _subs_v(g, 1)
-    gv2 = _subs_v(g, -1)
-    a_part = _scale(gv1 + gv2, Fraction(1, 2))
-    b_part = _scale(gv1 - gv2, Fraction(1, 2))
-    if a_part:
-        raise AssertionError("numerator is not odd in cos(theta)")
-
-    # organize B as c-degree -> coefficient polynomial in u (s must be absent)
-    by_c: dict[int, dict[int, Fraction]] = {}
-    for (iu, jv, kc, ls), co in b_part.terms.items():
-        if jv or ls:
-            raise AssertionError("unexpected v or s content")
-        by_c.setdefault(kc, {})[iu] = by_c.setdefault(kc, {}).get(iu, Fraction(0)) + co
-    max_c = max(by_c) if by_c else 0
-    b_cols = []
-    for k in range(max_c + 1):
-        d = by_c.get(k, {})
-        mx = max(d) if d else 0
-        b_cols.append(Poly([d.get(i, Fraction(0)) for i in range(mx + 1)]))
-
-    # divide by r = 1 + (eps u^n) c  (linear in c, exact)
-    a_u = Poly.monomial(n, eps)
-    quot = [Poly.zero()] * max(len(b_cols) - 1, 1)
-    rem = list(b_cols)
-    for k in range(len(rem) - 1, 0, -1):
-        qk = rem[k].exact_div(a_u)
-        quot[k - 1] = qk
-        rem[k - 1] = rem[k - 1] - qk  # subtract qk * 1 (the constant term of r)
-        rem[k] = Poly.zero()
-    if not rem[0].is_zero():
-        raise AssertionError("radius does not divide the numerator")
-
-    # divide by u^3 and collect exponents
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
+    if abs(eps) >= 1:
+        raise ValueError(f"eps = {eps}: |eps| must be below 1, or the radius reaches zero")
+    e2, e3, nn = eps * eps, eps**3, n * n
+    terms = (
+        (0, [1]),
+        (n, [0, (n + 3) * eps]),
+        (2 * n - 2, [nn * e2, 0, nn * (n - 1) * e2]),
+        (2 * n, [0, 0, (2 * n + 3) * e2]),
+        (3 * n - 2, [0, nn * (2 * n + 1) * e3, 0, -nn * (n + 1) * e3]),
+        (3 * n, [0, 0, 0, (n + 1) * e3]),
+    )
     out: dict[int, Poly] = {}
-    for k, q in enumerate(quot):
-        for i, co in enumerate(q.coeffs):
-            if not co:
-                continue
-            if i < 3:
-                raise AssertionError("u^3 does not divide the numerator")
-            e = i - 3
-            cur = out.get(e, Poly.zero())
-            cs = list(cur.coeffs) + [Fraction(0)] * max(0, k + 1 - len(cur.coeffs))
-            cs[k] = cs[k] + co
-            out[e] = Poly(cs)
-
-    allowed = {0, n, 2 * n - 2, 2 * n, 3 * n - 2, 3 * n}
-    if set(out) - allowed:
-        raise AssertionError(f"unexpected exponents {set(out) - allowed}")
-    return out
-
-
-def _subs_v(g, v_val):
-    """Substitute a value for v = cos(theta), keeping u symbolic."""
-    from .trigring import TrigPoly
-
-    out = TrigPoly()
-    for (iu, jv, kc, ls), co in g.terms.items():
-        out._accumulate((iu, 0, kc, ls), co * Fraction(v_val) ** jv)
-    return out
-
-
-def _scale(g, fac):
-    from .trigring import TrigPoly
-
-    out = TrigPoly()
-    for k, co in g.terms.items():
-        out._accumulate(k, co * fac)
-    return out
+    for k, cs in terms:
+        out[k] = out.get(k, Poly.zero()) + Poly(cs)
+    return {k: pc for k, pc in out.items() if pc}
 
 
 def lemma1_value(n: int, eps, u0, c0) -> Fraction:

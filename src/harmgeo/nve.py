@@ -1,9 +1,14 @@
 """Normal variational equation of the equatorial geodesic, in exact arithmetic.
 
 For a sectoral surface r = 1 + eps*sin^n(theta)*cos(n*phi) the equator
-theta = pi/2 carries a closed geodesic.  Linearizing the geodesic flow around
-it in the normal (theta) direction and changing the independent variable to
-z = eps*cos(n*phi(s)) produces a second-order ODE
+theta = pi/2 carries a closed geodesic.  Along any geodesic the normal part w
+of a Jacobi field obeys w'' + K*w = 0 in arc length, K the Gaussian curvature.
+On the equator K and z_dot^2 are rational in z = eps*cos(n*phi(s)), so the
+change of variable s -> z gives
+
+    w_zz + (1/2)(log z_dot^2)' w_z + (K/z_dot^2) w = 0,
+
+and the paper's variable xi = delta theta = -w/r satisfies a second-order ODE
 
     xi'' + p(z) xi' + q(z) xi = 0
 
@@ -26,7 +31,6 @@ from .algebra import (
     partial_fractions,
     PartialFractions,
 )
-from .trigring import TrigPoly, TrigFrac, equator_even_ratio, sectoral_christoffels
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,20 @@ class NVEData:
     gpp_equator: Poly  # metric coefficient g~_phiphi as a polynomial in z
 
 
-def _subs_c_to_z(poly_c: Poly, eps: Fraction) -> Poly:
-    """Substitute c = z/eps into a polynomial in c."""
-    return Poly([co / eps**k for k, co in enumerate(poly_c.coeffs)])
+def _equator_partials(n: int, eps: Fraction) -> tuple[Poly, Poly, Poly, Poly, Poly]:
+    """r, r_phi^2, r_phiphi, r_thetatheta and G = g_phiphi = r^2 + r_phi^2 on
+    the equator, as polynomials in z = eps*cos(n*phi)."""
+    nn = Fraction(n * n)
+    r = Poly([1, 1])
+    rp2 = Poly([nn * eps * eps, 0, -nn])
+    return r, rp2, Poly([0, -nn]), Poly([0, -n]), r * r + rp2
+
+
+def _equator_curvature(n: int, eps) -> RatFunc:
+    """Exact Gaussian curvature K(z) on the equator.  There r_theta =
+    r_thetaphi = 0, so K = (r_thth - r)(r r_phph - r^2 - 2 r_ph^2)/(r G^2)."""
+    r, rp2, rpp, rtt, g = _equator_partials(n, Fraction(eps))
+    return RatFunc((rtt - r) * (r * rpp - r * r - 2 * rp2), r * g * g)
 
 
 def nve_poles(n: int, eps: Fraction) -> list:
@@ -95,31 +110,15 @@ def equatorial_nve(n: int, eps) -> NVEData:
     if not 0 < eps < 1:
         raise ValueError("0 < eps < 1 required")
 
-    ch = sectoral_christoffels(n, eps)
-    s = TrigPoly.gen("s")
-
-    # E1 = d/dtheta Gamma^theta_phiphi on the equator, even in sin(n*phi)
-    e1_num, e1_den = equator_even_ratio(ch["tpp"].diff_theta())
-    # E2 = sin(n*phi) * Gamma^theta_thetaphi on the equator
-    e2_num, e2_den = equator_even_ratio(TrigFrac(s) * ch["ttp"])
-    # E3 = sin(n*phi) * Gamma^phi_phiphi on the equator
-    e3_num, e3_den = equator_even_ratio(TrigFrac(s) * ch["ppp"])
-
-    E1 = RatFunc(e1_num, e1_den)
-    E2 = RatFunc(e2_num, e2_den)
-    E3 = RatFunc(e3_num, e3_den)
-
-    one_m_c2 = Poly([1, 0, -1])
-    nf = Fraction(n)
-
-    # q(c) = E1 / (n^2 eps^2 (1-c^2)); p(c) = -(n c - E3 + 2 E2)/(eps n (1-c^2))
-    q_c = E1 / RatFunc(Poly([nf * nf * eps * eps]) * one_m_c2)
-    p_c = -(RatFunc(Poly([0, nf])) - E3 + 2 * E2) / RatFunc(
-        Poly([eps * nf]) * one_m_c2
-    )
-
-    p = RatFunc(_subs_c_to_z(p_c.num, eps), _subs_c_to_z(p_c.den, eps))
-    q = RatFunc(_subs_c_to_z(q_c.num, eps), _subs_c_to_z(q_c.den, eps))
+    rad, rp2, _, _, gpp = _equator_partials(n, eps)
+    # the Jacobi equation in z: phi_dot^2 = 1/G on the equator, so
+    # z_dot^2 = r_phi^2/G, and z_ddot = (z_dot^2)'/2
+    zdot2 = RatFunc(rp2, gpp)
+    p_w = zdot2.derivative() / (2 * zdot2)
+    q_w = _equator_curvature(n, eps) / zdot2
+    # w = -r xi with r = 1 + z
+    p = p_w + RatFunc(2, rad)
+    q = q_w + p_w / rad
     r = standard_form(p, q)
 
     poles = nve_poles(n, eps)
@@ -129,9 +128,6 @@ def equatorial_nve(n: int, eps) -> NVEData:
         raise RuntimeError(
             f"exponents derived for n = {n}, eps = {eps} differ from the closed form"
         )
-
-    # metric coefficient on the equator, g~pp = (1+z)^2 + n^2(eps^2 - z^2)
-    gpp = Poly([1, 2, 1]) + Poly([nf * nf * eps * eps, 0, -nf * nf])
 
     return NVEData(
         n=n,

@@ -10,13 +10,18 @@ its derivatives lives in (the fraction field of) this ring, so metric
 components, Christoffel symbols and their derivatives can be manipulated with
 no floating point at all.  The deformation eps is baked into the coefficients
 as an exact Fraction; the harmonic order n drives d/dphi.
+
+Nothing in the package imports this module: the exact NVE and the Lemma-1
+polynomial come from closed forms on the equator (``nve``, ``geodesic``).
+It stays for two readers.  ``tests/test_trigring.py`` uses
+:func:`sectoral_metric` and :func:`sectoral_christoffels` as the exact
+oracle for ``kernels.christoffel``, and the benchmark's tracer
+(``perfbench/tracing.py``) patches ``sectoral_christoffels`` by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .algebra import Poly
 
 # monomial key: exponents (u, v, c, s) with v, s kept in {0, 1}
 Key = tuple[int, int, int, int]
@@ -94,6 +99,8 @@ class TrigPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"exponent {k} must be nonnegative: TrigPoly is a ring")
         out = TrigPoly.const(1)
         base = self
         while k:
@@ -132,33 +139,6 @@ class TrigPoly:
             if ls:
                 out._accumulate((iu, jv, kc + 1, ls - 1), n * ls * co)
         return out
-
-    # -- substitution ----------------------------------------------------------
-    def subs_theta(self, u_val, v_val) -> "TrigPoly":
-        """Substitute exact rational values for u and v (no consistency check:
-        the reduction already removed v^2, so v_val enters at most linearly)."""
-        u_val, v_val = Fraction(u_val), Fraction(v_val)
-        out = TrigPoly()
-        for (iu, jv, kc, ls), co in self.terms.items():
-            out._accumulate((0, 0, kc, ls), co * u_val**iu * v_val**jv)
-        return out
-
-    def cs_parts(self) -> tuple[Poly, Poly]:
-        """For a theta-free element, return (A, B) with value A(c) + B(c)*s."""
-        a: dict[int, Fraction] = {}
-        b: dict[int, Fraction] = {}
-        for (iu, jv, kc, ls), co in self.terms.items():
-            if iu or jv:
-                raise ValueError("theta variables still present")
-            (a if ls == 0 else b)[kc] = (a if ls == 0 else b).get(kc, Fraction(0)) + co
-        def build(d):
-            if not d:
-                return Poly()
-            cs = [Fraction(0)] * (max(d) + 1)
-            for k, co in d.items():
-                cs[k] = co
-            return Poly(cs)
-        return build(a), build(b)
 
     def eval(self, u, v, c, s):
         """Numeric (or exact) evaluation."""
@@ -289,32 +269,3 @@ def sectoral_christoffels(n: int, eps: Fraction) -> dict[str, TrigFrac]:
                     )
                 out[names[a] + names[b] + names[cidx]] = TrigFrac(half * num, det)
     return out
-
-
-def equator_value(frac: TrigFrac) -> tuple[Poly, Poly, Poly, Poly]:
-    """Evaluate a TrigFrac on theta = pi/2 (u=1, v=0).
-
-    Returns (NA, NB, DA, DB): numerator NA(c) + NB(c)*s over DA(c) + DB(c)*s.
-    """
-    na, nb = frac.num.subs_theta(1, 0).cs_parts()
-    da, db = frac.den.subs_theta(1, 0).cs_parts()
-    return na, nb, da, db
-
-
-def equator_even_ratio(frac: TrigFrac) -> tuple[Poly, Poly]:
-    """Equator value of a TrigFrac that is even in sin(n*phi).
-
-    Rationalizes any s in the denominator and asserts the odd part of the
-    result cancels exactly; returns (num(c), den(c)).
-    """
-    na, nb, da, db = equator_value(frac)
-    if db:
-        # multiply by conjugate: (DA - DB s); s^2 = 1 - c^2
-        one_m_c2 = Poly([1, 0, -1])
-        new_na = na * da - nb * db * one_m_c2
-        new_nb = nb * da - na * db
-        na, nb = new_na, new_nb
-        da, db = da * da - db * db * one_m_c2, Poly()
-    if not nb.is_zero():
-        raise ValueError("odd sin(n*phi) part failed to cancel")
-    return na, da

@@ -64,10 +64,13 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["closed", "--n", "0", "--eps", "0.1"],
         ["closed", "--n", "-2", "--eps", "0.1"],
         ["lemma1", "--n", "0"],
+        ["lemma1", "--n", "2", "--eps", "3/2"],
+        ["lemma1", "--n", "2", "--eps", "1"],
         ["table1", "--n-min", "5", "--n-max", "3"],
     ],
     ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
-         "closed-n0", "closed-n-2", "lemma1-n0", "table1-empty"],
+         "closed-n0", "closed-n-2", "lemma1-n0", "lemma1-eps3over2", "lemma1-eps1",
+         "table1-empty"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2
@@ -203,7 +206,7 @@ def test_console_script_entry_point(tmp_path):
 
 def test_runs_without_scipy(tmp_path):
     """scipy is a test-only dependency: with every scipy import made to fail,
-    the package imports and the numeric and exact commands run."""
+    the package imports and every command runs."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -212,10 +215,13 @@ def test_runs_without_scipy(tmp_path):
         "for argv in (['table1', '--n-min', '2', '--n-max', '4'],\n"
         "             ['kovacic', '--n', '3', '--eps', '1/10'],\n"
         "             ['trace', '--n', '3', '--eps', '0.2', '--length', '10', '--samples', '50'],\n"
-        "             ['psection', '--n', '3', '--eps', '0.3', '--traj', '2', '--crossings', '3']):\n"
+        "             ['psection', '--n', '3', '--eps', '0.3', '--traj', '2', '--crossings', '3'],\n"
+        "             ['nve', '--n', '3', '--eps', '1/4'],\n"
+        "             ['lemma1', '--n', '2', '--eps', '1/2'],\n"
+        "             ['closed', '--n', '2', '--eps', '1/10']):\n"
         "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m]]\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.iterdir())) >= 4
+    assert len(list(tmp_path.iterdir())) >= 7

@@ -1,5 +1,7 @@
 """Geodesic integration, chart handling, and the exact positivity certificate."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -350,21 +352,63 @@ def test_lemma1_exponent_support():
     assert poly[0](Fraction(1, 2)) == 1  # the round-sphere term is exactly 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+# leading 16 hex digits of the sha256 of lemma1_poly's terms, serialized as
+# `harmgeo lemma1` writes them, at eps = 1/10, 1/3, 1/2, 7/10, as the earlier
+# derivation through the trigonometric ring gave them
+LEMMA1_SHA256 = {
+    1: "4e7772201e2f8e5b 0372c5a9fa1a1be0 3db02ff982a15b33 e037e0950b2e3406",
+    2: "eb7b2277ec6c7294 3d7f7ea91b898221 fb3c656818cfc8e4 c0bea990f1239fe5",
+    3: "4ae5cc985a9a4982 2a04e7e40eb49ede 93fa3103c81d036c 59ff3ec19ac74ab3",
+    4: "1a7a2dc5016ec4b3 dca110d355feb1ea d65f33adf271bcdf 9a77d28b77c4b66f",
+    5: "c6b3b3b4a44c18e8 688088c1f0676ccf 600ea76b4d32014c 2e4a171a5a404e8f",
+    6: "c67a66eb8661bcf8 1cfbe7307b024970 2cb21f792fa3d465 6570460f3df03199",
+    7: "95059bab5567d6b2 bfd41dbbb1300ad1 9475e0e21914d414 dab6dbc8ea1c7be2",
+    8: "7259e598f6893cce 774ca2dc09895804 d37dddd17ce95a24 480d49abe7ab5f32",
+    9: "f4a4b61db3a92837 d221164f1369efae f7c6ab806f3bc4a8 cf65b918644fed82",
+    10: "ea8e604b77142cd3 9149d9ac7260c58e de28b5fdbcf1c26e 0f404c97b887af1d",
+    11: "b60b961d946daefa 6f218c5895a89926 266ad2d5d36f3109 5d2f4981f76429ae",
+    12: "6fa28615f45642d9 99fc88ae6480fda8 a5df478b325991bb 2caf6a8af0be34a3",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lemma1_poly_is_pinned(n):
+    epss = map(Fraction, ("1/10", "1/3", "1/2", "7/10"))
+    for eps, digest in zip(epss, LEMMA1_SHA256[n].split(), strict=True):
+        poly = sorted(lemma1_poly(n, eps).items())
+        terms = {str(k): [str(c) for c in pc.coeffs] for k, pc in poly}
+        assert hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:16] == digest, eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
 def test_lemma1_value_matches_numeric_kernel(n):
-    """f(u, c) = -Gamma^theta_phiphi * det / (r cos(theta) sin^3(theta))."""
+    """f(u, c) = -Gamma^theta_phiphi * det / (r cos(theta) sin^3(theta)); at
+    n = 1 and 2 some of the closed form's exponents coincide."""
     eps = Fraction(1, 4)
-    u0, c0 = Fraction(3, 5), Fraction(1, 3)
-    theta = math.asin(float(u0))
-    phi = math.acos(float(c0)) / n
-    out = kernels.christoffel(
-        theta, *kernels.sectoral_partials(n, float(eps), theta, phi)
-    )
-    g_tt, g_tp, g_pp, det = out[:4]
-    gamma_tpp = out[6]
-    r = kernels.sectoral_partials(n, float(eps), theta, phi)[0]
-    numeric = -gamma_tpp * det / (r * math.cos(theta) * math.sin(theta) ** 3)
-    assert math.isclose(float(lemma1_value(n, eps, u0, c0)), numeric, rel_tol=1e-10)
+    points = [(Fraction(3, 5), Fraction(1, 3)), (Fraction(4, 5), Fraction(-1, 2)),
+              (Fraction(9, 10), Fraction(7, 8))]
+    for u0, c0 in points:
+        theta = math.asin(float(u0))
+        phi = math.acos(float(c0)) / n
+        parts = kernels.sectoral_partials(n, float(eps), theta, phi)
+        out = kernels.christoffel(theta, *parts)
+        det, gamma_tpp = out[3], out[6]
+        numeric = -gamma_tpp * det / (parts[0] * math.cos(theta) * math.sin(theta) ** 3)
+        assert math.isclose(
+            float(lemma1_value(n, eps, u0, c0)), numeric, rel_tol=1e-10
+        ), (u0, c0)
+
+
+def test_lemma1_rejects_surfaces_that_do_not_exist():
+    """n < 1 has no sectoral surface, and for |eps| >= 1 the radius reaches
+    zero; every Lemma-1 entry point says so rather than certifying."""
+    for fn, args in ((lemma1_poly, ()), (lemma1_value, (1, 0)), (lemma1_equator_cubic, ())):
+        for n, eps in ((0, Fraction(1, 2)), (-1, Fraction(1, 3))):
+            with pytest.raises(ValueError, match="n = .* must be at least 1"):
+                fn(n, eps, *args)
+        for eps in (Fraction(1), Fraction(3, 2), Fraction(-1)):
+            with pytest.raises(ValueError, match="must be below 1"):
+                fn(2, eps, *args)
 
 
 def test_lemma1_equator_cubic_consistency():

@@ -1,12 +1,13 @@
 """Exact equatorial variational equation: poles, exponents, residues."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from harmgeo import nve
+from harmgeo import kernels, nve
 from harmgeo.algebra import Poly, QuadExt, RatFunc, rational_sqrt
 from harmgeo.nve import (
     appendix_delta1,
@@ -88,15 +89,53 @@ def test_local_exponent_data(n, eps):
     assert rat(data.deltas[0]) == appendix_delta1(n, eps)
 
 
+# leading 16 hex digits of the sha256 of nve_to_json at eps = 1/10, 1/5, 1/3,
+# 1/2, 9/10, as written by the earlier derivation through the six
+# Christoffel symbols in the trigonometric ring
+NVE_JSON_SHA256 = {
+    1: "821e7e68cce90ea2 4a9126783b683954 da2d429b995d539a 88c5bbe38719a53b 7776cb477e94ae02",
+    2: "296aaabcc6995230 ac46f8913b28634a 9d98f26652f28175 14db9c2ac4db0055 c940d90823c16a62",
+    3: "a3b832f8e3994447 6c4a26c8abf41d3a 80a05b49b174e28c 116ab8c407342a5e 188885ec2d5868a6",
+    4: "5cbca5c5ff12ed94 43207a8c4736eb83 1cbced3b24999814 47a5acc9b8c9f276 a6e83372aefc3dce",
+    5: "dbc66af6b182e147 d0730c3b6a9f90a3 0b3d2bac0df25460 8b501680d8d7c24a 472be7e589933454",
+    6: "6872cfe5630c2c73 d6c29d983b691743 826aa3bb4bf5476b 6a27c7f35d674510 fda5752385408c47",
+    7: "e66b011f07cdf5a3 9a9b48b18c0c08cc dcb7bfce7467d99e d64ab51671f46542 2df56898398ec4cc",
+    8: "b3d0b8de63d3298e 671cfbe8d0421636 02d63896d5c1f91d 3d69e8b41952698b 958da3de1e53fc81",
+    9: "bac5f96ef0e697b9 eabbf4fca32f7ffc 96d1646f534012dc 18fcb3e2239a0e0c 04ae7fb89d6ddeb3",
+    10: "2c63561544b3de61 70f9ec99d6df1a3b 11839875ced787b0 be2c5531aa7e70e8 b8e8c56d3567b8fb",
+    11: "35d90cddda31ace6 74c257d6d6091af9 e743182bad5a6ee8 8b2396e12b2e4b29 bf4fc8336949fc7b",
+    12: "48076fc67fa5a5bc 8b303fcd5e483709 c6a6c3aa01e32132 0fd55da9ecc7c9c9 ce9553b93bbb3f08",
+}
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_closed_form_exponents_match_derivation(n):
     """The census's closed-form exponents against the exact derivation; at
-    eps = 1/5 the poles of n = 5 are rational."""
+    eps = 1/5 the poles of n = 5 are rational.  The JSON of every derivation
+    is pinned to the digest the earlier derivation gave."""
     betas, beta_inf = equatorial_exponents(n)
-    for eps in map(Fraction, ("1/10", "1/5", "1/3", "1/2", "9/10")):
+    epss = map(Fraction, ("1/10", "1/5", "1/3", "1/2", "9/10"))
+    for eps, digest in zip(epss, NVE_JSON_SHA256[n].split(), strict=True):
         data = equatorial_nve(n, eps)
         assert data.betas == betas and data.beta_inf == beta_inf, eps
         assert data.deltas[0] == appendix_delta1(n, eps) != 0, eps
+        assert hashlib.sha256(nve_to_json(data).encode()).hexdigest()[:16] == digest, eps
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_equator_curvature_matches_kernel(n):
+    """The exact K(z) behind the NVE against the numeric kernel's curvature
+    on the equator, from turning point to turning point (z = eps .. -eps)."""
+    for eps in map(Fraction, ("1/10", "1/3", "1/2")):
+        k_exact = nve._equator_curvature(n, eps)
+        for j in range(7):
+            phi = j * math.pi / (6 * n)
+            z = Fraction(float(eps) * math.cos(n * phi))
+            exact = float(k_exact(z))
+            numeric = kernels.curvature(
+                math.pi / 2, *kernels.sectoral_partials(n, float(eps), math.pi / 2, phi)
+            )
+            assert abs(exact - numeric) <= 1e-13 * max(1.0, abs(exact)), (eps, j)
 
 
 def test_derivation_checks_closed_form_exponents(monkeypatch):

@@ -7,10 +7,7 @@ import pytest
 
 from harmgeo import kernels
 from harmgeo.trigring import (
-    TrigFrac,
     TrigPoly,
-    equator_even_ratio,
-    equator_value,
     sectoral_christoffels,
     sectoral_metric,
 )
@@ -36,6 +33,9 @@ def test_pythagorean_relations_are_modded_out():
     assert s * s == TrigPoly.const(1) - c * c
     # higher powers reduce consistently: v^3 = v(1-u^2)
     assert v**3 == v - v * u * u
+    # the ring has no inverses
+    with pytest.raises(ValueError, match="nonnegative"):
+        u**-1
 
 
 def test_diff_theta_chain_rule():
@@ -97,27 +97,3 @@ def test_sectoral_christoffels_match_kernels(key):
     frac = ch[key]
     val = float(frac.num.eval(*pt)) / float(frac.den.eval(*pt))
     assert math.isclose(val, numeric[key], rel_tol=1e-10, abs_tol=1e-12)
-
-
-def test_equator_value_splits_even_and_odd():
-    u, v, c, s = _gens()
-    frac = TrigFrac(c + v * s + u * s, u * u + c)
-    na, nb, da, db = equator_value(frac)
-    # on the equator v = 0, u = 1: numerator c + s, denominator 1 + c
-    assert na == na.__class__([0, 1]) and nb == nb.__class__([1])
-    assert da == da.__class__([1, 1]) and db.is_zero()
-
-
-def test_equator_even_ratio_rationalizes():
-    u, v, c, s = _gens()
-    # s^2/(1 + c) is even in s and simplifies to 1 - c after rationalizing
-    num, den = equator_even_ratio(TrigFrac(s * s, TrigPoly.const(1) + c))
-    from harmgeo.algebra import RatFunc, Poly
-
-    assert RatFunc(num, den) == RatFunc(Poly([1, -1]))
-
-
-def test_equator_even_ratio_rejects_odd_part():
-    u, v, c, s = _gens()
-    with pytest.raises(ValueError):
-        equator_even_ratio(TrigFrac(s, TrigPoly.const(1)))
