@@ -315,6 +315,15 @@ def brentq(f, a, b) -> float:
     raise RuntimeError(f"brentq failed to converge after {MAX_ITER} iterations, value is {xcur!r}")
 
 
+def check_tolerances(rtol, atol) -> None:
+    """Raise ValueError unless both tolerances are finite and positive: zero
+    ones divide by zero in the error norm, and with negative ones no step
+    is ever accepted."""
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} = {tol} must be finite and positive")
+
+
 def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResult:
     """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound).
 
@@ -327,8 +336,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     in [t0, t_bound] at which the state is reported.
 
     Raises RuntimeError when the step size falls below ten units in the
-    last place of t.
+    last place of t, and ValueError for a tolerance that is not finite and
+    positive.
     """
+    check_tolerances(rtol, atol)
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError(f"empty span ({t}, {t_bound}): integration runs forward")

@@ -202,8 +202,8 @@ def integrate(
     of its (phi, phi_dot), the change of crossing time included, in
     ``Trajectory.crossing_jacobians``.
     """
-    if s_max <= 0:
-        raise ValueError(f"arc length s_max = {s_max} must be positive")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError(f"arc length s_max = {s_max} must be finite and positive")
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)

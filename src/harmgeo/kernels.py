@@ -1,13 +1,19 @@
-"""Geodesic kernels: Christoffel symbols and the geodesic right-hand side
-from r and its partials, plus the partials of harmonic surfaces.
+"""Geodesic kernels: the geodesic right-hand side, the Gaussian curvature
+and the Christoffel symbols from r and its partials, plus the partials of
+harmonic surfaces.
 
 Every surface is r = 1 + eps*Re((x+iy)^m)*Q(z) in body Cartesian coordinates;
-:func:`harmonic_partials` evaluates it in any rotated chart.  In the body
-chart, surfaces with a constant Q (sectoral ones, and tesseral ones with
-m = l) take the cheaper :func:`sectoral_partials`, the hot path of every
-Poincare-section run.
+:func:`harmonic_partials` evaluates it in any rotated chart from the chart's
+:func:`chart_coefficients`, which a surface builds once per chart.  In the
+body chart, surfaces with a constant Q (sectoral ones, and tesseral ones
+with m = l) take the cheaper :func:`sectoral_partials`, the hot path of
+every Poincare-section run.
 :meth:`harmgeo.surface.PolarSurface.rhs` is :func:`rhs_from_partials` applied
-to one of the two, for every surface family.
+to one of the two, for every surface family: it contracts the second
+partials of the position with the velocity once (the Christoffel symbols of
+the first kind) and solves one 2x2 system with the metric, so no symbol is
+built.  :func:`christoffel` builds all six symbols, for the tangent flow's
+chart frame and as the tests' reference for the right-hand side.
 
 The tangent (variational) flow needs no more than these six partials: the
 normal part of a variation obeys the Jacobi equation w'' = -K*2H*w, with the
@@ -82,14 +88,29 @@ def sectoral_partials(n, eps, theta, phi):
     return r, rt, rp, rtt, rtp, rpp
 
 
-def harmonic_partials(m, q, eps, rot, theta, phi):
+def chart_coefficients(rot) -> tuple:
+    """(wx, wy, wz, zx, zy, zz) of the row-major chart->body matrix ``rot``:
+    body x + iy = wx*x' + wy*y' + wz*z' and body z = zx*x' + zy*y' + zz*z'
+    at the chart point (x', y', z')."""
+    return (
+        complex(rot[0], rot[3]),
+        complex(rot[1], rot[4]),
+        complex(rot[2], rot[5]),
+        rot[6],
+        rot[7],
+        rot[8],
+    )
+
+
+def harmonic_partials(m, q, eps, coefs, theta, phi):
     """r = 1 + eps*Re((x+iy)^m)*Q(z) in a rotated chart, with all partials.
 
     (x, y, z) is the body Cartesian point of the unit sphere, ``q`` holds the
-    coefficients of the polynomial Q, lowest degree first, and ``rot`` is the
-    row-major 3x3 matrix taking chart Cartesian coordinates to body ones.
+    coefficients of the polynomial Q, lowest degree first, and ``coefs`` is
+    the chart's :func:`chart_coefficients`, built once per chart.
     Nothing is divided by sin(theta), so the chart poles are safe.
     """
+    wx, wy, wz, zx, zy, zz = coefs
     st = math.sin(theta)
     ct = math.cos(theta)
     cp = math.cos(phi)
@@ -102,9 +123,6 @@ def harmonic_partials(m, q, eps, rot, theta, phi):
 
     # W = Re(w^m) with w = x + iy, and its partials; W = 1 when m = 0
     if m:
-        wx = complex(rot[0], rot[3])
-        wy = complex(rot[1], rot[4])
-        wz = complex(rot[2], rot[5])
         w = wx * a + wy * b + wz * ct
         w_t = wx * c + wy * d - wz * st
         w_p = -wx * b + wy * a
@@ -127,11 +145,11 @@ def harmonic_partials(m, q, eps, rot, theta, phi):
         return 1.0 + e * W, e * W_t, e * W_p, e * W_tt, e * W_tp, e * W_pp
 
     # z and its partials, then Q, Q' and Q''/2 at z by Horner
-    z = rot[6] * a + rot[7] * b + rot[8] * ct
-    z_t = rot[6] * c + rot[7] * d - rot[8] * st
-    z_p = -rot[6] * b + rot[7] * a
-    z_tp = -rot[6] * d + rot[7] * c
-    z_pp = -rot[6] * a - rot[7] * b
+    z = zx * a + zy * b + zz * ct
+    z_t = zx * c + zy * d - zz * st
+    z_p = -zx * b + zy * a
+    z_tp = -zx * d + zy * c
+    z_pp = -zx * a - zy * b
     Q = Q1 = Q2 = 0.0
     for coef in reversed(q):
         Q2 = Q2 * z + Q1
@@ -170,14 +188,29 @@ def curvature(theta, r, rt, rp, rtt, rtp, rpp):
 
 def rhs_from_partials(theta, td, pd, parts):
     """Geodesic right-hand side (td, pd, tdd, pdd) from the six partials
-    (r, r_t, r_p, r_tt, r_tp, r_pp) at (theta, phi)."""
+    (r, r_t, r_p, r_tt, r_tp, r_pp) at (theta, phi).
+
+    g (tdd, pdd) = -(X_theta . A, X_phi . A) with the position X = r*n and
+    A = X_tt td^2 + 2 X_tp td pd + X_pp pd^2, whose components in the frame
+    (n, e_theta, e_phi) come from n_t = e_theta and n_p = sin(theta) e_phi.
+    """
     r, rt, rp, rtt, rtp, rpp = parts
-    (_, _, _, _, gttt, gttp, gtpp, gptt, gptp, gppp) = christoffel(
-        theta, r, rt, rp, rtt, rtp, rpp
-    )
-    tdd = -(gttt * td * td + 2.0 * gttp * td * pd + gtpp * pd * pd)
-    pdd = -(gptt * td * td + 2.0 * gptp * td * pd + gppp * pd * pd)
-    return td, pd, tdd, pdd
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    rs = r * st
+    tt = td * td
+    tp = 2.0 * td * pd
+    pp = pd * pd
+    a_n = (rtt - r) * tt + rtp * tp + (rpp - rs * st) * pp
+    a_t = 2.0 * rt * tt + rp * tp - rs * ct * pp
+    a_p = (rt * st + r * ct) * tp + 2.0 * rp * st * pp
+    b_t = rt * a_n + r * a_t
+    b_p = rp * a_n + rs * a_p
+    g11 = rt * rt + r * r
+    g12 = rt * rp
+    g22 = rp * rp + rs * rs
+    det = g11 * g22 - g12 * g12
+    return td, pd, (g12 * b_p - g22 * b_t) / det, (g12 * b_t - g11 * b_p) / det
 
 
 def sectoral_rhs(n, eps, theta, phi, td, pd):

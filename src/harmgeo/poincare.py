@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .dop853 import check_tolerances
 from .geodesic import R_SWAP, chart_to_body, integrate, normalize_speed
 from .surface import PolarSurface
 
@@ -129,6 +131,15 @@ def _run_trajectory(args):
     return k, pts, failure, initial
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the system has
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def generate_section(
     n: int,
     eps: float,
@@ -154,17 +165,19 @@ def generate_section(
         raise ValueError(f"n_traj = {n_traj} must be at least 1")
     if n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
+    check_tolerances(rtol, atol)
     if s_max is None:
         s_max = 8.0 * n_crossings + 100.0
     jobs = [
         (n, float(eps), seed, k, n_crossings, s_max, rtol, atol, rotated)
         for k in range(n_traj)
     ]
-    workers = min(workers, n_traj)
+    # a fork-started pool launches all max_workers processes at once, and
+    # more than the CPUs this process may use only contend for them
+    workers = min(workers, n_traj, _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool launches all max_workers processes at once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trajectory, jobs))
     else:

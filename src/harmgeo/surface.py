@@ -158,9 +158,8 @@ class PolarSurface:
         if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
             self._partials = partial(kernels.sectoral_partials, m, eps * q[0])
         else:
-            self._partials = partial(
-                kernels.harmonic_partials, m, q, eps, rot or IDENTITY_ROT
-            )
+            coefs = kernels.chart_coefficients(rot or IDENTITY_ROT)
+            self._partials = partial(kernels.harmonic_partials, m, q, eps, coefs)
 
     # -- constructors --------------------------------------------------------
     @classmethod

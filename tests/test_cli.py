@@ -67,10 +67,15 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["lemma1", "--n", "2", "--eps", "3/2"],
         ["lemma1", "--n", "2", "--eps", "1"],
         ["table1", "--n-min", "5", "--n-max", "3"],
+        ["trace", "--eps", "0.2", "--length", "5", "--rtol", "0"],
+        ["trace", "--eps", "0.2", "--length", "5", "--rtol", "-1"],
+        ["psection", "--n", "3", "--eps", "0.3", "--traj", "1", "--crossings", "2",
+         "--rtol", "0"],
+        ["trace", "--eps", "0.2", "--length", "inf", "--samples", "0"],
     ],
     ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
          "closed-n0", "closed-n-2", "lemma1-n0", "lemma1-eps3over2", "lemma1-eps1",
-         "table1-empty"],
+         "table1-empty", "trace-rtol0", "trace-rtol-1", "psection-rtol0", "length-inf"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2

@@ -124,6 +124,15 @@ def test_empty_span_rejected():
         solve_ivp(_oscillator, (1.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-8)
 
 
+@pytest.mark.parametrize("rtol, atol", [(0.0, 1e-8), (-1.0, 1e-8), (1e-8, 0.0),
+                                        (1e-8, math.nan), (math.inf, 1e-8)])
+def test_tolerances_must_be_finite_and_positive(rtol, atol):
+    """Zero tolerances divided by zero in the error norm and negative ones
+    rejected every step, so the run never ended."""
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        solve_ivp(_oscillator, (0.0, 1.0), [1.0, 0.0], rtol=rtol, atol=atol)
+
+
 def test_counters_count_every_call():
     """nfev is every right-hand-side call: 2 to start, 12 per attempted step
     and 3 per step that holds an event root or a sample (three roots of

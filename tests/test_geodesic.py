@@ -215,9 +215,11 @@ def test_meaningless_budgets_rejected():
     for kwargs in ({"n_crossings": 0}, {"n_crossings": -2}):
         with pytest.raises(ValueError, match="n_crossings"):
             integrate(surf, y0, 100.0, **kwargs)
-    for s_max in (0.0, -5.0):
+    for s_max in (0.0, -5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="s_max"):
             integrate(surf, y0, s_max, n_samples=10)
+    with pytest.raises(ValueError, match="s_max"):
+        integrate(surf, y0, math.inf)
 
 
 # -- section events ---------------------------------------------------------------

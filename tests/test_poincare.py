@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from harmgeo import poincare
 from harmgeo.poincare import (
     SectionData,
     equator_monodromy,
@@ -121,14 +123,15 @@ def test_parallel_section_matches_serial():
         assert np.array_equal(ta, tb)
 
 
-def test_pool_no_larger_than_trajectory_count(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool generate_section opens; the
+    pool runs its jobs in-process and starts no process."""
     import concurrent.futures
 
     sizes = []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -142,15 +145,43 @@ def test_pool_no_larger_than_trajectory_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_pool_no_larger_than_trajectory_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr(poincare, "_usable_cpus", lambda: 64)
     kw = dict(n_crossings=5, seed=5, rtol=1e-8, atol=1e-8)
     serial = generate_section(2, 0.2, n_traj=2, workers=1, **kw)
     pooled = generate_section(2, 0.2, n_traj=2, workers=8, **kw)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     for ta, tb in zip(serial.trajectories, pooled.trajectories):
         assert np.array_equal(ta, tb)
     assert serial.initials == pooled.initials
     generate_section(2, 0.2, n_traj=1, workers=8, **kw)
-    assert sizes == [2]  # one trajectory runs in-process
+    assert pool_sizes == [2]  # one trajectory runs in-process
+
+
+def test_pool_no_larger_than_usable_cpus(monkeypatch, pool_sizes):
+    """As many workers as trajectories would fork one process per
+    trajectory; the pool stops at the CPUs the process may use."""
+    kw = dict(n_traj=4, n_crossings=3, seed=5, rtol=1e-8, atol=1e-8)
+    serial = generate_section(2, 0.2, workers=1, **kw)
+    for cpus, expected in ((3, [3]), (1, [3])):  # one CPU opens no pool
+        monkeypatch.setattr(poincare, "_usable_cpus", lambda: cpus)
+        pooled = generate_section(2, 0.2, workers=4, **kw)
+        assert pool_sizes == expected
+        for ta, tb in zip(serial.trajectories, pooled.trajectories):
+            assert np.array_equal(ta, tb)
+    assert 1 <= poincare._usable_cpus() <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("rtol, atol", [(0.0, 1e-10), (-1e-10, 1e-10), (1e-10, math.nan),
+                                        (math.inf, 1e-10)])
+def test_section_checks_tolerances_first(rtol, atol):
+    """A bad tolerance would fail every trajectory on its own; it is refused
+    before any runs."""
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        generate_section(2, 0.2, n_traj=2, n_crossings=3, rtol=rtol, atol=atol)
 
 
 def test_rotated_section_contains_equator_orbit():

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import lpmv
 
 from harmgeo import kernels
-from harmgeo.geodesic import R_SWAP, chart_to_body
+from harmgeo.geodesic import POLE_GUARD, R_SWAP, chart_to_body
 from harmgeo.surface import (
     PoleError,
     PolarSurface,
@@ -257,6 +257,116 @@ def test_hamiltonian2_is_quadratic_form():
     td, pd = 0.3, -0.5
     expected = g.g_tt * td * td + 2 * g.g_tp * td * pd + g.g_pp * pd * pd
     assert math.isclose(surf.hamiltonian2(theta, phi, td, pd), expected, rel_tol=1e-15)
+
+
+# the RHS and chart cases: sectoral in the body chart and in the chart a pole
+# swap moves to, zonal and tesseral ones, and points where sin(theta) is
+# within 10% of sin(POLE_GUARD), where integrate swaps charts
+R_SWAP9 = tuple(x for row in R_SWAP for x in row)
+RHS_SURFACES = [
+    PolarSurface.sectoral(3, 0.3),
+    PolarSurface.sectoral(1, 0.3),
+    PolarSurface.sectoral(3, 0.3).in_chart(R_SWAP9),
+    PolarSurface.zonal(3, 0.3),
+    PolarSurface.zonal(2, 0.3).in_chart(R_SWAP9),
+    PolarSurface.tesseral(4, 2, 0.05),
+    PolarSurface.tesseral(3, 1, 0.1).in_chart(R_GENERIC),
+]
+RHS_IDS = ["sectoral3", "sectoral1", "sectoral3-swap", "zonal3", "zonal2-swap",
+           "tesseral42", "tesseral31-generic"]
+
+
+def _rhs_states(seed, count=400):
+    rng = np.random.default_rng(seed)
+    guard = [POLE_GUARD * 0.9, POLE_GUARD, POLE_GUARD * 1.1]
+    thetas = [0.4, 1.2, math.pi / 2, 2.6] + guard + [math.pi - t for t in guard]
+    for k in range(count):
+        theta = thetas[k % len(thetas)]
+        phi, td, pd = rng.uniform(-4.0, 4.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        yield theta, phi, td, pd / math.sin(theta)
+
+
+@pytest.mark.parametrize("surf", RHS_SURFACES, ids=RHS_IDS)
+def test_rhs_is_minus_christoffel_contraction(surf):
+    """The first-kind contraction gives the second derivatives -Gamma(v, v)
+    of the six symbols of :func:`kernels.christoffel`, to 1e-13 of the
+    larger one."""
+    for theta, phi, td, pd in _rhs_states(7):
+        a0, a1, a2, b0, b1, b2 = kernels.christoffel(theta, *surf.partials(theta, phi))[4:]
+        tdd = -(a0 * td * td + 2.0 * a1 * td * pd + a2 * pd * pd)
+        pdd = -(b0 * td * td + 2.0 * b1 * td * pd + b2 * pd * pd)
+        out = surf.rhs(0.0, (theta, phi, td, pd))
+        assert out[:2] == (td, pd)
+        scale = max(abs(tdd), abs(pdd))
+        assert abs(out[2] - tdd) <= 1e-13 * scale and abs(out[3] - pdd) <= 1e-13 * scale
+
+
+def _partials_from_rot(m, q, eps, rot, theta, phi):
+    """Reference: the chart form with the chart constants built from the
+    row-major matrix ``rot`` on every call, the arithmetic kept as it was."""
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    cp = math.cos(phi)
+    sp = math.sin(phi)
+    a = st * cp
+    b = st * sp
+    c = ct * cp
+    d = ct * sp
+    if m:
+        wx = complex(rot[0], rot[3])
+        wy = complex(rot[1], rot[4])
+        wz = complex(rot[2], rot[5])
+        w = wx * a + wy * b + wz * ct
+        w_t = wx * c + wy * d - wz * st
+        w_p = -wx * b + wy * a
+        w_tp = -wx * d + wy * c
+        w_pp = -wx * a - wy * b
+        wm2 = w ** (m - 2) if m >= 2 else 0.0
+        wm1 = wm2 * w if m >= 2 else 1.0
+        W = (wm1 * w).real
+        W_t = (m * wm1 * w_t).real
+        W_p = (m * wm1 * w_p).real
+        W_tt = (m * (m - 1) * wm2 * w_t * w_t - m * wm1 * w).real
+        W_tp = (m * (m - 1) * wm2 * w_t * w_p + m * wm1 * w_tp).real
+        W_pp = (m * (m - 1) * wm2 * w_p * w_p + m * wm1 * w_pp).real
+    else:
+        W, W_t, W_p, W_tt, W_tp, W_pp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    if len(q) == 1:
+        e = eps * q[0]
+        return 1.0 + e * W, e * W_t, e * W_p, e * W_tt, e * W_tp, e * W_pp
+    z = rot[6] * a + rot[7] * b + rot[8] * ct
+    z_t = rot[6] * c + rot[7] * d - rot[8] * st
+    z_p = -rot[6] * b + rot[7] * a
+    z_tp = -rot[6] * d + rot[7] * c
+    z_pp = -rot[6] * a - rot[7] * b
+    Q = Q1 = Q2 = 0.0
+    for coef in reversed(q):
+        Q2 = Q2 * z + Q1
+        Q1 = Q1 * z + Q
+        Q = Q * z + coef
+    Q2 *= 2.0
+    r = 1.0 + eps * (W * Q)
+    rt = eps * (W_t * Q + W * Q1 * z_t)
+    rp = eps * (W_p * Q + W * Q1 * z_p)
+    rtt = eps * (W_tt * Q + 2.0 * W_t * Q1 * z_t + W * (Q2 * z_t * z_t - Q1 * z))
+    rtp = eps * (
+        W_tp * Q + W_t * Q1 * z_p + W_p * Q1 * z_t + W * (Q2 * z_t * z_p + Q1 * z_tp)
+    )
+    rpp = eps * (W_pp * Q + 2.0 * W_p * Q1 * z_p + W * (Q2 * z_p * z_p + Q1 * z_pp))
+    return r, rt, rp, rtt, rtp, rpp
+
+
+@pytest.mark.parametrize("surf", RHS_SURFACES, ids=RHS_IDS)
+@pytest.mark.parametrize("rot", [R_SWAP9, R_QUARTER, R_GENERIC], ids=["swap", "quarter", "generic"])
+def test_chart_constants_built_once_change_no_bit(surf, rot):
+    """Chart coefficients built once per chart give the partials of the
+    matrix form bit for bit."""
+    chart = surf.in_chart(rot)
+    eps = surf.params["eps"]
+    for theta, phi, _, _ in _rhs_states(3, count=60):
+        assert chart.partials(theta, phi) == _partials_from_rot(
+            surf.m, surf.q, eps, chart.rot, theta, phi
+        )
 
 
 # -- construction -------------------------------------------------------------------
