@@ -8,15 +8,21 @@ below as float constants, each equal to scipy's (a test checks every one),
 and event roots come from :func:`brentq`, a port of scipy's ``brentq.c``
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4), so
 every step, root and sample is bit-equal to scipy's and the package needs no
-scipy at run time.  The geodesic systems here have 4 to 20 components, where
-numpy's per-call overhead dominates, so the 12 stages are unrolled over the
-nonzero entries of A with one list comprehension per stage, and the
-interpolant (3 more right-hand-side calls) is built only on a step that
-holds an event root or a sample.
+scipy at run time.  The geodesic systems here have 4 to 12 components, where
+numpy's per-call overhead dominates, so the step is plain Python unrolled
+twice: over the nonzero entries of A, B, E5 and E3, and over the state's
+components.  Its source is generated from the tableau's names the first
+time a state dimension is met and compiled once per dimension (a few ms);
+each component is the expression a loop over the components evaluates,
+so the results are bit-equal to such a loop's.  The interpolant (3 more
+right-hand-side calls) is built only on a step that holds an event root or
+a sample.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -169,68 +175,65 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _step(fun, t, y, k0, h):
-    """One DOP853 step of size h from (t, y) with k0 = fun(t, y): the stages
-    k0..k11, the new state and its derivative (12 right-hand-side calls)."""
-    k1 = fun(t + C1 * h, [x + h * (A1_0 * a) for x, a in zip(y, k0)])
-    k2 = fun(t + C2 * h, [x + h * (A2_0 * a + A2_1 * b) for x, a, b in zip(y, k0, k1)])
-    k3 = fun(t + C3 * h, [x + h * (A3_0 * a + A3_2 * c) for x, a, c in zip(y, k0, k2)])
-    k4 = fun(t + C4 * h, [
-        x + h * (A4_0 * a + A4_2 * c + A4_3 * d) for x, a, c, d in zip(y, k0, k2, k3)
-    ])
-    k5 = fun(t + C5 * h, [
-        x + h * (A5_0 * a + A5_3 * d + A5_4 * e) for x, a, d, e in zip(y, k0, k3, k4)
-    ])
-    k6 = fun(t + C6 * h, [
-        x + h * (A6_0 * a + A6_3 * d + A6_4 * e + A6_5 * f)
-        for x, a, d, e, f in zip(y, k0, k3, k4, k5)
-    ])
-    k7 = fun(t + C7 * h, [
-        x + h * (A7_0 * a + A7_3 * d + A7_4 * e + A7_5 * f + A7_6 * g)
-        for x, a, d, e, f, g in zip(y, k0, k3, k4, k5, k6)
-    ])
-    k8 = fun(t + C8 * h, [
-        x + h * (A8_0 * a + A8_3 * d + A8_4 * e + A8_5 * f + A8_6 * g + A8_7 * p)
-        for x, a, d, e, f, g, p in zip(y, k0, k3, k4, k5, k6, k7)
-    ])
-    k9 = fun(t + C9 * h, [
-        x + h * (A9_0 * a + A9_3 * d + A9_4 * e + A9_5 * f + A9_6 * g + A9_7 * p
-                 + A9_8 * q)
-        for x, a, d, e, f, g, p, q in zip(y, k0, k3, k4, k5, k6, k7, k8)
-    ])
-    k10 = fun(t + C10 * h, [
-        x + h * (A10_0 * a + A10_3 * d + A10_4 * e + A10_5 * f + A10_6 * g + A10_7 * p
-                 + A10_8 * q + A10_9 * r)
-        for x, a, d, e, f, g, p, q, r in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)
-    ])
-    k11 = fun(t + h, [
-        x + h * (A11_0 * a + A11_3 * d + A11_4 * e + A11_5 * f + A11_6 * g + A11_7 * p
-                 + A11_8 * q + A11_9 * r + A11_10 * s)
-        for x, a, d, e, f, g, p, q, r, s in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)
-    ])
-    y_new = [
-        x + h * (B0 * a + B5 * f + B6 * g + B7 * p + B8 * q + B9 * r + B10 * s + B11 * u)
-        for x, a, f, g, p, q, r, s, u in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)
+# the stages that stages 1-11 read, and those that B, E5 and E3 read, as the
+# constants above name them
+_STAGE_INPUTS = [(0,), (0, 1), (0, 2), (0, 2, 3), *[(0, *range(3, s)) for s in range(5, 12)]]
+_SOLUTION_INPUTS = (0, *range(5, 12))
+
+
+@functools.cache
+def _stepper(d: int):
+    """The DOP853 step for states of d components, generated from the
+    tableau and compiled once per d.
+
+    ``step(fun, t, y, k0, h, rtol, atol)`` with k0 = fun(t, y) returns the
+    stages (k0..k11, each the object ``fun`` returned), the new state y_new,
+    its derivative fun(t + h, y_new) and scipy's combined error norm
+    |h| e5^2 / sqrt((e5^2 + e3^2 / 100) d), e5 and e3 the weighted 2-norms
+    of the two error estimates: 12 right-hand-side calls.  y and every
+    stage are unpacked into scalars, so a ``fun`` that returns other than d
+    components raises ValueError.  Each component is the expression a loop
+    over the components would evaluate, in the same order, so the results
+    are bit-equal to it.
+    """
+    comps = range(d)
+
+    def combo(prefix, inputs, i):
+        return " + ".join(f"{prefix}{j} * k{j}_{i}" for j in inputs)
+
+    def unpack(name, parts):
+        return f"    {', '.join(parts)}, = {name}"
+
+    lines = ["def step(fun, t, y, k0, h, rtol, atol):",
+             unpack("y", [f"y{i}" for i in comps]),
+             unpack("k0", [f"k0_{i}" for i in comps])]
+    for s, inputs in enumerate(_STAGE_INPUTS, 1):
+        ts = "t + h" if s == 11 else f"t + C{s} * h"
+        args = ", ".join(f"y{i} + h * ({combo(f'A{s}_', inputs, i)})" for i in comps)
+        lines += [f"    k{s} = fun({ts}, [{args}])", unpack(f"k{s}", [f"k{s}_{i}" for i in comps])]
+    lines += [f"    n{i} = y{i} + h * ({combo('B', _SOLUTION_INPUTS, i)})" for i in comps]
+    lines.append(f"    y_new = [{', '.join(f'n{i}' for i in comps)}]")
+    for i in comps:
+        lines += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                  f"    d5_{i} = ({combo('E5_', _SOLUTION_INPUTS, i)}) / sc",
+                  f"    d3_{i} = ({combo('E3_', _SOLUTION_INPUTS, i)}) / sc"]
+    # a loop would start these sums at 0.0, and 0.0 + x is x for a square x
+    for e in ("e5", "e3"):
+        lines.append(f"    {e} = " + " + ".join(f"d{e[1]}_{i} * d{e[1]}_{i}" for i in comps))
+    lines += [
+        "    if e5 == 0.0 and e3 == 0.0:",
+        "        err = 0.0",
+        "    else:",
+        f"        err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * {d})",
+        "    ks = ({})".format(", ".join(f"k{s}" for s in range(12))),
+        "    return ks, y_new, fun(t + h, y_new), err",
     ]
-    return (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11), y_new, fun(t + h, y_new)
-
-
-def _error_norm(ks, h, y, y_new, rtol, atol) -> float:
-    """scipy's combined DOP853 error norm, |h| e5^2 / sqrt((e5^2 +
-    e3^2 / 100) n) with e5, e3 the weighted 2-norms of the two estimates."""
-    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = ks
-    e5 = e3 = 0.0
-    for x, xn, a, f, g, p, q, r, s, u in zip(y, y_new, k0, k5, k6, k7, k8, k9, k10, k11):
-        sc = atol + max(abs(x), abs(xn)) * rtol
-        d5 = (E5_0 * a + E5_5 * f + E5_6 * g + E5_7 * p + E5_8 * q + E5_9 * r
-              + E5_10 * s + E5_11 * u) / sc
-        d3 = (E3_0 * a + E3_5 * f + E3_6 * g + E3_7 * p + E3_8 * q + E3_9 * r
-              + E3_10 * s + E3_11 * u) / sc
-        e5 += d5 * d5
-        e3 += d3 * d3
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+    source = "\n".join(lines) + "\n"
+    filename = f"<dop853 step, d={d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["step"]
 
 
 def _interpolant(fun, t, y, h, ks, y_new, f_new):
@@ -324,27 +327,41 @@ def check_tolerances(rtol, atol) -> None:
             raise ValueError(f"{name} = {tol} must be finite and positive")
 
 
+def _check_finite(name, xs) -> None:
+    for i, x in enumerate(xs):
+        if not math.isfinite(x):
+            raise ValueError(f"{name}[{i}] = {x} must be finite")
+
+
 def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResult:
     """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound).
 
-    ``fun`` takes and returns sequences of floats.  Each event is a function
-    ``event(t, y)`` with scipy's optional attributes: ``direction`` (> 0
-    fires on increase only, < 0 on decrease only, 0 on both) and
-    ``terminal`` (a count: the run stops at that occurrence's root; 0 or
-    False never stops).  Roots are found on the interpolant with :func:`brentq` at
+    ``fun`` takes a list of floats and returns a sequence of as many.  Each
+    event is a function ``event(t, y)`` with scipy's optional attributes:
+    ``direction`` (> 0 fires on increase only, < 0 on decrease only, 0 on
+    both) and ``terminal`` (a count: the run stops at that occurrence's
+    root; 0 or False never stops).  Roots are found on the interpolant with :func:`brentq` at
     ``xtol = rtol = 4 EPS``.  ``samples`` is an ascending sequence of times
     in [t0, t_bound] at which the state is reported.
 
     Raises RuntimeError when the step size falls below ten units in the
     last place of t, and ValueError for a tolerance that is not finite and
-    positive.
+    positive, for an empty y0, for a t_span, y0 or fun(t0, y0) that is not
+    finite (a NaN step size never underflows, so the run would never end)
+    and for a ``fun`` that returns other than len(y0) components.
     """
     check_tolerances(rtol, atol)
     t, t_bound = float(t_span[0]), float(t_span[1])
+    _check_finite("t_span", [t, t_bound])
     if not t_bound > t:
         raise ValueError(f"empty span ({t}, {t_bound}): integration runs forward")
     y = [float(x) for x in y0]
+    if not y:
+        raise ValueError("y0 must have at least one component")
+    _check_finite("y0", y)
     f = fun(t, y)
+    _check_finite("fun(t0, y0)", f)
+    step = _stepper(len(y))
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev = 2
     rejected = 0
@@ -370,9 +387,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            ks, y_new, f_new = _step(fun, t, y, f, h)
+            ks, y_new, f_new, err = step(fun, t, y, f, h, rtol, atol)
             nfev += 12
-            err = _error_norm(ks, h, y, y_new, rtol, atol)
             if err < 1.0:
                 factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
                 h_abs *= min(1.0, factor) if refused else factor

@@ -207,6 +207,10 @@ def integrate(
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
     y = np.asarray(y0, dtype=float)
+    # checked before the pole guard, which would read a NaN theta as a pole
+    for name, x in zip(("theta", "phi", "theta_dot", "phi_dot"), y.tolist()):
+        if not math.isfinite(x):
+            raise ValueError(f"initial {name} = {x} must be finite")
     sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
     normal = None  # the integrated normal parts (w, w'), flattened
     if tangents is not None:

@@ -168,6 +168,8 @@ def generate_section(
     check_tolerances(rtol, atol)
     if s_max is None:
         s_max = 8.0 * n_crossings + 100.0
+    elif not 0.0 < s_max < math.inf:
+        raise ValueError(f"arc length s_max = {s_max} must be finite and positive")
     jobs = [
         (n, float(eps), seed, k, n_crossings, s_max, rtol, atol, rotated)
         for k in range(n_traj)

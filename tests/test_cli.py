@@ -72,10 +72,15 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["psection", "--n", "3", "--eps", "0.3", "--traj", "1", "--crossings", "2",
          "--rtol", "0"],
         ["trace", "--eps", "0.2", "--length", "inf", "--samples", "0"],
+        # a NaN or infinite start used to hang the stepper or read as a pole
+        ["trace", "--eps", "0.2", "--length", "5", "--samples", "10", "--phi0", "nan"],
+        ["trace", "--eps", "0.2", "--length", "5", "--samples", "10", "--theta-dot", "inf"],
+        ["trace", "--eps", "0.2", "--length", "5", "--samples", "10", "--theta0", "nan"],
     ],
     ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
          "closed-n0", "closed-n-2", "lemma1-n0", "lemma1-eps3over2", "lemma1-eps1",
-         "table1-empty", "trace-rtol0", "trace-rtol-1", "psection-rtol0", "length-inf"],
+         "table1-empty", "trace-rtol0", "trace-rtol-1", "psection-rtol0", "length-inf",
+         "phi0-nan", "theta-dot-inf", "theta0-nan"],
 )
 def test_empty_budget_exits_2(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path] + argv) == 2

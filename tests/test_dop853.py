@@ -2,20 +2,30 @@
 
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq as scipy_brentq
 
 from harmgeo import dop853
-from harmgeo.dop853 import solve_ivp
+from harmgeo.dop853 import (
+    A1_0, A2_0, A2_1, A3_0, A3_2, A4_0, A4_2, A4_3, A5_0, A5_3, A5_4, A6_0, A6_3, A6_4, A6_5,
+    A7_0, A7_3, A7_4, A7_5, A7_6, A8_0, A8_3, A8_4, A8_5, A8_6, A8_7, A9_0, A9_3, A9_4, A9_5,
+    A9_6, A9_7, A9_8, A10_0, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9, A11_0, A11_3,
+    A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10, B0, B5, B6, B7, B8, B9, B10, B11, C1, C2,
+    C3, C4, C5, C6, C7, C8, C9, C10, E3_0, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11, E5_0,
+    E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11, solve_ivp,
+)
 from harmgeo.geodesic import integrate, normalize_speed
 from harmgeo.surface import PolarSurface
 
 
-# the stages each unrolled stage of ``dop853._step`` reads
+# the stages each unrolled stage of the generated step reads
 STAGE_INPUTS = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 2, 3},
                 **{s: {0, *range(3, s)} for s in range(5, 12)}}
 
@@ -151,6 +161,146 @@ def test_counters_count_every_call():
     assert len(sol.t_events[0]) == 3 and len(sol.samples) == 1
     assert sol.nfev == len(calls)
     assert sol.nfev == 2 + 12 * (len(sol.t) - 1 + sol.rejected) + 3 * 4
+
+
+@pytest.mark.parametrize("t_span, y0, fun, match", [
+    ((0.0, 1.0), [], _oscillator, "at least one component"),
+    ((0.0, 1.0), [1.0, math.nan], _oscillator, r"y0\[1\] = nan must be finite"),
+    ((0.0, 1.0), [1.0, 0.0], lambda t, y: [math.inf, 0.0], r"fun\(t0, y0\)\[0\] = inf"),
+    ((0.0, math.inf), [1.0, 0.0], _oscillator, r"t_span\[1\] = inf must be finite"),
+    ((math.nan, 1.0), [1.0, 0.0], _oscillator, r"t_span\[0\] = nan must be finite"),
+], ids=["empty-y0", "nan-y0", "inf-f0", "inf-t_bound", "nan-t0"])
+def test_non_finite_or_empty_start_rejected(t_span, y0, fun, match):
+    """An empty y0 divided by zero, and a NaN first step never underflowed,
+    so a non-finite start ran forever."""
+    with pytest.raises(ValueError, match=match):
+        solve_ivp(fun, t_span, y0, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_wrong_number_of_components_rejected(extra):
+    """A ``fun`` that returns more or fewer components than the state has is
+    refused where its stage is unpacked (a zip over the components would
+    drop the extra ones or shrink the state), and the traceback shows the
+    generated line."""
+    def fun(t, y):
+        return [0.5, -0.25, 0.125][:2 + extra]
+
+    with pytest.raises(ValueError, match="values to unpack") as info:
+        solve_ivp(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-8)
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename == "<dop853 step, d=2>"
+    assert frame.line == "k0_0, k0_1, = k0"
+
+
+# -- the generated step against a loop over the components --------------------------
+
+
+def _reference_step(fun, t, y, k0, h):
+    """One DOP853 step as one list comprehension over the zipped components
+    per stage: the reference the generated step must equal bit for bit."""
+    k1 = fun(t + C1 * h, [x + h * (A1_0 * a) for x, a in zip(y, k0)])
+    k2 = fun(t + C2 * h, [x + h * (A2_0 * a + A2_1 * b) for x, a, b in zip(y, k0, k1)])
+    k3 = fun(t + C3 * h, [x + h * (A3_0 * a + A3_2 * c) for x, a, c in zip(y, k0, k2)])
+    k4 = fun(t + C4 * h, [
+        x + h * (A4_0 * a + A4_2 * c + A4_3 * d) for x, a, c, d in zip(y, k0, k2, k3)
+    ])
+    k5 = fun(t + C5 * h, [
+        x + h * (A5_0 * a + A5_3 * d + A5_4 * e) for x, a, d, e in zip(y, k0, k3, k4)
+    ])
+    k6 = fun(t + C6 * h, [
+        x + h * (A6_0 * a + A6_3 * d + A6_4 * e + A6_5 * f)
+        for x, a, d, e, f in zip(y, k0, k3, k4, k5)
+    ])
+    k7 = fun(t + C7 * h, [
+        x + h * (A7_0 * a + A7_3 * d + A7_4 * e + A7_5 * f + A7_6 * g)
+        for x, a, d, e, f, g in zip(y, k0, k3, k4, k5, k6)
+    ])
+    k8 = fun(t + C8 * h, [
+        x + h * (A8_0 * a + A8_3 * d + A8_4 * e + A8_5 * f + A8_6 * g + A8_7 * p)
+        for x, a, d, e, f, g, p in zip(y, k0, k3, k4, k5, k6, k7)
+    ])
+    k9 = fun(t + C9 * h, [
+        x + h * (A9_0 * a + A9_3 * d + A9_4 * e + A9_5 * f + A9_6 * g + A9_7 * p
+                 + A9_8 * q)
+        for x, a, d, e, f, g, p, q in zip(y, k0, k3, k4, k5, k6, k7, k8)
+    ])
+    k10 = fun(t + C10 * h, [
+        x + h * (A10_0 * a + A10_3 * d + A10_4 * e + A10_5 * f + A10_6 * g + A10_7 * p
+                 + A10_8 * q + A10_9 * r)
+        for x, a, d, e, f, g, p, q, r in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)
+    ])
+    k11 = fun(t + h, [
+        x + h * (A11_0 * a + A11_3 * d + A11_4 * e + A11_5 * f + A11_6 * g + A11_7 * p
+                 + A11_8 * q + A11_9 * r + A11_10 * s)
+        for x, a, d, e, f, g, p, q, r, s in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)
+    ])
+    y_new = [
+        x + h * (B0 * a + B5 * f + B6 * g + B7 * p + B8 * q + B9 * r + B10 * s + B11 * u)
+        for x, a, f, g, p, q, r, s, u in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)
+    ]
+    return (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11), y_new, fun(t + h, y_new)
+
+
+def _reference_error_norm(ks, h, y, y_new, rtol, atol):
+    """The combined err5/err3 norm as a loop over the components."""
+    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = ks
+    e5 = e3 = 0.0
+    for x, xn, a, f, g, p, q, r, s, u in zip(y, y_new, k0, k5, k6, k7, k8, k9, k10, k11):
+        sc = atol + max(abs(x), abs(xn)) * rtol
+        d5 = (E5_0 * a + E5_5 * f + E5_6 * g + E5_7 * p + E5_8 * q + E5_9 * r
+              + E5_10 * s + E5_11 * u) / sc
+        d3 = (E3_0 * a + E3_5 * f + E3_6 * g + E3_7 * p + E3_8 * q + E3_9 * r
+              + E3_10 * s + E3_11 * u) / sc
+        e5 += d5 * d5
+        e3 += d3 * d3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _nonlinear(t, y):
+    d = len(y)
+    return [math.sin(y[(i + 1) % d]) * y[i] - 0.3 * y[i - 1] ** 2 + math.cos(t + i)
+            for i in range(d)]
+
+
+def _logging(fun):
+    calls = []
+
+    def logged(t, y):
+        calls.append((_bits(t), [_bits(x) for x in y]))
+        return fun(t, y)
+
+    return logged, calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 12])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_step_is_the_reference_bit_for_bit(d, data):
+    """Every stage input, stage, y_new, f_new and error norm of the
+    generated step equals the loop reference's, as ``float.hex``, on a
+    nonlinear right-hand side."""
+    finite = st.floats(-3.0, 3.0, allow_nan=False)
+    y = data.draw(st.lists(finite, min_size=d, max_size=d))
+    t = data.draw(finite)
+    h = data.draw(st.floats(1e-8, 0.5))
+    rtol = data.draw(st.floats(1e-13, 1e-3))
+    atol = data.draw(st.floats(1e-13, 1e-3))
+    k0 = _nonlinear(t, y)
+
+    fun, calls = _logging(_nonlinear)
+    ks, y_new, f_new, err = dop853._stepper(d)(fun, t, y, k0, h, rtol, atol)
+    ref_fun, ref_calls = _logging(_nonlinear)
+    ref_ks, ref_y_new, ref_f_new = _reference_step(ref_fun, t, y, k0, h)
+    ref_err = _reference_error_norm(ref_ks, h, y, ref_y_new, rtol, atol)
+
+    assert calls == ref_calls
+    assert [[_bits(x) for x in k] for k in ks] == [[_bits(x) for x in k] for k in ref_ks]
+    assert [_bits(x) for x in y_new] == [_bits(x) for x in ref_y_new]
+    assert [_bits(x) for x in f_new] == [_bits(x) for x in ref_f_new]
+    assert _bits(err) == _bits(ref_err)
 
 
 # -- brentq, with scipy's as the oracle -----------------------------------------

@@ -184,6 +184,15 @@ def test_section_checks_tolerances_first(rtol, atol):
         generate_section(2, 0.2, n_traj=2, n_crossings=3, rtol=rtol, atol=atol)
 
 
+@pytest.mark.parametrize("s_max", [math.inf, -1.0, 0.0, math.nan])
+def test_section_checks_s_max_first(monkeypatch, s_max):
+    """A bad s_max used to fail every trajectory on its own and return no
+    points; it is refused before any trajectory runs."""
+    monkeypatch.setattr(poincare, "_run_trajectory", lambda job: pytest.fail("trajectory ran"))
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        generate_section(2, 0.2, n_traj=2, n_crossings=3, s_max=s_max)
+
+
 def test_rotated_section_contains_equator_orbit():
     sec = generate_section(
         3, 0.1, n_traj=2, n_crossings=10, seed=1, rotated=True, rtol=1e-9, atol=1e-9
