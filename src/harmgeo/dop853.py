@@ -360,6 +360,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
         raise ValueError("y0 must have at least one component")
     _check_finite("y0", y)
     f = fun(t, y)
+    # checked before the initial-step probe, which zips f with y
+    if len(f) != len(y):
+        raise ValueError(f"fun(t0, y0) has {len(f)} components where y0 has {len(y)}")
     _check_finite("fun(t0, y0)", f)
     step = _stepper(len(y))
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)

@@ -1,28 +1,49 @@
-"""Geodesic kernels: the geodesic right-hand side, the Gaussian curvature
-and the Christoffel symbols from r and its partials, plus the partials of
-harmonic surfaces.
+"""Geodesic kernels, generated per surface structure from one text per formula.
 
-Every surface is r = 1 + eps*Re((x+iy)^m)*Q(z) in body Cartesian coordinates;
-:func:`harmonic_partials` evaluates it in any rotated chart from the chart's
-:func:`chart_coefficients`, which a surface builds once per chart.  In the
-body chart, surfaces with a constant Q (sectoral ones, and tesseral ones
-with m = l) take the cheaper :func:`sectoral_partials`, the hot path of
-every Poincare-section run.
-:meth:`harmgeo.surface.PolarSurface.rhs` is :func:`rhs_from_partials` applied
-to one of the two, for every surface family: it contracts the second
-partials of the position with the velocity once (the Christoffel symbols of
-the first kind) and solves one 2x2 system with the metric, so no symbol is
-built.  :func:`christoffel` builds all six symbols, for the tangent flow's
-chart frame and as the tests' reference for the right-hand side.
+Every surface is r = 1 + eps*Re((x+iy)^m)*Q(z) in body Cartesian coordinates.
+Each formula of the kernel is written once below, as Python source over
+local names:
 
-The tangent (variational) flow needs no more than these six partials: the
-normal part of a variation obeys the Jacobi equation w'' = -K*2H*w, with the
-Gaussian curvature K from :func:`curvature`.
+* the partials (r, r_t, r_p, r_tt, r_tp, r_pp) of a sectoral surface in the
+  body chart, the hot path of every Poincare-section run;
+* the partials of the Cartesian form in any chart, from the chart's
+  :func:`chart_coefficients`, specialised on m = 0, 1 and >= 2 and on a
+  constant or a polynomial Q, whose Horner rule is unrolled.  Nothing is
+  divided by sin(theta), so the chart poles are safe;
+* the geodesic acceleration: the velocity contracted once with the second
+  partials of the position (the Christoffel symbols of the first kind), then
+  one 2x2 solve with the metric, so no symbol is built;
+* the Gaussian curvature K.  The tangent flow needs no more than the six
+  partials: the normal part w of a variation obeys the Jacobi equation
+  w'' = -K*2H*w.
+
+For each surface structure (the body-chart sectoral form or the chart form,
+m, and the number of coefficients of Q) these texts are joined into the
+source of ``partials(theta, phi)``, ``rhs(s, y)`` and, per number j of normal
+parts, ``jacobi_rhs(s, y)`` unrolled over them.  Each is compiled once and
+takes sin and cos of theta once.  :func:`chart_kernel` binds a chart's
+numbers (eps*n, the chart coefficients, the coefficients of Q) as folded
+constants, so a new chart compiles nothing.  Only left-associated constant
+prefixes are folded, a factor 1.0 is dropped only from a real product, and
+every pow but sin^1 stays a pow, so each kernel is bit-equal to evaluating
+its formulas term by term.  :meth:`harmgeo.surface.PolarSurface.rhs` and
+``jacobi_rhs`` each call the bound kernel of their chart.
+
+:func:`sectoral_partials`, :func:`harmonic_partials`,
+:func:`rhs_from_partials`, :func:`curvature` and :func:`sectoral_rhs` run the
+same texts with the surface's numbers as arguments.  :func:`christoffel`
+builds all six Christoffel symbols, for the tangent flow's chart frame and
+as the tests' reference for the right-hand side.
 """
 
+import functools
+import linecache
 import math
+import textwrap
 
 BACKEND = "python"  # the only kernel implementation; reported in run metadata
+
+_BODY_CHART = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def christoffel(theta, r, rt, rp, rtt, rtp, rpp):
@@ -70,24 +91,6 @@ def christoffel(theta, r, rt, rp, rtt, rtp, rpp):
     )
 
 
-def sectoral_partials(n, eps, theta, phi):
-    """r = 1 + eps*sin^n(theta)*cos(n*phi) and all partials to second order."""
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    cn = math.cos(n * phi)
-    sn = math.sin(n * phi)
-    sn1 = st ** (n - 1)
-    snn = sn1 * st
-
-    r = 1.0 + eps * snn * cn
-    rt = eps * n * sn1 * ct * cn
-    rp = -eps * n * snn * sn
-    rtt = eps * n * cn * ((n - 1) * (st ** (n - 2) if n >= 2 else 0.0) * ct * ct - sn1 * st)
-    rtp = -eps * n * n * sn1 * ct * sn
-    rpp = -eps * n * n * snn * cn
-    return r, rt, rp, rtt, rtp, rpp
-
-
 def chart_coefficients(rot) -> tuple:
     """(wx, wy, wz, zx, zy, zz) of the row-major chart->body matrix ``rot``:
     body x + iy = wx*x' + wy*y' + wz*z' and body z = zx*x' + zy*y' + zz*z'
@@ -102,117 +105,335 @@ def chart_coefficients(rot) -> tuple:
     )
 
 
+# -- formula texts ------------------------------------------------------------
+# Each text reads st = sin(theta), ct = cos(theta), phi and its chart's
+# constants by name and leaves its results in local names; the {fields} are
+# filled per structure.
+
+# r = 1 + eps*sin^n(theta)*cos(n*phi) in the body chart, with sn1 =
+# sin^(n-1)(theta), en = eps*n, nen = -eps*n and nenn = -eps*n*n
+_SECTORAL = """\
+cn = cos({n} * phi)
+sn = sin({n} * phi)
+sn1 = {sn1}
+snn = {snn}
+r = 1.0 + eps * snn * cn
+rt = en * {sn1_}ct * cn
+rp = nen * snn * sn
+rtt = en * cn * ({dsn1_}ct * ct - {sn1_}st)
+rtp = nenn * {sn1_}ct * sn
+rpp = nenn * snn * cn
+"""
+
+# the chart point (a, b, ct) of the unit sphere and its theta-derivative
+# (c, d, -st); its second theta-derivative is minus itself
+_CHART_POINT = """\
+cp = cos(phi)
+sp = sin(phi)
+a = st * cp
+b = st * sp
+c = ct * cp
+d = ct * sp
+"""
+
+# body x + iy = w and its partials, with nwx = -wx
+_W = """\
+w = wx * a + wy * b + wz * ct
+w_t = wx * c + wy * d - wz * st
+w_p = nwx * b + wy * a
+w_tp = nwx * d + wy * c
+w_pp = nwx * a - wy * b
+"""
+
+# W = Re(w^m) and its partials, from w^(m-1), m*w^(m-1) and m*(m-1)*w^(m-2)
+_RE_POWER = """\
+mmw2t = {mmw2} * w_t
+W = ({wm1} * w).real
+W_t = ({mw1} * w_t).real
+W_p = ({mw1} * w_p).real
+W_tt = (mmw2t * w_t - {mw1} * w).real
+W_tp = (mmw2t * w_p + {mw1} * w_tp).real
+W_pp = ({mmw2} * w_p * w_p + {mw1} * w_pp).real
+"""
+
+# r for a constant Q, e = eps*q[0]
+_CONSTANT_Q = """\
+r = 1.0 + e * W
+rt = e * W_t
+rp = e * W_p
+rtt = e * W_tt
+rtp = e * W_tp
+rpp = e * W_pp
+"""
+
+# body z and its partials, with nzx = -zx
+_Z = """\
+z = zx * a + zy * b + zz * ct
+z_t = zx * c + zy * d - zz * st
+z_p = nzx * b + zy * a
+z_tp = nzx * d + zy * c
+z_pp = nzx * a - zy * b
+"""
+
+# r for a polynomial Q, from Q, Q' and Q'' at z
+_POLYNOMIAL_Q = """\
+r = 1.0 + eps * (W * {Q})
+rt = eps * (W_t * {Q} + W * {Q1} * z_t)
+rp = eps * (W_p * {Q} + W * {Q1} * z_p)
+rtt = eps * (W_tt * {Q} + 2.0 * W_t * {Q1} * z_t + W * ({Q2} * z_t * z_t - {Q1} * z))
+rtp = eps * (
+    W_tp * {Q} + W_t * {Q1} * z_p + W_p * {Q1} * z_t + W * ({Q2} * z_t * z_p + {Q1} * z_tp)
+)
+rpp = eps * (W_pp * {Q} + 2.0 * W_p * {Q1} * z_p + W * ({Q2} * z_p * z_p + {Q1} * z_pp))
+"""
+
+# g (tdd, pdd) = -(X_theta . A, X_phi . A) with the position X = r*n and
+# A = X_tt td^2 + 2 X_tp td pd + X_pp pd^2, whose components in the frame
+# (n, e_theta, e_phi) come from n_t = e_theta and n_p = sin(theta) e_phi
+_ACCELERATION = """\
+rs = r * st
+tt = td * td
+tp = 2.0 * td * pd
+pp = pd * pd
+a_n = (rtt - r) * tt + rtp * tp + (rpp - rs * st) * pp
+a_t = 2.0 * rt * tt + rp * tp - rs * ct * pp
+a_p = (rt * st + r * ct) * tp + 2.0 * rp * st * pp
+b_t = rt * a_n + r * a_t
+b_p = rp * a_n + rs * a_p
+g11 = rt * rt + r * r
+g12 = rt * rp
+g22 = rp * rp + rs * rs
+det = g11 * g22 - g12 * g12
+tdd = (g12 * b_p - g22 * b_t) / det
+pdd = (g12 * b_t - g11 * b_p) / det
+"""
+
+# K = r^2 (L N - M^2) / D^2 with D = det g: L, M, N pair the second partials
+# of the position X = r*(unit sphere point) with the normal X_theta x X_phi / r,
+# whose length sqrt(D)/r is left unnormalized so no square root is taken
+_CURVATURE = """\
+st2 = st * st
+L = st * (r * rtt - r * r - 2.0 * rt * rt)
+M = st * (r * rtp - 2.0 * rt * rp) - ct * r * rp
+N = st * (r * rpp - r * r * st2 + r * rt * st * ct - 2.0 * rp * rp)
+D = r * r * (r * r * st2 + rt * rt * st2 + rp * rp)
+K = r * r * (L * N - M * M) / (D * D)
+"""
+
+# the Jacobi equation's factor -K*2H
+_JACOBI = """\
+h2 = (rt * td + rp * pd) ** 2 + r * r * (td * td + (st * pd) ** 2)
+""" + _CURVATURE + """\
+k = -K * h2
+"""
+
+_SIN_COS = "st = sin(theta)\nct = cos(theta)\n"
+_PARTIALS = "r, rt, rp, rtt, rtp, rpp"
+
+
+# -- generation -----------------------------------------------------------------
+
+
+def _horner(nq):
+    """Unrolled Horner steps for Q, Q' and Q''/2 at z over c0..c{nq-1}, then
+    Q'' = 2 (Q''/2), and the names that hold the three values.  A step from
+    the rule's starting 0.0 is dropped: 0.0*z + c is c for a leading
+    coefficient c other than -0.0."""
+    val = {"Q": None, "Q1": None, "Q2": None}  # None: still the starting 0.0
+    lines = []
+    for k in reversed(range(nq)):
+        adds = (("Q2", val["Q1"]), ("Q1", val["Q"]), ("Q", f"c{k}"))
+        for name, add in adds:
+            if val[name] is None:
+                val[name] = add
+            else:
+                lines.append(f"{name} = {val[name]} * z + {add}\n")
+                val[name] = name
+    if val["Q2"] is None:
+        val["Q2"] = "0.0"  # 0.0 * 2.0
+    else:
+        lines.append(f"Q2 = {val['Q2']} * 2.0\n")
+        val["Q2"] = "Q2"
+    return "".join(lines), val
+
+
+def _sin_power(k):
+    """sin^k(theta) for k >= 1: pow(st, 1) is st exactly, as a pow within
+    1 ulp of a double must be, and every other power stays a pow."""
+    return "st" if k == 1 else f"st ** {k}"
+
+
+def _partials_text(form, m, nq):
+    """The partials formula of one structure."""
+    if form == "sectoral":
+        n = m
+        if n == 1:  # sin^0 = 1.0 and (n-1)*sin^(n-2) = 0*0.0
+            fields = dict(sn1="1.0", snn="st", sn1_="", dsn1_="0.0 * ")
+        else:  # (n-1)*sin^(n-2) = 1*1.0 for n = 2
+            dsn1_ = f"{n - 1} * {_sin_power(n - 2)} * " if n > 2 else ""
+            fields = dict(sn1=_sin_power(n - 1), snn="sn1 * st", sn1_="sn1 * ", dsn1_=dsn1_)
+        return _SECTORAL.format(n=n, **fields)
+    text = _CHART_POINT
+    if m == 0:  # W = Re(w^0) = 1
+        text += "W, W_t, W_p, W_tt, W_tp, W_pp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0\n"
+    elif m == 1:  # w^0 = 1.0, m*w^0 = 1*1.0 and m*(m-1)*0.0 = 0.0
+        text += _W + _RE_POWER.format(wm1="1.0", mw1="1.0", mmw2="0.0")
+    else:
+        text += _W + f"wm2 = w ** {m - 2}\nwm1 = wm2 * w\nmw1 = {m} * wm1\n"
+        text += f"mmw2 = {m * (m - 1)} * wm2\n" + _RE_POWER.format(
+            wm1="wm1", mw1="mw1", mmw2="mmw2"
+        )
+    if nq == 1:
+        return text + _CONSTANT_Q
+    horner, names = _horner(nq)
+    return text + _Z + horner + _POLYNOMIAL_Q.format(**names)
+
+
+# each form's numbers, as its factory takes them, and the constants folded
+# from them
+_PARAMETERS = {"sectoral": "eps", "chart": "eps, q, coefs"}
+
+
+def _constants_text(form, m, nq):
+    if form == "sectoral":
+        return f"en = eps * {m}\nnen = -eps * {m}\nnenn = nen * {m}\n"
+    text = "wx, wy, wz, zx, zy, zz = coefs\nnwx = -wx\nnzx = -zx\n"
+    if nq == 1:
+        return text + "e = eps * q[0]\n"
+    return text + "".join(f"c{k}, " for k in range(nq)) + "= q\n"
+
+
+def _function(header, *texts, ret):
+    return header + "\n" + textwrap.indent("".join(texts) + f"return {ret}\n", "    ")
+
+
+def _compile(source, filename):
+    """Exec ``source`` as a module named ``filename``, registered with
+    linecache so that tracebacks show its lines, and return its namespace."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sin": math.sin, "cos": math.cos}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _compiled(key, j=None):
+    """The compiled kernels of one structure ``key`` = (form, m, len(q)).
+
+    Without ``j``: ``make(<numbers>)`` binds (partials, rhs) to one
+    surface's numbers; ``partials_of(<numbers>, theta, phi)`` and
+    ``rhs_of(<numbers>, theta, phi, td, pd)`` take them as arguments.
+    With ``j``: ``make(<numbers>)`` binds the jacobi_rhs of states with j
+    normal parts.
+    """
+    form, m, nq = key
+    params = _PARAMETERS[form]
+    consts = _constants_text(form, m, nq)
+    parts = _partials_text(form, m, nq)
+    if j is None:
+        partials = _function("def partials(theta, phi):", _SIN_COS, parts, ret=_PARTIALS)
+        rhs = _function(
+            "def rhs(s, y):", "theta, phi, td, pd = y\n", _SIN_COS, parts, _ACCELERATION,
+            ret="td, pd, tdd, pdd",
+        )
+        source = (
+            _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
+            + _function(
+                f"def partials_of({params}, theta, phi):", consts, _SIN_COS, parts,
+                ret=_PARTIALS,
+            )
+            + _function(
+                f"def rhs_of({params}, theta, phi, td, pd):", consts, _SIN_COS, parts,
+                _ACCELERATION, ret="td, pd, tdd, pdd",
+            )
+        )
+        return _compile(source, f"<geodesic kernel {form}, m={m}, len(q)={nq}>")
+    w = [f"w{i}" for i in range(j)]
+    dw = [f"dw{i}" for i in range(j)]
+    jacobi = _function(
+        "def jacobi_rhs(s, y):",
+        "".join(f"{x}, " for x in ["theta", "phi", "td", "pd", *w, *dw]) + "= y\n",
+        _SIN_COS, parts, _JACOBI, _ACCELERATION,
+        ret="[" + ", ".join(["td", "pd", "tdd", "pdd", *dw, *(f"k * {x}" for x in w)]) + "]",
+    )
+    source = _function(f"def make({params}):", consts, jacobi, ret="jacobi_rhs")
+    return _compile(source, f"<geodesic kernel {form}, m={m}, len(q)={nq}, j={j}>")
+
+
+class _JacobiKernels(dict):
+    """One chart's jacobi_rhs per state length 4 + 2j, bound on first use."""
+
+    def __init__(self, key, numbers):
+        super().__init__()
+        self._key = key
+        self._numbers = numbers
+
+    def __missing__(self, size):
+        j, odd = divmod(size - 4, 2)
+        if odd or j < 0:
+            raise ValueError(f"a Jacobi state has 4 + 2j components, not {size}")
+        kernel = self[size] = _compiled(self._key, j)["make"](*self._numbers)
+        return kernel
+
+
+def chart_kernel(m, q, eps, rot=None):
+    """The kernels of r = 1 + eps*Re((x+iy)^m)*Q(z) in the chart with
+    row-major chart->body matrix ``rot`` (None: the body chart), ``q`` the
+    coefficients of Q, lowest degree first.
+
+    Returns (partials, rhs, jacobi): ``partials(theta, phi)`` gives
+    (r, r_t, r_p, r_tt, r_tp, r_pp), ``rhs(s, y)`` the geodesic right-hand
+    side (td, pd, tdd, pdd) of y = (theta, phi, td, pd), and ``jacobi[len(y)]``
+    the right-hand side of y followed by j normal parts w and their
+    derivatives w', as [td, pd, tdd, pdd, *w', *(-K*2H*w)].  A sectoral
+    surface (constant Q) in the body chart takes the sectoral formula.
+    """
+    if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
+        key, numbers = ("sectoral", m, 1), (eps * q[0],)
+    else:
+        key, numbers = ("chart", m, len(q)), (eps, q, chart_coefficients(rot or _BODY_CHART))
+    partials, rhs = _compiled(key)["make"](*numbers)
+    return partials, rhs, _JacobiKernels(key, numbers)
+
+
+# -- the formulas with the surface's numbers as arguments -------------------------
+
+_FORMULAS = _compile(
+    _function(
+        "def rhs_from_partials(theta, td, pd, parts):", f"{_PARTIALS} = parts\n", _SIN_COS,
+        _ACCELERATION, ret="td, pd, tdd, pdd",
+    )
+    + _function("def curvature(theta, r, rt, rp, rtt, rtp, rpp):", _SIN_COS, _CURVATURE, ret="K"),
+    "<geodesic kernel formulas>",
+)
+
+
+def sectoral_partials(n, eps, theta, phi):
+    """r = 1 + eps*sin^n(theta)*cos(n*phi) and all partials to second order."""
+    return _compiled(("sectoral", n, 1))["partials_of"](eps, theta, phi)
+
+
 def harmonic_partials(m, q, eps, coefs, theta, phi):
     """r = 1 + eps*Re((x+iy)^m)*Q(z) in a rotated chart, with all partials.
 
     (x, y, z) is the body Cartesian point of the unit sphere, ``q`` holds the
     coefficients of the polynomial Q, lowest degree first, and ``coefs`` is
-    the chart's :func:`chart_coefficients`, built once per chart.
-    Nothing is divided by sin(theta), so the chart poles are safe.
+    the chart's :func:`chart_coefficients`.
     """
-    wx, wy, wz, zx, zy, zz = coefs
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    cp = math.cos(phi)
-    sp = math.sin(phi)
-    # the chart point is (a, b, ct); its second theta-derivative is minus itself
-    a = st * cp
-    b = st * sp
-    c = ct * cp
-    d = ct * sp
-
-    # W = Re(w^m) with w = x + iy, and its partials; W = 1 when m = 0
-    if m:
-        w = wx * a + wy * b + wz * ct
-        w_t = wx * c + wy * d - wz * st
-        w_p = -wx * b + wy * a
-        w_tp = -wx * d + wy * c
-        w_pp = -wx * a - wy * b
-        wm2 = w ** (m - 2) if m >= 2 else 0.0
-        wm1 = wm2 * w if m >= 2 else 1.0
-        W = (wm1 * w).real
-        W_t = (m * wm1 * w_t).real
-        W_p = (m * wm1 * w_p).real
-        W_tt = (m * (m - 1) * wm2 * w_t * w_t - m * wm1 * w).real
-        W_tp = (m * (m - 1) * wm2 * w_t * w_p + m * wm1 * w_tp).real
-        W_pp = (m * (m - 1) * wm2 * w_p * w_p + m * wm1 * w_pp).real
-    else:
-        W, W_t, W_p, W_tt, W_tp, W_pp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    if len(q) == 1:
-        # constant Q (sectoral): a Poincare-section trajectory that has
-        # swapped charts at a pole spends most of its RHS calls here
-        e = eps * q[0]
-        return 1.0 + e * W, e * W_t, e * W_p, e * W_tt, e * W_tp, e * W_pp
-
-    # z and its partials, then Q, Q' and Q''/2 at z by Horner
-    z = zx * a + zy * b + zz * ct
-    z_t = zx * c + zy * d - zz * st
-    z_p = -zx * b + zy * a
-    z_tp = -zx * d + zy * c
-    z_pp = -zx * a - zy * b
-    Q = Q1 = Q2 = 0.0
-    for coef in reversed(q):
-        Q2 = Q2 * z + Q1
-        Q1 = Q1 * z + Q
-        Q = Q * z + coef
-    Q2 *= 2.0
-
-    r = 1.0 + eps * (W * Q)
-    rt = eps * (W_t * Q + W * Q1 * z_t)
-    rp = eps * (W_p * Q + W * Q1 * z_p)
-    rtt = eps * (W_tt * Q + 2.0 * W_t * Q1 * z_t + W * (Q2 * z_t * z_t - Q1 * z))
-    rtp = eps * (
-        W_tp * Q + W_t * Q1 * z_p + W_p * Q1 * z_t + W * (Q2 * z_t * z_p + Q1 * z_tp)
-    )
-    rpp = eps * (W_pp * Q + 2.0 * W_p * Q1 * z_p + W * (Q2 * z_p * z_p + Q1 * z_pp))
-    return r, rt, rp, rtt, rtp, rpp
-
-
-def curvature(theta, r, rt, rp, rtt, rtp, rpp):
-    """Gaussian curvature K of a polar surface from r and its partials.
-
-    K = r^2 (L N - M^2) / D^2 with D = det g: L, M, N pair the second
-    partials of the position X = r*(unit sphere point) with the normal
-    X_theta x X_phi / r, whose length sqrt(D)/r is left unnormalized so no
-    square root is taken.
-    """
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    st2 = st * st
-    L = st * (r * rtt - r * r - 2.0 * rt * rt)
-    M = st * (r * rtp - 2.0 * rt * rp) - ct * r * rp
-    N = st * (r * rpp - r * r * st2 + r * rt * st * ct - 2.0 * rp * rp)
-    D = r * r * (r * r * st2 + rt * rt * st2 + rp * rp)
-    return r * r * (L * N - M * M) / (D * D)
+    return _compiled(("chart", m, len(q)))["partials_of"](eps, q, coefs, theta, phi)
 
 
 def rhs_from_partials(theta, td, pd, parts):
     """Geodesic right-hand side (td, pd, tdd, pdd) from the six partials
-    (r, r_t, r_p, r_tt, r_tp, r_pp) at (theta, phi).
+    (r, r_t, r_p, r_tt, r_tp, r_pp) at (theta, phi)."""
+    return _FORMULAS["rhs_from_partials"](theta, td, pd, parts)
 
-    g (tdd, pdd) = -(X_theta . A, X_phi . A) with the position X = r*n and
-    A = X_tt td^2 + 2 X_tp td pd + X_pp pd^2, whose components in the frame
-    (n, e_theta, e_phi) come from n_t = e_theta and n_p = sin(theta) e_phi.
-    """
-    r, rt, rp, rtt, rtp, rpp = parts
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    rs = r * st
-    tt = td * td
-    tp = 2.0 * td * pd
-    pp = pd * pd
-    a_n = (rtt - r) * tt + rtp * tp + (rpp - rs * st) * pp
-    a_t = 2.0 * rt * tt + rp * tp - rs * ct * pp
-    a_p = (rt * st + r * ct) * tp + 2.0 * rp * st * pp
-    b_t = rt * a_n + r * a_t
-    b_p = rp * a_n + rs * a_p
-    g11 = rt * rt + r * r
-    g12 = rt * rp
-    g22 = rp * rp + rs * rs
-    det = g11 * g22 - g12 * g12
-    return td, pd, (g12 * b_p - g22 * b_t) / det, (g12 * b_t - g11 * b_p) / det
+
+def curvature(theta, r, rt, rp, rtt, rtp, rpp):
+    """Gaussian curvature K of a polar surface from r and its partials."""
+    return _FORMULAS["curvature"](theta, r, rt, rp, rtt, rtp, rpp)
 
 
 def sectoral_rhs(n, eps, theta, phi, td, pd):
     """Geodesic right-hand side of r = 1 + eps*sin^n(theta)*cos(n*phi)."""
-    return rhs_from_partials(theta, td, pd, sectoral_partials(n, eps, theta, phi))
+    return _compiled(("sectoral", n, 1))["rhs_of"](eps, theta, phi, td, pd)

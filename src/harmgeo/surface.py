@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -154,12 +153,9 @@ class PolarSurface:
         self.m = m
         self.q = q
         self.rot = rot
-        eps = self.params["eps"]
-        if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
-            self._partials = partial(kernels.sectoral_partials, m, eps * q[0])
-        else:
-            coefs = kernels.chart_coefficients(rot or IDENTITY_ROT)
-            self._partials = partial(kernels.harmonic_partials, m, q, eps, coefs)
+        self._partials, self._rhs, self._jacobi = kernels.chart_kernel(
+            m, q, self.params["eps"], rot
+        )
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -252,20 +248,18 @@ class PolarSurface:
 
     def rhs(self, s, y):
         """Geodesic right-hand side for (theta, phi, theta_dot, phi_dot)."""
-        theta, phi, td, pd = y
-        return kernels.rhs_from_partials(theta, td, pd, self._partials(theta, phi))
+        return self._rhs(s, y)
 
     def jacobi_rhs(self, s, y):
         """:meth:`rhs` for the state y[:4] followed by the Jacobi equation
         w'' = -K*2H*w of j normal parts w = y[4:4+j] with derivatives
         w' = y[4+j:]."""
-        theta, phi, td, pd, *w = y
-        parts = self._partials(theta, phi)
-        r, rt, rp = parts[:3]
-        h2 = (rt * td + rp * pd) ** 2 + r * r * (td * td + (math.sin(theta) * pd) ** 2)
-        k = -kernels.curvature(theta, *parts) * h2
-        j = len(w) // 2
-        return [*kernels.rhs_from_partials(theta, td, pd, parts), *w[j:], *(k * x for x in w[:j])]
+        return self._jacobi[len(y)](s, y)
+
+    def __reduce__(self):
+        """Pickle as the constructor's arguments: the bound kernels are
+        closures, which do not pickle."""
+        return type(self), (self.family, self.params, self.m, self.q, self.rot)
 
     def __repr__(self):
         return f"PolarSurface({self.family}, {self.params})"

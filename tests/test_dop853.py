@@ -180,17 +180,25 @@ def test_non_finite_or_empty_start_rejected(t_span, y0, fun, match):
 @pytest.mark.parametrize("extra", [1, -1])
 def test_wrong_number_of_components_rejected(extra):
     """A ``fun`` that returns more or fewer components than the state has is
-    refused where its stage is unpacked (a zip over the components would
-    drop the extra ones or shrink the state), and the traceback shows the
-    generated line."""
-    def fun(t, y):
-        return [0.5, -0.25, 0.125][:2 + extra]
+    refused.  At the start a length check refuses it before the initial-step
+    probe zips f0 with y0, which handed ``fun`` a shortened state (an
+    IndexError from inside ``fun``).  Later it is refused where its stage is
+    unpacked (a zip over the components would drop the extra ones or shrink
+    the state), and the traceback shows the generated line."""
+    def at_start(t, y):
+        return [y[1], -y[0], 0.0][:2 + extra]
+
+    with pytest.raises(ValueError, match=r"fun\(t0, y0\) has \d components where y0 has 2"):
+        solve_ivp(at_start, (0.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-8)
+
+    def later(t, y):
+        return [0.5, -0.25, 0.125][:2 + extra] if t > 0.0 else [0.5, -0.25]
 
     with pytest.raises(ValueError, match="values to unpack") as info:
-        solve_ivp(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-8)
+        solve_ivp(later, (0.0, 1.0), [1.0, 0.0], rtol=1e-8, atol=1e-8)
     frame = traceback.extract_tb(info.tb)[-1]
     assert frame.filename == "<dop853 step, d=2>"
-    assert frame.line == "k0_0, k0_1, = k0"
+    assert frame.line == "k1_0, k1_1, = k1"
 
 
 # -- the generated step against a loop over the components --------------------------

@@ -310,6 +310,77 @@ def test_stepper_counters_repeat_and_bound_the_work(monkeypatch):
     assert first.nfev <= 12 * attempted + 3 * event_steps + 2 * starts
 
 
+def _count_class_rhs(monkeypatch):
+    """Patch PolarSurface.rhs and PolarSurface.jacobi_rhs at class level, as
+    the benchmark's tracer does, with counters of their calls."""
+    calls = {"rhs": 0, "jacobi_rhs": 0}
+    for name in calls:
+        original = getattr(PolarSurface, name)
+
+        def counting(self, s, y, name=name, original=original):
+            calls[name] += 1
+            return original(self, s, y)
+
+        monkeypatch.setattr(PolarSurface, name, counting)
+    return calls
+
+
+def test_class_rhs_counts_every_evaluation(monkeypatch):
+    """Every right-hand-side call of a run, in every chart, goes through
+    PolarSurface.rhs or PolarSurface.jacobi_rhs, whose class attributes the
+    benchmark's tracer patches to count surface.rhs_calls: a counter there
+    reads Trajectory.nfev.  A tangent run steps on jacobi_rhs and calls rhs
+    once per crossing, where its section Jacobian is rebuilt."""
+    surf = PolarSurface.sectoral(3, 0.3)
+    calls = _count_class_rhs(monkeypatch)
+    y0 = normalize_speed(surf, [math.pi / 2, 0.0, -1.0, 0.05])
+    traj = integrate(surf, y0, 40.0, n_crossings=6)
+    assert traj.chart_swaps >= 1 and len(traj.crossings) == 6
+    assert calls == {"rhs": traj.nfev, "jacobi_rhs": 0}
+
+    calls.update(rhs=0, jacobi_rhs=0)
+    tangents = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    traj = integrate(surf, y0, 40.0, renormalize=False, tangents=tangents)
+    assert traj.chart_swaps >= 1 and len(traj.crossings) >= 1
+    assert calls == {"rhs": len(traj.crossings), "jacobi_rhs": traj.nfev}
+
+
+def test_kernels_compile_once_per_structure(monkeypatch):
+    """A run compiles one kernel per surface structure (form, m, len(q)) and
+    one per structure and number of normal parts; chart swaps, in_chart and
+    a second run compile nothing."""
+    compiled = []
+    compile_source = kernels._compile
+
+    def recording(source, filename):
+        compiled.append(filename)
+        return compile_source(source, filename)
+
+    monkeypatch.setattr(kernels, "_compile", recording)
+    kernels._compiled.cache_clear()
+    surf = PolarSurface.sectoral(3, 0.3)
+    y0 = normalize_speed(surf, [math.pi / 2, 0.0, -1.0, 0.05])
+    tangents = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+    def runs():
+        plain = integrate(surf, y0, 40.0, section_frame=np.asarray(R_SWAP).T)
+        tangent = integrate(surf, y0, 40.0, renormalize=False, tangents=tangents)
+        return plain.chart_swaps + tangent.chart_swaps
+
+    assert runs() >= 2
+    assert sorted(compiled) == [
+        "<geodesic kernel chart, m=3, len(q)=1, j=2>",
+        "<geodesic kernel chart, m=3, len(q)=1>",
+        "<geodesic kernel sectoral, m=3, len(q)=1, j=2>",
+        "<geodesic kernel sectoral, m=3, len(q)=1>",
+    ]
+    compiled.clear()
+    runs()
+    surf.in_chart(R_SWAP).rhs(0.0, [1.2, 0.4, 0.3, 0.6])
+    PolarSurface.sectoral(3, 0.1).jacobi_rhs(0.0, [1.2, 0.4, 0.3, 0.6, 1.0, 0.0, 0.0, 1.0])
+    assert compiled == []
+
+
 def test_tangents_refuse_renormalization():
     surf = PolarSurface.sectoral(3, 0.1)
     with pytest.raises(ValueError, match="renormalize"):

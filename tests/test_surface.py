@@ -1,14 +1,18 @@
 """Surface families: Legendre functions, metric data, Christoffel symbols."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.special import lpmv
 
 from harmgeo import kernels
 from harmgeo.geodesic import POLE_GUARD, R_SWAP, chart_to_body
 from harmgeo.surface import (
+    IDENTITY_ROT,
     PoleError,
     PolarSurface,
     assoc_legendre,
@@ -367,6 +371,154 @@ def test_chart_constants_built_once_change_no_bit(surf, rot):
         assert chart.partials(theta, phi) == _partials_from_rot(
             surf.m, surf.q, eps, chart.rot, theta, phi
         )
+
+
+# -- generated kernels against their formulas, term by term -------------------------
+
+
+def _sectoral_partials_ref(n, eps, theta, phi):
+    """Reference: the body-chart sectoral partials, each term as written."""
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    cn = math.cos(n * phi)
+    sn = math.sin(n * phi)
+    sn1 = st ** (n - 1)
+    snn = sn1 * st
+    r = 1.0 + eps * snn * cn
+    rt = eps * n * sn1 * ct * cn
+    rp = -eps * n * snn * sn
+    rtt = eps * n * cn * ((n - 1) * (st ** (n - 2) if n >= 2 else 0.0) * ct * ct - sn1 * st)
+    rtp = -eps * n * n * sn1 * ct * sn
+    rpp = -eps * n * n * snn * cn
+    return r, rt, rp, rtt, rtp, rpp
+
+
+def _rhs_from_partials_ref(theta, td, pd, parts):
+    """Reference: the first-kind contraction and 2x2 solve, as written."""
+    r, rt, rp, rtt, rtp, rpp = parts
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    rs = r * st
+    tt = td * td
+    tp = 2.0 * td * pd
+    pp = pd * pd
+    a_n = (rtt - r) * tt + rtp * tp + (rpp - rs * st) * pp
+    a_t = 2.0 * rt * tt + rp * tp - rs * ct * pp
+    a_p = (rt * st + r * ct) * tp + 2.0 * rp * st * pp
+    b_t = rt * a_n + r * a_t
+    b_p = rp * a_n + rs * a_p
+    g11 = rt * rt + r * r
+    g12 = rt * rp
+    g22 = rp * rp + rs * rs
+    det = g11 * g22 - g12 * g12
+    return td, pd, (g12 * b_p - g22 * b_t) / det, (g12 * b_t - g11 * b_p) / det
+
+
+def _curvature_ref(theta, r, rt, rp, rtt, rtp, rpp):
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    st2 = st * st
+    L = st * (r * rtt - r * r - 2.0 * rt * rt)
+    M = st * (r * rtp - 2.0 * rt * rp) - ct * r * rp
+    N = st * (r * rpp - r * r * st2 + r * rt * st * ct - 2.0 * rp * rp)
+    D = r * r * (r * r * st2 + rt * rt * st2 + rp * rp)
+    return r * r * (L * N - M * M) / (D * D)
+
+
+def _jacobi_rhs_ref(partials, y):
+    """Reference: the geodesic followed by w'' = -K*2H*w of j normal parts."""
+    theta, phi, td, pd, *w = y
+    parts = partials(theta, phi)
+    r, rt, rp = parts[:3]
+    h2 = (rt * td + rp * pd) ** 2 + r * r * (td * td + (math.sin(theta) * pd) ** 2)
+    k = -_curvature_ref(theta, *parts) * h2
+    j = len(w) // 2
+    return [*_rhs_from_partials_ref(theta, td, pd, parts), *w[j:], *(k * x for x in w[:j])]
+
+
+def _hexes(f, *args):
+    """f's result as its type and the float.hex of each component, or the
+    name of the arithmetic error it raised."""
+    try:
+        out = f(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return type(out).__name__, [float(x).hex() for x in out]
+
+
+# m = 1 and m >= 2, constant and polynomial Q, and m = 0 (zonal)
+KERNEL_SPECS = (
+    [("sectoral", n, 0.3) for n in range(1, 13)]
+    + [("zonal", l, 0.3) for l in range(1, 7)]
+    + [("tesseral", (l, m), 0.5 / assoc_legendre_max(l, m)) for l, m in [(2, 1), (3, 1), (4, 2), (3, 3)]]
+)
+KERNEL_IDS = [f"{f}{a}" if f != "tesseral" else f"{f}{a[0]}-{a[1]}" for f, a, _ in KERNEL_SPECS]
+_near_pole = hs.floats(-1e-3, 1e-3) | hs.floats(math.pi - 1e-3, math.pi + 1e-3)
+
+
+@pytest.mark.parametrize("rot", [None, R_SWAP9, R_GENERIC], ids=["body", "swap", "generic"])
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=hs.floats(-4.0, 7.0) | _near_pole,
+    phi=hs.floats(-7.0, 7.0),
+    td=hs.floats(-10.0, 10.0),
+    pd=hs.floats(-10.0, 10.0),
+    w=hs.lists(hs.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_generated_kernels_are_the_formulas_bit_for_bit(spec, rot, theta, phi, td, pd, w):
+    """Every generated kernel (a chart's partials, rhs and jacobi_rhs for
+    j = 1 and 2 normal parts, and the public formula functions) equals its
+    formulas evaluated term by term, bit for bit, at the chart poles too."""
+    family, arg, eps = spec
+    if family == "tesseral":
+        surf = PolarSurface.tesseral(*arg, eps)
+    else:
+        surf = getattr(PolarSurface, family)(arg, eps)
+    m, q, eps = surf.m, surf.q, surf.params["eps"]
+    if rot is not None:
+        surf = surf.in_chart(rot)
+    if rot is None and len(q) == 1:
+        def partials(th, ph):
+            return _sectoral_partials_ref(m, eps * q[0], th, ph)
+
+        assert _hexes(kernels.sectoral_partials, m, eps, theta, phi) == _hexes(
+            _sectoral_partials_ref, m, eps, theta, phi
+        )
+        assert _hexes(kernels.sectoral_rhs, m, eps, theta, phi, td, pd) == _hexes(
+            _rhs_from_partials_ref, theta, td, pd, _sectoral_partials_ref(m, eps, theta, phi)
+        )
+    else:
+        def partials(th, ph):
+            return _partials_from_rot(m, q, eps, surf.rot or IDENTITY_ROT, th, ph)
+
+    coefs = kernels.chart_coefficients(rot or IDENTITY_ROT)
+    assert _hexes(kernels.harmonic_partials, m, q, eps, coefs, theta, phi) == _hexes(
+        _partials_from_rot, m, q, eps, rot or IDENTITY_ROT, theta, phi
+    )
+    parts = partials(theta, phi)
+    assert _hexes(surf.partials, theta, phi) == _hexes(partials, theta, phi)
+    assert _hexes(kernels.rhs_from_partials, theta, td, pd, parts) == _hexes(
+        _rhs_from_partials_ref, theta, td, pd, parts
+    )
+    assert _hexes(lambda: [kernels.curvature(theta, *parts)]) == _hexes(
+        lambda: [_curvature_ref(theta, *parts)]
+    )
+    y = [theta, phi, td, pd]
+    assert _hexes(surf.rhs, 0.0, y) == _hexes(_rhs_from_partials_ref, theta, td, pd, parts)
+    for j in (1, 2):
+        yj = [*y, *w[:j], *w[2:2 + j]]
+        assert _hexes(surf.jacobi_rhs, 0.0, yj) == _hexes(_jacobi_rhs_ref, partials, yj)
+
+
+def test_surfaces_pickle():
+    """A surface pickles as its constructor's arguments; the copy rebuilds
+    its chart kernels."""
+    surf = PolarSurface.rotated_sectoral(3, 0.2, R_GENERIC)
+    copy = pickle.loads(pickle.dumps(surf))
+    assert (copy.family, copy.params, copy.rot) == (surf.family, surf.params, surf.rot)
+    y = [1.2, 0.4, 0.3, 0.6]
+    assert copy.rhs(0.0, y) == surf.rhs(0.0, y)
 
 
 # -- construction -------------------------------------------------------------------
