@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 _ZERO = Fraction(0)
 FieldElement = Union[Fraction, "QuadExt"]
 
@@ -249,12 +248,6 @@ def field_inv(x: FieldElement) -> FieldElement:
     return Fraction(1) / x
 
 
-def field_sign(x: FieldElement) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 class Poly:
     """Dense univariate polynomial, coefficients lowest degree first.
 
@@ -277,10 +270,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls([1])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
 
     @classmethod
     def monomial(cls, k: int, c: FieldElement = Fraction(1)) -> "Poly":
@@ -640,12 +629,3 @@ def _key(x: FieldElement):
     if isinstance(x, QuadExt):
         return (x.a, x.b, x.D)
     return (Fraction(x), Fraction(0), None)
-
-
-def descartes_bound(p: Poly) -> int:
-    """Sign-variation count of the coefficient sequence (Descartes bound on
-    the number of positive real roots)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    signs = [field_sign(c) for c in p.coeffs if c]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

@@ -563,6 +563,8 @@ def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: tol is below an ulp
+            break
         if margin(mid) > 0:
             lo = mid
         else:

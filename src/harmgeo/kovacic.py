@@ -5,12 +5,16 @@ decides whether the equation has Liouvillian solutions, by hunting for a
 solution xi = exp(int omega) whose logarithmic derivative omega is algebraic
 of degree 1 (case 1), 2 (case 2) or 4/6/12 (case 3) over the rationals.
 
-Each case reduces to finitely many *candidates*: a choice of local exponent
-at every singular point together with a non-negative integer degree d, and
-for each candidate a polynomial P of degree d that must satisfy a linear
-differential identity.  P enters that identity linearly, so every search is
-an exact linear solve over the coefficient field; a found P is certified by
-an independent residual identity before the equation is declared solvable.
+Each case reduces to finitely many *candidates*: a choice of residue
+c = N/2 + k*sqrt(1+4*beta), k = -N/2..N/2, at every singular point (one
+rule for every N, :func:`_exponents`) together with a non-negative integer
+degree d, and for each candidate a polynomial P of degree d that must
+satisfy a linear differential identity.  A candidate carries the residues
+of theta = sum c_j/(z - a_j) for every N; Kovacic's integers e = 2c
+(N = 2) and f = 12c/N (N >= 4) survive only as its labels.  P enters that
+identity linearly, so every search is an exact linear solve over the
+coefficient field; a found P is certified by an independent residual
+identity before the equation is declared solvable.
 Before that solve, the system is reduced modulo a large prime, and a rank
 argument there can prove that it has no solution (``modular_rejection``).
 
@@ -33,6 +37,7 @@ from .algebra import (
     Poly,
     QuadExt,
     RatFunc,
+    _key,
     field_inv,
     sqrt_decompose,
 )
@@ -122,10 +127,12 @@ def _require_rational(x, what: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One exponent selection: N (algebraic degree of omega), the degree d of
-    the auxiliary polynomial, per-pole exponents and the exponent at
-    infinity.  ``labels`` is a human-readable transcript of the selection
-    (sign choices for N=1, integer set elements otherwise)."""
+    """One exponent selection: N (algebraic degree of omega), the residues
+    c_j of theta = sum c_j/(z - a_j), one per pole (``exps``), the exponent
+    c_inf at infinity (``exp_inf``) and the degree d = c_inf - sum c_j of the
+    auxiliary polynomial.  ``labels`` is a human-readable transcript of the
+    selection: the sign choices for N = 1, Kovacic's integers otherwise
+    (e = 2c for N = 2, f = 12c/N for N >= 4)."""
 
     N: int
     d: int
@@ -161,15 +168,39 @@ class _ExpSum:
         return int(self.rat)
 
 
-def _sqrt_1p4b(beta: Fraction):
-    """sqrt(1+4*beta) as a Fraction, a QuadExt, or None when complex."""
+# Kovacic's integer for a residue c is _SCALE[N]*c: e = 2c, f = 12c/N
+_SCALE = {2: 2, 4: 3, 6: 2, 12: 1}
+
+
+def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> list:
+    """A singular point's choices of residue c = N/2 + k*sqrt(1+4*beta),
+    k = -N/2, ..., N/2 (Ulmer & Weil, J. Symb. Comp. 22 (1996) 179).
+
+    N = 1: the values for k = +1/2 and -1/2, which may be irrational.
+    N >= 2: the integral values of _SCALE[N]*c, sorted and distinct.  A pole
+    with beta = 0 has the one residue c = N if delta != 0, else 0.
+    """
+    if at_pole and beta == 0:
+        c = N if delta else 0
+        return [Fraction(c)] * 2 if N == 1 else [_SCALE[N] * c]
     t = 1 + 4 * Fraction(beta)
-    if t < 0:
-        return None
-    q, d = sqrt_decompose(t)
-    if d == 1:
-        return q
-    return QuadExt(0, q, d)
+    s = None
+    if t >= 0:
+        q, D = sqrt_decompose(t)
+        s = q if D == 1 else QuadExt(0, q, D)
+    if N == 1:
+        if s is None:
+            where = "(beta < -1/4)" if at_pole else "at infinity"
+            raise NotImplementedError(f"complex local exponents {where}")
+        half = Fraction(1, 2)
+        return [half + k * s for k in (half, -half)]
+    # _SCALE[N]*c = x0 + k*p/q, an integer where q divides k*p
+    x0 = _SCALE[N] * N // 2
+    if not isinstance(s, Fraction):  # complex or irrational: only k = 0
+        return [x0]
+    step = _SCALE[N] * s
+    p, q = step.numerator, step.denominator
+    return sorted({x0 + k * p // q for k in range(-N // 2, N // 2 + 1) if k * p % q == 0})
 
 
 def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
@@ -179,29 +210,10 @@ def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     value for both signs) are still enumerated per sign; this formal count is
     what the candidate-census table reports.
     """
-    per_pole = []
-    for beta, delta in zip(ode.betas, ode.deltas):
-        if beta == 0:
-            val = Fraction(1) if delta else Fraction(0)
-            per_pole.append([("+", val), ("-", val)])
-            continue
-        s = _sqrt_1p4b(beta)
-        if s is None:
-            raise NotImplementedError("complex local exponents (beta < -1/4)")
-        half = Fraction(1, 2)
-        plus = half + half * s if isinstance(s, Fraction) else QuadExt(half, 0) + half * s
-        minus = half - half * s if isinstance(s, Fraction) else QuadExt(half, 0) - half * s
-        per_pole.append([("+", plus), ("-", minus)])
-
-    if ode.beta_inf == 0:
-        inf_opts = [("+", Fraction(1)), ("-", Fraction(0))]
-    else:
-        s = _sqrt_1p4b(ode.beta_inf)
-        if s is None:
-            raise NotImplementedError("complex local exponents at infinity")
-        half = Fraction(1, 2)
-        inf_opts = [("+", half + half * s), ("-", half - half * s)]
-
+    per_pole = [
+        tuple(zip("+-", _exponents(b, dl, 1, True))) for b, dl in zip(ode.betas, ode.deltas)
+    ]
+    inf_opts = tuple(zip("+-", _exponents(ode.beta_inf, None, 1, False)))
     out = []
     for combo in product(*per_pole):
         for lab_inf, a_inf in inf_opts:
@@ -224,113 +236,45 @@ def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     return out
 
 
-def _int_set(center: int, step_values) -> list[int]:
-    vals = set()
-    for v in step_values:
-        x = center + v
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                continue
-            x = int(x)
-        vals.add(x)
-    return sorted(vals)
+def _integer_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
+    """Selections of Kovacic's integers x_j = _SCALE[N]*c_j for N in
+    {2, 4, 6, 12}, with d = (x_inf - sum x_j)/_SCALE[N] a non-negative
+    integer.
 
-
-def _e_set(beta: Fraction, delta) -> list[int]:
-    if beta == 0:
-        return [4] if delta else [0]
-    s = _sqrt_1p4b(beta)
-    if s is None or isinstance(s, QuadExt):
-        return [2]
-    return _int_set(2, [Fraction(0), 2 * s, -2 * s])
-
-
-def _e_set_inf(beta_inf: Fraction) -> list[int]:
-    if beta_inf == 0:
-        return [0, 2, 4]
-    s = _sqrt_1p4b(beta_inf)
-    if s is None or isinstance(s, QuadExt):
-        return [2]
-    return _int_set(2, [Fraction(0), 2 * s, -2 * s])
-
-
-def _f_set(beta: Fraction, delta, N: int) -> list[int]:
-    if beta == 0:
-        return [12] if delta else [0]
-    s = _sqrt_1p4b(beta)
-    if s is None or isinstance(s, QuadExt):
-        return [6]
-    steps = [Fraction(12 * e, N) * s for e in range(-N // 2, N // 2 + 1)]
-    return _int_set(6, steps)
-
-
-def _f_set_inf(beta_inf: Fraction, N: int) -> list[int]:
-    s = _sqrt_1p4b(beta_inf)
-    if s is None or isinstance(s, QuadExt):
-        return [6]
-    steps = [Fraction(12 * e, N) * s for e in range(-N // 2, N // 2 + 1)]
-    return _int_set(6, steps)
-
-
-def case2_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
-    """Integer exponent-set selections for algebraic degree 2.
-
-    Selections where every chosen integer is even are excluded: such a
-    selection would already have been captured by an N=1 candidate.
+    For N = 2, selections where every chosen integer is even are excluded:
+    such a selection would already have been captured by an N = 1 candidate.
     """
-    sets = [_e_set(b, d) for b, d in zip(ode.betas, ode.deltas)]
-    set_inf = _e_set_inf(ode.beta_inf)
-    out = []
-    for combo in product(*sets):
-        for e_inf in set_inf:
-            if all(e % 2 == 0 for e in combo) and e_inf % 2 == 0:
-                continue
-            num = e_inf - sum(combo)
-            if num < 0 or num % 2:
-                continue
-            out.append(
-                Candidate(
-                    N=2,
-                    d=num // 2,
-                    exps=combo,
-                    exp_inf=e_inf,
-                    labels=tuple(str(e) for e in combo) + (str(e_inf),),
-                )
-            )
-    return out
-
-
-def case3_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
-    """Integer exponent-set selections for algebraic degree N in {4, 6, 12}."""
-    if N not in (4, 6, 12):
-        raise ValueError("N must be 4, 6 or 12")
-    sets = [_f_set(b, d, N) for b, d in zip(ode.betas, ode.deltas)]
-    set_inf = _f_set_inf(ode.beta_inf, N)
+    scale = _SCALE[N]
+    sets = [_exponents(b, dl, N, True) for b, dl in zip(ode.betas, ode.deltas)]
+    set_inf = _exponents(ode.beta_inf, None, N, False)
+    residue = {x: Fraction(x, scale) for xs in (*sets, set_inf) for x in xs}
     out = []
     for combo in product(*sets):
         total = sum(combo)
-        for f_inf in set_inf:
-            num = N * (f_inf - total)
-            if num < 0 or num % 12:
+        all_even = N == 2 and all(x % 2 == 0 for x in combo)
+        for x_inf in set_inf:
+            num = x_inf - total
+            if num < 0 or num % scale or (all_even and x_inf % 2 == 0):
                 continue
             out.append(
                 Candidate(
                     N=N,
-                    d=num // 12,
-                    exps=combo,
-                    exp_inf=f_inf,
-                    labels=tuple(str(f) for f in combo) + (str(f_inf),),
+                    d=num // scale,
+                    exps=tuple(residue[x] for x in combo),
+                    exp_inf=residue[x_inf],
+                    labels=tuple(map(str, combo)) + (str(x_inf),),
                 )
             )
     return out
 
 
 def candidates_for(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
+    """The candidates of algebraic degree N, one of :data:`ALL_N`."""
     if N == 1:
         return case1_candidates(ode)
-    if N == 2:
-        return case2_candidates(ode)
-    return case3_candidates(ode, N)
+    if N not in _SCALE:
+        raise ValueError(f"N must be one of {ALL_N}, not {N}")
+    return _integer_candidates(ode, N)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +296,6 @@ def _theta(poles, coeffs) -> RatFunc:
         if c:
             th = th + RatFunc(Poly([c]), Poly([-a, 1]))
     return th
-
-
-def _theta_coeffs(cand: Candidate) -> list:
-    """Residues c_j of theta = sum c_j/(z - a_j): the exponents (N = 1), half
-    the integers e_j (N = 2) or N*f_j/12 (N >= 4)."""
-    if cand.N == 1:
-        return list(cand.exps)
-    if cand.N == 2:
-        return [Fraction(e, 2) for e in cand.exps]
-    return [Fraction(cand.N * f, 12) for f in cand.exps]
 
 
 def _clear(f: RatFunc, m: Poly) -> Poly:
@@ -591,7 +525,7 @@ def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     last, over F_p or over Q(sqrt(D)).  None means "not proved", and the
     candidate needs the exact search.
     """
-    reduced = _reduce_mod_prime(_descent_polys(ode, _theta_coeffs(cand)))
+    reduced = _reduce_mod_prime(_descent_polys(ode, cand.exps))
     if reduced is None:
         return None
     p, (S, T, R2) = reduced
@@ -615,9 +549,8 @@ def search_for(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     if modular_rejection(ode, cand) is not None:
         return None
     N, d = cand.N, cand.d
-    coeffs = _theta_coeffs(cand)
-    theta = _theta(ode.poles, coeffs)
-    S, T, R2 = _descent_polys(ode, coeffs)
+    theta = _theta(ode.poles, cand.exps)
+    S, T, R2 = _descent_polys(ode, cand.exps)
     P = _descent_solve(N, d, S, T, R2)
     if P is None:
         return None
@@ -693,17 +626,17 @@ class KovacicResult:
         return "Solvable" if self.solvable else "Unsolvable"
 
 
-def run_kovacic(ode: FuchsianODE, cases=(1, 2, 3)) -> KovacicResult:
+def run_kovacic(ode: FuchsianODE) -> KovacicResult:
     """Try every candidate in order of increasing algebraic degree; stop at
     the first certified solution.  The ledger records every candidate with
     its search outcome (unsearched ones, after a success, included)."""
     ledger: list[LedgerEntry] = []
     winner: Optional[Solution] = None
-    for case in cases:
-        for N in CASE_ORDERS[case]:
+    for orders in CASE_ORDERS.values():
+        for N in orders:
             groups: dict = {}
             for cand in candidates_for(ode, N):
-                key = (cand.d, tuple(map(_exp_key, cand.exps)), _exp_key(cand.exp_inf))
+                key = (cand.d, tuple(map(_key, cand.exps)), _key(cand.exp_inf))
                 if key in groups:
                     groups[key][1] += 1
                 else:
@@ -724,12 +657,6 @@ def run_kovacic(ode: FuchsianODE, cases=(1, 2, 3)) -> KovacicResult:
         if winner is not None:
             break
     return KovacicResult(solvable=winner is not None, solution=winner, ledger=ledger)
-
-
-def _exp_key(x):
-    if isinstance(x, QuadExt):
-        return (x.a, x.b, x.D)
-    return (Fraction(x), Fraction(0), None)
 
 
 # ---------------------------------------------------------------------------

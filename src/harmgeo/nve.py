@@ -21,6 +21,7 @@ well, so the result feeds straight into the Kovacic machinery.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,10 +188,7 @@ def nve_to_json(data: NVEData) -> str:
         return {"a": str(Fraction(x)), "b": "0", "D": None}
 
     def int_coeffs(poly: Poly):
-        dens = [Fraction(c).denominator for c in poly.coeffs] or [1]
-        scale = 1
-        for d in dens:
-            scale = scale * d // _gcd(scale, d)
+        scale = math.lcm(*(Fraction(c).denominator for c in poly.coeffs))
         return [int(Fraction(c) * scale) for c in poly.coeffs], scale
 
     def ratfunc(f: RatFunc):
@@ -215,9 +213,3 @@ def nve_to_json(data: NVEData) -> str:
         "r": ratfunc(data.r),
     }
     return json.dumps(out, indent=2)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -13,9 +13,7 @@ from harmgeo.algebra import (
     Poly,
     QuadExt,
     RatFunc,
-    descartes_bound,
     field_inv,
-    field_sign,
     partial_fractions,
     rational_sqrt,
     sqrt_decompose,
@@ -76,7 +74,6 @@ def test_quadext_sign_matches_float(x):
     f = float(x)
     if abs(f) > 1e-9:  # avoid float-noise on near-zero values
         assert x.sign() == (1 if f > 0 else -1)
-    assert field_sign(x) == x.sign()
 
 
 @given(st.sampled_from([2, 3, 5, 115]), fractions, fractions, fractions, fractions)
@@ -153,13 +150,6 @@ def test_poly_quadext_coefficients():
     p = Poly.from_roots([s5, -s5])  # x^2 - 5
     assert p == Poly([QuadExt(-5, 0, 5), QuadExt(0, 0, 5), QuadExt(1, 0, 5)])
     assert p(3) == 4
-
-
-def test_descartes_bound():
-    assert descartes_bound(Poly([-6, 11, -6, 1])) == 3  # (x-1)(x-2)(x-3)
-    assert descartes_bound(Poly([1, 1, 1])) == 0
-    with pytest.raises(ValueError):
-        descartes_bound(Poly.zero())
 
 
 # -- rational functions ---------------------------------------------------------

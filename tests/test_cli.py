@@ -146,6 +146,11 @@ def test_lemma1_reports_critical_eps(tmp_path, capsys):
     assert "critical eps" in out
 
 
+def test_lemma1_tol_below_an_ulp_returns(tmp_path, capsys):
+    assert run(["--out-dir", tmp_path, "lemma1", "--n", "3", "--tol", "1e-17"]) == 0
+    assert capsys.readouterr().out == "critical eps for n=3: 0.496951\n"
+
+
 def test_psection_deterministic_output(tmp_path):
     args = ["psection", "--n", "2", "--eps", "1/4", "--traj", "2",
             "--crossings", "8", "--seed", "5", "--rtol", "1e-8",

@@ -503,6 +503,13 @@ def test_lemma1_positive_below_critical_negative_above():
     assert _min_on_interval(above) < 0
 
 
+def test_lemma1_bisection_ends_below_an_ulp():
+    """A tol finer than the spacing of floats near the threshold ends the
+    bisection once lo and hi are adjacent, instead of looping forever."""
+    coarse = lemma1_critical_eps(3, tol=1e-6)
+    assert abs(lemma1_critical_eps(3, tol=1e-300) - coarse) <= 1e-6
+
+
 # -- exact-versus-numeric cross-validation --------------------------------------------
 
 

@@ -1,24 +1,27 @@
 """Liouvillian-solvability decision procedure: candidates, searches, census."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmgeo import kovacic
-from harmgeo.algebra import Poly, QuadExt, RatFunc
+from harmgeo.algebra import Poly, QuadExt, RatFunc, sqrt_decompose
 from harmgeo.kovacic import (
     ALL_N,
     FuchsianODE,
+    LocalExponents,
     _case3_descend,
     _clear,
     _descent_polys,
     _independent_mod,
     _solve_linear,
     _theta,
-    _theta_coeffs,
     candidate_census,
     candidates_for,
-    case1_candidates,
     census_cell,
     census_for_order,
     modular_rejection,
@@ -26,7 +29,7 @@ from harmgeo.kovacic import (
     run_kovacic,
     verify_solution,
 )
-from harmgeo.nve import equatorial_nve
+from harmgeo.nve import equatorial_exponents, equatorial_nve
 
 
 def _pole_term(coeff, a, order=1):
@@ -196,18 +199,176 @@ def test_census_cell_formatting():
 
 def test_case1_counts_formal_sign_tuples():
     """The pole with vanishing double-pole coefficient contributes the same
-    exponent for both signs; candidates are still counted once per sign."""
+    residue for both signs; candidates are still counted once per sign."""
     ode = FuchsianODE.from_nve(equatorial_nve(2, Fraction(1, 10)))
-    cands = case1_candidates(ode)
+    assert ode.betas[0] == 0 and ode.deltas[0] != 0
+    cands = candidates_for(ode, 1)
     assert len(cands) == 4
     labels = {c.labels for c in cands}
     assert len(labels) == 4  # distinguished by sign labels, not values
+    assert {c.exps[0] for c in cands} == {1}  # residue N at beta = 0, delta != 0
 
 
 def test_candidates_rejects_bad_order():
     ode = FuchsianODE.from_nve(equatorial_nve(2, Fraction(1, 10)))
-    with pytest.raises(ValueError):
-        candidates_for(ode, 5)
+    for N in (0, 3, 5):
+        with pytest.raises(ValueError, match="N must be one of"):
+            candidates_for(ode, N)
+
+
+# -- candidates against reference copies of the per-case generators ----------------
+#
+# Kovacic's formulation case by case (J. Symb. Comp. 2 (1986) 3): the integer
+# sets e in 2 + {0, +-2s} and f in 6 + {12k s/N}, with s = sqrt(1 + 4 beta),
+# and one loop per case over them; the residues are read back as e/2 and N f/12.
+
+
+def _ref_sqrt_1p4b(beta):
+    t = 1 + 4 * Fraction(beta)
+    if t < 0:
+        return None
+    q, d = sqrt_decompose(t)
+    return q if d == 1 else QuadExt(0, q, d)
+
+
+def _ref_int_set(center, step_values):
+    vals = set()
+    for v in step_values:
+        x = center + v
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                continue
+            x = int(x)
+        vals.add(x)
+    return sorted(vals)
+
+
+def _ref_e_set(beta, delta=None, at_inf=False):
+    if beta == 0:
+        if at_inf:
+            return [0, 2, 4]
+        return [4] if delta else [0]
+    s = _ref_sqrt_1p4b(beta)
+    if s is None or isinstance(s, QuadExt):
+        return [2]
+    return _ref_int_set(2, [Fraction(0), 2 * s, -2 * s])
+
+
+def _ref_f_set(beta, N, delta=None, at_inf=False):
+    if beta == 0 and not at_inf:
+        return [12] if delta else [0]
+    s = _ref_sqrt_1p4b(beta)
+    if s is None or isinstance(s, QuadExt):
+        return [6]
+    steps = [Fraction(12 * e, N) * s for e in range(-N // 2, N // 2 + 1)]
+    return _ref_int_set(6, steps)
+
+
+def _ref_case2(ex):
+    sets = [_ref_e_set(b, d) for b, d in zip(ex.betas, ex.deltas)]
+    set_inf = _ref_e_set(ex.beta_inf, at_inf=True)
+    out = []
+    for combo in product(*sets):
+        for e_inf in set_inf:
+            if all(e % 2 == 0 for e in combo) and e_inf % 2 == 0:
+                continue
+            num = e_inf - sum(combo)
+            if num < 0 or num % 2:
+                continue
+            labels = tuple(str(e) for e in combo) + (str(e_inf),)
+            residues = tuple(Fraction(e, 2) for e in combo)
+            out.append((2, num // 2, labels, residues, Fraction(e_inf, 2)))
+    return out
+
+
+def _ref_case3(ex, N):
+    sets = [_ref_f_set(b, N, d) for b, d in zip(ex.betas, ex.deltas)]
+    set_inf = _ref_f_set(ex.beta_inf, N, at_inf=True)
+    out = []
+    for combo in product(*sets):
+        for f_inf in set_inf:
+            num = N * (f_inf - sum(combo))
+            if num < 0 or num % 12:
+                continue
+            labels = tuple(str(f) for f in combo) + (str(f_inf),)
+            residues = tuple(Fraction(N * f, 12) for f in combo)
+            out.append((N, num // 12, labels, residues, Fraction(N * f_inf, 12)))
+    return out
+
+
+def _assert_matches_reference(ex):
+    for N in (2, 4, 6, 12):
+        got = [(c.N, c.d, c.labels, c.exps, c.exp_inf) for c in candidates_for(ex, N)]
+        want = _ref_case2(ex) if N == 2 else _ref_case3(ex, N)
+        assert got == want, N
+        assert all(isinstance(x, Fraction) for c in got for x in c[3] + (c[4],)), N
+
+
+# the equator of the tesseral surface (l, m) has the finite-pole data of
+# sectoral order m and its own beta_inf: (m, beta_inf) by (l, m)
+TESSERAL = {
+    "l3m1": (1, Fraction(285, 16)),
+    "l4m2": (2, Fraction(17, 4)),
+    "l5m3": (3, Fraction(22, 9)),
+    "l6m2": (2, Fraction(39, 4)),
+}
+
+
+def _equatorial_exponents(n, beta_inf=None):
+    betas, b_inf = equatorial_exponents(n)
+    deltas = tuple(Fraction(b == 0) for b in betas)
+    return LocalExponents(betas, deltas, b_inf if beta_inf is None else beta_inf)
+
+
+_square_beta = st.fractions(min_value=0, max_value=12, max_denominator=12).map(
+    lambda t: (t * t - 1) / 4
+)
+_beta = st.one_of(
+    st.just(Fraction(0)),
+    _square_beta,  # 1 + 4 beta a rational square
+    st.fractions(min_value=Fraction(-1, 4), max_value=40, max_denominator=16),
+    st.fractions(min_value=-3, max_value=Fraction(-1, 4), max_denominator=16),
+    st.sampled_from([beta_inf for _, beta_inf in TESSERAL.values()]),
+)
+# up to three poles, each with its beta and delta in {0, 1}, and beta_inf
+_exponent_data = st.builds(
+    lambda poles, beta_inf: LocalExponents(
+        tuple(b for b, _ in poles), tuple(d for _, d in poles), beta_inf
+    ),
+    st.lists(st.tuples(_beta, st.sampled_from([Fraction(0), Fraction(1)])), max_size=3),
+    _beta,
+)
+
+
+@given(_exponent_data)
+@settings(max_examples=300, deadline=None)
+def test_integer_candidates_match_reference(ex):
+    _assert_matches_reference(ex)
+
+
+@given(_exponent_data)
+@settings(max_examples=100, deadline=None)
+def test_case1_residues_solve_the_indicial_equation(ex):
+    """Every N = 1 residue c satisfies c(c - 1) = beta, and d = c_inf - sum c."""
+    betas = ex.betas + (ex.beta_inf,)
+    if min(betas) < Fraction(-1, 4):
+        with pytest.raises(NotImplementedError, match="complex local exponents"):
+            candidates_for(ex, 1)
+        return
+    for cand in candidates_for(ex, 1):
+        for c, beta in zip(cand.exps + (cand.exp_inf,), betas):
+            assert c * (c - 1) == beta, cand
+        assert cand.exp_inf - sum(cand.exps, Fraction(0)) == cand.d, cand
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_equatorial_candidates_match_reference(n):
+    _assert_matches_reference(_equatorial_exponents(n))
+
+
+@pytest.mark.parametrize("m,beta_inf", TESSERAL.values(), ids=TESSERAL)
+def test_tesseral_candidates_match_reference(m, beta_inf):
+    _assert_matches_reference(_equatorial_exponents(m, beta_inf))
 
 
 def test_result_json_shape():
@@ -218,6 +379,27 @@ def test_result_json_shape():
     assert blob["verdict"] == "Solvable"
     assert blob["solution"]["N"] == 1
     assert isinstance(blob["ledger"], list) and blob["ledger"]
+
+
+# leading 16 hex digits of the sha256 of result_to_json, as the per-case
+# candidate generators wrote it: the benchmark's six Kovacic inputs, and
+# (2, 1/10) and (3, 1/10)
+RESULT_JSON_SHA256 = {
+    (1, Fraction(1, 3)): "894d674799ca1656",
+    (4, Fraction(1, 10)): "5cd24453f9e32d14",
+    (5, Fraction(1, 5)): "ff8c1c82ff8807ef",
+    (5, Fraction(1, 10)): "ff8c1c82ff8807ef",
+    (7, Fraction(1, 10)): "f3f8065559cd4a02",
+    (12, Fraction(1, 2)): "2867c0038cd2cb85",
+    (2, Fraction(1, 10)): "370aa1023c24447e",
+    (3, Fraction(1, 10)): "af6312d436380e35",
+}
+
+
+@pytest.mark.parametrize("n,eps", RESULT_JSON_SHA256, ids=lambda x: str(x))
+def test_result_json_is_pinned(n, eps):
+    blob = result_to_json(run_kovacic(FuchsianODE.from_nve(equatorial_nve(n, eps))))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == RESULT_JSON_SHA256[n, eps]
 
 
 # -- one descent for every N, and its certified reduction mod p ---------------------
@@ -276,9 +458,8 @@ def test_shared_descent_parts_match_from_scratch(n, eps):
     cands = _distinct_candidates(ode)
     assert cands
     for cand in cands:
-        coeffs = _theta_coeffs(cand)
-        T = _clear(_theta(ode.poles, coeffs), S)
-        assert _descent_polys(ode, coeffs) == (S, T, R2), cand
+        T = _clear(_theta(ode.poles, cand.exps), S)
+        assert _descent_polys(ode, cand.exps) == (S, T, R2), cand
 
 
 def test_interleaved_runs_match_fresh_runs():
@@ -324,7 +505,7 @@ def test_modular_rejection_is_a_certificate(n):
     assert cands
     for cand in cands:
         assert modular_rejection(ode, cand) in kovacic._PRIMES, cand
-        S, T, R2 = _descent_polys(ode, _theta_coeffs(cand))
+        S, T, R2 = _descent_polys(ode, cand.exps)
         cols = [_case3_descend(cand.N, S, T, R2, Poly.monomial(i))[-1] for i in range(cand.d)]
         target = -_case3_descend(cand.N, S, T, R2, Poly.monomial(cand.d))[-1]
         assert _solve_linear(cols, target) is None, cand
@@ -350,7 +531,7 @@ def test_solvable_candidate_never_rejected(ode):
 
 
 def _over_quadratic_field(ode, cand):
-    polys = _descent_polys(ode, _theta_coeffs(cand))
+    polys = _descent_polys(ode, cand.exps)
     return any(isinstance(c, QuadExt) and c.b for poly in polys for c in poly.coeffs)
 
 
