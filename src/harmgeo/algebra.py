@@ -37,13 +37,21 @@ def rational_sqrt(x) -> Fraction | None:
     return None
 
 
+# trial division stops at this prime bound: a squarefree part may keep the
+# square of a larger prime, which costs exactness of D but never a value
+_TRIAL_BOUND = 10**4
+
+
 def _squarefree(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d).  Trial division."""
+    """n = s^2 * d; returns (s, d).  d is squarefree except for square
+    factors of primes above _TRIAL_BOUND: trial division runs up to that
+    bound, and the cofactor left over counts as a square only when it is a
+    perfect square as a whole."""
     if n <= 0:
         raise ValueError("positive integer required")
     s, d = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= _TRIAL_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -53,11 +61,16 @@ def _squarefree(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, d
     return s, d * n
 
 
 def sqrt_decompose(x) -> tuple[Fraction, int]:
-    """Write sqrt(x) = q * sqrt(d) with q rational and d squarefree >= 1."""
+    """Write sqrt(x) = q * sqrt(d) with q rational and d >= 1 squarefree
+    except for square factors of primes above _TRIAL_BOUND.  d == 1 exactly
+    when x is the square of a rational."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
@@ -71,9 +84,12 @@ def sqrt_decompose(x) -> tuple[Fraction, int]:
 class QuadExt:
     """Element a + b*sqrt(D) of a real quadratic extension of Q.
 
-    D is normalized to a squarefree integer >= 2.  Elements with b == 0 carry
-    D = None and mix freely with any discriminant; mixing two elements with
-    distinct concrete discriminants raises ValueError.
+    D is normalized by :func:`sqrt_decompose` to an integer >= 2 that is
+    squarefree except for square factors of primes above _TRIAL_BOUND.
+    Elements with b == 0 carry D = None and mix freely with any
+    discriminant; mixing two elements with distinct concrete discriminants
+    raises ValueError, also when the two differ only by such a square, so a
+    D left unreduced can refuse a sum but never give a wrong one.
     """
 
     __slots__ = ("a", "b", "D")
@@ -576,12 +592,11 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
     rest = f.den
     mult = {}
     for a in poles:
-        lin = Poly([-a, 1])
         m = 0
-        quo, rem = divmod(rest, lin)
-        while rem.is_zero():
+        quo, rem = _divide_linear(rest, a)
+        while not rem:
             rest, m = quo, m + 1
-            quo, rem = divmod(rest, lin)
+            quo, rem = _divide_linear(rest, a)
         if m > 2:
             raise NonFuchsianError(f"pole of order {m} at {a}")
         mult[_key(a)] = m
@@ -598,8 +613,8 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
             betas.append(Fraction(0))
             deltas.append(Fraction(0))
             continue
-        lin = Poly([-a, 1])
-        q = f.den.exact_div(lin**m)
+        q1 = _divide_linear(f.den, a)[0]  # den/(z - a)
+        q = q1 if m == 1 else _divide_linear(q1, a)[0]  # den/(z - a)^m
         qa = q(a)
         if m == 1:
             betas.append(Fraction(0))
@@ -612,7 +627,7 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
                 qa * qa
             )
             deltas.append(d)
-            recon = recon + betas[-1] * q + d * (q * lin)
+            recon = recon + betas[-1] * q + d * q1
 
     sum_delta = sum(deltas, Fraction(0))
     if sum_delta:
@@ -623,6 +638,18 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
 
     beta_inf = sum((b + d * a for a, b, d in zip(poles, betas, deltas)), Fraction(0))
     return PartialFractions(tuple(poles), tuple(betas), tuple(deltas), beta_inf)
+
+
+def _divide_linear(p: Poly, a: FieldElement) -> tuple[Poly, FieldElement]:
+    """(q, p(a)) with p = (z - a)*q + p(a), by synthetic (Horner) division
+    of a nonzero p."""
+    acc = p.coeffs[-1]
+    quo = [acc]
+    for c in reversed(p.coeffs[:-1]):
+        acc = c + a * acc
+        quo.append(acc)
+    rem = quo.pop()
+    return Poly(reversed(quo)), rem
 
 
 def _key(x: FieldElement):

@@ -549,8 +549,8 @@ def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
-    if not tol > 0:
-        raise ValueError(f"tol = {tol} must be positive")
+    if not 0.0 < tol < math.inf:  # an infinite tol would skip the bisection
+        raise ValueError(f"tol = {tol} must be finite and positive")
 
     def margin(e: float) -> float:
         cubic = lemma1_equator_cubic(n, Fraction(e).limit_denominator(10**12))

@@ -95,7 +95,12 @@ class FuchsianODE:
     def _descent_parts(self) -> tuple[Poly, tuple, Poly]:
         """S = prod(z - a), the cofactors S/(z - a_j) and R2 = S^2*r: the
         parts of every descent that no candidate changes."""
-        S = Poly.from_roots(self.poles)
+        # a conjugate pole pair leaves S with rational QuadExt coefficients:
+        # as Fractions they make R2 one exact division over Q
+        S = Poly(
+            c.a if isinstance(c, QuadExt) and c.is_rational else c
+            for c in Poly.from_roots(self.poles).coeffs
+        )
         cofactors = tuple(S.exact_div(Poly([-a, 1])) for a in self.poles)
         R2 = (S * S * self.r.num).exact_div(self.r.den)
         return S, cofactors, R2
@@ -141,33 +146,6 @@ class Candidate:
     labels: tuple
 
 
-class _ExpSum:
-    """Exact sum of quadratic irrationals grouped by discriminant."""
-
-    def __init__(self):
-        self.rat = Fraction(0)
-        self.irr: dict[int, Fraction] = {}
-
-    def add(self, x, sign=1):
-        if isinstance(x, QuadExt):
-            self.rat += sign * x.a
-            if x.b:
-                new = self.irr.get(x.D, Fraction(0)) + sign * x.b
-                if new:
-                    self.irr[x.D] = new
-                else:
-                    self.irr.pop(x.D, None)
-        else:
-            self.rat += sign * Fraction(x)
-
-    def as_nonneg_int(self) -> Optional[int]:
-        if self.irr:
-            return None
-        if self.rat.denominator != 1 or self.rat < 0:
-            return None
-        return int(self.rat)
-
-
 # Kovacic's integer for a residue c is _SCALE[N]*c: e = 2c, f = 12c/N
 _SCALE = {2: 2, 4: 3, 6: 2, 12: 1}
 
@@ -203,35 +181,55 @@ def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> list:
     return sorted({x0 + k * p // q for k in range(-N // 2, N // 2 + 1) if k * p % q == 0})
 
 
+def _split(x) -> tuple[Fraction, dict]:
+    """x = a + b*sqrt(D) as (a, {D: b}), with {} for a rational x."""
+    if isinstance(x, QuadExt):
+        return x.a, ({x.D: x.b} if x.b else {})
+    return Fraction(x), {}
+
+
+def _add_irrational(acc: dict, x: dict) -> dict:
+    """Sum of two {D: b} parts, with no zero b kept."""
+    if not x:
+        return acc
+    out = dict(acc)
+    for D, b in x.items():
+        b = out.pop(D, 0) + b
+        if b:
+            out[D] = b
+    return out
+
+
 def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     """All formal +/- exponent selections with a non-negative integer degree.
 
     Coincident exponent values (a pole with beta = 0 contributes the same
     value for both signs) are still enumerated per sign; this formal count is
-    what the candidate-census table reports.
+    what the candidate-census table reports.  The sums over the poles are
+    accumulated pole by pole, in the order of itertools.product, so each
+    partial selection is summed once.
     """
-    per_pole = [
-        tuple(zip("+-", _exponents(b, dl, 1, True))) for b, dl in zip(ode.betas, ode.deltas)
+    # (labels, residues, rational part, {D: b}) of every partial selection
+    partial = [((), (), Fraction(0), {})]
+    for b, dl in zip(ode.betas, ode.deltas):
+        opts = [(lab, c, *_split(c)) for lab, c in zip("+-", _exponents(b, dl, 1, True))]
+        partial = [
+            (labs + (lab,), cs + (c,), rat + c_rat, _add_irrational(irr, c_irr))
+            for labs, cs, rat, irr in partial
+            for lab, c, c_rat, c_irr in opts
+        ]
+    inf_opts = [
+        (lab, c, *_split(c))
+        for lab, c in zip("+-", _exponents(ode.beta_inf, None, 1, False))
     ]
-    inf_opts = tuple(zip("+-", _exponents(ode.beta_inf, None, 1, False)))
     out = []
-    for combo in product(*per_pole):
-        for lab_inf, a_inf in inf_opts:
-            acc = _ExpSum()
-            acc.add(a_inf)
-            for _, a in combo:
-                acc.add(a, -1)
-            d = acc.as_nonneg_int()
-            if d is None:
+    for labs, cs, rat, irr in partial:
+        for lab_inf, c_inf, inf_rat, inf_irr in inf_opts:
+            d = inf_rat - rat
+            if d.denominator != 1 or d < 0 or irr != inf_irr:
                 continue
             out.append(
-                Candidate(
-                    N=1,
-                    d=d,
-                    exps=tuple(a for _, a in combo),
-                    exp_inf=a_inf,
-                    labels=tuple(lab for lab, _ in combo) + (lab_inf,),
-                )
+                Candidate(N=1, d=int(d), exps=cs, exp_inf=c_inf, labels=labs + (lab_inf,))
             )
     return out
 

@@ -25,13 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Poly,
-    QuadExt,
-    RatFunc,
-    partial_fractions,
-    PartialFractions,
-)
+from .algebra import Poly, QuadExt, RatFunc, partial_fractions
 
 
 @dataclass(frozen=True)
@@ -111,19 +105,27 @@ def equatorial_nve(n: int, eps) -> NVEData:
     if not 0 < eps < 1:
         raise ValueError("0 < eps < 1 required")
 
-    rad, rp2, _, _, gpp = _equator_partials(n, eps)
-    # the Jacobi equation in z: phi_dot^2 = 1/G on the equator, so
-    # z_dot^2 = r_phi^2/G, and z_ddot = (z_dot^2)'/2
-    zdot2 = RatFunc(rp2, gpp)
-    p_w = zdot2.derivative() / (2 * zdot2)
-    q_w = _equator_curvature(n, eps) / zdot2
-    # w = -r xi with r = 1 + z
-    p = p_w + RatFunc(2, rad)
-    q = q_w + p_w / rad
-    r = standard_form(p, q)
+    rad, rp2, rpp, rtt, gpp = _equator_partials(n, eps)
+    # The Jacobi equation in z: phi_dot^2 = 1/G on the equator, so
+    # z_dot^2 = r_phi^2/G and z_ddot = (z_dot^2)'/2; with w = -r xi, r = 1 + z,
+    # p and q share the denominator den = 2 r r_phi^2 G.  Each output is
+    # reduced once, by its own RatFunc.
+    den = 2 * rad * rp2 * gpp
+    dlog = rp2.derivative() * gpp - rp2 * gpp.derivative()  # 2 rp2 G * p_w
+    p_num = rad * dlog + 4 * rp2 * gpp
+    q_num = 2 * (rtt - rad) * (rad * rpp - rad * rad - 2 * rp2) + dlog
+    # r = -q + p^2/4 + p'/2 over 4 den^2
+    r_num = (
+        p_num * p_num
+        + 2 * (p_num.derivative() * den - p_num * den.derivative())
+        - 4 * q_num * den
+    )
+    p, q, r = RatFunc(p_num, den), RatFunc(q_num, den), RatFunc(r_num, 4 * den * den)
 
+    # r's rational coefficients meet Q(sqrt(1 + eps^2 (n^2 - 1))) only at the
+    # conjugate pole pair
     poles = nve_poles(n, eps)
-    pf = extract_fuchsian(r, n, eps)
+    pf = partial_fractions(r, poles)
     betas, beta_inf = equatorial_exponents(n)
     if (pf.betas, pf.beta_inf, pf.deltas[0]) != (betas, beta_inf, appendix_delta1(n, eps)):
         raise RuntimeError(
@@ -151,25 +153,6 @@ def standard_form(p: RatFunc, q: RatFunc) -> RatFunc:
     Galois identity component as xi.
     """
     return -q + p * p * Fraction(1, 4) + p.derivative() * Fraction(1, 2)
-
-
-def extract_fuchsian(r: RatFunc, n: int, eps) -> PartialFractions:
-    """Partial-fraction data of the standard-form coefficient r(z).
-
-    Coefficients are coerced into Q(sqrt(1 + eps^2 (n^2-1))) so that the
-    conjugate pole pair can be handled exactly.
-    """
-    eps = Fraction(eps)
-    poles = nve_poles(n, eps)
-    if any(isinstance(a, QuadExt) and a.D is not None for a in poles):
-        r = RatFunc(r.num.map_coeffs(_lift), r.den.map_coeffs(_lift))
-    return partial_fractions(r, poles)
-
-
-def _lift(co):
-    if isinstance(co, QuadExt):
-        return co
-    return QuadExt(co, 0, None)
 
 
 def appendix_delta1(n: int, eps) -> Fraction:

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmgeo.algebra import (
+    _TRIAL_BOUND,
     IrregularInfinityError,
     NonFuchsianError,
     Poly,
     QuadExt,
     RatFunc,
+    _divide_linear,
     field_inv,
     partial_fractions,
     rational_sqrt,
@@ -39,6 +41,23 @@ def test_sqrt_decompose():
     assert sqrt_decompose(Fraction(18, 25)) == (Fraction(3, 5), 2)
     b, d = sqrt_decompose(Fraction(49, 9))
     assert (b, d) == (Fraction(7, 3), 1)
+
+
+def test_sqrt_decompose_above_the_trial_bound():
+    """Trial division stops at _TRIAL_BOUND: a square cofactor is still found
+    whole, a prime square times another large prime stays in d, and two such
+    radicands refuse to mix instead of adding wrongly."""
+    p, q = 10007, 10009  # primes above the bound
+    assert p > _TRIAL_BOUND and q > _TRIAL_BOUND
+    assert sqrt_decompose(Fraction(2 * p * p)) == (p, 2)
+    assert sqrt_decompose(Fraction((p * q) ** 2, 9)) == (Fraction(p * q, 3), 1)
+    assert sqrt_decompose(Fraction(p * p * q)) == (1, p * p * q)
+    x, y = QuadExt(0, 1, p * p * q), QuadExt(0, p, q)  # equal reals
+    assert float(x) == pytest.approx(float(y), rel=1e-15)
+    with pytest.raises(ValueError, match="mixed discriminants"):
+        x - y
+    # 1 + 3/10^16: a 16-digit numerator and denominator
+    assert sqrt_decompose(1 + Fraction(3, 10**16)) == (Fraction(1, 10**8), 10**16 + 3)
 
 
 # -- quadratic field elements -------------------------------------------------
@@ -145,6 +164,20 @@ def test_poly_divmod_identity(ac, bc):
     assert r.is_zero() or r.degree < b.degree
 
 
+@given(st.lists(fractions, min_size=1, max_size=6), fractions, fractions)
+@settings(max_examples=150, deadline=None)
+def test_divide_linear_is_divmod(cs, a, b):
+    """Synthetic division by z - a equals divmod by Poly([-a, 1]), for
+    rational and quadratic a."""
+    p = Poly(cs)
+    for root in (a, QuadExt(a, b, 3)):
+        if p.is_zero():
+            continue
+        q, rem = divmod(p, Poly([-root, 1]))
+        got_q, got_rem = _divide_linear(p, root)
+        assert got_q == q and got_rem == rem[0] == p(root)
+
+
 def test_poly_quadext_coefficients():
     s5 = QuadExt(0, 1, 5)
     p = Poly.from_roots([s5, -s5])  # x^2 - 5
@@ -217,6 +250,19 @@ def test_partial_fractions_rejects_undeclared_pole():
     f = RatFunc(Poly([1]), Poly.from_roots([0, 1]))
     with pytest.raises(NonFuchsianError):
         partial_fractions(f, [Fraction(0)])
+
+
+def test_partial_fractions_rejects_bad_poles_over_a_quadratic_field():
+    """The synthetic-division checks with a conjugate pole pair declared: a
+    third-order pole, and a rational denominator root outside the poles."""
+    s2 = QuadExt(0, 1, 2)
+    pair = Poly.from_roots([s2, -s2])  # z^2 - 2, rational coefficients
+    f = RatFunc(Poly([1]), pair**3)
+    with pytest.raises(NonFuchsianError, match="pole of order 3"):
+        partial_fractions(f, [s2, -s2])
+    f = RatFunc(Poly([1]), pair * Poly.from_roots([Fraction(1, 3)]))
+    with pytest.raises(NonFuchsianError, match="outside the declared poles"):
+        partial_fractions(f, [Fraction(-1), s2, -s2])
 
 
 def test_partial_fractions_rejects_improper():

@@ -61,6 +61,8 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["closed", "--n", "2", "--eps", "0.1", "--max-period", "0"],
         ["lemma1", "--n", "2", "--tol", "0"],
         ["lemma1", "--n", "2", "--tol", "-1"],
+        # an infinite tol ran no bisection step and printed a wrong threshold
+        ["lemma1", "--n", "2", "--tol", "inf"],
         ["closed", "--n", "0", "--eps", "0.1"],
         ["closed", "--n", "-2", "--eps", "0.1"],
         ["lemma1", "--n", "0"],
@@ -77,7 +79,7 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys):
         ["trace", "--eps", "0.2", "--length", "5", "--samples", "10", "--theta-dot", "inf"],
         ["trace", "--eps", "0.2", "--length", "5", "--samples", "10", "--theta0", "nan"],
     ],
-    ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1",
+    ids=["crossings0", "length0", "length-5", "traj0", "max-period0", "tol0", "tol-1", "tol-inf",
          "closed-n0", "closed-n-2", "lemma1-n0", "lemma1-eps3over2", "lemma1-eps1",
          "table1-empty", "trace-rtol0", "trace-rtol-1", "psection-rtol0", "length-inf",
          "phi0-nan", "theta-dot-inf", "theta0-nan"],
@@ -149,6 +151,14 @@ def test_lemma1_reports_critical_eps(tmp_path, capsys):
 def test_lemma1_tol_below_an_ulp_returns(tmp_path, capsys):
     assert run(["--out-dir", tmp_path, "lemma1", "--n", "3", "--tol", "1e-17"]) == 0
     assert capsys.readouterr().out == "critical eps for n=3: 0.496951\n"
+
+
+@pytest.mark.parametrize("cmd", ["nve", "kovacic"])
+def test_many_digit_eps_returns(tmp_path, capsys, cmd):
+    """1 + eps^2 (n^2 - 1) at eps = 1e-20 has 41-digit parts; its square-free
+    part used to be sought by trial division up to its square root."""
+    assert run(["--out-dir", tmp_path, cmd, "--n", "2", "--eps", "1e-20"]) == 0
+    assert (tmp_path / f"{cmd}_n2_eps1over100000000000000000000.json").exists()
 
 
 def test_psection_deterministic_output(tmp_path):
@@ -240,3 +250,38 @@ def test_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) >= 7
+
+
+def test_exact_half_runs_without_numpy(tmp_path):
+    """With every NumPy import made to fail, the exact half's commands run
+    and NumPy never loads: `import harmgeo` imports no submodule eagerly."""
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from harmgeo.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['table1'],\n"
+        "             ['kovacic', '--n', '3', '--eps', '1/10'],\n"
+        "             ['nve', '--n', '3', '--eps', '1/4']):\n"
+        "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
+        "import harmgeo\n"
+        "assert harmgeo.equatorial_nve is harmgeo.nve.equatorial_nve\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'numpy' and sys.modules[m]]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_package_names_resolve_on_first_access():
+    """The lazy package namespace: every public name, every submodule, and
+    AttributeError for anything else (getattr with a default relies on it)."""
+    import harmgeo
+
+    for name in harmgeo.__all__:
+        assert getattr(harmgeo, name).__name__ == name
+    assert harmgeo.kernels.BACKEND
+    assert getattr(harmgeo, "solve_ivp", None) is None
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        harmgeo.no_such_name
+    assert set(harmgeo.__all__) <= set(dir(harmgeo))

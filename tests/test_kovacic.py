@@ -1,6 +1,7 @@
 """Liouvillian-solvability decision procedure: candidates, searches, census."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -369,6 +370,96 @@ def test_equatorial_candidates_match_reference(n):
 @pytest.mark.parametrize("m,beta_inf", TESSERAL.values(), ids=TESSERAL)
 def test_tesseral_candidates_match_reference(m, beta_inf):
     _assert_matches_reference(_equatorial_exponents(m, beta_inf))
+
+
+# -- case 1 against a reference copy of the per-selection sums -------------------
+
+
+class _RefExpSum:
+    """Exact sum of quadratic irrationals grouped by discriminant."""
+
+    def __init__(self):
+        self.rat = Fraction(0)
+        self.irr = {}
+
+    def add(self, x, sign=1):
+        if isinstance(x, QuadExt):
+            self.rat += sign * x.a
+            if x.b:
+                new = self.irr.get(x.D, Fraction(0)) + sign * x.b
+                if new:
+                    self.irr[x.D] = new
+                else:
+                    self.irr.pop(x.D, None)
+        else:
+            self.rat += sign * Fraction(x)
+
+    def as_nonneg_int(self):
+        if self.irr or self.rat.denominator != 1 or self.rat < 0:
+            return None
+        return int(self.rat)
+
+
+def _ref_case1(ex):
+    """Every sign selection summed afresh."""
+    per_pole = [
+        tuple(zip("+-", kovacic._exponents(b, dl, 1, True)))
+        for b, dl in zip(ex.betas, ex.deltas)
+    ]
+    inf_opts = tuple(zip("+-", kovacic._exponents(ex.beta_inf, None, 1, False)))
+    out = []
+    for combo in product(*per_pole):
+        for lab_inf, a_inf in inf_opts:
+            acc = _RefExpSum()
+            acc.add(a_inf)
+            for _, a in combo:
+                acc.add(a, -1)
+            d = acc.as_nonneg_int()
+            if d is not None:
+                labels = tuple(lab for lab, _ in combo) + (lab_inf,)
+                out.append((1, d, labels, tuple(a for _, a in combo), a_inf))
+    return out
+
+
+def _random_case1_exponents(rng):
+    """0-5 poles; each beta zero, with 1 + 4 beta a rational square, or with
+    it irrational from a few discriminants, so that sums can cancel."""
+
+    def beta():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            t = Fraction(rng.randrange(0, 25), rng.randrange(1, 5))
+            return (t * t - 1) / 4
+        q = Fraction(rng.randrange(1, 4), rng.randrange(1, 3))
+        return (q * q * rng.choice((2, 3, 8, 12)) - 1) / 4
+
+    k = rng.randrange(6)
+    return LocalExponents(
+        tuple(beta() for _ in range(k)),
+        tuple(Fraction(rng.randrange(2)) for _ in range(k)),
+        beta(),
+    )
+
+
+def _assert_case1_matches_reference(ex):
+    got = [(c.N, c.d, c.labels, c.exps, c.exp_inf) for c in candidates_for(ex, 1)]
+    assert got == _ref_case1(ex)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_case1_candidates_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        _assert_case1_matches_reference(_random_case1_exponents(rng))
+
+
+def test_equatorial_case1_candidates_match_reference():
+    for n in range(1, 41):
+        _assert_case1_matches_reference(_equatorial_exponents(n))
+    for m, beta_inf in TESSERAL.values():
+        _assert_case1_matches_reference(_equatorial_exponents(m, beta_inf))
 
 
 def test_result_json_shape():

@@ -138,6 +138,44 @@ def test_equator_curvature_matches_kernel(n):
             assert abs(exact - numeric) <= 1e-13 * max(1.0, abs(exact)), (eps, j)
 
 
+def _generic_pqr(n, eps):
+    """p, q and r by rational-function arithmetic, each step reduced, and r
+    by standard_form: the derivation's earlier path."""
+    rad, rp2, _, _, gpp = nve._equator_partials(n, eps)
+    zdot2 = RatFunc(rp2, gpp)
+    p_w = zdot2.derivative() / (2 * zdot2)
+    q_w = nve._equator_curvature(n, eps) / zdot2
+    p = p_w + RatFunc(2, rad)
+    q = q_w + p_w / rad
+    return p, q, standard_form(p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_derivation_matches_generic_path(n):
+    """p and q over their one known denominator, and r over its square, give
+    the coefficient tuples of the generic path, which reduces every step; at
+    (5, 1/5) the conjugate pole pair is rational."""
+    for eps in map(Fraction, ("1/10", "1/5", "1/3", "1/2", "9/10")):
+        data = equatorial_nve(n, eps)
+        for got, want in zip((data.p, data.q, data.r), _generic_pqr(n, eps), strict=True):
+            assert got.num.coeffs == want.num.coeffs, eps
+            assert got.den.coeffs == want.den.coeffs, eps
+            assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs), eps
+    if n == 5:
+        assert all(
+            not isinstance(a, QuadExt) or a.is_rational for a in nve_poles(5, Fraction(1, 5))
+        )
+
+
+def test_poles_for_many_digit_eps():
+    """1 + eps^2 (n^2 - 1) with a 16-digit numerator and denominator: its
+    square-free part comes from bounded trial division, which took seconds
+    when it ran up to the square root."""
+    rho_p, rho_m = nve_poles(2, Fraction(1, 10**8))[3:]
+    assert rho_p.D == rho_m.D == 10**16 + 3
+    assert math.isclose(float(rho_p), (1 + 2 * math.sqrt(1 + 3e-16)) / 3, rel_tol=1e-15)
+
+
 def test_derivation_checks_closed_form_exponents(monkeypatch):
     betas, beta_inf = equatorial_exponents(3)
     monkeypatch.setattr(nve, "equatorial_exponents", lambda n: (betas, beta_inf + 1))
