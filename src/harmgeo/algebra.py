@@ -588,46 +588,57 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
     if f.num.degree >= f.den.degree:
         raise NonFuchsianError("not proper at infinity")
 
-    # validate the denominator factors into the declared poles, order <= 2
-    rest = f.den
-    mult = {}
-    for a in poles:
-        m = 0
-        quo, rem = _divide_linear(rest, a)
-        while not rem:
-            rest, m = quo, m + 1
-            quo, rem = _divide_linear(rest, a)
-        if m > 2:
-            raise NonFuchsianError(f"pole of order {m} at {a}")
-        mult[_key(a)] = m
-    if rest.degree > 0:
-        raise NonFuchsianError("denominator root outside the declared poles")
+    # with f over Q, the later pole of a conjugate pair takes the earlier
+    # one's multiplicity, cofactors and values, conjugated: twin[i] = j < i
+    twin = {}
+    if not any(isinstance(c, QuadExt) and c.b for c in f.num.coeffs + f.den.coeffs):
+        index = {_key(a): i for i, a in enumerate(poles)}
+        for i, a in enumerate(poles):
+            j = index.get(_key(_conjugate(a)), i)
+            if j < i:
+                twin[i] = j
 
-    # f.den = prod (z - a)^m, so the expansion equals f exactly when the sum
+    # f.den must factor into the declared poles, each of order m <= 2; then
+    # f.den = prod (z - a)^m, and the expansion equals f exactly when the sum
     # of beta*den/(z - a)^2 + delta*den/(z - a) over the poles is f.num
-    betas, deltas = [], []
+    mults = []
+    terms = []  # (beta, delta, den/(z - a)^m, den/(z - a)) per pole
     recon = Poly()
-    for a in poles:
-        m = mult[_key(a)]
-        if m == 0:
-            betas.append(Fraction(0))
-            deltas.append(Fraction(0))
-            continue
-        q1 = _divide_linear(f.den, a)[0]  # den/(z - a)
-        q = q1 if m == 1 else _divide_linear(q1, a)[0]  # den/(z - a)^m
-        qa = q(a)
-        if m == 1:
-            betas.append(Fraction(0))
-            deltas.append(f.num(a) * field_inv(qa))
-            recon = recon + deltas[-1] * q
+    for i, a in enumerate(poles):
+        if i in twin:
+            m = mults[twin[i]]
+            beta, d, q, q1 = terms[twin[i]]
+            beta, d = _conjugate(beta), _conjugate(d)
+            q, q1 = q.map_coeffs(_conjugate), q1.map_coeffs(_conjugate)
         else:
-            betas.append(f.num(a) * field_inv(qa))
-            # delta = d/dz [num/q] at a
-            d = (f.num.derivative()(a) * qa - f.num(a) * q.derivative()(a)) * field_inv(
-                qa * qa
-            )
-            deltas.append(d)
-            recon = recon + betas[-1] * q + d * q1
+            # the multiplicity and the cofactors den/(z - a)^k, k = 1..m; the
+            # last remainder is q(a) for q = den/(z - a)^m
+            quotients = [f.den]
+            quo, qa = _divide_linear(f.den, a)
+            while not qa:
+                quotients.append(quo)
+                quo, qa = _divide_linear(quo, a)
+            m = len(quotients) - 1
+            if m > 2:
+                raise NonFuchsianError(f"pole of order {m} at {a}")
+            q1, q = quotients[min(m, 1)], quotients[m]
+            beta = d = Fraction(0)
+            if m == 1:
+                d = f.num(a) * field_inv(qa)
+            elif m == 2:
+                beta = f.num(a) * field_inv(qa)
+                # delta = d/dz [num/q] at a
+                d = (f.num.derivative()(a) * qa - f.num(a) * q.derivative()(a)) * field_inv(
+                    qa * qa
+                )
+        mults.append(m)
+        terms.append((beta, d, q, q1))
+        if m:
+            recon = recon + (d * q if m == 1 else beta * q + d * q1)
+    if sum(mults) < f.den.degree:
+        raise NonFuchsianError("denominator root outside the declared poles")
+    betas = [t[0] for t in terms]
+    deltas = [t[1] for t in terms]
 
     sum_delta = sum(deltas, Fraction(0))
     if sum_delta:
@@ -650,6 +661,10 @@ def _divide_linear(p: Poly, a: FieldElement) -> tuple[Poly, FieldElement]:
         quo.append(acc)
     rem = quo.pop()
     return Poly(reversed(quo)), rem
+
+
+def _conjugate(x: FieldElement) -> FieldElement:
+    return x.conjugate() if isinstance(x, QuadExt) else x
 
 
 def _key(x: FieldElement):

@@ -11,6 +11,7 @@ decimal string ("0.25"); both are parsed exactly, so "0.1" means 1/10.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -30,8 +31,24 @@ def parse_eps(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse eps {text!r}: {exc}")
 
 
+# the longest file name most file systems accept, in bytes
+_NAME_MAX = 255
+
+
 def _eps_tag(eps: Fraction) -> str:
     return str(eps).replace("/", "over").replace(".", "p")
+
+
+def _eps_name(template: str, eps: Fraction) -> str:
+    """``template`` with ``{eps}`` replaced by eps's tag.  A tag that would
+    push the name past _NAME_MAX gives way to its first 32 characters, "_"
+    and 16 hex digits of the SHA-256 of str(eps)."""
+    tag = _eps_tag(eps)
+    name = template.format(eps=tag)
+    if len(name.encode()) <= _NAME_MAX:
+        return name
+    digest = hashlib.sha256(str(eps).encode()).hexdigest()[:16]
+    return template.format(eps=f"{tag[:32]}_{digest}")
 
 
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -137,7 +154,7 @@ def cmd_trace(args, out: Path) -> int:
         surf, y0, args.length, n_samples=args.samples,
         rtol=args.rtol, atol=args.rtol,
     )
-    path = out / f"trace_{tag}_eps{_eps_tag(args.eps)}.csv"
+    path = out / _eps_name(f"trace_{tag}_eps{{eps}}.csv", args.eps)
     traj.to_csv(path)
     drift = max(abs(h - 1.0) for h in traj.h2)
     print(f"wrote {path} ({len(traj.s)} samples, {traj.chart_swaps} chart "
@@ -164,13 +181,13 @@ def cmd_psection(args, out: Path) -> int:
         rotated=args.rotated,
         workers=max(args.threads, 1),
     )
-    stem = f"psection_n{args.n}_eps{_eps_tag(args.eps)}_seed{args.seed}"
+    stem = f"psection_n{args.n}_eps{{eps}}_seed{args.seed}"
     if args.rotated:
         stem += "_rotated"
     written = []
     fmts = (args.format,) if args.format else ("csv", "svg")
     for fmt in fmts:
-        path = out / f"{stem}.{fmt}"
+        path = out / _eps_name(f"{stem}.{fmt}", args.eps)
         {"csv": section_to_csv, "json": section_to_json, "svg": section_to_svg}[
             fmt
         ](sec, path)
@@ -212,7 +229,7 @@ def cmd_closed(args, out: Path) -> int:
         print(f"{g.family:14s} phi={g.phi:.6f} phi_dot={g.phi_dot:+.2e} "
               f"period={g.crossings} length={g.length:.6f} "
               f"trace={g.trace:+.6f} -> {g.classification}")
-    path = out / f"closed_n{args.n}_eps{_eps_tag(args.eps)}.json"
+    path = out / _eps_name(f"closed_n{args.n}_eps{{eps}}.json", args.eps)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
     print(f"wrote {path}")
@@ -234,7 +251,7 @@ def cmd_lemma1(args, out: Path) -> int:
                 str(e): [str(c) for c in pc.coeffs] for e, pc in sorted(poly.items())
             },
         }
-        path = out / f"lemma1_n{args.n}_eps{_eps_tag(args.eps)}.json"
+        path = out / _eps_name(f"lemma1_n{args.n}_eps{{eps}}.json", args.eps)
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2)
         print(f"wrote {path}")
@@ -245,7 +262,7 @@ def cmd_nve(args, out: Path) -> int:
     from .nve import equatorial_nve, nve_to_json
 
     data = equatorial_nve(args.n, args.eps)
-    path = out / f"nve_n{args.n}_eps{_eps_tag(args.eps)}.json"
+    path = out / _eps_name(f"nve_n{args.n}_eps{{eps}}.json", args.eps)
     with open(path, "w") as fh:
         fh.write(nve_to_json(data))
     betas = ", ".join(str(b) for b in data.betas)
@@ -260,7 +277,7 @@ def cmd_kovacic(args, out: Path) -> int:
 
     ode = FuchsianODE.from_nve(equatorial_nve(args.n, args.eps))
     res = run_kovacic(ode)
-    path = out / f"kovacic_n{args.n}_eps{_eps_tag(args.eps)}.json"
+    path = out / _eps_name(f"kovacic_n{args.n}_eps{{eps}}.json", args.eps)
     with open(path, "w") as fh:
         fh.write(result_to_json(res))
     extra = ""

@@ -37,6 +37,7 @@ from .algebra import (
     Poly,
     QuadExt,
     RatFunc,
+    _divide_linear,
     _key,
     field_inv,
     sqrt_decompose,
@@ -101,8 +102,9 @@ class FuchsianODE:
             c.a if isinstance(c, QuadExt) and c.is_rational else c
             for c in Poly.from_roots(self.poles).coeffs
         )
-        cofactors = tuple(S.exact_div(Poly([-a, 1])) for a in self.poles)
-        R2 = (S * S * self.r.num).exact_div(self.r.den)
+        cofactors = tuple(_divide_linear(S, a)[0] for a in self.poles)
+        # r's denominator divides S^2 when every pole is at most double
+        R2 = (S * S).exact_div(self.r.den) * self.r.num
         return S, cofactors, R2
 
 
@@ -308,18 +310,17 @@ def _descent_polys(ode: FuchsianODE, coeffs) -> tuple[Poly, Poly, Poly]:
     """(S, T, R2) = (prod(z - a), S*theta, S^2*r) for theta with residues
     ``coeffs``; only T = sum c_j * S/(z - a_j) depends on the candidate."""
     S, cofactors, R2 = ode._descent_parts
-    T = Poly()
-    for c, cofactor in zip(coeffs, cofactors):
-        if c:
-            T = T + c * cofactor
+    terms = [(c, cofactor.coeffs) for c, cofactor in zip(coeffs, cofactors) if c]
+    T = Poly(sum((c * cs[k] for c, cs in terms), Fraction(0)) for k in range(S.degree))
     return S, T, R2
 
 
 def _case3_descend(N: int, S, T, R2, P) -> list:
     """Run the downward recursion P_N = -P, ...; returns [P_N, ..., P_-1].
 
-    The polynomials are exact :class:`Poly` values or their images modulo a
-    prime (:class:`_PolyModP`): the recursion uses ring operations only."""
+    The polynomials are exact :class:`Poly` values or their truncated Taylor
+    series modulo a prime (:class:`_JetModP`): the recursion uses ring
+    operations and the derivative only."""
     seq = [-P]
     Sp = S.derivative()
     for i in range(N, -1, -1):
@@ -407,6 +408,19 @@ class Solution:
 # [A | b].  When the d + 1 reduced columns are independent, the exact
 # augmented matrix has rank d + 1 while A has only d columns, so the exact
 # system is inconsistent: the candidate is rejected by a proof.
+#
+# The columns are not reduced whole.  The descents of t^k = (z - z0)^k,
+# k = 0..d, span the same space as those of z^0..z^d (the change of basis is
+# unitriangular), and only their Taylor coefficients 0..d at z0 are kept.
+# Taking those coefficients is a linear map, so a dependency among the
+# columns would be one among their images: if the (d+1) x (d+1) matrix of
+# images is nonsingular, the columns are independent and the proof above
+# stands.  A singular one proves nothing, and the candidate goes to the
+# exact solve; z0 only changes how often that happens.  Coefficients 0..j
+# of P_(i-1) need those of P_i to j + 1 (one derivative) and of P_(i+1)
+# to j, so the descent runs on jets (:class:`_JetModP`): S, T and R2 are
+# shifted to z0 at order N + d + 2 and P_N = -t^k starts there, every sum
+# and product keeps the lower order, and P_-1 ends at order d + 1.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -420,45 +434,68 @@ _PRIMES = (
     2**61 - 1281,
 )
 
+# the jets' centre z0.  At a root of S mod p the descent degenerates and
+# most candidates go unproved (to the exact solve); no rational pole u/v
+# with |u|, |v| < 2^29 but 2^31 - 1 itself reduces to it mod p.
+_Z0 = 2**31 - 1
 
-class _PolyModP:
-    """Polynomial over F_p, lowest degree first, with the ring operations
-    :func:`_case3_descend` uses."""
 
-    __slots__ = ("c", "p")
+class _JetModP:
+    """Truncated Taylor series at a point z0 over F_p: the coefficients of
+    t^0 .. t^(order-1), t = z - z0, with the ring operations
+    :func:`_case3_descend` uses.  Coefficients past the stored ones are
+    zero.  A sum or product is known only to the lower of its operands'
+    orders, and a derivative to one order less.  Coefficients are integers
+    standing for their residues: products of two jets reduce them mod p;
+    sums, integer multiples and derivatives leave them as they come."""
 
-    def __init__(self, coeffs, p: int):
-        c = [x % p for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c, self.p = c, p
+    __slots__ = ("c", "order", "p")
 
-    def __add__(self, other: "_PolyModP") -> "_PolyModP":
-        a, b = self.c, other.c
+    def __init__(self, coeffs: list, order: int, p: int):
+        # no more than ``order`` coefficients
+        self.c, self.order, self.p = coeffs, order, p
+
+    def __add__(self, other: "_JetModP") -> "_JetModP":
+        n = min(self.order, other.order)
+        a, b = self.c[:n], other.c[:n]
         if len(a) < len(b):
             a, b = b, a
-        return _PolyModP([x + y for x, y in zip(a, b)] + a[len(b):], self.p)
+        return _JetModP([x + y for x, y in zip(a, b)] + a[len(b):], n, self.p)
 
-    def __neg__(self) -> "_PolyModP":
-        return _PolyModP([-x for x in self.c], self.p)
+    def __neg__(self) -> "_JetModP":
+        return _JetModP([-x for x in self.c], self.order, self.p)
 
-    def __sub__(self, other: "_PolyModP") -> "_PolyModP":
+    def __sub__(self, other: "_JetModP") -> "_JetModP":
         return self + (-other)
 
-    def __mul__(self, other) -> "_PolyModP":
+    def __mul__(self, other) -> "_JetModP":
+        p = self.p
         if isinstance(other, int):
-            return _PolyModP([x * other for x in self.c], self.p)
-        a, b = self.c, other.c
-        out = [0] * max(len(a) + len(b) - 1, 0)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return _PolyModP(out, self.p)
+            return _JetModP([x * other for x in self.c], self.order, p)
+        n = min(self.order, other.order)
+        a, b = self.c[:n], other.c[:n]
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * min(n, len(a) + len(b) - 1)
+        m = len(a)
+        for j, y in enumerate(b):  # the shorter operand: S, T or R2
+            if y:
+                out[j : j + m] = [u + y * v for u, v in zip(out[j : j + m], a)]
+        return _JetModP([x % p for x in out], n, p)
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "_PolyModP":
-        return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
+    def derivative(self) -> "_JetModP":
+        c = self.c
+        return _JetModP([k * c[k] for k in range(1, len(c))], max(self.order - 1, 0), self.p)
+
+
+def _taylor_shift(coeffs: list[int], z0: int, p: int) -> list[int]:
+    """The coefficients of f(z0 + t) mod p, given those of f(z)."""
+    out: list[int] = []
+    for c in reversed(coeffs):  # Horner: out <- out*(z0 + t) + c
+        out = [(z0 * x + y) % p for x, y in zip(out + [0], [c] + out)]
+    return out
 
 
 def _parts(x: FieldElement) -> tuple[Fraction, Fraction]:
@@ -470,7 +507,8 @@ def _parts(x: FieldElement) -> tuple[Fraction, Fraction]:
 
 def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
     """The first listed prime at which every coefficient has an image, with
-    the images of the polynomials; None when no listed prime qualifies."""
+    the coefficient lists of the polynomials' images; None when no listed
+    prime qualifies."""
     # at most one discriminant: field arithmetic refuses to mix two
     discs = {c.D for poly in polys for c in poly.coeffs if isinstance(c, QuadExt) and c.b}
     parts = [[_parts(c) for c in poly.coeffs] for poly in polys]
@@ -486,11 +524,8 @@ def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
                 continue  # D is not a square mod p
         inv = {den: pow(den, -1, p) for den in dens}
         images = [
-            _PolyModP(
-                [a.numerator * inv[a.denominator] + b.numerator * inv[b.denominator] * s
-                 for a, b in coeffs],
-                p,
-            )
+            [(a.numerator * inv[a.denominator] + b.numerator * inv[b.denominator] * s) % p
+             for a, b in coeffs]
             for coeffs in parts
         ]
         return p, images
@@ -498,11 +533,12 @@ def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
 
 
 def _independent_mod(vectors: list[list[int]], p: int) -> bool:
-    """Whether the vectors are linearly independent over F_p."""
+    """Whether the vectors of integers, read mod p, are linearly independent
+    over F_p."""
     width = max(map(len, vectors), default=0)
     pivots: list[tuple[int, list[int]]] = []  # (position, vector with 1 there)
     for v in vectors:
-        v = v + [0] * (width - len(v))
+        v = [x % p for x in v] + [0] * (width - len(v))
         for pos, w in pivots:
             if v[pos]:
                 f = v[pos]
@@ -518,17 +554,20 @@ def _independent_mod(vectors: list[list[int]], p: int) -> bool:
 def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     """A prime p certifying that ``cand`` has no solution, or None.
 
-    The descents of z^0 .. z^d are reduced modulo p; when they are linearly
-    independent over F_p, no combination of the first d equals minus the
-    last, over F_p or over Q(sqrt(D)).  None means "not proved", and the
-    candidate needs the exact search.
+    The descents of t^0 .. t^d, t = z - z0, are reduced modulo p and cut to
+    their Taylor coefficients 0..d at z0; when those d + 1 vectors are
+    linearly independent over F_p, no combination of the first d descents
+    equals minus the last, over F_p or over Q(sqrt(D)).  None means "not
+    proved", and the candidate needs the exact search.
     """
     reduced = _reduce_mod_prime(_descent_polys(ode, cand.exps))
     if reduced is None:
         return None
-    p, (S, T, R2) = reduced
+    p, images = reduced
+    order = cand.N + cand.d + 2
+    S, T, R2 = (_JetModP(_taylor_shift(c, _Z0, p)[:order], order, p) for c in images)
     residuals = [
-        _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
+        _case3_descend(cand.N, S, T, R2, _JetModP([0] * k + [1], order, p))[-1].c
         for k in range(cand.d + 1)
     ]
     return p if _independent_mod(residuals, p) else None

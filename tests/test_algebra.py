@@ -240,6 +240,39 @@ def test_partial_fractions_quadext_poles():
     assert pf.beta_inf == 1
 
 
+def _pole_terms(coeffs, a):
+    """sum c_k / (z - a)^k for the coefficients c_1, c_2, ..."""
+    f = RatFunc.zero()
+    for k, c in enumerate(coeffs, 1):
+        f = f + RatFunc(Poly([c]), Poly.from_roots([a] * k))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(quads, quads, fractions, fractions, st.booleans())
+def test_partial_fractions_conjugate_pair_over_q(beta, delta, u, r, pair_first):
+    """A rational f with poles at a = u + sqrt(5) and its conjugate: the
+    second pole of the pair, expanded by conjugating the first one's
+    values, gets the conjugate expansion, in either order of the pair."""
+    a = QuadExt(u, 1, 5)
+    f = (
+        _pole_terms([delta, beta], a)
+        + _pole_terms([delta.conjugate(), beta.conjugate()], a.conjugate())
+        + _pole_terms([-(delta + delta.conjugate())], r)
+    )
+    assert all(
+        not isinstance(c, QuadExt) or c.is_rational for c in f.num.coeffs + f.den.coeffs
+    )
+    poles = [a, r, a.conjugate()] if pair_first else [a.conjugate(), r, a]
+    pf = partial_fractions(f, poles)
+    expected = {
+        a: (beta, delta),
+        a.conjugate(): (beta.conjugate(), delta.conjugate()),
+        r: (0, -(delta + delta.conjugate())),
+    }
+    assert [(b, d) for b, d in zip(pf.betas, pf.deltas)] == [expected[p] for p in poles]
+
+
 def test_partial_fractions_rejects_high_order_pole():
     f = RatFunc(Poly([1]), Poly.from_roots([0, 0, 0]))
     with pytest.raises(NonFuchsianError):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, flags, file outputs, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmgeo.cli import main, parse_eps
+from harmgeo.cli import _eps_name, _eps_tag, main, parse_eps
 
 
 def run(argv):
@@ -159,6 +160,44 @@ def test_many_digit_eps_returns(tmp_path, capsys, cmd):
     part used to be sought by trial division up to its square root."""
     assert run(["--out-dir", tmp_path, cmd, "--n", "2", "--eps", "1e-20"]) == 0
     assert (tmp_path / f"{cmd}_n2_eps1over100000000000000000000.json").exists()
+
+
+# an exact eps near 1/3 whose tag, with two 119-digit parts, runs every
+# output name past the 255-byte file-name limit
+_LONG_EPS = f"{10**118 + 1}/{3 * 10**118}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nve", "--n", "2", "--eps", _LONG_EPS],
+        ["kovacic", "--n", "1", "--eps", _LONG_EPS],
+        ["lemma1", "--n", "2", "--tol", "1e-3", "--eps", _LONG_EPS],
+        ["trace", "--n", "3", "--length", "1", "--samples", "2", "--eps", _LONG_EPS],
+        ["psection", "--n", "3", "--traj", "1", "--crossings", "1", "--eps", _LONG_EPS],
+        ["closed", "--n", "2", "--max-period", "1", "--eps", _LONG_EPS],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_long_eps_tag_is_shortened(tmp_path, capsys, argv):
+    """A tag that would push a file name past 255 bytes gives way to its
+    first 32 characters and 16 hex digits of sha256(str(eps))."""
+    assert run(["--out-dir", tmp_path] + argv) == 0
+    eps = parse_eps(argv[-1])
+    short = f"_eps{_eps_tag(eps)[:32]}_{hashlib.sha256(str(eps).encode()).hexdigest()[:16]}"
+    names = [p.name for p in tmp_path.iterdir()]
+    assert names and all(short in name and len(name.encode()) <= 255 for name in names)
+
+
+def test_eps_tag_kept_while_the_name_fits():
+    """kovacic_n2_eps{tag}.json is 19 bytes plus the tag, and 1e-230's tag
+    is 236 characters: the longest name that fits keeps its tag."""
+    template = "kovacic_n2_eps{eps}.json"
+    fits, over = Fraction(1, 10**230), Fraction(1, 10**231)
+    assert _eps_name(template, fits) == f"kovacic_n2_eps1over1{'0' * 230}.json"
+    assert len(_eps_name(template, fits)) == 255
+    assert _eps_name(template, over).startswith(f"kovacic_n2_eps1over1{'0' * 26}_")
+    assert len(_eps_name(template, over)) == 14 + 32 + 1 + 16 + 5
 
 
 def test_psection_deterministic_output(tmp_path):

@@ -4,13 +4,14 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmgeo import kovacic
-from harmgeo.algebra import Poly, QuadExt, RatFunc, sqrt_decompose
+from harmgeo.algebra import Poly, QuadExt, RatFunc, _key, sqrt_decompose
 from harmgeo.kovacic import (
     ALL_N,
     FuchsianODE,
@@ -585,14 +586,18 @@ def _distinct_candidates(ode):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("n", [4, 5, 12])
 def test_modular_rejection_is_a_certificate(n):
     """Every candidate of these unsolvable equations is rejected mod p, and
-    the exact system over Q(sqrt(D)) is indeed inconsistent."""
+    the exact system over Q(sqrt(D)) is indeed inconsistent.  For n = 4 only
+    the systems over Q(sqrt(115)) are solved exactly: its rational N = 12
+    systems take seconds each."""
     ode = FuchsianODE.from_nve(equatorial_nve(n, Fraction(1, 10)))
     res = run_kovacic(ode)
     assert res.verdict == "Unsolvable" and all(e.searched for e in res.ledger)
     cands = _distinct_candidates(ode)
+    if n == 4:
+        cands = [c for c in cands if _over_quadratic_field(ode, c)]
     assert cands
     for cand in cands:
         assert modular_rejection(ode, cand) in kovacic._PRIMES, cand
@@ -651,3 +656,187 @@ def test_denominator_prime_falls_back_to_exact_search(monkeypatch):
     # the poles (1 +- sqrt(31))/24 put 3 into the denominators of S
     ode = FuchsianODE.from_nve(equatorial_nve(5, Fraction(1, 10)))
     _assert_exact_fallback(monkeypatch, ode, 3, _distinct_candidates(ode))
+
+
+# -- the jet rejection against the full-column one it replaced ----------------
+
+
+class _PolyModP:
+    """Whole polynomial over F_p, lowest degree first: the ring the
+    rejection descended in before it kept Taylor jets."""
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, coeffs, p):
+        c = [x % p for x in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.c, self.p = c, p
+
+    def __add__(self, other):
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        return _PolyModP([x + y for x, y in zip(a, b)] + a[len(b):], self.p)
+
+    def __neg__(self):
+        return _PolyModP([-x for x in self.c], self.p)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _PolyModP([x * other for x in self.c], self.p)
+        a, b = self.c, other.c
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _PolyModP(out, self.p)
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
+
+
+def _full_column_rejection(ode, cand):
+    """The rejection as it was: the first listed prime dividing no
+    denominator of S, T, R2 (with D a square mod p), then the whole descents
+    of z^0 .. z^d mod p, independent or not."""
+    polys = _descent_polys(ode, cand.exps)
+    discs = {c.D for poly in polys for c in poly.coeffs if isinstance(c, QuadExt) and c.b}
+    parts = [
+        [(c.a, c.b) if isinstance(c, QuadExt) else (Fraction(c), Fraction(0)) for c in poly.coeffs]
+        for poly in polys
+    ]
+    dens = {q.denominator for coeffs in parts for ab in coeffs for q in ab}
+    for p in kovacic._PRIMES:
+        if any(den % p == 0 for den in dens):
+            continue
+        s = 0
+        if discs:
+            (D,) = discs
+            s = pow(D, (p + 1) // 4, p)
+            if (s * s - D) % p:
+                continue
+        S, T, R2 = (
+            _PolyModP(
+                [a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * s
+                 for a, b in coeffs],
+                p,
+            )
+            for coeffs in parts
+        )
+        residuals = [
+            _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
+            for k in range(cand.d + 1)
+        ]
+        return p if _independent_mod(residuals, p) else None
+    return None
+
+
+def _searched_systems(ode):
+    """One candidate per distinct system, grouped as run_kovacic groups
+    them."""
+    seen = {}
+    for N in ALL_N:
+        for cand in candidates_for(ode, N):
+            key = (N, cand.d, tuple(map(_key, cand.exps)), _key(cand.exp_inf))
+            seen.setdefault(key, cand)
+    return list(seen.values())
+
+
+def _rejection_mismatches(systems):
+    return [
+        (ode, cand)
+        for ode, cand in systems
+        if modular_rejection(ode, cand) != _full_column_rejection(ode, cand)
+    ]
+
+
+# n = 1..12 at eps = 1/10, then the perfbench `kovacic` inputs not among them
+_REJECTION_INPUTS = [(n, Fraction(1, 10)) for n in range(1, 13)] + [
+    (1, Fraction(1, 3)),
+    (5, Fraction(1, 5)),
+    (12, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("n,eps", _REJECTION_INPUTS, ids=lambda x: str(x))
+def test_jet_rejection_matches_full_columns(n, eps):
+    """Same decision and same prime as the whole-column rejection on every
+    distinct system of n = 1..12 at eps = 1/10 and of the benchmark inputs."""
+    ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
+    systems = [(ode, cand) for cand in _searched_systems(ode)]
+    assert _rejection_mismatches(systems) == []
+
+
+def test_jet_comparison_covers_every_degree():
+    """The systems compared above: over 700, with N = 12 up to d = 12."""
+    systems = [
+        cand
+        for n, eps in _REJECTION_INPUTS
+        for cand in _searched_systems(FuchsianODE.from_nve(equatorial_nve(n, eps)))
+    ]
+    assert len(systems) > 700
+    assert max(c.d for c in systems if c.N == 12) == 12
+
+
+def _longer_order_product(self, other):
+    if isinstance(other, int):
+        return kovacic._JetModP([x * other for x in self.c], self.order, self.p)
+    n = max(self.order, other.order)
+    out = [0] * n
+    for j, y in enumerate(other.c):
+        for i, x in enumerate(self.c[: n - j]):
+            out[i + j] += x * y
+    return kovacic._JetModP([x % self.p for x in out], n, self.p)
+
+
+def _unscaled_derivative(self):
+    return kovacic._JetModP(self.c[1:], max(self.order - 1, 0), self.p)
+
+
+@pytest.mark.parametrize(
+    "attr,mutant",
+    [("__mul__", _longer_order_product), ("derivative", _unscaled_derivative)],
+    ids=["product-keeps-longer-order", "derivative-without-index"],
+)
+def test_jet_comparison_catches_broken_jets(monkeypatch, attr, mutant):
+    """Each broken ring operation rejects a system the full columns keep:
+    the n = 1 witness's (N = 1) or the dihedral solution's (N = 2)."""
+    systems = [
+        (ode, cand)
+        for ode, N in (
+            (FuchsianODE.from_nve(equatorial_nve(1, Fraction(1, 10))), 1),
+            (hypergeometric_ode(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)), 2),
+        )
+        for cand in candidates_for(ode, N)
+    ]
+    assert _rejection_mismatches(systems) == []
+    monkeypatch.setattr(kovacic._JetModP, attr, mutant)
+    if attr == "__mul__":
+        monkeypatch.setattr(kovacic._JetModP, "__rmul__", mutant)
+    assert _rejection_mismatches(systems)
+
+
+def test_high_degree_sectoral_candidates_rejected():
+    """n = 2, eps = 1/10 at N = 12 has candidates up to d = 6, the largest
+    sectoral jets; each d = 4..6 system is rejected mod p."""
+    ode = FuchsianODE.from_nve(equatorial_nve(2, Fraction(1, 10)))
+    cands = [c for c in _searched_systems(ode) if c.N == 12 and c.d >= 4]
+    assert {c.d for c in cands} == {4, 5, 6}
+    assert all(modular_rejection(ode, c) in kovacic._PRIMES for c in cands)
+
+
+def test_taylor_shift_matches_binomial_expansion():
+    """Coefficient k of f(z0 + t) is sum_j C(j, k) c_j z0^(j - k)."""
+    p = kovacic._PRIMES[0]
+    f, z0 = [3, -1, 0, 5, p + 2], 2**40 + 7
+    expected = [
+        sum(comb(j, k) * c * z0 ** (j - k) for j, c in enumerate(f) if j >= k) % p
+        for k in range(len(f))
+    ]
+    assert kovacic._taylor_shift(f, z0, p) == expected
