@@ -246,21 +246,37 @@ def return_map(
     return _kth_return(n, eps, phi, phi_dot, k, rtol=rtol, atol=atol)[:3]
 
 
-def _kth_return(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
-    """(phi, phi_dot, arc length, 2x2 Jacobian or None) of the k-th return,
-    the Jacobian from the tangent flow when ``tangent`` is set."""
+def _budget(k: int) -> float:
+    """Arc-length budget for k returns."""
+    return 40.0 * k + 60.0
+
+
+def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
+    """Integration from a section point through its k-th return, with the
+    tangent flow when ``tangent`` is set."""
     surf = PolarSurface.sectoral(n, eps)
     y0 = equator_state(n, eps, phi, phi_dot)
-    traj = integrate(
-        surf, y0, 40.0 * k + 60.0, n_crossings=k, rtol=rtol, atol=atol,
+    return integrate(
+        surf, y0, _budget(k), n_crossings=k, rtol=rtol, atol=atol,
         renormalize=False,
         tangents=_equator_state_tangents(n, eps, y0) if tangent else None,
     )
-    if len(traj.crossings) < k:
+
+
+def _return_of(traj, k):
+    """(phi, phi_dot, arc length, 2x2 Jacobian or None) of the k-th return
+    of a run, which must lie within k returns' budget."""
+    if len(traj.crossings) < k or traj.crossings[k - 1, 0] > _budget(k):
         raise RuntimeError(f"no {k}-th return within the arc-length budget")
     s, ph, pd = traj.crossings[k - 1]
     jac = None if traj.crossing_jacobians is None else traj.crossing_jacobians[k - 1]
     return float(ph), float(pd), float(s), jac
+
+
+def _kth_return(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
+    """(phi, phi_dot, arc length, 2x2 Jacobian or None) of the k-th return,
+    the Jacobian from the tangent flow when ``tangent`` is set."""
+    return _return_of(_section_run(n, eps, phi, phi_dot, k, tangent, rtol, atol), k)
 
 
 def _wrap(dphi: float) -> float:
@@ -298,16 +314,20 @@ class ClosedGeodesic:
         return "elliptic" if self.margin < 0.0 else "hyperbolic"
 
 
-def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30):
+def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None):
     """Newton iteration for a period-k point of the return map.
 
     Each step is one integration with the tangent flow, giving the residual
-    and the exact Jacobian together.  Returns (x, residual, monodromy,
-    length) from the converged pass, or None.
+    and the exact Jacobian together; ``first``, the k-th return of x0 as
+    :func:`_kth_return` gives it, replaces the first integration.  Returns
+    (x, residual, monodromy, length) from the converged pass, or None.
     """
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
-        ph, pd, length, jac = _kth_return(n, eps, x[0], x[1], k, tangent=True)
+        if first is None:
+            ph, pd, length, jac = _kth_return(n, eps, x[0], x[1], k, tangent=True)
+        else:
+            (ph, pd, length, jac), first = first, None
         f = np.array([_wrap(ph - x[0]), pd - x[1]])
         if np.max(np.abs(f)) < tol:
             return x, float(np.max(np.abs(f))), jac, length
@@ -329,9 +349,29 @@ def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
 
 def _refine_seed(n, eps, phi0, max_period):
     """(period, x, residual, monodromy, length) at the first period in
-    1..max_period for which Newton from (phi0, 0) converges, or None."""
-    for k in range(1, max_period + 1):
-        res = _newton_fixed_point(n, eps, (phi0, 0.0), k)
+    1..max_period for which Newton from (phi0, 0) converges, or None.
+
+    Period 1 runs its own first pass, so a seed that closes at once pays for
+    one return.  Otherwise one run through max_period returns gives the
+    first pass of every later period: it takes the same steps up to its k-th
+    return as a run that stops there, save for a step that the shorter
+    budget would have clipped.  A k-th return that the run lacks, or that
+    lies beyond the budget of k returns, raises as a run of its own would,
+    and only when period k is tried.
+    """
+    x0 = (phi0, 0.0)
+    res = _newton_fixed_point(n, eps, x0, 1)
+    if res is not None:
+        return (1, *res)
+    run = None
+    if max_period > 1:
+        try:
+            run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True)
+        except RuntimeError:  # a failure past some return: each period runs alone
+            pass
+    for k in range(2, max_period + 1):
+        first = None if run is None else _return_of(run, k)
+        res = _newton_fixed_point(n, eps, x0, k, first=first)
         if res is not None:
             return (k, *res)
     return None
@@ -409,24 +449,35 @@ def equator_monodromy(
     """Monodromy of the equator itself over one full revolution, acting on
     the normal variation (xi, xi') = (delta theta, delta theta_dot).
 
-    The equator never crosses the standard section, so it is followed
-    through the meridian plane phi = 0 instead: the rotated section frame of
-    ``generate_section(rotated=True)``, with the tangent flow started from
-    e_theta and e_theta_dot.  Near phi = 0 that frame's (phi, phi_dot) are
-    (-delta theta, -delta theta_dot) to first order, so the monodromy is
-    minus the crossing Jacobian.
+    The equator never crosses the standard section, so it is followed from
+    the meridian phi = 0 to the meridian phi = 2*pi/n instead: the rotated
+    section frame of ``generate_section(rotated=True)``, turned by 2*pi/n
+    about the axis, with the tangent flow started from e_theta and
+    e_theta_dot.  Near either meridian that frame's (phi, phi_dot) are
+    (-delta theta, -delta theta_dot) to first order, so minus the crossing
+    Jacobian is the map P over one period.  Along the equator the Jacobi
+    equation xi'' + K*xi = 0 has K of period 2*pi/n in phi, and the rotation
+    by 2*pi/n maps the surface and the equator to themselves: a Hill
+    equation, whose monodromy over the revolution is the n-th power of P
+    (Floquet; Magnus & Winkler, *Hill's Equation*, 1966).
     """
     surf = PolarSurface.sectoral(n, eps)
     y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
+    frame = np.asarray(R_SWAP).T
+    # body -> frame: a turn by -2*pi/n takes the meridian phi = 2*pi/n to
+    # phi = 0, the section of the rotated frame; n = 1 ends on phi = 0 itself
+    if n > 1:
+        c, sn = math.cos(TWO_PI / n), math.sin(TWO_PI / n)
+        frame = frame @ np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
     # on the equator g_pp = r^2 + r_phi^2 <= (1 + |eps| (n + 1))^2
-    s_max = TWO_PI * (1.0 + abs(eps) * (n + 1)) + 1.0
+    s_max = TWO_PI / n * (1.0 + abs(eps) * (n + 1)) + 1.0
     traj = integrate(
         surf, y0, s_max, n_crossings=1, rtol=rtol, atol=atol, renormalize=False,
-        section_frame=np.asarray(R_SWAP).T, tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
+        section_frame=frame, tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
     )
     if not len(traj.crossings):
-        raise RuntimeError("equator revolution not completed")
-    return -traj.crossing_jacobians[0]
+        raise RuntimeError("equator period 2*pi/n not completed")
+    return np.linalg.matrix_power(-traj.crossing_jacobians[0], n)
 
 
 # ---------------------------------------------------------------------------

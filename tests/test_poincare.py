@@ -398,6 +398,160 @@ def test_closed_orbits_match_per_seed_search(closed_orbits):
         assert abs(g.trace - trace) <= 1e-9
 
 
+# find_closed_geodesics(2, 0.3): the perpendicular orbits of period 3
+# (family, phi, phi_dot, period, length, trace, classification)
+CLOSED_N2_PERIOD3 = [
+    ("perpendicular", 0.7692601202622555, -1.328273453157182e-11, 3, 17.0077404156827,
+     2.49232919907755, "hyperbolic"),
+    ("perpendicular", 2.372332533327538, 1.328273453157182e-11, 3, 17.0077404156827,
+     2.49232919907755, "hyperbolic"),
+    ("perpendicular", 3.9108527738520484, -1.328273453157182e-11, 3, 17.0077404156827,
+     2.49232919907755, "hyperbolic"),
+    ("perpendicular", 5.513925186917331, 1.328273453157182e-11, 3, 17.0077404156827,
+     2.49232919907755, "hyperbolic"),
+]
+
+
+def test_period_three_perpendicular_orbits():
+    found = [g for g in find_closed_geodesics(2, 0.3) if g.crossings > 1]
+    assert len(found) == len(CLOSED_N2_PERIOD3)
+    for g, (family, phi, phi_dot, period, length, trace, kind) in zip(
+        found, CLOSED_N2_PERIOD3
+    ):
+        assert (g.family, g.crossings, g.classification) == (family, period, kind)
+        assert abs(g.phi - phi) <= 1e-11
+        assert abs(g.phi_dot - phi_dot) <= 1e-11
+        assert abs(g.length - length) <= 1e-11
+        assert abs(g.trace - trace) <= 1e-9
+
+
+def _refine_seed_per_period(n, eps, phi0, max_period):
+    """The seed refinement with one first pass of its own per period."""
+    for k in range(1, max_period + 1):
+        res = poincare._newton_fixed_point(n, eps, (phi0, 0.0), k)
+        if res is not None:
+            return (k, *res)
+    return None
+
+
+def _orbit_fields(found):
+    return [
+        (g.family, g.phi, g.phi_dot, g.crossings, g.length, g.residual,
+         g.monodromy.tobytes())
+        for g in found
+    ]
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The keyword arguments of every integrate call the search makes."""
+    calls = []
+    integrate = poincare.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1)])
+def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
+    """One run through max_period returns gives the same first pass of
+    every period as a run of its own, so the orbits are bit-identical."""
+    shared = find_closed_geodesics(n, eps)
+    with monkeypatch.context() as m:
+        m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
+        alone = find_closed_geodesics(n, eps)
+    assert _orbit_fields(shared) == _orbit_fields(alone)
+
+
+def test_shared_first_pass_saves_integrations(monkeypatch, integrate_calls):
+    """On sectoral(2, 0.1) the two planar classes close on their first pass
+    and the perpendicular class fails at periods 1-4 on its first pass: four
+    runs where one run per period made six."""
+    with monkeypatch.context() as m:
+        m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
+        find_closed_geodesics(2, 0.1)
+    assert len(integrate_calls) == 6
+    integrate_calls.clear()
+    find_closed_geodesics(2, 0.1)
+    assert [c["n_crossings"] for c in integrate_calls] == [1, 1, 1, 4]
+
+
+def _periods_tried(monkeypatch):
+    """Each (period, first pass) Newton is started with, and its outcome."""
+    tried = []
+    newton = poincare._newton_fixed_point
+
+    def spied(n, eps, x0, k, **kw):
+        res = newton(n, eps, x0, k, **kw)
+        tried.append((k, kw.get("first"), res is not None))
+        return res
+
+    monkeypatch.setattr(poincare, "_newton_fixed_point", spied)
+    return tried
+
+
+@pytest.mark.parametrize("case", ["run ends", "beyond budget"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
+    """A k-th return that the shared run lacks, or that lies beyond the
+    budget 40k + 60 of k returns, raises the RuntimeError of a run of its
+    own, and only once period k is tried; periods below k are unchanged."""
+    import dataclasses
+
+    from harmgeo.cli import main
+
+    n, eps = 2, 0.1
+    integrate = poincare.integrate
+
+    def clipped(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        if kwargs["n_crossings"] < 4:
+            return traj
+        crossings, jacs = traj.crossings.copy(), traj.crossing_jacobians
+        if case == "run ends":
+            crossings, jacs = crossings[:k - 1], jacs[:k - 1]
+        else:
+            crossings[k - 1, 0] = 40.0 * k + 60.0 + 1e-9
+        return dataclasses.replace(traj, crossings=crossings, crossing_jacobians=jacs)
+
+    monkeypatch.setattr(poincare, "integrate", clipped)
+    tried = _periods_tried(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"no {k}-th return within the arc-length budget"):
+        find_closed_geodesics(n, eps)
+    rep = 0.5 * math.pi / n  # the perpendicular class
+    perpendicular = tried[2:]  # after the two planar classes, closed at period 1
+    assert [(p, ok) for p, _, ok in tried[:2]] == [(1, True), (1, True)]
+    assert [(p, ok) for p, _, ok in perpendicular] == [(p, False) for p in range(1, k)]
+    for p, first, _ in perpendicular[1:]:
+        alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True)
+        assert first[:3] == alone[:3] and np.array_equal(first[3], alone[3])
+    assert main(["--out-dir", str(tmp_path), "closed", "--n", str(n), "--eps", "1/10"]) == 2
+    assert f"no {k}-th return" in capsys.readouterr().err
+
+
+def test_failed_shared_run_falls_back_to_runs_per_period(monkeypatch):
+    """A shared run that fails past some return leaves every period to a run
+    of its own, which gives the same orbits."""
+    integrate = poincare.integrate
+    failed = []
+
+    def failing(*args, **kwargs):
+        if kwargs["n_crossings"] == 3 and not failed:
+            failed.append(True)
+            raise RuntimeError("chart rotation failed to leave the pole")
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "integrate", failing)
+    found = find_closed_geodesics(2, 0.3, max_period=3)
+    monkeypatch.setattr(poincare, "integrate", integrate)
+    assert failed
+    assert _orbit_fields(found) == _orbit_fields(find_closed_geodesics(2, 0.3, max_period=3))
+
+
 # (xi, xi') monodromies of the equator at eps 0.1 from a direct integration
 # of the normal variational equation; traces 2.384045041074, 1.739700983031,
 # 1.083750628209 and -1.271901220033
@@ -419,6 +573,35 @@ def test_equator_monodromy_shape(n):
     assert mat.shape == (2, 2)
     assert np.allclose(mat, EQUATOR_MONODROMY[n], rtol=0, atol=1e-9)
     assert abs(np.linalg.det(mat) - 1.0) <= 1e-9
+
+
+def _full_revolution_monodromy(n, eps, rtol=1e-11, atol=1e-11):
+    """The equator's monodromy integrated over the whole revolution, through
+    the meridian section phi = 0."""
+    from harmgeo.geodesic import R_SWAP, integrate
+    from harmgeo.surface import PolarSurface
+
+    traj = integrate(
+        PolarSurface.sectoral(n, eps), [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)],
+        TWO_PI * (1.0 + abs(eps) * (n + 1)) + 1.0, n_crossings=1, rtol=rtol, atol=atol,
+        renormalize=False, section_frame=np.asarray(R_SWAP).T,
+        tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
+    )
+    return -traj.crossing_jacobians[0]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_equator_monodromy_is_power_of_one_period(n, eps):
+    """The n-th power of the map over one period 2 pi/n of the curvature is
+    the monodromy of the whole revolution, to integration error; n = 1
+    integrates the revolution itself."""
+    mat = equator_monodromy(n, eps)
+    full = _full_revolution_monodromy(n, eps)
+    if n == 1:
+        assert mat.tobytes() == full.tobytes()
+    else:
+        assert np.allclose(mat, full, rtol=0, atol=1e-10)
 
 
 # -- writers ------------------------------------------------------------------------
