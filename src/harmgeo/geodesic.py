@@ -87,13 +87,6 @@ def _project(n, v):
     return np.array([th, ph, td, pd])
 
 
-def _chart_to_chart(y, rot):
-    """Transfer a state across a chart rotation with p_old = rot @ p_new."""
-    n, v = _embed(y)
-    rt = np.asarray(rot).T
-    return _project(rt @ n, rt @ v)
-
-
 def chart_to_body(y, m):
     """State in a chart with chart->body matrix m, expressed in the body
     chart."""
@@ -230,7 +223,7 @@ def integrate(
     swaps = 0
 
     def swap_chart(y, m):
-        y_new = _chart_to_chart(y, R_SWAP)
+        y_new = chart_to_body(y, np.asarray(R_SWAP).T)  # into the chart rotated by R_SWAP
         m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")

@@ -29,11 +29,12 @@ every pow but sin^1 stays a pow, so each kernel is bit-equal to evaluating
 its formulas term by term.  :meth:`harmgeo.surface.PolarSurface.rhs` and
 ``jacobi_rhs`` each call the bound kernel of their chart.
 
-:func:`sectoral_partials`, :func:`harmonic_partials`,
-:func:`rhs_from_partials`, :func:`curvature` and :func:`sectoral_rhs` run the
-same texts with the surface's numbers as arguments.  :func:`christoffel`
-builds all six Christoffel symbols, for the tangent flow's chart frame and
-as the tests' reference for the right-hand side.
+The structure's ``make(<numbers>)`` is the only way into these kernels:
+:func:`sectoral_rhs` binds the body-chart sectoral kernel on each call.
+:func:`curvature` runs the curvature text on its own, as the exact equator
+K's reference.  :func:`christoffel` builds all six Christoffel symbols, for
+the tangent flow's chart frame and as the tests' reference for the
+right-hand side.
 """
 
 import functools
@@ -321,10 +322,8 @@ def _compiled(key, j=None):
     """The compiled kernels of one structure ``key`` = (form, m, len(q)).
 
     Without ``j``: ``make(<numbers>)`` binds (partials, rhs) to one
-    surface's numbers; ``partials_of(<numbers>, theta, phi)`` and
-    ``rhs_of(<numbers>, theta, phi, td, pd)`` take them as arguments.
-    With ``j``: ``make(<numbers>)`` binds the jacobi_rhs of states with j
-    normal parts.
+    surface's numbers.  With ``j``: ``make(<numbers>)`` binds the
+    jacobi_rhs of states with j normal parts.
     """
     form, m, nq = key
     params = _PARAMETERS[form]
@@ -336,17 +335,7 @@ def _compiled(key, j=None):
             "def rhs(s, y):", "theta, phi, td, pd = y\n", _SIN_COS, parts, _ACCELERATION,
             ret="td, pd, tdd, pdd",
         )
-        source = (
-            _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
-            + _function(
-                f"def partials_of({params}, theta, phi):", consts, _SIN_COS, parts,
-                ret=_PARTIALS,
-            )
-            + _function(
-                f"def rhs_of({params}, theta, phi, td, pd):", consts, _SIN_COS, parts,
-                _ACCELERATION, ret="td, pd, tdd, pdd",
-            )
-        )
+        source = _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
         return _compile(source, f"<geodesic kernel {form}, m={m}, len(q)={nq}>")
     w = [f"w{i}" for i in range(j)]
     dw = [f"dw{i}" for i in range(j)]
@@ -396,37 +385,12 @@ def chart_kernel(m, q, eps, rot=None):
     return partials, rhs, _JacobiKernels(key, numbers)
 
 
-# -- the formulas with the surface's numbers as arguments -------------------------
+# -- the curvature alone, and one sectoral RHS call -------------------------------
 
 _FORMULAS = _compile(
-    _function(
-        "def rhs_from_partials(theta, td, pd, parts):", f"{_PARTIALS} = parts\n", _SIN_COS,
-        _ACCELERATION, ret="td, pd, tdd, pdd",
-    )
-    + _function("def curvature(theta, r, rt, rp, rtt, rtp, rpp):", _SIN_COS, _CURVATURE, ret="K"),
+    _function("def curvature(theta, r, rt, rp, rtt, rtp, rpp):", _SIN_COS, _CURVATURE, ret="K"),
     "<geodesic kernel formulas>",
 )
-
-
-def sectoral_partials(n, eps, theta, phi):
-    """r = 1 + eps*sin^n(theta)*cos(n*phi) and all partials to second order."""
-    return _compiled(("sectoral", n, 1))["partials_of"](eps, theta, phi)
-
-
-def harmonic_partials(m, q, eps, coefs, theta, phi):
-    """r = 1 + eps*Re((x+iy)^m)*Q(z) in a rotated chart, with all partials.
-
-    (x, y, z) is the body Cartesian point of the unit sphere, ``q`` holds the
-    coefficients of the polynomial Q, lowest degree first, and ``coefs`` is
-    the chart's :func:`chart_coefficients`.
-    """
-    return _compiled(("chart", m, len(q)))["partials_of"](eps, q, coefs, theta, phi)
-
-
-def rhs_from_partials(theta, td, pd, parts):
-    """Geodesic right-hand side (td, pd, tdd, pdd) from the six partials
-    (r, r_t, r_p, r_tt, r_tp, r_pp) at (theta, phi)."""
-    return _FORMULAS["rhs_from_partials"](theta, td, pd, parts)
 
 
 def curvature(theta, r, rt, rp, rtt, rtp, rpp):
@@ -435,5 +399,6 @@ def curvature(theta, r, rt, rp, rtt, rtp, rpp):
 
 
 def sectoral_rhs(n, eps, theta, phi, td, pd):
-    """Geodesic right-hand side of r = 1 + eps*sin^n(theta)*cos(n*phi)."""
-    return _compiled(("sectoral", n, 1))["rhs_of"](eps, theta, phi, td, pd)
+    """Geodesic right-hand side of r = 1 + eps*sin^n(theta)*cos(n*phi): the
+    kernel of ``PolarSurface.sectoral(n, eps).rhs``, bound on each call."""
+    return _compiled(("sectoral", n, 1))["make"](eps)[1](0.0, (theta, phi, td, pd))

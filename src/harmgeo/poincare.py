@@ -30,9 +30,10 @@ def phi_dot_max(n: int, eps: float) -> float:
 
     The bound is 1/sqrt(max_c g_pp) with g_pp = (1+eps*c)^2 +
     eps^2 n^2 (1-c^2); the maximum sits at c = 1 for small eps and moves to
-    the interior point c = 1/(eps*(n^2-1)) once eps >= 1/(n^2-1).
+    the interior point c = 1/(eps*(n^2-1)) once eps >= 1/(n^2-1).  It
+    depends on |eps| only: g_pp(phi; -eps) = g_pp(phi + pi/n; eps).
     """
-    eps = float(eps)
+    eps = abs(float(eps))
     m = n * n - 1
     if m == 0 or eps < 1.0 / m:
         return 1.0 / (1.0 + eps)
@@ -194,6 +195,12 @@ def generate_section(
     return out
 
 
+def _phi_dot_lim(eps: float) -> float:
+    """1/(1-|eps|), a bound on |phi_dot| of every crossing: on the equator
+    g_pp >= r^2 >= (1-|eps|)^2."""
+    return 1.0 / (1.0 - abs(eps))
+
+
 def _cells(pts: np.ndarray, lim: float, grid: int) -> int:
     if not len(pts):
         return 0
@@ -206,10 +213,11 @@ def _cells(pts: np.ndarray, lim: float, grid: int) -> int:
 def occupancy(section: SectionData, grid: int = 100) -> float:
     """Fraction of (phi, phi_dot) grid cells visited by all section points.
 
-    The phi_dot axis spans [-1/(1-eps), 1/(1-eps)], a bound valid for every
-    crossing at the given eps, so occupancies at different eps compare fairly.
+    The phi_dot axis spans [-1/(1-|eps|), 1/(1-|eps|)], a bound valid for
+    every crossing at the given eps, so occupancies at different eps compare
+    fairly.
     """
-    lim = 1.0 / (1.0 - section.eps)
+    lim = _phi_dot_lim(section.eps)
     return _cells(section.all_points(), lim, grid) / float(grid * grid)
 
 
@@ -220,7 +228,7 @@ def max_trajectory_occupancy(section: SectionData, grid: int = 100) -> float:
     cells; a chaotic one fills a two-dimensional region, so this number
     separates the regular and irregular regimes cheaply and deterministically.
     """
-    lim = 1.0 / (1.0 - section.eps)
+    lim = _phi_dot_lim(section.eps)
     if not section.trajectories:
         return 0.0
     return max(_cells(p, lim, grid) for p in section.trajectories) / float(
@@ -518,7 +526,7 @@ _PALETTE = (
 
 def section_to_svg(section: SectionData, path, size: int = 800) -> None:
     """Deterministic scatter plot of the section, one color per trajectory."""
-    lim = 1.0 / (1.0 - section.eps)
+    lim = _phi_dot_lim(section.eps)
     margin = 40
     span = size - 2 * margin
     lines = [

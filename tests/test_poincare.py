@@ -31,13 +31,26 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_phi_dot_max_is_true_maximum():
-    """1/phi_dot_max^2 equals the maximum of g_pp over the equator."""
-    for n, eps in [(3, 0.05), (3, 0.3), (2, 0.5), (1, 0.4)]:
+    """1/phi_dot_max^2 equals the maximum of g_pp over the equator, for a
+    negative eps too."""
+    signed = [(n, s * e) for n in (1, 2, 3) for e in (0.2, 0.3) for s in (1, -1)]
+    for n, eps in [(3, 0.05), (3, 0.3), (2, 0.5), (1, 0.4), *signed]:
         cs = np.linspace(-1.0, 1.0, 20001)
         g_pp = (1 + eps * cs) ** 2 + eps**2 * n**2 * (1 - cs**2)
         assert math.isclose(
             phi_dot_max(n, eps), 1.0 / math.sqrt(g_pp.max()), rel_tol=1e-7
         )
+
+
+def test_negative_eps_section_stays_on_the_energy_shell(tmp_path):
+    """A section at eps < 0 starts every trajectory on the energy shell and
+    plots every crossing inside the phi_dot axis 1/(1-|eps|)."""
+    sec = generate_section(3, -0.3, n_traj=20, n_crossings=3)
+    assert sec.failures == []
+    assert len(sec.all_points()) == 60
+    assert 1.0 / 1.3 < np.abs(sec.all_points()[:, 2]).max() < 1.0 / 0.7
+    section_to_svg(sec, tmp_path / "s.svg")
+    assert (tmp_path / "s.svg").read_text().count("<circle") == 60
 
 
 def test_phi_dot_max_continuous_at_regime_change():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from harmgeo import kernels
+from harmgeo.surface import PolarSurface
 from harmgeo.trigring import (
     TrigPoly,
     sectoral_christoffels,
@@ -74,7 +75,7 @@ def test_sectoral_metric_matches_kernels():
     g, det, r = sectoral_metric(n, eps)
     theta, phi = 1.1, 0.7
     pt = _numeric(theta, phi, n)
-    rv, r_t, r_p, *_ = kernels.sectoral_partials(n, float(eps), theta, phi)
+    rv, r_t, r_p, *_ = PolarSurface.sectoral(n, float(eps)).partials(theta, phi)
     st2 = math.sin(theta) ** 2
     assert math.isclose(float(g[0][0].eval(*pt)), r_t * r_t + rv * rv, rel_tol=1e-12)
     assert math.isclose(float(g[0][1].eval(*pt)), r_t * r_p, rel_tol=1e-12)
@@ -91,7 +92,7 @@ def test_sectoral_christoffels_match_kernels(key):
     theta, phi = 0.8, 1.3
     pt = _numeric(theta, phi, n)
     out = kernels.christoffel(
-        theta, *kernels.sectoral_partials(n, float(eps), theta, phi)
+        theta, *PolarSurface.sectoral(n, float(eps)).partials(theta, phi)
     )
     numeric = dict(zip(("ttt", "ttp", "tpp", "ptt", "ptp", "ppp"), out[4:]))
     frac = ch[key]
