@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -319,8 +320,26 @@ COMMANDS = {
 }
 
 
+# a token led by "-" and a digit, or "-." and a digit, is a number
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _join_negative_eps(argv: list) -> list:
+    """``--eps X`` as ``--eps=X`` where X is a negative number.  argparse
+    takes a dash-led token for an option unless it is a plain integer or
+    decimal, so ``--eps -1/10`` would otherwise miss its value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--eps" and isinstance(tok, str) and _NEGATIVE_NUMBER.match(tok):
+            out[-1] = f"--eps={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_eps(argv))
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -24,12 +24,10 @@ finite, checkable case analysis and not just a failure to find something.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -107,6 +105,12 @@ class FuchsianODE:
         R2 = (S * S).exact_div(self.r.den) * self.r.num
         return S, cofactors, R2
 
+    @cached_property
+    def _cofactor_images(self) -> "_CofactorImages":
+        """The cofactors as integer rows and their images mod each prime the
+        rejection has used, for every candidate."""
+        return _CofactorImages(*self._descent_parts)
+
 
 @dataclass(frozen=True)
 class LocalExponents:
@@ -152,17 +156,19 @@ class Candidate:
 _SCALE = {2: 2, 4: 3, 6: 2, 12: 1}
 
 
-def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> list:
+@lru_cache(maxsize=1024)
+def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> tuple:
     """A singular point's choices of residue c = N/2 + k*sqrt(1+4*beta),
     k = -N/2, ..., N/2 (Ulmer & Weil, J. Symb. Comp. 22 (1996) 179).
 
     N = 1: the values for k = +1/2 and -1/2, which may be irrational.
     N >= 2: the integral values of _SCALE[N]*c, sorted and distinct.  A pole
     with beta = 0 has the one residue c = N if delta != 0, else 0.
+    Cached: the census asks for the same few betas at every order n.
     """
     if at_pole and beta == 0:
         c = N if delta else 0
-        return [Fraction(c)] * 2 if N == 1 else [_SCALE[N] * c]
+        return (Fraction(c),) * 2 if N == 1 else (_SCALE[N] * c,)
     t = 1 + 4 * Fraction(beta)
     s = None
     if t >= 0:
@@ -173,14 +179,14 @@ def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> list:
             where = "(beta < -1/4)" if at_pole else "at infinity"
             raise NotImplementedError(f"complex local exponents {where}")
         half = Fraction(1, 2)
-        return [half + k * s for k in (half, -half)]
+        return tuple(half + k * s for k in (half, -half))
     # _SCALE[N]*c = x0 + k*p/q, an integer where q divides k*p
     x0 = _SCALE[N] * N // 2
     if not isinstance(s, Fraction):  # complex or irrational: only k = 0
-        return [x0]
+        return (x0,)
     step = _SCALE[N] * s
     p, q = step.numerator, step.denominator
-    return sorted({x0 + k * p // q for k in range(-N // 2, N // 2 + 1) if k * p % q == 0})
+    return tuple(sorted({x0 + k * p // q for k in range(-N // 2, N // 2 + 1) if k * p % q == 0}))
 
 
 def _split(x) -> tuple[Fraction, dict]:
@@ -209,21 +215,34 @@ def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
     value for both signs) are still enumerated per sign; this formal count is
     what the candidate-census table reports.  The sums over the poles are
     accumulated pole by pole, in the order of itertools.product, so each
-    partial selection is summed once.
+    partial selection is summed once.  As in :func:`_integer_candidates`, a
+    partial selection whose rational part plus the least rational parts of
+    the poles still to choose exceeds the largest at infinity is dropped:
+    every completion would have d < 0.
     """
-    # (labels, residues, rational part, {D: b}) of every partial selection
-    partial = [((), (), Fraction(0), {})]
-    for b, dl in zip(ode.betas, ode.deltas):
-        opts = [(lab, c, *_split(c)) for lab, c in zip("+-", _exponents(b, dl, 1, True))]
-        partial = [
-            (labs + (lab,), cs + (c,), rat + c_rat, _add_irrational(irr, c_irr))
-            for labs, cs, rat, irr in partial
-            for lab, c, c_rat, c_irr in opts
-        ]
+    per_pole = [
+        [(lab, c, *_split(c)) for lab, c in zip("+-", _exponents(b, dl, 1, True))]
+        for b, dl in zip(ode.betas, ode.deltas)
+    ]
     inf_opts = [
         (lab, c, *_split(c))
         for lab, c in zip("+-", _exponents(ode.beta_inf, None, 1, False))
     ]
+    # least rational part of the poles from j on, for j = 0 .. len(per_pole)
+    least = [Fraction(0)] * (len(per_pole) + 1)
+    for j in range(len(per_pole) - 1, -1, -1):
+        least[j] = least[j + 1] + min(o[2] for o in per_pole[j])
+    top = max(o[2] for o in inf_opts)
+    # (labels, residues, rational part, {D: b}) of every partial selection
+    partial = [((), (), Fraction(0), {})]
+    for j, opts in enumerate(per_pole):
+        bound = top - least[j + 1]
+        partial = [
+            (labs + (lab,), cs + (c,), total, _add_irrational(irr, c_irr))
+            for labs, cs, rat, irr in partial
+            for lab, c, c_rat, c_irr in opts
+            if (total := rat + c_rat) <= bound
+        ]
     out = []
     for labs, cs, rat, irr in partial:
         for lab_inf, c_inf, inf_rat, inf_irr in inf_opts:
@@ -243,15 +262,48 @@ def _integer_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candi
 
     For N = 2, selections where every chosen integer is even are excluded:
     such a selection would already have been captured by an N = 1 candidate.
+
+    Selections are built one pole at a time, in the order of
+    itertools.product over the poles' sets.  A partial selection is dropped
+    as soon as its sum plus the least integers of the poles still to choose
+    exceeds max(set_inf): every completion then has x_inf - sum x_j < 0 for
+    every x_inf, so d < 0 and it is no candidate.  The survivors, and so the
+    candidates, come out in product order.
+
+    The same bound is why sectoral equators of large order n have no
+    candidates at all.  There sqrt(1 + 4*beta_inf) = (n + 2)/n, so
+    c_inf = N/2 + k + 2k/n with |k| <= N/2, while every finite residue lies
+    in Z/2.  d = c_inf - sum c_j is an integer only where n divides 4k, which
+    for n > 24 leaves k = 0 alone.  With k = 0, c_inf = N/2, and
+    sum c_j >= N: the residue at z = -1 is N, those at +-eps are at least
+    N/4 each, those at rho+- at least -N/4 each.  So d <= -N/2 < 0 for
+    every N here and every n > 24.  (For N = 1 the finite residues lie in
+    Z/4 and c_inf = 1/2 +- (1/2 + 1/n), so d is an integer only where n
+    divides 4.)  Below that the enumeration decides: only n = 1..6, 10 and
+    12 have candidates.
     """
     scale = _SCALE[N]
     sets = [_exponents(b, dl, N, True) for b, dl in zip(ode.betas, ode.deltas)]
     set_inf = _exponents(ode.beta_inf, None, N, False)
     residue = {x: Fraction(x, scale) for xs in (*sets, set_inf) for x in xs}
+    # least sum of the poles from j on, for j = 0 .. len(sets)
+    least = [0] * (len(sets) + 1)
+    for j in range(len(sets) - 1, -1, -1):
+        least[j] = least[j + 1] + min(sets[j])
+    top = max(set_inf)
+    # (selection, its sum, whether every chosen integer is even)
+    partial = [((), 0, True)]
+    for j, xs in enumerate(sets):
+        bound = top - least[j + 1]
+        partial = [
+            (combo + (x,), total + x, even and x % 2 == 0)
+            for combo, total, even in partial
+            for x in xs
+            if total + x <= bound
+        ]
     out = []
-    for combo in product(*sets):
-        total = sum(combo)
-        all_even = N == 2 and all(x % 2 == 0 for x in combo)
+    for combo, total, even in partial:
+        all_even = N == 2 and even
         for x_inf in set_inf:
             num = x_inf - total
             if num < 0 or num % scale or (all_even and x_inf % 2 == 0):
@@ -421,6 +473,15 @@ class Solution:
 # to j, so the descent runs on jets (:class:`_JetModP`): S, T and R2 are
 # shifted to z0 at order N + d + 2 and P_N = -t^k starts there, every sum
 # and product keeps the lower order, and P_-1 ends at order d + 1.
+#
+# T is not built exactly either (:func:`_jets_mod_prime`).  The cofactors
+# S/(z - a_j) are kept as integer rows over one denominator, so T's
+# denominators and its sqrt(D) part, which the prime rule reads, come from
+# integer dot products with the residues, and the rule is unchanged.  The
+# homomorphism is linear and commutes with the Taylor shift, so T's jet is
+# the residues' images dotted with the cofactors' shifted images, cached per
+# equation and prime beside those of S and R2.  Where p divides the common
+# denominator, or S and R2 are not rational, the exact T is reduced instead.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -505,6 +566,13 @@ def _parts(x: FieldElement) -> tuple[Fraction, Fraction]:
     return Fraction(x), Fraction(0)
 
 
+@lru_cache(maxsize=256)
+def _sqrt_mod(D: int, p: int) -> Optional[int]:
+    """A square root of D mod p (p = 3 mod 4), or None if D is no square."""
+    s = pow(D, (p + 1) // 4, p)
+    return s if (s * s - D) % p == 0 else None
+
+
 def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
     """The first listed prime at which every coefficient has an image, with
     the coefficient lists of the polynomials' images; None when no listed
@@ -519,8 +587,8 @@ def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
         s = 0
         if discs:
             (D,) = discs
-            s = pow(D, (p + 1) // 4, p)
-            if (s * s - D) % p:
+            s = _sqrt_mod(D, p)
+            if s is None:
                 continue  # D is not a square mod p
         inv = {den: pow(den, -1, p) for den in dens}
         images = [
@@ -551,6 +619,120 @@ def _independent_mod(vectors: list[list[int]], p: int) -> bool:
     return True
 
 
+def _exact_jets(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
+    """(p, S, T, R2) as jets of ``order`` at _Z0 mod p, with p chosen by
+    :func:`_reduce_mod_prime` from the exact S, T and R2; None when no listed
+    prime qualifies."""
+    reduced = _reduce_mod_prime(_descent_polys(ode, cand.exps))
+    if reduced is None:
+        return None
+    p, images = reduced
+    return (p, *(_JetModP(_taylor_shift(c, _Z0, p)[:order], order, p) for c in images))
+
+
+def _rational_image(poly: Poly, p: int) -> list[int]:
+    """The coefficients mod p of a polynomial over Q."""
+    return [(a.numerator * pow(a.denominator, -1, p)) % p for a, _ in map(_parts, poly.coeffs)]
+
+
+class _CofactorImages:
+    """What the rejection reads of an equation, whatever the candidate.
+
+    The cofactors S/(z - a_j) are kept as integer rows over one common
+    denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L, with D None when
+    every cofactor is rational.  ``at(p)`` gives, once per prime, the
+    images mod p of S and R2 and of A_j/L and B_j/L, each shifted to _Z0."""
+
+    def __init__(self, S: Poly, cofactors: tuple, R2: Poly):
+        parts = [[_parts(c) for c in cf.coeffs] for cf in cofactors]
+        discs = {c.D for cf in cofactors for c in cf.coeffs if isinstance(c, QuadExt) and c.b}
+        self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
+        self.L = L = lcm(*(q.denominator for row in parts for ab in row for q in ab))
+        self.rows = [
+            ([a.numerator * (L // a.denominator) for a, _ in row],
+             [b.numerator * (L // b.denominator) for _, b in row])
+            for row in parts
+        ]
+        self.width = S.degree
+        sr = [_parts(c) for poly in (S, R2) for c in poly.coeffs]
+        # with sqrt(D) in S or R2 the prime rule is left to the exact path
+        self.rational_sr = not any(b for _, b in sr)
+        self.sr_den = lcm(*(a.denominator for a, _ in sr))
+        self.S, self.R2 = S, R2
+        self._at: dict = {}
+
+    def at(self, p: int) -> tuple:
+        """(S, R2, X, Y), the Taylor coefficients at _Z0 of the images mod p
+        of S, R2 and, per pole j, of A_j/L and B_j/L ([] for B_j = 0)."""
+        if p not in self._at:
+            inv = pow(self.L, -1, p)
+
+            def shifted(row):
+                return _taylor_shift([x * inv % p for x in row], _Z0, p) if any(row) else []
+
+            self._at[p] = (
+                _taylor_shift(_rational_image(self.S, p), _Z0, p),
+                _taylor_shift(_rational_image(self.R2, p), _Z0, p),
+                [shifted(A) for A, _ in self.rows],
+                [shifted(B) for _, B in self.rows],
+            )
+        return self._at[p]
+
+
+def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
+    """(p, S, T, R2) as jets of ``order`` at _Z0 mod the first listed prime
+    at which S, T and R2 have images, or None when no listed prime
+    qualifies: :func:`_exact_jets`, without building T exactly.
+
+    With the residues c_j = (u_j + v_j*sqrt(D))/M over one denominator,
+    T*M*L = sum_j (u_j + v_j*sqrt(D))*(A_j + B_j*sqrt(D)) = P + Q*sqrt(D),
+    with integer P and Q.  Where p divides neither M*L nor a denominator
+    of S and R2, it divides no denominator of T, and T has a sqrt(D) part
+    exactly where Q != 0, which integer dot products decide: the prime rule
+    is the exact one.  T's image is then a dot product of the residues'
+    images with the cached shifted cofactor images.  Where p divides M*L,
+    or S and R2 are not rational, or the residues' discriminant differs
+    from the cofactors', the exact T is reduced instead."""
+    im = ode._cofactor_images
+    res = [_parts(c) for c in cand.exps]
+    discs = {c.D for c in cand.exps if isinstance(c, QuadExt) and c.b}
+    if im.D is not None:
+        discs.add(im.D)
+    if not im.rational_sr or len(discs) > 1:
+        return _exact_jets(ode, cand, order)
+    D = next(iter(discs), 0)
+    M = lcm(*(q.denominator for ab in res for q in ab))
+    uv = [(a.numerator * (M // a.denominator), b.numerator * (M // b.denominator)) for a, b in res]
+    irrational = bool(D) and any(
+        sum(u * B[k] + v * A[k] for (u, v), (A, B) in zip(uv, im.rows) if u or v)
+        for k in range(im.width)
+    )
+    for p in _PRIMES:
+        if (M * im.L) % p == 0:
+            return _exact_jets(ode, cand, order)
+        if im.sr_den % p == 0:
+            continue
+        s = 0
+        if irrational:
+            s = _sqrt_mod(D, p)
+            if s is None:
+                continue  # D is not a square mod p
+        S, R2, X, Y = im.at(p)
+        # T*M's image: sum_j (u_j + v_j*s)*X_j + (u_j*s + v_j*D)*Y_j, which is
+        # P's alone when Q = 0, whatever s
+        Tm = [0] * min(order, im.width)
+        for (u, v), x, y in zip(uv, X, Y):
+            a, b = u + v * s, u * s + v * D
+            if a:
+                Tm = [t + a * c for t, c in zip(Tm, x)]
+            if b and y:
+                Tm = [t + b * c for t, c in zip(Tm, y)]
+        inv = pow(M, -1, p)
+        T = [t * inv % p for t in Tm]
+        return (p, *(_JetModP(c[:order], order, p) for c in (S, T, R2)))
+    return None
+
+
 def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     """A prime p certifying that ``cand`` has no solution, or None.
 
@@ -560,12 +742,11 @@ def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     equals minus the last, over F_p or over Q(sqrt(D)).  None means "not
     proved", and the candidate needs the exact search.
     """
-    reduced = _reduce_mod_prime(_descent_polys(ode, cand.exps))
-    if reduced is None:
-        return None
-    p, images = reduced
     order = cand.N + cand.d + 2
-    S, T, R2 = (_JetModP(_taylor_shift(c, _Z0, p)[:order], order, p) for c in images)
+    jets = _jets_mod_prime(ode, cand, order)
+    if jets is None:
+        return None
+    p, S, T, R2 = jets
     residuals = [
         _case3_descend(cand.N, S, T, R2, _JetModP([0] * k + [1], order, p))[-1].c
         for k in range(cand.d + 1)
@@ -758,6 +939,8 @@ def census_text(table: dict) -> str:
 
 
 def census_json(table: dict) -> str:
+    import json  # only the writers need it, so the import of the module skips it
+
     data = {
         str(n): {str(N): counts for N, counts in census.items()}
         for n, census in table.items()
@@ -776,6 +959,8 @@ def census_table_json(orders=range(2, 13)) -> str:
 
 
 def result_to_json(res: KovacicResult) -> str:
+    import json
+
     out = {
         "verdict": res.verdict,
         "solution": None,

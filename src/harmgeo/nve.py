@@ -20,7 +20,6 @@ well, so the result feeds straight into the Kovacic machinery.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,6 +163,7 @@ def appendix_delta1(n: int, eps) -> Fraction:
 def nve_to_json(data: NVEData) -> str:
     """Serialize poles (as a + b*sqrt(D)), beta/delta data and the p, q, r
     coefficients (integer-cleared numerator/denominator lists)."""
+    import json  # only this writer needs it, so the import of the module skips it
 
     def field(x):
         if isinstance(x, QuadExt):

@@ -44,6 +44,36 @@ def test_computation_failure_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _written(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed", "--n", "2", "--eps", "-1/10", "--max-period", "1"],
+        ["psection", "--n", "3", "--eps", "-3/10", "--traj", "2", "--crossings", "2"],
+        ["trace", "--n", "3", "--eps", "-1/10", "--length", "5", "--samples", "10"],
+        ["lemma1", "--n", "2", "--eps", "-1/2"],
+    ],
+    ids=["closed", "psection", "trace", "lemma1"],
+)
+def test_negative_fraction_eps_as_its_own_token(tmp_path, argv):
+    """``--eps -1/10`` runs as ``--eps=-1/10`` does, with the same files."""
+    k = argv.index("--eps")
+    joined = argv[:k] + [f"--eps={argv[k + 1]}"] + argv[k + 2:]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["--out-dir", a] + argv) == 0
+    assert run(["--out-dir", b] + joined) == 0
+    assert _written(a) and _written(a) == _written(b)
+
+
+@pytest.mark.parametrize("cmd", ["nve", "kovacic"])
+def test_negative_fraction_eps_reaches_the_range_check(tmp_path, capsys, cmd):
+    assert run(["--out-dir", tmp_path, cmd, "--n", "3", "--eps", "-1/4"]) == 2
+    assert "0 < eps < 1" in capsys.readouterr().err
+
+
 def test_nonpositive_radius_exits_2(tmp_path, capsys):
     code = run(["--out-dir", tmp_path, "trace", "--family", "tesseral",
                 "--l", "4", "--m", "3", "--eps", "0.15"])

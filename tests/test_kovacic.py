@@ -180,6 +180,15 @@ def test_census_counts_for_prime_orders_mostly_empty():
         assert all(not counts for counts in census.values()), n
 
 
+def test_no_sectoral_candidates_from_order_13_to_24():
+    """Stage A of the all-n argument: the k = 0 bound in _integer_candidates'
+    docstring clears every n > 24; the orders 13..24 are cleared here by
+    enumeration, for every N."""
+    for n in range(13, 25):
+        census = census_for_order(n)
+        assert all(not counts for counts in census.values()), n
+
+
 def test_census_matches_derived_equation():
     """The closed-form census equals the census of the derived equation."""
     for n in range(2, 7):
@@ -454,6 +463,36 @@ def test_case1_candidates_match_reference(seed):
     rng = random.Random(seed)
     for _ in range(150):
         _assert_case1_matches_reference(_random_case1_exponents(rng))
+
+
+# the equations of the benchmark's `kovacic` workload
+_BENCHMARK_INPUTS = [
+    (1, Fraction(1, 3)),
+    (4, Fraction(1, 10)),
+    (5, Fraction(1, 5)),
+    (5, Fraction(1, 10)),
+    (7, Fraction(1, 10)),
+    (12, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("n,eps", _BENCHMARK_INPUTS, ids=str)
+def test_derived_candidates_match_reference(n, eps):
+    """The pruned enumerations give the brute-force candidates, in order, on
+    the benchmark's derived equations too, whose deltas are neither 0 nor 1."""
+    ex = FuchsianODE.from_nve(equatorial_nve(n, eps))
+    _assert_matches_reference(ex)
+    _assert_case1_matches_reference(ex)
+
+
+def test_all_even_selection_left_to_case_1():
+    """e = 4 at a pole with beta = 0 and e_inf = 4 at beta_inf = 0 give d = 0
+    with every integer even: N = 2 drops the selection, which is the square
+    of N = 1's (c, c_inf) = (1, 1).  No equatorial equation meets this rule."""
+    ex = LocalExponents((Fraction(0),), (Fraction(1),), Fraction(0))
+    _assert_matches_reference(ex)
+    assert candidates_for(ex, 2) == []
+    assert [(c.d, c.exps, c.exp_inf) for c in candidates_for(ex, 1)] == [(0, (1,), 1)] * 2
 
 
 def test_equatorial_case1_candidates_match_reference():
@@ -782,6 +821,135 @@ def test_jet_comparison_covers_every_degree():
     ]
     assert len(systems) > 700
     assert max(c.d for c in systems if c.N == 12) == 12
+
+
+# -- T's image from the cached cofactor images against the exact T ---------------
+
+
+def _conjugate_pole_ode(D):
+    """beta = 1/4 at the poles +-sqrt(D) and beta_inf = 2: its case-1
+    residues 1/2 +- sqrt(2)/2 lie in Q(sqrt(2)), its cofactors z +- sqrt(D)
+    in Q(sqrt(D))."""
+    a = QuadExt(0, 1, D)
+    quarter = Fraction(1, 4)
+    r = _pole_term(quarter, a, 2) + _pole_term(quarter, -a, 2)
+    r = r + RatFunc(Poly([Fraction(3, 2)]), Poly([-D, 0, 1]))
+    return FuchsianODE.from_ratfunc(r, [a, -a])
+
+
+def _rational_pole_ode():
+    """beta = 1/4 at the poles 0 and 1 and beta_inf = 2: case-1 residues in
+    Q(sqrt(2)) with rational cofactors."""
+    quarter, delta = Fraction(1, 4), Fraction(3, 2)
+    r = _pole_term(quarter, Fraction(0), 2) + _pole_term(quarter, Fraction(1), 2)
+    r = r - _pole_term(delta, Fraction(0)) + _pole_term(delta, Fraction(1))
+    return FuchsianODE.from_ratfunc(r, [Fraction(0), Fraction(1)])
+
+
+def _thirds_ode():
+    """beta = -2/9 at the poles 0 and 3, so residues in thirds, while R2 = -2
+    and S = z(z - 3) have no 3 in a denominator: modulo 3 the cofactor
+    images cannot be used, yet the exact T may have an image."""
+    beta, delta = Fraction(-2, 9), Fraction(-4, 27)
+    r = _pole_term(beta, Fraction(0), 2) + _pole_term(beta, Fraction(3), 2)
+    r = r + _pole_term(delta, Fraction(0)) - _pole_term(delta, Fraction(3))
+    return FuchsianODE.from_ratfunc(r, [Fraction(0), Fraction(3)])
+
+
+def _pole_at_sqrt2_ode():
+    """xi'' = 2 (z - sqrt(2))^-2 xi, whose S = z - sqrt(2) is irrational."""
+    a = QuadExt(0, 1, 2)
+    return FuchsianODE.from_ratfunc(_pole_term(Fraction(2), a, 2), [a])
+
+
+_ORACLE_ODES = {
+    "sqrt2-at-0-1": _rational_pole_ode,
+    "sqrt2-at-+-sqrt2": lambda: _conjugate_pole_ode(2),
+    "thirds-at-0-3": _thirds_ode,
+    "pole-at-sqrt2": _pole_at_sqrt2_ode,
+}
+
+# the inputs above that have candidates (n = 7, 8, 9 and 11 have none), and
+# the equations just built
+_JET_ORACLE_INPUTS = [(n, eps) for n, eps in _REJECTION_INPUTS if n not in (7, 8, 9, 11)] + list(
+    _ORACLE_ODES
+)
+
+# primes = 3 (mod 4), small enough to divide the denominators
+_SMALL_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47)
+
+
+def _oracle_ode(key):
+    if key in _ORACLE_ODES:
+        return _ORACLE_ODES[key]()
+    return FuchsianODE.from_nve(equatorial_nve(*key))
+
+
+def _normal_jets(jets):
+    """(p, [(coefficients mod p without trailing zeros, order)]) of the
+    (p, S, T, R2) jets, or None."""
+    if jets is None:
+        return None
+    p, *parts = jets
+    out = []
+    for jet in parts:
+        c = [x % p for x in jet.c]
+        while c and not c[-1]:
+            c.pop()
+        out.append((c, jet.order))
+    return p, out
+
+
+def _jets_both_ways(monkeypatch, ode, cand):
+    """The (p, S, T, R2) jets from the cofactor images and from the exact T
+    that _descent_polys sums, and whether the first fell back to the second."""
+    order = cand.N + cand.d + 2
+    exact = kovacic._exact_jets(ode, cand, order)
+    fallbacks = []
+    with monkeypatch.context() as m:
+        m.setattr(kovacic, "_exact_jets", lambda *args: fallbacks.append(args) or exact)
+        fast = kovacic._jets_mod_prime(ode, cand, order)
+    return _normal_jets(fast), _normal_jets(exact), bool(fallbacks)
+
+
+@pytest.mark.parametrize("key", _JET_ORACLE_INPUTS, ids=str)
+def test_cofactor_jets_match_exact_T(monkeypatch, key):
+    """Same prime and the same jets of S, T and R2 as reducing the exact T,
+    for every distinct system: with the listed primes, where only the
+    irrational S falls back to the exact T, and with small primes, which
+    divide the denominators and make more of them fall back."""
+    ode = _oracle_ode(key)
+    cands = _searched_systems(ode)
+    assert cands
+    for cand in cands:
+        fast, exact, fell_back = _jets_both_ways(monkeypatch, ode, cand)
+        assert fast == exact and fell_back == (key == "pole-at-sqrt2"), cand
+    monkeypatch.setattr(kovacic, "_PRIMES", _SMALL_PRIMES)
+    for cand in cands:
+        fast, exact, _ = _jets_both_ways(monkeypatch, ode, cand)
+        assert fast == exact, cand
+
+
+def test_cofactor_jets_cover_irrational_residues():
+    """The oracle above meets case-1 residues in Q(sqrt(2)), over rational
+    and over conjugate poles, and T with and without a sqrt(2) part."""
+    irrational_T = set()
+    for ode in (_rational_pole_ode(), _conjugate_pole_ode(2)):
+        cands = candidates_for(ode, 1)
+        assert cands and all(isinstance(c, QuadExt) and c.b for cand in cands for c in cand.exps)
+        for cand in cands:
+            T = _descent_polys(ode, cand.exps)[1]
+            irrational_T.add(any(isinstance(c, QuadExt) and c.b for c in T.coeffs))
+    assert irrational_T == {True, False}
+
+
+def test_mixed_discriminants_take_the_exact_path():
+    """Residues in Q(sqrt(2)) against cofactors in Q(sqrt(3)): the cofactor
+    images are not used, and the exact T refuses the mix as before."""
+    ode = _conjugate_pole_ode(3)
+    cand = candidates_for(ode, 1)[0]
+    with pytest.raises(ValueError, match="mixed discriminants"):
+        modular_rejection(ode, cand)
 
 
 def _longer_order_product(self, other):
