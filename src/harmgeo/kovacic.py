@@ -106,10 +106,10 @@ class FuchsianODE:
         return S, cofactors, R2
 
     @cached_property
-    def _cofactor_images(self) -> "_CofactorImages":
-        """The cofactors as integer rows and their images mod each prime the
-        rejection has used, for every candidate."""
-        return _CofactorImages(*self._descent_parts)
+    def _descent_images(self) -> "_DescentImages":
+        """S, R2 and the cofactors as the rejection reads them, with the
+        images of S and R2 mod each prime it has used, for every candidate."""
+        return _DescentImages(*self._descent_parts)
 
 
 @dataclass(frozen=True)
@@ -208,67 +208,35 @@ def _add_irrational(acc: dict, x: dict) -> dict:
     return out
 
 
-def case1_candidates(ode: FuchsianODE | LocalExponents) -> list[Candidate]:
-    """All formal +/- exponent selections with a non-negative integer degree.
-
-    Coincident exponent values (a pole with beta = 0 contributes the same
-    value for both signs) are still enumerated per sign; this formal count is
-    what the candidate-census table reports.  The sums over the poles are
-    accumulated pole by pole, in the order of itertools.product, so each
-    partial selection is summed once.  As in :func:`_integer_candidates`, a
-    partial selection whose rational part plus the least rational parts of
-    the poles still to choose exceeds the largest at infinity is dropped:
-    every completion would have d < 0.
-    """
-    per_pole = [
-        [(lab, c, *_split(c)) for lab, c in zip("+-", _exponents(b, dl, 1, True))]
-        for b, dl in zip(ode.betas, ode.deltas)
-    ]
-    inf_opts = [
-        (lab, c, *_split(c))
-        for lab, c in zip("+-", _exponents(ode.beta_inf, None, 1, False))
-    ]
-    # least rational part of the poles from j on, for j = 0 .. len(per_pole)
-    least = [Fraction(0)] * (len(per_pole) + 1)
-    for j in range(len(per_pole) - 1, -1, -1):
-        least[j] = least[j + 1] + min(o[2] for o in per_pole[j])
-    top = max(o[2] for o in inf_opts)
-    # (labels, residues, rational part, {D: b}) of every partial selection
-    partial = [((), (), Fraction(0), {})]
-    for j, opts in enumerate(per_pole):
-        bound = top - least[j + 1]
-        partial = [
-            (labs + (lab,), cs + (c,), total, _add_irrational(irr, c_irr))
-            for labs, cs, rat, irr in partial
-            for lab, c, c_rat, c_irr in opts
-            if (total := rat + c_rat) <= bound
-        ]
-    out = []
-    for labs, cs, rat, irr in partial:
-        for lab_inf, c_inf, inf_rat, inf_irr in inf_opts:
-            d = inf_rat - rat
-            if d.denominator != 1 or d < 0 or irr != inf_irr:
-                continue
-            out.append(
-                Candidate(N=1, d=int(d), exps=cs, exp_inf=c_inf, labels=labs + (lab_inf,))
-            )
-    return out
+def _options(beta: Fraction, delta, N: int, at_pole: bool) -> list:
+    """A singular point's choices as (label, residue c, key, {D: b}).  The
+    key is what the degree sums, {D: b} the irrational part of c it leaves
+    out.  N = 1: the sign as label, c's rational part as key.  N >= 2:
+    Kovacic's integer x = _SCALE[N]*c as label and key, and {}."""
+    xs = _exponents(beta, delta, N, at_pole)
+    if N == 1:
+        return [(lab, c, *_split(c)) for lab, c in zip("+-", xs)]
+    return [(str(x), Fraction(x, _SCALE[N]), x, {}) for x in xs]
 
 
-def _integer_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
-    """Selections of Kovacic's integers x_j = _SCALE[N]*c_j for N in
-    {2, 4, 6, 12}, with d = (x_inf - sum x_j)/_SCALE[N] a non-negative
-    integer.
+def _selections(N: int, points: list, at_inf: list) -> list[Candidate]:
+    """Every choice of one option (:func:`_options`) per singular point with
+    d = (key_inf - sum key_j)/scale a non-negative integer, scale = _SCALE[N]
+    (1 for N = 1), and the irrational parts of sum c_j and c_inf equal.
 
-    For N = 2, selections where every chosen integer is even are excluded:
-    such a selection would already have been captured by an N = 1 candidate.
+    N = 1 counts formal sign selections: a pole with beta = 0 contributes the
+    same residue for both signs and is still enumerated per sign; this
+    formal count is what the candidate-census table reports.  For N = 2,
+    selections where every chosen integer is even are excluded: such a
+    selection would already have been captured by an N = 1 candidate.
 
-    Selections are built one pole at a time, in the order of
-    itertools.product over the poles' sets.  A partial selection is dropped
-    as soon as its sum plus the least integers of the poles still to choose
-    exceeds max(set_inf): every completion then has x_inf - sum x_j < 0 for
-    every x_inf, so d < 0 and it is no candidate.  The survivors, and so the
-    candidates, come out in product order.
+    Selections are built one point at a time, in the order of
+    itertools.product over the points' options, so each partial selection is
+    summed once.  A partial selection is dropped as soon as its key sum plus
+    the least keys of the points still to choose exceeds the largest key at
+    infinity: every completion then has key_inf - sum key_j < 0, so d < 0
+    and it is no candidate.  The survivors, and so the candidates, come out
+    in product order.
 
     The same bound is why sectoral equators of large order n have no
     candidates at all.  There sqrt(1 + 4*beta_inf) = (n + 2)/n, so
@@ -282,51 +250,41 @@ def _integer_candidates(ode: FuchsianODE | LocalExponents, N: int) -> list[Candi
     divides 4.)  Below that the enumeration decides: only n = 1..6, 10 and
     12 have candidates.
     """
-    scale = _SCALE[N]
-    sets = [_exponents(b, dl, N, True) for b, dl in zip(ode.betas, ode.deltas)]
-    set_inf = _exponents(ode.beta_inf, None, N, False)
-    residue = {x: Fraction(x, scale) for xs in (*sets, set_inf) for x in xs}
-    # least sum of the poles from j on, for j = 0 .. len(sets)
-    least = [0] * (len(sets) + 1)
-    for j in range(len(sets) - 1, -1, -1):
-        least[j] = least[j + 1] + min(sets[j])
-    top = max(set_inf)
-    # (selection, its sum, whether every chosen integer is even)
-    partial = [((), 0, True)]
-    for j, xs in enumerate(sets):
+    scale = _SCALE.get(N, 1)
+    # least key sum of the points from j on, for j = 0 .. len(points)
+    least = [0] * (len(points) + 1)
+    for j in range(len(points) - 1, -1, -1):
+        least[j] = least[j + 1] + min(o[2] for o in points[j])
+    top = max(o[2] for o in at_inf)
+    # (labels, residues, key sum, {D: b} sum, whether every key is even)
+    partial = [((), (), 0, {}, True)]
+    for j, opts in enumerate(points):
         bound = top - least[j + 1]
         partial = [
-            (combo + (x,), total + x, even and x % 2 == 0)
-            for combo, total, even in partial
-            for x in xs
-            if total + x <= bound
+            (labs + (lab,), cs + (c,), total, _add_irrational(irr, c_irr), even and key % 2 == 0)
+            for labs, cs, keys, irr, even in partial
+            for lab, c, key, c_irr in opts
+            if (total := keys + key) <= bound
         ]
     out = []
-    for combo, total, even in partial:
+    for labs, cs, keys, irr, even in partial:
         all_even = N == 2 and even
-        for x_inf in set_inf:
-            num = x_inf - total
-            if num < 0 or num % scale or (all_even and x_inf % 2 == 0):
+        for lab, c, key, c_irr in at_inf:
+            num = key - keys
+            if num < 0 or num % scale or c_irr != irr or (all_even and key % 2 == 0):
                 continue
             out.append(
-                Candidate(
-                    N=N,
-                    d=num // scale,
-                    exps=tuple(residue[x] for x in combo),
-                    exp_inf=residue[x_inf],
-                    labels=tuple(map(str, combo)) + (str(x_inf),),
-                )
+                Candidate(N=N, d=int(num // scale), exps=cs, exp_inf=c, labels=labs + (lab,))
             )
     return out
 
 
 def candidates_for(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
     """The candidates of algebraic degree N, one of :data:`ALL_N`."""
-    if N == 1:
-        return case1_candidates(ode)
-    if N not in _SCALE:
+    if N != 1 and N not in _SCALE:
         raise ValueError(f"N must be one of {ALL_N}, not {N}")
-    return _integer_candidates(ode, N)
+    points = [_options(b, dl, N, True) for b, dl in zip(ode.betas, ode.deltas)]
+    return _selections(N, points, _options(ode.beta_inf, None, N, False))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +432,12 @@ class Solution:
 # shifted to z0 at order N + d + 2 and P_N = -t^k starts there, every sum
 # and product keeps the lower order, and P_-1 ends at order d + 1.
 #
-# T is not built exactly either (:func:`_jets_mod_prime`).  The cofactors
-# S/(z - a_j) are kept as integer rows over one denominator, so T's
-# denominators and its sqrt(D) part, which the prime rule reads, come from
-# integer dot products with the residues, and the rule is unchanged.  The
-# homomorphism is linear and commutes with the Taylor shift, so T's jet is
-# the residues' images dotted with the cofactors' shifted images, cached per
-# equation and prime beside those of S and R2.  Where p divides the common
-# denominator, or S and R2 are not rational, the exact T is reduced instead.
+# T is not built over Q(sqrt(D)) either (:func:`_jets_mod_prime`).  The
+# cofactors S/(z - a_j) are kept as integer rows over one denominator, so
+# T's coefficients come from integer dot products with the residues, reduced
+# as Fractions: the prime rule reads the exact T's denominators and sqrt(D)
+# parts, for every prime.  The images of S and R2, shifted to z0, are cached
+# per equation and prime; T's are shifted per candidate.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -573,31 +529,13 @@ def _sqrt_mod(D: int, p: int) -> Optional[int]:
     return s if (s * s - D) % p == 0 else None
 
 
-def _reduce_mod_prime(polys: Sequence[Poly]) -> Optional[tuple[int, list]]:
-    """The first listed prime at which every coefficient has an image, with
-    the coefficient lists of the polynomials' images; None when no listed
-    prime qualifies."""
-    # at most one discriminant: field arithmetic refuses to mix two
-    discs = {c.D for poly in polys for c in poly.coeffs if isinstance(c, QuadExt) and c.b}
-    parts = [[_parts(c) for c in poly.coeffs] for poly in polys]
-    dens = {q.denominator for coeffs in parts for ab in coeffs for q in ab}
-    for p in _PRIMES:
-        if any(den % p == 0 for den in dens):
-            continue
-        s = 0
-        if discs:
-            (D,) = discs
-            s = _sqrt_mod(D, p)
-            if s is None:
-                continue  # D is not a square mod p
-        inv = {den: pow(den, -1, p) for den in dens}
-        images = [
-            [(a.numerator * inv[a.denominator] + b.numerator * inv[b.denominator] * s) % p
-             for a, b in coeffs]
-            for coeffs in parts
-        ]
-        return p, images
-    return None
+def _image(parts: list, p: int, s: int) -> list[int]:
+    """The images mod p of the coefficients a + b*sqrt(D) given as their
+    parts (a, b), with s^2 = D mod p; p divides no denominator."""
+    return [
+        (a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * s) % p
+        for a, b in parts
+    ]
 
 
 def _independent_mod(vectors: list[list[int]], p: int) -> bool:
@@ -619,62 +557,44 @@ def _independent_mod(vectors: list[list[int]], p: int) -> bool:
     return True
 
 
-def _exact_jets(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
-    """(p, S, T, R2) as jets of ``order`` at _Z0 mod p, with p chosen by
-    :func:`_reduce_mod_prime` from the exact S, T and R2; None when no listed
-    prime qualifies."""
-    reduced = _reduce_mod_prime(_descent_polys(ode, cand.exps))
-    if reduced is None:
-        return None
-    p, images = reduced
-    return (p, *(_JetModP(_taylor_shift(c, _Z0, p)[:order], order, p) for c in images))
-
-
-def _rational_image(poly: Poly, p: int) -> list[int]:
-    """The coefficients mod p of a polynomial over Q."""
-    return [(a.numerator * pow(a.denominator, -1, p)) % p for a, _ in map(_parts, poly.coeffs)]
-
-
-class _CofactorImages:
+class _DescentImages:
     """What the rejection reads of an equation, whatever the candidate.
 
-    The cofactors S/(z - a_j) are kept as integer rows over one common
-    denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L, with D None when
-    every cofactor is rational.  ``at(p)`` gives, once per prime, the
-    images mod p of S and R2 and of A_j/L and B_j/L, each shifted to _Z0."""
+    S and R2 are kept as the parts (a, b) of their coefficients
+    a + b*sqrt(D), the cofactors S/(z - a_j) as integer rows over one common
+    denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L.  ``D`` is the
+    equation's one discriminant, None when all of it is rational.  ``at(p)``
+    gives, once per prime, the Taylor coefficients at _Z0 of the images mod p
+    of S and R2, or None where p divides one of their denominators or D,
+    which they need, is no square mod p."""
 
     def __init__(self, S: Poly, cofactors: tuple, R2: Poly):
+        self.sr = [[_parts(c) for c in poly.coeffs] for poly in (S, R2)]
+        self.sr_dens = {q.denominator for coeffs in self.sr for ab in coeffs for q in ab}
+        self.sr_irrational = any(b for coeffs in self.sr for _, b in coeffs)
         parts = [[_parts(c) for c in cf.coeffs] for cf in cofactors]
-        discs = {c.D for cf in cofactors for c in cf.coeffs if isinstance(c, QuadExt) and c.b}
-        self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
         self.L = L = lcm(*(q.denominator for row in parts for ab in row for q in ab))
         self.rows = [
             ([a.numerator * (L // a.denominator) for a, _ in row],
              [b.numerator * (L // b.denominator) for _, b in row])
             for row in parts
         ]
+        self.irrational_rows = [any(B) for _, B in self.rows]
+        discs = {
+            c.D for poly in (S, R2, *cofactors) for c in poly.coeffs
+            if isinstance(c, QuadExt) and c.b
+        }
+        self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
         self.width = S.degree
-        sr = [_parts(c) for poly in (S, R2) for c in poly.coeffs]
-        # with sqrt(D) in S or R2 the prime rule is left to the exact path
-        self.rational_sr = not any(b for _, b in sr)
-        self.sr_den = lcm(*(a.denominator for a, _ in sr))
-        self.S, self.R2 = S, R2
         self._at: dict = {}
 
-    def at(self, p: int) -> tuple:
-        """(S, R2, X, Y), the Taylor coefficients at _Z0 of the images mod p
-        of S, R2 and, per pole j, of A_j/L and B_j/L ([] for B_j = 0)."""
+    def at(self, p: int) -> Optional[tuple]:
+        """(S, R2) shifted to _Z0 mod p, or None where p does not serve."""
         if p not in self._at:
-            inv = pow(self.L, -1, p)
-
-            def shifted(row):
-                return _taylor_shift([x * inv % p for x in row], _Z0, p) if any(row) else []
-
+            s = _sqrt_mod(self.D, p) if self.sr_irrational else 0
+            usable = s is not None and all(q % p for q in self.sr_dens)
             self._at[p] = (
-                _taylor_shift(_rational_image(self.S, p), _Z0, p),
-                _taylor_shift(_rational_image(self.R2, p), _Z0, p),
-                [shifted(A) for A, _ in self.rows],
-                [shifted(B) for _, B in self.rows],
+                tuple(_taylor_shift(_image(c, p, s), _Z0, p) for c in self.sr) if usable else None
             )
         return self._at[p]
 
@@ -682,54 +602,44 @@ class _CofactorImages:
 def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
     """(p, S, T, R2) as jets of ``order`` at _Z0 mod the first listed prime
     at which S, T and R2 have images, or None when no listed prime
-    qualifies: :func:`_exact_jets`, without building T exactly.
+    qualifies.
 
-    With the residues c_j = (u_j + v_j*sqrt(D))/M over one denominator,
+    T is not built over Q(sqrt(D)).  With the residues
+    c_j = (u_j + v_j*sqrt(D))/M over one denominator,
     T*M*L = sum_j (u_j + v_j*sqrt(D))*(A_j + B_j*sqrt(D)) = P + Q*sqrt(D),
-    with integer P and Q.  Where p divides neither M*L nor a denominator
-    of S and R2, it divides no denominator of T, and T has a sqrt(D) part
-    exactly where Q != 0, which integer dot products decide: the prime rule
-    is the exact one.  T's image is then a dot product of the residues'
-    images with the cached shifted cofactor images.  Where p divides M*L,
-    or S and R2 are not rational, or the residues' discriminant differs
-    from the cofactors', the exact T is reduced instead."""
-    im = ode._cofactor_images
-    res = [_parts(c) for c in cand.exps]
+    where P = sum_j u_j*A_j + v_j*B_j*D and Q = sum_j u_j*B_j + v_j*A_j are
+    integer dot products.  T's coefficients P_k/(M*L) + Q_k/(M*L)*sqrt(D),
+    reduced as Fractions, are the exact T's, so the prime rule reads the
+    same denominators and the same sqrt(D) parts.  A residue in one field
+    and S, R2 or a cofactor it multiplies in another raise ValueError, as
+    exact arithmetic does."""
+    im = ode._descent_images
     discs = {c.D for c in cand.exps if isinstance(c, QuadExt) and c.b}
-    if im.D is not None:
+    if im.sr_irrational or any(c and irr for c, irr in zip(cand.exps, im.irrational_rows)):
         discs.add(im.D)
-    if not im.rational_sr or len(discs) > 1:
-        return _exact_jets(ode, cand, order)
+    if len(discs) > 1:
+        raise ValueError("mixed discriminants " + " and ".join(map(str, sorted(discs))))
     D = next(iter(discs), 0)
+    res = [_parts(c) for c in cand.exps]
     M = lcm(*(q.denominator for ab in res for q in ab))
-    uv = [(a.numerator * (M // a.denominator), b.numerator * (M // b.denominator)) for a, b in res]
-    irrational = bool(D) and any(
-        sum(u * B[k] + v * A[k] for (u, v), (A, B) in zip(uv, im.rows) if u or v)
-        for k in range(im.width)
-    )
+    terms = [
+        (a.numerator * (M // a.denominator), b.numerator * (M // b.denominator), A, B)
+        for (a, b), (A, B) in zip(res, im.rows)
+        if a or b
+    ]
+    den = M * im.L
+    P = [sum(u * A[k] + v * B[k] * D for u, v, A, B in terms) for k in range(im.width)]
+    Q = [sum(u * B[k] + v * A[k] for u, v, A, B in terms) for k in range(im.width)]
+    T = [(Fraction(x, den), Fraction(y, den)) for x, y in zip(P, Q)]
+    dens = {q.denominator for ab in T for q in ab}
+    irrational = any(b for _, b in T)
     for p in _PRIMES:
-        if (M * im.L) % p == 0:
-            return _exact_jets(ode, cand, order)
-        if im.sr_den % p == 0:
+        sr = im.at(p)
+        s = _sqrt_mod(D, p) if irrational else 0
+        if sr is None or s is None or any(q % p == 0 for q in dens):
             continue
-        s = 0
-        if irrational:
-            s = _sqrt_mod(D, p)
-            if s is None:
-                continue  # D is not a square mod p
-        S, R2, X, Y = im.at(p)
-        # T*M's image: sum_j (u_j + v_j*s)*X_j + (u_j*s + v_j*D)*Y_j, which is
-        # P's alone when Q = 0, whatever s
-        Tm = [0] * min(order, im.width)
-        for (u, v), x, y in zip(uv, X, Y):
-            a, b = u + v * s, u * s + v * D
-            if a:
-                Tm = [t + a * c for t, c in zip(Tm, x)]
-            if b and y:
-                Tm = [t + b * c for t, c in zip(Tm, y)]
-        inv = pow(M, -1, p)
-        T = [t * inv % p for t in Tm]
-        return (p, *(_JetModP(c[:order], order, p) for c in (S, T, R2)))
+        Tp = _taylor_shift(_image(T, p, s), _Z0, p)
+        return (p, *(_JetModP(c[:order], order, p) for c in (sr[0], Tp, sr[1])))
     return None
 
 

@@ -181,7 +181,7 @@ def test_census_counts_for_prime_orders_mostly_empty():
 
 
 def test_no_sectoral_candidates_from_order_13_to_24():
-    """Stage A of the all-n argument: the k = 0 bound in _integer_candidates'
+    """Stage A of the all-n argument: the k = 0 bound in _selections'
     docstring clears every n > 24; the orders 13..24 are cleared here by
     enumeration, for every N."""
     for n in range(13, 25):
@@ -740,10 +740,11 @@ class _PolyModP:
         return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
 
 
-def _full_column_rejection(ode, cand):
-    """The rejection as it was: the first listed prime dividing no
-    denominator of S, T, R2 (with D a square mod p), then the whole descents
-    of z^0 .. z^d mod p, independent or not."""
+def _exact_images(ode, cand):
+    """The first listed prime dividing no denominator of the parts of the
+    exact S, T and R2 from _descent_polys (with D a square mod p where one
+    has a sqrt(D) part), and their coefficients' images mod p; None when no
+    listed prime qualifies."""
     polys = _descent_polys(ode, cand.exps)
     discs = {c.D for poly in polys for c in poly.coeffs if isinstance(c, QuadExt) and c.b}
     parts = [
@@ -760,20 +761,27 @@ def _full_column_rejection(ode, cand):
             s = pow(D, (p + 1) // 4, p)
             if (s * s - D) % p:
                 continue
-        S, T, R2 = (
-            _PolyModP(
-                [a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * s
-                 for a, b in coeffs],
-                p,
-            )
+        return p, [
+            [(a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * s) % p
+             for a, b in coeffs]
             for coeffs in parts
-        )
-        residuals = [
-            _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
-            for k in range(cand.d + 1)
         ]
-        return p if _independent_mod(residuals, p) else None
     return None
+
+
+def _full_column_rejection(ode, cand):
+    """The rejection as it was: the prime of :func:`_exact_images`, then the
+    whole descents of z^0 .. z^d mod p, independent or not."""
+    exact = _exact_images(ode, cand)
+    if exact is None:
+        return None
+    p, images = exact
+    S, T, R2 = (_PolyModP(c, p) for c in images)
+    residuals = [
+        _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
+        for k in range(cand.d + 1)
+    ]
+    return p if _independent_mod(residuals, p) else None
 
 
 def _searched_systems(ode):
@@ -823,7 +831,7 @@ def test_jet_comparison_covers_every_degree():
     assert max(c.d for c in systems if c.N == 12) == 12
 
 
-# -- T's image from the cached cofactor images against the exact T ---------------
+# -- T's image from the cofactor rows against the exact T ----------------------
 
 
 def _conjugate_pole_ode(D):
@@ -848,8 +856,9 @@ def _rational_pole_ode():
 
 def _thirds_ode():
     """beta = -2/9 at the poles 0 and 3, so residues in thirds, while R2 = -2
-    and S = z(z - 3) have no 3 in a denominator: modulo 3 the cofactor
-    images cannot be used, yet the exact T may have an image."""
+    and S = z(z - 3) have no 3 in a denominator: 3 divides M*L, the
+    denominator T's coefficients are built over, yet the reduced T may have
+    an image mod 3."""
     beta, delta = Fraction(-2, 9), Fraction(-4, 27)
     r = _pole_term(beta, Fraction(0), 2) + _pole_term(beta, Fraction(3), 2)
     r = r + _pole_term(delta, Fraction(0)) - _pole_term(delta, Fraction(3))
@@ -862,11 +871,21 @@ def _pole_at_sqrt2_ode():
     return FuchsianODE.from_ratfunc(_pole_term(Fraction(2), a, 2), [a])
 
 
+def _zero_residues_at_sqrt3_ode():
+    """xi'' = (1/4) z^-2 xi, read with extra singular points +-sqrt(3) where
+    beta = delta = 0: the residues there are 0, so T = c_0 (z^2 - 3) lies in
+    Q(sqrt(2)) although the other cofactors z (z -+ sqrt(3)) do not."""
+    a = QuadExt(0, 1, 3)
+    r = _pole_term(Fraction(1, 4), Fraction(0), 2)
+    return FuchsianODE.from_ratfunc(r, [Fraction(0), a, -a])
+
+
 _ORACLE_ODES = {
     "sqrt2-at-0-1": _rational_pole_ode,
     "sqrt2-at-+-sqrt2": lambda: _conjugate_pole_ode(2),
     "thirds-at-0-3": _thirds_ode,
     "pole-at-sqrt2": _pole_at_sqrt2_ode,
+    "sqrt2-at-0-beside-+-sqrt3": _zero_residues_at_sqrt3_ode,
 }
 
 # the inputs above that have candidates (n = 7, 8, 9 and 11 have none), and
@@ -900,34 +919,59 @@ def _normal_jets(jets):
     return p, out
 
 
-def _jets_both_ways(monkeypatch, ode, cand):
-    """The (p, S, T, R2) jets from the cofactor images and from the exact T
-    that _descent_polys sums, and whether the first fell back to the second."""
+def _jets_both_ways(ode, cand):
+    """The (p, S, T, R2) jets from the cofactor rows, and those of the exact
+    T that _descent_polys sums, reduced by :func:`_exact_images` and shifted
+    to the rejection's centre."""
     order = cand.N + cand.d + 2
-    exact = kovacic._exact_jets(ode, cand, order)
-    fallbacks = []
-    with monkeypatch.context() as m:
-        m.setattr(kovacic, "_exact_jets", lambda *args: fallbacks.append(args) or exact)
-        fast = kovacic._jets_mod_prime(ode, cand, order)
-    return _normal_jets(fast), _normal_jets(exact), bool(fallbacks)
+    exact = _exact_images(ode, cand)
+    if exact is not None:
+        p, images = exact
+        exact = (p, *(kovacic._JetModP(kovacic._taylor_shift(c, kovacic._Z0, p)[:order], order, p)
+                      for c in images))
+    return _normal_jets(kovacic._jets_mod_prime(ode, cand, order)), _normal_jets(exact)
 
 
 @pytest.mark.parametrize("key", _JET_ORACLE_INPUTS, ids=str)
 def test_cofactor_jets_match_exact_T(monkeypatch, key):
     """Same prime and the same jets of S, T and R2 as reducing the exact T,
-    for every distinct system: with the listed primes, where only the
-    irrational S falls back to the exact T, and with small primes, which
-    divide the denominators and make more of them fall back."""
+    for every distinct system, and modular_rejection certifies with that
+    prime or not at all: with the listed primes, and with small primes,
+    which divide the denominators of some S, T or R2."""
     ode = _oracle_ode(key)
     cands = _searched_systems(ode)
     assert cands
-    for cand in cands:
-        fast, exact, fell_back = _jets_both_ways(monkeypatch, ode, cand)
-        assert fast == exact and fell_back == (key == "pole-at-sqrt2"), cand
+    for primes in (kovacic._PRIMES, _SMALL_PRIMES):
+        monkeypatch.setattr(kovacic, "_PRIMES", primes)
+        for cand in cands:
+            fast, exact = _jets_both_ways(ode, cand)
+            assert fast == exact, (primes, cand)
+            assert modular_rejection(ode, cand) in (None, exact and exact[0]), (primes, cand)
+
+
+def _paired_poles_ode():
+    """beta = -2/9 at the poles 0, 3, 1 and 4 and beta_inf = 2, with
+    R2 = S^2 r integral.  The poles meet in pairs mod 3, so where the
+    residues (in thirds) at 0 and 3 agree, T keeps a 3 in a denominator that
+    S and R2 lack."""
+    poles = [Fraction(x) for x in (0, 3, 1, 4)]
+    R2 = Poly([-32, 32, -8, -24, 38, -16, 2])
+    return FuchsianODE.from_ratfunc(RatFunc(R2, Poly.from_roots(poles) ** 2), poles)
+
+
+def test_prime_dividing_only_T_is_skipped(monkeypatch):
+    """Modulo 3, S and R2 have images, and so has T for four of the six
+    N = 1 candidates: those take 3, the other two pass over it to 7, as the
+    exact rule does."""
+    ode = _paired_poles_ode()
+    assert ode.betas == (Fraction(-2, 9),) * 4 and ode.beta_inf == 2
     monkeypatch.setattr(kovacic, "_PRIMES", _SMALL_PRIMES)
-    for cand in cands:
-        fast, exact, _ = _jets_both_ways(monkeypatch, ode, cand)
+    primes = []
+    for cand in candidates_for(ode, 1):
+        fast, exact = _jets_both_ways(ode, cand)
         assert fast == exact, cand
+        primes.append(fast[0])
+    assert sorted(primes) == [3, 3, 3, 3, 7, 7]
 
 
 def test_cofactor_jets_cover_irrational_residues():
@@ -944,10 +988,12 @@ def test_cofactor_jets_cover_irrational_residues():
 
 
 def test_mixed_discriminants_take_the_exact_path():
-    """Residues in Q(sqrt(2)) against cofactors in Q(sqrt(3)): the cofactor
-    images are not used, and the exact T refuses the mix as before."""
+    """Residues in Q(sqrt(2)) against cofactors in Q(sqrt(3)): the rejection
+    refuses the mix as the exact T does."""
     ode = _conjugate_pole_ode(3)
     cand = candidates_for(ode, 1)[0]
+    with pytest.raises(ValueError, match="mixed discriminants"):
+        _descent_polys(ode, cand.exps)
     with pytest.raises(ValueError, match="mixed discriminants"):
         modular_rejection(ode, cand)
 
@@ -1008,3 +1054,30 @@ def test_taylor_shift_matches_binomial_expansion():
         for k in range(len(f))
     ]
     assert kovacic._taylor_shift(f, z0, p) == expected
+
+
+# Stage B of the all-eps argument: with eps = 2u/(1 - (n^2 - 1) u^2) every
+# pole, S, T and R2 lies over Q(u), so a minor found nonzero mod p at one u0
+# is a nonzero rational function of u.  u0 = 1/(n + 3) makes every pole
+# rational; the distinct systems per n are those the ledger lists.
+_STAGE_B_SYSTEMS = {2: 127, 3: 34, 4: 27, 5: 3, 6: 10, 10: 1, 12: 5}
+
+
+def test_stage_b_systems_all_rejected_mod_p(monkeypatch):
+    """At eps0 = 5/11, 3/7, 7/17, 2/5, 9/23, 13/35 and 15/41 (u0 = 1/(n + 3))
+    modular_rejection rejects all 207 distinct systems, and none reaches the
+    exact solve."""
+    exact_solves = []
+    monkeypatch.setattr(kovacic, "_descent_solve", lambda *args: exact_solves.append(args))
+    eps0 = {}
+    for n, systems in _STAGE_B_SYSTEMS.items():
+        u = Fraction(1, n + 3)
+        eps0[n] = 2 * u / (1 - (n * n - 1) * u * u)
+        res = run_kovacic(FuchsianODE.from_nve(equatorial_nve(n, eps0[n])))
+        assert res.verdict == "Unsolvable" and len(res.ledger) == systems, n
+        assert all(e.searched and not e.success for e in res.ledger), n
+    assert list(eps0.values()) == [
+        Fraction(5, 11), Fraction(3, 7), Fraction(7, 17), Fraction(2, 5),
+        Fraction(9, 23), Fraction(13, 35), Fraction(15, 41),
+    ]
+    assert sum(_STAGE_B_SYSTEMS.values()) == 207 and exact_solves == []
