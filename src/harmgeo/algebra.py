@@ -4,10 +4,23 @@ functions and partial fractions.
 Rationals are plain :class:`fractions.Fraction`.  Everything built on top is
 immutable, and all operations are exact; floats never enter except through the
 explicit ``__float__`` conversions.
+
+A :class:`Poly` computes on integer rows over one common denominator: its
+coefficients are (A[k] + B[k]*sqrt(D))/L with integer rows A, B and an integer
+L > 0, B and D absent when they are all rational.  A product is then one
+integer convolution, a sum one scaled row addition, division a
+pseudo-division that scales by the divisor's leading coefficient, the gcd
+Euclid's algorithm on primitive rows, and evaluation and synthetic division
+one integer Horner scheme, where the per-coefficient Fraction arithmetic
+would normalise every intermediate by a gcd (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, 3rd ed., section 6.2; Knuth, TAOCP vol. 2,
+section 4.6.1).  A result keeps only its rows, in lowest terms; its
+Fraction/QuadExt coefficients are built from them once, when first read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,11 +141,7 @@ class QuadExt:
         return self.a
 
     def _join(self, other: "QuadExt") -> int | None:
-        if self.D is None:
-            return other.D
-        if other.D is None or other.D == self.D:
-            return self.D
-        raise ValueError(f"mixed discriminants {self.D} and {other.D}")
+        return _join_disc(self.D, other.D)
 
     @classmethod
     def _coerce(cls, x):
@@ -264,20 +273,262 @@ def field_inv(x: FieldElement) -> FieldElement:
     return Fraction(1) / x
 
 
+def _join_disc(D1: int | None, D2: int | None) -> int | None:
+    """The discriminant two operands share, None standing for Q; two distinct
+    concrete discriminants raise ValueError."""
+    if D1 is None or D1 == D2:
+        return D2
+    if D2 is None:
+        return D1
+    raise ValueError(f"mixed discriminants {D1} and {D2}")
+
+
+# -- integer rows -------------------------------------------------------------
+#
+# coeffs[k] = (A[k] + B[k]*sqrt(D))/L with integers A[k], B[k] and L > 0, and
+# B and D None when every coefficient is rational.  Rows in lowest terms (L
+# the least common denominator of the coefficients' parts, no trailing zeros)
+# are unique, so equal polynomials have equal rows.  Rows are shared between
+# polynomials, and the helpers below never modify a row they are given.
+
+
+def _rows_of(coeffs: tuple) -> tuple:
+    """(L, A, B, D) for the coefficients, L their least common denominator.
+    Coefficients with sqrt parts over two discriminants raise ValueError."""
+    D = None
+    for c in coeffs:
+        if isinstance(c, QuadExt) and c.b:
+            D = _join_disc(D, c.D)
+    if D is None:
+        fs = [c.a if isinstance(c, QuadExt) else c for c in coeffs]
+        L = math.lcm(*(f.denominator for f in fs))
+        return L, [f.numerator * (L // f.denominator) for f in fs], None, None
+    parts = [(c.a, c.b) if isinstance(c, QuadExt) else (c, _ZERO) for c in coeffs]
+    L = math.lcm(*(q.denominator for ab in parts for q in ab))
+    return (
+        L,
+        [a.numerator * (L // a.denominator) for a, _ in parts],
+        [b.numerator * (L // b.denominator) for _, b in parts],
+        D,
+    )
+
+
+def _field(a: int, b: int, den: int, D: int | None) -> FieldElement:
+    """(a + b*sqrt(D))/den for den > 0: a Fraction when b == 0."""
+    if b:
+        return QuadExt._raw(Fraction(a, den), Fraction(b, den), D)
+    return Fraction(a, den)
+
+
+def _poly(L: int, A: list, B: list | None = None, D: int | None = None) -> "Poly":
+    """The Poly (A + B*sqrt(D))/L for integer rows and a nonzero integer L,
+    its rows brought to lowest terms; its coefficients are built when first
+    read."""
+    if B is None or not any(B):
+        B = D = None
+    n = len(A)
+    if B is None:
+        while n and not A[n - 1]:
+            n -= 1
+        A = A[:n] if n < len(A) else A
+        g = math.gcd(L, *A)
+    else:
+        B = B + [0] * (n - len(B)) if len(B) < n else B
+        while not (A[n - 1] or B[n - 1]):
+            n -= 1
+        A, B = A[:n], B[:n]
+        g = math.gcd(L, *A, *B)
+    if L < 0:
+        g = -g
+    if g != 1:
+        L //= g
+        A = [x // g for x in A]
+        if B is not None:
+            B = [x // g for x in B]
+    p = object.__new__(Poly)
+    p._coeffs, p._rows = None, (L, A, B, D)
+    return p
+
+
+def _lin(X: list, a: int, Y: list, b: int) -> list:
+    """The integer row a*X + b*Y."""
+    if len(X) < len(Y):
+        X, a, Y, b = Y, b, X, a
+    out = [a * x for x in X] if a != 1 else list(X)
+    out[: len(Y)] = [u + b * y for u, y in zip(out, Y)]
+    return out
+
+
+def _conv(X: list, Y: list) -> list:
+    """The coefficients of the product of two integer polynomials."""
+    if not X or not Y:
+        return []
+    if len(X) < len(Y):
+        X, Y = Y, X
+    m = len(X)
+    out = [0] * (m + len(Y) - 1)
+    for j, y in enumerate(Y):
+        if y:
+            out[j : j + m] = [u + y * x for u, x in zip(out[j : j + m], X)]
+    return out
+
+
+def _times(A1: list, B1, A2: list, B2, D: int | None) -> tuple:
+    """(A1 + B1*sqrt(D)) * (A2 + B2*sqrt(D)) on integer rows, a None B
+    standing for a zero sqrt part."""
+    A = _conv(A1, A2)
+    if B1 is None:
+        return A, (None if B2 is None else _conv(A1, B2))
+    if B2 is None:
+        return A, _conv(B1, A2)
+    return _lin(A, 1, _conv(B1, B2), D), _lin(_conv(A1, B2), 1, _conv(B1, A2), 1)
+
+
+def _rational_lead(A: list, B, D: int | None) -> tuple:
+    """(u, w, A', B') with A' + B'*sqrt(D) = (u + w*sqrt(D))*(A + B*sqrt(D))
+    and a rational integer leading coefficient: u + w*sqrt(D) is 1, or the
+    conjugate of an irrational leading coefficient."""
+    if B is None or not B[-1]:
+        return 1, 0, A, B
+    u, w = A[-1], -B[-1]
+    return (u, w, *_times([u], [w], A, B, D))
+
+
+def _pseudo_divmod(A: list, B, C: list, E, D: int | None) -> tuple:
+    """(m, Q, QB, R, RB) with m*(A + B*sqrt(D)) = (Q + QB*sqrt(D))*(C + E*sqrt(D))
+    + (R + RB*sqrt(D)), m > 0 and R of lower degree than C, for integer rows
+    whose divisor has an integer leading coefficient l = C[-1] (E[-1] == 0).
+    Each step scales the remainder by l/gcd(l, its leading coefficient)
+    only, and m is the product of those factors."""
+    dc, l = len(C) - 1, C[-1]
+    irrational = B is not None or E is not None
+    R = list(A)
+    nq = max(len(R) - dc, 0)
+    Q, QB, RB, E0 = [0] * nq, None, None, None
+    if irrational:
+        QB = [0] * nq
+        RB = list(B) if B is not None else [0] * len(A)
+        E0 = E if E is not None else [0] * len(C)
+    m = 1
+    for j in range(nq - 1, -1, -1):
+        ta, tb = R.pop(), (RB.pop() if irrational else 0)
+        if not (ta or tb):
+            continue
+        g = math.gcd(ta, tb, l)
+        if l < 0:
+            g = -g
+        f, ta, tb = l // g, ta // g, tb // g
+        if f != 1:
+            m *= f
+            R, Q = [f * x for x in R], [f * x for x in Q]
+            if irrational:
+                RB, QB = [f * x for x in RB], [f * x for x in QB]
+        top = j + dc
+        Q[j] = ta
+        if irrational:
+            QB[j], tbD = tb, tb * D
+            R[j:top] = [x - ta * c - tbD * e for x, c, e in zip(R[j:top], C, E0)]
+            RB[j:top] = [x - ta * e - tb * c for x, c, e in zip(RB[j:top], C, E0)]
+        else:
+            R[j:top] = [x - ta * c for x, c in zip(R[j:top], C)]
+    return m, Q, QB, R, RB
+
+
+def _primitive(A: list, B) -> tuple:
+    """The rows without trailing zeros, divided by their integer content."""
+    n = len(A)
+    while n and not (A[n - 1] or (B is not None and B[n - 1])):
+        n -= 1
+    A = A[:n]
+    if B is not None:
+        B = B[:n] if any(B[:n]) else None
+    g = math.gcd(*A, *(B or ()))
+    if g > 1:
+        A = [x // g for x in A]
+        B = None if B is None else [x // g for x in B]
+    return A, B
+
+
+def _monic(A: list, B, D: int | None) -> "Poly":
+    """The monic multiple of the nonzero polynomial A + B*sqrt(D)."""
+    _, _, A, B = _rational_lead(A, B, D)
+    return _poly(A[-1], A, B, D)
+
+
+def _split(x) -> tuple:
+    """(s, t, v, E) with x = (s + t*sqrt(E))/v, v > 0, and E None when x is
+    rational."""
+    if isinstance(x, QuadExt):
+        a, b, E = x.a, x.b, x.D
+    else:
+        a, b, E = Fraction(x), _ZERO, None
+    v = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (v // a.denominator), b.numerator * (v // b.denominator), v, E
+
+
+def _horner(rows: tuple, x) -> tuple:
+    """Synthetic division of the nonzero polynomial with ``rows``, of degree
+    n, by z - x, x = (s + t*sqrt(E))/v.  With h_n = c_n, h_k = c_k + x*h_(k+1)
+    (so h_0 = p(x) and the quotient is sum h_k z^(k-1)), returns
+    ([H_n, ..., H_0], v, F) with H_k = (P_k, Q_k) the integer parts of
+    h_k*L*v^(n-k) = P_k + Q_k*sqrt(F), F the discriminant of the result."""
+    L, A, B, D = rows
+    s, t, v, E = _split(x)
+    F = _join_disc(D, E)
+    tF = t * (F or 0)
+    P, Q, w = A[-1], (B[-1] if B else 0), 1
+    H = [(P, Q)]
+    for k in range(len(A) - 2, -1, -1):
+        w *= v
+        P, Q = A[k] * w + s * P + tF * Q, (B[k] * w if B else 0) + t * P + s * Q
+        H.append((P, Q))
+    return H, v, F
+
+
 class Poly:
     """Dense univariate polynomial, coefficients lowest degree first.
 
-    Coefficients are Fractions or QuadExt elements (freely mixed; QuadExt
-    coercion happens lazily through the field operators).
+    Coefficients are Fractions or QuadExt elements, freely mixed as long as
+    their sqrt parts share one discriminant.  The ring operations, division,
+    the derivative, exact evaluation and the gcd run on the polynomial's
+    integer rows over one common denominator, (A + B*sqrt(D))/L, built on
+    first use and kept.  A result holds only its rows; its ``coeffs`` are
+    built from them once, when first read, as Fractions, or QuadExt where
+    the sqrt(D) part is nonzero.
+
+    Operands with sqrt parts over two distinct discriminants raise
+    ValueError, except a sum or difference whose operands are never both
+    irrational at one degree: like QuadExt addition coefficient by
+    coefficient, that one returns a polynomial over two fields.  Such a
+    polynomial has no rows, and every operation that needs them raises
+    ValueError.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_rows")
 
     def __init__(self, coeffs: Iterable[FieldElement] = ()):
         cs = [c if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        self._rows = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, lowest degree first, without trailing zeros."""
+        if self._coeffs is None:
+            L, A, B, D = self._rows
+            if B is None:
+                self._coeffs = tuple([Fraction(a, L) for a in A])
+            else:
+                self._coeffs = tuple([_field(a, b, L, D) for a, b in zip(A, B)])
+        return self._coeffs
+
+    def _int_rows(self) -> tuple:
+        """(L, A, B, D) with coeffs[k] = (A[k] + B[k]*sqrt(D))/L."""
+        if self._rows is None:
+            self._rows = _rows_of(self.coeffs)
+        return self._rows
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -301,19 +552,20 @@ class Poly:
     # -- structure ---------------------------------------------------------
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        cs = self._coeffs
+        return len(self._rows[1] if cs is None else cs) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return self.degree >= 0
 
     def __getitem__(self, k: int) -> FieldElement:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if self.is_zero():
             raise ValueError("zero polynomial")
         return self.coeffs[-1]
 
@@ -321,26 +573,49 @@ class Poly:
         return Poly([f(c) for c in self.coeffs])
 
     # -- ring operations ----------------------------------------------------
+    def _sum(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other."""
+        L1, A1, B1, D1 = self._int_rows()
+        L2, A2, B2, D2 = other._int_rows()
+        L = math.lcm(L1, L2)
+        f1, f2 = L // L1, sign * (L // L2)
+        A = _lin(A1, f1, A2, f2)
+        if B1 is None or B2 is None or D1 == D2:
+            B = None if B1 is None and B2 is None else _lin(B1 or [], f1, B2 or [], f2)
+            return _poly(L, A, B, D1 or D2)
+        # two fields: as with QuadExt addition coefficient by coefficient,
+        # only a degree irrational in both operands refuses
+        if any(x and y for x, y in zip(B1, B2)):
+            raise ValueError(f"mixed discriminants {D1} and {D2}")
+        B1, B2 = [f1 * x for x in B1], [f2 * x for x in B2]
+        return Poly(
+            _field(a, b1 or b2, L, D1 if b1 else D2)
+            for a, b1, b2 in itertools.zip_longest(A, B1, B2, fillvalue=0)
+        )
+
     def __add__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        L, A, B, D = self._int_rows()
+        return _poly(L, [-x for x in A], None if B is None else [-x for x in B], D)
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return other._sum(self, -1)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -348,17 +623,16 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        L1, A1, B1, D1 = self._int_rows()
+        L2, A2, B2, D2 = other._int_rows()
+        D = _join_disc(D1, D2)
+        return _poly(L1 * L2, *_times(A1, B1, A2, B2, D), D)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError(f"exponent {k} must be nonnegative: Poly is a ring")
         out, base = Poly.one(), self
         while k:
             if k & 1:
@@ -371,22 +645,17 @@ class Poly:
         other = _as_poly(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        inv_lc = field_inv(other.leading())
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] * inv_lc
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-            rem.pop()
-        return Poly(q), Poly(rem)
+        L1, A, B, D1 = self._int_rows()
+        L2, C, E, D2 = other._int_rows()
+        D = _join_disc(D1, D2)
+        # self = (A + B*sqrt(D))/L1 and other = (C + E*sqrt(D))/L2; with
+        # (u + w*sqrt(D))*(C + E*sqrt(D)) = C' + E'*sqrt(D) of integer lead,
+        # m*(A + B*sqrt(D)) = Q'*(C' + E'*sqrt(D)) + R' gives the quotient
+        # Q'*(u + w*sqrt(D))*L2/(m*L1) and the remainder R'/(m*L1)
+        u, w, C, E = _rational_lead(C, E, D)
+        m, Q, QB, R, RB = _pseudo_divmod(A, B, C, E, D)
+        Q, QB = _times(Q, QB, [u * L2], [w * L2] if w else None, D)
+        return _poly(m * L1, Q, QB, D), _poly(m * L1, R, RB, D)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -404,6 +673,8 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
+        if self._rows is not None and other._rows is not None:
+            return self._rows == other._rows
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -411,25 +682,42 @@ class Poly:
 
     # -- calculus / evaluation ----------------------------------------------
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        L, A, B, D = self._int_rows()
+        dA = [k * x for k, x in enumerate(A)][1:]
+        return _poly(L, dA, None if B is None else [k * x for k, x in enumerate(B)][1:], D)
 
     def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + (float(c) if isinstance(x, (float, complex)) else c)
-        return out
+        """The value at x: exact at a rational or QuadExt x, by Horner's rule
+        in floating point at a float or complex x."""
+        if isinstance(x, (float, complex)):
+            out = 0
+            for c in reversed(self.coeffs):
+                out = out * x + float(c)
+            return out
+        if self.is_zero():
+            return _ZERO
+        rows = self._int_rows()
+        H, v, F = _horner(rows, x)
+        return _field(*H[-1], rows[0] * v**self.degree, F)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial")
-        inv = field_inv(self.leading())
-        return Poly([c * inv for c in self.coeffs])
+        _, A, B, D = self._int_rows()
+        return _monic(A, B, D)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, _as_poly(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd, by Euclid's algorithm on primitive integer rows:
+        every remainder is a pseudo-remainder divided by its content, which
+        changes it by a nonzero factor only."""
+        _, A, B, D1 = self._int_rows()
+        _, C, E, D2 = _as_poly(other)._int_rows()
+        D = _join_disc(D1, D2)
+        while C:
+            _, _, C, E = _rational_lead(C, E, D)
+            *_, R, RB = _pseudo_divmod(A, B, C, E, D)
+            (A, B), (C, E) = (C, E), _primitive(R, RB)
+        return _monic(A, B, D) if A else Poly()
 
     def __repr__(self):
         if self.is_zero():
@@ -653,14 +941,19 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
 
 def _divide_linear(p: Poly, a: FieldElement) -> tuple[Poly, FieldElement]:
     """(q, p(a)) with p = (z - a)*q + p(a), by synthetic (Horner) division
-    of a nonzero p."""
-    acc = p.coeffs[-1]
-    quo = [acc]
-    for c in reversed(p.coeffs[:-1]):
-        acc = c + a * acc
-        quo.append(acc)
-    rem = quo.pop()
-    return Poly(reversed(quo)), rem
+    of a nonzero p on its integer rows."""
+    rows = p._int_rows()
+    H, v, F = _horner(rows, a)
+    n = len(H) - 1
+    rem = _field(*H.pop(), rows[0] * v**n, F)
+    # H = [H_n, ..., H_1]: h_k = H_k/(L*v^(n-k)) is q's coefficient of
+    # z^(k-1), so over L*v^(n-1) its numerator is H_k*v^(k-1)
+    QA, QB, vk = [], [], 1
+    for P, Q in reversed(H):
+        QA.append(P * vk)
+        QB.append(Q * vk)
+        vk *= v
+    return _poly(rows[0] * (vk // v if n else 1), QA, QB, F), rem
 
 
 def _conjugate(x: FieldElement) -> FieldElement:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -94,12 +94,9 @@ class FuchsianODE:
     def _descent_parts(self) -> tuple[Poly, tuple, Poly]:
         """S = prod(z - a), the cofactors S/(z - a_j) and R2 = S^2*r: the
         parts of every descent that no candidate changes."""
-        # a conjugate pole pair leaves S with rational QuadExt coefficients:
-        # as Fractions they make R2 one exact division over Q
-        S = Poly(
-            c.a if isinstance(c, QuadExt) and c.is_rational else c
-            for c in Poly.from_roots(self.poles).coeffs
-        )
+        # a conjugate pole pair leaves S rational, so R2 is one exact
+        # division over Q
+        S = Poly.from_roots(self.poles)
         cofactors = tuple(_divide_linear(S, a)[0] for a in self.poles)
         # r's denominator divides S^2 when every pole is at most double
         R2 = (S * S).exact_div(self.r.den) * self.r.num
@@ -434,10 +431,10 @@ class Solution:
 #
 # T is not built over Q(sqrt(D)) either (:func:`_jets_mod_prime`).  The
 # cofactors S/(z - a_j) are kept as integer rows over one denominator, so
-# T's coefficients come from integer dot products with the residues, reduced
-# as Fractions: the prime rule reads the exact T's denominators and sqrt(D)
-# parts, for every prime.  The images of S and R2, shifted to z0, are cached
-# per equation and prime; T's are shifted per candidate.
+# T's coefficients come from integer dot products with the residues, brought
+# to lowest terms: the prime rule reads the exact T's common denominator and
+# sqrt(D) parts, for every prime.  The images of S and R2, shifted to z0, are
+# cached per equation and prime; T's are shifted per candidate.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -529,13 +526,13 @@ def _sqrt_mod(D: int, p: int) -> Optional[int]:
     return s if (s * s - D) % p == 0 else None
 
 
-def _image(parts: list, p: int, s: int) -> list[int]:
-    """The images mod p of the coefficients a + b*sqrt(D) given as their
-    parts (a, b), with s^2 = D mod p; p divides no denominator."""
-    return [
-        (a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * s) % p
-        for a, b in parts
-    ]
+def _image(L: int, A: list, B: Optional[list], p: int, s: int) -> list[int]:
+    """The images mod p of the coefficients (A[k] + B[k]*sqrt(D))/L, B None
+    when they are rational, with s^2 = D mod p; p does not divide L."""
+    inv = pow(L, -1, p)
+    if B is None:
+        return [a * inv % p for a in A]
+    return [(a + b * s) * inv % p for a, b in zip(A, B)]
 
 
 def _independent_mod(vectors: list[list[int]], p: int) -> bool:
@@ -560,8 +557,9 @@ def _independent_mod(vectors: list[list[int]], p: int) -> bool:
 class _DescentImages:
     """What the rejection reads of an equation, whatever the candidate.
 
-    S and R2 are kept as the parts (a, b) of their coefficients
-    a + b*sqrt(D), the cofactors S/(z - a_j) as integer rows over one common
+    S, R2 and the cofactors S/(z - a_j) are read as the integer rows of
+    :class:`Poly`, (A + B*sqrt(D))/L with L the least common denominator of
+    the coefficients' parts; the cofactors are brought to one common
     denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L.  ``D`` is the
     equation's one discriminant, None when all of it is rational.  ``at(p)``
     gives, once per prime, the Taylor coefficients at _Z0 of the images mod p
@@ -569,21 +567,17 @@ class _DescentImages:
     which they need, is no square mod p."""
 
     def __init__(self, S: Poly, cofactors: tuple, R2: Poly):
-        self.sr = [[_parts(c) for c in poly.coeffs] for poly in (S, R2)]
-        self.sr_dens = {q.denominator for coeffs in self.sr for ab in coeffs for q in ab}
-        self.sr_irrational = any(b for coeffs in self.sr for _, b in coeffs)
-        parts = [[_parts(c) for c in cf.coeffs] for cf in cofactors]
-        self.L = L = lcm(*(q.denominator for row in parts for ab in row for q in ab))
+        sr = [poly._int_rows() for poly in (S, R2)]
+        self.sr = [r[:3] for r in sr]
+        self.sr_irrational = any(B is not None for _, _, B in self.sr)
+        rows = [cf._int_rows() for cf in cofactors]
+        self.L = L = lcm(*(r[0] for r in rows))
         self.rows = [
-            ([a.numerator * (L // a.denominator) for a, _ in row],
-             [b.numerator * (L // b.denominator) for _, b in row])
-            for row in parts
+            ([a * (L // l) for a in A], [b * (L // l) for b in B] if B else [0] * len(A))
+            for l, A, B, _ in rows
         ]
         self.irrational_rows = [any(B) for _, B in self.rows]
-        discs = {
-            c.D for poly in (S, R2, *cofactors) for c in poly.coeffs
-            if isinstance(c, QuadExt) and c.b
-        }
+        discs = {r[3] for r in (*sr, *rows)} - {None}
         self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
         self.width = S.degree
         self._at: dict = {}
@@ -592,9 +586,9 @@ class _DescentImages:
         """(S, R2) shifted to _Z0 mod p, or None where p does not serve."""
         if p not in self._at:
             s = _sqrt_mod(self.D, p) if self.sr_irrational else 0
-            usable = s is not None and all(q % p for q in self.sr_dens)
+            usable = s is not None and all(L % p for L, _, _ in self.sr)
             self._at[p] = (
-                tuple(_taylor_shift(_image(c, p, s), _Z0, p) for c in self.sr) if usable else None
+                tuple(_taylor_shift(_image(*r, p, s), _Z0, p) for r in self.sr) if usable else None
             )
         return self._at[p]
 
@@ -608,9 +602,9 @@ def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[t
     c_j = (u_j + v_j*sqrt(D))/M over one denominator,
     T*M*L = sum_j (u_j + v_j*sqrt(D))*(A_j + B_j*sqrt(D)) = P + Q*sqrt(D),
     where P = sum_j u_j*A_j + v_j*B_j*D and Q = sum_j u_j*B_j + v_j*A_j are
-    integer dot products.  T's coefficients P_k/(M*L) + Q_k/(M*L)*sqrt(D),
-    reduced as Fractions, are the exact T's, so the prime rule reads the
-    same denominators and the same sqrt(D) parts.  A residue in one field
+    integer dot products.  Brought to lowest terms, (P + Q*sqrt(D))/(M*L) is
+    the exact T over its least common denominator, so the prime rule reads
+    the same denominators and the same sqrt(D) parts.  A residue in one field
     and S, R2 or a cofactor it multiplies in another raise ValueError, as
     exact arithmetic does."""
     im = ode._descent_images
@@ -630,15 +624,15 @@ def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[t
     den = M * im.L
     P = [sum(u * A[k] + v * B[k] * D for u, v, A, B in terms) for k in range(im.width)]
     Q = [sum(u * B[k] + v * A[k] for u, v, A, B in terms) for k in range(im.width)]
-    T = [(Fraction(x, den), Fraction(y, den)) for x, y in zip(P, Q)]
-    dens = {q.denominator for ab in T for q in ab}
-    irrational = any(b for _, b in T)
+    g = gcd(den, *P, *Q)
+    den, P, Q = den // g, [x // g for x in P], [y // g for y in Q]
+    irrational = any(Q)
     for p in _PRIMES:
         sr = im.at(p)
         s = _sqrt_mod(D, p) if irrational else 0
-        if sr is None or s is None or any(q % p == 0 for q in dens):
+        if sr is None or s is None or den % p == 0:
             continue
-        Tp = _taylor_shift(_image(T, p, s), _Z0, p)
+        Tp = _taylor_shift(_image(den, P, Q if irrational else None, p, s), _Z0, p)
         return (p, *(_JetModP(c[:order], order, p) for c in (sr[0], Tp, sr[1])))
     return None
 
