@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .algebra import Poly, RatFunc
 from .dop853 import solve_ivp
 from .surface import POLE_TOL, PolarSurface, PoleError
 
@@ -401,6 +400,8 @@ def lemma1_poly(n: int, eps) -> dict[int, Poly]:
     """Exact expansion f(u, c) = sum_k u^k * (poly in c): coinciding
     exponents summed, zero terms dropped.  The u^0 term is the round
     sphere's 1, and 1 + eps^2 when n = 1."""
+    from .algebra import Poly
+
     eps = Fraction(eps)
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
@@ -430,6 +431,8 @@ def lemma1_value(n: int, eps, u0, c0) -> Fraction:
 
 def lemma1_equator_cubic(n: int, eps) -> Poly:
     """f(1, c) as an exact cubic polynomial in c."""
+    from .algebra import Poly
+
     poly = lemma1_poly(n, Fraction(eps))
     total = Poly.zero()
     for _, pc in poly.items():
@@ -476,6 +479,7 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     equally spaced arc lengths of one circuit, both ends included.  Both
     start from (1, 0) at phi = pi/(2n).
     """
+    from .algebra import Poly, RatFunc
     from .nve import equatorial_nve
 
     if n_checks < 2:

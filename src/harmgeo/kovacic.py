@@ -325,9 +325,11 @@ def _descent_polys(ode: FuchsianODE, coeffs) -> tuple[Poly, Poly, Poly]:
 def _case3_descend(N: int, S, T, R2, P) -> list:
     """Run the downward recursion P_N = -P, ...; returns [P_N, ..., P_-1].
 
-    The polynomials are exact :class:`Poly` values or their truncated Taylor
-    series modulo a prime (:class:`_JetModP`): the recursion uses ring
-    operations and the derivative only."""
+    P_(i-1) = -S P_i' + ((N - i) S' - T) P_i - (N - i)(i + 1) R2 P_(i+1).
+    This is the exact route, on :class:`Poly` (the solve, the minimal
+    polynomial and the verification); the rejection mod p runs the same
+    recursion fused on integer jets (:func:`_descend_mod`).  Only ring
+    operations and the derivative are used."""
     seq = [-P]
     Sp = S.derivative()
     for i in range(N, -1, -1):
@@ -425,9 +427,12 @@ class Solution:
 # stands.  A singular one proves nothing, and the candidate goes to the
 # exact solve; z0 only changes how often that happens.  Coefficients 0..j
 # of P_(i-1) need those of P_i to j + 1 (one derivative) and of P_(i+1)
-# to j, so the descent runs on jets (:class:`_JetModP`): S, T and R2 are
-# shifted to z0 at order N + d + 2 and P_N = -t^k starts there, every sum
-# and product keeps the lower order, and P_-1 ends at order d + 1.
+# to j, so the descent runs on jets (:func:`_descend_mod`): S, T and R2 are
+# shifted to z0 at order N + d + 2 and P_N = -t^k starts there, each step's
+# order is one less than the last's, and P_-1 ends at order d + 1.  A step
+# is one fused pass: its three multipliers -S, (N - i) S' - T and
+# -(N - i)(i + 1) R2 are reduced once per candidate and shared by the d + 1
+# columns, and each column's accumulator is reduced mod p once per step.
 #
 # T is not built over Q(sqrt(D)) either (:func:`_jets_mod_prime`).  The
 # cofactors S/(z - a_j) are kept as integer rows over one denominator, so
@@ -454,54 +459,32 @@ _PRIMES = (
 _Z0 = 2**31 - 1
 
 
-class _JetModP:
-    """Truncated Taylor series at a point z0 over F_p: the coefficients of
-    t^0 .. t^(order-1), t = z - z0, with the ring operations
-    :func:`_case3_descend` uses.  Coefficients past the stored ones are
-    zero.  A sum or product is known only to the lower of its operands'
-    orders, and a derivative to one order less.  Coefficients are integers
-    standing for their residues: products of two jets reduce them mod p;
-    sums, integer multiples and derivatives leave them as they come."""
-
-    __slots__ = ("c", "order", "p")
-
-    def __init__(self, coeffs: list, order: int, p: int):
-        # no more than ``order`` coefficients
-        self.c, self.order, self.p = coeffs, order, p
-
-    def __add__(self, other: "_JetModP") -> "_JetModP":
-        n = min(self.order, other.order)
-        a, b = self.c[:n], other.c[:n]
-        if len(a) < len(b):
-            a, b = b, a
-        return _JetModP([x + y for x, y in zip(a, b)] + a[len(b):], n, self.p)
-
-    def __neg__(self) -> "_JetModP":
-        return _JetModP([-x for x in self.c], self.order, self.p)
-
-    def __sub__(self, other: "_JetModP") -> "_JetModP":
-        return self + (-other)
-
-    def __mul__(self, other) -> "_JetModP":
-        p = self.p
-        if isinstance(other, int):
-            return _JetModP([x * other for x in self.c], self.order, p)
-        n = min(self.order, other.order)
-        a, b = self.c[:n], other.c[:n]
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * min(n, len(a) + len(b) - 1)
-        m = len(a)
-        for j, y in enumerate(b):  # the shorter operand: S, T or R2
-            if y:
-                out[j : j + m] = [u + y * v for u, v in zip(out[j : j + m], a)]
-        return _JetModP([x % p for x in out], n, p)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "_JetModP":
-        c = self.c
-        return _JetModP([k * c[k] for k in range(1, len(c))], max(self.order - 1, 0), self.p)
+def _descend_mod(N: int, d: int, S: list, T: list, R2: list, p: int) -> list[list[int]]:
+    """Coefficients 0..d at _Z0 of P_-1 mod p in the descents of P = t^k,
+    k = 0..d, from those of S, T and R2 mod p: :func:`_case3_descend` as one
+    fused pass per step, each step's order one less than the last's."""
+    order = N + d + 2
+    width = max(len(S), len(T), len(R2))
+    S, T, R2 = (c + [0] * (width + 1 - len(c)) for c in (S, T, R2))
+    steps = []  # per step i = N..0, the coefficients of -S, (N-i)S' - T, -(N-i)(i+1)R2
+    for i in range(N, -1, -1):
+        f, g = N - i, -(N - i) * (i + 1)
+        steps.append([
+            (-S[j] % p, (f * (j + 1) * S[j + 1] - T[j]) % p, g * R2[j] % p)
+            for j in range(min(width, order - f - 1))
+        ])
+    out = []
+    for k in range(d + 1):
+        P, prev = [0] * k + [-1] + [0] * (order - k - 1), [0] * order  # P_N, P_(N+1)
+        for mult in steps:
+            m = len(P) - 1
+            dP = [b * P[b] for b in range(1, m + 1)]
+            acc = [0] * m
+            for j, (s, a, r) in enumerate(mult):
+                acc[j:] = [u + s * x + a * y + r * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
+            prev, P = P, [x % p for x in acc]
+        out.append(P)
+    return out
 
 
 def _taylor_shift(coeffs: list[int], z0: int, p: int) -> list[int]:
@@ -594,9 +577,9 @@ class _DescentImages:
 
 
 def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
-    """(p, S, T, R2) as jets of ``order`` at _Z0 mod the first listed prime
-    at which S, T and R2 have images, or None when no listed prime
-    qualifies.
+    """(p, S, T, R2): the first listed prime at which S, T and R2 have
+    images, and their Taylor coefficients 0 .. order-1 at _Z0 mod p as lists
+    of integers; None when no listed prime qualifies.
 
     T is not built over Q(sqrt(D)).  With the residues
     c_j = (u_j + v_j*sqrt(D))/M over one denominator,
@@ -633,7 +616,7 @@ def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[t
         if sr is None or s is None or den % p == 0:
             continue
         Tp = _taylor_shift(_image(den, P, Q if irrational else None, p, s), _Z0, p)
-        return (p, *(_JetModP(c[:order], order, p) for c in (sr[0], Tp, sr[1])))
+        return (p, *(c[:order] for c in (sr[0], Tp, sr[1])))
     return None
 
 
@@ -646,16 +629,11 @@ def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     equals minus the last, over F_p or over Q(sqrt(D)).  None means "not
     proved", and the candidate needs the exact search.
     """
-    order = cand.N + cand.d + 2
-    jets = _jets_mod_prime(ode, cand, order)
+    jets = _jets_mod_prime(ode, cand, cand.N + cand.d + 2)
     if jets is None:
         return None
     p, S, T, R2 = jets
-    residuals = [
-        _case3_descend(cand.N, S, T, R2, _JetModP([0] * k + [1], order, p))[-1].c
-        for k in range(cand.d + 1)
-    ]
-    return p if _independent_mod(residuals, p) else None
+    return p if _independent_mod(_descend_mod(cand.N, cand.d, S, T, R2, p), p) else None
 
 
 def search_for(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:

@@ -342,6 +342,22 @@ def test_exact_half_runs_without_numpy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 4
 
 
+def test_numeric_half_loads_no_exact_algebra():
+    """The integrators and return maps never load the exact polynomial
+    module; geodesic's Lemma 1 functions import it when called."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import harmgeo.poincare, harmgeo.geodesic\n"
+        "assert 'harmgeo.algebra' not in sys.modules\n"
+        "f = harmgeo.geodesic.lemma1_poly(2, Fraction(1, 2))\n"
+        "assert list(f[6].coeffs) == [0, 0, 0, Fraction(3, 8)], f\n"
+        "assert 'harmgeo.algebra' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_names_resolve_on_first_access():
     """The lazy package namespace: every public name, every submodule, and
     AttributeError for anything else (getattr with a default relies on it)."""

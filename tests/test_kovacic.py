@@ -728,16 +728,110 @@ class _PolyModP:
         if isinstance(other, int):
             return _PolyModP([x * other for x in self.c], self.p)
         a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
         out = [0] * max(len(a) + len(b) - 1, 0)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        m = len(a)
+        for j, y in enumerate(b):  # the whole product, one pass per coefficient of b
+            out[j : j + m] = [u + y * v for u, v in zip(out[j : j + m], a)]
         return _PolyModP(out, self.p)
 
     __rmul__ = __mul__
 
     def derivative(self):
         return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
+
+
+class _JetModP:
+    """Truncated Taylor series at a point z0 over F_p: the coefficients of
+    t^0 .. t^(order-1), t = z - z0, with the ring operations
+    :func:`_case3_descend` uses.  Coefficients past the stored ones are
+    zero.  A sum or product is known only to the lower of its operands'
+    orders, and a derivative to one order less.  Coefficients are integers
+    standing for their residues: products of two jets reduce them mod p;
+    sums, integer multiples and derivatives leave them as they come."""
+
+    __slots__ = ("c", "order", "p")
+
+    def __init__(self, coeffs: list, order: int, p: int):
+        # no more than ``order`` coefficients
+        self.c, self.order, self.p = coeffs, order, p
+
+    def __add__(self, other: "_JetModP") -> "_JetModP":
+        n = min(self.order, other.order)
+        a, b = self.c[:n], other.c[:n]
+        if len(a) < len(b):
+            a, b = b, a
+        return _JetModP([x + y for x, y in zip(a, b)] + a[len(b):], n, self.p)
+
+    def __neg__(self) -> "_JetModP":
+        return _JetModP([-x for x in self.c], self.order, self.p)
+
+    def __sub__(self, other: "_JetModP") -> "_JetModP":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_JetModP":
+        p = self.p
+        if isinstance(other, int):
+            return _JetModP([x * other for x in self.c], self.order, p)
+        n = min(self.order, other.order)
+        a, b = self.c[:n], other.c[:n]
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * min(n, len(a) + len(b) - 1)
+        m = len(a)
+        for j, y in enumerate(b):  # the shorter operand: S, T or R2
+            if y:
+                out[j : j + m] = [u + y * v for u, v in zip(out[j : j + m], a)]
+        return _JetModP([x % p for x in out], n, p)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "_JetModP":
+        c = self.c
+        return _JetModP([k * c[k] for k in range(1, len(c))], max(self.order - 1, 0), self.p)
+
+
+def _jet_descents(N, d, S, T, R2, p):
+    """The reference for kovacic._descend_mod: _case3_descend on jets of
+    order N + d + 2 for P = t^0 .. t^d, each last term read mod p and padded
+    to its d + 1 coefficients."""
+    order = N + d + 2
+    S, T, R2 = (_JetModP(c[:order], order, p) for c in (S, T, R2))
+    out = []
+    for k in range(d + 1):
+        last = _case3_descend(N, S, T, R2, _JetModP([0] * k + [1], order, p))[-1]
+        assert last.order == d + 1
+        out.append([x % p for x in last.c] + [0] * (d + 1 - len(last.c)))
+    return out
+
+
+def _random_jet(rng, p, length):
+    """``length`` coefficients mod p, about a third of them zero, ending in a
+    run of zeros half the time."""
+    c = [0 if rng.random() < 0.3 else rng.randrange(p) for _ in range(length)]
+    if length and rng.random() < 0.5:
+        cut = rng.randrange(length)
+        c[cut:] = [0] * (length - cut)
+    return c
+
+
+@pytest.mark.parametrize("p", [kovacic._PRIMES[0], 7], ids=["p61", "p7"])
+@pytest.mark.parametrize("N", [1, 2, 4, 6, 12])
+def test_fused_descent_matches_jet_ring(N, p):
+    """The fused kernel's residual vectors equal, entry for entry, those of
+    _case3_descend on jets, for d = 0..12 and seeded random S, T and R2 of
+    up to N + d + 4 coefficients: zero and trailing-zero coefficients, T
+    empty (all residues 0), R2 longer or shorter than S."""
+    rng = random.Random(1000 * N + p % 1000)
+    for d in range(13):
+        order = N + d + 2
+        for trial in range(4):
+            S = _random_jet(rng, p, rng.randrange(1, order + 3))
+            T = [] if trial == 0 else _random_jet(rng, p, rng.randrange(order + 3))
+            R2 = _random_jet(rng, p, rng.randrange(order + 3))
+            fused = kovacic._descend_mod(N, d, S, T, R2, p)
+            assert fused == _jet_descents(N, d, S, T, R2, p), (N, d, trial)
 
 
 def _exact_images(ode, cand):
@@ -904,18 +998,19 @@ def _oracle_ode(key):
     return FuchsianODE.from_nve(equatorial_nve(*key))
 
 
-def _normal_jets(jets):
-    """(p, [(coefficients mod p without trailing zeros, order)]) of the
-    (p, S, T, R2) jets, or None."""
+def _normal_jets(jets, order):
+    """(p, [coefficients mod p without trailing zeros]) of the (p, S, T, R2)
+    jets, or None; each jet has at most ``order`` coefficients."""
     if jets is None:
         return None
     p, *parts = jets
     out = []
     for jet in parts:
-        c = [x % p for x in jet.c]
+        assert len(jet) <= order
+        c = [x % p for x in jet]
         while c and not c[-1]:
             c.pop()
-        out.append((c, jet.order))
+        out.append(c)
     return p, out
 
 
@@ -927,9 +1022,8 @@ def _jets_both_ways(ode, cand):
     exact = _exact_images(ode, cand)
     if exact is not None:
         p, images = exact
-        exact = (p, *(kovacic._JetModP(kovacic._taylor_shift(c, kovacic._Z0, p)[:order], order, p)
-                      for c in images))
-    return _normal_jets(kovacic._jets_mod_prime(ode, cand, order)), _normal_jets(exact)
+        exact = (p, *(kovacic._taylor_shift(c, kovacic._Z0, p)[:order] for c in images))
+    return _normal_jets(kovacic._jets_mod_prime(ode, cand, order), order), _normal_jets(exact, order)
 
 
 @pytest.mark.parametrize("key", _JET_ORACLE_INPUTS, ids=str)
@@ -998,30 +1092,49 @@ def test_mixed_discriminants_take_the_exact_path():
         modular_rejection(ode, cand)
 
 
-def _longer_order_product(self, other):
-    if isinstance(other, int):
-        return kovacic._JetModP([x * other for x in self.c], self.order, self.p)
-    n = max(self.order, other.order)
-    out = [0] * n
-    for j, y in enumerate(other.c):
-        for i, x in enumerate(self.c[: n - j]):
-            out[i + j] += x * y
-    return kovacic._JetModP([x % self.p for x in out], n, self.p)
+def _faulty_descend(fault):
+    """A copy of kovacic._descend_mod with one fault: each step kept at its
+    predecessor's order (coefficients past the known ones read as 0), the
+    derivatives S' and P_i' without their index factor, or the R2 term
+    without its (i + 1) factor; ``fault`` None gives the faithful copy."""
+    index = (lambda b: 1) if fault == "derivative-without-index" else (lambda b: b)
+
+    def descend(N, d, S, T, R2, p):
+        order = N + d + 2
+        drop = fault != "product-keeps-longer-order"
+        width = max(len(S), len(T), len(R2))
+        S, T, R2 = (c + [0] * (width + 1 - len(c)) for c in (S, T, R2))
+        steps = []
+        for i in range(N, -1, -1):
+            f = N - i
+            g = -f if fault == "r2-without-index-factor" else -f * (i + 1)
+            steps.append([
+                (-S[j] % p, (f * index(j + 1) * S[j + 1] - T[j]) % p, g * R2[j] % p)
+                for j in range(min(width, order - drop * (f + 1)))
+            ])
+        out = []
+        for k in range(d + 1):
+            P, prev = [0] * k + [-1] + [0] * (order - k - 1), [0] * order
+            for mult in steps:
+                m = len(P) - drop
+                dP = [index(b) * x for b, x in enumerate(P[1:] + [0], 1)][:m]
+                acc = [0] * m
+                for j, (s, a, r) in enumerate(mult):
+                    acc[j:] = [u + s * x + a * y + r * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
+                prev, P = P, [x % p for x in acc]
+            out.append(P)
+        return out
+
+    return descend
 
 
-def _unscaled_derivative(self):
-    return kovacic._JetModP(self.c[1:], max(self.order - 1, 0), self.p)
+_FAULTS = ["product-keeps-longer-order", "derivative-without-index", "r2-without-index-factor"]
 
 
-@pytest.mark.parametrize(
-    "attr,mutant",
-    [("__mul__", _longer_order_product), ("derivative", _unscaled_derivative)],
-    ids=["product-keeps-longer-order", "derivative-without-index"],
-)
-def test_jet_comparison_catches_broken_jets(monkeypatch, attr, mutant):
-    """Each broken ring operation rejects a system the full columns keep:
-    the n = 1 witness's (N = 1) or the dihedral solution's (N = 2)."""
-    systems = [
+def _witness_systems():
+    """The candidate systems of the n = 1 witness (N = 1) and of the
+    dihedral solution (N = 2), none of which the full columns reject."""
+    return [
         (ode, cand)
         for ode, N in (
             (FuchsianODE.from_nve(equatorial_nve(1, Fraction(1, 10))), 1),
@@ -1029,10 +1142,27 @@ def test_jet_comparison_catches_broken_jets(monkeypatch, attr, mutant):
         )
         for cand in candidates_for(ode, N)
     ]
+
+
+def test_faithful_kernel_copy_matches():
+    """The copy the mutants below are made from is the kernel itself, entry
+    for entry, on seeded random jets."""
+    rng = random.Random(25)
+    p = kovacic._PRIMES[0]
+    copy = _faulty_descend(None)
+    for N in ALL_N:
+        for d in range(6):
+            S, T, R2 = (_random_jet(rng, p, rng.randrange(1, N + d + 5)) for _ in range(3))
+            assert copy(N, d, S, T, R2, p) == kovacic._descend_mod(N, d, S, T, R2, p), (N, d)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_jet_comparison_catches_broken_jets(monkeypatch, fault):
+    """Each broken kernel rejects a system the full columns keep: the n = 1
+    witness's (N = 1) or the dihedral solution's (N = 2)."""
+    systems = _witness_systems()
     assert _rejection_mismatches(systems) == []
-    monkeypatch.setattr(kovacic._JetModP, attr, mutant)
-    if attr == "__mul__":
-        monkeypatch.setattr(kovacic._JetModP, "__rmul__", mutant)
+    monkeypatch.setattr(kovacic, "_descend_mod", _faulty_descend(fault))
     assert _rejection_mismatches(systems)
 
 
