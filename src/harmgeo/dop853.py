@@ -15,8 +15,9 @@ components.  Its source is generated from the tableau's names the first
 time a state dimension is met and compiled once per dimension (a few ms);
 each component is the expression a loop over the components evaluates,
 so the results are bit-equal to such a loop's.  The interpolant (3 more
-right-hand-side calls) is built only on a step that holds an event root or
-a sample.
+right-hand-side calls) is generated the same way and built only on a step
+that holds an event root or a sample.  No float sum goes through sum(),
+whose rounding changed in Python 3.12, so every Python gives the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import linecache
 import math
 from dataclasses import dataclass
-from operator import mul
 
 EPS = 2.0**-52
 SAFETY = 0.9
@@ -154,7 +154,11 @@ class OdeResult:
 
 
 def _rms(xs) -> float:
-    return math.sqrt(sum(x * x for x in xs) / len(xs))
+    # a left-to-right loop: sum() of floats rounds otherwise from Python 3.12
+    total = 0.0
+    for x in xs:
+        total += x * x
+    return math.sqrt(total / len(xs))
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
@@ -228,26 +232,72 @@ def _stepper(d: int):
         "    ks = ({})".format(", ".join(f"k{s}" for s in range(12))),
         "    return ks, y_new, fun(t + h, y_new), err",
     ]
+    return _compile(lines, f"<dop853 step, d={d}>", globals())["step"]
+
+
+def _compile(lines, filename, namespace) -> dict:
+    """Compile the generated source ``lines`` under ``filename``, registered
+    with linecache so that tracebacks show it, and return what it defines."""
     source = "\n".join(lines) + "\n"
-    filename = f"<dop853 step, d={d}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["step"]
+    out = {}
+    exec(compile(source, filename, "exec"), namespace, out)
+    return out
+
+
+@functools.cache
+def _dense(d: int):
+    """The interpolant's coefficients for states of d components, generated
+    from _EXTRA and _D and compiled once per d.
+
+    ``rows(fun, t, y, h, ks, y_new, f_new)`` makes the 3 extra stages'
+    right-hand-side calls and returns, per component, the 7 coefficients
+    x, dy, h f0 - dy, 2 dy - h (f1 + f0) and h (D_r . k), r = 0..3, of the
+    interpolant.  Each dot product with a row of _EXTRA or _D is written out
+    over the row's nonzero entries in order, starting from 0.0.  That is
+    bit-equal to a loop over the whole row from 0.0: such a partial sum is
+    never -0.0, so adding a zero product leaves it as it is.  No sum() is
+    called, whose rounding changed in Python 3.12.
+    """
+    comps = range(d)
+    consts = {}
+
+    def combo(row, name, i):
+        terms = []
+        for j, a in enumerate(row):
+            if a:
+                consts[f"{name}_{j}"] = a
+                terms.append(f"{name}_{j} * k{j}_{i}")
+        return " + ".join(["0.0", *terms])
+
+    def unpack(name, parts):
+        return f"    {', '.join(parts)}, = {name}"
+
+    lines = ["def rows(fun, t, y, h, ks, y_new, f_new):",
+             unpack("y", [f"y{i}" for i in comps]),
+             unpack("y_new", [f"n{i}" for i in comps])]
+    lines += [unpack(f"ks[{s}]", [f"k{s}_{i}" for i in comps]) for s in range(12)]
+    lines.append(unpack("f_new", [f"k12_{i}" for i in comps]))
+    for s, (c, row) in enumerate(_EXTRA, 13):
+        consts[f"C{s}"] = c
+        args = ", ".join(f"y{i} + h * ({combo(row, f'X{s}', i)})" for i in comps)
+        lines += [f"    k{s} = fun(t + C{s} * h, [{args}])",
+                  unpack(f"k{s}", [f"k{s}_{i}" for i in comps])]
+    lines += [f"    dy{i} = n{i} - y{i}" for i in comps]
+    rows = [
+        f"(y{i}, dy{i}, h * k0_{i} - dy{i}, 2.0 * dy{i} - h * (k12_{i} + k0_{i}), "
+        + ", ".join(f"h * ({combo(row, f'D{r}', i)})" for r, row in enumerate(_D))
+        + ")"
+        for i in comps
+    ]
+    lines.append(f"    return [{', '.join(rows)}]")
+    return _compile(lines, f"<dop853 interpolant, d={d}>", consts)["rows"]
 
 
 def _interpolant(fun, t, y, h, ks, y_new, f_new):
     """The 7th-order continuous extension over the step [t, t + h] (3 more
     right-hand-side calls), as a function of the time."""
-    k = [*ks, f_new]
-    for c, a in _EXTRA:
-        k.append(fun(t + c * h, [x + h * sum(map(mul, a, ki)) for x, ki in zip(y, zip(*k))]))
-    rows = []
-    for x, xn, f0, f1, ki in zip(y, y_new, ks[0], f_new, zip(*k)):
-        dy = xn - x
-        rows.append(
-            (x, dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0), *[h * sum(map(mul, d, ki)) for d in _D])
-        )
+    rows = _dense(len(y))(fun, t, y, h, ks, y_new, f_new)
 
     def sol(s):
         v = (s - t) / h

@@ -104,8 +104,9 @@ class FuchsianODE:
 
     @cached_property
     def _descent_images(self) -> "_DescentImages":
-        """S, R2 and the cofactors as the rejection reads them, with the
-        images of S and R2 mod each prime it has used, for every candidate."""
+        """S, R2 and the cofactors as the rejection reads them, with the top
+        coefficients of S and R2 mod each prime it has used, for every
+        candidate."""
         return _DescentImages(*self._descent_parts)
 
 
@@ -242,9 +243,10 @@ def _selections(N: int, points: list, at_inf: list) -> list[Candidate]:
     for n > 24 leaves k = 0 alone.  With k = 0, c_inf = N/2, and
     sum c_j >= N: the residue at z = -1 is N, those at +-eps are at least
     N/4 each, those at rho+- at least -N/4 each.  So d <= -N/2 < 0 for
-    every N here and every n > 24.  (For N = 1 the finite residues lie in
-    Z/4 and c_inf = 1/2 +- (1/2 + 1/n), so d is an integer only where n
-    divides 4.)  Below that the enumeration decides: only n = 1..6, 10 and
+    every N here and every n > 24.  (For N = 1 the residue at z = -1 is 1
+    and those at +-eps and rho+- are each 1/4 mod 1/2, so sum c_j lies in
+    Z/2, while c_inf = 1/2 +- (1/2 + 1/n); d is an integer only where n
+    divides 2.)  Below that the enumeration decides: only n = 1..6, 10 and
     12 have candidates.
     """
     scale = _SCALE.get(N, 1)
@@ -328,7 +330,7 @@ def _case3_descend(N: int, S, T, R2, P) -> list:
     P_(i-1) = -S P_i' + ((N - i) S' - T) P_i - (N - i)(i + 1) R2 P_(i+1).
     This is the exact route, on :class:`Poly` (the solve, the minimal
     polynomial and the verification); the rejection mod p runs the same
-    recursion fused on integer jets (:func:`_descend_mod`).  Only ring
+    recursion fused on the top coefficients (:func:`_descend_mod`).  Only ring
     operations and the derivative are used."""
     seq = [-P]
     Sp = S.derivative()
@@ -418,28 +420,37 @@ class Solution:
 # augmented matrix has rank d + 1 while A has only d columns, so the exact
 # system is inconsistent: the candidate is rejected by a proof.
 #
-# The columns are not reduced whole.  The descents of t^k = (z - z0)^k,
-# k = 0..d, span the same space as those of z^0..z^d (the change of basis is
-# unitriangular), and only their Taylor coefficients 0..d at z0 are kept.
+# The columns are not reduced whole: only their top coefficients are kept.
+# With s = deg S (S is monic), deg T <= s - 1 and, where r = O(z^-2) at
+# infinity, deg R2 <= 2s - 2, so the descent of a P of degree at most d has
+# deg P_i <= d_i = d + (N - i)(s - 1).  Read each polynomial X down from its
+# degree bound, X[j] its coefficient at the bound minus j.  Then the top K
+# coefficients of a product need only the top K of its factors,
+# (XY)[m] = sum_(j<=m) X[j] Y[m - j], and P_i'[l] = (d_i - l) P_i[l], so the
+# descents of z^0..z^d run on vectors of one fixed length K
+# (:func:`_descend_mod`):
+#   P_(i-1)[m] = sum_(j<=m) (-S[j] (d_i - m + j) + (N - i) S'[j] - T[j]) P_i[m - j]
+#                - (N - i)(i + 1) sum_(j<=m) R2[j] P_(i+1)[m - j].
 # Taking those coefficients is a linear map, so a dependency among the
-# columns would be one among their images: if the (d+1) x (d+1) matrix of
-# images is nonsingular, the columns are independent and the proof above
-# stands.  A singular one proves nothing, and the candidate goes to the
-# exact solve; z0 only changes how often that happens.  Coefficients 0..j
-# of P_(i-1) need those of P_i to j + 1 (one derivative) and of P_(i+1)
-# to j, so the descent runs on jets (:func:`_descend_mod`): S, T and R2 are
-# shifted to z0 at order N + d + 2 and P_N = -t^k starts there, each step's
-# order is one less than the last's, and P_-1 ends at order d + 1.  A step
-# is one fused pass: its three multipliers -S, (N - i) S' - T and
-# -(N - i)(i + 1) R2 are reduced once per candidate and shared by the d + 1
-# columns, and each column's accumulator is reduced mod p once per step.
+# columns would be one among their images: if the d + 1 vectors are
+# independent mod p, so are the columns, and the proof above stands.
+# Dependent ones prove nothing, and the candidate goes to the exact solve.
+# K = d + 3.  The top coefficient of every column is zero (z^k, k < d, has
+# lower degree, and for z^d the exponent at infinity is a root of the
+# indicial equation there), so d + 2 is the least K that can prove anything;
+# one more proves the systems that d + 2 leaves.  Where R2 exceeds its bound
+# (r not O(z^-2) at infinity) the top coefficients are not those of the
+# descent, and no candidate of that equation is proved.  A step is one fused
+# pass: its three multipliers -S, (N - i) S' - T and -(N - i)(i + 1) R2 are
+# reduced once per candidate and shared by the d + 1 columns, and each
+# column's accumulator is reduced mod p once per step.
 #
 # T is not built over Q(sqrt(D)) either (:func:`_jets_mod_prime`).  The
 # cofactors S/(z - a_j) are kept as integer rows over one denominator, so
 # T's coefficients come from integer dot products with the residues, brought
 # to lowest terms: the prime rule reads the exact T's common denominator and
-# sqrt(D) parts, for every prime.  The images of S and R2, shifted to z0, are
-# cached per equation and prime; T's are shifted per candidate.
+# sqrt(D) parts, for every prime.  The top coefficients of S and R2 mod p are
+# cached per equation and prime; T's are reduced per candidate.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -453,53 +464,52 @@ _PRIMES = (
     2**61 - 1281,
 )
 
-# the jets' centre z0.  At a root of S mod p the descent degenerates and
-# most candidates go unproved (to the exact solve); no rational pole u/v
-# with |u|, |v| < 2^29 but 2^31 - 1 itself reduces to it mod p.
-_Z0 = 2**31 - 1
-
 
 def _descend_mod(N: int, d: int, S: list, T: list, R2: list, p: int) -> list[list[int]]:
-    """Coefficients 0..d at _Z0 of P_-1 mod p in the descents of P = t^k,
-    k = 0..d, from those of S, T and R2 mod p: :func:`_case3_descend` as one
-    fused pass per step, each step's order one less than the last's."""
-    order = N + d + 2
-    width = max(len(S), len(T), len(R2))
-    S, T, R2 = (c + [0] * (width + 1 - len(c)) for c in (S, T, R2))
-    steps = []  # per step i = N..0, the coefficients of -S, (N-i)S' - T, -(N-i)(i+1)R2
-    for i in range(N, -1, -1):
+    """The top d + 3 coefficients mod p of P_-1 in the descents of P = z^k,
+    k = 0..d: :func:`_case3_descend` as one fused pass per step on vectors
+    of fixed length.  S, T and R2 are given mod p top coefficient first,
+    from their degree bounds s = len(S) - 1, s - 1 and 2s - 2.
+
+    The descent of z^k has degree at most k + (N - i)(s - 1) at step i, so
+    it runs on that bound and k + 3 coefficients, and d - k zeros in front
+    make them the top d + 3 at the bound for z^d."""
+    s, K = len(S) - 1, d + 3
+    width = min(K, max(len(S), len(T), len(R2)))
+    S, T, R2 = (c[:K] + [0] * (K - len(c)) for c in (S, T, R2))
+    # per step i = N-1..0: (N-i)(s-1), and the coefficients of -S, (N-i)S' - T
+    # and -(N-i)(i+1)R2
+    steps = []
+    for i in range(N - 1, -1, -1):
         f, g = N - i, -(N - i) * (i + 1)
-        steps.append([
-            (-S[j] % p, (f * (j + 1) * S[j + 1] - T[j]) % p, g * R2[j] % p)
-            for j in range(min(width, order - f - 1))
-        ])
+        mult = [(-S[j] % p, (f * (s - j) * S[j] - T[j]) % p, g * R2[j] % p) for j in range(width)]
+        steps.append((f * (s - 1), mult))
     out = []
     for k in range(d + 1):
-        P, prev = [0] * k + [-1] + [0] * (order - k - 1), [0] * order  # P_N, P_(N+1)
-        for mult in steps:
-            m = len(P) - 1
-            dP = [b * P[b] for b in range(1, m + 1)]
-            acc = [0] * m
-            for j, (s, a, r) in enumerate(mult):
-                acc[j:] = [u + s * x + a * y + r * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
+        n = k + 3
+        # the first step in closed form: P_N = -z^k gives P_(N-1) = k S z^(k-1) + T z^k
+        prev, P = [-1] + [0] * (n - 1), [(k * x + y) % p for x, y in zip(S, T[:n])]
+        for e, mult in steps:
+            dP = [(k + e - l) * x for l, x in enumerate(P)]
+            acc = [0] * n
+            for j, (a, b, c) in enumerate(mult[:n]):
+                acc[j:] = [u + a * x + b * y + c * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
             prev, P = P, [x % p for x in acc]
-        out.append(P)
+        out.append([0] * (d - k) + P)
     return out
 
 
-def _taylor_shift(coeffs: list[int], z0: int, p: int) -> list[int]:
-    """The coefficients of f(z0 + t) mod p, given those of f(z)."""
-    out: list[int] = []
-    for c in reversed(coeffs):  # Horner: out <- out*(z0 + t) + c
-        out = [(z0 * x + y) % p for x, y in zip(out + [0], [c] + out)]
-    return out
+def _top(coeffs: list, bound: int) -> list:
+    """The coefficients at degrees bound, bound - 1, ..., 0 of the polynomial
+    with coefficients ``coeffs``, lowest first, of degree at most bound."""
+    return [0] * (bound + 1 - len(coeffs)) + coeffs[::-1]
 
 
-def _parts(x: FieldElement) -> tuple[Fraction, Fraction]:
-    """(a, b) with x = a + b*sqrt(D)."""
+def _parts(x: FieldElement) -> tuple:
+    """(a, b) with x = a + b*sqrt(D), both rational."""
     if isinstance(x, QuadExt):
         return x.a, x.b
-    return Fraction(x), Fraction(0)
+    return x, 0
 
 
 @lru_cache(maxsize=256)
@@ -545,9 +555,10 @@ class _DescentImages:
     the coefficients' parts; the cofactors are brought to one common
     denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L.  ``D`` is the
     equation's one discriminant, None when all of it is rational.  ``at(p)``
-    gives, once per prime, the Taylor coefficients at _Z0 of the images mod p
-    of S and R2, or None where p divides one of their denominators or D,
-    which they need, is no square mod p."""
+    gives, once per prime, the images mod p of S and R2 top coefficient
+    first, from degrees s = deg S and 2s - 2, or None where p divides one of
+    their denominators, where D, which they need, is no square mod p, or
+    where deg R2 > 2s - 2 (r is not O(z^-2) at infinity)."""
 
     def __init__(self, S: Poly, cofactors: tuple, R2: Poly):
         sr = [poly._int_rows() for poly in (S, R2)]
@@ -563,23 +574,31 @@ class _DescentImages:
         discs = {r[3] for r in (*sr, *rows)} - {None}
         self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
         self.width = S.degree
+        self.bounds = (S.degree, 2 * S.degree - 2)
+        self.regular_at_infinity = R2.degree <= self.bounds[1]
         self._at: dict = {}
 
     def at(self, p: int) -> Optional[tuple]:
-        """(S, R2) shifted to _Z0 mod p, or None where p does not serve."""
+        """The top coefficients of (S, R2) mod p, or None where p does not
+        serve."""
         if p not in self._at:
             s = _sqrt_mod(self.D, p) if self.sr_irrational else 0
-            usable = s is not None and all(L % p for L, _, _ in self.sr)
+            usable = (
+                self.regular_at_infinity and s is not None and all(L % p for L, _, _ in self.sr)
+            )
             self._at[p] = (
-                tuple(_taylor_shift(_image(*r, p, s), _Z0, p) for r in self.sr) if usable else None
+                tuple(_top(_image(*r, p, s), b) for r, b in zip(self.sr, self.bounds))
+                if usable
+                else None
             )
         return self._at[p]
 
 
-def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[tuple]:
+def _jets_mod_prime(ode: FuchsianODE, cand: Candidate) -> Optional[tuple]:
     """(p, S, T, R2): the first listed prime at which S, T and R2 have
-    images, and their Taylor coefficients 0 .. order-1 at _Z0 mod p as lists
-    of integers; None when no listed prime qualifies.
+    images, and those images as lists of integers, top coefficient first from
+    the degree bounds s, s - 1 and 2s - 2 (:class:`_DescentImages`); None
+    when no listed prime qualifies.
 
     T is not built over Q(sqrt(D)).  With the residues
     c_j = (u_j + v_j*sqrt(D))/M over one denominator,
@@ -605,8 +624,10 @@ def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[t
         if a or b
     ]
     den = M * im.L
-    P = [sum(u * A[k] + v * B[k] * D for u, v, A, B in terms) for k in range(im.width)]
-    Q = [sum(u * B[k] + v * A[k] for u, v, A, B in terms) for k in range(im.width)]
+    P = Q = [0] * im.width
+    for u, v, A, B in terms:
+        P = [x + u * a + v * D * b for x, a, b in zip(P, A, B)]
+        Q = [y + u * b + v * a for y, a, b in zip(Q, A, B)]
     g = gcd(den, *P, *Q)
     den, P, Q = den // g, [x // g for x in P], [y // g for y in Q]
     irrational = any(Q)
@@ -615,21 +636,20 @@ def _jets_mod_prime(ode: FuchsianODE, cand: Candidate, order: int) -> Optional[t
         s = _sqrt_mod(D, p) if irrational else 0
         if sr is None or s is None or den % p == 0:
             continue
-        Tp = _taylor_shift(_image(den, P, Q if irrational else None, p, s), _Z0, p)
-        return (p, *(c[:order] for c in (sr[0], Tp, sr[1])))
+        return p, sr[0], _top(_image(den, P, Q if irrational else None, p, s), im.width - 1), sr[1]
     return None
 
 
 def modular_rejection(ode: FuchsianODE, cand: Candidate) -> Optional[int]:
     """A prime p certifying that ``cand`` has no solution, or None.
 
-    The descents of t^0 .. t^d, t = z - z0, are reduced modulo p and cut to
-    their Taylor coefficients 0..d at z0; when those d + 1 vectors are
-    linearly independent over F_p, no combination of the first d descents
-    equals minus the last, over F_p or over Q(sqrt(D)).  None means "not
-    proved", and the candidate needs the exact search.
+    The descents of z^0 .. z^d are reduced modulo p and cut to their top
+    d + 3 coefficients, read down from the degree bound of P_-1; when those
+    d + 1 vectors are linearly independent over F_p, no combination of the
+    first d descents equals minus the last, over F_p or over Q(sqrt(D)).
+    None means "not proved", and the candidate needs the exact search.
     """
-    jets = _jets_mod_prime(ode, cand, cand.N + cand.d + 2)
+    jets = _jets_mod_prime(ode, cand)
     if jets is None:
         return None
     p, S, T, R2 = jets

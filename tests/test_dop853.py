@@ -6,7 +6,7 @@ import traceback
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
@@ -309,6 +309,73 @@ def test_generated_step_is_the_reference_bit_for_bit(d, data):
     assert [_bits(x) for x in y_new] == [_bits(x) for x in ref_y_new]
     assert [_bits(x) for x in f_new] == [_bits(x) for x in ref_f_new]
     assert _bits(err) == _bits(ref_err)
+
+
+# -- the generated interpolant and the RMS norm against plain loops ------------------
+
+
+def _loop_dot(row, ks, i):
+    """sum of row[j] * ks[j][i] over the whole row, zeros included, as a loop
+    from 0.0."""
+    total = 0.0
+    for j, a in enumerate(row):
+        total += a * ks[j][i]
+    return total
+
+
+def _reference_dense(fun, t, y, h, ks, y_new, f_new):
+    """The interpolant's three extra stages and its coefficients as plain
+    loops over the dense rows of _EXTRA and _D."""
+    k = [*ks, f_new]
+    for c, row in dop853._EXTRA:
+        k.append(fun(t + c * h, [x + h * _loop_dot(row, k, i) for i, x in enumerate(y)]))
+    rows = []
+    for i, x in enumerate(y):
+        dy = y_new[i] - x
+        f0, f1 = ks[0][i], f_new[i]
+        rows.append((x, dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0),
+                     *[h * _loop_dot(row, k, i) for row in dop853._D]))
+    return rows
+
+
+def _loop_rms(xs):
+    total = 0.0
+    for x in xs:
+        total += x * x
+    return math.sqrt(total / len(xs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 12])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_interpolant_is_the_reference_bit_for_bit(d, data):
+    """Every extra-stage input and every coefficient of the generated
+    interpolant equals the loop reference's, as ``float.hex``, on a
+    nonlinear right-hand side.  sum() of floats would round otherwise from
+    Python 3.12 on."""
+    finite = st.floats(-3.0, 3.0, allow_nan=False)
+    y = data.draw(st.lists(finite, min_size=d, max_size=d))
+    t = data.draw(finite)
+    h = data.draw(st.floats(1e-8, 0.5))
+    ks, y_new, f_new, _ = dop853._stepper(d)(_nonlinear, t, y, _nonlinear(t, y), h, 1e-6, 1e-6)
+
+    fun, calls = _logging(_nonlinear)
+    rows = dop853._dense(d)(fun, t, y, h, ks, y_new, f_new)
+    ref_fun, ref_calls = _logging(_nonlinear)
+    ref_rows = _reference_dense(ref_fun, t, y, h, ks, y_new, f_new)
+
+    assert calls == ref_calls
+    assert [[_bits(x) for x in r] for r in rows] == [[_bits(x) for x in r] for r in ref_rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12))
+@example(xs=[1.0, 0.63 * 2**-26, 0.63 * 2**-26])
+def test_rms_is_a_left_to_right_loop(xs):
+    """_rms equals a loop from 0.0, as ``float.hex``.  In the example each
+    small square alone rounds away against 1.0 but the two together would
+    not: from Python 3.12 on, sum() gives 1 + 2^-52 under the root there."""
+    assert _bits(dop853._rms(xs)) == _bits(_loop_rms(xs))
 
 
 # -- brentq, with scipy's as the oracle -----------------------------------------

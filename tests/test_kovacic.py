@@ -1,10 +1,10 @@
 """Liouvillian-solvability decision procedure: candidates, searches, census."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +187,14 @@ def test_no_sectoral_candidates_from_order_13_to_24():
     for n in range(13, 25):
         census = census_for_order(n)
         assert all(not counts for counts in census.values()), n
+
+
+def test_order_one_census_empty_unless_n_divides_two():
+    """N = 1 has candidates only where n divides 2, as _selections'
+    docstring argues: none for n = 3..24, and four of degree 0 for n = 2."""
+    assert census_for_order(2)[1] == {0: 4}
+    for n in range(3, 25):
+        assert census_for_order(n)[1] == {}, n
 
 
 def test_census_matches_derived_equation():
@@ -697,12 +705,12 @@ def test_denominator_prime_falls_back_to_exact_search(monkeypatch):
     _assert_exact_fallback(monkeypatch, ode, 3, _distinct_candidates(ode))
 
 
-# -- the jet rejection against the full-column one it replaced ----------------
+# -- the rejection at infinity against the full-column one it replaced --------
 
 
 class _PolyModP:
     """Whole polynomial over F_p, lowest degree first: the ring the
-    rejection descended in before it kept Taylor jets."""
+    rejection descended in before it kept top coefficients."""
 
     __slots__ = ("c", "p")
 
@@ -742,68 +750,91 @@ class _PolyModP:
         return _PolyModP([k * x for k, x in enumerate(self.c)][1:], self.p)
 
 
-class _JetModP:
-    """Truncated Taylor series at a point z0 over F_p: the coefficients of
-    t^0 .. t^(order-1), t = z - z0, with the ring operations
-    :func:`_case3_descend` uses.  Coefficients past the stored ones are
-    zero.  A sum or product is known only to the lower of its operands'
-    orders, and a derivative to one order less.  Coefficients are integers
-    standing for their residues: products of two jets reduce them mod p;
-    sums, integer multiples and derivatives leave them as they come."""
+class _JetAtInf:
+    """The top coefficients over F_p of a polynomial of degree at most
+    ``bound``: c[j] is its coefficient of z^(bound - j), which is the
+    coefficient of w^j in w^bound f(1/w), a jet at infinity.  Every jet of
+    one descent keeps the same number of coefficients.  The ring operations
+    :func:`_case3_descend` uses: a sum is bounded by the larger bound, a
+    product by the sum of the bounds and a derivative by one less.
+    Coefficients are integers standing for their residues: products reduce
+    them mod p; sums, integer multiples and derivatives leave them."""
 
-    __slots__ = ("c", "order", "p")
+    __slots__ = ("c", "bound", "p")
 
-    def __init__(self, coeffs: list, order: int, p: int):
-        # no more than ``order`` coefficients
-        self.c, self.order, self.p = coeffs, order, p
+    def __init__(self, coeffs: list, bound: int, p: int):
+        self.c, self.bound, self.p = coeffs, bound, p
 
-    def __add__(self, other: "_JetModP") -> "_JetModP":
-        n = min(self.order, other.order)
-        a, b = self.c[:n], other.c[:n]
-        if len(a) < len(b):
-            a, b = b, a
-        return _JetModP([x + y for x, y in zip(a, b)] + a[len(b):], n, self.p)
+    def __add__(self, other: "_JetAtInf") -> "_JetAtInf":
+        a, b = (self, other) if self.bound >= other.bound else (other, self)
+        lagged = [0] * (a.bound - b.bound) + b.c
+        return _JetAtInf([x + y for x, y in zip(a.c, lagged)], a.bound, self.p)
 
-    def __neg__(self) -> "_JetModP":
-        return _JetModP([-x for x in self.c], self.order, self.p)
+    def __neg__(self) -> "_JetAtInf":
+        return _JetAtInf([-x for x in self.c], self.bound, self.p)
 
-    def __sub__(self, other: "_JetModP") -> "_JetModP":
+    def __sub__(self, other: "_JetAtInf") -> "_JetAtInf":
         return self + (-other)
 
-    def __mul__(self, other) -> "_JetModP":
+    def __mul__(self, other) -> "_JetAtInf":
         p = self.p
         if isinstance(other, int):
-            return _JetModP([x * other for x in self.c], self.order, p)
-        n = min(self.order, other.order)
-        a, b = self.c[:n], other.c[:n]
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * min(n, len(a) + len(b) - 1)
-        m = len(a)
-        for j, y in enumerate(b):  # the shorter operand: S, T or R2
-            if y:
-                out[j : j + m] = [u + y * v for u, v in zip(out[j : j + m], a)]
-        return _JetModP([x % p for x in out], n, p)
+            return _JetAtInf([x * other for x in self.c], self.bound, p)
+        a, b = self.c, other.c
+        out = [sum(a[j] * b[m - j] for j in range(m + 1)) % p for m in range(len(a))]
+        return _JetAtInf(out, self.bound + other.bound, p)
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "_JetModP":
-        c = self.c
-        return _JetModP([k * c[k] for k in range(1, len(c))], max(self.order - 1, 0), self.p)
+    def derivative(self) -> "_JetAtInf":
+        c, b = self.c, self.bound
+        return _JetAtInf([(b - l) * x for l, x in enumerate(c)], b - 1, self.p)
+
+
+def _tops(f, bound, K):
+    """The coefficients of f (lowest first, degree at most ``bound``) at
+    degrees bound, bound - 1, ..., bound - K + 1."""
+    assert len(f) <= bound + 1
+    return [f[bound - j] if 0 <= bound - j < len(f) else 0 for j in range(K)]
+
+
+def _whole(top, bound):
+    """The polynomial, lowest first, whose coefficients from degree ``bound``
+    down are ``top`` (and zero below them)."""
+    return [top[bound - e] if bound - e < len(top) else 0 for e in range(bound + 1)]
+
+
+def _top_parts(S, T, R2):
+    """s and the (list, bound) pairs of S, T and R2 given top coefficient
+    first, as kovacic._descend_mod reads them."""
+    s = len(S) - 1
+    return s, ((S, s), (T, s - 1), (R2, 2 * s - 2))
 
 
 def _jet_descents(N, d, S, T, R2, p):
-    """The reference for kovacic._descend_mod: _case3_descend on jets of
-    order N + d + 2 for P = t^0 .. t^d, each last term read mod p and padded
-    to its d + 1 coefficients."""
-    order = N + d + 2
-    S, T, R2 = (_JetModP(c[:order], order, p) for c in (S, T, R2))
+    """The reference for kovacic._descend_mod: _case3_descend on jets at
+    infinity of d + 3 coefficients for P = z^0 .. z^d, each last term read
+    mod p."""
+    K = d + 3
+    s, parts = _top_parts(S, T, R2)
+    S, T, R2 = (_JetAtInf((c + [0] * K)[:K], bound, p) for c, bound in parts)
     out = []
     for k in range(d + 1):
-        last = _case3_descend(N, S, T, R2, _JetModP([0] * k + [1], order, p))[-1]
-        assert last.order == d + 1
-        out.append([x % p for x in last.c] + [0] * (d + 1 - len(last.c)))
+        P = [0] * K
+        P[d - k] = 1
+        last = _case3_descend(N, S, T, R2, _JetAtInf(P, d, p))[-1]
+        assert last.bound == d + (N + 1) * (s - 1)
+        out.append([x % p for x in last.c])
     return out
+
+
+def _whole_descents(N, d, S, T, R2, p):
+    """The top d + 3 coefficients, read down from d + (N + 1)(s - 1), of the
+    whole last terms of _case3_descend over F_p for P = z^0 .. z^d."""
+    s, parts = _top_parts(S, T, R2)
+    S, T, R2 = (_PolyModP(_whole(c, bound), p) for c, bound in parts)
+    last = [_case3_descend(N, S, T, R2, _PolyModP([0] * k + [1], p))[-1] for k in range(d + 1)]
+    return [_tops(P.c, d + (N + 1) * (s - 1), d + 3) for P in last]
 
 
 def _random_jet(rng, p, length):
@@ -816,22 +847,35 @@ def _random_jet(rng, p, length):
     return c
 
 
+def _random_tops(rng, p, s):
+    """Random top coefficients of S, T and R2 of degrees at most s, s - 1
+    and 2s - 2: S of exactly s + 1 (so S may be not monic, even of lower
+    degree), T and R2 of at most s and 2s - 1."""
+    return (
+        _random_jet(rng, p, s + 1),
+        _random_jet(rng, p, rng.randrange(s + 1)),
+        _random_jet(rng, p, rng.randrange(2 * s)),
+    )
+
+
 @pytest.mark.parametrize("p", [kovacic._PRIMES[0], 7], ids=["p61", "p7"])
 @pytest.mark.parametrize("N", [1, 2, 4, 6, 12])
 def test_fused_descent_matches_jet_ring(N, p):
-    """The fused kernel's residual vectors equal, entry for entry, those of
-    _case3_descend on jets, for d = 0..12 and seeded random S, T and R2 of
-    up to N + d + 4 coefficients: zero and trailing-zero coefficients, T
-    empty (all residues 0), R2 longer or shorter than S."""
+    """The fused kernel's vectors equal, entry for entry, those of
+    _case3_descend on jets at infinity, for d = 0..12 and seeded random S,
+    T and R2 with s = 1..5: zero and trailing-zero coefficients, T empty
+    (all residues 0), R2 short of its bound.  In one trial of four per d they
+    also equal the top coefficients of the whole descents."""
     rng = random.Random(1000 * N + p % 1000)
     for d in range(13):
-        order = N + d + 2
         for trial in range(4):
-            S = _random_jet(rng, p, rng.randrange(1, order + 3))
-            T = [] if trial == 0 else _random_jet(rng, p, rng.randrange(order + 3))
-            R2 = _random_jet(rng, p, rng.randrange(order + 3))
+            S, T, R2 = _random_tops(rng, p, rng.randrange(1, 6))
+            if trial == 0:
+                T = []
             fused = kovacic._descend_mod(N, d, S, T, R2, p)
             assert fused == _jet_descents(N, d, S, T, R2, p), (N, d, trial)
+            if trial == 1:
+                assert fused == _whole_descents(N, d, S, T, R2, p), (N, d, trial)
 
 
 def _exact_images(ode, cand):
@@ -863,18 +907,28 @@ def _exact_images(ode, cand):
     return None
 
 
-def _full_column_rejection(ode, cand):
-    """The rejection as it was: the prime of :func:`_exact_images`, then the
-    whole descents of z^0 .. z^d mod p, independent or not."""
+def _full_columns(ode, cand):
+    """(p, the whole last terms mod p of the descents of z^0 .. z^d) at the
+    prime of :func:`_exact_images`, or None when no listed prime
+    qualifies."""
     exact = _exact_images(ode, cand)
     if exact is None:
         return None
     p, images = exact
     S, T, R2 = (_PolyModP(c, p) for c in images)
-    residuals = [
+    return p, [
         _case3_descend(cand.N, S, T, R2, _PolyModP([0] * k + [1], p))[-1].c
         for k in range(cand.d + 1)
     ]
+
+
+def _full_column_rejection(ode, cand):
+    """The rejection as it was: the prime of :func:`_exact_images`, then the
+    whole descents of z^0 .. z^d mod p, independent or not."""
+    full = _full_columns(ode, cand)
+    if full is None:
+        return None
+    p, residuals = full
     return p if _independent_mod(residuals, p) else None
 
 
@@ -891,9 +945,9 @@ def _searched_systems(ode):
 
 def _rejection_mismatches(systems):
     return [
-        (ode, cand)
-        for ode, cand in systems
-        if modular_rejection(ode, cand) != _full_column_rejection(ode, cand)
+        (ode, cand, expected)
+        for ode, cand, expected in systems
+        if modular_rejection(ode, cand) != expected
     ]
 
 
@@ -908,10 +962,22 @@ _REJECTION_INPUTS = [(n, Fraction(1, 10)) for n in range(1, 13)] + [
 @pytest.mark.parametrize("n,eps", _REJECTION_INPUTS, ids=lambda x: str(x))
 def test_jet_rejection_matches_full_columns(n, eps):
     """Same decision and same prime as the whole-column rejection on every
-    distinct system of n = 1..12 at eps = 1/10 and of the benchmark inputs."""
+    distinct system of n = 1..12 at eps = 1/10 and of the benchmark inputs.
+    The kernel's vectors are the top d + 3 coefficients mod p of the whole
+    columns, read down from their degree bound d + (N + 1)(s - 1), and the
+    first of each is zero."""
     ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
-    systems = [(ode, cand) for cand in _searched_systems(ode)]
-    assert _rejection_mismatches(systems) == []
+    s = len(ode.poles)
+    for cand in _searched_systems(ode):
+        p, residuals = _full_columns(ode, cand)
+        jets = kovacic._jets_mod_prime(ode, cand)
+        assert jets[0] == p, cand
+        vectors = kovacic._descend_mod(cand.N, cand.d, *jets[1:], p)
+        bound = cand.d + (cand.N + 1) * (s - 1)
+        assert vectors == [_tops(r, bound, cand.d + 3) for r in residuals], cand
+        assert all(v[0] == 0 for v in vectors), cand
+        expected = p if _independent_mod(residuals, p) else None
+        assert modular_rejection(ode, cand) == expected, cand
 
 
 def test_jet_comparison_covers_every_degree():
@@ -998,32 +1064,16 @@ def _oracle_ode(key):
     return FuchsianODE.from_nve(equatorial_nve(*key))
 
 
-def _normal_jets(jets, order):
-    """(p, [coefficients mod p without trailing zeros]) of the (p, S, T, R2)
-    jets, or None; each jet has at most ``order`` coefficients."""
-    if jets is None:
-        return None
-    p, *parts = jets
-    out = []
-    for jet in parts:
-        assert len(jet) <= order
-        c = [x % p for x in jet]
-        while c and not c[-1]:
-            c.pop()
-        out.append(c)
-    return p, out
-
-
 def _jets_both_ways(ode, cand):
-    """The (p, S, T, R2) jets from the cofactor rows, and those of the exact
-    T that _descent_polys sums, reduced by :func:`_exact_images` and shifted
-    to the rejection's centre."""
-    order = cand.N + cand.d + 2
+    """The (p, S, T, R2) top coefficients from the cofactor rows, and those of
+    the exact T that _descent_polys sums, reduced by :func:`_exact_images`;
+    each read down from its degree bound s, s - 1 or 2s - 2."""
     exact = _exact_images(ode, cand)
     if exact is not None:
+        s = len(ode.poles)
         p, images = exact
-        exact = (p, *(kovacic._taylor_shift(c, kovacic._Z0, p)[:order] for c in images))
-    return _normal_jets(kovacic._jets_mod_prime(ode, cand, order), order), _normal_jets(exact, order)
+        exact = (p, *(_tops(c, b, b + 1) for c, b in zip(images, (s, s - 1, 2 * s - 2))))
+    return kovacic._jets_mod_prime(ode, cand), exact
 
 
 @pytest.mark.parametrize("key", _JET_ORACLE_INPUTS, ids=str)
@@ -1093,48 +1143,60 @@ def test_mixed_discriminants_take_the_exact_path():
 
 
 def _faulty_descend(fault):
-    """A copy of kovacic._descend_mod with one fault: each step kept at its
-    predecessor's order (coefficients past the known ones read as 0), the
-    derivatives S' and P_i' without their index factor, or the R2 term
-    without its (i + 1) factor; ``fault`` None gives the faithful copy."""
-    index = (lambda b: 1) if fault == "derivative-without-index" else (lambda b: b)
+    """A copy of kovacic._descend_mod with one fault: the derivatives' weights
+    (d_i - l) on P_i' and (s - j) on S' read as 1, the weight d - l in place
+    of d_i - l (each column runs on its own d = k), the S' term dropped, the
+    R2 term without its (i + 1) factor, or vectors of d + 1 coefficients;
+    ``fault`` None gives the faithful copy."""
+    weight = (lambda w: 1) if fault == "derivative-without-index" else (lambda w: w)
+    extra = 1 if fault == "d-plus-1-coefficients" else 3
 
     def descend(N, d, S, T, R2, p):
-        order = N + d + 2
-        drop = fault != "product-keeps-longer-order"
-        width = max(len(S), len(T), len(R2))
-        S, T, R2 = (c + [0] * (width + 1 - len(c)) for c in (S, T, R2))
+        s, K = len(S) - 1, d + extra
+        width = min(K, max(len(S), len(T), len(R2)))
+        S, T, R2 = (c[:K] + [0] * (K - len(c)) for c in (S, T, R2))
         steps = []
-        for i in range(N, -1, -1):
+        for i in range(N - 1, -1, -1):
             f = N - i
             g = -f if fault == "r2-without-index-factor" else -f * (i + 1)
-            steps.append([
-                (-S[j] % p, (f * index(j + 1) * S[j + 1] - T[j]) % p, g * R2[j] % p)
-                for j in range(min(width, order - drop * (f + 1)))
-            ])
+            fs = 0 if fault == "s-prime-dropped" else f
+            mult = [
+                (-S[j] % p, (fs * weight(s - j) * S[j] - T[j]) % p, g * R2[j] % p)
+                for j in range(width)
+            ]
+            steps.append((0 if fault == "derivative-weight-d" else f * (s - 1), mult))
         out = []
         for k in range(d + 1):
-            P, prev = [0] * k + [-1] + [0] * (order - k - 1), [0] * order
-            for mult in steps:
-                m = len(P) - drop
-                dP = [index(b) * x for b, x in enumerate(P[1:] + [0], 1)][:m]
-                acc = [0] * m
-                for j, (s, a, r) in enumerate(mult):
-                    acc[j:] = [u + s * x + a * y + r * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
+            n = k + extra
+            prev, P = [-1] + [0] * (n - 1), [(k * x + y) % p for x, y in zip(S, T[:n])]
+            for e, mult in steps:
+                dP = [weight(k + e - l) * x for l, x in enumerate(P)]
+                acc = [0] * n
+                for j, (a, b, c) in enumerate(mult[:n]):
+                    acc[j:] = [u + a * x + b * y + c * z for u, x, y, z in zip(acc[j:], dP, P, prev)]
                 prev, P = P, [x % p for x in acc]
-            out.append(P)
+            out.append([0] * (d - k) + P)
         return out
 
     return descend
 
 
-_FAULTS = ["product-keeps-longer-order", "derivative-without-index", "r2-without-index-factor"]
+_FAULTS = [
+    "derivative-without-index",
+    "r2-without-index-factor",
+    "s-prime-dropped",
+    "derivative-weight-d",
+    "d-plus-1-coefficients",
+]
 
 
-def _witness_systems():
-    """The candidate systems of the n = 1 witness (N = 1) and of the
-    dihedral solution (N = 2), none of which the full columns reject."""
-    return [
+@functools.cache
+def _mutant_systems():
+    """(ode, candidate, the full columns' decision) for the candidate systems
+    of the n = 1 witness (N = 1) and of the dihedral solution (N = 2), three
+    of the five unproved, and for the distinct systems of n = 3 at
+    eps = 1/10, all of them rejected."""
+    witnesses = [
         (ode, cand)
         for ode, N in (
             (FuchsianODE.from_nve(equatorial_nve(1, Fraction(1, 10))), 1),
@@ -1142,25 +1204,32 @@ def _witness_systems():
         )
         for cand in candidates_for(ode, N)
     ]
+    ode = FuchsianODE.from_nve(equatorial_nve(3, Fraction(1, 10)))
+    systems = witnesses + [(ode, cand) for cand in _searched_systems(ode)]
+    out = [(ode, cand, _full_column_rejection(ode, cand)) for ode, cand in systems]
+    assert [e is None for _, _, e in out[: len(witnesses)]].count(True) == 3
+    assert all(e is not None for _, _, e in out[len(witnesses) :])
+    return out
 
 
 def test_faithful_kernel_copy_matches():
     """The copy the mutants below are made from is the kernel itself, entry
-    for entry, on seeded random jets."""
+    for entry, on seeded random top coefficients."""
     rng = random.Random(25)
     p = kovacic._PRIMES[0]
     copy = _faulty_descend(None)
     for N in ALL_N:
         for d in range(6):
-            S, T, R2 = (_random_jet(rng, p, rng.randrange(1, N + d + 5)) for _ in range(3))
+            S, T, R2 = _random_tops(rng, p, rng.randrange(1, 6))
             assert copy(N, d, S, T, R2, p) == kovacic._descend_mod(N, d, S, T, R2, p), (N, d)
 
 
 @pytest.mark.parametrize("fault", _FAULTS)
 def test_jet_comparison_catches_broken_jets(monkeypatch, fault):
-    """Each broken kernel rejects a system the full columns keep: the n = 1
-    witness's (N = 1) or the dihedral solution's (N = 2)."""
-    systems = _witness_systems()
+    """Each broken kernel changes a decision of the full columns: it rejects
+    a system of the n = 1 witness (N = 1) or the dihedral solution (N = 2),
+    or it leaves one of n = 3 unproved."""
+    systems = _mutant_systems()
     assert _rejection_mismatches(systems) == []
     monkeypatch.setattr(kovacic, "_descend_mod", _faulty_descend(fault))
     assert _rejection_mismatches(systems)
@@ -1175,15 +1244,51 @@ def test_high_degree_sectoral_candidates_rejected():
     assert all(modular_rejection(ode, c) in kovacic._PRIMES for c in cands)
 
 
-def test_taylor_shift_matches_binomial_expansion():
-    """Coefficient k of f(z0 + t) is sum_j C(j, k) c_j z0^(j - k)."""
+def test_top_coefficients_of_products_and_derivatives():
+    """What the kernel rests on.  Read down from their degree bounds, the
+    top K coefficients of a product are the truncated convolution of its
+    factors', and those of a derivative are (bound - l) times the
+    function's; kovacic._top reads coefficient j at the bound minus j."""
     p = kovacic._PRIMES[0]
-    f, z0 = [3, -1, 0, 5, p + 2], 2**40 + 7
-    expected = [
-        sum(comb(j, k) * c * z0 ** (j - k) for j, c in enumerate(f) if j >= k) % p
-        for k in range(len(f))
+    assert kovacic._top([3, -1, 0, 5], 5) == [0, 0, 5, 0, -1, 3]
+    rng = random.Random(26)
+    for _ in range(200):
+        bf, bg, K = rng.randrange(8), rng.randrange(8), rng.randrange(1, 12)
+        f, g = (_random_jet(rng, p, rng.randrange(b + 2)) for b in (bf, bg))
+        tf, tg = _tops(f, bf, K), _tops(g, bg, K)
+        assert (kovacic._top(f, bf) + [0] * K)[:K] == tf
+        fg = (_PolyModP(f, p) * _PolyModP(g, p)).c
+        assert _tops(fg, bf + bg, K) == [
+            sum(tf[j] * tg[m - j] for j in range(m + 1)) % p for m in range(K)
+        ]
+        df = _PolyModP(f, p).derivative().c
+        assert _tops(df, bf - 1, K) == [(bf - l) * x % p for l, x in enumerate(tf)]
+
+
+def test_irregular_at_infinity_gets_no_proof(monkeypatch):
+    """xi'' = (1 + 2/z^2) xi, declared with beta_inf = 2 as if r were
+    O(z^-2) at infinity: R2 = z^2 + 2 exceeds its bound 2s - 2 = 0, so the
+    last terms of the descents outgrow the degree the kernel reads down from.
+    No system is proved mod p, and every one searched reaches the exact
+    solve."""
+    r = RatFunc(Poly([2, 0, 1]), Poly([0, 0, 1]))
+    zero, two = Fraction(0), Fraction(2)
+    ode = FuchsianODE(r=r, poles=(zero,), betas=(two,), deltas=(zero,), beta_inf=two)
+    systems = _searched_systems(ode)
+    assert systems
+    for cand in systems:
+        assert modular_rejection(ode, cand) is None, cand
+    last = [
+        _case3_descend(c.N, *_descent_polys(ode, c.exps), Poly.monomial(c.d))[-1] for c in systems
     ]
-    assert kovacic._taylor_shift(f, z0, p) == expected
+    assert any(P.degree > c.d for P, c in zip(last, systems))  # s - 1 = 0
+    solves = []
+    exact = kovacic._descent_solve
+    monkeypatch.setattr(
+        kovacic, "_descent_solve", lambda *args: solves.append(args) or exact(*args)
+    )
+    res = run_kovacic(ode)
+    assert len(solves) == sum(e.searched for e in res.ledger) > 0
 
 
 # Stage B of the all-eps argument: with eps = 2u/(1 - (n^2 - 1) u^2) every
