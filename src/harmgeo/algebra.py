@@ -569,9 +569,6 @@ class Poly:
             raise ValueError("zero polynomial")
         return self.coeffs[-1]
 
-    def map_coeffs(self, f) -> "Poly":
-        return Poly([f(c) for c in self.coeffs])
-
     # -- ring operations ----------------------------------------------------
     def _sum(self, other: "Poly", sign: int) -> "Poly":
         """self + sign*other."""
@@ -868,18 +865,21 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
 
     Raises NonFuchsianError for a pole of order > 2 or a denominator root
     outside ``poles``, and IrregularInfinityError when the simple residues do
-    not sum to zero.
+    not sum to zero.  The cofactors, their scalar multiples and the
+    reconstruction stay on integer rows.
     """
     poles = list(poles)
     if len(set(map(_key, poles))) != len(poles):
         raise ValueError("poles must be distinct")
-    if f.num.degree >= f.den.degree:
+    num, den = f.num, f.den
+    if num.degree >= den.degree:
         raise NonFuchsianError("not proper at infinity")
 
-    # with f over Q, the later pole of a conjugate pair takes the earlier
-    # one's multiplicity, cofactors and values, conjugated: twin[i] = j < i
+    # with f over Q (no sqrt row in num or den), the later pole of a conjugate
+    # pair takes the earlier one's multiplicity, cofactors and values,
+    # conjugated: twin[i] = j < i
     twin = {}
-    if not any(isinstance(c, QuadExt) and c.b for c in f.num.coeffs + f.den.coeffs):
+    if num._int_rows()[2] is None and den._int_rows()[2] is None:
         index = {_key(a): i for i, a in enumerate(poles)}
         for i, a in enumerate(poles):
             j = index.get(_key(_conjugate(a)), i)
@@ -889,6 +889,7 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
     # f.den must factor into the declared poles, each of order m <= 2; then
     # f.den = prod (z - a)^m, and the expansion equals f exactly when the sum
     # of beta*den/(z - a)^2 + delta*den/(z - a) over the poles is f.num
+    dnum = num.derivative()
     mults = []
     terms = []  # (beta, delta, den/(z - a)^m, den/(z - a)) per pole
     recon = Poly()
@@ -897,12 +898,12 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
             m = mults[twin[i]]
             beta, d, q, q1 = terms[twin[i]]
             beta, d = _conjugate(beta), _conjugate(d)
-            q, q1 = q.map_coeffs(_conjugate), q1.map_coeffs(_conjugate)
+            q, q1 = _conjugate_poly(q), _conjugate_poly(q1)
         else:
             # the multiplicity and the cofactors den/(z - a)^k, k = 1..m; the
             # last remainder is q(a) for q = den/(z - a)^m
-            quotients = [f.den]
-            quo, qa = _divide_linear(f.den, a)
+            quotients = [den]
+            quo, qa = _divide_linear(den, a)
             while not qa:
                 quotients.append(quo)
                 quo, qa = _divide_linear(quo, a)
@@ -910,20 +911,20 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
             if m > 2:
                 raise NonFuchsianError(f"pole of order {m} at {a}")
             q1, q = quotients[min(m, 1)], quotients[m]
-            beta = d = Fraction(0)
-            if m == 1:
-                d = f.num(a) * field_inv(qa)
-            elif m == 2:
-                beta = f.num(a) * field_inv(qa)
-                # delta = d/dz [num/q] at a
-                d = (f.num.derivative()(a) * qa - f.num(a) * q.derivative()(a)) * field_inv(
-                    qa * qa
-                )
+            beta = d = _ZERO
+            if m:
+                na = num(a)
+                if m == 1:
+                    d = na * field_inv(qa)
+                else:
+                    beta = na * field_inv(qa)
+                    # delta = d/dz [num/q] at a
+                    d = (dnum(a) * qa - na * q.derivative()(a)) * field_inv(qa * qa)
         mults.append(m)
         terms.append((beta, d, q, q1))
         if m:
-            recon = recon + (d * q if m == 1 else beta * q + d * q1)
-    if sum(mults) < f.den.degree:
+            recon = recon + (_scaled(q, d) if m == 1 else _scaled(q, beta) + _scaled(q1, d))
+    if sum(mults) < den.degree:
         raise NonFuchsianError("denominator root outside the declared poles")
     betas = [t[0] for t in terms]
     deltas = [t[1] for t in terms]
@@ -932,11 +933,25 @@ def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFract
     if sum_delta:
         raise IrregularInfinityError(f"residues sum to {sum_delta}, not zero")
 
-    if recon != f.num:
+    if recon != num:
         raise NonFuchsianError("partial-fraction reconstruction mismatch")
 
     beta_inf = sum((b + d * a for a, b, d in zip(poles, betas, deltas)), Fraction(0))
     return PartialFractions(tuple(poles), tuple(betas), tuple(deltas), beta_inf)
+
+
+def _scaled(p: Poly, x: FieldElement) -> Poly:
+    """x*p, with x multiplied into p's integer rows."""
+    L, A, B, D = p._int_rows()
+    s, t, v, E = _split(x)
+    F = _join_disc(D, E)
+    return _poly(L * v, *_times(A, B, [s], [t] if t else None, F), F)
+
+
+def _conjugate_poly(p: Poly) -> Poly:
+    """p with the sqrt part of every coefficient negated."""
+    L, A, B, D = p._int_rows()
+    return p if B is None else _poly(L, A, [-x for x in B], D)
 
 
 def _divide_linear(p: Poly, a: FieldElement) -> tuple[Poly, FieldElement]:

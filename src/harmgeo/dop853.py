@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import warnings
 from dataclasses import dataclass
 
 EPS = 2.0**-52
@@ -33,6 +34,7 @@ MIN_FACTOR = 0.2  # bounds on the step-size change after one step
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
 ROOT_TOL = 4 * EPS  # brentq's xtol and rtol for event roots
+MIN_RTOL = 100 * EPS  # scipy's floor on rtol
 MAX_ITER = 100  # brentq's iteration cap, scipy's default
 
 # the tableau over its nonzero entries: stages 1-4 read stages {0}, {0, 1},
@@ -394,6 +396,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     ``xtol = rtol = 4 EPS``.  ``samples`` is an ascending sequence of times
     in [t0, t_bound] at which the state is reported.
 
+    An rtol below 100 EPS is raised to 100 EPS with a warning, as scipy's
+    ``solve_ivp`` does: far below it the error estimate is rounding noise,
+    and the steps shrink until the run crawls.
+
     Raises RuntimeError when the step size falls below ten units in the
     last place of t, and ValueError for a tolerance that is not finite and
     positive, for an empty y0, for a t_span, y0 or fun(t0, y0) that is not
@@ -401,6 +407,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     and for a ``fun`` that returns other than len(y0) components.
     """
     check_tolerances(rtol, atol)
+    if rtol < MIN_RTOL:
+        warnings.warn(f"rtol = {rtol} is too small; setting rtol = {MIN_RTOL}", stacklevel=2)
+        rtol = MIN_RTOL
     t, t_bound = float(t_span[0]), float(t_span[1])
     _check_finite("t_span", [t, t_bound])
     if not t_bound > t:

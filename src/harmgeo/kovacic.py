@@ -36,7 +36,6 @@ from .algebra import (
     QuadExt,
     RatFunc,
     _divide_linear,
-    _key,
     field_inv,
     sqrt_decompose,
 )
@@ -141,20 +140,21 @@ class Candidate:
     c_inf at infinity (``exp_inf``) and the degree d = c_inf - sum c_j of the
     auxiliary polynomial.  ``labels`` is a human-readable transcript of the
     selection: the sign choices for N = 1, Kovacic's integers otherwise
-    (e = 2c for N = 2, f = 12c/N for N >= 4)."""
+    (e = 2c for N = 2, f = 12c/N for N >= 4).  Two candidates of one
+    equation and N have equal residues exactly when their ``group`` is equal."""
 
     N: int
     d: int
     exps: tuple
     exp_inf: object
     labels: tuple
+    group: tuple = field(default=(), compare=False, repr=False)
 
 
 # Kovacic's integer for a residue c is _SCALE[N]*c: e = 2c, f = 12c/N
 _SCALE = {2: 2, 4: 3, 6: 2, 12: 1}
 
 
-@lru_cache(maxsize=1024)
 def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> tuple:
     """A singular point's choices of residue c = N/2 + k*sqrt(1+4*beta),
     k = -N/2, ..., N/2 (Ulmer & Weil, J. Symb. Comp. 22 (1996) 179).
@@ -162,7 +162,6 @@ def _exponents(beta: Fraction, delta, N: int, at_pole: bool) -> tuple:
     N = 1: the values for k = +1/2 and -1/2, which may be irrational.
     N >= 2: the integral values of _SCALE[N]*c, sorted and distinct.  A pole
     with beta = 0 has the one residue c = N if delta != 0, else 0.
-    Cached: the census asks for the same few betas at every order n.
     """
     if at_pole and beta == 0:
         c = N if delta else 0
@@ -206,21 +205,34 @@ def _add_irrational(acc: dict, x: dict) -> dict:
     return out
 
 
-def _options(beta: Fraction, delta, N: int, at_pole: bool) -> list:
-    """A singular point's choices as (label, residue c, key, {D: b}).  The
-    key is what the degree sums, {D: b} the irrational part of c it leaves
-    out.  N = 1: the sign as label, c's rational part as key.  N >= 2:
-    Kovacic's integer x = _SCALE[N]*c as label and key, and {}."""
+@lru_cache(maxsize=1024)
+def _options(beta: Fraction, delta: bool, N: int, at_pole: bool) -> tuple:
+    """A singular point's choices as records (label, residue c, key,
+    {D: b}, group), never modified.  The key is what the degree sums, {D: b}
+    the irrational part of c it leaves out, group the index of the first
+    choice with c's value.  N = 1: the sign as label, c's rational part as
+    key.  N >= 2: Kovacic's integer x = _SCALE[N]*c as label and key, and {}.
+    ``delta`` is whether delta != 0 at a pole with beta = 0 (False anywhere
+    else), all the choices read of it, so the cache holds one entry per
+    local exponent and N, whatever the deltas."""
     xs = _exponents(beta, delta, N, at_pole)
     if N == 1:
-        return [(lab, c, *_split(c)) for lab, c in zip("+-", xs)]
-    return [(str(x), Fraction(x, _SCALE[N]), x, {}) for x in xs]
+        return tuple((lab, c, *_split(c), xs.index(c)) for lab, c in zip("+-", xs))
+    return tuple((str(x), Fraction(x, _SCALE[N]), x, {}, i) for i, x in enumerate(xs))
 
 
-def _selections(N: int, points: list, at_inf: list) -> list[Candidate]:
+def _finite_points(ode: FuchsianODE | LocalExponents) -> tuple:
+    """(beta_j, whether delta_j != 0 at beta_j = 0) per pole (:func:`_options`)."""
+    return tuple((b, b == 0 and bool(dl)) for b, dl in zip(ode.betas, ode.deltas))
+
+
+def _selections(N: int, points: list, at_inf: Sequence):
     """Every choice of one option (:func:`_options`) per singular point with
     d = (key_inf - sum key_j)/scale a non-negative integer, scale = _SCALE[N]
     (1 for N = 1), and the irrational parts of sum c_j and c_inf equal.
+    Yields (d, the indices of the options chosen at the points, the index of
+    the one in ``at_inf``), which may hold the options of several equations
+    with these finite points (:func:`_census`).
 
     N = 1 counts formal sign selections: a pole with beta = 0 contributes the
     same residue for both signs and is still enumerated per sign; this
@@ -255,35 +267,36 @@ def _selections(N: int, points: list, at_inf: list) -> list[Candidate]:
     for j in range(len(points) - 1, -1, -1):
         least[j] = least[j + 1] + min(o[2] for o in points[j])
     top = max(o[2] for o in at_inf)
-    # (labels, residues, key sum, {D: b} sum, whether every key is even)
-    partial = [((), (), 0, {}, True)]
+    # (option indices, key sum, {D: b} sum, whether every key is even)
+    partial = [((), 0, {}, True)]
     for j, opts in enumerate(points):
         bound = top - least[j + 1]
         partial = [
-            (labs + (lab,), cs + (c,), total, _add_irrational(irr, c_irr), even and key % 2 == 0)
-            for labs, cs, keys, irr, even in partial
-            for lab, c, key, c_irr in opts
-            if (total := keys + key) <= bound
+            (idx + (i,), total, _add_irrational(irr, o[3]), even and o[2] % 2 == 0)
+            for idx, keys, irr, even in partial
+            for i, o in enumerate(opts)
+            if (total := keys + o[2]) <= bound
         ]
-    out = []
-    for labs, cs, keys, irr, even in partial:
+    for idx, keys, irr, even in partial:
         all_even = N == 2 and even
-        for lab, c, key, c_irr in at_inf:
+        for j, (_, _, key, c_irr, _) in enumerate(at_inf):
             num = key - keys
             if num < 0 or num % scale or c_irr != irr or (all_even and key % 2 == 0):
                 continue
-            out.append(
-                Candidate(N=N, d=int(num // scale), exps=cs, exp_inf=c, labels=labs + (lab,))
-            )
-    return out
+            yield num // scale, idx, j
 
 
 def candidates_for(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]:
     """The candidates of algebraic degree N, one of :data:`ALL_N`."""
     if N != 1 and N not in _SCALE:
         raise ValueError(f"N must be one of {ALL_N}, not {N}")
-    points = [_options(b, dl, N, True) for b, dl in zip(ode.betas, ode.deltas)]
-    return _selections(N, points, _options(ode.beta_inf, None, N, False))
+    points = [_options(b, dl, N, True) for b, dl in _finite_points(ode)]
+    at_inf = _options(ode.beta_inf, False, N, False)
+    out = []
+    for d, idx, j in _selections(N, points, at_inf):
+        labs, cs, _, _, group = zip(*map(tuple.__getitem__, points, idx), at_inf[j])
+        out.append(Candidate(N, d, cs[:-1], cs[-1], labs, group))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +313,9 @@ def candidates_for(ode: FuchsianODE | LocalExponents, N: int) -> list[Candidate]
 
 
 def _theta(poles, coeffs) -> RatFunc:
-    th = RatFunc.zero()
-    for a, c in zip(poles, coeffs):
-        if c:
-            th = th + RatFunc(Poly([c]), Poly([-a, 1]))
-    return th
+    """theta = sum c_j/(z - a_j) pole by pole (:func:`search_for` takes T/S)."""
+    terms = (RatFunc(Poly([c]), Poly([-a, 1])) for a, c in zip(poles, coeffs) if c)
+    return sum(terms, RatFunc.zero())
 
 
 def _clear(f: RatFunc, m: Poly) -> Poly:
@@ -669,17 +680,16 @@ def search_for(ode: FuchsianODE, cand: Candidate) -> Optional[Solution]:
     if modular_rejection(ode, cand) is not None:
         return None
     N, d = cand.N, cand.d
-    theta = _theta(ode.poles, cand.exps)
     S, T, R2 = _descent_polys(ode, cand.exps)
+    theta = RatFunc(T, S)
     P = _descent_solve(N, d, S, T, R2)
     if P is None:
         return None
-    if N == 1:
-        omega = theta + RatFunc(P.derivative()) / RatFunc(P)
-        return Solution(N=1, d=d, theta=theta, P=P, omega=omega)
-    if N == 2:
+    if N <= 2:
+        phi = theta + RatFunc(P.derivative(), P)
+        if N == 1:
+            return Solution(N=1, d=d, theta=theta, P=P, omega=phi)
         half = Fraction(1, 2)
-        phi = theta + RatFunc(P.derivative()) / RatFunc(P)
         psi = half * phi.derivative() + half * phi * phi - ode.r
         return Solution(N=2, d=d, theta=theta, P=P, phi=phi, psi=psi)
     seq = _case3_descend(N, S, T, R2, P)  # seq[0] = P_N ... seq[N] = P_0
@@ -756,11 +766,7 @@ def run_kovacic(ode: FuchsianODE) -> KovacicResult:
         for N in orders:
             groups: dict = {}
             for cand in candidates_for(ode, N):
-                key = (cand.d, tuple(map(_key, cand.exps)), _key(cand.exp_inf))
-                if key in groups:
-                    groups[key][1] += 1
-                else:
-                    groups[key] = [cand, 1]
+                groups.setdefault(cand.group, [cand, 0])[1] += 1
             for cand, mult in sorted(
                 groups.values(), key=lambda g: (g[0].d, g[0].labels)
             ):
@@ -785,58 +791,66 @@ def run_kovacic(ode: FuchsianODE) -> KovacicResult:
 
 
 def candidate_census(ode: FuchsianODE | LocalExponents) -> dict[int, dict[int, int]]:
-    """Count candidates by degree d for every algebraic degree N.
+    """Count candidates by degree d for every algebraic degree N.  N=1 counts
+    formal sign selections (coincident values counted per sign); N>=2 counts
+    distinct integer-set selections."""
+    return _census([ode])[0]
 
-    N=1 counts formal sign selections (coincident values counted per sign);
-    N>=2 counts distinct integer-set selections.
-    """
-    out: dict[int, dict[int, int]] = {}
+
+def _census(odes: list) -> list[dict[int, dict[int, int]]]:
+    """:func:`candidate_census` of each equation.  Per N, the equations with
+    the same finite points share one enumeration, pruned by the largest key
+    at infinity among them, and each closes it with its own options there.
+    The selections are counted by d; no :class:`Candidate` is built."""
+    shared: dict = {}  # finite points -> indices of the equations with them
+    for i, ode in enumerate(odes):
+        shared.setdefault(_finite_points(ode), []).append(i)
+    out: list[dict] = [{} for _ in odes]
     for N in ALL_N:
-        counts: dict[int, int] = {}
-        for cand in candidates_for(ode, N):
-            counts[cand.d] = counts.get(cand.d, 0) + 1
-        out[N] = dict(sorted(counts.items()))
+        for finite, members in shared.items():
+            at_inf = {i: _options(odes[i].beta_inf, False, N, False) for i in members}
+            owner = [i for i in members for _ in at_inf[i]]
+            counts: dict = {i: {} for i in members}
+            points = [_options(b, dl, N, True) for b, dl in finite]
+            for d, _, j in _selections(N, points, sum(at_inf.values(), ())):
+                counts[owner[j]][d] = counts[owner[j]].get(d, 0) + 1
+            for i in members:
+                out[i][N] = dict(sorted(counts[i].items()))
     return out
 
 
 def census_for_order(n: int) -> dict[int, dict[int, int]]:
-    """Census for the equatorial variational equation of a sectoral surface,
-    from its closed-form exponents (:func:`nve.equatorial_exponents`), which
-    depend on n alone; every exact derivation checks them."""
-    betas, beta_inf = equatorial_exponents(n)
-    # the only delta read is the one at z = -1, where beta = 0, and
-    # appendix_delta1 says it is nonzero
-    deltas = tuple(Fraction(b == 0) for b in betas)
-    return candidate_census(LocalExponents(betas, deltas, beta_inf))
+    """Census for the equatorial variational equation of a sectoral surface:
+    the one-order case of :func:`census_table`."""
+    return census_table([n])[n]
 
 
 def census_cell(counts: dict[int, int]) -> str:
-    if not counts:
-        return "-"
-    return ",".join(f"{d}({c})" for d, c in sorted(counts.items()))
+    return ",".join(f"{d}({c})" for d, c in sorted(counts.items())) or "-"
 
 
 def census_table(orders=range(2, 13)) -> dict[int, dict[int, dict[int, int]]]:
-    """:func:`census_for_order` for every n in ``orders``, which must not be
-    empty."""
-    table = {n: census_for_order(n) for n in orders}
-    if not table:
+    """The census of the sectoral equator of every order n in ``orders``,
+    which must not be empty, from its closed-form exponents
+    (:func:`nve.equatorial_exponents`), which every exact derivation checks.
+    All n >= 2 have the same finite points and share one enumeration."""
+    exps = {}
+    for n in orders:
+        betas, beta_inf = equatorial_exponents(n)
+        # the one delta read, at z = -1 where beta = 0, is nonzero (appendix_delta1)
+        exps[n] = LocalExponents(betas, tuple(Fraction(b == 0) for b in betas), beta_inf)
+    if not exps:
         raise ValueError(f"the range of orders must be non-empty, not {orders}")
-    return table
+    return dict(zip(exps, _census(list(exps.values()))))
 
 
 def census_text(table: dict) -> str:
     """Aligned text table of candidate counts d(count) per harmonic order."""
-    header = ["n"] + [f"N={N}" for N in ALL_N]
-    rows = [header]
-    for n, census in table.items():
-        rows.append([str(n)] + [census_cell(census[N]) for N in ALL_N])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for k, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if k == 0:
-            lines.append("-" * len(lines[0]))
+    rows = [["n"] + [f"N={N}" for N in ALL_N]]
+    rows += [[str(n)] + [census_cell(census[N]) for N in ALL_N] for n, census in table.items()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines) + "\n"
 
 

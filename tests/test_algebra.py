@@ -617,3 +617,187 @@ def test_partial_fractions_rejects_nonzero_residue_sum():
     f = RatFunc(Poly([1]), Poly.from_roots([0]))  # 1/z alone
     with pytest.raises(IrregularInfinityError):
         partial_fractions(f, [Fraction(0)])
+
+
+# -- partial fractions against the per-coefficient reference ------------------------
+
+
+def _ref_partial_fractions(f, poles):
+    """partial_fractions as it was on Fraction/QuadExt coefficients: the twin
+    test over every coefficient, one-coefficient Polys for the scalars, and
+    the conjugate twin's cofactors conjugated coefficient by coefficient."""
+    from harmgeo.algebra import PartialFractions, _conjugate, _key
+
+    poles = list(poles)
+    if len(set(map(_key, poles))) != len(poles):
+        raise ValueError("poles must be distinct")
+    if f.num.degree >= f.den.degree:
+        raise NonFuchsianError("not proper at infinity")
+    twin = {}
+    if not any(isinstance(c, QuadExt) and c.b for c in f.num.coeffs + f.den.coeffs):
+        index = {_key(a): i for i, a in enumerate(poles)}
+        for i, a in enumerate(poles):
+            j = index.get(_key(_conjugate(a)), i)
+            if j < i:
+                twin[i] = j
+    mults = []
+    terms = []
+    recon = Poly()
+    for i, a in enumerate(poles):
+        if i in twin:
+            m = mults[twin[i]]
+            beta, d, q, q1 = terms[twin[i]]
+            beta, d = _conjugate(beta), _conjugate(d)
+            q, q1 = (Poly([_conjugate(c) for c in p.coeffs]) for p in (q, q1))
+        else:
+            quotients = [f.den]
+            quo, qa = _divide_linear(f.den, a)
+            while not qa:
+                quotients.append(quo)
+                quo, qa = _divide_linear(quo, a)
+            m = len(quotients) - 1
+            if m > 2:
+                raise NonFuchsianError(f"pole of order {m} at {a}")
+            q1, q = quotients[min(m, 1)], quotients[m]
+            beta = d = Fraction(0)
+            if m == 1:
+                d = f.num(a) * field_inv(qa)
+            elif m == 2:
+                beta = f.num(a) * field_inv(qa)
+                d = (f.num.derivative()(a) * qa - f.num(a) * q.derivative()(a)) * field_inv(
+                    qa * qa
+                )
+        mults.append(m)
+        terms.append((beta, d, q, q1))
+        if m:
+            recon = recon + (d * q if m == 1 else beta * q + d * q1)
+    if sum(mults) < f.den.degree:
+        raise NonFuchsianError("denominator root outside the declared poles")
+    betas = [t[0] for t in terms]
+    deltas = [t[1] for t in terms]
+    sum_delta = sum(deltas, Fraction(0))
+    if sum_delta:
+        raise IrregularInfinityError(f"residues sum to {sum_delta}, not zero")
+    if recon != f.num:
+        raise NonFuchsianError("partial-fraction reconstruction mismatch")
+    beta_inf = sum((b + d * a for a, b, d in zip(poles, betas, deltas)), Fraction(0))
+    return PartialFractions(tuple(poles), tuple(betas), tuple(deltas), beta_inf)
+
+
+def _pf_outcome(fn, f, poles):
+    """The expansion with the type of every value, or the error raised."""
+    try:
+        pf = fn(f, poles)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    values = pf.betas + pf.deltas + (pf.beta_inf,)
+    return pf.poles, [(type(x), x) for x in values]
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_nonzero = _small.filter(bool)
+_FAILURES = (None, "order 3", "undeclared", "improper", "residue sum")
+
+
+_in_q5 = st.builds(QuadExt, _small, _small, st.just(5))
+_nonzero_in_q5 = st.builds(QuadExt, _nonzero, _small, st.just(5))
+
+
+@st.composite
+def _pf_cases(draw):
+    """(f, declared poles): simple and double poles, rational ones and, with
+    f over Q, conjugate pairs u +- v*sqrt(5), or with f over Q(sqrt(5)),
+    single poles there with coefficients there; extra declared points that
+    are no poles; the declared poles in any order; and one of four faults or
+    none."""
+    over_q = draw(st.booleans())
+    fault = draw(st.sampled_from(_FAILURES))
+    points = draw(st.lists(_small, max_size=3, unique=True))
+    irrational = [QuadExt(u, v, 5) for u, v in draw(
+        st.lists(st.tuples(_small, _nonzero), max_size=2, unique=True)
+    )]
+    poles = [(a, draw(st.integers(1, 2))) for a in points + irrational]
+    if fault == "order 3" and poles:
+        k = draw(st.integers(0, len(poles) - 1))
+        poles[k] = (poles[k][0], 3)
+    f, declared = RatFunc.zero(), []
+    for a, m in poles:
+        # f over Q: rational coefficients at a rational pole, conjugate ones
+        # at a conjugate pair
+        pair = over_q and isinstance(a, QuadExt)
+        rational = over_q and not pair
+        cs = [draw(_small if rational else _in_q5) for _ in range(m - 1)]
+        cs.append(draw(_nonzero if rational else _nonzero_in_q5))
+        for k, c in enumerate(cs, 1):
+            f = f + RatFunc(Poly([c]), Poly.from_roots([a] * k))
+            if pair:
+                f = f + RatFunc(Poly([c.conjugate()]), Poly.from_roots([a.conjugate()] * k))
+        declared += [a, a.conjugate()] if pair else [a]
+    # a simple pole at r0 brings the residues to sum zero, or not
+    total = _residue_sum(f)
+    if fault == "residue sum":
+        total = total + draw(_nonzero)
+    if total:
+        r0 = draw(_small.filter(lambda x: x not in points))
+        f = f + RatFunc(Poly([-total]), Poly([-r0, 1]))
+        declared.append(r0)
+    if fault == "undeclared" and declared:
+        declared.pop(draw(st.integers(0, len(declared) - 1)))
+    if fault == "improper":
+        f = f + RatFunc(Poly([draw(_nonzero), draw(_small)]))
+    declared += [x for x in draw(st.lists(_small, max_size=2)) if x not in declared]
+    return f, draw(st.permutations(declared))
+
+
+def _residue_sum(f):
+    """The sum of the residues of a proper f: the coefficient of 1/z at
+    infinity."""
+    num, den = f.num, f.den
+    if not num or num.degree != den.degree - 1:
+        return Fraction(0)
+    return num.leading() * field_inv(den.leading())
+
+
+@given(_pf_cases())
+@settings(max_examples=200, deadline=None)
+def test_partial_fractions_match_reference(case):
+    f, poles = case
+    assert _pf_outcome(partial_fractions, f, poles) == _pf_outcome(
+        _ref_partial_fractions, f, poles
+    )
+
+
+def test_partial_fractions_fault_cases_all_occur():
+    """The oracle's cases reach each of the four faults, and conjugate pairs
+    over Q that expand."""
+    from hypothesis import Phase, find
+
+    quick = settings(phases=[Phase.generate], database=None, max_examples=2000)
+
+    def outcome(case):
+        return _pf_outcome(partial_fractions, *case)
+
+    for match in ("pole of order 3", "outside the declared", "not proper", "residues sum"):
+        find(_pf_cases(), lambda case, match=match: match in str(outcome(case)), settings=quick)
+    find(
+        _pf_cases(),
+        lambda case: any(isinstance(a, QuadExt) and a.b for a in case[1])
+        and case[0].den._int_rows()[2] is None
+        and not isinstance(outcome(case)[0], type),
+        settings=quick,
+    )
+
+
+def test_reconstruction_catches_a_broken_twin_cofactor(monkeypatch):
+    """The conjugate twin's cofactors are never read back except through the
+    reconstruction identity, which must then refuse the expansion."""
+    from harmgeo import algebra
+
+    s5 = QuadExt(0, 1, 5)
+    f = RatFunc(Poly([1]), Poly.from_roots([s5, -s5])) + RatFunc(
+        Poly([QuadExt(1, 0, 5)]), Poly.from_roots([s5, s5, -s5, -s5])
+    )
+    assert partial_fractions(f, [s5, -s5]).deltas[0]
+    monkeypatch.setattr(algebra, "_conjugate_poly", lambda p: p)
+    with pytest.raises(NonFuchsianError, match="reconstruction mismatch"):
+        partial_fractions(f, [s5, -s5])

@@ -161,6 +161,21 @@ def test_trace_writes_csv(tmp_path, capsys):
     assert len(lines) == 21
 
 
+
+def test_trace_with_rtol_far_below_machine_precision_finishes(tmp_path):
+    """--rtol 1e-30 is raised to scipy's floor of 100 EPS with a warning;
+    without the floor the run crawls for minutes."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmgeo.cli", "--out-dir", str(tmp_path), "trace",
+         "--n", "3", "--eps", "0.3", "--rtol", "1e-30", "--length", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "rtol = 1e-30 is too small" in proc.stderr
+
+
 def test_tesseral_trace_defaults_cross_the_pole(tmp_path, capsys):
     # the default initial state runs into a coordinate pole
     code = run(["--out-dir", tmp_path, "trace", "--family", "tesseral",

@@ -1316,3 +1316,156 @@ def test_stage_b_systems_all_rejected_mod_p(monkeypatch):
         Fraction(9, 23), Fraction(13, 35), Fraction(15, 41),
     ]
     assert sum(_STAGE_B_SYSTEMS.values()) == 207 and exact_solves == []
+
+
+# -- the shared census against the per-order route ----------------------------------
+
+
+def _ref_candidate_census(ex):
+    """The per-order census route: every candidate of every N built by
+    candidates_for and counted by d."""
+    out = {}
+    for N in ALL_N:
+        counts = {}
+        for cand in candidates_for(ex, N):
+            counts[cand.d] = counts.get(cand.d, 0) + 1
+        out[N] = dict(sorted(counts.items()))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [range(1, 41), range(2, 13), range(1, 2), range(2, 3), range(7, 8), range(1, 5),
+     [3, 2, 2, 1], [12, 1, 40, 12]],
+    ids=str,
+)
+def test_census_table_matches_per_order_route(orders):
+    """One enumeration per N for all orders n >= 2, and one for n = 1, give
+    each order's own census, in the order given, duplicates once."""
+    table = kovacic.census_table(orders)
+    want = {n: _ref_candidate_census(_equatorial_exponents(n)) for n in orders}
+    assert list(table) == list(want)
+    assert kovacic.census_json(table) == kovacic.census_json(want)
+    assert kovacic.census_text(table) == kovacic.census_text(want)
+
+
+def test_census_for_order_matches_per_order_route():
+    for n in range(1, 41):
+        assert census_for_order(n) == _ref_candidate_census(_equatorial_exponents(n)), n
+
+
+@given(_exponent_data)
+@settings(max_examples=150, deadline=None)
+def test_candidate_census_matches_candidates(ex):
+    assert _outcome(candidate_census, ex) == _outcome(_ref_candidate_census, ex)
+
+
+@given(
+    st.lists(st.tuples(_beta, st.sampled_from([Fraction(0), Fraction(1)])), max_size=3),
+    st.lists(_beta, min_size=1, max_size=4),
+    st.lists(st.tuples(_beta, st.sampled_from([Fraction(0), Fraction(1)])), max_size=2),
+    _beta,
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_census_matches_one_equation_at_a_time(poles, infs, other, other_inf):
+    """Equations sharing their finite points share one enumeration, pruned
+    by the largest key at infinity among them; each gets its own census, as
+    does one with other points among them."""
+
+    def ex(points, beta_inf):
+        return LocalExponents(
+            tuple(b for b, _ in points), tuple(d for _, d in points), beta_inf
+        )
+
+    odes = [ex(poles, b) for b in infs]
+    odes.insert(len(odes) // 2, ex(other, other_inf))
+    assert _outcome(kovacic._census, odes) == _outcome(
+        lambda: [_ref_candidate_census(o) for o in odes]
+    )
+
+
+def test_option_cache_holds_one_entry_per_local_exponent():
+    """The options read delta only where beta = 0, and then only whether it
+    is zero, so an eps sweep adds no cache entries after its first eps."""
+    kovacic._options.cache_clear()
+
+    def candidates(eps):
+        ode = FuchsianODE.from_nve(equatorial_nve(3, eps))
+        for N in ALL_N:
+            candidates_for(ode, N)
+
+    candidates(Fraction(1, 10))
+    one = kovacic._options.cache_info().currsize
+    assert one == 4 * len(ALL_N)  # beta = 0, -3/16 and 5/16, and beta_inf
+    for k in range(1, 51):
+        candidates(Fraction(k, 53))
+    assert kovacic._options.cache_info().currsize == one
+
+
+@pytest.mark.parametrize("n,eps", _REJECTION_INPUTS, ids=lambda x: str(x))
+def test_candidate_groups_are_residue_keys(n, eps):
+    """Two candidates of one N share a group exactly when their residues are
+    equal, which is how run_kovacic merged them by _key before."""
+    ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
+    for N in ALL_N:
+        cands = candidates_for(ode, N)
+        for a in cands:
+            for b in cands:
+                same = (tuple(map(_key, a.exps)), _key(a.exp_inf)) == (
+                    tuple(map(_key, b.exps)),
+                    _key(b.exp_inf),
+                )
+                assert (a.group == b.group) == same, (a, b)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_candidate_groups_are_residue_keys_with_coincident_signs(seed):
+    """The same on random N = 1 data, whose two residues coincide at a pole
+    with beta = 0 and wherever beta = -1/4."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        ex = _random_case1_exponents(rng)
+        cands = candidates_for(ex, 1)
+        keys = {}
+        for c in cands:
+            keys.setdefault(c.group, set()).add((tuple(map(_key, c.exps)), _key(c.exp_inf)))
+        assert all(len(v) == 1 for v in keys.values())
+        assert len(keys) == len({k for v in keys.values() for k in v})
+
+
+@pytest.mark.parametrize("n,eps", _REJECTION_INPUTS, ids=lambda x: str(x))
+def test_theta_from_T_over_S_is_the_pole_sum(n, eps):
+    """search_for builds theta as T/S from the S and T it holds; that is the
+    sum of the pole terms c_j/(z - a_j), numerator and denominator alike."""
+    ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
+    for cand in _searched_systems(ode):
+        S, T, _ = _descent_polys(ode, cand.exps)
+        got, want = RatFunc(T, S), _theta(ode.poles, cand.exps)
+        assert (got.num, got.den) == (want.num, want.den), cand
+
+
+def test_solution_theta_is_the_pole_sum():
+    for ode in (
+        FuchsianODE.from_nve(equatorial_nve(1, Fraction(1, 3))),
+        hypergeometric_ode(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
+    ):
+        sol = run_kovacic(ode).solution
+        want = _theta(ode.poles, _winning(ode, sol).exps)
+        assert (sol.theta.num, sol.theta.den) == (want.num, want.den)
+
+
+def _winning(ode, sol):
+    """The candidate whose search gave ``sol``."""
+    for cand in candidates_for(ode, sol.N):
+        if cand.d == sol.d:
+            found = kovacic.search_for(ode, cand)
+            if found is not None and found.P == sol.P:
+                return cand
+    raise AssertionError("no candidate gives the solution")
