@@ -52,8 +52,8 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset(
-    {"algebra", "cli", "dop853", "geodesic", "kernels", "kovacic", "nve", "poincare",
-     "surface", "trigring"}
+    {"algebra", "cli", "dop853", "floatfold", "geodesic", "kernels", "kovacic", "nve",
+     "poincare", "surface", "trigring"}
 )
 
 __all__ = sorted(_EXPORTS)

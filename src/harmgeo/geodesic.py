@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .dop853 import solve_ivp
-from .surface import POLE_TOL, PolarSurface, PoleError
+from .surface import POLE_TOL, PolarSurface, PoleError, check_rotation
 
 POLE_GUARD = 0.05
 DEFAULT_RTOL = 1e-12
@@ -183,9 +183,9 @@ def integrate(
     Equator crossings (body z decreasing through zero, i.e. theta increasing
     through pi/2) are always recorded; when ``n_crossings`` is given the run
     stops at the last one asked for and reports the state there.
-    ``section_frame`` (a 3x3 body-to-frame rotation) moves the section plane:
-    crossings are then detected on, and reported in, that frame's equator
-    instead of the body equator.
+    ``section_frame`` (a 3x3 body-to-frame rotation, checked as chart
+    matrices are) moves the section plane: crossings are then detected on,
+    and reported in, that frame's equator instead of the body equator.
 
     ``tangents``, a 4 x j array of variations of ``y0`` (which then must not
     be renormalized), is split once into the chart-free parts of its Jacobi
@@ -203,7 +203,9 @@ def integrate(
     for name, x in zip(("theta", "phi", "theta_dot", "phi_dot"), y.tolist()):
         if not math.isfinite(x):
             raise ValueError(f"initial {name} = {x} must be finite")
-    sframe = None if section_frame is None else np.asarray(section_frame, dtype=float)
+    sframe = None
+    if section_frame is not None:
+        sframe = np.reshape(check_rotation(section_frame, "section_frame"), (3, 3))
     normal = None  # the integrated normal parts (w, w'), flattened
     if tangents is not None:
         if renormalize:

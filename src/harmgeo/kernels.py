@@ -1,15 +1,15 @@
 """Geodesic kernels, generated per surface structure from one text per formula.
 
 Every surface is r = 1 + eps*Re((x+iy)^m)*Q(z) in body Cartesian coordinates.
-Each formula of the kernel is written once below, as Python source over
-local names:
+Each formula of the kernel is written once below:
 
 * the partials (r, r_t, r_p, r_tt, r_tp, r_pp) of a sectoral surface in the
-  body chart, the hot path of every Poincare-section run;
-* the partials of the Cartesian form in any chart, from the chart's
-  :func:`chart_coefficients`, specialised on m = 0, 1 and >= 2 and on a
-  constant or a polynomial Q, whose Horner rule is unrolled.  Nothing is
-  divided by sin(theta), so the chart poles are safe;
+  body chart, the hot path of every Poincare-section run, as Python source;
+* the partials of the Cartesian form in any chart, as Python over the
+  symbolic reals of :mod:`harmgeo.floatfold` (:func:`_chart_partials`),
+  specialised on m = 0, 1 and >= 2 and on a constant or a polynomial Q,
+  whose Horner rule is unrolled.  Nothing is divided by sin(theta), so the
+  chart poles are safe;
 * the geodesic acceleration: the velocity contracted once with the second
   partials of the position (the Christoffel symbols of the first kind), then
   one 2x2 solve with the metric, so no symbol is built;
@@ -17,17 +17,26 @@ local names:
   partials: the normal part w of a variation obeys the Jacobi equation
   w'' = -K*2H*w.
 
-For each surface structure (the body-chart sectoral form or the chart form,
-m, and the number of coefficients of Q) these texts are joined into the
-source of ``partials(theta, phi)``, ``rhs(s, y)`` and, per number j of normal
-parts, ``jacobi_rhs(s, y)`` unrolled over them.  Each is compiled once and
-takes sin and cos of theta once.  :func:`chart_kernel` binds a chart's
-numbers (eps*n, the chart coefficients, the coefficients of Q) as folded
-constants, so a new chart compiles nothing.  Only left-associated constant
-prefixes are folded, a factor 1.0 is dropped only from a real product, and
-every pow but sin^1 stays a pow, so each kernel is bit-equal to evaluating
-its formulas term by term.  :meth:`harmgeo.surface.PolarSurface.rhs` and
-``jacobi_rhs`` each call the bound kernel of their chart.
+The chart form runs on floats alone: its complex quantities (w = x + iy and
+its powers) are pairs of real expressions that repeat CPython's complex
+arithmetic, and only the parts that are read are kept.  The chart's matrix
+entries that are exactly +0.0, -0.0, +1.0 or -1.0 (its
+:func:`chart_pattern`) are folded by identities that hold for every finite
+operand, the possible signs of each zero tracked so that no zero changes
+sign; the other entries stay bound numbers.
+
+For each surface structure (the body-chart sectoral form, or the chart form
+and its chart pattern; m; the number of coefficients of Q) the formulas are
+joined into the source of ``partials(theta, phi)``, ``rhs(s, y)`` and, per
+number j of normal parts, ``jacobi_rhs(s, y)`` unrolled over them.  Each is
+compiled once per process and takes sin and cos of theta once.
+:func:`chart_kernel` binds a surface's numbers (eps*n; or eps, the
+coefficients of Q and the chart matrix) as folded constants, so a chart whose
+pattern was met before compiles nothing.  Only left-associated constant
+prefixes are folded and every pow but sin^1 stays a pow, so each kernel is
+bit-equal to evaluating its formulas term by term, complex arithmetic
+included.  :meth:`harmgeo.surface.PolarSurface.rhs` and ``jacobi_rhs`` each
+call the bound kernel of their chart.
 
 The structure's ``make(<numbers>)`` is the only way into these kernels:
 :func:`sectoral_rhs` binds the body-chart sectoral kernel on each call.
@@ -40,6 +49,7 @@ right-hand side.
 import functools
 import linecache
 import math
+import re
 import textwrap
 
 BACKEND = "python"  # the only kernel implementation; reported in run metadata
@@ -92,18 +102,14 @@ def christoffel(theta, r, rt, rp, rtt, rtp, rpp):
     )
 
 
-def chart_coefficients(rot) -> tuple:
-    """(wx, wy, wz, zx, zy, zz) of the row-major chart->body matrix ``rot``:
-    body x + iy = wx*x' + wy*y' + wz*z' and body z = zx*x' + zy*y' + zz*z'
-    at the chart point (x', y', z')."""
-    return (
-        complex(rot[0], rot[3]),
-        complex(rot[1], rot[4]),
-        complex(rot[2], rot[5]),
-        rot[6],
-        rot[7],
-        rot[8],
-    )
+_EXACT = {"0": 0.0, "-0": -0.0, "1": 1.0, "-1": -1.0}
+_EXACT_NAMES = {repr(v): k for k, v in _EXACT.items()}
+
+
+def chart_pattern(rot) -> str:
+    """Which of the nine entries of the row-major chart->body matrix ``rot``
+    are +0.0, -0.0, +1.0 or -1.0 ("0", "-0", "1", "-1"), the others "x"."""
+    return " ".join(_EXACT_NAMES.get(repr(float(x)), "x") for x in rot)
 
 
 # -- formula texts ------------------------------------------------------------
@@ -124,68 +130,6 @@ rp = nen * snn * sn
 rtt = en * cn * ({dsn1_}ct * ct - {sn1_}st)
 rtp = nenn * {sn1_}ct * sn
 rpp = nenn * snn * cn
-"""
-
-# the chart point (a, b, ct) of the unit sphere and its theta-derivative
-# (c, d, -st); its second theta-derivative is minus itself
-_CHART_POINT = """\
-cp = cos(phi)
-sp = sin(phi)
-a = st * cp
-b = st * sp
-c = ct * cp
-d = ct * sp
-"""
-
-# body x + iy = w and its partials, with nwx = -wx
-_W = """\
-w = wx * a + wy * b + wz * ct
-w_t = wx * c + wy * d - wz * st
-w_p = nwx * b + wy * a
-w_tp = nwx * d + wy * c
-w_pp = nwx * a - wy * b
-"""
-
-# W = Re(w^m) and its partials, from w^(m-1), m*w^(m-1) and m*(m-1)*w^(m-2)
-_RE_POWER = """\
-mmw2t = {mmw2} * w_t
-W = ({wm1} * w).real
-W_t = ({mw1} * w_t).real
-W_p = ({mw1} * w_p).real
-W_tt = (mmw2t * w_t - {mw1} * w).real
-W_tp = (mmw2t * w_p + {mw1} * w_tp).real
-W_pp = ({mmw2} * w_p * w_p + {mw1} * w_pp).real
-"""
-
-# r for a constant Q, e = eps*q[0]
-_CONSTANT_Q = """\
-r = 1.0 + e * W
-rt = e * W_t
-rp = e * W_p
-rtt = e * W_tt
-rtp = e * W_tp
-rpp = e * W_pp
-"""
-
-# body z and its partials, with nzx = -zx
-_Z = """\
-z = zx * a + zy * b + zz * ct
-z_t = zx * c + zy * d - zz * st
-z_p = nzx * b + zy * a
-z_tp = nzx * d + zy * c
-z_pp = nzx * a - zy * b
-"""
-
-# r for a polynomial Q, from Q, Q' and Q'' at z
-_POLYNOMIAL_Q = """\
-r = 1.0 + eps * (W * {Q})
-rt = eps * (W_t * {Q} + W * {Q1} * z_t)
-rp = eps * (W_p * {Q} + W * {Q1} * z_p)
-rtt = eps * (W_tt * {Q} + 2.0 * W_t * {Q1} * z_t + W * ({Q2} * z_t * z_t - {Q1} * z))
-rtp = eps * (
-    W_tp * {Q} + W_t * {Q1} * z_p + W_p * {Q1} * z_t + W * ({Q2} * z_t * z_p + {Q1} * z_tp)
-)
-rpp = eps * (W_pp * {Q} + 2.0 * W_p * {Q1} * z_p + W * ({Q2} * z_p * z_p + {Q1} * z_pp))
 """
 
 # g (tdd, pdd) = -(X_theta . A, X_phi . A) with the position X = r*n and
@@ -232,30 +176,89 @@ _SIN_COS = "st = sin(theta)\nct = cos(theta)\n"
 _PARTIALS = "r, rt, rp, rtt, rtp, rpp"
 
 
-# -- generation -----------------------------------------------------------------
+# -- the chart form ---------------------------------------------------------------
 
 
-def _horner(nq):
-    """Unrolled Horner steps for Q, Q' and Q''/2 at z over c0..c{nq-1}, then
-    Q'' = 2 (Q''/2), and the names that hold the three values.  A step from
-    the rule's starting 0.0 is dropped: 0.0*z + c is c for a leading
-    coefficient c other than -0.0."""
-    val = {"Q": None, "Q1": None, "Q2": None}  # None: still the starting 0.0
-    lines = []
-    for k in reversed(range(nq)):
-        adds = (("Q2", val["Q1"]), ("Q1", val["Q"]), ("Q", f"c{k}"))
-        for name, add in adds:
-            if val[name] is None:
-                val[name] = add
-            else:
-                lines.append(f"{name} = {val[name]} * z + {add}\n")
-                val[name] = name
-    if val["Q2"] is None:
-        val["Q2"] = "0.0"  # 0.0 * 2.0
+def _chart_partials(m, nq, pattern):
+    """The partials of r = 1 + eps*Re(w^m)*Q(z) at the chart point (theta,
+    phi), with w = x + iy and z of the body point, as :func:`floatfold.source`
+    writes them: (bound, text).  They read st, ct, cp = cos(phi), sp =
+    sin(phi) and the bound eps, q0..q{nq-1} and the entries rot0..rot8 of
+    the chart->body matrix where ``pattern`` has no exact entry."""
+    # imported on the first chart-form compile: an interpreter that runs
+    # only the sectoral form does not compile it
+    from . import floatfold as ff
+
+    g = ff.Graph()
+    st, ct, cp, sp = (g.name(x) for x in ("st", "ct", "cp", "sp"))
+    eps = g.name("eps", bound=True)
+    rot = [
+        g.const(_EXACT[k]) if k in _EXACT else g.name(f"rot{i}", ff.POS | ff.NEG, bound=True)
+        for i, k in enumerate(pattern.split())
+    ]
+    # the chart point (a, b, ct) of the unit sphere and its theta-derivative
+    # (c, d, -st); its second theta-derivative is minus itself
+    a, b, c, d = st * cp, st * sp, ct * cp, ct * sp
+    if m == 0:  # W = Re(w^0) = 1
+        W, W_t, W_p, W_tt, W_tp, W_pp = map(g.const, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     else:
-        lines.append(f"Q2 = {val['Q2']} * 2.0\n")
-        val["Q2"] = "Q2"
-    return "".join(lines), val
+        # body x + iy = w and its partials
+        wx, wy, wz = (ff.Complex(rot[k], rot[k + 3]) for k in range(3))
+        nwx = -wx
+        w = wx * a + wy * b + wz * ct
+        w_t = wx * c + wy * d - wz * st
+        w_p = nwx * b + wy * a
+        w_tp = nwx * d + wy * c
+        w_pp = nwx * a - wy * b
+        # W = Re(w^m) and its partials, from w^(m-1), m*w^(m-1) and
+        # m*(m-1)*w^(m-2): for m = 1 these are 1.0, 1*1.0 and 1*0*0.0
+        if m == 1:
+            wm1, mw1, mmw2 = 1.0, 1.0, 0.0
+        else:
+            wm2 = w ** (m - 2)
+            wm1 = wm2 * w
+            mw1 = m * wm1
+            mmw2 = m * (m - 1) * wm2
+        mmw2t = mmw2 * w_t
+        W = (wm1 * w).real
+        W_t = (mw1 * w_t).real
+        W_p = (mw1 * w_p).real
+        W_tt = (mmw2t * w_t - mw1 * w).real
+        W_tp = (mmw2t * w_p + mw1 * w_tp).real
+        W_pp = (mmw2 * w_p * w_p + mw1 * w_pp).real
+    # Q's leading coefficient is never -0.0, so 0.0*z + q[-1] is q[-1]
+    q = [g.name(f"q{k}", ff.ANY if k < nq - 1 else ff.ANY & ~ff.NZ, bound=True) for k in range(nq)]
+    if nq == 1:
+        e = eps * q[0]
+        parts = (1.0 + e * W, e * W_t, e * W_p, e * W_tt, e * W_tp, e * W_pp)
+        return ff.source(list(zip(_PARTIALS.split(", "), parts)))
+    # body z and its partials
+    zx, zy, zz = rot[6:]
+    nzx = -zx
+    z = zx * a + zy * b + zz * ct
+    z_t = zx * c + zy * d - zz * st
+    z_p = nzx * b + zy * a
+    z_tp = nzx * d + zy * c
+    z_pp = nzx * a - zy * b
+    # Q, Q' and Q''/2 at z by Horner's rule from 0.0, then Q'' = 2 (Q''/2)
+    Q = Q1 = Q2 = g.const(0.0)
+    for coef in reversed(q):
+        Q2 = Q2 * z + Q1
+        Q1 = Q1 * z + Q
+        Q = Q * z + coef
+    Q2 = Q2 * 2.0
+    parts = (
+        1.0 + eps * (W * Q),
+        eps * (W_t * Q + W * Q1 * z_t),
+        eps * (W_p * Q + W * Q1 * z_p),
+        eps * (W_tt * Q + 2.0 * W_t * Q1 * z_t + W * (Q2 * z_t * z_t - Q1 * z)),
+        eps * (W_tp * Q + W_t * Q1 * z_p + W_p * Q1 * z_t + W * (Q2 * z_t * z_p + Q1 * z_tp)),
+        eps * (W_pp * Q + 2.0 * W_p * Q1 * z_p + W * (Q2 * z_p * z_p + Q1 * z_pp)),
+    )
+    return ff.source(list(zip(_PARTIALS.split(", "), parts)))
+
+
+# -- generation -----------------------------------------------------------------
 
 
 def _sin_power(k):
@@ -264,8 +267,11 @@ def _sin_power(k):
     return "st" if k == 1 else f"st ** {k}"
 
 
-def _partials_text(form, m, nq):
-    """The partials formula of one structure."""
+@functools.cache
+def _texts(key):
+    """(constants, partials): the text ``make`` runs once per surface and the
+    partials formula of one structure."""
+    form, m, nq, pattern = key
     if form == "sectoral":
         n = m
         if n == 1:  # sin^0 = 1.0 and (n-1)*sin^(n-2) = 0*0.0
@@ -273,35 +279,19 @@ def _partials_text(form, m, nq):
         else:  # (n-1)*sin^(n-2) = 1*1.0 for n = 2
             dsn1_ = f"{n - 1} * {_sin_power(n - 2)} * " if n > 2 else ""
             fields = dict(sn1=_sin_power(n - 1), snn="sn1 * st", sn1_="sn1 * ", dsn1_=dsn1_)
-        return _SECTORAL.format(n=n, **fields)
-    text = _CHART_POINT
-    if m == 0:  # W = Re(w^0) = 1
-        text += "W, W_t, W_p, W_tt, W_tp, W_pp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0\n"
-    elif m == 1:  # w^0 = 1.0, m*w^0 = 1*1.0 and m*(m-1)*0.0 = 0.0
-        text += _W + _RE_POWER.format(wm1="1.0", mw1="1.0", mmw2="0.0")
-    else:
-        text += _W + f"wm2 = w ** {m - 2}\nwm1 = wm2 * w\nmw1 = {m} * wm1\n"
-        text += f"mmw2 = {m * (m - 1)} * wm2\n" + _RE_POWER.format(
-            wm1="wm1", mw1="mw1", mmw2="mmw2"
-        )
-    if nq == 1:
-        return text + _CONSTANT_Q
-    horner, names = _horner(nq)
-    return text + _Z + horner + _POLYNOMIAL_Q.format(**names)
+        consts = f"en = eps * {n}\nnen = -eps * {n}\nnenn = nen * {n}\n"
+        return consts, _SECTORAL.format(n=n, **fields)
+    bound, text = _chart_partials(m, nq, pattern)
+    read = set(re.findall(r"\w+", bound + text))
+    rot = [f"rot{i}" if f"rot{i}" in read else "_" for i in range(9)]
+    consts = ", ".join(rot) + " = rot\n" if rot.count("_") < 9 else ""
+    consts += "".join(f"q{k}, " for k in range(nq)) + "= q\n" + bound
+    point = "".join(f"{x} = {f}(phi)\n" for x, f in (("cp", "cos"), ("sp", "sin")) if x in read)
+    return consts, point + text
 
 
-# each form's numbers, as its factory takes them, and the constants folded
-# from them
-_PARAMETERS = {"sectoral": "eps", "chart": "eps, q, coefs"}
-
-
-def _constants_text(form, m, nq):
-    if form == "sectoral":
-        return f"en = eps * {m}\nnen = -eps * {m}\nnenn = nen * {m}\n"
-    text = "wx, wy, wz, zx, zy, zz = coefs\nnwx = -wx\nnzx = -zx\n"
-    if nq == 1:
-        return text + "e = eps * q[0]\n"
-    return text + "".join(f"c{k}, " for k in range(nq)) + "= q\n"
+# each form's numbers, as its factory takes them
+_PARAMETERS = {"sectoral": "eps", "chart": "eps, q, rot"}
 
 
 def _function(header, *texts, ret):
@@ -319,16 +309,19 @@ def _compile(source, filename):
 
 @functools.cache
 def _compiled(key, j=None):
-    """The compiled kernels of one structure ``key`` = (form, m, len(q)).
+    """The compiled kernels of one structure ``key`` = (form, m, len(q),
+    chart pattern), the pattern None for the sectoral form.
 
     Without ``j``: ``make(<numbers>)`` binds (partials, rhs) to one
     surface's numbers.  With ``j``: ``make(<numbers>)`` binds the
     jacobi_rhs of states with j normal parts.
     """
-    form, m, nq = key
+    form, m, nq, pattern = key
     params = _PARAMETERS[form]
-    consts = _constants_text(form, m, nq)
-    parts = _partials_text(form, m, nq)
+    consts, parts = _texts(key)
+    name = f"<geodesic kernel {form}, m={m}, len(q)={nq}"
+    if pattern is not None:
+        name += f", rot=[{pattern}]"
     if j is None:
         partials = _function("def partials(theta, phi):", _SIN_COS, parts, ret=_PARTIALS)
         rhs = _function(
@@ -336,7 +329,7 @@ def _compiled(key, j=None):
             ret="td, pd, tdd, pdd",
         )
         source = _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
-        return _compile(source, f"<geodesic kernel {form}, m={m}, len(q)={nq}>")
+        return _compile(source, name + ">")
     w = [f"w{i}" for i in range(j)]
     dw = [f"dw{i}" for i in range(j)]
     jacobi = _function(
@@ -346,7 +339,7 @@ def _compiled(key, j=None):
         ret="[" + ", ".join(["td", "pd", "tdd", "pdd", *dw, *(f"k * {x}" for x in w)]) + "]",
     )
     source = _function(f"def make({params}):", consts, jacobi, ret="jacobi_rhs")
-    return _compile(source, f"<geodesic kernel {form}, m={m}, len(q)={nq}, j={j}>")
+    return _compile(source, name + f", j={j}>")
 
 
 class _JacobiKernels(dict):
@@ -375,12 +368,14 @@ def chart_kernel(m, q, eps, rot=None):
     side (td, pd, tdd, pdd) of y = (theta, phi, td, pd), and ``jacobi[len(y)]``
     the right-hand side of y followed by j normal parts w and their
     derivatives w', as [td, pd, tdd, pdd, *w', *(-K*2H*w)].  A sectoral
-    surface (constant Q) in the body chart takes the sectoral formula.
+    surface (constant Q) in the body chart takes the sectoral formula, any
+    other the chart form compiled for the chart's :func:`chart_pattern`.
     """
     if rot is None and len(q) == 1:  # sin^m(theta)*cos(m*phi) times q[0]
-        key, numbers = ("sectoral", m, 1), (eps * q[0],)
+        key, numbers = ("sectoral", m, 1, None), (eps * q[0],)
     else:
-        key, numbers = ("chart", m, len(q)), (eps, q, chart_coefficients(rot or _BODY_CHART))
+        rot = rot or _BODY_CHART
+        key, numbers = ("chart", m, len(q), chart_pattern(rot)), (eps, q, rot)
     partials, rhs = _compiled(key)["make"](*numbers)
     return partials, rhs, _JacobiKernels(key, numbers)
 
@@ -401,4 +396,4 @@ def curvature(theta, r, rt, rp, rtt, rtp, rpp):
 def sectoral_rhs(n, eps, theta, phi, td, pd):
     """Geodesic right-hand side of r = 1 + eps*sin^n(theta)*cos(n*phi): the
     kernel of ``PolarSurface.sectoral(n, eps).rhs``, bound on each call."""
-    return _compiled(("sectoral", n, 1))["make"](eps)[1](0.0, (theta, phi, td, pd))
+    return _compiled(("sectoral", n, 1, None))["make"](eps)[1](0.0, (theta, phi, td, pd))

@@ -95,16 +95,18 @@ def assoc_legendre_max(l: int, m: int) -> float:
     return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
 
 
-def _rot9(rot) -> tuple:
-    """A chart matrix as nine floats; it must be a rotation, since a scaled
-    chart is another surface and a reflected one flips the orientation the
-    Jacobi flow's normal parts are measured in."""
+def check_rotation(rot, name="rot") -> tuple:
+    """A 3x3 matrix as nine row-major floats; it must be a rotation.  A
+    scaled chart is another surface and a reflected one flips the
+    orientation the Jacobi flow's normal parts are measured in; a scaled
+    section frame scales the reported phi_dot and a reflected one reports
+    other crossings."""
     rot = tuple(float(x) for x in np.ravel(rot))
     if len(rot) != 9:
-        raise ValueError("rot must be a row-major 3x3 matrix (9 numbers)")
+        raise ValueError(f"{name} must be a row-major 3x3 matrix (9 numbers)")
     mat = np.reshape(rot, (3, 3))
     if not (np.max(np.abs(mat @ mat.T - np.eye(3))) <= 1e-12 and np.linalg.det(mat) > 0):
-        raise ValueError("rot must be a rotation: orthonormal with determinant +1")
+        raise ValueError(f"{name} must be a rotation: orthonormal with determinant +1")
     return rot
 
 
@@ -188,7 +190,7 @@ class PolarSurface:
     def in_chart(self, rot) -> "PolarSurface":
         """The same surface in the chart with row-major chart->body matrix
         ``rot``."""
-        rot = _rot9(rot)
+        rot = check_rotation(rot)
         return type(self)(self.family, {**self.params, "rot": rot}, self.m, self.q, rot)
 
     @classmethod

@@ -346,9 +346,11 @@ def test_class_rhs_counts_every_evaluation(monkeypatch):
 
 
 def test_kernels_compile_once_per_structure(monkeypatch):
-    """A run compiles one kernel per surface structure (form, m, len(q)) and
-    one per structure and number of normal parts; chart swaps, in_chart and
-    a second run compile nothing."""
+    """A run compiles one kernel per surface structure (form, m, len(q) and,
+    for the chart form, the chart pattern: which matrix entries are exactly
+    +-0.0 or +-1.0) and one per structure and number of normal parts.  Chart
+    swaps and in_chart into a pattern met before, and a second run, compile
+    nothing."""
     compiled = []
     compile_source = kernels._compile
 
@@ -368,17 +370,37 @@ def test_kernels_compile_once_per_structure(monkeypatch):
         return plain.chart_swaps + tangent.chart_swaps
 
     assert runs() >= 2
+    # the swapped chart R_SWAP, and the identity chart the tangent run
+    # rebuilds its crossings in
     assert sorted(compiled) == [
-        "<geodesic kernel chart, m=3, len(q)=1, j=2>",
-        "<geodesic kernel chart, m=3, len(q)=1>",
+        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0], j=2>",
+        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0]>",
+        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 1 0 0 0 1]>",
         "<geodesic kernel sectoral, m=3, len(q)=1, j=2>",
         "<geodesic kernel sectoral, m=3, len(q)=1>",
     ]
     compiled.clear()
     runs()
     surf.in_chart(R_SWAP).rhs(0.0, [1.2, 0.4, 0.3, 0.6])
+    PolarSurface.sectoral(3, 0.1).in_chart(np.eye(3)).rhs(0.0, [1.2, 0.4, 0.3, 0.6])
     PolarSurface.sectoral(3, 0.1).jacobi_rhs(0.0, [1.2, 0.4, 0.3, 0.6, 1.0, 0.0, 0.0, 1.0])
     assert compiled == []
+    # a chart with other exact entries is another structure
+    surf.in_chart(np.asarray(R_SWAP).T).rhs(0.0, [1.2, 0.4, 0.3, 0.6])
+    assert compiled == ["<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 1 0 -1 0]>"]
+
+
+def test_section_frame_must_be_a_rotation():
+    """A scaled section frame would scale every reported phi_dot and a
+    reflected one report other crossings; both are refused, and the
+    rotation integrate is given for a frame runs."""
+    surf = PolarSurface.sectoral(3, 0.3)
+    y0 = [1.2, 0.4, 0.3, 0.6]
+    for frame in (2.0 * np.asarray(R_SWAP).T, np.diag([1.0, 1.0, -1.0])):
+        with pytest.raises(ValueError, match="section_frame must be a rotation"):
+            integrate(surf, y0, 10.0, section_frame=frame)
+    traj = integrate(surf, y0, 10.0, section_frame=np.asarray(R_SWAP).T)
+    assert len(traj.crossings) >= 1
 
 
 def test_tangents_refuse_renormalization():

@@ -5,12 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.special import lpmv
 
 from harmgeo import kernels
-from harmgeo.geodesic import POLE_GUARD, R_SWAP, chart_to_body
+from harmgeo.geodesic import POLE_GUARD, R_SWAP, chart_to_body, integrate
 from harmgeo.surface import (
     IDENTITY_ROT,
     PoleError,
@@ -456,7 +456,32 @@ KERNEL_IDS = [f"{f}{a}" if f != "tesseral" else f"{f}{a[0]}-{a[1]}" for f, a, _ 
 _near_pole = hs.floats(-1e-3, 1e-3) | hs.floats(math.pi - 1e-3, math.pi + 1e-3)
 
 
-@pytest.mark.parametrize("rot", [None, R_SWAP9, R_GENERIC], ids=["body", "swap", "generic"])
+def _swap_power(k):
+    """R_SWAP^k as integrate composes it with numpy, one chart swap at a time."""
+    mat = None
+    for _ in range(k):
+        mat = (np.eye(3) if mat is None else mat) @ np.asarray(R_SWAP)
+    return tuple(np.ravel(mat).tolist())
+
+
+# the half turn about x with its zeros signed both ways: a chart pattern
+# tells +0.0 from -0.0
+R_SIGNED_ZEROS = (1.0, -0.0, 0.0, 0.0, -1.0, -0.0, -0.0, 0.0, -1.0)
+KERNEL_CHARTS = [None, R_SWAP9, _swap_power(2), _swap_power(3), _swap_power(4), R_SIGNED_ZEROS,
+                 R_GENERIC]
+KERNEL_CHART_IDS = ["body", "swap", "swap2", "swap3", "swap4", "signed-zeros", "generic"]
+_ZERO_STATES = [(t, p, a, b) for t in (0.0, -0.0) for p in (0.0, -0.0)
+                for a in (0.0, -0.0) for b in (0.0, -0.0)]
+
+
+def _zero_examples(test):
+    """Hypothesis examples at every exact zero state, signs of zero mixed."""
+    for theta, phi, td, pd in _ZERO_STATES:
+        test = example(theta=theta, phi=phi, td=td, pd=pd, w=[1.0, -0.0, 0.0, -1.0])(test)
+    return test
+
+
+@pytest.mark.parametrize("rot", KERNEL_CHARTS, ids=KERNEL_CHART_IDS)
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -466,12 +491,15 @@ _near_pole = hs.floats(-1e-3, 1e-3) | hs.floats(math.pi - 1e-3, math.pi + 1e-3)
     pd=hs.floats(-10.0, 10.0),
     w=hs.lists(hs.floats(-2.0, 2.0), min_size=4, max_size=4),
 )
+@_zero_examples
 def test_generated_kernels_are_the_formulas_bit_for_bit(spec, rot, theta, phi, td, pd, w):
     """Every generated kernel (a chart's partials, rhs and jacobi_rhs for
     j = 1 and 2 normal parts, ``sectoral_rhs`` and ``curvature``) equals its
-    formulas evaluated term by term, bit for bit, at the chart poles too.
-    A constant Q in the body chart takes the sectoral form; its chart form
-    is checked in the identity chart."""
+    formulas evaluated term by term, bit for bit, at the chart poles and at
+    signed zeros too: the chart form's real arithmetic is CPython's complex
+    arithmetic, in every chart pattern integrate reaches.  A constant Q in
+    the body chart takes the sectoral form; its chart form is checked in the
+    identity chart."""
     family, arg, eps = spec
     if family == "tesseral":
         surf = PolarSurface.tesseral(*arg, eps)
@@ -504,6 +532,51 @@ def test_generated_kernels_are_the_formulas_bit_for_bit(spec, rot, theta, phi, t
     for j in (1, 2):
         yj = [*y, *w[:j], *w[2:2 + j]]
         assert _hexes(surf.jacobi_rhs, 0.0, yj) == _hexes(_jacobi_rhs_ref, partials, yj)
+
+
+def _reference_rhs(surf, s, y):
+    """PolarSurface.rhs from the test's references: the sectoral form in the
+    body chart, else the complex chart form."""
+    theta, phi, td, pd = y
+    eps = surf.params["eps"]
+    if surf.rot is None and len(surf.q) == 1:
+        parts = _sectoral_partials_ref(surf.m, eps * surf.q[0], theta, phi)
+    else:
+        parts = _partials_from_rot(surf.m, surf.q, eps, surf.rot or IDENTITY_ROT, theta, phi)
+    return _rhs_from_partials_ref(theta, td, pd, parts)
+
+
+@pytest.mark.parametrize(
+    "surf, y0, swaps",
+    [
+        (PolarSurface.zonal(2, 0.3), [1.1, 0.0, 0.25, 0.7], 0),
+        (PolarSurface.tesseral(2, 1, 0.2), [1.1, 0.3, 0.25, 0.7], 0),
+        (PolarSurface.sectoral(3, 0.2), [math.pi / 2, 0.0, -1.0, 0.0], 1),
+    ],
+    ids=["zonal2", "tesseral21", "sectoral3-meridian"],
+)
+def test_trajectories_are_the_complex_reference_bit_for_bit(surf, y0, swaps, monkeypatch):
+    """Integrated with its kernels or with the complex reference formulas, a
+    geodesic gives the same samples, 2H and crossings bit for bit, the
+    meridian through its chart swap included."""
+    def run():
+        return integrate(surf, y0, 30.0, n_samples=61)
+
+    ours = run()
+    calls = []
+
+    def reference(self, s, y):
+        calls.append(s)
+        return _reference_rhs(self, s, y)
+
+    monkeypatch.setattr(PolarSurface, "rhs", reference)
+    ref = run()
+    assert len(calls) == ref.nfev == ours.nfev
+    assert len(ours.crossings) >= 3
+    assert ours.chart_swaps == ref.chart_swaps == swaps
+    for field in ("states", "h2", "crossings"):
+        got, want = getattr(ours, field), getattr(ref, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
 
 def test_surfaces_pickle():
