@@ -458,10 +458,10 @@ def _monic(A: list, B, D: int | None) -> "Poly":
 def _split(x) -> tuple:
     """(s, t, v, E) with x = (s + t*sqrt(E))/v, v > 0, and E None when x is
     rational."""
-    if isinstance(x, QuadExt):
-        a, b, E = x.a, x.b, x.D
-    else:
-        a, b, E = Fraction(x), _ZERO, None
+    if not isinstance(x, QuadExt):
+        a = x if isinstance(x, Fraction) else Fraction(x)
+        return a.numerator, 0, a.denominator, None
+    a, b, E = x.a, x.b, x.D
     v = math.lcm(a.denominator, b.denominator)
     return a.numerator * (v // a.denominator), b.numerator * (v // b.denominator), v, E
 

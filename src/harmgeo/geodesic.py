@@ -87,12 +87,12 @@ def _project(n, v):
 
 
 def chart_to_body(y, m):
-    """State in a chart with chart->body matrix m, expressed in the body
-    chart."""
+    """State in a chart with chart->body matrix m (3x3, or nine row-major
+    numbers as in ``PolarSurface.rot``), expressed in the body chart."""
     if m is None:
         return np.asarray(y, dtype=float)
     n, v = _embed(y)
-    mm = np.asarray(m)
+    mm = np.reshape(m, (3, 3))
     return _project(mm @ n, mm @ v)
 
 
@@ -218,22 +218,24 @@ def integrate(
         # crossings are rebuilt in the chart whose equator is the section
         frame_chart = surface.in_chart(np.eye(3) if sframe is None else sframe.T)
 
-    # chart -> body rotation (None = identity/body chart)
-    m = None if surface.rot is None else np.asarray(surface.rot).reshape(3, 3)
+    # the chart integrated in; its rot is the chart -> body rotation (None
+    # for the body chart)
     chart = surface
     swaps = 0
 
-    def swap_chart(y, m):
+    def chart_matrix():
+        return np.eye(3) if chart.rot is None else np.reshape(chart.rot, (3, 3))
+
+    def swap_chart(y):
         y_new = chart_to_body(y, np.asarray(R_SWAP).T)  # into the chart rotated by R_SWAP
-        m = (np.eye(3) if m is None else m) @ np.asarray(R_SWAP)
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        return y_new, m, surface.in_chart(m)
+        return y_new, surface.in_chart(chart_matrix() @ np.asarray(R_SWAP))
 
     # the pole events fire on entering the guard band, so a start inside it
     # moves to the rotated chart before the first step
     if not POLE_GUARD < y[0] < math.pi - POLE_GUARD:
-        y, m, chart = swap_chart(y, m)
+        y, chart = swap_chart(y)
         swaps += 1
     if renormalize:
         y = normalize_speed(chart, y)
@@ -262,7 +264,7 @@ def integrate(
     # one stepper run per chart: to the first pole event, then from each
     # chart swap to the next, until s_max or the last crossing asked for
     while True:
-        mm = np.asarray(m) if m is not None else np.eye(3)
+        mm = chart_matrix()
         row_z = mm[2] if sframe is None else sframe[2] @ mm
         rz0, rz1, rz2 = row_z.tolist()
 
@@ -298,7 +300,7 @@ def integrate(
         steps += len(sol.t) - 1
         rejected += sol.rejected
         for yy in sol.samples:
-            samples.append(chart_to_body(yy[:4], m))
+            samples.append(chart_to_body(yy[:4], chart.rot))
             h2s.append(chart.hamiltonian2(*yy[:4]))
 
         # record crossings (converted to body coordinates)
@@ -307,7 +309,7 @@ def integrate(
                 continue
             y_c = y_ev[:4]
             if sframe is None:
-                yb = chart_to_body(y_c, m)
+                yb = chart_to_body(y_c, chart.rot)
             else:
                 n_c, v_c = _embed(y_c)
                 yb = _project(sframe @ (mm @ n_c), sframe @ (mm @ v_c))
@@ -329,7 +331,7 @@ def integrate(
             break
         if not (sol.t_events[0] or sol.t_events[1]) or s_now >= s_max:
             break
-        y, m, chart = swap_chart(y, m)
+        y, chart = swap_chart(y)
         swaps += 1
 
     if n_samples:
@@ -338,7 +340,7 @@ def integrate(
         h2_arr = np.array(h2s)
     else:
         s_arr = np.array([s_now])
-        st_arr = chart_to_body(y, m)[None, :]
+        st_arr = chart_to_body(y, chart.rot)[None, :]
         h2_arr = np.array([chart.hamiltonian2(*y)])
 
     return Trajectory(

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from functools import cached_property, lru_cache, reduce
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -36,6 +36,9 @@ from .algebra import (
     QuadExt,
     RatFunc,
     _divide_linear,
+    _join_disc,
+    _poly,
+    _split as _int_parts,
     field_inv,
     sqrt_decompose,
 )
@@ -90,23 +93,25 @@ class FuchsianODE:
         )
 
     @cached_property
-    def _descent_parts(self) -> tuple[Poly, tuple, Poly]:
-        """S = prod(z - a), the cofactors S/(z - a_j) and R2 = S^2*r: the
-        parts of every descent that no candidate changes."""
+    def _descent_parts(self) -> tuple:
+        """(S, R2, L, cofactors): S = prod(z - a), R2 = S^2*r and the
+        cofactors S/(z - a_j) = (A_j + B_j*sqrt(D))/L as integer rows
+        (A_j, B_j, D_j) over one denominator L, B_j zero-filled and D_j None
+        where S/(z - a_j) is rational.  They are the parts of every descent
+        that no candidate changes, and :func:`_descent_polys` forms T from
+        them for the rejection and the exact solve alike."""
         # a conjugate pole pair leaves S rational, so R2 is one exact
         # division over Q
         S = Poly.from_roots(self.poles)
-        cofactors = tuple(_divide_linear(S, a)[0] for a in self.poles)
         # r's denominator divides S^2 when every pole is at most double
         R2 = (S * S).exact_div(self.r.den) * self.r.num
-        return S, cofactors, R2
-
-    @cached_property
-    def _descent_images(self) -> "_DescentImages":
-        """S, R2 and the cofactors as the rejection reads them, with the top
-        coefficients of S and R2 mod each prime it has used, for every
-        candidate."""
-        return _DescentImages(*self._descent_parts)
+        rows = [_divide_linear(S, a)[0]._int_rows() for a in self.poles]
+        L = lcm(*(r[0] for r in rows))
+        cofactors = tuple(
+            ([a * (L // l) for a in A], [b * (L // l) for b in B] if B else [0] * len(A), D)
+            for l, A, B, D in rows
+        )
+        return S, R2, L, cofactors
 
 
 @dataclass(frozen=True)
@@ -326,13 +331,36 @@ def _clear(f: RatFunc, m: Poly) -> Poly:
     return g.num * field_inv(g.den.leading())
 
 
+def _one_discriminant(discs) -> Optional[int]:
+    """The one discriminant among ``discs``, None standing for Q; two
+    distinct ones raise ValueError."""
+    return reduce(_join_disc, sorted(set(discs) - {None}), None)
+
+
 def _descent_polys(ode: FuchsianODE, coeffs) -> tuple[Poly, Poly, Poly]:
     """(S, T, R2) = (prod(z - a), S*theta, S^2*r) for theta with residues
-    ``coeffs``; only T = sum c_j * S/(z - a_j) depends on the candidate."""
-    S, cofactors, R2 = ode._descent_parts
-    terms = [(c, cofactor.coeffs) for c, cofactor in zip(coeffs, cofactors) if c]
-    T = Poly(sum((c * cs[k] for c, cs in terms), Fraction(0)) for k in range(S.degree))
-    return S, T, R2
+    ``coeffs``, the one construction of T that the rejection and the exact
+    solve read; only T = sum c_j * S/(z - a_j) depends on the candidate.
+
+    With the residues c_j = (u_j + v_j*sqrt(D))/M over one denominator and
+    the cofactor rows of :attr:`FuchsianODE._descent_parts`,
+    T*M*L = sum_j (u_j + v_j*sqrt(D))*(A_j + B_j*sqrt(D)) = P + Q*sqrt(D),
+    where P = sum_j u_j*A_j + v_j*B_j*D and Q = sum_j u_j*B_j + v_j*A_j are
+    integer dot products; T is the Poly on those rows, in lowest terms.  A
+    residue in one field and a cofactor it multiplies in another raise
+    ValueError, as exact arithmetic does."""
+    S, R2, L, cofactors = ode._descent_parts
+    # each nonzero residue c = (a + b*sqrt(E))/w beside its cofactor's row
+    terms = [(_int_parts(c), row) for c, row in zip(coeffs, cofactors) if c]
+    fields = [E for (_, b, _, E), _ in terms if b] + [row[2] for _, row in terms]
+    D = _one_discriminant(fields) or 0
+    M = lcm(*(w for (_, _, w, _), _ in terms))
+    P = Q = [0] * S.degree
+    for (a, b, w, _), (A, B, _) in terms:
+        u, v = a * (M // w), b * (M // w)
+        P = [x + u * y + v * D * z for x, y, z in zip(P, A, B)]
+        Q = [x + u * z + v * y for x, y, z in zip(Q, A, B)]
+    return S, _poly(M * L, P, Q, D), R2
 
 
 def _case3_descend(N: int, S, T, R2, P) -> list:
@@ -456,12 +484,10 @@ class Solution:
 # reduced once per candidate and shared by the d + 1 columns, and each
 # column's accumulator is reduced mod p once per step.
 #
-# T is not built over Q(sqrt(D)) either (:func:`_jets_mod_prime`).  The
-# cofactors S/(z - a_j) are kept as integer rows over one denominator, so
-# T's coefficients come from integer dot products with the residues, brought
-# to lowest terms: the prime rule reads the exact T's common denominator and
-# sqrt(D) parts, for every prime.  The top coefficients of S and R2 mod p are
-# cached per equation and prime; T's are reduced per candidate.
+# S, T and R2 are the exact polynomials of :func:`_descent_polys`, which
+# forms T from the cofactor rows by integer dot products; the rejection reads
+# their integer rows, so the prime rule sees each one's least common
+# denominator and sqrt(D) part, and the exact solve gets the same T.
 
 # primes = 3 (mod 4), so that a square root mod p is a single power
 _PRIMES = (
@@ -516,13 +542,6 @@ def _top(coeffs: list, bound: int) -> list:
     return [0] * (bound + 1 - len(coeffs)) + coeffs[::-1]
 
 
-def _parts(x: FieldElement) -> tuple:
-    """(a, b) with x = a + b*sqrt(D), both rational."""
-    if isinstance(x, QuadExt):
-        return x.a, x.b
-    return x, 0
-
-
 @lru_cache(maxsize=256)
 def _sqrt_mod(D: int, p: int) -> Optional[int]:
     """A square root of D mod p (p = 3 mod 4), or None if D is no square."""
@@ -558,96 +577,29 @@ def _independent_mod(vectors: list[list[int]], p: int) -> bool:
     return True
 
 
-class _DescentImages:
-    """What the rejection reads of an equation, whatever the candidate.
-
-    S, R2 and the cofactors S/(z - a_j) are read as the integer rows of
-    :class:`Poly`, (A + B*sqrt(D))/L with L the least common denominator of
-    the coefficients' parts; the cofactors are brought to one common
-    denominator L: S/(z - a_j) = (A_j + B_j*sqrt(D))/L.  ``D`` is the
-    equation's one discriminant, None when all of it is rational.  ``at(p)``
-    gives, once per prime, the images mod p of S and R2 top coefficient
-    first, from degrees s = deg S and 2s - 2, or None where p divides one of
-    their denominators, where D, which they need, is no square mod p, or
-    where deg R2 > 2s - 2 (r is not O(z^-2) at infinity)."""
-
-    def __init__(self, S: Poly, cofactors: tuple, R2: Poly):
-        sr = [poly._int_rows() for poly in (S, R2)]
-        self.sr = [r[:3] for r in sr]
-        self.sr_irrational = any(B is not None for _, _, B in self.sr)
-        rows = [cf._int_rows() for cf in cofactors]
-        self.L = L = lcm(*(r[0] for r in rows))
-        self.rows = [
-            ([a * (L // l) for a in A], [b * (L // l) for b in B] if B else [0] * len(A))
-            for l, A, B, _ in rows
-        ]
-        self.irrational_rows = [any(B) for _, B in self.rows]
-        discs = {r[3] for r in (*sr, *rows)} - {None}
-        self.D = next(iter(discs), None)  # Poly.from_roots admits one at most
-        self.width = S.degree
-        self.bounds = (S.degree, 2 * S.degree - 2)
-        self.regular_at_infinity = R2.degree <= self.bounds[1]
-        self._at: dict = {}
-
-    def at(self, p: int) -> Optional[tuple]:
-        """The top coefficients of (S, R2) mod p, or None where p does not
-        serve."""
-        if p not in self._at:
-            s = _sqrt_mod(self.D, p) if self.sr_irrational else 0
-            usable = (
-                self.regular_at_infinity and s is not None and all(L % p for L, _, _ in self.sr)
-            )
-            self._at[p] = (
-                tuple(_top(_image(*r, p, s), b) for r, b in zip(self.sr, self.bounds))
-                if usable
-                else None
-            )
-        return self._at[p]
-
-
 def _jets_mod_prime(ode: FuchsianODE, cand: Candidate) -> Optional[tuple]:
-    """(p, S, T, R2): the first listed prime at which S, T and R2 have
-    images, and those images as lists of integers, top coefficient first from
-    the degree bounds s, s - 1 and 2s - 2 (:class:`_DescentImages`); None
-    when no listed prime qualifies.
+    """(p, S, T, R2): the first listed prime at which S, T and R2 of
+    :func:`_descent_polys` have images, and those images as lists of
+    integers, top coefficient first from the degree bounds s, s - 1 and
+    2s - 2; None when no listed prime qualifies or deg R2 > 2s - 2 (r is not
+    O(z^-2) at infinity).
 
-    T is not built over Q(sqrt(D)).  With the residues
-    c_j = (u_j + v_j*sqrt(D))/M over one denominator,
-    T*M*L = sum_j (u_j + v_j*sqrt(D))*(A_j + B_j*sqrt(D)) = P + Q*sqrt(D),
-    where P = sum_j u_j*A_j + v_j*B_j*D and Q = sum_j u_j*B_j + v_j*A_j are
-    integer dot products.  Brought to lowest terms, (P + Q*sqrt(D))/(M*L) is
-    the exact T over its least common denominator, so the prime rule reads
-    the same denominators and the same sqrt(D) parts.  A residue in one field
-    and S, R2 or a cofactor it multiplies in another raise ValueError, as
-    exact arithmetic does."""
-    im = ode._descent_images
-    discs = {c.D for c in cand.exps if isinstance(c, QuadExt) and c.b}
-    if im.sr_irrational or any(c and irr for c, irr in zip(cand.exps, im.irrational_rows)):
-        discs.add(im.D)
-    if len(discs) > 1:
-        raise ValueError("mixed discriminants " + " and ".join(map(str, sorted(discs))))
-    D = next(iter(discs), 0)
-    res = [_parts(c) for c in cand.exps]
-    M = lcm(*(q.denominator for ab in res for q in ab))
-    terms = [
-        (a.numerator * (M // a.denominator), b.numerator * (M // b.denominator), A, B)
-        for (a, b), (A, B) in zip(res, im.rows)
-        if a or b
-    ]
-    den = M * im.L
-    P = Q = [0] * im.width
-    for u, v, A, B in terms:
-        P = [x + u * a + v * D * b for x, a, b in zip(P, A, B)]
-        Q = [y + u * b + v * a for y, a, b in zip(Q, A, B)]
-    g = gcd(den, *P, *Q)
-    den, P, Q = den // g, [x // g for x in P], [y // g for y in Q]
-    irrational = any(Q)
+    The images are read off the polynomials' integer rows,
+    (A + B*sqrt(D))/L in lowest terms, so p qualifies where it divides none
+    of the three L and D is a square mod p wherever one of them has a
+    sqrt(D) part.  S, T and R2 over two fields raise ValueError."""
+    polys = _descent_polys(ode, cand.exps)
+    rows = [poly._int_rows() for poly in polys]
+    D = _one_discriminant(r[3] for r in rows)
+    s = polys[0].degree
+    bounds = (s, s - 1, 2 * s - 2)
+    if polys[2].degree > bounds[2]:
+        return None
     for p in _PRIMES:
-        sr = im.at(p)
-        s = _sqrt_mod(D, p) if irrational else 0
-        if sr is None or s is None or den % p == 0:
+        root = _sqrt_mod(D, p) if D else 0
+        if root is None or any(r[0] % p == 0 for r in rows):
             continue
-        return p, sr[0], _top(_image(den, P, Q if irrational else None, p, s), im.width - 1), sr[1]
+        return p, *(_top(_image(L, A, B, p, root), b) for (L, A, B, _), b in zip(rows, bounds))
     return None
 
 

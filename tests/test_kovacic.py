@@ -585,22 +585,6 @@ def test_descent_is_scaled_classical_operator(ode, N):
         assert RatFunc(_case3_descend(N, S, T.num, R2.num, Poly.monomial(k))[-1]) == expected, k
 
 
-@pytest.mark.parametrize(
-    "n,eps", [(1, Fraction(1, 3)), (3, Fraction(1, 10)), (4, Fraction(1, 10))]
-)
-def test_shared_descent_parts_match_from_scratch(n, eps):
-    """S and R2, built once per equation, and T, summed from the shared
-    cofactors, equal their from-scratch values for every candidate."""
-    ode = FuchsianODE.from_nve(equatorial_nve(n, eps))
-    S = Poly.from_roots(ode.poles)
-    R2 = _clear(ode.r, S * S)
-    cands = _distinct_candidates(ode)
-    assert cands
-    for cand in cands:
-        T = _clear(_theta(ode.poles, cand.exps), S)
-        assert _descent_polys(ode, cand.exps) == (S, T, R2), cand
-
-
 def test_interleaved_runs_match_fresh_runs():
     """Parts cached on one equation never leak into another."""
 
@@ -1064,6 +1048,27 @@ def _oracle_ode(key):
     return FuchsianODE.from_nve(equatorial_nve(*key))
 
 
+@pytest.mark.parametrize(
+    "n,eps",
+    [(1, Fraction(1, 3)), (3, Fraction(1, 10)), (4, Fraction(1, 10))]
+    + [pytest.param(key, None, id=key) for key in _ORACLE_ODES],
+)
+def test_shared_descent_parts_match_from_scratch(n, eps):
+    """S and R2, built once per equation, and T, formed from the shared
+    cofactor rows, equal their from-scratch values for every candidate: on
+    three equators and on every built equation above (an irrational S,
+    residues in Q(sqrt(2)) over rational and over conjugate poles, residues
+    in thirds, zero residues beside +-sqrt(3)), which pass their key as n."""
+    ode = _oracle_ode(n if eps is None else (n, eps))
+    S = Poly.from_roots(ode.poles)
+    R2 = _clear(ode.r, S * S)
+    cands = _distinct_candidates(ode)
+    assert cands
+    for cand in cands:
+        T = _clear(_theta(ode.poles, cand.exps), S)
+        assert _descent_polys(ode, cand.exps) == (S, T, R2), cand
+
+
 def _jets_both_ways(ode, cand):
     """The (p, S, T, R2) top coefficients from the cofactor rows, and those of
     the exact T that _descent_polys sums, reduced by :func:`_exact_images`;
@@ -1131,15 +1136,36 @@ def test_cofactor_jets_cover_irrational_residues():
     assert irrational_T == {True, False}
 
 
+def _sqrt5_residues_at_sqrt2_ode():
+    """xi'' = (z - sqrt(2))^-2 xi: its N = 1 residues (1 +- sqrt(5))/2 lie in
+    Q(sqrt(5)), its S = z - sqrt(2) in Q(sqrt(2)), and its cofactor is 1."""
+    a = QuadExt(0, 1, 2)
+    return FuchsianODE.from_ratfunc(_pole_term(Fraction(1), a, 2), [a])
+
+
 def test_mixed_discriminants_take_the_exact_path():
-    """Residues in Q(sqrt(2)) against cofactors in Q(sqrt(3)): the rejection
-    refuses the mix as the exact T does."""
+    """Residues in Q(sqrt(2)) against cofactors in Q(sqrt(3)): T itself is
+    refused, as exact arithmetic refuses it.  Residues in Q(sqrt(5)) times
+    the rational cofactor 1: T is formed, in Q(sqrt(5)), but the rejection
+    refuses it beside S in Q(sqrt(2)), as the exact solve would; read at one
+    square root mod p, the three would prove both true solutions
+    (z - sqrt(2))^c absent."""
     ode = _conjugate_pole_ode(3)
     cand = candidates_for(ode, 1)[0]
-    with pytest.raises(ValueError, match="mixed discriminants"):
+    with pytest.raises(ValueError, match="mixed discriminants 2 and 3"):
         _descent_polys(ode, cand.exps)
-    with pytest.raises(ValueError, match="mixed discriminants"):
+    with pytest.raises(ValueError, match="mixed discriminants 2 and 3"):
         modular_rejection(ode, cand)
+    ode = _sqrt5_residues_at_sqrt2_ode()
+    cands = candidates_for(ode, 1)
+    assert len(cands) == 2
+    for cand in cands:
+        assert _descent_polys(ode, cand.exps)[1].coeffs[0].D == 5
+        for reject in (modular_rejection, kovacic._jets_mod_prime):
+            with pytest.raises(ValueError, match="mixed discriminants 2 and 5"):
+                reject(ode, cand)
+    with pytest.raises(ValueError, match="mixed discriminants 2 and 5"):
+        run_kovacic(ode)
 
 
 def _faulty_descend(fault):

@@ -1,5 +1,6 @@
 """Surface families: Legendre functions, metric data, Christoffel symbols."""
 
+import linecache
 import math
 import pickle
 
@@ -115,6 +116,112 @@ def test_partials_match_finite_differences(surface):
                        (1e-3, 0.8), (5e-4, 3.9), (math.pi - 1e-3, 2.5),
                        (math.pi - 2e-4, 5.2)]:
         _check_partials(surface, theta, phi)
+
+
+class _HyperDual:
+    """a + b*e1 + c*e2 + d*e1*e2 with e1^2 = e2^2 = 0: seeding e1 and e2
+    along two directions, f's e1*e2 part is the second derivative of f
+    along them, exact up to rounding (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., SIAM 2008, ch. 3)."""
+
+    def __init__(self, a, b=0.0, c=0.0, d=0.0):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, _HyperDual) else _HyperDual(float(x))
+
+    def apply(self, f, f1, f2):
+        """f of self, f1 and f2 the first and second derivatives of f at a."""
+        return _HyperDual(f, f1 * self.b, f1 * self.c, f1 * self.d + f2 * self.b * self.c)
+
+    def __add__(self, other):
+        o = self.lift(other)
+        return _HyperDual(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _HyperDual(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, other):
+        return self + -self.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self.lift(other)
+        return _HyperDual(
+            self.a * o.a,
+            self.a * o.b + self.b * o.a,
+            self.a * o.c + self.c * o.a,
+            self.a * o.d + self.b * o.c + self.c * o.b + self.d * o.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        assert isinstance(k, int) and k >= 1
+        a = self.a
+        return self.apply(a**k, k * a ** (k - 1), k * (k - 1) * a ** (k - 2) if k > 1 else 0.0)
+
+
+def _hd_sin(x):
+    return x.apply(math.sin(x.a), math.cos(x.a), -math.sin(x.a))
+
+
+def _hd_cos(x):
+    return x.apply(math.cos(x.a), -math.sin(x.a), -math.cos(x.a))
+
+
+def _hyperdual_partials(surface):
+    """The surface's partials kernel, its structure's ``make`` source
+    re-executed with sin and cos taking hyper-dual numbers and bound to the
+    surface's numbers as ``kernels.chart_kernel`` binds them."""
+    filename = surface._partials.__code__.co_filename
+    namespace = {"sin": _hd_sin, "cos": _hd_cos}
+    exec(compile("".join(linecache.getlines(filename)), filename, "exec"), namespace)
+    eps, q = surface.params["eps"], surface.q
+    if surface.rot is None and len(q) == 1:
+        return namespace["make"](eps * q[0])[0]
+    return namespace["make"](eps, q, surface.rot or kernels._BODY_CHART)[0]
+
+
+DUAL_SURFACES = [
+    PolarSurface.sectoral(3, 0.2),
+    PolarSurface.sectoral(7, 0.1),
+    PolarSurface.tesseral(3, 1, 0.15),
+    PolarSurface.tesseral(4, 2, 0.05),
+    PolarSurface.zonal(3, 0.3),
+]
+DUAL_IDS = ["sectoral3", "sectoral7", "tesseral31", "tesseral42", "zonal3"]
+
+
+@pytest.mark.parametrize("body", DUAL_SURFACES, ids=DUAL_IDS)
+@pytest.mark.parametrize("rot", [None, R_SWAP], ids=["body", "swap"])
+def test_partials_are_derivatives_to_rounding(body, rot):
+    """r_t .. r_pp are the derivatives of the kernel's own r, to a relative
+    1e-13, taken by hyper-dual numbers through the kernel text: theta seeded
+    in both directions gives r_t and r_tt, phi in both r_p and r_pp, and
+    theta in one and phi in the other r_tp.  A partial near a zero of its
+    own is held to 1e-13 of the largest of the five."""
+    surf = body if rot is None else body.in_chart(rot)
+    partials = _hyperdual_partials(surf)
+    for theta, phi in [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0), (math.pi / 2, 0.0),
+                       (1e-3, 0.8), (math.pi - 2e-4, 5.2)]:
+        t, p = _HyperDual(theta, 1.0, 1.0), _HyperDual(phi)
+        r_t = partials(t, p)[0]
+        t, p = _HyperDual(theta), _HyperDual(phi, 1.0, 1.0)
+        r_p = partials(t, p)[0]
+        t, p = _HyperDual(theta, 1.0), _HyperDual(phi, 0.0, 1.0)
+        r_tp = partials(t, p)[0]
+        dual = (r_t.b, r_p.b, r_t.d, r_tp.d, r_p.d)
+        got = surf.partials(theta, phi)
+        assert r_t.a == r_p.a == r_tp.a == got[0]
+        floor = 1e-13 * max(map(abs, got[1:]))
+        for k, (x, y) in enumerate(zip(got[1:], dual)):
+            assert math.isclose(x, y, rel_tol=1e-13, abs_tol=floor), (k, theta, phi, x, y)
 
 
 CURVATURE_POINTS = [(0.7, 0.3), (1.4, 2.1), (2.2, 4.0), (1e-3, 0.8), (math.pi - 5e-4, 5.2)]
