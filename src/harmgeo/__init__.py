@@ -10,6 +10,12 @@ coefficients over quadratic number fields.
 
 The names below and the submodules load on first access (PEP 562), so that
 the exact side, which needs the standard library alone, never imports NumPy.
+Nor do the integrator, the return map, the closed-orbit Newton search and
+``harmgeo trace`` on sectoral and zonal surfaces, which compute on Python
+floats.  NumPy loads only where a result is an array (a ``Trajectory``'s
+fields on first read, section points, monodromies, ``clairaut_values``),
+for the seeded Philox streams of sections, for the tesseral radius bound
+and for the Lemma 1 root finder.
 """
 
 import importlib

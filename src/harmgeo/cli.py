@@ -157,8 +157,9 @@ def cmd_trace(args, out: Path) -> int:
     )
     path = out / _eps_name(f"trace_{tag}_eps{{eps}}.csv", args.eps)
     traj.to_csv(path)
-    drift = max(abs(h - 1.0) for h in traj.h2)
-    print(f"wrote {path} ({len(traj.s)} samples, {traj.chart_swaps} chart "
+    # the run's floats, not its arrays, which would import NumPy
+    drift = max(abs(h - 1.0) for h in traj._h2)
+    print(f"wrote {path} ({len(traj._s)} samples, {traj.chart_swaps} chart "
           f"swaps, max |2H-1| = {drift:.2e})")
     return 0
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import kernels
 from .dop853 import solve_ivp
-from .surface import POLE_TOL, PolarSurface, PoleError, check_rotation
+from .surface import IDENTITY_ROT, POLE_TOL, PolarSurface, PoleError, check_rotation, flat_floats
 
 POLE_GUARD = 0.05
 DEFAULT_RTOL = 1e-12
@@ -28,39 +26,112 @@ DEFAULT_ATOL = 1e-12
 # p_old = R_SWAP @ p_new moves the old pole to the new equator
 R_SWAP = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0))
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+class _Floats:
+    """A :class:`Trajectory` field kept as the floats it is given and read as
+    a float64 array, built on the first read: only then is NumPy imported.
+    The array then replaces the floats, which are freed.  ``row`` is the
+    shape of one row, which an empty field keeps; a crossing Jacobian's row
+    (2, j) takes j from the trajectory."""
+
+    def __init__(self, row, default=MISSING):
+        self.row, self.default = row, default
+
+    def __set_name__(self, owner, name):
+        self.raw, self.built = f"_{name}", f"_{name}_array"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # a dataclass reads its default here
+            if self.default is MISSING:
+                raise AttributeError(self.raw[1:])
+            return self.default
+        raw, built = obj.__dict__[self.raw], obj.__dict__.get(self.built)
+        if built is None and raw is not None:
+            import numpy as np
+
+            row = self.row
+            if row is None:
+                row = (2, len(raw[0][0]) if len(raw) else obj._n_tangents)
+            built = np.array(raw, dtype=float).reshape(-1, *row)
+            obj.__dict__[self.raw] = obj.__dict__[self.built] = built
+        return built
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.raw] = value
+        obj.__dict__.pop(self.built, None)
+
 
 @dataclass
 class Trajectory:
-    """Sampled geodesic in the body chart, plus equator-crossing events."""
+    """Sampled geodesic in the body chart, plus equator-crossing events.
 
-    s: np.ndarray
-    states: np.ndarray  # shape (m, 4): theta, phi, theta_dot, phi_dot (body)
-    h2: np.ndarray  # 2H sampled in the integration chart
-    crossings: np.ndarray  # shape (k, 3): s, phi, phi_dot at theta = pi/2
+    :func:`integrate` hands over its floats, and each array field below is
+    built from them on its first read, so a caller that reads none of them
+    never imports NumPy.  The package's own readers (:meth:`to_csv`, the
+    return map and ``harmgeo trace``) read the floats themselves, or the
+    array once it is built.
+    """
+
+    s: np.ndarray = _Floats(())  # shape (m,)
+    states: np.ndarray = _Floats((4,))  # shape (m, 4): theta, phi, theta_dot, phi_dot (body)
+    h2: np.ndarray = _Floats(())  # 2H sampled in the integration chart
+    crossings: np.ndarray = _Floats((3,))  # shape (k, 3): s, phi, phi_dot at theta = pi/2
     chart_swaps: int
     status: str  # "completed", or "crossings" when n_crossings stopped it
     # shape (k, 2, j) with ``tangents``: d(phi, phi_dot) of each crossing
-    crossing_jacobians: Optional[np.ndarray] = None
+    crossing_jacobians: Optional[np.ndarray] = _Floats(None, default=None)
     # stepper work: right-hand-side calls, accepted and rejected steps
     nfev: int = 0
     steps: int = 0
     rejected_steps: int = 0
+    # j, the number of variations a tangent run carried
+    _n_tangents: int = field(default=0, init=False, repr=False, compare=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["s", "theta", "phi", "theta_dot", "phi_dot", "h2"])
-            for k in range(len(self.s)):
-                w.writerow(
-                    [f"{self.s[k]:.12g}"]
-                    + [f"{x:.12g}" for x in self.states[k]]
-                    + [f"{self.h2[k]:.12g}"]
-                )
+            for s, state, h2 in zip(self._s, self._states, self._h2):
+                w.writerow([f"{s:.12g}"] + [f"{x:.12g}" for x in state] + [f"{h2:.12g}"])
 
 
 # ---------------------------------------------------------------------------
 # chart transfer helpers
 # ---------------------------------------------------------------------------
+#
+# 3x3 matrices are nine row-major floats, as PolarSurface.rot holds them.
+# Each product sum starts from +0.0, as NumPy's and BLAS's do: a product
+# with a signed permutation matrix, such as a power of R_SWAP, is then
+# NumPy's bit for bit, signed zeros included.
+
+_SWAP = flat_floats(R_SWAP)
+
+
+def _transpose(m):
+    return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
+
+
+_SWAP_T = _transpose(_SWAP)
+
+
+def _mat_vec(m, x):
+    x0, x1, x2 = x
+    return (
+        0.0 + m[0] * x0 + m[1] * x1 + m[2] * x2,
+        0.0 + m[3] * x0 + m[4] * x1 + m[5] * x2,
+        0.0 + m[6] * x0 + m[7] * x1 + m[8] * x2,
+    )
+
+
+def _mat_mul(a, b):
+    return tuple(
+        0.0 + a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+        for i in (0, 3, 6)
+        for j in range(3)
+    )
 
 
 def _embed(y):
@@ -68,14 +139,15 @@ def _embed(y):
     th, ph, td, pd = y
     st, ct = math.sin(th), math.cos(th)
     cp, sp = math.cos(ph), math.sin(ph)
-    n = np.array([st * cp, st * sp, ct])
-    e_t = np.array([ct * cp, ct * sp, -st])
-    e_p = np.array([-st * sp, st * cp, 0.0])
-    return n, td * e_t + pd * e_p
+    n = (st * cp, st * sp, ct)
+    # td * e_theta + pd * e_phi, e_theta = (ct cp, ct sp, -st) and
+    # e_phi = (-st sp, st cp, 0)
+    v = (td * (ct * cp) + pd * (-st * sp), td * (ct * sp) + pd * (st * cp), td * -st + pd * 0.0)
+    return n, v
 
 
 def _project(n, v):
-    """Unit sphere position/velocity -> (theta, phi, td, pd)."""
+    """Unit sphere position/velocity -> [theta, phi, td, pd]."""
     rho = math.hypot(n[0], n[1])
     th = math.atan2(rho, n[2])
     ph = math.atan2(n[1], n[0])
@@ -83,17 +155,37 @@ def _project(n, v):
     cp, sp = math.cos(ph), math.sin(ph)
     td = v[0] * ct * cp + v[1] * ct * sp - v[2] * st
     pd = (-v[0] * sp + v[1] * cp) / st
-    return np.array([th, ph, td, pd])
+    return [th, ph, td, pd]
+
+
+def _to_body(y, rot):
+    """:func:`chart_to_body` for nine row-major floats or None."""
+    if rot is None:
+        return [float(x) for x in y]
+    n, v = _embed(y)
+    return _project(_mat_vec(rot, n), _mat_vec(rot, v))
 
 
 def chart_to_body(y, m):
     """State in a chart with chart->body matrix m (3x3, or nine row-major
-    numbers as in ``PolarSurface.rot``), expressed in the body chart."""
-    if m is None:
-        return np.asarray(y, dtype=float)
-    n, v = _embed(y)
-    mm = np.reshape(m, (3, 3))
-    return _project(mm @ n, mm @ v)
+    numbers as in ``PolarSurface.rot``), expressed in the body chart as a
+    list of four floats."""
+    return _to_body(y, None if m is None else flat_floats(m))
+
+
+def _sample_grid(s_max, n):
+    """``np.linspace(0.0, s_max, n)`` as a list, bit for bit: k * step with
+    step = s_max/(n - 1), or (k/(n - 1)) * s_max when that step underflows
+    to zero, and the last point s_max itself."""
+    if n < 0:
+        raise ValueError(f"n_samples = {n} must be non-negative")
+    if n < 2:
+        return [0.0] * n
+    div = n - 1
+    step = s_max / div
+    grid = [k * step for k in range(n)] if step else [k / div * s_max for k in range(n)]
+    grid[-1] = float(s_max)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +193,15 @@ def chart_to_body(y, m):
 # ---------------------------------------------------------------------------
 
 
-def normalize_speed(surface: PolarSurface, y):
-    """Scale the velocity so 2H = 1 (arc-length parametrization)."""
-    y = np.asarray(y, dtype=float).copy()
-    h2 = surface.hamiltonian2(*y)
+def normalize_speed(surface: PolarSurface, y) -> list:
+    """Scale the velocity so 2H = 1 (arc-length parametrization); the state
+    comes back as a list of four floats."""
+    th, ph, td, pd = (float(x) for x in y)
+    h2 = surface.hamiltonian2(th, ph, td, pd)
     if h2 <= 0:
         raise ValueError("zero velocity cannot be normalized")
-    y[2:] /= math.sqrt(h2)
-    return y
+    sq = math.sqrt(h2)
+    return [th, ph, td / sq, pd / sq]
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +212,12 @@ def normalize_speed(surface: PolarSurface, y):
 # covariant derivative DJ = dv + Gamma(v, dx).  Its tangential part g(J, v)
 # is b + a*s, and its normal part w = omega(v, J) (omega the area form) obeys
 # w'' = -K*2H*w.  The four numbers (b, a, w, w') are the same in every chart
-# reached by a rotation, so chart swaps leave them alone.
+# reached by a rotation, so chart swaps leave them alone.  Variations are
+# 4 x j lists of rows; the parts are lists of j floats.
 
 
 def _velocity_frame(chart, y):
-    """At state y with velocity v: the matrix of dx -> Gamma(v, dx), the
+    """At state y with velocity v: the 2x2 rows of dx -> Gamma(v, dx), the
     lowered velocity g(v, .), the row omega(v, .) and the normal nu with
     g(nu, v) = 0 and omega(v, nu) = 2H."""
     th, ph, td, pd = y
@@ -132,31 +226,53 @@ def _velocity_frame(chart, y):
     g11, g12, g22, det, a0, a1, a2, b0, b1, b2 = kernels.christoffel(
         th, *chart.partials(th, ph)
     )
-    gam_v = np.array([[a0 * td + a1 * pd, a1 * td + a2 * pd],
-                      [b0 * td + b1 * pd, b1 * td + b2 * pd]])
-    v_low = np.array([g11 * td + g12 * pd, g12 * td + g22 * pd])
+    gam_v = ((a0 * td + a1 * pd, a1 * td + a2 * pd), (b0 * td + b1 * pd, b1 * td + b2 * pd))
+    v0, v1 = g11 * td + g12 * pd, g12 * td + g22 * pd
     sq = math.sqrt(det)
-    nu = np.array([-v_low[1], v_low[0]]) / sq
-    return gam_v, v_low, sq * np.array([-pd, td]), nu
+    return gam_v, (v0, v1), (sq * -pd, sq * td), (-v1 / sq, v0 / sq)
+
+
+def _dot2(row, x0, x1):
+    """row @ [x0; x1] for a 2-vector row and two rows of j floats."""
+    return [row[0] * p + row[1] * q for p, q in zip(x0, x1)]
 
 
 def _jacobi_split(chart, y, tangents):
     """(b, a, w, w') of each column of the 4 x j variations at state y."""
     gam_v, v_low, omega_v, _ = _velocity_frame(chart, y)
-    dx = tangents[:2]
-    dj = tangents[2:] + gam_v @ dx
-    return v_low @ dx, v_low @ dj, omega_v @ dx, omega_v @ dj
+    dx0, dx1, dv0, dv1 = tangents
+    dj0 = [v + g for v, g in zip(dv0, _dot2(gam_v[0], dx0, dx1))]
+    dj1 = [v + g for v, g in zip(dv1, _dot2(gam_v[1], dx0, dx1))]
+    return (
+        _dot2(v_low, dx0, dx1), _dot2(v_low, dj0, dj1),
+        _dot2(omega_v, dx0, dx1), _dot2(omega_v, dj0, dj1),
+    )
 
 
 def _jacobi_rebuild(chart, y, s, b, a, w, dw):
     """4 x j variations (dx, dv) at state y, arc length s after the split,
     from the parts :func:`_jacobi_split` gave and the integrated (w, w')."""
     gam_v, v_low, _, nu = _velocity_frame(chart, y)
-    v = np.array(y[2:4], dtype=float)
-    h2 = v_low @ v
-    jac = (np.outer(v, b + a * s) + np.outer(nu, w)) / h2
-    dj = (np.outer(v, a) + np.outer(nu, dw)) / h2
-    return np.vstack([jac, dj - gam_v @ jac])
+    v = (float(y[2]), float(y[3]))
+    h2 = v_low[0] * v[0] + v_low[1] * v[1]
+    jac = [
+        [(vi * (bc + ac * s) + ni * wc) / h2 for bc, ac, wc in zip(b, a, w)]
+        for vi, ni in zip(v, nu)
+    ]
+    dj = [[(vi * ac + ni * dwc) / h2 for ac, dwc in zip(a, dw)] for vi, ni in zip(v, nu)]
+    return jac + [
+        [d - g for d, g in zip(dj_i, _dot2(gam_i, *jac))] for dj_i, gam_i in zip(dj, gam_v)
+    ]
+
+
+def _variations(tangents):
+    """4 x j variations as four rows of j floats, from any nesting of 4*j
+    numbers in row-major order."""
+    flat = flat_floats(tangents)
+    j, rest = divmod(len(flat), 4)
+    if rest:
+        raise ValueError(f"tangents hold {len(flat)} numbers: need 4 rows of j variations")
+    return [flat[i * j:(i + 1) * j] for i in range(4)]
 
 
 def integrate(
@@ -198,39 +314,36 @@ def integrate(
         raise ValueError(f"arc length s_max = {s_max} must be finite and positive")
     if n_crossings is not None and n_crossings < 1:
         raise ValueError(f"n_crossings = {n_crossings} must be at least 1")
-    y = np.asarray(y0, dtype=float)
+    y = [float(x) for x in y0]
     # checked before the pole guard, which would read a NaN theta as a pole
-    for name, x in zip(("theta", "phi", "theta_dot", "phi_dot"), y.tolist()):
+    for name, x in zip(("theta", "phi", "theta_dot", "phi_dot"), y):
         if not math.isfinite(x):
             raise ValueError(f"initial {name} = {x} must be finite")
     sframe = None
     if section_frame is not None:
-        sframe = np.reshape(check_rotation(section_frame, "section_frame"), (3, 3))
+        sframe = check_rotation(section_frame, "section_frame")
     normal = None  # the integrated normal parts (w, w'), flattened
     if tangents is not None:
         if renormalize:
             raise ValueError(
                 "tangents need renormalize=False: speed normalization is not differentiated"
             )
-        b, a, w, dw = _jacobi_split(surface, y, np.array(tangents, dtype=float).reshape(4, -1))
-        normal = [*w.tolist(), *dw.tolist()]
+        b, a, w, dw = _jacobi_split(surface, y, _variations(tangents))
+        normal = [*w, *dw]
         j = len(b)
         # crossings are rebuilt in the chart whose equator is the section
-        frame_chart = surface.in_chart(np.eye(3) if sframe is None else sframe.T)
+        frame_chart = surface.in_chart(IDENTITY_ROT if sframe is None else _transpose(sframe))
 
     # the chart integrated in; its rot is the chart -> body rotation (None
     # for the body chart)
     chart = surface
     swaps = 0
 
-    def chart_matrix():
-        return np.eye(3) if chart.rot is None else np.reshape(chart.rot, (3, 3))
-
     def swap_chart(y):
-        y_new = chart_to_body(y, np.asarray(R_SWAP).T)  # into the chart rotated by R_SWAP
+        y_new = _to_body(y, _SWAP_T)  # into the chart rotated by R_SWAP
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        return y_new, surface.in_chart(chart_matrix() @ np.asarray(R_SWAP))
+        return y_new, surface.in_chart(_mat_mul(chart.rot or IDENTITY_ROT, _SWAP))
 
     # the pole events fire on entering the guard band, so a start inside it
     # moves to the rotated chart before the first step
@@ -240,7 +353,7 @@ def integrate(
     if renormalize:
         y = normalize_speed(chart, y)
 
-    sample_s = np.linspace(0.0, s_max, n_samples).tolist() if n_samples else []
+    sample_s = _sample_grid(s_max, n_samples)
     samples = []  # body-chart states at the first len(samples) sample_s
     h2s = []
     crossings = []
@@ -264,9 +377,9 @@ def integrate(
     # one stepper run per chart: to the first pole event, then from each
     # chart swap to the next, until s_max or the last crossing asked for
     while True:
-        mm = chart_matrix()
-        row_z = mm[2] if sframe is None else sframe[2] @ mm
-        rz0, rz1, rz2 = row_z.tolist()
+        mm = chart.rot or IDENTITY_ROT
+        # the section's normal in the chart: row 2 of sframe @ mm
+        rz0, rz1, rz2 = mm[6:] if sframe is None else _mat_vec(_transpose(mm), sframe[6:])
 
         def section(s, yy):
             st = math.sin(yy[0])
@@ -280,7 +393,8 @@ def integrate(
         if n_crossings is not None:
             section.terminal = n_crossings - len(crossings)
             if s_now == 0.0:
-                v_z = row_z @ _embed(y)[1]
+                v = _embed(y)[1]
+                v_z = rz0 * v[0] + rz1 * v[1] + rz2 * v[2]
                 section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
 
         if normal is None:
@@ -300,7 +414,7 @@ def integrate(
         steps += len(sol.t) - 1
         rejected += sol.rejected
         for yy in sol.samples:
-            samples.append(chart_to_body(yy[:4], chart.rot))
+            samples.append(_to_body(yy[:4], chart.rot))
             h2s.append(chart.hamiltonian2(*yy[:4]))
 
         # record crossings (converted to body coordinates)
@@ -309,18 +423,18 @@ def integrate(
                 continue
             y_c = y_ev[:4]
             if sframe is None:
-                yb = chart_to_body(y_c, chart.rot)
+                yb = _to_body(y_c, chart.rot)
             else:
                 n_c, v_c = _embed(y_c)
-                yb = _project(sframe @ (mm @ n_c), sframe @ (mm @ v_c))
+                yb = _project(_mat_vec(sframe, _mat_vec(mm, n_c)), _mat_vec(sframe, _mat_vec(mm, v_c)))
             crossings.append((s_ev, yb[1], yb[3]))
             if normal is not None:
                 # there the section is theta = pi/2, so the shift of the
                 # crossing time subtracts f * d_theta / theta_dot
                 d = _jacobi_rebuild(frame_chart, yb, s_ev, b, a, y_ev[4:4 + j], y_ev[4 + j:])
-                f = np.asarray(frame_chart.rhs(s_ev, yb))
-                d -= np.outer(f, d[0] / f[0])
-                jacobians.append(d[[1, 3]])
+                f = frame_chart.rhs(s_ev, yb)
+                shift = [x / f[0] for x in d[0]]
+                jacobians.append([[x - f[i] * c for x, c in zip(d[i], shift)] for i in (1, 3)])
 
         s_now = sol.t[-1]
         y = sol.y[:4]
@@ -334,29 +448,23 @@ def integrate(
         y, chart = swap_chart(y)
         swaps += 1
 
-    if n_samples:
-        s_arr = np.array(sample_s[: len(samples)])
-        st_arr = np.array(samples)
-        h2_arr = np.array(h2s)
-    else:
-        s_arr = np.array([s_now])
-        st_arr = chart_to_body(y, chart.rot)[None, :]
-        h2_arr = np.array([chart.hamiltonian2(*y)])
-
-    return Trajectory(
-        s=s_arr,
-        states=st_arr,
-        h2=h2_arr,
-        crossings=np.array(crossings).reshape(-1, 3),
+    if not n_samples:
+        sample_s, samples, h2s = [s_now], [_to_body(y, chart.rot)], [chart.hamiltonian2(*y)]
+    traj = Trajectory(
+        s=sample_s[: len(samples)],
+        states=samples,
+        h2=h2s,
+        crossings=crossings,
         chart_swaps=swaps,
         status=status,
-        crossing_jacobians=(
-            None if normal is None else np.array(jacobians).reshape(-1, 2, j)
-        ),
+        crossing_jacobians=None if normal is None else jacobians,
         nfev=nfev,
         steps=steps,
         rejected_steps=rejected,
     )
+    if normal is not None:
+        traj._n_tangents = j
+    return traj
 
 
 def sphere_closure_error(theta0=1.1, phi0=0.3, alpha=0.7, s=None) -> float:
@@ -367,17 +475,15 @@ def sphere_closure_error(theta0=1.1, phi0=0.3, alpha=0.7, s=None) -> float:
     y0 = normalize_speed(sphere, y0)
     traj = integrate(sphere, y0, s if s is not None else 2 * math.pi, n_samples=2)
     n0, _ = _embed(y0)
-    n1, _ = _embed(traj.states[-1])
-    return float(np.linalg.norm(n1 - n0))
+    n1, _ = _embed(traj._states[-1])
+    return math.dist(n1, n0)
 
 
 def clairaut_values(surface: PolarSurface, traj: Trajectory) -> np.ndarray:
     """g_phiphi * phi_dot along a trajectory (conserved on zonal surfaces)."""
-    out = []
-    for st in traj.states:
-        g = surface.metric_at(st[0], st[1])
-        out.append(g.g_pp * st[3])
-    return np.array(out)
+    import numpy as np
+
+    return np.array([surface.metric_at(st[0], st[1]).g_pp * st[3] for st in traj._states])
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +552,8 @@ def lemma1_equator_cubic(n: int, eps) -> Poly:
 
 def _min_on_interval(p: Poly) -> float:
     """Numeric minimum of a low-degree polynomial on [-1, 1]."""
+    import numpy as np
+
     cs = [float(c) for c in p.coeffs]
     cands = [-1.0, 1.0]
     dcs = [k * c for k, c in enumerate(cs)][1:]
@@ -526,8 +634,8 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
         s_end, s_prev = circuit(k), s_end
 
     y0 = [math.pi / 2, phi0, 0.0, 1.0 / math.sqrt(g0.g_pp)]
-    b, a, w, dw = _jacobi_split(surf, y0, np.array([[1.0], [0.0], [0.0], [0.0]]))
-    checks = np.linspace(0.0, s_end, n_checks).tolist()
+    b, a, w, dw = _jacobi_split(surf, y0, [[1.0], [0.0], [0.0], [0.0]])
+    checks = _sample_grid(s_end, n_checks)
     sol = solve_ivp(
         rhs, (0.0, s_end), [*y0, w[0], dw[0], 1.0, 0.0], rtol=1e-11, atol=1e-11, samples=checks
     )
@@ -535,7 +643,7 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
         raise RuntimeError("equatorial circuit not closed")
     worst = 0.0
     for s, yy in zip(checks, sol.samples):
-        d_th, _, d_td, _ = _jacobi_rebuild(surf, yy[:4], s, b, a, yy[4:5], yy[5:6])[:, 0]
+        (d_th,), _, (d_td,), _ = _jacobi_rebuild(surf, yy[:4], s, b, a, yy[4:5], yy[5:6])
         xi, dxi = yy[6:]
         scale = max(abs(d_th), abs(d_td), abs(xi), abs(dxi), 1.0)
         worst = max(worst, abs(d_th - xi) / scale, abs(d_td - dxi) / scale)

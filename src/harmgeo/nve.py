@@ -23,24 +23,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Poly, QuadExt, RatFunc, partial_fractions
 
 
 @dataclass(frozen=True)
 class NVEData:
-    """Equatorial normal variational equation in the z-domain."""
+    """Equatorial normal variational equation in the z-domain.
+
+    p and q share the denominator ``den``; each is reduced to lowest terms
+    on its first read, since only the JSON writer and the dual residual
+    read them."""
 
     n: int
     eps: Fraction
-    p: RatFunc
-    q: RatFunc
+    p_num: Poly
+    q_num: Poly
+    den: Poly
     r: RatFunc
     poles: tuple
     betas: tuple
     deltas: tuple
     beta_inf: object
     gpp_equator: Poly  # metric coefficient g~_phiphi as a polynomial in z
+
+    @cached_property
+    def p(self) -> RatFunc:
+        return RatFunc(self.p_num, self.den)
+
+    @cached_property
+    def q(self) -> RatFunc:
+        return RatFunc(self.q_num, self.den)
 
 
 def _equator_partials(n: int, eps: Fraction) -> tuple[Poly, Poly, Poly, Poly, Poly]:
@@ -108,7 +122,7 @@ def equatorial_nve(n: int, eps) -> NVEData:
     # The Jacobi equation in z: phi_dot^2 = 1/G on the equator, so
     # z_dot^2 = r_phi^2/G and z_ddot = (z_dot^2)'/2; with w = -r xi, r = 1 + z,
     # p and q share the denominator den = 2 r r_phi^2 G.  Each output is
-    # reduced once, by its own RatFunc.
+    # reduced once, by its own RatFunc, p and q on their first read.
     den = 2 * rad * rp2 * gpp
     dlog = rp2.derivative() * gpp - rp2 * gpp.derivative()  # 2 rp2 G * p_w
     p_num = rad * dlog + 4 * rp2 * gpp
@@ -119,7 +133,7 @@ def equatorial_nve(n: int, eps) -> NVEData:
         + 2 * (p_num.derivative() * den - p_num * den.derivative())
         - 4 * q_num * den
     )
-    p, q, r = RatFunc(p_num, den), RatFunc(q_num, den), RatFunc(r_num, 4 * den * den)
+    r = RatFunc(r_num, 4 * den * den)
 
     # r's rational coefficients meet Q(sqrt(1 + eps^2 (n^2 - 1))) only at the
     # conjugate pole pair
@@ -134,8 +148,9 @@ def equatorial_nve(n: int, eps) -> NVEData:
     return NVEData(
         n=n,
         eps=eps,
-        p=p,
-        q=q,
+        p_num=p_num,
+        q_num=q_num,
+        den=den,
         r=r,
         poles=tuple(poles),
         betas=pf.betas,

@@ -14,15 +14,19 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
 from .geodesic import R_SWAP, chart_to_body, integrate, normalize_speed
 from .surface import PolarSurface
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TWO_PI = 2.0 * math.pi
+# body -> rotated section frame: the quarter turn about x that puts the
+# equator geodesic on the section
+R_SWAP_T = tuple(zip(*R_SWAP))
 
 
 def phi_dot_max(n: int, eps: float) -> float:
@@ -40,8 +44,9 @@ def phi_dot_max(n: int, eps: float) -> float:
     return math.sqrt(m / (n * n * (1.0 + eps * eps * m)))
 
 
-def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> np.ndarray:
-    """Unit-speed state on the section (theta_dot >= 0 branch)."""
+def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> list:
+    """Unit-speed state on the section (theta_dot >= 0 branch), as a list of
+    four floats."""
     c = math.cos(n * phi)
     r = 1.0 + eps * c
     g_pp = r * r + (eps * n * math.sin(n * phi)) ** 2
@@ -49,10 +54,10 @@ def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> np.ndarray:
     if rest < -1e-12:
         raise ValueError(f"|phi_dot| = {abs(phi_dot)} exceeds the energy shell")
     theta_dot = math.sqrt(max(rest, 0.0)) / r
-    return np.array([math.pi / 2, phi, theta_dot, phi_dot])
+    return [math.pi / 2, float(phi), theta_dot, float(phi_dot)]
 
 
-def _equator_state_tangents(n: int, eps: float, y) -> np.ndarray:
+def _equator_state_tangents(n: int, eps: float, y) -> list:
     """4x2 derivative of :func:`equator_state` by (phi, phi_dot) at its
     output y: theta_dot follows the energy shell 2H = 1."""
     _, phi, td, pd = y
@@ -63,7 +68,7 @@ def _equator_state_tangents(n: int, eps: float, y) -> np.ndarray:
     g_pp = r * r + r_p * r_p
     td_phi = -r_p * (r * td * td + (r + r_pp) * pd * pd) / (r * r * td)
     td_pd = -g_pp * pd / (r * r * td)
-    return np.array([[0.0, 0.0], [1.0, 0.0], [td_phi, td_pd], [0.0, 1.0]])
+    return [[0.0, 0.0], [1.0, 0.0], [td_phi, td_pd], [0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +87,8 @@ class SectionData:
     failures: list = field(default_factory=list)
 
     def all_points(self) -> np.ndarray:
+        import numpy as np
+
         if not self.trajectories:
             return np.zeros((0, 3))
         return np.vstack(self.trajectories)
@@ -89,17 +96,19 @@ class SectionData:
 
 def _run_trajectory(args):
     """One seeded trajectory of a section run (top level for pickling)."""
+    import numpy as np
+
     (n, eps, seed, k, n_crossings, s_max, rtol, atol, rotated) = args
     rng = np.random.Generator(np.random.Philox(key=[seed, k]))
     surf = PolarSurface.sectoral(n, eps)
     frame = None
     if rotated:
-        frame = np.asarray(R_SWAP).T  # body -> rotated section frame
+        frame = R_SWAP_T
         phi0 = rng.uniform(0.0, TWO_PI)
         alpha = rng.uniform(0.05, math.pi - 0.05)
         # state written in the section frame, then mapped to the body chart
         y_frame = [math.pi / 2, phi0, math.sin(alpha), math.cos(alpha)]
-        y0 = chart_to_body(y_frame, np.asarray(R_SWAP))
+        y0 = chart_to_body(y_frame, R_SWAP)
         y0 = normalize_speed(surf, y0)
         initial = (phi0, y_frame[3])
     else:
@@ -120,7 +129,7 @@ def _run_trajectory(args):
         )
     except Exception as exc:  # report, keep going
         return k, np.zeros((0, 3)), f"trajectory {k}: {exc}", initial
-    pts = traj.crossings.copy()
+    pts = traj.crossings
     failure = None
     if len(pts) < n_crossings:
         failure = (
@@ -202,6 +211,8 @@ def _phi_dot_lim(eps: float) -> float:
 
 
 def _cells(pts: np.ndarray, lim: float, grid: int) -> int:
+    import numpy as np
+
     if not len(pts):
         return 0
     ix = np.floor(pts[:, 1] / TWO_PI * grid).astype(int) % grid
@@ -272,12 +283,14 @@ def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12)
 
 
 def _return_of(traj, k):
-    """(phi, phi_dot, arc length, 2x2 Jacobian or None) of the k-th return
-    of a run, which must lie within k returns' budget."""
-    if len(traj.crossings) < k or traj.crossings[k - 1, 0] > _budget(k):
+    """(phi, phi_dot, arc length, 2x2 Jacobian rows or None) of the k-th
+    return of a run, which must lie within k returns' budget.  It reads the
+    run's floats, not its arrays."""
+    crossings, jacobians = traj._crossings, traj._crossing_jacobians
+    if len(crossings) < k or crossings[k - 1][0] > _budget(k):
         raise RuntimeError(f"no {k}-th return within the arc-length budget")
-    s, ph, pd = traj.crossings[k - 1]
-    jac = None if traj.crossing_jacobians is None else traj.crossing_jacobians[k - 1]
+    s, ph, pd = crossings[k - 1]
+    jac = None if jacobians is None else jacobians[k - 1]
     return float(ph), float(pd), float(s), jac
 
 
@@ -307,6 +320,8 @@ class ClosedGeodesic:
 
     @property
     def det(self) -> float:
+        import numpy as np
+
         return float(np.linalg.det(self.monodromy))
 
     @property
@@ -322,37 +337,75 @@ class ClosedGeodesic:
         return "elliptic" if self.margin < 0.0 else "hyperbolic"
 
 
+def _solve2(a, b):
+    """x with a @ x = b for a 2x2 matrix a given by its rows, by Gaussian
+    elimination with partial pivoting as LAPACK's gesv does; None when a
+    is singular."""
+    (a00, a01), (a10, a11) = a
+    b0, b1 = b
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    if a00 == 0.0:
+        return None
+    lower = a10 / a00
+    u11 = a11 - lower * a01
+    if u11 == 0.0:
+        return None
+    x1 = (b1 - lower * b0) / u11
+    return (b0 - a01 * x1) / a00, x1
+
+
+def _mat2_mul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _mat2_power(a, n):
+    """a^n for n >= 1 by repeated squaring."""
+    result = None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            result = a if result is None else _mat2_mul(result, a)
+        if not n:
+            return result
+        a = _mat2_mul(a, a)
+
+
 def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None):
     """Newton iteration for a period-k point of the return map.
 
     Each step is one integration with the tangent flow, giving the residual
     and the exact Jacobian together; ``first``, the k-th return of x0 as
     :func:`_kth_return` gives it, replaces the first integration.  Returns
-    (x, residual, monodromy, length) from the converged pass, or None.
+    (x, residual, monodromy, length) from the converged pass, or None; x is
+    a pair of floats and the monodromy a 2x2 list of rows.
     """
-    x = np.array(x0, dtype=float)
+    phi, phi_dot = (float(v) for v in x0)
     for _ in range(max_iter):
         if first is None:
-            ph, pd, length, jac = _kth_return(n, eps, x[0], x[1], k, tangent=True)
+            ph, pd, length, jac = _kth_return(n, eps, phi, phi_dot, k, tangent=True)
         else:
             (ph, pd, length, jac), first = first, None
-        f = np.array([_wrap(ph - x[0]), pd - x[1]])
-        if np.max(np.abs(f)) < tol:
-            return x, float(np.max(np.abs(f))), jac, length
-        try:
-            step = np.linalg.solve(jac - np.eye(2), -f)
-        except np.linalg.LinAlgError:
+        f0, f1 = _wrap(ph - phi), pd - phi_dot
+        # each compared alone: a NaN residual is never converged
+        if abs(f0) < tol and abs(f1) < tol:
+            return (phi, phi_dot), max(abs(f0), abs(f1)), jac, length
+        (j00, j01), (j10, j11) = jac
+        step = _solve2(((j00 - 1.0, j01), (j10, j11 - 1.0)), (-f0, -f1))
+        if step is None:
             return None
-        if np.max(np.abs(step)) > 0.5:  # diverging away from the seed
+        if abs(step[0]) > 0.5 or abs(step[1]) > 0.5:  # diverging away from the seed
             return None
-        x = x + step
+        phi, phi_dot = phi + step[0], phi_dot + step[1]
     return None
 
 
 def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     """Jacobian of the k-th return map at a section point, from the tangent
     flow (at a fixed point: the monodromy)."""
-    return _kth_return(n, eps, phi, phi_dot, k, tangent=True)[3]
+    import numpy as np
+
+    return np.array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], dtype=float)
 
 
 def _refine_seed(n, eps, phi0, max_period):
@@ -422,6 +475,8 @@ def find_closed_geodesics(
             ("perpendicular", (k + 0.5) * math.pi / n, 0.5 * math.pi / n, (-1) ** k)
             for k in range(2 * n)
         ]
+    import numpy as np
+
     refined = {}
     out: list[ClosedGeodesic] = []
     seen = set()
@@ -444,7 +499,7 @@ def find_closed_geodesics(
                 phi_dot=float(phi_dot),
                 crossings=k,
                 length=length,
-                monodromy=mono.copy(),
+                monodromy=np.array(mono, dtype=float),
                 residual=resid,
             )
         )
@@ -469,23 +524,27 @@ def equator_monodromy(
     equation, whose monodromy over the revolution is the n-th power of P
     (Floquet; Magnus & Winkler, *Hill's Equation*, 1966).
     """
+    import numpy as np
+
     surf = PolarSurface.sectoral(n, eps)
     y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
-    frame = np.asarray(R_SWAP).T
+    frame = R_SWAP_T
     # body -> frame: a turn by -2*pi/n takes the meridian phi = 2*pi/n to
     # phi = 0, the section of the rotated frame; n = 1 ends on phi = 0 itself
     if n > 1:
         c, sn = math.cos(TWO_PI / n), math.sin(TWO_PI / n)
-        frame = frame @ np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
+        # R_SWAP_T @ ((c, sn, 0), (-sn, c, 0), (0, 0, 1)), exactly
+        frame = ((c, sn, 0.0), (0.0, 0.0, 1.0), (sn, -c, 0.0))
     # on the equator g_pp = r^2 + r_phi^2 <= (1 + |eps| (n + 1))^2
     s_max = TWO_PI / n * (1.0 + abs(eps) * (n + 1)) + 1.0
     traj = integrate(
         surf, y0, s_max, n_crossings=1, rtol=rtol, atol=atol, renormalize=False,
         section_frame=frame, tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
     )
-    if not len(traj.crossings):
+    if not len(traj._crossings):
         raise RuntimeError("equator period 2*pi/n not completed")
-    return np.linalg.matrix_power(-traj.crossing_jacobians[0], n)
+    period = [[-x for x in row] for row in traj._crossing_jacobians[0]]
+    return np.array(_mat2_power(period, n), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial import Polynomial
-
 from . import kernels
 
 POLE_TOL = 1e-8
@@ -89,10 +86,24 @@ def assoc_legendre_max(l: int, m: int) -> float:
     points are the zeros of Q and of -m x Q + (1-x^2) Q'; the maximum sits at
     a real zero of the latter.
     """
+    from numpy.polynomial import Polynomial
+
     q = Polynomial(legendre_q(l, m))
     x = Polynomial([0.0, 1.0])
     crit = (-m * x * q + (1 - x * x) * q.deriv()).roots()
     return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
+
+
+def flat_floats(values) -> list:
+    """A vector, or a matrix given by its rows, as a flat row-major list of
+    floats."""
+    out = []
+    for x in values:
+        try:
+            out.extend(float(v) for v in x)
+        except TypeError:  # a number, not a row
+            out.append(float(x))
+    return out
 
 
 def check_rotation(rot, name="rot") -> tuple:
@@ -101,11 +112,18 @@ def check_rotation(rot, name="rot") -> tuple:
     orientation the Jacobi flow's normal parts are measured in; a scaled
     section frame scales the reported phi_dot and a reflected one reports
     other crossings."""
-    rot = tuple(float(x) for x in np.ravel(rot))
+    rot = tuple(flat_floats(rot))
     if len(rot) != 9:
         raise ValueError(f"{name} must be a row-major 3x3 matrix (9 numbers)")
-    mat = np.reshape(rot, (3, 3))
-    if not (np.max(np.abs(mat @ mat.T - np.eye(3))) <= 1e-12 and np.linalg.det(mat) > 0):
+    a, b, c, d, e, f, g, h, i = rot
+    # the upper triangle of rot @ rot.T - I, which is symmetric
+    gram = (
+        a * a + b * b + c * c - 1.0, a * d + b * e + c * f, a * g + b * h + c * i,
+        d * d + e * e + f * f - 1.0, d * g + e * h + f * i, g * g + h * h + i * i - 1.0,
+    )
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # all(), not max(): a NaN entry fails every comparison
+    if not (all(abs(x) <= 1e-12 for x in gram) and det > 0):
         raise ValueError(f"{name} must be a rotation: orthonormal with determinant +1")
     return rot
 

@@ -357,6 +357,39 @@ def test_exact_half_runs_without_numpy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 4
 
 
+def test_return_map_and_trace_run_without_numpy(tmp_path):
+    """With every NumPy import made to fail, the return map, a Newton step
+    of the closed-orbit search and `trace` on sectoral and zonal surfaces
+    run, give the floats they give with NumPy loaded, and NumPy never
+    loads."""
+    from harmgeo import poincare
+
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import harmgeo.surface, harmgeo.geodesic, harmgeo.poincare\n"
+        "from harmgeo.cli import main\n"
+        "from harmgeo.poincare import _newton_fixed_point, return_map\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['trace', '--n', '3', '--eps', '0.2', '--length', '10', '--samples', '50'],\n"
+        "             ['trace', '--family', 'zonal', '--l', '2', '--eps', '0.3',\n"
+        "              '--length', '10', '--samples', '50']):\n"
+        "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
+        "print(repr([return_map(2, 0.1, 0.0, 0.0), return_map(3, 0.2, 0.3, 0.1, k=2),\n"
+        "            _newton_fixed_point(2, 0.1, (0.0, 0.0), 1)]))\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'numpy' and sys.modules[m]]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([
+        poincare.return_map(2, 0.1, 0.0, 0.0), poincare.return_map(3, 0.2, 0.3, 0.1, k=2),
+        poincare._newton_fixed_point(2, 0.1, (0.0, 0.0), 1),
+    ])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trace_sectoral_n3_eps1over5.csv", "trace_zonal_l2_eps3over10.csv"
+    ]
+
+
 def test_numeric_half_loads_no_exact_algebra():
     """The integrators and return maps never load the exact polynomial
     module; geodesic's Lemma 1 functions import it when called."""

@@ -72,7 +72,7 @@ def test_matches_scipy_on_a_geodesic():
     """Same steps as scipy's DOP853: equal RHS-call count and final states
     equal to truncation level."""
     surf = PolarSurface.sectoral(3, 0.3)
-    y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5]).tolist()
+    y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
     ref = scipy_solve_ivp(surf.rhs, (0.0, 50.0), y0, method="DOP853", rtol=1e-10, atol=1e-10)
     sol = solve_ivp(surf.rhs, (0.0, 50.0), y0, rtol=1e-10, atol=1e-10)
     assert sol.status == "finished" and sol.t[-1] == 50.0
@@ -88,7 +88,7 @@ def test_rtol_below_scipys_floor_is_raised_to_it():
     steps shrink until the run crawls.  The same floor gives scipy's steps
     (without it this run takes 4202 RHS calls, not 2426)."""
     surf = PolarSurface.sectoral(3, 0.3)
-    y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5]).tolist()
+    y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
     with pytest.warns(UserWarning, match="rtol"):
         ref = scipy_solve_ivp(surf.rhs, (0.0, 5.0), y0, method="DOP853", rtol=1e-16, atol=1e-16)
     with pytest.warns(UserWarning, match=r"rtol = 1e-16 is too small; setting rtol = 2\.22"):

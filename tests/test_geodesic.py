@@ -85,6 +85,85 @@ def test_chart_to_chart_round_trip():
     assert np.allclose(chart_to_body(y, None), y)
 
 
+def _numpy_chart_to_body(y, mm):
+    """chart_to_body as NumPy computed it: the embedding built from arrays
+    and the products mm @ n and mm @ v by NumPy, then projected."""
+    th, ph, td, pd = y
+    st, ct = math.sin(th), math.cos(th)
+    cp, sp = math.cos(ph), math.sin(ph)
+    n = np.array([st * cp, st * sp, ct])
+    v = td * np.array([ct * cp, ct * sp, -st]) + pd * np.array([-st * sp, st * cp, 0.0])
+    return geodesic._project(mm @ n, mm @ v)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def test_chart_to_body_matches_numpy_bit_for_bit():
+    """The float products with every power of R_SWAP and with R_SWAP.T give
+    NumPy's states bit for bit, signed zeros included: atan2(+-0.0, x)
+    differs, and zeros meet phi = +-0.0 and phi_dot = +-0.0 states."""
+    swap = np.asarray(R_SWAP)
+    mats = [np.eye(3), swap, swap @ swap, swap @ swap @ swap, swap.T]
+    rng = np.random.default_rng(20)
+    states = [
+        [rng.uniform(0.1, 3.0), rng.uniform(-7.0, 7.0), rng.normal(), rng.normal()]
+        for _ in range(200)
+    ]
+    states += [
+        [th, ph, td, pd]
+        for th in (math.pi / 2, 1.0, 2.5)
+        for ph in (0.0, -0.0, math.pi, -math.pi / 2)
+        for td in (0.0, -0.0, 0.4)
+        for pd in (0.0, -0.0, -0.7)
+    ]
+    for mm in mats:
+        for y in states:
+            assert _bits(chart_to_body(y, mm)) == _bits(_numpy_chart_to_body(y, mm)), (mm, y)
+            assert _bits(chart_to_body(y, mm.ravel())) == _bits(chart_to_body(y, mm))
+
+
+def test_sample_grid_is_linspace_bit_for_bit():
+    """integrate's sample arc lengths are np.linspace(0, s_max, n) exactly:
+    the benchmark compares the two, and a step that underflows to zero
+    takes linspace's other branch."""
+    for s_max in (1.0, 0.1, 7.3, 2 * math.pi, 100.0, 300.0, 500.0, 1e300, 1e-300, 5e-324):
+        for n in (0, 1, 2, 3, 10, 201, 1000, 1001):
+            grid = geodesic._sample_grid(s_max, n)
+            assert _bits(grid) == _bits(np.linspace(0.0, s_max, n)), (s_max, n)
+    traj = integrate(PolarSurface.sectoral(3, 0.2), [1.2, 0.4, 0.3, 0.6], 7.3, n_samples=37)
+    assert _bits(traj.s) == _bits(np.linspace(0.0, 7.3, 37))
+    with pytest.raises(ValueError, match="n_samples"):
+        integrate(PolarSurface.sectoral(3, 0.2), [1.2, 0.4, 0.3, 0.6], 7.3, n_samples=-1)
+
+
+def test_trajectory_arrays_keep_their_shapes():
+    """Each array field is float64 with a fixed row shape, however many
+    rows it has: none, when no crossing happens, and one final state
+    without samples."""
+    surf = PolarSurface.sectoral(3, 0.2)
+    y0 = [1.2, 0.4, 0.3, 0.6]
+
+    def shapes(traj):
+        fields = (traj.s, traj.states, traj.h2, traj.crossings)
+        assert all(f.dtype == np.float64 for f in fields)
+        return [f.shape for f in fields]
+
+    sampled = integrate(surf, y0, 20.0, n_samples=11)
+    k = len(sampled.crossings)
+    assert k >= 1 and shapes(sampled) == [(11,), (11, 4), (11,), (k, 3)]
+    assert sampled.crossing_jacobians is None
+    short = integrate(surf, y0, 0.1)  # heads away from the equator
+    assert shapes(short) == [(1,), (1, 4), (1,), (0, 3)]
+    tangents = np.eye(4)[:, :3]
+    for s_max, k in ((0.1, 0), (20.0, 2)):
+        run = integrate(surf, y0, s_max, n_crossings=2, renormalize=False, tangents=tangents)
+        assert shapes(run) == [(1,), (1, 4), (1,), (k, 3)]
+        assert run.crossing_jacobians.shape == (k, 2, 3)
+        assert run.crossing_jacobians.dtype == np.float64
+
+
 def test_meridian_passes_through_pole():
     """A meridian geodesic on a sectoral surface heads straight through the
     coordinate pole; integration must swap charts and keep going."""

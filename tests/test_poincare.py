@@ -206,6 +206,13 @@ def test_section_checks_s_max_first(monkeypatch, s_max):
         generate_section(2, 0.2, n_traj=2, n_crossings=3, s_max=s_max)
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_section_trajectories_are_float64_arrays(rotated):
+    sec = generate_section(3, 0.3, n_traj=2, n_crossings=4, seed=2, rotated=rotated)
+    for pts in sec.trajectories:
+        assert pts.shape == (4, 3) and pts.dtype == np.float64
+
+
 def test_rotated_section_contains_equator_orbit():
     sec = generate_section(
         3, 0.1, n_traj=2, n_crossings=10, seed=1, rotated=True, rtol=1e-9, atol=1e-9

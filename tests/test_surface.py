@@ -18,6 +18,7 @@ from harmgeo.surface import (
     PolarSurface,
     assoc_legendre,
     assoc_legendre_max,
+    check_rotation,
     legendre_q,
 )
 
@@ -301,6 +302,35 @@ def test_chart_matrix_must_be_a_rotation():
     ):
         surf = PolarSurface.tesseral(3, 2, 0.15).in_chart(rot)
         assert surf.rot == tuple(np.ravel(rot).astype(float))
+
+
+def _numpy_rotation_verdict(rot) -> bool:
+    """The rotation check as NumPy computes it: max |M M^T - I| <= 1e-12
+    and det M > 0."""
+    mat = np.reshape(np.asarray(rot, dtype=float), (3, 3))
+    return bool(np.max(np.abs(mat @ mat.T - np.eye(3))) <= 1e-12 and np.linalg.det(mat) > 0)
+
+
+def test_rotation_check_agrees_with_numpy():
+    """check_rotation runs on floats; on the charts in use, on rotations
+    scaled past the tolerance (and one within it) and on reflections it
+    gives NumPy's verdict, and it returns the matrix's nine floats."""
+    swap = np.asarray(R_SWAP)
+    generic = np.reshape(R_GENERIC, (3, 3))
+    reflect = np.diag([1.0, 1.0, -1.0])
+    cases = [np.eye(3), swap, swap @ swap, swap @ swap @ swap, swap.T, generic, generic @ swap]
+    cases += [m * scale for m in (np.eye(3), generic) for scale in (1 + 1e-13, 1 + 1e-11, 1 + 1e-9)]
+    cases += [reflect, generic @ reflect, -np.eye(3)]
+    verdicts = []
+    for mat in cases:
+        accepted = _numpy_rotation_verdict(mat)
+        verdicts.append(accepted)
+        if accepted:
+            assert check_rotation(mat) == tuple(np.ravel(mat).tolist())
+        else:
+            with pytest.raises(ValueError, match="rotation"):
+                check_rotation(mat)
+    assert verdicts.count(True) == 9 and verdicts.count(False) == 7
 
 
 def test_sectoral_radius_formula():
