@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 TWO_PI = 2.0 * math.pi
 # body -> rotated section frame: the quarter turn about x that puts the
 # equator geodesic on the section
-R_SWAP_T = tuple(zip(*R_SWAP))
+_ROTATED_FRAME = tuple(zip(*R_SWAP))
 
 
 def phi_dot_max(n: int, eps: float) -> float:
@@ -103,7 +103,7 @@ def _run_trajectory(args):
     surf = PolarSurface.sectoral(n, eps)
     frame = None
     if rotated:
-        frame = R_SWAP_T
+        frame = _ROTATED_FRAME
         phi0 = rng.uniform(0.0, TWO_PI)
         alpha = rng.uniform(0.05, math.pi - 0.05)
         # state written in the section frame, then mapped to the body chart
@@ -528,12 +528,12 @@ def equator_monodromy(
 
     surf = PolarSurface.sectoral(n, eps)
     y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
-    frame = R_SWAP_T
+    frame = _ROTATED_FRAME
     # body -> frame: a turn by -2*pi/n takes the meridian phi = 2*pi/n to
     # phi = 0, the section of the rotated frame; n = 1 ends on phi = 0 itself
     if n > 1:
         c, sn = math.cos(TWO_PI / n), math.sin(TWO_PI / n)
-        # R_SWAP_T @ ((c, sn, 0), (-sn, c, 0), (0, 0, 1)), exactly
+        # _ROTATED_FRAME @ ((c, sn, 0), (-sn, c, 0), (0, 0, 1)), exactly
         frame = ((c, sn, 0.0), (0.0, 0.0, 1.0), (sn, -c, 0.0))
     # on the equator g_pp = r^2 + r_phi^2 <= (1 + |eps| (n + 1))^2
     s_max = TWO_PI / n * (1.0 + abs(eps) * (n + 1)) + 1.0
