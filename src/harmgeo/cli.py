@@ -196,8 +196,9 @@ def cmd_psection(args, out: Path) -> int:
         written.append(str(path))
     for msg in sec.failures:
         print(f"warning: {msg}", file=sys.stderr)
+    # the rows, not the arrays, which would import NumPy
     print(f"wrote {', '.join(written)} "
-          f"({sum(len(t) for t in sec.trajectories)} points)")
+          f"({sum(len(rows) for rows in sec._trajectories)} points)")
     return 0
 
 

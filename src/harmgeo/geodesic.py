@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -31,14 +32,18 @@ if TYPE_CHECKING:
 
 
 class _Floats:
-    """A :class:`Trajectory` field kept as the floats it is given and read as
-    a float64 array, built on the first read: only then is NumPy imported.
-    The array then replaces the floats, which are freed.  ``row`` is the
-    shape of one row, which an empty field keeps; a crossing Jacobian's row
-    (2, j) takes j from the trajectory."""
+    """A dataclass field kept as the floats it is given and read as float64
+    arrays, built on the first read: only then is NumPy imported.  ``row``
+    is the shape of one row, which an empty field keeps; a crossing
+    Jacobian's row (2, j) takes j from the trajectory.  With ``each`` the
+    field is a list of such fields, read as a list of arrays.
 
-    def __init__(self, row, default=MISSING):
-        self.row, self.default = row, default
+    Floats kept flat in an ``array('d')`` are read through a view that
+    shares their buffer; any other floats are replaced by the arrays, and
+    freed."""
+
+    def __init__(self, row, default=MISSING, each=False):
+        self.row, self.default, self.each = row, default, each
 
     def __set_name__(self, owner, name):
         self.raw, self.built = f"_{name}", f"_{name}_array"
@@ -55,13 +60,23 @@ class _Floats:
             row = self.row
             if row is None:
                 row = (2, len(raw[0][0]) if len(raw) else obj._n_tangents)
-            built = np.array(raw, dtype=float).reshape(-1, *row)
-            obj.__dict__[self.raw] = obj.__dict__[self.built] = built
+            if self.each:
+                built = [np.asarray(x, dtype=float).reshape(-1, *row) for x in raw]
+            else:
+                built = np.asarray(raw, dtype=float).reshape(-1, *row)
+            if not isinstance(raw, array):
+                obj.__dict__[self.raw] = built
+            obj.__dict__[self.built] = built
         return built
 
     def __set__(self, obj, value):
         obj.__dict__[self.raw] = value
         obj.__dict__.pop(self.built, None)
+
+
+def _rows(flat, width):
+    """Consecutive rows of ``width`` floats of a flat buffer, as tuples."""
+    return zip(*[iter(flat)] * width)
 
 
 @dataclass
@@ -70,9 +85,10 @@ class Trajectory:
 
     :func:`integrate` hands over its floats, and each array field below is
     built from them on its first read, so a caller that reads none of them
-    never imports NumPy.  The package's own readers (:meth:`to_csv`, the
-    return map and ``harmgeo trace``) read the floats themselves, or the
-    array once it is built.
+    never imports NumPy.  The samples ``s``, ``states`` and ``h2`` are kept
+    flat in ``array('d')`` buffers, eight bytes a float.  The package's own
+    readers (:meth:`to_csv`, the return map and ``harmgeo trace``) read the
+    floats themselves, or the array once it is built.
     """
 
     s: np.ndarray = _Floats(())  # shape (m,)
@@ -94,7 +110,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["s", "theta", "phi", "theta_dot", "phi_dot", "h2"])
-            for s, state, h2 in zip(self._s, self._states, self._h2):
+            for s, state, h2 in zip(self._s, _rows(self._states, 4), self._h2):
                 w.writerow([f"{s:.12g}"] + [f"{x:.12g}" for x in state] + [f"{h2:.12g}"])
 
 
@@ -354,8 +370,10 @@ def integrate(
         y = normalize_speed(chart, y)
 
     sample_s = _sample_grid(s_max, n_samples)
-    samples = []  # body-chart states at the first len(samples) sample_s
-    h2s = []
+    # body-chart states, four floats a row, and 2H at the first len(h2s)
+    # sample_s
+    samples = array("d")
+    h2s = array("d")
     crossings = []
     jacobians = []
     status = "completed"
@@ -408,13 +426,13 @@ def integrate(
             rtol=rtol,
             atol=atol,
             events=[pole_n, pole_s, section],
-            samples=sample_s[len(samples):],
+            samples=sample_s[len(h2s):],
         )
         nfev += sol.nfev
         steps += len(sol.t) - 1
         rejected += sol.rejected
         for yy in sol.samples:
-            samples.append(_to_body(yy[:4], chart.rot))
+            samples.extend(_to_body(yy[:4], chart.rot))
             h2s.append(chart.hamiltonian2(*yy[:4]))
 
         # record crossings (converted to body coordinates)
@@ -449,9 +467,11 @@ def integrate(
         swaps += 1
 
     if not n_samples:
-        sample_s, samples, h2s = [s_now], [_to_body(y, chart.rot)], [chart.hamiltonian2(*y)]
+        sample_s = [s_now]
+        samples.extend(_to_body(y, chart.rot))
+        h2s.append(chart.hamiltonian2(*y))
     traj = Trajectory(
-        s=sample_s[: len(samples)],
+        s=array("d", sample_s[: len(h2s)]),
         states=samples,
         h2=h2s,
         crossings=crossings,
@@ -475,7 +495,7 @@ def sphere_closure_error(theta0=1.1, phi0=0.3, alpha=0.7, s=None) -> float:
     y0 = normalize_speed(sphere, y0)
     traj = integrate(sphere, y0, s if s is not None else 2 * math.pi, n_samples=2)
     n0, _ = _embed(y0)
-    n1, _ = _embed(traj._states[-1])
+    n1, _ = _embed(traj._states[-4:])
     return math.dist(n1, n0)
 
 
@@ -483,7 +503,9 @@ def clairaut_values(surface: PolarSurface, traj: Trajectory) -> np.ndarray:
     """g_phiphi * phi_dot along a trajectory (conserved on zonal surfaces)."""
     import numpy as np
 
-    return np.array([surface.metric_at(st[0], st[1]).g_pp * st[3] for st in traj._states])
+    return np.array(
+        [surface.metric_at(st[0], st[1]).g_pp * st[3] for st in _rows(traj._states, 4)]
+    )
 
 
 # ---------------------------------------------------------------------------

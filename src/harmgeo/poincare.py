@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
-from .geodesic import R_SWAP, chart_to_body, integrate, normalize_speed
+from .geodesic import R_SWAP, _Floats, chart_to_body, integrate, normalize_speed
 from .surface import PolarSurface
 
 if TYPE_CHECKING:
@@ -78,11 +79,17 @@ def _equator_state_tangents(n: int, eps: float, y) -> list:
 
 @dataclass
 class SectionData:
+    """A seeded section run.  Each trajectory's crossings are kept as rows
+    of floats, and ``trajectories`` builds its arrays from them on its
+    first read, so a caller that reads none of them never imports NumPy.
+    The writers read the rows."""
+
     n: int
     eps: float
     seed: int
     n_crossings: int
-    trajectories: list  # list of (k, 3) arrays: s, phi mod 2pi, phi_dot
+    # list of (k, 3) arrays: s, phi mod 2pi, phi_dot
+    trajectories: list = _Floats((3,), each=True)
     initials: list  # list of (phi0, phi_dot0)
     failures: list = field(default_factory=list)
 
@@ -94,18 +101,45 @@ class SectionData:
         return np.vstack(self.trajectories)
 
 
-def _run_trajectory(args):
-    """One seeded trajectory of a section run (top level for pickling)."""
-    import numpy as np
+_M64 = 2**64 - 1
 
+
+def _philox(seed: int, k: int):
+    """The 64-bit words of Philox4x64-10 keyed by (seed mod 2**64, k), as
+    NumPy's ``Philox(key=[seed, k])`` gives them (Salmon, Moraes, Dror &
+    Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11).  The
+    256-bit counter starts at 0 and steps before each block of four."""
+    counter = 0
+    while True:
+        counter += 1
+        c0, c1, c2, c3 = ((counter >> shift) & _M64 for shift in (0, 64, 128, 192))
+        k0, k1 = seed & _M64, k
+        for _ in range(10):
+            p0 = 0xD2E7470EE14C6C93 * c0
+            p1 = 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _M64, (p0 >> 64) ^ c3 ^ k1, p0 & _M64
+            k0 = (k0 + 0x9E3779B97F4A7C15) & _M64
+            k1 = (k1 + 0xBB67AE8584CAA73B) & _M64
+        yield from (c0, c1, c2, c3)
+
+
+def _uniform(words, lo: float, hi: float) -> float:
+    """The next draw in [lo, hi) from a word stream, as NumPy's
+    ``Generator.uniform`` makes it: the top 53 bits as a fraction."""
+    return lo + (hi - lo) * ((next(words) >> 11) * 2.0**-53)
+
+
+def _run_trajectory(args):
+    """One seeded trajectory of a section run (top level for pickling): its
+    crossings as rows of floats (s, phi mod 2pi, phi_dot)."""
     (n, eps, seed, k, n_crossings, s_max, rtol, atol, rotated) = args
-    rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+    words = _philox(seed, k)
     surf = PolarSurface.sectoral(n, eps)
     frame = None
     if rotated:
         frame = _ROTATED_FRAME
-        phi0 = rng.uniform(0.0, TWO_PI)
-        alpha = rng.uniform(0.05, math.pi - 0.05)
+        phi0 = _uniform(words, 0.0, TWO_PI)
+        alpha = _uniform(words, 0.05, math.pi - 0.05)
         # state written in the section frame, then mapped to the body chart
         y_frame = [math.pi / 2, phi0, math.sin(alpha), math.cos(alpha)]
         y0 = chart_to_body(y_frame, R_SWAP)
@@ -113,8 +147,8 @@ def _run_trajectory(args):
         initial = (phi0, y_frame[3])
     else:
         pdm = phi_dot_max(n, eps)
-        phi0 = rng.uniform(0.0, TWO_PI)
-        pd0 = rng.uniform(-pdm, pdm)
+        phi0 = _uniform(words, 0.0, TWO_PI)
+        pd0 = _uniform(words, -pdm, pdm)
         y0 = equator_state(n, eps, phi0, pd0)
         initial = (phi0, pd0)
     try:
@@ -128,17 +162,16 @@ def _run_trajectory(args):
             section_frame=frame,
         )
     except Exception as exc:  # report, keep going
-        return k, np.zeros((0, 3)), f"trajectory {k}: {exc}", initial
-    pts = traj.crossings
+        return k, [], f"trajectory {k}: {exc}", initial
+    # Python's float % is np.mod's, bit for bit
+    rows = [(s, ph % TWO_PI, pd) for s, ph, pd in traj._crossings]
     failure = None
-    if len(pts) < n_crossings:
+    if len(rows) < n_crossings:
         failure = (
-            f"trajectory {k}: only {len(pts)}/{n_crossings} crossings "
+            f"trajectory {k}: only {len(rows)}/{n_crossings} crossings "
             f"within s = {s_max}"
         )
-    if len(pts):
-        pts[:, 1] = np.mod(pts[:, 1], TWO_PI)
-    return k, pts, failure, initial
+    return k, rows, failure, initial
 
 
 def _usable_cpus() -> int:
@@ -164,13 +197,20 @@ def generate_section(
 ) -> SectionData:
     """Seeded random initial conditions on the section, iterated forward.
 
-    Each trajectory gets an independent counter-based stream (Philox keyed by
-    (seed, trajectory index)), so results are reproducible and insensitive to
-    the number of trajectories requested or the worker count.  With
-    ``rotated`` the section plane is rotated a quarter turn about the x axis,
-    which puts the equator geodesic itself onto the section.
+    Each trajectory gets an independent counter-based stream, Philox4x64-10
+    keyed by (seed mod 2**64, trajectory index), so results are reproducible
+    and insensitive to the number of trajectories requested or the worker
+    count.  The stream is computed in pure Python and equals NumPy's
+    ``Generator(Philox(key=[seed, k]))`` draw for draw.  ``seed`` is an
+    integer in [-2**63, 2**63); a negative seed gives the stream of
+    seed + 2**64, as in NumPy.  With ``rotated`` the section plane is
+    rotated a quarter turn about the x axis, which puts the equator geodesic
+    itself onto the section.
     """
     # checked here: a failing integrate only fails its own trajectory
+    key = operator.index(seed)
+    if not -(2**63) <= key < 2**63:
+        raise ValueError(f"seed = {seed} must lie in [-2**63, 2**63)")
     if n_traj < 1:
         raise ValueError(f"n_traj = {n_traj} must be at least 1")
     if n_crossings < 1:
@@ -181,7 +221,7 @@ def generate_section(
     elif not 0.0 < s_max < math.inf:
         raise ValueError(f"arc length s_max = {s_max} must be finite and positive")
     jobs = [
-        (n, float(eps), seed, k, n_crossings, s_max, rtol, atol, rotated)
+        (n, float(eps), key, k, n_crossings, s_max, rtol, atol, rotated)
         for k in range(n_traj)
     ]
     # a fork-started pool launches all max_workers processes at once, and
@@ -195,13 +235,13 @@ def generate_section(
     else:
         results = [_run_trajectory(j) for j in jobs]
 
-    out = SectionData(n, float(eps), seed, n_crossings, [], [])
-    for _, pts, failure, initial in sorted(results, key=lambda r: r[0]):
-        out.trajectories.append(pts)
-        out.initials.append(initial)
-        if failure:
-            out.failures.append(failure)
-    return out
+    results.sort(key=lambda r: r[0])
+    return SectionData(
+        n, float(eps), seed, n_crossings,
+        trajectories=[rows for _, rows, _, _ in results],
+        initials=[initial for _, _, _, initial in results],
+        failures=[failure for _, _, failure, _ in results if failure],
+    )
 
 
 def _phi_dot_lim(eps: float) -> float:
@@ -556,8 +596,8 @@ def section_to_csv(section: SectionData, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["traj_id", "crossing_index", "s", "phi", "phi_dot"])
-        for k, pts in enumerate(section.trajectories):
-            for i, (s, ph, pd) in enumerate(pts):
+        for k, rows in enumerate(section._trajectories):
+            for i, (s, ph, pd) in enumerate(rows):
                 w.writerow([k, i, f"{s:.12g}", f"{ph:.12g}", f"{pd:.12g}"])
 
 
@@ -570,7 +610,7 @@ def section_to_json(section: SectionData, path) -> None:
         "initials": [[float(a), float(b)] for a, b in section.initials],
         "failures": section.failures,
         "trajectories": [
-            [[float(v) for v in row] for row in pts] for pts in section.trajectories
+            [[float(v) for v in row] for row in rows] for rows in section._trajectories
         ],
     }
     with open(path, "w") as fh:
@@ -595,9 +635,9 @@ def section_to_svg(section: SectionData, path, size: int = 800) -> None:
         f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
         'fill="none" stroke="black"/>',
     ]
-    for k, pts in enumerate(section.trajectories):
+    for k, rows in enumerate(section._trajectories):
         color = _PALETTE[k % len(_PALETTE)]
-        for _, ph, pd in pts:
+        for _, ph, pd in rows:
             x = margin + span * (ph / TWO_PI)
             y = margin + span * (1.0 - (pd + lim) / (2 * lim))
             if margin <= y <= size - margin:

@@ -390,6 +390,57 @@ def test_return_map_and_trace_run_without_numpy(tmp_path):
     ]
 
 
+_PSECTION_RUNS = (
+    ["psection", "--n", "3", "--eps", "0.3", "--traj", "2", "--crossings", "3"],
+    ["psection", "--n", "3", "--eps", "0.3", "--traj", "2", "--crossings", "3", "--rotated"],
+    ["psection", "--n", "3", "--eps", "0.3", "--traj", "2", "--crossings", "3",
+     "--format", "json"],
+    ["psection", "--n", "3", "--eps", "0.3", "--traj", "2", "--crossings", "3",
+     "--format", "svg"],
+    ["psection", "--n", "3", "--eps", "-0.3", "--traj", "20", "--crossings", "3"],
+    ["psection", "--n", "3", "--eps", "0.3", "--traj", "2", "--crossings", "3",
+     "--threads", "2"],
+)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_psection_runs_without_numpy(tmp_path):
+    """With every NumPy import made to fail, `psection` runs in each format,
+    rotated, at negative eps and with worker processes, writes the bytes it
+    writes with NumPy loaded, and NumPy never loads."""
+    blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from harmgeo.cli import main\n"
+        f"runs = {_PSECTION_RUNS!r}\n"
+        "for i, argv in enumerate(runs):\n"
+        f"    assert main(['--out-dir', {str(blocked)!r} + f'/{{i}}', *argv]) == 0, argv\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'numpy' and sys.modules[m]]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    import numpy  # noqa: F401  the reference run has NumPy loaded
+
+    for i, argv in enumerate(_PSECTION_RUNS):
+        assert run(["--out-dir", loaded / str(i), *argv]) == 0
+    files = _tree(loaded)
+    assert len(files) == 10
+    assert _tree(blocked) == files
+
+
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+def test_psection_seed_outside_int64_exits_2(tmp_path, capsys, seed):
+    argv = ["--out-dir", tmp_path, "--seed", seed, "psection", "--n", "3", "--eps", "0.3",
+            "--traj", "1", "--crossings", "1"]
+    assert run(argv) == 2
+    assert "must lie in [-2**63, 2**63)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_numeric_half_loads_no_exact_algebra():
     """The integrators and return maps never load the exact polynomial
     module; geodesic's Lemma 1 functions import it when called."""

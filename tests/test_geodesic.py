@@ -164,6 +164,22 @@ def test_trajectory_arrays_keep_their_shapes():
         assert run.crossing_jacobians.dtype == np.float64
 
 
+def test_samples_are_kept_in_flat_buffers(tmp_path):
+    """integrate keeps s, states and h2 flat in array('d') buffers; the
+    states array is a view of its buffer, and to_csv writes the same bytes
+    before and after the arrays are built."""
+    from array import array
+
+    traj = integrate(PolarSurface.sectoral(3, 0.2), [1.2, 0.4, 0.3, 0.6], 20.0, n_samples=11)
+    assert all(isinstance(f, array) and f.typecode == "d" for f in (traj._s, traj._states, traj._h2))
+    assert len(traj._states) == 4 * len(traj._s) == 4 * len(traj._h2) == 44
+    traj.to_csv(tmp_path / "before.csv")
+    assert traj.states.tolist() == [list(traj._states[i:i + 4]) for i in range(0, 44, 4)]
+    assert np.shares_memory(traj.states, traj._states)
+    traj.to_csv(tmp_path / "after.csv")
+    assert (tmp_path / "before.csv").read_bytes() == (tmp_path / "after.csv").read_bytes()
+
+
 def test_meridian_passes_through_pole():
     """A meridian geodesic on a sectoral surface heads straight through the
     coordinate pole; integration must swap charts and keep going."""

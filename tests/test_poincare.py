@@ -206,6 +206,104 @@ def test_section_checks_s_max_first(monkeypatch, s_max):
         generate_section(2, 0.2, n_traj=2, n_crossings=3, s_max=s_max)
 
 
+# the bounds _run_trajectory draws from: phi0, phi_dot0 (plain) and the
+# heading alpha (rotated)
+_DRAW_BOUNDS = (
+    (0.0, TWO_PI),
+    (-phi_dot_max(3, 0.3), phi_dot_max(3, 0.3)),
+    (0.05, math.pi - 0.05),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**53 + 1, 2**63 - 1, -1, -(2**63)])
+def test_philox_is_numpy_philox_bit_for_bit(seed):
+    """Twelve draws per stream cross two refills of the four-word block."""
+    for k in (0, 1, 2, 19, 1000):
+        reference = np.random.Generator(np.random.Philox(key=[seed, k]))
+        words = poincare._philox(seed, k)
+        for i in range(12):
+            lo, hi = _DRAW_BOUNDS[i % 3]
+            assert poincare._uniform(words, lo, hi) == reference.uniform(lo, hi), (seed, k, i)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("seed", [0, -1, 2**63 - 1])
+def test_section_initials_are_numpy_philox_draws(seed, rotated):
+    sec = generate_section(3, 0.3, n_traj=3, n_crossings=1, seed=seed, rotated=rotated)
+    for k, initial in enumerate(sec.initials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+        phi0 = rng.uniform(0.0, TWO_PI)
+        if rotated:
+            expected = (phi0, math.cos(rng.uniform(0.05, math.pi - 0.05)))
+        else:
+            expected = (phi0, rng.uniform(*_DRAW_BOUNDS[1]))
+        assert initial == expected
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 1000, 2**64 - 1, 2**64, -(2**63) - 1])
+def test_section_refuses_seeds_outside_int64(monkeypatch, seed):
+    """NumPy cast such keys through float64: 2**64 - 1 gave seed 0's section
+    and 2**63 and 2**63 + 1000 gave one section.  They are refused before
+    any trajectory runs."""
+    monkeypatch.setattr(poincare, "_run_trajectory", lambda job: pytest.fail("trajectory ran"))
+    with pytest.raises(ValueError, match=r"must lie in \[-2\*\*63, 2\*\*63\)"):
+        generate_section(2, 0.2, n_traj=2, n_crossings=3, seed=seed)
+
+
+def test_negative_seed_is_its_twos_complement_stream():
+    a = poincare._philox(-12345, 3)
+    b = poincare._philox(2**64 - 12345, 3)
+    assert [next(a) for _ in range(9)] == [next(b) for _ in range(9)]
+
+
+def test_float_mod_is_np_mod_bit_for_bit():
+    rng = np.random.default_rng(4)
+    values = np.concatenate([
+        rng.uniform(-50.0, 50.0, 20000),
+        rng.standard_normal(2000) * 1e-12,
+        np.arange(-5, 6) * TWO_PI,
+        np.arange(-5, 6) * TWO_PI + 1e-15,
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, math.pi, -math.pi, 1e300, -1e300],
+    ])
+    expected = np.mod(values, TWO_PI)
+    for x, m in zip(values.tolist(), expected.tolist()):
+        got = x % TWO_PI
+        assert got == m and math.copysign(1.0, got) == math.copysign(1.0, m), x
+
+
+def test_section_arrays_are_built_on_first_read():
+    """A section keeps each trajectory's crossings as rows of floats; the
+    writers read those, and ``trajectories`` builds float64 arrays once."""
+    sec = generate_section(3, 0.3, n_traj=2, n_crossings=4, seed=2)
+    assert "_trajectories_array" not in vars(sec)
+    rows = sec._trajectories
+    assert [len(r) for r in rows] == [4, 4]
+    assert all(type(v) is float for r in rows for row in r for v in row)
+    arrays = sec.trajectories
+    assert sec.trajectories is arrays
+    for pts, r in zip(arrays, rows):
+        assert pts.shape == (4, 3) and pts.dtype == np.float64
+        assert pts.tolist() == [list(row) for row in r]
+    assert np.array_equal(sec.all_points(), np.vstack(arrays))
+
+
+def test_short_and_failed_trajectories_keep_three_columns(monkeypatch):
+    short = generate_section(3, 0.3, n_traj=2, n_crossings=40, seed=2, s_max=6.0)
+    assert len(short.failures) == 2
+    for pts in short.trajectories:
+        assert pts.dtype == np.float64 and pts.shape[1] == 3 and pts.shape[0] < 40
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("stepper gave up")
+
+    monkeypatch.setattr(poincare, "integrate", fail)
+    failed = generate_section(3, 0.3, n_traj=2, n_crossings=4, seed=2)
+    assert failed.failures == ["trajectory 0: stepper gave up", "trajectory 1: stepper gave up"]
+    assert [pts.shape for pts in failed.trajectories] == [(0, 3), (0, 3)]
+    assert failed.all_points().shape == (0, 3)
+    assert len(failed.initials) == 2
+
+
 @pytest.mark.parametrize("rotated", [False, True])
 def test_section_trajectories_are_float64_arrays(rotated):
     sec = generate_section(3, 0.3, n_traj=2, n_crossings=4, seed=2, rotated=rotated)
