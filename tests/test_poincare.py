@@ -250,12 +250,6 @@ def test_section_refuses_seeds_outside_int64(monkeypatch, seed):
         generate_section(2, 0.2, n_traj=2, n_crossings=3, seed=seed)
 
 
-def test_negative_seed_is_its_twos_complement_stream():
-    a = poincare._philox(-12345, 3)
-    b = poincare._philox(2**64 - 12345, 3)
-    assert [next(a) for _ in range(9)] == [next(b) for _ in range(9)]
-
-
 def test_float_mod_is_np_mod_bit_for_bit():
     rng = np.random.default_rng(4)
     values = np.concatenate([
