@@ -10,12 +10,13 @@ coefficients over quadratic number fields.
 
 The names below and the submodules load on first access (PEP 562), so that
 the exact side, which needs the standard library alone, never imports NumPy.
-Nor do the integrator, the return map, the closed-orbit Newton search and
-``harmgeo trace`` on sectoral and zonal surfaces, which compute on Python
-floats.  NumPy loads only where a result is an array (a ``Trajectory``'s
-fields on first read, section points, monodromies, ``clairaut_values``),
-for the seeded Philox streams of sections, for the tesseral radius bound
-and for the Lemma 1 root finder.
+Nor does the numeric side compute with it: the integrator, sections, the
+closed-orbit search, the tesseral radius bound and Lemma 1 run on Python
+numbers, and real roots come from one exact layer (Sturm sequences in
+:class:`Poly`), so every ``harmgeo`` command runs without NumPy.  NumPy
+loads only to build a result that is an array, when a caller first reads it
+(a ``Trajectory``'s fields, section points, monodromies,
+``clairaut_values``).
 """
 
 import importlib

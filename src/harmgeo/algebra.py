@@ -1,5 +1,6 @@
 """Exact arithmetic: quadratic field extensions, dense polynomials, rational
-functions and partial fractions.
+functions and partial fractions, and the real roots of rational polynomials,
+counted and isolated by Sturm sequences.
 
 Rationals are plain :class:`fractions.Fraction`.  Everything built on top is
 immutable, and all operations are exact; floats never enter except through the
@@ -716,6 +717,53 @@ class Poly:
             (A, B), (C, E) = (C, E), _primitive(R, RB)
         return _monic(A, B, D) if A else Poly()
 
+    def squarefree(self) -> "Poly":
+        """p/gcd(p, p'): the distinct roots of p, each a simple root."""
+        return self.exact_div(self.gcd(self.derivative()))
+
+    # -- real roots ----------------------------------------------------------
+    #
+    # Sturm's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    # Geometry*, ch. 2): along the sequence s, s', -rem(s, s'), ... of a
+    # square-free s, the sign changes at a rational x, zeros skipped, fall by
+    # one as x passes each real root of s, and only there.  The square-free
+    # part s = p/gcd(p, p') has the distinct roots of p, so for a <= b the
+    # fall from a to b counts p's distinct roots in (a, b], a root at a not
+    # counted and one at b counted.
+
+    def _sturm(self) -> list:
+        """The Sturm sequence of the square-free part, down to a nonzero
+        constant."""
+        if self.is_zero() or self._int_rows()[2] is not None:
+            raise ValueError("real roots need a nonzero polynomial with rational coefficients")
+        s = self.squarefree()
+        seq = [s, s.derivative()]
+        while seq[-1]:
+            seq.append(-(seq[-2] % seq[-1]))
+        return seq[:-1]
+
+    def count_roots(self, a, b) -> int:
+        """The number of distinct real roots in (a, b], for rationals a <= b."""
+        seq = self._sturm()
+        return _sign_changes(seq, Fraction(a)) - _sign_changes(seq, Fraction(b))
+
+    def real_roots(self, a, b) -> list:
+        """Each distinct real root in (a, b], for rationals a <= b, isolated
+        in a rational interval (lo, hi] that holds it alone: the intervals in
+        increasing order, found by halving (a, b]."""
+        seq = self._sturm()
+        a, b = Fraction(a), Fraction(b)
+        out, todo = [], [(a, b, _sign_changes(seq, a), _sign_changes(seq, b))]
+        while todo:
+            lo, hi, v_lo, v_hi = todo.pop()
+            if v_lo - v_hi == 1:
+                out.append((lo, hi))
+            elif v_lo - v_hi > 1:
+                mid = (lo + hi) / 2
+                v_mid = _sign_changes(seq, mid)
+                todo += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+        return out
+
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -724,6 +772,13 @@ class Poly:
             if c:
                 terms.append(f"({c})*z^{k}" if k else f"({c})")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _sign_changes(seq: list, x: Fraction) -> int:
+    """Sign changes along the values of the polynomials at x, zeros
+    skipped."""
+    signs = [v > 0 for v in (p(x) for p in seq) if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def _as_poly(x):

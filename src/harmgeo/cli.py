@@ -114,7 +114,8 @@ def build_parser() -> _Parser:
     le.add_argument("--n", type=int, required=True)
     le.add_argument("--eps", type=parse_eps, default=None,
                     help="also emit the exact certificate polynomial")
-    le.add_argument("--tol", type=float, default=1e-5)
+    le.add_argument("--tol", type=float, default=None,
+                    help="bisection tolerance (default: lemma1_critical_eps's)")
 
     nv = sub.add_parser("nve", help="exact equatorial variational equation",
                         parents=[common])
@@ -203,18 +204,21 @@ def cmd_psection(args, out: Path) -> int:
 
 
 def cmd_closed(args, out: Path) -> int:
-    import numpy as np
-
     from .poincare import find_closed_geodesics
 
     found = find_closed_geodesics(args.n, float(args.eps),
                                   max_period=args.max_period)
     report = []
     for g in found:
-        # by real, then imaginary part, descending: eigvals' own order follows
-        # rounding noise when M[0,0] = M[1,1], as on reversible orbits
-        eig = sorted(np.linalg.eigvals(g.monodromy).tolist(), key=lambda z: (z.real, z.imag),
-                     reverse=True)
+        # (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c), the larger first; tr^2/4 - det
+        # would lose digits to cancellation on near-parabolic orbits
+        (a, b), (c, d) = g._monodromy
+        half, disc = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+        root = math.sqrt(abs(disc))
+        if disc >= 0:
+            eig = [(half + root, 0.0), (half - root, 0.0)]
+        else:
+            eig = [(half, root), (half, -root)]
         report.append(
             {
                 "family": g.family,
@@ -224,7 +228,7 @@ def cmd_closed(args, out: Path) -> int:
                 "length": g.length,
                 "trace": g.trace,
                 "det": g.det,
-                "eigenvalues": [[z.real, z.imag] for z in eig],
+                "eigenvalues": [list(z) for z in eig],
                 "stability_margin": g.margin,
                 "classification": g.classification,
             }
@@ -244,7 +248,7 @@ def cmd_lemma1(args, out: Path) -> int:
 
     # an eps with no surface is refused before the bisection runs
     poly = None if args.eps is None else lemma1_poly(args.n, args.eps)
-    crit = lemma1_critical_eps(args.n, tol=args.tol)
+    crit = lemma1_critical_eps(args.n, **({} if args.tol is None else {"tol": args.tol}))
     print(f"critical eps for n={args.n}: {crit:.6f}")
     if poly is not None:
         data = {

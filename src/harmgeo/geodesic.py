@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -31,6 +31,23 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _as_array(floats, row=()) -> np.ndarray:
+    """Floats, flat or in nested rows, as a float64 array of rows of shape
+    ``row``.  This is the one place NumPy is imported: it builds the arrays
+    the API returns, and nothing computes on them."""
+    import numpy as np
+
+    return np.asarray(floats, dtype=float).reshape(-1, *row)
+
+
+def _flat(floats) -> list:
+    """Floats, flat or in nested rows, an ``array('d')`` or an array, as one
+    flat list."""
+    if isinstance(floats, array):
+        return floats.tolist()
+    return [x for v in floats for x in (_flat(v) if hasattr(v, "__len__") else (v,))]
+
+
 class _Floats:
     """A dataclass field kept as the floats it is given and read as float64
     arrays, built on the first read: only then is NumPy imported.  ``row``
@@ -40,7 +57,8 @@ class _Floats:
 
     Floats kept flat in an ``array('d')`` are read through a view that
     shares their buffer; any other floats are replaced by the arrays, and
-    freed."""
+    freed.  :meth:`kept` reads the floats, or the arrays that replaced
+    them, without building one."""
 
     def __init__(self, row, default=MISSING, each=False):
         self.row, self.default, self.each = row, default, each
@@ -55,15 +73,13 @@ class _Floats:
             return self.default
         raw, built = obj.__dict__[self.raw], obj.__dict__.get(self.built)
         if built is None and raw is not None:
-            import numpy as np
-
             row = self.row
             if row is None:
                 row = (2, len(raw[0][0]) if len(raw) else obj._n_tangents)
             if self.each:
-                built = [np.asarray(x, dtype=float).reshape(-1, *row) for x in raw]
+                built = [_as_array(x, row) for x in raw]
             else:
-                built = np.asarray(raw, dtype=float).reshape(-1, *row)
+                built = _as_array(raw, row)
             if not isinstance(raw, array):
                 obj.__dict__[self.raw] = built
             obj.__dict__[self.built] = built
@@ -73,14 +89,38 @@ class _Floats:
         obj.__dict__[self.raw] = value
         obj.__dict__.pop(self.built, None)
 
+    def kept(self, obj):
+        """The field's floats as one flat list, or one a member with
+        ``each``; None for a None field."""
+        raw = obj.__dict__[self.raw]
+        if raw is None:
+            return None
+        return [_flat(x) for x in raw] if self.each else _flat(raw)
+
+
+class _KeptFloatsEq:
+    """``==`` for a dataclass declared with ``eq=False`` whose array fields
+    are :class:`_Floats`: field by field, those fields by the floats they
+    keep, so that no array is built."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+
+        def kept(obj, name):
+            spec = type(obj).__dict__.get(name)
+            return spec.kept(obj) if isinstance(spec, _Floats) else getattr(obj, name)
+
+        return all(kept(self, f.name) == kept(other, f.name) for f in fields(self) if f.compare)
+
 
 def _rows(flat, width):
     """Consecutive rows of ``width`` floats of a flat buffer, as tuples."""
     return zip(*[iter(flat)] * width)
 
 
-@dataclass
-class Trajectory:
+@dataclass(eq=False)
+class Trajectory(_KeptFloatsEq):
     """Sampled geodesic in the body chart, plus equator-crossing events.
 
     :func:`integrate` hands over its floats, and each array field below is
@@ -501,9 +541,7 @@ def sphere_closure_error(theta0=1.1, phi0=0.3, alpha=0.7, s=None) -> float:
 
 def clairaut_values(surface: PolarSurface, traj: Trajectory) -> np.ndarray:
     """g_phiphi * phi_dot along a trajectory (conserved on zonal surfaces)."""
-    import numpy as np
-
-    return np.array(
+    return _as_array(
         [surface.metric_at(st[0], st[1]).g_pp * st[3] for st in _rows(traj._states, 4)]
     )
 
@@ -572,19 +610,10 @@ def lemma1_equator_cubic(n: int, eps) -> Poly:
     return total
 
 
-def _min_on_interval(p: Poly) -> float:
-    """Numeric minimum of a low-degree polynomial on [-1, 1]."""
-    import numpy as np
-
-    cs = [float(c) for c in p.coeffs]
-    cands = [-1.0, 1.0]
-    dcs = [k * c for k, c in enumerate(cs)][1:]
-    roots = np.roots(dcs[::-1]) if len(dcs) > 1 else []
-    for rt in np.atleast_1d(roots):
-        if abs(rt.imag) < 1e-12 and -1.0 <= rt.real <= 1.0:
-            cands.append(float(rt.real))
-    val = lambda x: sum(c * x**k for k, c in enumerate(cs))
-    return min(val(x) for x in cands)
+def _positive_on_equator(cubic: Poly) -> bool:
+    """Whether f(1, c) > 0 for every c in [-1, 1], decided exactly: f is
+    positive at c = -1 and has no root in (-1, 1]."""
+    return cubic(-1) > 0 and not cubic.count_roots(-1, 1)
 
 
 def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
@@ -672,10 +701,13 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     return worst
 
 
-def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
-    """Largest eps for which f(1, c) stays nonnegative on c in [-1, 1].
+def lemma1_critical_eps(n: int, tol: float = 1e-9) -> float:
+    """Largest eps for which f(1, c) stays positive on c in [-1, 1].
 
-    Found by bisection on min_c f(1, c); below the threshold the restoring
+    Found by bisection on eps to within ``tol``; each step decides the sign
+    of f(1, c) on [-1, 1] exactly, at eps rounded to a fraction with
+    denominator at most 10**12, by counting the cubic's roots with a Sturm
+    sequence (:meth:`Poly.count_roots`).  Below the threshold the restoring
     force points toward the equator everywhere on the equator itself.
     """
     if n < 1:
@@ -683,20 +715,19 @@ def lemma1_critical_eps(n: int, tol: float = 1e-6) -> float:
     if not 0.0 < tol < math.inf:  # an infinite tol would skip the bisection
         raise ValueError(f"tol = {tol} must be finite and positive")
 
-    def margin(e: float) -> float:
-        cubic = lemma1_equator_cubic(n, Fraction(e).limit_denominator(10**12))
-        return _min_on_interval(cubic)
+    def positive(e: float) -> bool:
+        return _positive_on_equator(lemma1_equator_cubic(n, Fraction(e).limit_denominator(10**12)))
 
     lo, hi = 1e-6, 1.0 - 1e-9
-    if margin(lo) <= 0:
+    if not positive(lo):
         raise RuntimeError("restoring force not positive even for tiny eps")
-    if margin(hi) > 0:
+    if positive(hi):
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats: tol is below an ulp
             break
-        if margin(mid) > 0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid

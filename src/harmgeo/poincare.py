@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
-from .geodesic import R_SWAP, _Floats, chart_to_body, integrate, normalize_speed
+from .geodesic import (
+    R_SWAP, _as_array, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate, normalize_speed,
+)
 from .surface import PolarSurface
 
 if TYPE_CHECKING:
@@ -77,12 +79,12 @@ def _equator_state_tangents(n: int, eps: float, y) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SectionData:
+@dataclass(eq=False)
+class SectionData(_KeptFloatsEq):
     """A seeded section run.  Each trajectory's crossings are kept as rows
     of floats, and ``trajectories`` builds its arrays from them on its
     first read, so a caller that reads none of them never imports NumPy.
-    The writers read the rows."""
+    The writers, the occupancies and ``==`` read the rows."""
 
     n: int
     eps: float
@@ -94,11 +96,7 @@ class SectionData:
     failures: list = field(default_factory=list)
 
     def all_points(self) -> np.ndarray:
-        import numpy as np
-
-        if not self.trajectories:
-            return np.zeros((0, 3))
-        return np.vstack(self.trajectories)
+        return _as_array([row for rows in self._trajectories for row in rows], (3,))
 
 
 _M64 = 2**64 - 1
@@ -250,15 +248,15 @@ def _phi_dot_lim(eps: float) -> float:
     return 1.0 / (1.0 - abs(eps))
 
 
-def _cells(pts: np.ndarray, lim: float, grid: int) -> int:
-    import numpy as np
-
-    if not len(pts):
-        return 0
-    ix = np.floor(pts[:, 1] / TWO_PI * grid).astype(int) % grid
-    iy = np.floor((pts[:, 2] + lim) / (2 * lim) * grid).astype(int)
-    keep = (iy >= 0) & (iy < grid)
-    return len(set(zip(ix[keep], iy[keep])))
+def _cells(rows, lim: float, grid: int) -> int:
+    """The number of grid cells that rows (s, phi, phi_dot) visit, phi_dot
+    cut to [-lim, lim)."""
+    cells = set()
+    for _, ph, pd in rows:
+        iy = math.floor((pd + lim) / (2 * lim) * grid)
+        if 0 <= iy < grid:
+            cells.add((math.floor(ph / TWO_PI * grid) % grid, iy))
+    return len(cells)
 
 
 def occupancy(section: SectionData, grid: int = 100) -> float:
@@ -269,7 +267,8 @@ def occupancy(section: SectionData, grid: int = 100) -> float:
     fairly.
     """
     lim = _phi_dot_lim(section.eps)
-    return _cells(section.all_points(), lim, grid) / float(grid * grid)
+    rows = (row for rows in section._trajectories for row in rows)
+    return _cells(rows, lim, grid) / float(grid * grid)
 
 
 def max_trajectory_occupancy(section: SectionData, grid: int = 100) -> float:
@@ -280,9 +279,9 @@ def max_trajectory_occupancy(section: SectionData, grid: int = 100) -> float:
     separates the regular and irregular regimes cheaply and deterministically.
     """
     lim = _phi_dot_lim(section.eps)
-    if not section.trajectories:
+    if not section._trajectories:
         return 0.0
-    return max(_cells(p, lim, grid) for p in section.trajectories) / float(
+    return max(_cells(rows, lim, grid) for rows in section._trajectories) / float(
         grid * grid
     )
 
@@ -344,25 +343,29 @@ def _wrap(dphi: float) -> float:
     return (dphi + math.pi) % TWO_PI - math.pi
 
 
-@dataclass
-class ClosedGeodesic:
+@dataclass(eq=False)
+class ClosedGeodesic(_KeptFloatsEq):
+    """A closed orbit of the return map.  The monodromy is kept as its
+    floats, and ``trace``, ``det`` and ``classification`` read them: only
+    reading ``monodromy`` builds an array."""
+
     family: str
     phi: float
     phi_dot: float
     crossings: int  # period measured in section returns
     length: float  # period measured in arc length
-    monodromy: np.ndarray
+    monodromy: np.ndarray = _Floats((2,))  # shape (2, 2)
     residual: float
 
     @property
     def trace(self) -> float:
-        return float(self.monodromy[0, 0] + self.monodromy[1, 1])
+        a, _, _, d = _flat(self._monodromy)
+        return float(a + d)
 
     @property
     def det(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.det(self.monodromy))
+        a, b, c, d = _flat(self._monodromy)
+        return float(a * d - b * c)
 
     @property
     def margin(self) -> float:
@@ -443,9 +446,7 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None):
 def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     """Jacobian of the k-th return map at a section point, from the tangent
     flow (at a fixed point: the monodromy)."""
-    import numpy as np
-
-    return np.array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], dtype=float)
+    return _as_array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], (2,))
 
 
 def _refine_seed(n, eps, phi0, max_period):
@@ -515,8 +516,6 @@ def find_closed_geodesics(
             ("perpendicular", (k + 0.5) * math.pi / n, 0.5 * math.pi / n, (-1) ** k)
             for k in range(2 * n)
         ]
-    import numpy as np
-
     refined = {}
     out: list[ClosedGeodesic] = []
     seen = set()
@@ -539,7 +538,7 @@ def find_closed_geodesics(
                 phi_dot=float(phi_dot),
                 crossings=k,
                 length=length,
-                monodromy=np.array(mono, dtype=float),
+                monodromy=mono,
                 residual=resid,
             )
         )
@@ -564,8 +563,6 @@ def equator_monodromy(
     equation, whose monodromy over the revolution is the n-th power of P
     (Floquet; Magnus & Winkler, *Hill's Equation*, 1966).
     """
-    import numpy as np
-
     surf = PolarSurface.sectoral(n, eps)
     y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
     frame = _ROTATED_FRAME
@@ -584,7 +581,7 @@ def equator_monodromy(
     if not len(traj._crossings):
         raise RuntimeError("equator period 2*pi/n not completed")
     period = [[-x for x in row] for row in traj._crossing_jacobians[0]]
-    return np.array(_mat2_power(period, n), dtype=float)
+    return _as_array(_mat2_power(period, n), (2,))
 
 
 # ---------------------------------------------------------------------------

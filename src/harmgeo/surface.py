@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import kernels
 
@@ -64,34 +65,51 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     return pm1
 
 
-def legendre_q(l: int, m: int) -> tuple:
-    """Coefficients of Q = d^m P_l/dx^m, lowest degree first, so that
-    P_l^m(x) = (1-x^2)^(m/2) Q(x).
-
-    From P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k) in integers,
-    each coefficient rounded once.
-    """
+def _legendre_q_exact(l: int, m: int) -> list:
+    """The coefficients of Q = d^m P_l/dx^m as Fractions, lowest degree
+    first, from P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k)."""
     if m < 0 or l < m:
         raise ValueError("need 0 <= m <= l")
     c = [0] * (l + 1)
     for k in range(l // 2 + 1):
         c[l - 2 * k] = (-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l)
-    return tuple(c[j + m] * math.perm(j + m, m) / 2**l for j in range(l - m + 1))
+    return [Fraction(c[j + m] * math.perm(j + m, m), 2**l) for j in range(l - m + 1)]
+
+
+def legendre_q(l: int, m: int) -> tuple:
+    """Coefficients of Q = d^m P_l/dx^m, lowest degree first, so that
+    P_l^m(x) = (1-x^2)^(m/2) Q(x): the exact coefficients, each rounded
+    once."""
+    return tuple(float(c) for c in _legendre_q_exact(l, m))
 
 
 def assoc_legendre_max(l: int, m: int) -> float:
     """max |P_l^m| over [-1, 1], for 1 <= m <= l.
 
-    (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, and its other critical
-    points are the zeros of Q and of -m x Q + (1-x^2) Q'; the maximum sits at
-    a real zero of the latter.
+    (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, so the maximum sits at an
+    interior zero of its derivative's factor -m x Q + (1-x^2) Q'.  Each real
+    zero in (-1, 1] of that exact polynomial is isolated in a rational
+    interval by a Sturm sequence (:meth:`Poly.real_roots`), then narrowed by
+    bisection on floats to about their spacing, the sign of its square-free
+    part at each float decided exactly.
     """
-    from numpy.polynomial import Polynomial
+    from .algebra import Poly
 
-    q = Polynomial(legendre_q(l, m))
-    x = Polynomial([0.0, 1.0])
-    crit = (-m * x * q + (1 - x * x) * q.deriv()).roots()
-    return max(abs(assoc_legendre(l, m, min(max(c.real, -1.0), 1.0))) for c in crit)
+    q = Poly(_legendre_q_exact(l, m))
+    x = Poly([0, 1])
+    crit = (-m * x * q + (1 - x * x) * q.derivative()).squarefree()
+    top = 0.0
+    for lo, hi in crit.real_roots(-1, 1):
+        at_hi = crit(hi)  # zero when hi is the root itself
+        a, b = float(hi if at_hi == 0 else lo), float(hi)
+        while b - a > 2**-52:  # the floats a < root <= b, signs decided exactly
+            mid = 0.5 * (a + b)
+            if (crit(Fraction(mid)) > 0) == (at_hi > 0):
+                b = mid
+            else:
+                a = mid
+        top = max(top, abs(assoc_legendre(l, m, b)))
+    return top
 
 
 def flat_floats(values) -> list:

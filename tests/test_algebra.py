@@ -1,8 +1,10 @@
 """Exact arithmetic: quadratic extensions, polynomials, partial fractions."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -492,6 +494,92 @@ def test_poly_mixed_discriminants_raise_like_the_reference():
     assert Poly([s2]) * 1 != Poly([s3]) * 1
     assert Poly([1 + s2]) * 1 != Poly([1]) * 1
     assert Poly([1, 2]) * 1 != Poly([Fraction(1, 2), 1]) * 1
+
+
+# -- real roots -----------------------------------------------------------------
+
+
+def _root_layer_cases(count=300):
+    """(p, a, b, roots) with p = g * prod (x - r)^k: g a random integer
+    polynomial of degree 0 to 4 whose np.roots lie at least 1e-4 apart, and
+    each r a rational root, one to three times over, some placed at a or b.
+    ``roots`` are p's distinct real roots: the r exactly, g's from np.roots.
+    A case where np.roots cannot tell a root from r, a or b is skipped."""
+    rng = random.Random(35)
+    cases = []
+    while len(cases) < count:
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        if not g[-1]:
+            continue
+        z = np.roots(g[::-1])
+        if len(z) > 1 and np.min(np.abs(z[:, None] - z[None, :]) + np.eye(len(z))) < 1e-4:
+            continue
+        a = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+        b = a + Fraction(rng.randint(0, 24), rng.choice((1, 2, 4)))
+        pool = [a, b, Fraction(rng.randint(-12, 12), rng.choice((1, 5, 7)))]
+        known = rng.sample(pool, rng.randint(0, 3))
+        p = Poly(g)
+        for r in known:
+            p = p * Poly([-r, 1]) ** rng.randint(1, 3)
+        roots = set(known)
+        for x in (float(x.real) for x in z if abs(x.imag) < 1e-9):
+            near = [r for r in (*known, a, b) if abs(x - r) < 1e-6]
+            if not near:
+                roots.add(x)
+            elif not (near[0] in known and Poly(g)(near[0]) == 0):
+                break
+        else:
+            cases.append((p, a, b, sorted(roots)))
+    return cases
+
+
+def test_real_roots_match_numpy():
+    """Counts and isolating intervals of distinct real roots in (a, b]
+    against np.roots, on random integer polynomials with repeated rational
+    roots, roots at a and at b, constants and linear factors."""
+    cases = _root_layer_cases()
+    degrees = {p.degree for p, *_ in cases}
+    assert {0, 1} <= degrees and max(degrees) >= 8
+    at_end = repeated = 0
+    for p, a, b, roots in cases:
+        inside = [r for r in roots if a < r <= b]
+        at_end += b in roots or a in roots
+        repeated += p.degree > len(roots) + 1
+        assert p.count_roots(a, b) == len(inside)
+        assert p.count_roots(-40, 40) == len(roots)  # every root lies within 40
+        intervals = p.real_roots(a, b)
+        assert len(intervals) == len(inside)
+        for (lo, hi), r in zip(intervals, inside):
+            assert a <= lo < r <= hi <= b
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+    assert at_end > 50 and repeated > 50
+
+
+def test_real_roots_at_the_ends_and_degenerate_polynomials():
+    """(a, b] is open at a and closed at b, for simple and repeated roots;
+    constants have no roots, the zero polynomial and irrational
+    coefficients are refused, and float ends are read exactly."""
+    half = Fraction(1, 2)
+    assert Poly([3]).count_roots(-5, 5) == 0 and Poly([-2]).real_roots(-1, 1) == []
+    line = Poly([-1, 2])  # root 1/2
+    assert line.count_roots(half, 1) == 0 and line.real_roots(half, 1) == []
+    assert line.count_roots(0, half) == 1 and line.real_roots(0, half) == [(0, half)]
+    q = Poly.from_roots([1, 1, 1, -1, -1, 0])
+    assert q.count_roots(-1, 1) == 2 and q.count_roots(-2, 1) == 3
+    assert q.count_roots(-1, 0) == 1 and q.count_roots(0, 1) == 1 and q.count_roots(1, 1) == 0
+    assert q.real_roots(-1, 1) == [(-1, 0), (0, 1)]
+    assert q.real_roots(-2, 2) == [(-2, -1), (-1, 0), (0, 2)]
+    assert Poly([-1, 10]).count_roots(0.1, 1) == 0  # the float 0.1 lies above 1/10
+    with pytest.raises(ValueError, match="nonzero polynomial with rational coefficients"):
+        Poly().count_roots(0, 1)
+    with pytest.raises(ValueError, match="nonzero polynomial with rational coefficients"):
+        Poly([QuadExt(0, 1, 2), 1]).real_roots(-2, 2)
+
+
+def test_squarefree_keeps_each_root_once():
+    p = Poly.from_roots([2, 2, 2, Fraction(-1, 3), 5, 5]) * 7
+    assert p.squarefree().monic() == Poly.from_roots([2, Fraction(-1, 3), 5])
+    assert Poly([4]).squarefree().degree == 0
 
 
 # -- rational functions ---------------------------------------------------------

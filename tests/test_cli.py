@@ -194,6 +194,15 @@ def test_lemma1_reports_critical_eps(tmp_path, capsys):
     assert "critical eps" in out
 
 
+@pytest.mark.parametrize("n, printed", [(2, "0.571551"), (8, "0.332873")])
+def test_lemma1_default_tol_prints_six_correct_decimals(tmp_path, capsys, n, printed):
+    """Without --tol, lemma1 bisects to the library's tol of 1e-9, so the
+    sixth decimal printed is right: a tol of 1e-5 printed 0.332875 for
+    n = 8, where the threshold is 0.3328734."""
+    assert run(["--out-dir", tmp_path, "lemma1", "--n", n]) == 0
+    assert capsys.readouterr().out == f"critical eps for n={n}: {printed}\n"
+
+
 def test_lemma1_tol_below_an_ulp_returns(tmp_path, capsys):
     assert run(["--out-dir", tmp_path, "lemma1", "--n", "3", "--tol", "1e-17"]) == 0
     assert capsys.readouterr().out == "critical eps for n=3: 0.496951\n"
@@ -290,6 +299,24 @@ def test_closed_lists_eigenvalues_in_a_fixed_order(tmp_path, capsys):
         assert small == pytest.approx(0.8743314, abs=1e-6) and small_im == 0.0
 
 
+def test_closed_eigenvalues_match_numpy(tmp_path, capsys):
+    """The closed form (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c) against
+    np.linalg.eigvals of each monodromy, and det against np.linalg.det."""
+    import numpy as np
+
+    from harmgeo.poincare import find_closed_geodesics
+
+    for n, eps in (("2", "0.3"), ("3", "0.2")):
+        assert run(["--out-dir", tmp_path, "closed", "--n", n, "--eps", eps]) == 0
+        report = json.loads((tmp_path / f"closed_n{n}_eps{_eps_tag(Fraction(eps))}.json").read_text())
+        found = find_closed_geodesics(int(n), float(eps))
+        assert len(report) == len(found)
+        for g, orbit in zip(report, found):
+            ref = sorted(np.linalg.eigvals(orbit.monodromy), key=lambda z: (z.real, z.imag))[::-1]
+            assert np.max(np.abs(np.array(g["eigenvalues"]) - [[z.real, z.imag] for z in ref])) <= 1e-15
+            assert abs(g["det"] - np.linalg.det(orbit.monodromy)) <= 1e-15
+
+
 def test_table1_subset(tmp_path, capsys):
     code = run(
         ["--out-dir", tmp_path, "table1", "--n-min", "2", "--n-max", "3",
@@ -337,8 +364,9 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_exact_half_runs_without_numpy(tmp_path):
-    """With every NumPy import made to fail, the exact half's commands run
-    and NumPy never loads: `import harmgeo` imports no submodule eagerly."""
+    """With every NumPy import made to fail, the exact half's commands,
+    `lemma1` included, run and NumPy never loads: `import harmgeo` imports
+    no submodule eagerly."""
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -346,7 +374,9 @@ def test_exact_half_runs_without_numpy(tmp_path):
         f"out = {str(tmp_path)!r}\n"
         "for argv in (['table1'],\n"
         "             ['kovacic', '--n', '3', '--eps', '1/10'],\n"
-        "             ['nve', '--n', '3', '--eps', '1/4']):\n"
+        "             ['nve', '--n', '3', '--eps', '1/4'],\n"
+        "             ['lemma1', '--n', '2', '--eps', '1/2'],\n"
+        "             ['lemma1', '--n', '2', '--eps', '-1/2']):\n"
         "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
         "import harmgeo\n"
         "assert harmgeo.equatorial_nve is harmgeo.nve.equatorial_nve\n"
@@ -354,40 +384,62 @@ def test_exact_half_runs_without_numpy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.iterdir())) == 4
+    assert len(list(tmp_path.iterdir())) == 6
 
 
 def test_return_map_and_trace_run_without_numpy(tmp_path):
     """With every NumPy import made to fail, the return map, a Newton step
-    of the closed-orbit search and `trace` on sectoral and zonal surfaces
-    run, give the floats they give with NumPy loaded, and NumPy never
-    loads."""
+    of the closed-orbit search, `closed`, the occupancies and `trace` on
+    sectoral, zonal and tesseral surfaces run, give the floats and bytes
+    they give with NumPy loaded, and NumPy never loads."""
     from harmgeo import poincare
 
+    blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "import harmgeo.surface, harmgeo.geodesic, harmgeo.poincare\n"
         "from harmgeo.cli import main\n"
-        "from harmgeo.poincare import _newton_fixed_point, return_map\n"
-        f"out = {str(tmp_path)!r}\n"
-        "for argv in (['trace', '--n', '3', '--eps', '0.2', '--length', '10', '--samples', '50'],\n"
-        "             ['trace', '--family', 'zonal', '--l', '2', '--eps', '0.3',\n"
-        "              '--length', '10', '--samples', '50']):\n"
-        "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
+        "from harmgeo.poincare import (\n"
+        "    _newton_fixed_point, generate_section, max_trajectory_occupancy, occupancy,\n"
+        "    return_map)\n"
+        f"runs = {_NUMERIC_RUNS!r}\n"
+        "for argv in runs:\n"
+        f"    assert main(['--out-dir', {str(blocked)!r}, *argv]) == 0, argv\n"
+        "sec = generate_section(3, 0.3, n_traj=2, n_crossings=20)\n"
         "print(repr([return_map(2, 0.1, 0.0, 0.0), return_map(3, 0.2, 0.3, 0.1, k=2),\n"
-        "            _newton_fixed_point(2, 0.1, (0.0, 0.0), 1)]))\n"
+        "            _newton_fixed_point(2, 0.1, (0.0, 0.0), 1),\n"
+        "            occupancy(sec, 50), max_trajectory_occupancy(sec, 50)]))\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'numpy' and sys.modules[m]]\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    sec = poincare.generate_section(3, 0.3, n_traj=2, n_crossings=20)
     assert proc.stdout.splitlines()[-1] == repr([
         poincare.return_map(2, 0.1, 0.0, 0.0), poincare.return_map(3, 0.2, 0.3, 0.1, k=2),
         poincare._newton_fixed_point(2, 0.1, (0.0, 0.0), 1),
+        poincare.occupancy(sec, 50), poincare.max_trajectory_occupancy(sec, 50),
     ])
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "trace_sectoral_n3_eps1over5.csv", "trace_zonal_l2_eps3over10.csv"
+    for argv in _NUMERIC_RUNS:
+        assert run(["--out-dir", loaded, *argv]) == 0
+    files = _tree(loaded)
+    assert sorted(files) == [
+        "closed_n2_eps-1over10.json", "closed_n2_eps1over10.json", "closed_n2_eps3over10.json",
+        "trace_sectoral_n3_eps1over5.csv", "trace_tesseral_l2m1_eps1over5.csv",
+        "trace_zonal_l2_eps3over10.csv",
     ]
+    assert _tree(blocked) == files
+
+
+_NUMERIC_RUNS = (
+    ["trace", "--n", "3", "--eps", "0.2", "--length", "10", "--samples", "50"],
+    ["trace", "--family", "zonal", "--l", "2", "--eps", "0.3", "--length", "10", "--samples", "50"],
+    ["trace", "--family", "tesseral", "--l", "2", "--m", "1", "--eps", "0.2", "--length", "10",
+     "--samples", "50"],
+    ["closed", "--n", "2", "--eps", "1/10"],
+    ["closed", "--n", "2", "--eps", "-1/10"],
+    ["closed", "--n", "2", "--eps", "0.3"],
+)
 
 
 _PSECTION_RUNS = (

@@ -180,6 +180,29 @@ def test_samples_are_kept_in_flat_buffers(tmp_path):
     assert (tmp_path / "before.csv").read_bytes() == (tmp_path / "after.csv").read_bytes()
 
 
+def test_trajectories_compare_by_their_floats():
+    """Two identical runs compare equal without building an array, also
+    after one side has built its arrays; a change of one float, or of the
+    tangent flow's Jacobians, makes them differ."""
+    surf = PolarSurface.sectoral(3, 0.2)
+    y0, tangents = [1.2, 0.4, 0.3, 0.6], [[1.0], [0.0], [0.0], [0.0]]
+
+    def run():
+        return integrate(surf, y0, 30.0, n_samples=11, renormalize=False, tangents=tangents)
+
+    a, b = run(), run()
+    assert a == b and not a != b
+    assert not [k for k in (*vars(a), *vars(b)) if k.endswith("_array")]
+    assert a.crossings.shape == (len(a._crossings), 3) and a.crossing_jacobians.shape[1:] == (2, 1)
+    assert a == b and b == a
+    b._states[5] = math.nextafter(b._states[5], 1.0)
+    assert a != b
+    c = run()
+    c._crossing_jacobians[0][1][0] += 1.0
+    assert a != c
+    assert a != integrate(surf, y0, 30.0, n_samples=11, renormalize=False)
+
+
 def test_meridian_passes_through_pole():
     """A meridian geodesic on a sectoral surface heads straight through the
     coordinate pole; integration must swap charts and keep going."""
@@ -614,10 +637,34 @@ def test_lemma1_positive_below_critical_negative_above():
     crit = lemma1_critical_eps(n, tol=1e-4)
     below = lemma1_equator_cubic(n, Fraction(int((crit - 0.02) * 1000), 1000))
     above = lemma1_equator_cubic(n, Fraction(int((crit + 0.02) * 1000), 1000))
-    from harmgeo.geodesic import _min_on_interval
+    from harmgeo.geodesic import _positive_on_equator
 
-    assert _min_on_interval(below) > 0
-    assert _min_on_interval(above) < 0
+    assert _positive_on_equator(below)
+    assert not _positive_on_equator(above)
+
+
+@pytest.mark.parametrize(
+    "cubic, positive",
+    [
+        ([2, 1], True),
+        ([Fraction(1, 100), 0, 1], True),
+        ([1], True),
+        ([1, 1], False),
+        ([1, -1], False),
+        ([Fraction(1, 4), -1, 1], False),
+        ([0, 1, 0, 1], False),
+        ([-1], False),
+    ],
+    ids=["2+c", "c^2+1/100", "1", "zero-at-minus-1", "zero-at-1", "double-root-inside",
+         "sign-change", "negative"],
+)
+def test_positive_on_equator_is_exact_at_both_ends(cubic, positive):
+    """Positivity on the closed interval [-1, 1]: a zero at either end, or
+    a double root inside, is not positive."""
+    from harmgeo.algebra import Poly
+    from harmgeo.geodesic import _positive_on_equator
+
+    assert _positive_on_equator(Poly(cubic)) is positive
 
 
 def test_lemma1_bisection_ends_below_an_ulp():

@@ -119,6 +119,22 @@ def test_sections_are_deterministic():
     assert a.initials == b.initials
 
 
+def test_sections_compare_by_their_rows():
+    """Two identical seeded sections compare equal without building an
+    array, also after one side has built its arrays; one changed float
+    makes them differ."""
+    kw = dict(n_traj=2, n_crossings=3, seed=1)
+    a, b = generate_section(2, 0.1, **kw), generate_section(2, 0.1, **kw)
+    assert a == b and not a != b
+    assert "_trajectories_array" not in vars(a)
+    assert len(b.trajectories) == 2
+    assert a == b and b == a
+    s, ph, pd = a._trajectories[1][2]
+    a._trajectories[1][2] = (s, ph, math.nextafter(pd, 1.0))
+    assert a != b
+    assert generate_section(2, 0.1, **kw) != generate_section(2, 0.1, **{**kw, "seed": 2})
+
+
 def test_section_streams_independent_of_trajectory_count():
     """Philox streams are keyed per trajectory, so asking for more
     trajectories must not perturb the earlier ones."""
@@ -338,6 +354,27 @@ def test_max_trajectory_occupancy_takes_maximum():
     assert occupancy(sec, grid=50) == 4 / 2500.0
 
 
+def _cells_numpy(pts, lim, grid):
+    """The cell count as NumPy computes it, the reference."""
+    if not len(pts):
+        return 0
+    ix = np.floor(pts[:, 1] / (2 * math.pi) * grid).astype(int) % grid
+    iy = np.floor((pts[:, 2] + lim) / (2 * lim) * grid).astype(int)
+    keep = (iy >= 0) & (iy < grid)
+    return len(set(zip(ix[keep], iy[keep])))
+
+
+@pytest.mark.parametrize("n, eps, seed", [(3, 0.3, 0), (2, 0.2, 7), (4, 0.15, 21)])
+def test_occupancy_counts_cells_as_numpy_does(n, eps, seed):
+    sec = generate_section(n, eps, n_traj=4, n_crossings=40, seed=seed, rtol=1e-8, atol=1e-8)
+    lim = 1.0 / (1.0 - abs(eps))
+    for grid in (7, 50, 100):
+        assert occupancy(sec, grid) == _cells_numpy(sec.all_points(), lim, grid) / grid**2
+        assert max_trajectory_occupancy(sec, grid) == max(
+            _cells_numpy(t, lim, grid) for t in sec.trajectories
+        ) / grid**2
+
+
 def test_occupancy_empty_section():
     sec = _fake_section([])
     assert occupancy(sec) == 0.0
@@ -354,6 +391,25 @@ def test_closed_geodesics_order_two_planar_elliptic():
         assert g.classification == "elliptic"
         assert abs(g.det - 1.0) < 1e-4  # the return map is area-preserving
         assert abs(g.trace) < 2.0
+
+
+def test_closed_geodesics_keep_their_monodromy_floats():
+    """trace, det and == read the kept floats: the monodromy array is built
+    only when read, det is a*d - b*c to rounding of np.linalg.det, and one
+    changed float makes two results differ."""
+    found = find_closed_geodesics(3, 0.2)
+    again = find_closed_geodesics(3, 0.2)
+    assert found == again
+    for g in found:
+        assert "_monodromy_array" not in vars(g)
+        assert g.classification in ("elliptic", "hyperbolic")
+        mono = g.monodromy
+        assert mono.shape == (2, 2) and mono.dtype == np.float64
+        assert g.trace == mono[0, 0] + mono[1, 1]
+        assert abs(g.det - np.linalg.det(mono)) <= 4.5e-16
+    assert found == again
+    again[-1]._monodromy[1][0] = math.nextafter(again[-1]._monodromy[1][0], 0.0)
+    assert found != again
 
 
 def _differenced_return_jacobian(n, eps, phi, phi_dot, k, h=1e-6):
