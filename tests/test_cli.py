@@ -387,6 +387,17 @@ def test_exact_half_runs_without_numpy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 6
 
 
+_NUMERIC_RUNS = (
+    ["trace", "--n", "3", "--eps", "0.2", "--length", "10", "--samples", "50"],
+    ["trace", "--family", "zonal", "--l", "2", "--eps", "0.3", "--length", "10", "--samples", "50"],
+    ["trace", "--family", "tesseral", "--l", "2", "--m", "1", "--eps", "0.2", "--length", "10",
+     "--samples", "50"],
+    ["closed", "--n", "2", "--eps", "1/10"],
+    ["closed", "--n", "2", "--eps", "-1/10"],
+    ["closed", "--n", "2", "--eps", "0.3"],
+)
+
+
 def test_return_map_and_trace_run_without_numpy(tmp_path):
     """With every NumPy import made to fail, the return map, a Newton step
     of the closed-orbit search, `closed`, the occupancies and `trace` on
@@ -429,17 +440,6 @@ def test_return_map_and_trace_run_without_numpy(tmp_path):
         "trace_zonal_l2_eps3over10.csv",
     ]
     assert _tree(blocked) == files
-
-
-_NUMERIC_RUNS = (
-    ["trace", "--n", "3", "--eps", "0.2", "--length", "10", "--samples", "50"],
-    ["trace", "--family", "zonal", "--l", "2", "--eps", "0.3", "--length", "10", "--samples", "50"],
-    ["trace", "--family", "tesseral", "--l", "2", "--m", "1", "--eps", "0.2", "--length", "10",
-     "--samples", "50"],
-    ["closed", "--n", "2", "--eps", "1/10"],
-    ["closed", "--n", "2", "--eps", "-1/10"],
-    ["closed", "--n", "2", "--eps", "0.3"],
-)
 
 
 _PSECTION_RUNS = (
