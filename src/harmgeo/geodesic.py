@@ -19,12 +19,12 @@ from . import kernels
 from .dop853 import solve_ivp
 from .surface import IDENTITY_ROT, POLE_TOL, PolarSurface, PoleError, check_rotation, flat_floats
 
-POLE_GUARD = 0.05
+POLE_GUARD = 0.3
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 
-# chart-to-chart rotation used to step away from a coordinate pole:
-# p_old = R_SWAP @ p_new moves the old pole to the new equator
+# the quarter turn about x: p_body = R_SWAP @ p_chart puts the chart's pole
+# on the body axis -y and the body pole on the chart's equator
 R_SWAP = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0))
 
 if TYPE_CHECKING:
@@ -160,17 +160,16 @@ class Trajectory(_KeptFloatsEq):
 #
 # 3x3 matrices are nine row-major floats, as PolarSurface.rot holds them.
 # Each product sum starts from +0.0, as NumPy's and BLAS's do: a product
-# with a signed permutation matrix, such as a power of R_SWAP, is then
+# with a signed permutation matrix, such as an axis chart's, is then
 # NumPy's bit for bit, signed zeros included.
 
-_SWAP = flat_floats(R_SWAP)
+# the chart -> body matrices of the axis charts, by the body axis their pole
+# lies on: x (a cyclic permutation), -y (R_SWAP) and z (the body chart)
+_AXIS_CHARTS = ((0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0), tuple(flat_floats(R_SWAP)), None)
 
 
 def _transpose(m):
     return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
-
-
-_SWAP_T = _transpose(_SWAP)
 
 
 def _mat_vec(m, x):
@@ -182,12 +181,14 @@ def _mat_vec(m, x):
     )
 
 
-def _mat_mul(a, b):
-    return tuple(
-        0.0 + a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
-        for i in (0, 3, 6)
-        for j in range(3)
-    )
+def _axis_chart(n, v):
+    """The axis chart for body position n and velocity v on the unit sphere:
+    the one whose pole is best aligned with the orbit normal N = n x v.  As
+    n is orthogonal to N, |n_k| <= sqrt(2/3) on the axis k of the largest
+    |N_k|, so the chosen pole is at least acos(sqrt(2/3)) = 0.6155 rad from
+    the point."""
+    normal = (n[1] * v[2] - n[2] * v[1], n[2] * v[0] - n[0] * v[2], n[0] * v[1] - n[1] * v[0])
+    return _AXIS_CHARTS[max(range(3), key=lambda k: abs(normal[k]))]
 
 
 def _embed(y):
@@ -346,10 +347,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate a geodesic up to arc length ``s_max``.
 
-    When the trajectory approaches a coordinate pole (theta within
-    POLE_GUARD), the surface is re-expressed in a rotated chart and
-    integration continues seamlessly; a start that is already that close to
-    a pole begins in the rotated chart.  A surface built in a rotated chart
+    When the trajectory comes within POLE_GUARD of its chart's pole, it
+    continues in the axis chart (pole x, -y or z of the body) whose pole is
+    best aligned with its orbit normal n x v, at least 0.6155 rad from the
+    point; a start that is already that close to a pole begins there.  The
+    z choice is the body chart itself.  A surface built in a rotated chart
     starts in that chart; states are always reported in the body chart.
 
     Equator crossings (body z decreasing through zero, i.e. theta increasing
@@ -396,13 +398,20 @@ def integrate(
     swaps = 0
 
     def swap_chart(y):
-        y_new = _to_body(y, _SWAP_T)  # into the chart rotated by R_SWAP
+        y_body = _to_body(y, chart.rot)
+        rot = _axis_chart(*_embed(y_body))
+        y_new = _to_body(y_body, rot and _transpose(rot))
+        # the new pole is at least 0.6155 rad away, so this holds for any
+        # POLE_GUARD <= 0.3077
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        return y_new, surface.in_chart(_mat_mul(chart.rot or IDENTITY_ROT, _SWAP))
+        if rot is None and surface.rot is not None:  # a rotated surface's body chart
+            params = {k: x for k, x in surface.params.items() if k != "rot"}
+            return y_new, type(surface)(surface.family, params, surface.m, surface.q)
+        return y_new, surface if rot is None else surface.in_chart(rot)
 
     # the pole events fire on entering the guard band, so a start inside it
-    # moves to the rotated chart before the first step
+    # moves to an axis chart before the first step
     if not POLE_GUARD < y[0] < math.pi - POLE_GUARD:
         y, chart = swap_chart(y)
         swaps += 1

@@ -268,6 +268,22 @@ def test_psection_deterministic_output(tmp_path):
     assert header == "traj_id,crossing_index,s,phi,phi_dot"
 
 
+# leading 16 hex digits of the sha256 of a seeded section's CSV, plain and
+# rotated.  Each run swaps charts about 25 times, restarting from pole-event
+# roots, where a last-bit difference between Python versions would make
+# these chaotic trajectories diverge; CI checks the bytes on every version
+PSECTION_CSV_SHA256 = {False: "d4df6675cc06fc9f", True: "e829574471bf2feb"}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_psection_csv_bytes_are_pinned(tmp_path, rotated):
+    argv = ["--out-dir", tmp_path, "--seed", "1", "psection", "--n", "3", "--eps", "0.3",
+            "--traj", "3", "--crossings", "40", "--format", "csv"]
+    assert run(argv + ["--rotated"] * rotated) == 0
+    (path,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PSECTION_CSV_SHA256[rotated]
+
+
 def test_closed_reports_classification(tmp_path, capsys):
     code = run(
         ["--out-dir", tmp_path, "closed", "--n", "2", "--eps", "0.1",

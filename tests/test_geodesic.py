@@ -264,6 +264,81 @@ def test_surface_in_rotated_chart_starts_there():
         assert np.allclose(_embed(yc)[0], _embed(yb)[0], atol=1e-9)
 
 
+# the axis charts' chart -> body matrices, by the body axis of their pole
+AXIS_X = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+AXIS_Y = tuple(x for row in R_SWAP for x in row)
+# acos(sqrt(2/3)), rounded up: the least distance of a chosen pole
+AXIS_BOUND = 0.6155
+
+
+def _chosen_theta(y_body):
+    """theta of a body state in the axis chart integrate chooses for it."""
+    rot = geodesic._axis_chart(*_embed(y_body))
+    return chart_to_body(y_body, None if rot is None else np.reshape(rot, (3, 3)).T)[0]
+
+
+@pytest.mark.parametrize("rot", [AXIS_X, AXIS_Y, None], ids=["x", "y", "z"])
+def test_axis_chart_leaves_the_pole(rot):
+    """At 10^4 random states inside the pole guard of either pole of an axis
+    chart, the axis chart chosen for the state puts it at theta in
+    [0.6155, pi - 0.6155]; at random states anywhere, the choice keeps it
+    at least acos(sqrt(2/3)) from the chosen pole."""
+    assert geodesic._AXIS_CHARTS == (AXIS_X, AXIS_Y, None)
+    rng = np.random.default_rng(36)
+    to_body = None if rot is None else np.reshape(rot, (3, 3))
+    for k in range(10**4):
+        theta = rng.uniform(1e-3, geodesic.POLE_GUARD)
+        if k % 2:
+            theta = math.pi - theta
+        y = [theta, rng.uniform(-math.pi, math.pi), rng.normal(), rng.normal() / math.sin(theta)]
+        assert AXIS_BOUND <= _chosen_theta(chart_to_body(y, to_body)) <= math.pi - AXIS_BOUND, y
+    bound = math.acos(math.sqrt(2.0 / 3.0)) - 1e-12
+    for _ in range(10**3):
+        y = [math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi), *rng.normal(size=2)]
+        assert bound <= _chosen_theta(chart_to_body(y, to_body)) <= math.pi - bound, y
+
+
+def _recording_charts(monkeypatch):
+    """Patch the stepper to list the chart each of its runs steps in."""
+    charts, stepper = [], geodesic.solve_ivp
+
+    def recording(fun, *args, **kwargs):
+        charts.append(fun.__self__)
+        return stepper(fun, *args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "solve_ivp", recording)
+    return charts
+
+
+def test_near_polar_geodesic_runs_in_axis_charts(monkeypatch):
+    """A sectoral(3, 0.3) geodesic that starts inside the pole guard and
+    meets it again steps only in the three axis charts, the z chart being
+    the surface itself with its body-form kernel; 2H stays within 1e-10,
+    and its stepper work and swaps are these counts."""
+    surf = PolarSurface.sectoral(3, 0.3)
+    charts = _recording_charts(monkeypatch)
+    traj = integrate(surf, [0.2, 0.0, -1.0, 1.0], 50.0, n_samples=101)
+    assert [chart.rot for chart in charts] == [AXIS_Y, AXIS_X, None, AXIS_X]
+    assert charts[2] is surf and "sectoral" in surf._rhs.__code__.co_filename
+    assert np.max(np.abs(traj.h2 - 1.0)) <= 1e-10
+    assert (traj.nfev, traj.chart_swaps) == (13340, 4)
+
+
+def test_rotated_surface_runs_its_z_choice_in_the_body_chart(monkeypatch):
+    """A surface built in a rotated chart, started near its chart pole,
+    moves to axis charts, its z choice the body chart (rot None, the
+    body-form kernel), and traces the geodesic of the body surface."""
+    body = PolarSurface.sectoral(3, 0.3)
+    chart = body.in_chart(R_SWAP)
+    y0 = normalize_speed(chart, [0.5, 0.0, -1.0, 1.0])
+    charts = _recording_charts(monkeypatch)
+    in_chart = integrate(chart, y0, 20.0, n_samples=21, renormalize=False)
+    assert [c.rot for c in charts] == [AXIS_Y, None, AXIS_Y] and charts[0] is chart
+    assert "sectoral" in charts[1]._rhs.__code__.co_filename
+    in_body = integrate(body, chart_to_body(y0, R_SWAP), 20.0, n_samples=21, renormalize=False)
+    assert np.allclose(in_chart.states, in_body.states, rtol=0, atol=1e-8)
+
+
 def test_jacobi_parts_rebuild_the_full_variation():
     """Split, Jacobi flow and rebuild give the whole variation (dx, dv) at a
     fixed arc length, its part along the geodesic (b + a*s) included, which

@@ -22,8 +22,10 @@ from harmgeo.surface import (
     legendre_q,
 )
 
-# chart -> body matrices: the quarter turn integrate swaps in, and a generic one
+# chart -> body matrices: the axis charts with poles -y and x that integrate
+# swaps in, and a generic one
 R_QUARTER = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0)
+R_AXIS_X = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 _a, _b = 0.7, 1.9
 R_GENERIC = tuple(
     (
@@ -400,26 +402,28 @@ def test_hamiltonian2_is_quadratic_form():
     assert math.isclose(surf.hamiltonian2(theta, phi, td, pd), expected, rel_tol=1e-15)
 
 
-# the RHS and chart cases: sectoral in the body chart and in the chart a pole
-# swap moves to, zonal and tesseral ones, and points where sin(theta) is
-# within 10% of sin(POLE_GUARD), where integrate swaps charts
+# the RHS and chart cases: sectoral in the body chart and in the axis charts
+# a pole swap moves to, zonal and tesseral ones, and points within 10% of
+# POLE_GUARD, where integrate swaps charts, and of 0.05, which reach closer
+# to the poles
 R_SWAP9 = tuple(x for row in R_SWAP for x in row)
 RHS_SURFACES = [
     PolarSurface.sectoral(3, 0.3),
     PolarSurface.sectoral(1, 0.3),
     PolarSurface.sectoral(3, 0.3).in_chart(R_SWAP9),
+    PolarSurface.sectoral(3, 0.3).in_chart(R_AXIS_X),
     PolarSurface.zonal(3, 0.3),
     PolarSurface.zonal(2, 0.3).in_chart(R_SWAP9),
     PolarSurface.tesseral(4, 2, 0.05),
     PolarSurface.tesseral(3, 1, 0.1).in_chart(R_GENERIC),
 ]
-RHS_IDS = ["sectoral3", "sectoral1", "sectoral3-swap", "zonal3", "zonal2-swap",
+RHS_IDS = ["sectoral3", "sectoral1", "sectoral3-swap", "sectoral3-x", "zonal3", "zonal2-swap",
            "tesseral42", "tesseral31-generic"]
 
 
 def _rhs_states(seed, count=400):
     rng = np.random.default_rng(seed)
-    guard = [POLE_GUARD * 0.9, POLE_GUARD, POLE_GUARD * 1.1]
+    guard = [POLE_GUARD * 0.9, POLE_GUARD, POLE_GUARD * 1.1, 0.045, 0.05, 0.055]
     thetas = [0.4, 1.2, math.pi / 2, 2.6] + guard + [math.pi - t for t in guard]
     for k in range(count):
         theta = thetas[k % len(thetas)]
@@ -594,7 +598,8 @@ _near_pole = hs.floats(-1e-3, 1e-3) | hs.floats(math.pi - 1e-3, math.pi + 1e-3)
 
 
 def _swap_power(k):
-    """R_SWAP^k as integrate composes it with numpy, one chart swap at a time."""
+    """R_SWAP^k as numpy composes it, one factor at a time: the charts that
+    repeated quarter turns reach, their zeros signed as numpy signs them."""
     mat = None
     for _ in range(k):
         mat = (np.eye(3) if mat is None else mat) @ np.asarray(R_SWAP)
@@ -604,9 +609,10 @@ def _swap_power(k):
 # the half turn about x with its zeros signed both ways: a chart pattern
 # tells +0.0 from -0.0
 R_SIGNED_ZEROS = (1.0, -0.0, 0.0, 0.0, -1.0, -0.0, -0.0, 0.0, -1.0)
-KERNEL_CHARTS = [None, R_SWAP9, _swap_power(2), _swap_power(3), _swap_power(4), R_SIGNED_ZEROS,
-                 R_GENERIC]
-KERNEL_CHART_IDS = ["body", "swap", "swap2", "swap3", "swap4", "signed-zeros", "generic"]
+KERNEL_CHARTS = [None, R_SWAP9, R_AXIS_X, _swap_power(2), _swap_power(3), _swap_power(4),
+                 R_SIGNED_ZEROS, R_GENERIC]
+KERNEL_CHART_IDS = ["body", "swap", "x-axis", "swap2", "swap3", "swap4", "signed-zeros",
+                    "generic"]
 _ZERO_STATES = [(t, p, a, b) for t in (0.0, -0.0) for p in (0.0, -0.0)
                 for a in (0.0, -0.0) for b in (0.0, -0.0)]
 
@@ -777,6 +783,28 @@ def test_assoc_legendre_max(l, m):
     assert math.isclose(top, grid, rel_tol=1e-6)
     if m == l:  # P_l^l = (2l-1)!! (1-x^2)^(l/2), largest on the equator
         assert math.isclose(top, math.prod(range(1, 2 * l, 2)), rel_tol=1e-12)
+
+
+def test_assoc_legendre_max_is_computed_once_per_degree_and_order(monkeypatch):
+    """A second tesseral(10, 3, .) isolates no root: its bound comes from
+    the cache, and it is the bound computed afresh."""
+    from harmgeo.algebra import Poly
+
+    PolarSurface.tesseral(10, 3, 0.001)
+    calls = []
+    real_roots = Poly.real_roots
+
+    def counting(self, *args):
+        calls.append(args)
+        return real_roots(self, *args)
+
+    monkeypatch.setattr(Poly, "real_roots", counting)
+    PolarSurface.tesseral(10, 3, 0.002)
+    assert calls == []
+    fresh = assoc_legendre_max.__wrapped__(10, 3)
+    assert calls and assoc_legendre_max(10, 3) == fresh
+    with pytest.raises(ValueError, match="radius reaches zero"):
+        PolarSurface.tesseral(10, 3, 1.0 / fresh)
 
 
 def test_kernel_names_read_by_benchmark():
