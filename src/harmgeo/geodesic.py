@@ -396,6 +396,11 @@ def integrate(
     # for the body chart)
     chart = surface
     swaps = 0
+    # the z choice: the surface itself, or a rotated surface's body chart
+    body = surface
+    if surface.rot is not None:
+        params = {k: x for k, x in surface.params.items() if k != "rot"}
+        body = type(surface)(surface.family, params, surface.m, surface.q)
 
     def swap_chart(y):
         y_body = _to_body(y, chart.rot)
@@ -405,10 +410,7 @@ def integrate(
         # POLE_GUARD <= 0.3077
         if not POLE_GUARD * 2 < y_new[0] < math.pi - POLE_GUARD * 2:
             raise RuntimeError("chart rotation failed to leave the pole")
-        if rot is None and surface.rot is not None:  # a rotated surface's body chart
-            params = {k: x for k, x in surface.params.items() if k != "rot"}
-            return y_new, type(surface)(surface.family, params, surface.m, surface.q)
-        return y_new, surface if rot is None else surface.in_chart(rot)
+        return y_new, body if rot is None else surface.in_chart(rot)
 
     # the pole events fire on entering the guard band, so a start inside it
     # moves to an axis chart before the first step

@@ -23,7 +23,6 @@ one.  Associated Legendre functions here carry no Condon-Shortley phase.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -84,9 +83,8 @@ def legendre_q(l: int, m: int) -> tuple:
     return tuple(float(c) for c in _legendre_q_exact(l, m))
 
 
-@functools.cache
 def assoc_legendre_max(l: int, m: int) -> float:
-    """max |P_l^m| over [-1, 1], for 1 <= m <= l, computed once per (l, m).
+    """max |P_l^m| over [-1, 1], for 1 <= m <= l.
 
     (P_l^m)^2 = (1-x^2)^m Q^2 vanishes at x = +-1, so the maximum sits at an
     interior zero of its derivative's factor -m x Q + (1-x^2) Q'.  Each real

@@ -785,28 +785,6 @@ def test_assoc_legendre_max(l, m):
         assert math.isclose(top, math.prod(range(1, 2 * l, 2)), rel_tol=1e-12)
 
 
-def test_assoc_legendre_max_is_computed_once_per_degree_and_order(monkeypatch):
-    """A second tesseral(10, 3, .) isolates no root: its bound comes from
-    the cache, and it is the bound computed afresh."""
-    from harmgeo.algebra import Poly
-
-    PolarSurface.tesseral(10, 3, 0.001)
-    calls = []
-    real_roots = Poly.real_roots
-
-    def counting(self, *args):
-        calls.append(args)
-        return real_roots(self, *args)
-
-    monkeypatch.setattr(Poly, "real_roots", counting)
-    PolarSurface.tesseral(10, 3, 0.002)
-    assert calls == []
-    fresh = assoc_legendre_max.__wrapped__(10, 3)
-    assert calls and assoc_legendre_max(10, 3) == fresh
-    with pytest.raises(ValueError, match="radius reaches zero"):
-        PolarSurface.tesseral(10, 3, 1.0 / fresh)
-
-
 def test_kernel_names_read_by_benchmark():
     """The benchmark reports ``kernels.BACKEND`` and times
     ``kernels.sectoral_rhs`` on its own; it must stay the surface RHS."""
