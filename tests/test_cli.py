@@ -284,6 +284,25 @@ def test_psection_csv_bytes_are_pinned(tmp_path, rotated):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PSECTION_CSV_SHA256[rotated]
 
 
+# leading 16 hex digits of the sha256 of the closed-orbit JSON at (n, eps):
+# every float of each orbit's Newton search, monodromy and eigenvalues,
+# checked on every Python version CI runs
+CLOSED_JSON_SHA256 = {
+    (1, "1/5"): "1bed914591666bef",
+    (2, "1/10"): "3704b6976f13cac6",
+    (2, "3/10"): "688b325f04c9e51f",
+    (3, "1/10"): "1bdb6976d4a84891",
+    (4, "1/10"): "9ef641a28e4a8755",
+}
+
+
+@pytest.mark.parametrize("n, eps", sorted(CLOSED_JSON_SHA256))
+def test_closed_json_bytes_are_pinned(tmp_path, capsys, n, eps):
+    assert run(["--out-dir", tmp_path, "closed", "--n", n, "--eps", eps]) == 0
+    (path,) = tmp_path.glob("closed_*.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CLOSED_JSON_SHA256[n, eps]
+
+
 def test_closed_reports_classification(tmp_path, capsys):
     code = run(
         ["--out-dir", tmp_path, "closed", "--n", "2", "--eps", "0.1",
