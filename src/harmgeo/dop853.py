@@ -26,7 +26,7 @@ import functools
 import linecache
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EPS = 2.0**-52
 SAFETY = 0.9
@@ -153,6 +153,29 @@ class OdeResult:
     nfev: int
     rejected: int
     status: str  # "finished" at the end of the span, "terminated" by an event
+    # the stepping a terminated run stopped, to resume
+    _rest: object = field(default=None, repr=False, compare=False)
+
+    def resume(self) -> OdeResult:
+        """Continue a run that a terminal event stopped, as if it had never
+        stopped: the same steps, roots, samples and right-hand-side calls.
+        Each event's ``terminal`` is read afresh and counts the event's roots
+        from the run's start, so a larger count lets the run go past this
+        stop; the roots after the stop in the step that held it come first.
+
+        The result holds only what the continuation adds.  Its ``t`` starts
+        at the end of the step that held the stop, or at the root it stops
+        on within that step: it replaces this run's last time, so that the
+        two lists joined that way are the unstopped run's.  A result is
+        resumed once; a later one takes the run on.
+        """
+        run, self._rest = self._rest, None
+        if run is None:
+            raise ValueError("the run cannot be resumed: it finished or was resumed")
+        sol = next(run)
+        if sol.status == "terminated":
+            sol._rest = run
+        return sol
 
 
 def _rms(xs) -> float:
@@ -394,7 +417,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     both) and ``terminal`` (a count: the run stops at that occurrence's
     root; 0 or False never stops).  Roots are found on the interpolant with :func:`brentq` at
     ``xtol = rtol = 4 EPS``.  ``samples`` is an ascending sequence of times
-    in [t0, t_bound] at which the state is reported.
+    in [t0, t_bound] at which the state is reported.  A run that an event
+    stopped goes on with :meth:`OdeResult.resume`.
 
     An rtol below 100 EPS is raised to 100 EPS with a warning, as scipy's
     ``solve_ivp`` does: far below it the error estimate is rounding noise,
@@ -423,9 +447,26 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     if len(f) != len(y):
         raise ValueError(f"fun(t0, y0) has {len(f)} components where y0 has {len(y)}")
     _check_finite("fun(t0, y0)", f)
-    step = _stepper(len(y))
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
-    nfev = 2
+    run = _run(fun, t, y, f, h_abs, t_bound, rtol, atol, events, samples)
+    sol = next(run)
+    if sol.status == "terminated":
+        sol._rest = run
+    return sol
+
+
+def _run(fun, t, y, f, h_abs, t_bound, rtol, atol, events, samples):
+    """The stepping of :func:`solve_ivp` from y at t, f = fun(t, y), with
+    first trial step h_abs: a generator of the OdeResult of the run up to
+    each terminal stop and of the rest of it.
+
+    A stop leaves the step that held it here: its end, the interpolant and
+    the roots after the stop.  Resumed, the generator reports those roots
+    and samples first, by each event's terminal count read afresh, and
+    then steps on from the step's end.
+    """
+    step = _stepper(len(y))
+    nfev = 2  # fun(t0, y0) and the initial-step probe
     rejected = 0
 
     directions = [getattr(ev, "direction", 0) for ev in events]
@@ -436,71 +477,79 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     y_events = [[] for _ in events]
     out = []
     n_samples = len(samples)
+    n_out = 0  # samples reported, by this run and the ones it continues
 
     ts = [t]
-    status = None
-    while status is None:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        refused = False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError(f"step size underflow at t = {t!r}")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = h
-            ks, y_new, f_new, err = step(fun, t, y, f, h, rtol, atol)
-            nfev += 12
-            if err < 1.0:
-                factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if refused else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
-            refused = True
-            rejected += 1
-        if t_new == t_bound:
-            status = "finished"
+    roots = []  # (root, event) of the held step not yet reported, by root
+    held = False
+    while True:
+        if not held:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            refused = False
+            while True:
+                if h_abs < min_step:
+                    raise RuntimeError(f"step size underflow at t = {t!r}")
+                t_new = min(t + h_abs, t_bound)
+                h = t_new - t
+                h_abs = h
+                ks, y_new, f_new, err = step(fun, t, y, f, h, rtol, atol)
+                nfev += 12
+                if err < 1.0:
+                    factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if refused else factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                refused = True
+                rejected += 1
 
-        sol = None
-        if events:
-            g_new = [ev(t_new, y_new) for ev in events]
-            active = [
-                i
-                for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-                if (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0)
-            ]
-            g = g_new
-            if active:
-                sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
-                nfev += 3
-                for i in active:
-                    count[i] += 1
-                roots = [
-                    brentq(lambda s, ev=events[i]: ev(s, sol(s)), t, t_new)
-                    for i in active
+            sol = None
+            if events:
+                g_new = [ev(t_new, y_new) for ev in events]
+                active = [
+                    i
+                    for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+                    if (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0)
                 ]
-                if any(count[i] >= max_count[i] for i in active):
-                    # stop at the earliest root whose event reached its count
-                    order = sorted(range(len(active)), key=roots.__getitem__)
-                    active = [active[j] for j in order]
-                    roots = [roots[j] for j in order]
-                    last = next(j for j, i in enumerate(active) if count[i] >= max_count[i])
-                    del active[last + 1:], roots[last + 1:]
-                    status = "terminated"
-                for i, root in zip(active, roots):
-                    t_events[i].append(root)
-                    y_events[i].append(sol(root))
-                if status == "terminated":
-                    t_new = roots[-1]
-                    y_new = sol(t_new)
+                g = g_new
+                if active:
+                    sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
+                    nfev += 3
+                    # ties keep the order of the events
+                    roots = sorted(
+                        (brentq(lambda s, ev=events[i]: ev(s, sol(s)), t, t_new), i)
+                        for i in active
+                    )
 
-        while len(out) < n_samples and samples[len(out)] <= t_new:
+        # report the roots up to the first whose event reaches its count
+        t_end, stopped = t_new, False
+        while roots:
+            root, i = roots.pop(0)
+            count[i] += 1
+            t_events[i].append(root)
+            y_events[i].append(sol(root))
+            if count[i] >= max_count[i]:
+                t_end, stopped = root, True
+                break
+
+        while n_out < n_samples and samples[n_out] <= t_end:
             if sol is None:
                 sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
                 nfev += 3
-            out.append(sol(samples[len(out)]))
+            out.append(sol(samples[n_out]))
+            n_out += 1
 
+        ts.append(t_end)
+        held = stopped
+        if stopped:
+            yield OdeResult(ts, sol(t_end), t_events, y_events, out, nfev, rejected, "terminated")
+            # resumed: the rest of the held step first
+            max_count = [getattr(ev, "terminal", None) or math.inf for ev in events]
+            t_events = [[] for _ in events]
+            y_events = [[] for _ in events]
+            ts, out, nfev, rejected = [], [], 0, 0
+            continue
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-
-    return OdeResult(ts, y, t_events, y_events, out, nfev, rejected, status)
+        if t == t_bound:
+            yield OdeResult(ts, y, t_events, y_events, out, nfev, rejected, "finished")
+            return

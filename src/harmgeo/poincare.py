@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
 from .geodesic import (
-    R_SWAP, _as_array, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate, normalize_speed,
+    R_SWAP, _as_array, _extend, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate,
+    normalize_speed,
 )
 from .surface import PolarSurface
 
@@ -309,13 +310,14 @@ def _budget(k: int) -> float:
     return 40.0 * k + 60.0
 
 
-def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
-    """Integration from a section point through its k-th return, with the
-    tangent flow when ``tangent`` is set."""
+def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12, stop=None):
+    """Integration from a section point with the arc-length budget of k
+    returns, stopped at its k-th return or, given ``stop``, at that one; the
+    tangent flow rides along when ``tangent`` is set."""
     surf = PolarSurface.sectoral(n, eps)
     y0 = equator_state(n, eps, phi, phi_dot)
     return integrate(
-        surf, y0, _budget(k), n_crossings=k, rtol=rtol, atol=atol,
+        surf, y0, _budget(k), n_crossings=stop or k, rtol=rtol, atol=atol,
         renormalize=False,
         tangents=_equator_state_tangents(n, eps, y0) if tangent else None,
     )
@@ -453,25 +455,25 @@ def _refine_seed(n, eps, phi0, max_period):
     """(period, x, residual, monodromy, length) at the first period in
     1..max_period for which Newton from (phi0, 0) converges, or None.
 
-    Period 1 runs its own first pass, so a seed that closes at once pays for
-    one return.  Otherwise one run through max_period returns gives the
-    first pass of every later period: it takes the same steps up to its k-th
-    return as a run that stops there, save for a step that the shorter
-    budget would have clipped.  A k-th return that the run lacks, or that
-    lies beyond the budget of k returns, raises as a run of its own would,
-    and only when period k is tried.
+    One tangent run from the seed, with the budget of max_period returns,
+    gives the first pass of every period: it stops at the first return, so
+    a seed that closes at once pays for one return, and only a period that
+    fails takes it on to the next return, resuming the solver step that
+    held the stop.  Up to its k-th return it takes the steps of a run that
+    stops there, save for a step that the shorter budget would have
+    clipped.  A k-th return that the run lacks, or that lies beyond the
+    budget of k returns, raises as a run of its own would, and only when
+    period k is tried.  A run that fails on its way from return k - 1 to
+    return k leaves period k and every later one to a run of its own.
     """
     x0 = (phi0, 0.0)
-    res = _newton_fixed_point(n, eps, x0, 1)
-    if res is not None:
-        return (1, *res)
-    run = None
-    if max_period > 1:
-        try:
-            run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True)
-        except RuntimeError:  # a failure past some return: each period runs alone
-            pass
-    for k in range(2, max_period + 1):
+    run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, stop=1)
+    for k in range(1, max_period + 1):
+        if run is not None and k > 1:
+            try:
+                run = _extend(run, k)
+            except RuntimeError:
+                run = None
         first = None if run is None else _return_of(run, k)
         res = _newton_fixed_point(n, eps, x0, k, first=first)
         if res is not None:

@@ -503,6 +503,44 @@ def test_closed_search_rejects_invalid_arguments(args, kwargs):
         find_closed_geodesics(*args, **kwargs)
 
 
+def _parallel_curvature(eps, alpha):
+    """Gaussian curvature of r = 1 + eps*cos(alpha), a surface of
+    revolution about the x axis, on its parallel at polar angle alpha from
+    that axis: the profile rho = r sin(alpha) from the axis and X = r
+    cos(alpha) along it give K = X'(rho' X'' - rho'' X') / (rho (rho'^2 +
+    X'^2)^2)."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    r, r1, r2 = 1.0 + eps * c, -eps * s, -eps * c
+    rho, rho1, rho2 = r * s, r1 * s + r * c, r2 * s + 2 * r1 * c - r * s
+    x1, x2 = r1 * c - r * s, r2 * c - 2 * r1 * s - r * c
+    return x1 * (rho1 * x2 - rho2 * x1) / (rho * (rho1 * rho1 + x1 * x1) ** 2)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.3])
+def test_n1_closed_orbits_have_closed_forms(eps):
+    """Sectoral n = 1 is r = 1 + eps*x, a surface of revolution about the x
+    axis.  Its perpendicular orbit is the parallel where the distance rho
+    = r sin(alpha) from the axis is stationary, 2 eps c^2 + c - eps = 0 for
+    c = cos(alpha); it crosses the section at phi = alpha and 2 pi - alpha,
+    has length 2 pi rho, and its Jacobi equation w'' + K w = 0 has constant
+    K, so tr M = 2 cos(sqrt(K) L).  The planar orbits are meridians, whose
+    neighbours close too: tr M = 2."""
+    found = find_closed_geodesics(1, eps)
+    assert [(g.family, g.crossings) for g in found] == [
+        ("planar", 1), ("planar", 1), ("perpendicular", 1), ("perpendicular", 1)
+    ]
+    c = (math.sqrt(1.0 + 8.0 * eps * eps) - 1.0) / (4.0 * eps)
+    alpha = math.acos(c)
+    length = TWO_PI * (1.0 + eps * c) * math.sin(alpha)
+    trace = 2.0 * math.cos(math.sqrt(_parallel_curvature(eps, alpha)) * length)
+    for g, phi in zip(found[2:], (alpha, TWO_PI - alpha)):
+        assert abs(g.phi - phi) <= 1e-9
+        assert abs(g.length - length) <= 1e-9
+        assert abs(g.trace - trace) <= 1e-9
+    for g in found[:2]:
+        assert abs(g.trace - 2.0) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def closed_orbits():
     return {n: find_closed_geodesics(n, 0.1) for n in (2, 3)}
@@ -611,17 +649,25 @@ def _orbit_fields(found):
 
 
 @pytest.fixture
-def integrate_calls(monkeypatch):
-    """The keyword arguments of every integrate call the search makes."""
-    calls = []
-    integrate = poincare.integrate
+def runs(monkeypatch):
+    """(how, n_crossings, stepper calls it made) of every integrate call and
+    every run extension the search makes."""
+    made = []
+    integrate, extend = poincare.integrate, poincare._extend
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return integrate(*args, **kwargs)
+    def integrated(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        made.append(("integrate", kwargs["n_crossings"], traj.nfev))
+        return traj
 
-    monkeypatch.setattr(poincare, "integrate", counted)
-    return calls
+    def extended(traj, k):
+        out = extend(traj, k)
+        made.append(("extend", k, out.nfev - traj.nfev))
+        return out
+
+    monkeypatch.setattr(poincare, "integrate", integrated)
+    monkeypatch.setattr(poincare, "_extend", extended)
+    return made
 
 
 @pytest.mark.parametrize("n, eps", [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1)])
@@ -635,17 +681,29 @@ def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
     assert _orbit_fields(shared) == _orbit_fields(alone)
 
 
-def test_shared_first_pass_saves_integrations(monkeypatch, integrate_calls):
+def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     """On sectoral(2, 0.1) the two planar classes close on their first pass
-    and the perpendicular class fails at periods 1-4 on its first pass: four
-    runs where one run per period made six."""
+    and the perpendicular class fails at periods 1-4 on its first pass: one
+    run per class, the perpendicular one extended return by return, where
+    one run per period made six.  The stepper's calls are those of the
+    planar runs and of one perpendicular run through 4 returns: 901 fewer
+    than a search that also runs the perpendicular first return alone."""
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         find_closed_geodesics(2, 0.1)
-    assert len(integrate_calls) == 6
-    integrate_calls.clear()
+    assert [(how, k) for how, k, _ in runs] == [("integrate", k) for k in (1, 1, 1, 2, 3, 4)]
+    alone = [nfev for _, _, nfev in runs]
+    assert sum(alone) == 11076
+    assert alone[0] + alone[1] + alone[2] + alone[5] == 6241 and alone[2] == 901
+    runs.clear()
     find_closed_geodesics(2, 0.1)
-    assert [c["n_crossings"] for c in integrate_calls] == [1, 1, 1, 4]
+    assert [(how, k) for how, k, _ in runs] == [
+        ("integrate", 1), ("integrate", 1), ("integrate", 1),
+        ("extend", 2), ("extend", 3), ("extend", 4),
+    ]
+    shared = [nfev for _, _, nfev in runs]
+    assert shared[:3] == alone[:3]
+    assert sum(shared) == alone[0] + alone[1] + alone[5] == 5340
 
 
 def _periods_tried(monkeypatch):
@@ -663,7 +721,7 @@ def _periods_tried(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["run ends", "beyond budget"])
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     """A k-th return that the shared run lacks, or that lies beyond the
     budget 40k + 60 of k returns, raises the RuntimeError of a run of its
@@ -673,11 +731,11 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     from harmgeo.cli import main
 
     n, eps = 2, 0.1
-    integrate = poincare.integrate
+    rep = 0.5 * math.pi / n  # the perpendicular class
+    integrate, extend = poincare.integrate, poincare._extend
 
-    def clipped(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        if kwargs["n_crossings"] < 4:
+    def clipped(traj):
+        if len(traj.crossings) != k:
             return traj
         crossings, jacs = traj.crossings.copy(), traj.crossing_jacobians
         if case == "run ends":
@@ -686,15 +744,19 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
             crossings[k - 1, 0] = 40.0 * k + 60.0 + 1e-9
         return dataclasses.replace(traj, crossings=crossings, crossing_jacobians=jacs)
 
-    monkeypatch.setattr(poincare, "integrate", clipped)
+    def integrated(surf, y0, *args, **kwargs):
+        traj = integrate(surf, y0, *args, **kwargs)
+        return clipped(traj) if y0[1] == rep else traj
+
+    monkeypatch.setattr(poincare, "integrate", integrated)
+    monkeypatch.setattr(poincare, "_extend", lambda traj, k: clipped(extend(traj, k)))
     tried = _periods_tried(monkeypatch)
     with pytest.raises(RuntimeError, match=f"no {k}-th return within the arc-length budget"):
         find_closed_geodesics(n, eps)
-    rep = 0.5 * math.pi / n  # the perpendicular class
     perpendicular = tried[2:]  # after the two planar classes, closed at period 1
     assert [(p, ok) for p, _, ok in tried[:2]] == [(1, True), (1, True)]
     assert [(p, ok) for p, _, ok in perpendicular] == [(p, False) for p in range(1, k)]
-    for p, first, _ in perpendicular[1:]:
+    for p, first, _ in perpendicular:
         alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True)
         assert first[:3] == alone[:3] and np.array_equal(first[3], alone[3])
     assert main(["--out-dir", str(tmp_path), "closed", "--n", str(n), "--eps", "1/10"]) == 2
@@ -702,21 +764,26 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
 
 
 def test_failed_shared_run_falls_back_to_runs_per_period(monkeypatch):
-    """A shared run that fails past some return leaves every period to a run
-    of its own, which gives the same orbits."""
-    integrate = poincare.integrate
+    """A shared run that fails on its way to some return leaves that period
+    and every later one to a run of its own, which gives the same orbits."""
+    extend = poincare._extend
     failed = []
 
-    def failing(*args, **kwargs):
-        if kwargs["n_crossings"] == 3 and not failed:
+    def failing(traj, k):
+        if k == 3 and not failed:
             failed.append(True)
             raise RuntimeError("chart rotation failed to leave the pole")
-        return integrate(*args, **kwargs)
+        return extend(traj, k)
 
-    monkeypatch.setattr(poincare, "integrate", failing)
+    monkeypatch.setattr(poincare, "_extend", failing)
+    tried = _periods_tried(monkeypatch)
     found = find_closed_geodesics(2, 0.3, max_period=3)
-    monkeypatch.setattr(poincare, "integrate", integrate)
+    monkeypatch.undo()
     assert failed
+    # the perpendicular class closes at period 3, from a first pass of its own
+    assert [(p, first is None, ok) for p, first, ok in tried[2:]] == [
+        (1, False, False), (2, False, False), (3, True, True)
+    ]
     assert _orbit_fields(found) == _orbit_fields(find_closed_geodesics(2, 0.3, max_period=3))
 
 
