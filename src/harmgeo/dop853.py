@@ -481,9 +481,9 @@ def _run(fun, t, y, f, h_abs, t_bound, rtol, atol, events, samples):
 
     ts = [t]
     roots = []  # (root, event) of the held step not yet reported, by root
-    held = False
+    stopped = False  # at a root of the held step
     while True:
-        if not held:
+        if not stopped:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
             refused = False
@@ -540,7 +540,6 @@ def _run(fun, t, y, f, h_abs, t_bound, rtol, atol, events, samples):
             n_out += 1
 
         ts.append(t_end)
-        held = stopped
         if stopped:
             yield OdeResult(ts, sol(t_end), t_events, y_events, out, nfev, rejected, "terminated")
             # resumed: the rest of the held step first
