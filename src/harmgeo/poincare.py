@@ -416,25 +416,48 @@ def _mat2_power(a, n):
         a = _mat2_mul(a, a)
 
 
-def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None):
+# Screening tolerance (rtol = atol) of the Newton passes of periods >= 2.
+# A pass far from a fixed point only decides a step or a rejection, and
+# DOP853 takes about rtol**(-1/8) steps, so a 1e-8 pass costs about 3.2x
+# fewer than a 1e-12 one.
+_SCREEN_TOL = 1e-8
+# A screened Newton hands over to 1e-12 passes once both residual
+# components fall below this: 100x above the screening tolerance, so the
+# coarse residual that triggers it is not integration noise.
+_HANDOVER = 1e-6
+
+
+def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=1e-12):
     """Newton iteration for a period-k point of the return map.
 
-    Each step is one integration with the tangent flow, giving the residual
-    and the exact Jacobian together; ``first``, the k-th return of x0 as
-    :func:`_kth_return` gives it, replaces the first integration.  Returns
-    (x, residual, monodromy, length) from the converged pass, or None; x is
-    a pair of floats and the monodromy a 2x2 list of rows.
+    Each step is one integration with the tangent flow at rtol = atol =
+    ``rtol``, giving the residual and the exact Jacobian together;
+    ``first``, the k-th return of x0 as :func:`_kth_return` gives it at that
+    tolerance, replaces the first integration.  Passes coarser than 1e-12
+    screen: they only step or reject, and once both residual components
+    fall below _HANDOVER the same point is evaluated again at 1e-12 and
+    Newton goes on at that tolerance.  So only a 1e-12 pass can converge,
+    and every result comes from one.  A step above 0.5 or a singular
+    Jacobian gives up at any tolerance.  Returns (x, residual, monodromy, length) from the converged
+    pass, or None; x is a pair of floats and the monodromy a 2x2 list of
+    rows.
     """
     phi, phi_dot = (float(v) for v in x0)
     for _ in range(max_iter):
         if first is None:
-            ph, pd, length, jac = _kth_return(n, eps, phi, phi_dot, k, tangent=True)
+            ph, pd, length, jac = _kth_return(
+                n, eps, phi, phi_dot, k, tangent=True, rtol=rtol, atol=rtol
+            )
         else:
             (ph, pd, length, jac), first = first, None
         f0, f1 = _wrap(ph - phi), pd - phi_dot
         # each compared alone: a NaN residual is never converged
-        if abs(f0) < tol and abs(f1) < tol:
-            return (phi, phi_dot), max(abs(f0), abs(f1)), jac, length
+        if rtol == 1e-12:
+            if abs(f0) < tol and abs(f1) < tol:
+                return (phi, phi_dot), max(abs(f0), abs(f1)), jac, length
+        elif abs(f0) < _HANDOVER and abs(f1) < _HANDOVER:
+            rtol = 1e-12
+            continue
         (j00, j01), (j10, j11) = jac
         step = _solve2(((j00 - 1.0, j01), (j10, j11 - 1.0)), (-f0, -f1))
         if step is None:
@@ -455,27 +478,40 @@ def _refine_seed(n, eps, phi0, max_period):
     """(period, x, residual, monodromy, length) at the first period in
     1..max_period for which Newton from (phi0, 0) converges, or None.
 
-    One tangent run from the seed, with the budget of max_period returns,
-    gives the first pass of every period: it stops at the first return, so
-    a seed that closes at once pays for one return, and only a period that
-    fails takes it on to the next return, resuming the solver step that
-    held the stop.  Up to its k-th return it takes the steps of a run that
-    stops there, save for a step that the shorter budget would have
-    clipped.  A k-th return that the run lacks, or that lies beyond the
-    budget of k returns, raises as a run of its own would, and only when
-    period k is tried.  A run that fails on its way from return k - 1 to
-    return k leaves period k and every later one to a run of its own.
+    Period 1 runs at 1e-12 throughout: its first pass is a tangent run from
+    the seed with the budget of max_period returns, stopped at the first
+    return, so a seed that closes at once pays for one fine return and its
+    orbit is that of an all-fine search, bit for bit.  When period 1 fails,
+    one tangent run from the seed at the screening tolerance, with the same
+    budget, gives the first pass of periods 2..max_period: it stops at
+    return 2, and only a period that fails takes it on to the next return,
+    resuming the solver step that held the stop.  Those Newtons screen (see
+    :func:`_newton_fixed_point`), so their orbits come from 1e-12 passes too.
+    Up to its k-th return the run takes the steps of a run that stops there,
+    save for a step that the shorter budget would have clipped.  A k-th
+    return that a run lacks, or that lies beyond the budget of k returns,
+    raises as a run of its own would, and only when period k is tried.  A
+    screening run that fails on its way to return k leaves period k and
+    every later one to a run of its own at the screening tolerance.
     """
     x0 = (phi0, 0.0)
     run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, stop=1)
-    for k in range(1, max_period + 1):
-        if run is not None and k > 1:
-            try:
+    res = _newton_fixed_point(n, eps, x0, 1, first=_return_of(run, 1))
+    if res is not None:
+        return (1, *res)
+    for k in range(2, max_period + 1):
+        try:
+            if k == 2:
+                run = _section_run(
+                    n, eps, phi0, 0.0, max_period, tangent=True, rtol=_SCREEN_TOL,
+                    atol=_SCREEN_TOL, stop=2,
+                )
+            elif run is not None:
                 run = _extend(run, k)
-            except RuntimeError:
-                run = None
+        except RuntimeError:
+            run = None
         first = None if run is None else _return_of(run, k)
-        res = _newton_fixed_point(n, eps, x0, k, first=first)
+        res = _newton_fixed_point(n, eps, x0, k, first=first, rtol=_SCREEN_TOL)
         if res is not None:
             return (k, *res)
     return None
@@ -498,6 +534,11 @@ def find_closed_geodesics(
     periods 1..max_period until Newton converges; every other seed's result
     is the class result mapped by its group element.  Seeds keep their
     order, and a result equal to an earlier one to 6 decimals is dropped.
+
+    Period 1 runs at rtol 1e-12 throughout.  Periods >= 2 screen at rtol
+    1e-8 and confirm at 1e-12 (see :func:`_refine_seed`), so every reported
+    residual, monodromy and length comes from a 1e-12 pass, and orbits of
+    period >= 2 agree with an all-fine search to within 1e-8.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")

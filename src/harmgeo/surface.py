@@ -90,21 +90,53 @@ def assoc_legendre_max(l: int, m: int) -> float:
     interior zero of its derivative's factor -m x Q + (1-x^2) Q'.  Each real
     zero in (-1, 1] of that exact polynomial is isolated in a rational
     interval by a Sturm sequence (:meth:`Poly.real_roots`), then narrowed by
-    bisection on floats to about their spacing, the sign of its square-free
-    part at each float decided exactly.
+    bisection on floats to about their spacing.  The sign of its square-free
+    part at each float is read from a float Horner value where a rigorous
+    rounding bound settles it, and decided exactly where the bound
+    straddles zero, so every sign is the exact one.
     """
     from .algebra import Poly
 
     q = Poly(_legendre_q_exact(l, m))
     x = Poly([0, 1])
     crit = (-m * x * q + (1 - x * x) * q.derivative()).squarefree()
+    coeffs = [float(c) for c in reversed(crit.coeffs)]
+    # the same coefficients times their common denominator, as integers
+    den = math.lcm(*(c.denominator for c in crit.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(crit.coeffs)]
+    # Horner on the rounded coefficients at a float |x| <= 1 is within
+    # (gamma_2d + u/(1-u)) sum |c_k| |x|^k of the exact value, u = 2^-53
+    # and d the degree (Higham, *Accuracy and Stability of Numerical
+    # Algorithms*, 2nd ed., sec. 5.1, with the coefficients' own rounding);
+    # the sum's Horner value s is within gamma_2d of it.  4 (d + 1) u s is
+    # more than twice that, which covers the bound's own rounding, and
+    # (d + 1) 2^-1074 covers the products that underflow.
+    scale = 4.0 * len(coeffs) * 2.0**-53
+    tiny = len(coeffs) * 2.0**-1074
+
+    def positive(t: float) -> bool:
+        v = s = 0.0
+        for c in coeffs:
+            v = v * t + c
+            s = s * abs(t) + abs(c)
+        bound = scale * s + tiny
+        if abs(v) > bound:
+            return v > 0.0
+        # exactly: t = p/q, and q^d crit(t) = sum c_k p^k q^(d-k) times 1/den
+        p, q = t.as_integer_ratio()
+        h, w = 0, 1
+        for c in ints:
+            h = h * p + c * w
+            w *= q
+        return h > 0
+
     top = 0.0
     for lo, hi in crit.real_roots(-1, 1):
         at_hi = crit(hi)  # zero when hi is the root itself
         a, b = float(hi if at_hi == 0 else lo), float(hi)
         while b - a > 2**-52:  # the floats a < root <= b, signs decided exactly
             mid = 0.5 * (a + b)
-            if (crit(Fraction(mid)) > 0) == (at_hi > 0):
+            if positive(mid) == (at_hi > 0):
                 b = mid
             else:
                 a = mid

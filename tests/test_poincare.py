@@ -541,6 +541,24 @@ def test_n1_closed_orbits_have_closed_forms(eps):
         assert abs(g.trace - 2.0) <= 1e-9
 
 
+@pytest.mark.parametrize("eps, bound", [(0.1, 2e-8), (0.3, 6e-9)])
+def test_n1_section_keeps_the_clairaut_integral(eps, bound):
+    """Sectoral n = 1 is a surface of revolution about the x axis, so each
+    trajectory keeps L_x, which on the equator is -r^2 theta_dot sin(phi)
+    with r = 1 + eps cos(phi).  Over 5 trajectories of 50 crossings at seed
+    3 and rtol 1e-10 its spread along a trajectory, the start included,
+    measured 1.2e-8 at eps 0.1 and 3.0e-9 at eps 0.3."""
+    sec = generate_section(1, eps, n_traj=5, n_crossings=50, seed=3, rtol=1e-10, atol=1e-10)
+    assert not sec.failures
+    for start, rows in zip(sec.initials, sec._trajectories):
+        assert len(rows) == 50
+        values = []
+        for phi, phi_dot in [start, *((ph, pd) for _, ph, pd in rows)]:
+            theta_dot = equator_state(1, eps, phi, phi_dot)[2]
+            values.append(-((1.0 + eps * math.cos(phi)) ** 2) * theta_dot * math.sin(phi))
+        assert max(values) - min(values) <= bound
+
+
 @pytest.fixture(scope="module")
 def closed_orbits():
     return {n: find_closed_geodesics(n, 0.1) for n in (2, 3)}
@@ -632,7 +650,8 @@ def test_period_three_perpendicular_orbits():
 
 
 def _refine_seed_per_period(n, eps, phi0, max_period):
-    """The seed refinement with one first pass of its own per period."""
+    """The seed refinement with one first pass of its own per period and
+    every pass at 1e-12: the all-fine reference."""
     for k in range(1, max_period + 1):
         res = poincare._newton_fixed_point(n, eps, (phi0, 0.0), k)
         if res is not None:
@@ -650,19 +669,22 @@ def _orbit_fields(found):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """(how, n_crossings, stepper calls it made) of every integrate call and
-    every run extension the search makes."""
+    """(how, n_crossings, rtol, stepper calls it made) of every integrate
+    call and every run extension the search makes."""
     made = []
     integrate, extend = poincare.integrate, poincare._extend
+    tols = {}
 
     def integrated(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        made.append(("integrate", kwargs["n_crossings"], traj.nfev))
+        tols[id(traj)] = kwargs["rtol"]
+        made.append(("integrate", kwargs["n_crossings"], kwargs["rtol"], traj.nfev))
         return traj
 
     def extended(traj, k):
         out = extend(traj, k)
-        made.append(("extend", k, out.nfev - traj.nfev))
+        tols[id(out)] = tols[id(traj)]
+        made.append(("extend", k, tols[id(traj)], out.nfev - traj.nfev))
         return out
 
     monkeypatch.setattr(poincare, "integrate", integrated)
@@ -670,40 +692,102 @@ def runs(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("n, eps", [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1)])
+@pytest.mark.parametrize(
+    "n, eps",
+    [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1), (2, 0.2), (3, 0.3), (4, 0.1), (5, 0.2), (6, 0.1)],
+)
 def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
-    """One run through max_period returns gives the same first pass of
-    every period as a run of its own, so the orbits are bit-identical."""
+    """The shared fine first return, and the shared screening run with its
+    screened Newtons, give the orbits of a search with one first pass per
+    period and every pass at 1e-12: period-1 orbits bit for bit, later ones
+    within 1e-8.  The period-3 orbits at (2, 0.3) and the period-4 pair at
+    (2, 0.2), where tr M = 1.994, come through the hand-over; at (4, 0.1)
+    a period-4 Newton wanders and fails on both sides."""
     shared = find_closed_geodesics(n, eps)
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         alone = find_closed_geodesics(n, eps)
-    assert _orbit_fields(shared) == _orbit_fields(alone)
+    assert [(g.family, g.crossings, g.classification) for g in shared] == [
+        (g.family, g.crossings, g.classification) for g in alone
+    ]
+    for g, h in zip(shared, alone):
+        if g.crossings == 1:
+            assert _orbit_fields([g]) == _orbit_fields([h])
+        else:
+            assert abs(poincare._wrap(g.phi - h.phi)) <= 1e-8
+            assert abs(g.phi_dot - h.phi_dot) <= 1e-8
+            assert abs(g.length - h.length) <= 1e-8
+
+
+@pytest.mark.parametrize("n, eps, periods", [(2, 0.2, {1, 4}), (2, 0.3, {1, 3}), (3, 0.1, {1})])
+def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
+    """Every class result's residual, monodromy and length are those of a
+    fresh 1e-12 tangent run from its point, bit for bit, whatever period
+    it closed at; each reported orbit carries its class result's."""
+    refined = []
+    refine = poincare._refine_seed
+
+    def spied(*args):
+        res = refine(*args)
+        refined.append(res)
+        return res
+
+    monkeypatch.setattr(poincare, "_refine_seed", spied)
+    found = find_closed_geodesics(n, eps)
+    results = [res for res in refined if res is not None]
+    assert {k for k, *_ in results} == periods
+    for k, (phi, phi_dot), residual, mono, length in results:
+        ph, pd, s, jac = poincare._kth_return(n, eps, phi, phi_dot, k, tangent=True)
+        assert residual == max(abs(poincare._wrap(ph - phi)), abs(pd - phi_dot))
+        assert residual < 1e-10
+        assert (s, jac) == (length, mono)
+    for g in found:
+        assert (g.crossings, g.residual, g.length, g._monodromy) in [
+            (k, residual, length, mono) for k, _, residual, mono, length in results
+        ]
 
 
 def test_shared_first_pass_saves_integrations(monkeypatch, runs):
-    """On sectoral(2, 0.1) the two planar classes close on their first pass
-    and the perpendicular class fails at periods 1-4 on its first pass: one
-    run per class, the perpendicular one extended return by return, where
-    one run per period made six.  The stepper's calls are those of the
-    planar runs and of one perpendicular run through 4 returns: 901 fewer
-    than a search that also runs the perpendicular first return alone."""
+    """On sectoral(2, 0.1) the two planar classes close on their first
+    pass, and the perpendicular class fails at periods 1-4 on its first
+    pass.  One fine run per class gives the first returns; the
+    perpendicular class then makes one screening run to return 2 at rtol
+    1e-8, extended return by return, where the all-fine shared run took
+    its one fine run through returns 2-4 and one run per period made six.
+    The stepper's calls: 11,076 per period, 5,340 all-fine shared, 3,889
+    screened."""
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         find_closed_geodesics(2, 0.1)
-    assert [(how, k) for how, k, _ in runs] == [("integrate", k) for k in (1, 1, 1, 2, 3, 4)]
-    alone = [nfev for _, _, nfev in runs]
+    assert [(how, k, tol) for how, k, tol, _ in runs] == [
+        ("integrate", k, 1e-12) for k in (1, 1, 1, 2, 3, 4)
+    ]
+    alone = [nfev for *_, nfev in runs]
     assert sum(alone) == 11076
-    assert alone[0] + alone[1] + alone[2] + alone[5] == 6241 and alone[2] == 901
+    assert alone[0] + alone[1] + alone[5] == 5340 and alone[2] == 901
     runs.clear()
     find_closed_geodesics(2, 0.1)
-    assert [(how, k) for how, k, _ in runs] == [
-        ("integrate", 1), ("integrate", 1), ("integrate", 1),
-        ("extend", 2), ("extend", 3), ("extend", 4),
+    assert [(how, k, tol) for how, k, tol, _ in runs] == [
+        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 1, 1e-12),
+        ("integrate", 2, 1e-8), ("extend", 3, 1e-8), ("extend", 4, 1e-8),
     ]
-    shared = [nfev for _, _, nfev in runs]
+    shared = [nfev for *_, nfev in runs]
     assert shared[:3] == alone[:3]
-    assert sum(shared) == alone[0] + alone[1] + alone[5] == 5340
+    # the perpendicular class: a fine first return (901 calls) and the
+    # screening run to returns 2, 3 and 4 (1,750), where the all-fine
+    # shared run through returns 1-4 took 4,102
+    assert alone[5] == 4102 and shared[3:] == [832, 471, 447]
+    assert sum(shared) == alone[0] + alone[1] + alone[2] + 1750 == 3889
+
+
+def test_screened_search_rhs_calls(runs):
+    """find_closed_geodesics(4, 0.1): the two planar classes close at
+    period 1 and the perpendicular class fails every period, its period-4
+    Newton wandering for 8 passes, all screened; the all-fine shared
+    search made 51,572 stepper calls."""
+    found = find_closed_geodesics(4, 0.1)
+    assert [g.crossings for g in found] == [1] * 8
+    assert sum(nfev for *_, nfev in runs) == 21801
 
 
 def _periods_tried(monkeypatch):
@@ -723,9 +807,11 @@ def _periods_tried(monkeypatch):
 @pytest.mark.parametrize("case", ["run ends", "beyond budget"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
-    """A k-th return that the shared run lacks, or that lies beyond the
-    budget 40k + 60 of k returns, raises the RuntimeError of a run of its
-    own, and only once period k is tried; periods below k are unchanged."""
+    """A k-th return that the fine first run (k = 1) or the screening run
+    (k >= 2) lacks, or that lies beyond the budget 40k + 60 of k returns,
+    raises the RuntimeError of a run of its own, and only once period k is
+    tried; periods below k are unchanged, and each first pass is that of a
+    run of its own at its tolerance: 1e-12 for period 1, 1e-8 after."""
     import dataclasses
 
     from harmgeo.cli import main
@@ -757,15 +843,17 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     assert [(p, ok) for p, _, ok in tried[:2]] == [(1, True), (1, True)]
     assert [(p, ok) for p, _, ok in perpendicular] == [(p, False) for p in range(1, k)]
     for p, first, _ in perpendicular:
-        alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True)
+        tol = 1e-12 if p == 1 else 1e-8
+        alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True, rtol=tol, atol=tol)
         assert first[:3] == alone[:3] and np.array_equal(first[3], alone[3])
     assert main(["--out-dir", str(tmp_path), "closed", "--n", str(n), "--eps", "1/10"]) == 2
     assert f"no {k}-th return" in capsys.readouterr().err
 
 
 def test_failed_shared_run_falls_back_to_runs_per_period(monkeypatch):
-    """A shared run that fails on its way to some return leaves that period
-    and every later one to a run of its own, which gives the same orbits."""
+    """A screening run that fails on its way to some return leaves that
+    period and every later one to a run of its own, which gives the same
+    orbits."""
     extend = poincare._extend
     failed = []
 

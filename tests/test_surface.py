@@ -785,6 +785,42 @@ def test_assoc_legendre_max(l, m):
         assert math.isclose(top, math.prod(range(1, 2 * l, 2)), rel_tol=1e-12)
 
 
+def _assoc_legendre_max_exact(l, m):
+    """assoc_legendre_max with every bisection sign decided exactly, by
+    evaluating the square-free critical polynomial at the Fraction of each
+    float: the reference for the float-Horner signs."""
+    from fractions import Fraction
+
+    from harmgeo.algebra import Poly
+    from harmgeo.surface import _legendre_q_exact
+
+    q = Poly(_legendre_q_exact(l, m))
+    x = Poly([0, 1])
+    crit = (-m * x * q + (1 - x * x) * q.derivative()).squarefree()
+    top = 0.0
+    for lo, hi in crit.real_roots(-1, 1):
+        at_hi = crit(hi)
+        a, b = float(hi if at_hi == 0 else lo), float(hi)
+        while b - a > 2**-52:
+            mid = 0.5 * (a + b)
+            if (crit(Fraction(mid)) > 0) == (at_hi > 0):
+                b = mid
+            else:
+                a = mid
+        top = max(top, abs(assoc_legendre(l, m, b)))
+    return top
+
+
+@pytest.mark.parametrize(
+    "l, m",
+    [(l, m) for l in range(1, 13) for m in range(1, l + 1)] + [(30, 1), (30, 15), (30, 30)],
+)
+def test_assoc_legendre_max_float_signs_are_exact(l, m):
+    """Signs read from float Horner under its rounding bound, exact only
+    where the bound straddles zero, are the exact signs: the same float."""
+    assert assoc_legendre_max(l, m) == _assoc_legendre_max_exact(l, m)
+
+
 def test_kernel_names_read_by_benchmark():
     """The benchmark reports ``kernels.BACKEND`` and times
     ``kernels.sectoral_rhs`` on its own; it must stay the surface RHS."""
