@@ -66,13 +66,6 @@ def _equator_partials(n: int, eps: Fraction) -> tuple[Poly, Poly, Poly, Poly, Po
     return r, rp2, Poly([0, -nn]), Poly([0, -n]), r * r + rp2
 
 
-def _equator_curvature(n: int, eps) -> RatFunc:
-    """Exact Gaussian curvature K(z) on the equator.  There r_theta =
-    r_thetaphi = 0, so K = (r_thth - r)(r r_phph - r^2 - 2 r_ph^2)/(r G^2)."""
-    r, rp2, rpp, rtt, g = _equator_partials(n, Fraction(eps))
-    return RatFunc((rtt - r) * (r * rpp - r * r - 2 * rp2), r * g * g)
-
-
 def nve_poles(n: int, eps: Fraction) -> list:
     """Exact singular points of the standard-form equation."""
     eps = Fraction(eps)
@@ -126,6 +119,8 @@ def equatorial_nve(n: int, eps) -> NVEData:
     den = 2 * rad * rp2 * gpp
     dlog = rp2.derivative() * gpp - rp2 * gpp.derivative()  # 2 rp2 G * p_w
     p_num = rad * dlog + 4 * rp2 * gpp
+    # 2 r G^2 K + dlog: on the equator r_theta = r_thetaphi = 0, so the
+    # curvature is K = (r_thth - r)(r r_phph - r^2 - 2 r_ph^2)/(r G^2)
     q_num = 2 * (rtt - rad) * (rad * rpp - rad * rad - 2 * rp2) + dlog
     # r = -q + p^2/4 + p'/2 over 4 den^2
     r_num = (

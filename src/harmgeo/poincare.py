@@ -416,7 +416,8 @@ def _mat2_power(a, n):
         a = _mat2_mul(a, a)
 
 
-# Screening tolerance (rtol = atol) of the Newton passes of periods >= 2.
+# Screening tolerance (rtol = atol) of the Newton passes of the
+# perpendicular class, and of periods >= 2 of the planar ones.
 # A pass far from a fixed point only decides a step or a rejection, and
 # DOP853 takes about rtol**(-1/8) steps, so a 1e-8 pass costs about 3.2x
 # fewer than a 1e-12 one.
@@ -434,13 +435,16 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
     ``rtol``, giving the residual and the exact Jacobian together;
     ``first``, the k-th return of x0 as :func:`_kth_return` gives it at that
     tolerance, replaces the first integration.  Passes coarser than 1e-12
-    screen: they only step or reject, and once both residual components
-    fall below _HANDOVER the same point is evaluated again at 1e-12 and
-    Newton goes on at that tolerance.  So only a 1e-12 pass can converge,
-    and every result comes from one.  A step above 0.5 or a singular
-    Jacobian gives up at any tolerance.  Returns (x, residual, monodromy, length) from the converged
-    pass, or None; x is a pair of floats and the monodromy a 2x2 list of
-    rows.
+    (every period of the perpendicular class, periods >= 2 of the planar
+    ones) screen: they only step or reject, and once both residual
+    components fall below _HANDOVER the same point is evaluated again at
+    1e-12 and Newton goes on at that tolerance.  So only a 1e-12 pass can
+    converge, and every result comes from one.  A step above 0.5 or a
+    singular Jacobian gives up at any tolerance: on the round sphere, where
+    M = I, a seed closes only if its first residual passes the convergence
+    test, or the hand-over when screened.  Returns (x, residual,
+    monodromy, length) from the converged pass, or None; x is a pair of
+    floats and the monodromy a 2x2 list of rows.
     """
     phi, phi_dot = (float(v) for v in x0)
     for _ in range(max_iter):
@@ -474,37 +478,42 @@ def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     return _as_array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], (2,))
 
 
-def _refine_seed(n, eps, phi0, max_period):
+def _refine_seed(n, eps, phi0, max_period, screened):
     """(period, x, residual, monodromy, length) at the first period in
     1..max_period for which Newton from (phi0, 0) converges, or None.
 
-    Period 1 runs at 1e-12 throughout: its first pass is a tangent run from
-    the seed with the budget of max_period returns, stopped at the first
-    return, so a seed that closes at once pays for one fine return and its
-    orbit is that of an all-fine search, bit for bit.  When period 1 fails,
-    one tangent run from the seed at the screening tolerance, with the same
-    budget, gives the first pass of periods 2..max_period: it stops at
-    return 2, and only a period that fails takes it on to the next return,
-    resuming the solver step that held the stop.  Those Newtons screen (see
-    :func:`_newton_fixed_point`), so their orbits come from 1e-12 passes too.
-    Up to its k-th return the run takes the steps of a run that stops there,
-    save for a step that the shorter budget would have clipped.  A k-th
-    return that a run lacks, or that lies beyond the budget of k returns,
-    raises as a run of its own would, and only when period k is tried.  A
-    screening run that fails on its way to return k leaves period k and
-    every later one to a run of its own at the screening tolerance.
+    An unscreened seed (the planar classes, which lie on a mirror plane and
+    close at once) runs period 1 at 1e-12 throughout: its first pass is a
+    tangent run from the seed with the budget of max_period returns, stopped
+    at the first return, so it pays for one fine return and its orbit is
+    that of an all-fine search, bit for bit.  A ``screened`` seed, and an
+    unscreened one that fails period 1, take the first passes of their
+    remaining periods from one tangent run from the seed at the screening
+    tolerance, with the same budget: it stops at the first period tried,
+    and only a period that fails takes it on to the next return, resuming
+    the solver step that held the stop.  Those Newtons screen (see
+    :func:`_newton_fixed_point`), so their orbits come from 1e-12 passes
+    too.  Up to its k-th return the run takes the steps of a run that stops
+    there, save for a step that the shorter budget would have clipped.  A
+    k-th return that a run lacks, or that lies beyond the budget of k
+    returns, raises as a run of its own would, and only when period k is
+    tried.  A screening run that fails on its way to return k leaves period
+    k and every later one to a run of its own at the screening tolerance.
     """
     x0 = (phi0, 0.0)
-    run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, stop=1)
-    res = _newton_fixed_point(n, eps, x0, 1, first=_return_of(run, 1))
-    if res is not None:
-        return (1, *res)
-    for k in range(2, max_period + 1):
+    start = 1
+    if not screened:
+        run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, stop=1)
+        res = _newton_fixed_point(n, eps, x0, 1, first=_return_of(run, 1))
+        if res is not None:
+            return (1, *res)
+        start = 2
+    for k in range(start, max_period + 1):
         try:
-            if k == 2:
+            if k == start:
                 run = _section_run(
                     n, eps, phi0, 0.0, max_period, tangent=True, rtol=_SCREEN_TOL,
-                    atol=_SCREEN_TOL, stop=2,
+                    atol=_SCREEN_TOL, stop=k,
                 )
             elif run is not None:
                 run = _extend(run, k)
@@ -535,10 +544,15 @@ def find_closed_geodesics(
     is the class result mapped by its group element.  Seeds keep their
     order, and a result equal to an earlier one to 6 decimals is dropped.
 
-    Period 1 runs at rtol 1e-12 throughout.  Periods >= 2 screen at rtol
-    1e-8 and confirm at 1e-12 (see :func:`_refine_seed`), so every reported
-    residual, monodromy and length comes from a 1e-12 pass, and orbits of
-    period >= 2 agree with an all-fine search to within 1e-8.
+    A planar seed lies on a mirror plane of the surface, whose fixed set is
+    totally geodesic, so its meridian geodesic closes at period 1: the two
+    planar classes run period 1 at rtol 1e-12 throughout, and their orbits
+    are those of an all-fine search, bit for bit.  The perpendicular class,
+    and planar periods >= 2, screen at rtol 1e-8 and confirm at 1e-12 (see
+    :func:`_refine_seed`), so every reported residual, monodromy and length
+    comes from a 1e-12 pass; perpendicular orbits of period 1 agree with an
+    all-fine search to within 1e-10, and orbits of period >= 2 to within
+    1e-8.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
@@ -564,7 +578,8 @@ def find_closed_geodesics(
     seen = set()
     for family, phi0, rep, sign in seeds:
         if (family, rep) not in refined:
-            refined[family, rep] = _refine_seed(n, eps, rep, max_period)
+            screened = family == "perpendicular"
+            refined[family, rep] = _refine_seed(n, eps, rep, max_period, screened)
         if refined[family, rep] is None:
             continue
         k, x, resid, mono, length = refined[family, rep]

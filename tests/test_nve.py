@@ -123,12 +123,19 @@ def test_closed_form_exponents_match_derivation(n):
         assert hashlib.sha256(nve_to_json(data).encode()).hexdigest()[:16] == digest, eps
 
 
+def _equator_curvature(n, eps):
+    """Exact Gaussian curvature K(z) on the equator.  There r_theta =
+    r_thetaphi = 0, so K = (r_thth - r)(r r_phph - r^2 - 2 r_ph^2)/(r G^2)."""
+    r, rp2, rpp, rtt, g = nve._equator_partials(n, Fraction(eps))
+    return RatFunc((rtt - r) * (r * rpp - r * r - 2 * rp2), r * g * g)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_equator_curvature_matches_kernel(n):
     """The exact K(z) behind the NVE against the numeric kernel's curvature
     on the equator, from turning point to turning point (z = eps .. -eps)."""
     for eps in map(Fraction, ("1/10", "1/3", "1/2")):
-        k_exact = nve._equator_curvature(n, eps)
+        k_exact = _equator_curvature(n, eps)
         surf = PolarSurface.sectoral(n, float(eps))
         for j in range(7):
             phi = j * math.pi / (6 * n)
@@ -144,7 +151,7 @@ def _generic_pqr(n, eps):
     rad, rp2, _, _, gpp = nve._equator_partials(n, eps)
     zdot2 = RatFunc(rp2, gpp)
     p_w = zdot2.derivative() / (2 * zdot2)
-    q_w = nve._equator_curvature(n, eps) / zdot2
+    q_w = _equator_curvature(n, eps) / zdot2
     p = p_w + RatFunc(2, rad)
     q = q_w + p_w / rad
     return p, q, standard_form(p, q)
