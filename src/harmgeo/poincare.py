@@ -417,7 +417,7 @@ def _mat2_power(a, n):
 
 
 # Screening tolerance (rtol = atol) of the Newton passes of the
-# perpendicular class, and of periods >= 2 of the planar ones.
+# perpendicular class.
 # A pass far from a fixed point only decides a step or a rejection, and
 # DOP853 takes about rtol**(-1/8) steps, so a 1e-8 pass costs about 3.2x
 # fewer than a 1e-12 one.
@@ -435,14 +435,13 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
     ``rtol``, giving the residual and the exact Jacobian together;
     ``first``, the k-th return of x0 as :func:`_kth_return` gives it at that
     tolerance, replaces the first integration.  Passes coarser than 1e-12
-    (every period of the perpendicular class, periods >= 2 of the planar
-    ones) screen: they only step or reject, and once both residual
-    components fall below _HANDOVER the same point is evaluated again at
-    1e-12 and Newton goes on at that tolerance.  So only a 1e-12 pass can
-    converge, and every result comes from one.  A step above 0.5 or a
-    singular Jacobian gives up at any tolerance: on the round sphere, where
-    M = I, a seed closes only if its first residual passes the convergence
-    test, or the hand-over when screened.  Returns (x, residual,
+    (those of the perpendicular class) screen: they only step or reject,
+    and once both residual components fall below _HANDOVER the same point
+    is evaluated again at 1e-12 and Newton goes on at that tolerance.  So
+    only a 1e-12 pass can converge, and every result comes from one.  A
+    step above 0.5 or a singular Jacobian gives up at any tolerance: on the
+    round sphere, where M = I, a seed closes only if its first residual
+    passes the convergence test, or the hand-over when screened.  Returns (x, residual,
     monodromy, length) from the converged pass, or None; x is a pair of
     floats and the monodromy a 2x2 list of rows.
     """
@@ -482,45 +481,36 @@ def _refine_seed(n, eps, phi0, max_period, screened):
     """(period, x, residual, monodromy, length) at the first period in
     1..max_period for which Newton from (phi0, 0) converges, or None.
 
-    An unscreened seed (the planar classes, which lie on a mirror plane and
-    close at once) runs period 1 at 1e-12 throughout: its first pass is a
-    tangent run from the seed with the budget of max_period returns, stopped
-    at the first return, so it pays for one fine return and its orbit is
-    that of an all-fine search, bit for bit.  A ``screened`` seed, and an
-    unscreened one that fails period 1, take the first passes of their
-    remaining periods from one tangent run from the seed at the screening
-    tolerance, with the same budget: it stops at the first period tried,
-    and only a period that fails takes it on to the next return, resuming
-    the solver step that held the stop.  Those Newtons screen (see
-    :func:`_newton_fixed_point`), so their orbits come from 1e-12 passes
-    too.  Up to its k-th return the run takes the steps of a run that stops
-    there, save for a step that the shorter budget would have clipped.  A
-    k-th return that a run lacks, or that lies beyond the budget of k
-    returns, raises as a run of its own would, and only when period k is
-    tried.  A screening run that fails on its way to return k leaves period
-    k and every later one to a run of its own at the screening tolerance.
+    The first passes of all periods come from one tangent run from the
+    seed with the budget of max_period returns: it stops at return 1, and
+    only a period that fails takes it on to the next return, resuming the
+    solver step that held the stop.  A ``screened`` seed (the perpendicular
+    class) makes that run, and its Newtons, at the screening tolerance (see
+    :func:`_newton_fixed_point`), so its orbits come from 1e-12 passes too.
+    An unscreened one (the planar classes, which lie on a mirror plane and
+    close at once) runs at 1e-12 throughout and pays for one fine return;
+    its orbit is that of an all-fine search, bit for bit.  Up to its k-th
+    return the run takes the steps of a run that stops there, save for a
+    step that the shorter budget would have clipped.  A k-th return that a
+    run lacks, or that lies beyond the budget of k returns, raises as a run
+    of its own would, and only when period k is tried.  A run that fails on
+    its way to return k leaves period k and every later one to a run of its
+    own at the same tolerance.
     """
     x0 = (phi0, 0.0)
-    start = 1
-    if not screened:
-        run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, stop=1)
-        res = _newton_fixed_point(n, eps, x0, 1, first=_return_of(run, 1))
-        if res is not None:
-            return (1, *res)
-        start = 2
-    for k in range(start, max_period + 1):
+    tol = _SCREEN_TOL if screened else 1e-12
+    for k in range(1, max_period + 1):
         try:
-            if k == start:
+            if k == 1:
                 run = _section_run(
-                    n, eps, phi0, 0.0, max_period, tangent=True, rtol=_SCREEN_TOL,
-                    atol=_SCREEN_TOL, stop=k,
+                    n, eps, phi0, 0.0, max_period, tangent=True, rtol=tol, atol=tol, stop=1
                 )
             elif run is not None:
                 run = _extend(run, k)
         except RuntimeError:
             run = None
         first = None if run is None else _return_of(run, k)
-        res = _newton_fixed_point(n, eps, x0, k, first=first, rtol=_SCREEN_TOL)
+        res = _newton_fixed_point(n, eps, x0, k, first=first, rtol=tol)
         if res is not None:
             return (k, *res)
     return None
@@ -546,13 +536,12 @@ def find_closed_geodesics(
 
     A planar seed lies on a mirror plane of the surface, whose fixed set is
     totally geodesic, so its meridian geodesic closes at period 1: the two
-    planar classes run period 1 at rtol 1e-12 throughout, and their orbits
-    are those of an all-fine search, bit for bit.  The perpendicular class,
-    and planar periods >= 2, screen at rtol 1e-8 and confirm at 1e-12 (see
-    :func:`_refine_seed`), so every reported residual, monodromy and length
-    comes from a 1e-12 pass; perpendicular orbits of period 1 agree with an
-    all-fine search to within 1e-10, and orbits of period >= 2 to within
-    1e-8.
+    planar classes run at rtol 1e-12 throughout, and their orbits are those
+    of an all-fine search, bit for bit.  The perpendicular class screens at
+    rtol 1e-8 and confirms at 1e-12 (see :func:`_refine_seed`), so every
+    reported residual, monodromy and length comes from a 1e-12 pass;
+    perpendicular orbits agree with an all-fine search to within 1e-10 at
+    period 1 and to within 1e-8 at periods >= 2.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
