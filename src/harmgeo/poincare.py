@@ -48,16 +48,24 @@ def phi_dot_max(n: int, eps: float) -> float:
     return math.sqrt(m / (n * n * (1.0 + eps * eps * m)))
 
 
-def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> list:
-    """Unit-speed state on the section (theta_dot >= 0 branch), as a list of
-    four floats."""
+def _shell_theta_dot(n: int, eps: float, phi: float, phi_dot: float):
+    """theta_dot >= 0 of the unit-speed state at a section point, or None
+    when |phi_dot| exceeds the energy shell there."""
     c = math.cos(n * phi)
     r = 1.0 + eps * c
     g_pp = r * r + (eps * n * math.sin(n * phi)) ** 2
     rest = 1.0 - g_pp * phi_dot * phi_dot
     if rest < -1e-12:
+        return None
+    return math.sqrt(max(rest, 0.0)) / r
+
+
+def equator_state(n: int, eps: float, phi: float, phi_dot: float) -> list:
+    """Unit-speed state on the section (theta_dot >= 0 branch), as a list of
+    four floats."""
+    theta_dot = _shell_theta_dot(n, eps, phi, phi_dot)
+    if theta_dot is None:
         raise ValueError(f"|phi_dot| = {abs(phi_dot)} exceeds the energy shell")
-    theta_dot = math.sqrt(max(rest, 0.0)) / r
     return [math.pi / 2, float(phi), theta_dot, float(phi_dot)]
 
 
@@ -418,14 +426,14 @@ def _mat2_power(a, n):
 
 # Screening tolerance (rtol = atol) of the Newton passes of the
 # perpendicular class.
-# A pass far from a fixed point only decides a step or a rejection, and
-# DOP853 takes about rtol**(-1/8) steps, so a 1e-8 pass costs about 3.2x
-# fewer than a 1e-12 one.
-_SCREEN_TOL = 1e-8
-# A screened Newton hands over to 1e-12 passes once both residual
-# components fall below this: 100x above the screening tolerance, so the
-# coarse residual that triggers it is not integration noise.
-_HANDOVER = 1e-6
+# A pass far from a fixed point only decides a step, a rejection or the
+# hand-over, so it need only be as accurate as the residual is large
+# (inexact Newton), and DOP853 takes about rtol**(-1/8) steps, so a 1e-6
+# pass costs about 5.6x fewer than a 1e-12 one.  A screened Newton hands
+# over to 1e-12 passes once both residual components fall below
+# 100 * _SCREEN_TOL, so the coarse residual that triggers it is not
+# integration noise.
+_SCREEN_TOL = 1e-6
 
 
 def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=1e-12):
@@ -435,15 +443,18 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
     ``rtol``, giving the residual and the exact Jacobian together;
     ``first``, the k-th return of x0 as :func:`_kth_return` gives it at that
     tolerance, replaces the first integration.  Passes coarser than 1e-12
-    (those of the perpendicular class) screen: they only step or reject,
-    and once both residual components fall below _HANDOVER the same point
-    is evaluated again at 1e-12 and Newton goes on at that tolerance.  So
-    only a 1e-12 pass can converge, and every result comes from one.  A
-    step above 0.5 or a singular Jacobian gives up at any tolerance: on the
-    round sphere, where M = I, a seed closes only if its first residual
-    passes the convergence test, or the hand-over when screened.  Returns (x, residual,
-    monodromy, length) from the converged pass, or None; x is a pair of
-    floats and the monodromy a 2x2 list of rows.
+    (those of the perpendicular class, at _SCREEN_TOL) screen: they only
+    step or reject, and once both residual components fall below
+    100 * _SCREEN_TOL the same point is evaluated again at 1e-12 and Newton
+    goes on at that tolerance.  So only a 1e-12 pass can converge, and
+    every result comes from one.  A step above 0.5, a step to a point whose
+    |phi_dot| exceeds the energy shell (no section point lies there, see
+    :func:`equator_state`) or a singular Jacobian gives up at any
+    tolerance: on the round sphere, where M = I, a seed closes only if its
+    first residual passes the convergence test, or the hand-over when
+    screened.  Returns (x, residual, monodromy, length) from the converged
+    pass, or None; x is a pair of floats and the monodromy a 2x2 list of
+    rows.
     """
     phi, phi_dot = (float(v) for v in x0)
     for _ in range(max_iter):
@@ -458,7 +469,7 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
         if rtol == 1e-12:
             if abs(f0) < tol and abs(f1) < tol:
                 return (phi, phi_dot), max(abs(f0), abs(f1)), jac, length
-        elif abs(f0) < _HANDOVER and abs(f1) < _HANDOVER:
+        elif abs(f0) < 100 * _SCREEN_TOL and abs(f1) < 100 * _SCREEN_TOL:
             rtol = 1e-12
             continue
         (j00, j01), (j10, j11) = jac
@@ -468,6 +479,8 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
         if abs(step[0]) > 0.5 or abs(step[1]) > 0.5:  # diverging away from the seed
             return None
         phi, phi_dot = phi + step[0], phi_dot + step[1]
+        if _shell_theta_dot(n, eps, phi, phi_dot) is None:  # no section point there
+            return None
     return None
 
 
@@ -485,7 +498,8 @@ def _refine_seed(n, eps, phi0, max_period, screened):
     seed with the budget of max_period returns: it stops at return 1, and
     only a period that fails takes it on to the next return, resuming the
     solver step that held the stop.  A ``screened`` seed (the perpendicular
-    class) makes that run, and its Newtons, at the screening tolerance (see
+    class) makes that run, and its Newtons, at the screening tolerance
+    _SCREEN_TOL = 1e-6, handing over to 1e-12 below residual 1e-4 (see
     :func:`_newton_fixed_point`), so its orbits come from 1e-12 passes too.
     An unscreened one (the planar classes, which lie on a mirror plane and
     close at once) runs at 1e-12 throughout and pays for one fine return;
@@ -495,7 +509,8 @@ def _refine_seed(n, eps, phi0, max_period, screened):
     run lacks, or that lies beyond the budget of k returns, raises as a run
     of its own would, and only when period k is tried.  A run that fails on
     its way to return k leaves period k and every later one to a run of its
-    own at the same tolerance.
+    own at the same tolerance.  A period whose Newton steps off the energy
+    shell fails like one that steps too far.
     """
     x0 = (phi0, 0.0)
     tol = _SCREEN_TOL if screened else 1e-12
@@ -538,10 +553,12 @@ def find_closed_geodesics(
     totally geodesic, so its meridian geodesic closes at period 1: the two
     planar classes run at rtol 1e-12 throughout, and their orbits are those
     of an all-fine search, bit for bit.  The perpendicular class screens at
-    rtol 1e-8 and confirms at 1e-12 (see :func:`_refine_seed`), so every
-    reported residual, monodromy and length comes from a 1e-12 pass;
-    perpendicular orbits agree with an all-fine search to within 1e-10 at
-    period 1 and to within 1e-8 at periods >= 2.
+    rtol 1e-6, hands over below residual 1e-4 and confirms at 1e-12 (see
+    :func:`_refine_seed`), so every reported residual, monodromy and length
+    comes from a 1e-12 pass; perpendicular orbits agree with an all-fine
+    search to within 1e-10 at period 1 and to within 1e-8 at periods >= 2.
+    A Newton step off the energy shell, where no section point lies, ends
+    that period's search for the class instead of the whole search.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")

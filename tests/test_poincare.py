@@ -754,13 +754,12 @@ def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     """On sectoral(2, 0.1) the two planar classes close on their first
     pass, and the perpendicular class fails at periods 1-4 on its first
     pass.  One fine run per planar class gives its first return; the
-    perpendicular class makes one screening run to return 1 at rtol 1e-8,
-    extended return by return, where a search screening periods >= 2 only
-    gave it a fine first return and a screening run from return 2, the
-    all-fine shared run took one fine run through returns 1-4 and one run
-    per period made six.  The stepper's calls: 11,076 per period, 5,340
-    all-fine shared, 3,889 screened from period 2, 2,988 screened from
-    period 1."""
+    perpendicular class makes one screening run to return 1 at rtol 1e-6,
+    extended return by return, where the all-fine shared run took one fine
+    run through returns 1-4 and one run per period made six.  The
+    stepper's calls: 11,076 per period, 5,340 all-fine shared, 3,889
+    screened at 1e-8 from period 2, 2,988 screened at 1e-8 from period 1
+    and 2,268 screened at 1e-6 from period 1."""
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         find_closed_geodesics(2, 0.1)
@@ -773,29 +772,27 @@ def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     runs.clear()
     find_closed_geodesics(2, 0.1)
     assert [(how, k, tol) for how, k, tol, _ in runs] == [
-        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 1, 1e-8),
-        ("extend", 2, 1e-8), ("extend", 3, 1e-8), ("extend", 4, 1e-8),
+        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 1, 1e-6),
+        ("extend", 2, 1e-6), ("extend", 3, 1e-6), ("extend", 4, 1e-6),
     ]
     shared = [nfev for *_, nfev in runs]
     assert shared[:2] == alone[:2]
-    # the perpendicular class: the screening run takes 1,750 calls through
-    # returns 1-4, the 832 of a screening run stopped at return 2 among
-    # them, where a fine first return took 901 and the all-fine shared run
-    # through returns 1-4 took 4,102
-    assert alone[5] == 4102 and shared[2:] == [433, 399, 471, 447]
-    assert shared[2] + shared[3] == 832
-    assert sum(shared) == alone[0] + alone[1] + 1750 == 3889 - alone[2] == 2988
+    # the perpendicular class: the screening run takes 1,030 calls through
+    # returns 1-4, where the 1e-8 one took 1,750, a fine first return 901
+    # and the all-fine shared run through returns 1-4 4,102
+    assert alone[5] == 4102 and shared[2:] == [277, 207, 291, 255]
+    assert sum(shared) == alone[0] + alone[1] + 1030 == 2268
 
 
 def test_screened_search_rhs_calls(runs):
     """find_closed_geodesics(4, 0.1): the two planar classes close at
     period 1 and the perpendicular class fails every period, its period-4
     Newton wandering for 8 passes, all screened; the all-fine shared
-    search made 51,572 stepper calls, and the one screening periods >= 2
-    only 21,801."""
+    search made 51,572 stepper calls, the one screening periods >= 2 at
+    1e-8 21,801 and the one screening from period 1 at 1e-8 20,516."""
     found = find_closed_geodesics(4, 0.1)
     assert [g.crossings for g in found] == [1] * 8
-    assert sum(nfev for *_, nfev in runs) == 20516
+    assert sum(nfev for *_, nfev in runs) == 13239
 
 
 @pytest.mark.parametrize("eps", [-0.2, 0.0, 0.1, 0.3])
@@ -824,13 +821,63 @@ def test_planar_classes_close_on_their_first_fine_pass(monkeypatch, runs, n, eps
 def test_round_sphere_keeps_its_perpendicular_orbits(n):
     """On the round sphere every geodesic closes, M = I and M - I is
     singular, so Newton cannot step: the perpendicular class, screened from
-    period 1, closes only because its 1e-8 residual is below the hand-over.
-    All 4n seeds give parabolic orbits of period 1."""
+    period 1, closes only because its residual at the screening tolerance
+    is below the hand-over, 100 times that tolerance.  All 4n seeds give
+    parabolic orbits of period 1."""
     found = find_closed_geodesics(n, 0.0)
     assert [(g.family, g.crossings, g.classification) for g in found] == [
         (family, 1, "parabolic") for family in ("planar", "perpendicular") for _ in range(2 * n)
     ]
     assert max(g.residual for g in found) < 1e-10
+
+
+def test_newton_step_off_the_energy_shell_gives_up():
+    """A Newton step to a point whose |phi_dot| exceeds the energy shell,
+    where no section state exists, gives up at either tolerance, as a step
+    above 0.5 does, instead of raising from equator_state."""
+    n, eps, x0 = 2, 0.1, (0.0, 0.5)
+    # with a zero Jacobian the step is the residual: (0, 0.45), within the
+    # 0.5 cut, to phi_dot 0.95 above phi_dot_max(2, 0.1) = 1/1.1
+    first = (0.0, 0.95, 6.3, [[0.0, 0.0], [0.0, 0.0]])
+    assert 0.95 > phi_dot_max(n, eps)
+    for rtol in (1e-12, poincare._SCREEN_TOL):
+        assert poincare._newton_fixed_point(n, eps, x0, 1, first=first, rtol=rtol) is None
+
+
+def test_off_shell_step_keeps_the_other_classes_orbits(monkeypatch):
+    """At (7, -0.3) a 1e-8 screen with its 1e-6 hand-over steps the
+    perpendicular class's period-3 Newton off the energy shell; that
+    period gives up, and the search keeps the 14 planar orbits of period 1
+    that (7, 0.3) finds too."""
+    monkeypatch.setattr(poincare, "_SCREEN_TOL", 1e-8)
+    for eps in (-0.3, 0.3):
+        found = find_closed_geodesics(7, eps)
+        assert [(g.family, g.crossings) for g in found] == [("planar", 1)] * 14
+
+
+def _symmetry_key(g, shift):
+    phi = (g.phi + shift) % TWO_PI
+    return (g.family, g.crossings, g.classification, round(phi, 6) % round(TWO_PI, 6),
+            round(g.phi_dot, 6)), phi, g
+
+
+@pytest.mark.parametrize("n, eps", [(2, 0.2), (4, 0.1), (7, 0.3)])
+def test_closed_orbits_at_minus_eps_are_shifted_by_pi_over_n(n, eps):
+    """g_pp(phi; -eps) = g_pp(phi + pi/n; eps), so the orbits at -eps are
+    those at eps with phi moved by pi/n: compared sorted by family, period,
+    classification, phi mod 2pi and phi_dot to 6 decimals, they agree to
+    within 1e-10 at period 1 and 1e-8 at period 4 (measured 6.3e-13 and
+    1.8e-9)."""
+    plus = sorted((_symmetry_key(g, 0.0) for g in find_closed_geodesics(n, eps)),
+                  key=lambda t: t[0])
+    minus = sorted((_symmetry_key(g, math.pi / n) for g in find_closed_geodesics(n, -eps)),
+                   key=lambda t: t[0])
+    assert plus and [a for a, _, _ in plus] == [b for b, _, _ in minus]
+    for (_, phi, g), (_, psi, h) in zip(plus, minus):
+        bound = 1e-10 if g.crossings == 1 else 1e-8
+        assert abs(poincare._wrap(phi - psi)) <= bound
+        assert abs(g.phi_dot - h.phi_dot) <= bound
+        assert abs(g.length - h.length) <= bound
 
 
 def _periods_tried(monkeypatch):
@@ -854,8 +901,8 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     or that lies beyond the budget 40k + 60 of k returns, raises the
     RuntimeError of a run of its own, and only once period k is tried;
     periods below k are unchanged.  The class screens from period 1, so
-    each first pass, that of period 1 included, is that of a 1e-8 run of
-    its own."""
+    each first pass, that of period 1 included, is that of a run of its own
+    at the screening tolerance."""
     import dataclasses
 
     from harmgeo.cli import main
@@ -887,7 +934,8 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     assert [(p, ok) for p, _, ok in tried[:2]] == [(1, True), (1, True)]
     assert [(p, ok) for p, _, ok in perpendicular] == [(p, False) for p in range(1, k)]
     for p, first, _ in perpendicular:
-        alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True, rtol=1e-8, atol=1e-8)
+        tol = poincare._SCREEN_TOL
+        alone = poincare._kth_return(n, eps, rep, 0.0, p, tangent=True, rtol=tol, atol=tol)
         assert first[:3] == alone[:3] and np.array_equal(first[3], alone[3])
     assert main(["--out-dir", str(tmp_path), "closed", "--n", str(n), "--eps", "1/10"]) == 2
     assert f"no {k}-th return" in capsys.readouterr().err
