@@ -145,8 +145,6 @@ class Trajectory(_KeptFloatsEq):
     rejected_steps: int = 0
     # j, the number of variations a tangent run carried
     _n_tangents: int = field(default=0, init=False, repr=False, compare=False)
-    # the integration a run stopped at its last crossing holds, to extend
-    _rest: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -370,41 +368,6 @@ def integrate(
     of its (phi, phi_dot), the change of crossing time included, in
     ``Trajectory.crossing_jacobians``.
     """
-    run = _integration(
-        surface, y0, s_max, n_crossings, n_samples, rtol, atol, renormalize, section_frame,
-        tangents,
-    )
-    traj = next(run)
-    if traj.status == "crossings":
-        traj._rest = run
-    return traj
-
-
-def _extend(traj: Trajectory, n_crossings: int) -> Trajectory:
-    """A run that :func:`integrate` stopped at its last crossing, taken on
-    to its n_crossings-th: bit-equal to the run asked for n_crossings from
-    the start, in its crossings, Jacobians, work counters, chart swaps and
-    state.  The stopped run's own solver step is resumed, not retaken.  A
-    trajectory is extended once; the result can be extended again."""
-    if traj._rest is None:
-        raise ValueError("the trajectory cannot be extended: it ran to its end or was extended")
-    if n_crossings <= len(traj._crossings):
-        raise ValueError(
-            f"n_crossings = {n_crossings} must exceed the {len(traj._crossings)} reached"
-        )
-    run, traj._rest = traj._rest, None
-    out = run.send(n_crossings)
-    if out.status == "crossings":
-        out._rest = run
-    return out
-
-
-def _integration(
-    surface, y0, s_max, n_crossings, n_samples, rtol, atol, renormalize, section_frame, tangents
-):
-    """The work of :func:`integrate`: a generator of the Trajectory at each
-    stop at n_crossings, which is sent the next n_crossings to go on, and
-    at the end of the run."""
     if not 0.0 < s_max < math.inf:
         raise ValueError(f"arc length s_max = {s_max} must be finite and positive")
     if n_crossings is not None and n_crossings < 1:
@@ -464,30 +427,9 @@ def _integration(
     h2s = array("d")
     crossings = []
     jacobians = []
+    status = "completed"
     s_now = 0.0
     nfev = steps = rejected = 0
-
-    def trajectory(status):
-        if n_samples:
-            s, states, h2 = array("d", sample_s[: len(h2s)]), samples, h2s
-        else:  # the state where the run ends
-            s, states = array("d", [s_now]), array("d", _to_body(y, chart.rot))
-            h2 = array("d", [chart.hamiltonian2(*y)])
-        traj = Trajectory(
-            s=s,
-            states=states,
-            h2=h2,
-            crossings=crossings,
-            chart_swaps=swaps,
-            status=status,
-            crossing_jacobians=None if normal is None else jacobians,
-            nfev=nfev,
-            steps=steps,
-            rejected_steps=rejected,
-        )
-        if normal is not None:
-            traj._n_tangents = j
-        return traj
 
     def pole_n(s, yy):
         return yy[0] - POLE_GUARD
@@ -503,42 +445,40 @@ def _integration(
 
     # one stepper run per chart: to the first pole event, then from each
     # chart swap to the next, until s_max or the last crossing asked for
-    sol = None
     while True:
-        if sol is None:
-            mm = chart.rot or IDENTITY_ROT
-            # the section's normal in the chart: row 2 of sframe @ mm
-            rz0, rz1, rz2 = mm[6:] if sframe is None else _mat_vec(_transpose(mm), sframe[6:])
+        mm = chart.rot or IDENTITY_ROT
+        # the section's normal in the chart: row 2 of sframe @ mm
+        rz0, rz1, rz2 = mm[6:] if sframe is None else _mat_vec(_transpose(mm), sframe[6:])
 
-            def section(s, yy):
-                st = math.sin(yy[0])
-                return rz0 * st * math.cos(yy[1]) + rz1 * st * math.sin(yy[1]) + rz2 * math.cos(yy[0])
+        def section(s, yy):
+            st = math.sin(yy[0])
+            return rz0 * st * math.cos(yy[1]) + rz1 * st * math.sin(yy[1]) + rz2 * math.cos(yy[0])
 
-            section.direction = -1.0
-            # stop at the last crossing asked for.  A start on the section
-            # that heads down through it fires at s ~ 0, an event the s_ev
-            # filter below drops, so the first run counts one more then
-            section.terminal = 0
-            if n_crossings is not None:
-                section.terminal = n_crossings - len(crossings)
-                if s_now == 0.0:
-                    v = _embed(y)[1]
-                    v_z = rz0 * v[0] + rz1 * v[1] + rz2 * v[2]
-                    section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
+        section.direction = -1.0
+        # stop at the last crossing asked for.  A start on the section that
+        # heads down through it fires at s ~ 0, an event the s_ev filter
+        # below drops, so the first run counts one more then
+        section.terminal = 0
+        if n_crossings is not None:
+            section.terminal = n_crossings - len(crossings)
+            if s_now == 0.0:
+                v = _embed(y)[1]
+                v_z = rz0 * v[0] + rz1 * v[1] + rz2 * v[2]
+                section.terminal += 0.0 <= section(0.0, y) <= -1e-6 * v_z
 
-            if normal is None:
-                rhs, y_start = chart.rhs, y
-            else:
-                rhs, y_start = chart.jacobi_rhs, [*y, *normal]
-            sol = solve_ivp(
-                rhs,
-                (s_now, s_max),
-                y_start,
-                rtol=rtol,
-                atol=atol,
-                events=[pole_n, pole_s, section],
-                samples=sample_s[len(h2s):],
-            )
+        if normal is None:
+            rhs, y_start = chart.rhs, y
+        else:
+            rhs, y_start = chart.jacobi_rhs, [*y, *normal]
+        sol = solve_ivp(
+            rhs,
+            (s_now, s_max),
+            y_start,
+            rtol=rtol,
+            atol=atol,
+            events=[pole_n, pole_s, section],
+            samples=sample_s[len(h2s):],
+        )
         nfev += sol.nfev
         steps += len(sol.t) - 1
         rejected += sol.rejected
@@ -570,22 +510,32 @@ def _integration(
         if normal is not None:
             normal = sol.y[4:]
         if n_crossings is not None and len(crossings) >= n_crossings:
-            more = yield trajectory("crossings")
-            # sent a larger n_crossings: the stopped Trajectory keeps its
-            # lists, and the stepper goes on from the step that held the stop
-            samples, h2s = array("d", samples), array("d", h2s)
-            crossings, jacobians = list(crossings), list(jacobians)
-            section.terminal += more - n_crossings
-            n_crossings = more
-            sol = sol.resume()
-            continue
+            status = "crossings"
+            break
         if not (sol.t_events[0] or sol.t_events[1]) or s_now >= s_max:
             break
         y, chart = swap_chart(y)
         swaps += 1
-        sol = None
 
-    yield trajectory("completed")
+    if not n_samples:
+        sample_s = [s_now]
+        samples.extend(_to_body(y, chart.rot))
+        h2s.append(chart.hamiltonian2(*y))
+    traj = Trajectory(
+        s=array("d", sample_s[: len(h2s)]),
+        states=samples,
+        h2=h2s,
+        crossings=crossings,
+        chart_swaps=swaps,
+        status=status,
+        crossing_jacobians=None if normal is None else jacobians,
+        nfev=nfev,
+        steps=steps,
+        rejected_steps=rejected,
+    )
+    if normal is not None:
+        traj._n_tangents = j
+    return traj
 
 
 def sphere_closure_error(theta0=1.1, phi0=0.3, alpha=0.7, s=None) -> float:

@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
 from .geodesic import (
-    R_SWAP, _as_array, _extend, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate,
-    normalize_speed,
+    R_SWAP, _as_array, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate, normalize_speed,
 )
 from .surface import PolarSurface
 
@@ -318,14 +317,14 @@ def _budget(k: int) -> float:
     return 40.0 * k + 60.0
 
 
-def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12, stop=None):
+def _section_run(n, eps, phi, phi_dot, k, tangent=False, rtol=1e-12, atol=1e-12):
     """Integration from a section point with the arc-length budget of k
-    returns, stopped at its k-th return or, given ``stop``, at that one; the
-    tangent flow rides along when ``tangent`` is set."""
+    returns, stopped at its k-th return; the tangent flow rides along when
+    ``tangent`` is set."""
     surf = PolarSurface.sectoral(n, eps)
     y0 = equator_state(n, eps, phi, phi_dot)
     return integrate(
-        surf, y0, _budget(k), n_crossings=stop or k, rtol=rtol, atol=atol,
+        surf, y0, _budget(k), n_crossings=k, rtol=rtol, atol=atol,
         renormalize=False,
         tangents=_equator_state_tangents(n, eps, y0) if tangent else None,
     )
@@ -447,14 +446,20 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
     step or reject, and once both residual components fall below
     100 * _SCREEN_TOL the same point is evaluated again at 1e-12 and Newton
     goes on at that tolerance.  So only a 1e-12 pass can converge, and
-    every result comes from one.  A step above 0.5, a step to a point whose
-    |phi_dot| exceeds the energy shell (no section point lies there, see
-    :func:`equator_state`) or a singular Jacobian gives up at any
-    tolerance: on the round sphere, where M = I, a seed closes only if its
-    first residual passes the convergence test, or the hand-over when
-    screened.  Returns (x, residual, monodromy, length) from the converged
-    pass, or None; x is a pair of floats and the monodromy a 2x2 list of
-    rows.
+    every result comes from one.  A 1e-12 pass converges when both residual
+    components are below ``tol``, or when both components of the Newton
+    step from it are: along a strongly hyperbolic orbit the integration
+    error in the unstable direction can hold the residual above ``tol``
+    while the step is far below it (1.1e-8 and 1.3e-14 at n = 8,
+    eps = 0.5, where tr M is about 7.0e6).  Either way the point of that
+    pass is returned, with its residual, monodromy and length.  A step
+    above 0.5, a step to a point whose |phi_dot| exceeds the energy shell
+    (no section point lies there, see :func:`equator_state`) or a singular
+    Jacobian gives up at any tolerance: on the round sphere, where M = I,
+    a seed closes only if its first residual passes the convergence test,
+    or the hand-over when screened.  Returns (x, residual, monodromy,
+    length) from the converged pass, or None; x is a pair of floats and the
+    monodromy a 2x2 list of rows.
     """
     phi, phi_dot = (float(v) for v in x0)
     for _ in range(max_iter):
@@ -476,6 +481,8 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
         step = _solve2(((j00 - 1.0, j01), (j10, j11 - 1.0)), (-f0, -f1))
         if step is None:
             return None
+        if rtol == 1e-12 and abs(step[0]) < tol and abs(step[1]) < tol:
+            return (phi, phi_dot), max(abs(f0), abs(f1)), jac, length
         if abs(step[0]) > 0.5 or abs(step[1]) > 0.5:  # diverging away from the seed
             return None
         phi, phi_dot = phi + step[0], phi_dot + step[1]
@@ -494,38 +501,32 @@ def _refine_seed(n, eps, phi0, max_period, screened):
     """(period, x, residual, monodromy, length) at the first period in
     1..max_period for which Newton from (phi0, 0) converges, or None.
 
-    The first passes of all periods come from one tangent run from the
-    seed with the budget of max_period returns: it stops at return 1, and
-    only a period that fails takes it on to the next return, resuming the
-    solver step that held the stop.  A ``screened`` seed (the perpendicular
-    class) makes that run, and its Newtons, at the screening tolerance
-    _SCREEN_TOL = 1e-6, handing over to 1e-12 below residual 1e-4 (see
-    :func:`_newton_fixed_point`), so its orbits come from 1e-12 passes too.
-    An unscreened one (the planar classes, which lie on a mirror plane and
-    close at once) runs at 1e-12 throughout and pays for one fine return;
-    its orbit is that of an all-fine search, bit for bit.  Up to its k-th
-    return the run takes the steps of a run that stops there, save for a
-    step that the shorter budget would have clipped.  A k-th return that a
-    run lacks, or that lies beyond the budget of k returns, raises as a run
-    of its own would, and only when period k is tried.  A run that fails on
-    its way to return k leaves period k and every later one to a run of its
-    own at the same tolerance.  A period whose Newton steps off the energy
-    shell fails like one that steps too far.
+    A ``screened`` seed (the perpendicular class) makes one tangent run
+    from the seed at the screening tolerance _SCREEN_TOL = 1e-6, with the
+    budget of max_period returns, and period k's Newton takes return k of
+    that run as its first pass.  Its Newtons screen at 1e-6 too and hand
+    over to 1e-12 below residual 1e-4 (see :func:`_newton_fixed_point`), so
+    its orbits come from 1e-12 passes.  Up to its k-th return the run takes
+    the steps of a run that stops there, save for a step that the shorter
+    budget would have clipped.  A k-th return that the run lacks, or that
+    lies beyond the budget of k returns, raises as a run of its own would,
+    and only when period k is tried.  A run that fails leaves every period
+    to a first pass of its own.  An unscreened seed (the planar classes,
+    which lie on a mirror plane and close at once) makes no shared run:
+    each Newton makes its own first pass, all at 1e-12, so its orbit is
+    that of an all-fine search, bit for bit.  A period whose Newton steps
+    off the energy shell fails like one that steps too far.
     """
-    x0 = (phi0, 0.0)
     tol = _SCREEN_TOL if screened else 1e-12
-    for k in range(1, max_period + 1):
+    run = None
+    if screened:
         try:
-            if k == 1:
-                run = _section_run(
-                    n, eps, phi0, 0.0, max_period, tangent=True, rtol=tol, atol=tol, stop=1
-                )
-            elif run is not None:
-                run = _extend(run, k)
+            run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, rtol=tol, atol=tol)
         except RuntimeError:
-            run = None
+            pass
+    for k in range(1, max_period + 1):
         first = None if run is None else _return_of(run, k)
-        res = _newton_fixed_point(n, eps, x0, k, first=first, rtol=tol)
+        res = _newton_fixed_point(n, eps, (phi0, 0.0), k, first=first, rtol=tol)
         if res is not None:
             return (k, *res)
     return None
@@ -552,13 +553,17 @@ def find_closed_geodesics(
     A planar seed lies on a mirror plane of the surface, whose fixed set is
     totally geodesic, so its meridian geodesic closes at period 1: the two
     planar classes run at rtol 1e-12 throughout, and their orbits are those
-    of an all-fine search, bit for bit.  The perpendicular class screens at
-    rtol 1e-6, hands over below residual 1e-4 and confirms at 1e-12 (see
+    of an all-fine search, bit for bit.  The perpendicular class takes the
+    first passes of all periods from one screening run at rtol 1e-6, hands
+    over below residual 1e-4 and confirms at 1e-12 (see
     :func:`_refine_seed`), so every reported residual, monodromy and length
     comes from a 1e-12 pass; perpendicular orbits agree with an all-fine
     search to within 1e-10 at period 1 and to within 1e-8 at periods >= 2.
-    A Newton step off the energy shell, where no section point lies, ends
-    that period's search for the class instead of the whole search.
+    A 1e-12 pass converges on its residual or on its Newton step (see
+    :func:`_newton_fixed_point`), so a strongly hyperbolic orbit can report
+    a residual above 1e-10.  A Newton step off the energy shell, where no
+    section point lies, ends that period's search for the class instead of
+    the whole search.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")

@@ -143,56 +143,6 @@ def test_events_and_samples_on_the_oscillator():
         assert abs(c) <= 1e-10
 
 
-@pytest.mark.parametrize("lower_terminal", [0, 1], ids=["open", "terminal"])
-def test_resumed_run_is_the_unstopped_run(lower_terminal):
-    """A run stopped at the first root of ``half`` and resumed with a count
-    of 2 takes the unstopped run's steps, roots, samples and calls: the
-    root of ``lower`` in the step that held the stop comes first.  When
-    ``lower`` is terminal too, the continuation stops there, inside the
-    held step, with no right-hand-side call.  On y = cos t the roots pi/3
-    and acos(0.45) lie in one step at rtol = atol = 1e-12."""
-
-    def half(t, y):
-        return y[0] - 0.5
-
-    def lower(t, y):
-        return y[0] - 0.45
-
-    half.direction = lower.direction = -1.0
-    lower.terminal = lower_terminal
-    grid = [0.05 * k for k in range(400)]
-
-    def run(first_count):
-        half.terminal = first_count
-        return solve_ivp(_oscillator, (0.0, 20.0), [1.0, 0.0], rtol=1e-12, atol=1e-12,
-                         events=[half, lower], samples=grid)
-
-    ref = run(2)
-    stopped = run(1)
-    half.terminal = 2
-    rest = stopped.resume()
-    (root_half,), () = stopped.t_events
-    root_lower = rest.t_events[1][0]
-    assert stopped.status == rest.status == ref.status == "terminated"
-    if lower_terminal:
-        assert rest.t == [root_lower] and rest.nfev == rest.rejected == 0
-    else:
-        # the held step holds both roots and the samples 1.05 to 1.2
-        assert stopped.t[-2] < root_half < root_lower < rest.t[0] < rest.t[1]
-        assert sum(root_half < s <= rest.t[0] for s in grid) == 4
-
-    assert stopped.t[:-1] + rest.t == ref.t and rest.y == ref.y
-    for i in (0, 1):
-        assert stopped.t_events[i] + rest.t_events[i] == ref.t_events[i]
-        assert stopped.y_events[i] + rest.y_events[i] == ref.y_events[i]
-    assert stopped.samples + rest.samples == ref.samples
-    assert stopped.nfev + rest.nfev == ref.nfev
-    assert stopped.rejected + rest.rejected == ref.rejected
-    with pytest.raises(ValueError, match="cannot be resumed"):
-        stopped.resume()
-    rest.resume()  # the later result takes the run on
-
-
 def test_step_size_underflow_raises():
     # y' = y^2 from y(0) = 1 blows up at t = 1
     with pytest.raises(RuntimeError, match="step size"):

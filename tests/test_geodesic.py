@@ -442,59 +442,34 @@ def test_crossing_stop_reports_state_at_last_crossing():
     assert abs(traj.h2[0] - 1.0) <= 1e-10
 
 
-def _run_fields(traj):
-    """What a run did: crossings, their Jacobians, work counters, chart
-    swaps, status and end state, as the floats it keeps."""
-    return (traj._crossings, traj._crossing_jacobians, traj.nfev, traj.steps,
-            traj.rejected_steps, traj.chart_swaps, traj.status, list(traj._s),
-            list(traj._states), list(traj._h2))
-
-
-@pytest.mark.parametrize("stops", [[1, 2], [2], [1]], ids=["1-2-4", "2-4", "1-4"])
-def test_extended_run_is_the_unstopped_run(stops):
-    """A tangent run from the section stopped at crossings 1 and 2 and
-    extended to 4 is bit-equal to the run asked for 4: on sectoral(2, 0.3)
-    from (0.5, 0.1) it swaps charts before crossing 1, between crossings 1
-    and 2 and between 2 and 4, and its start on the section fires the event
-    once more than it counts."""
-    from harmgeo.poincare import _equator_state_tangents
-
-    surf = PolarSurface.sectoral(2, 0.3)
-    y0 = equator_state(2, 0.3, 0.5, 0.1)
-
-    def run(k):
-        return integrate(surf, y0, 220.0, n_crossings=k, renormalize=False,
-                         tangents=_equator_state_tangents(2, 0.3, y0))
-
-    ref = run(4)
-    traj = run(stops[0])
-    swaps = [traj.chart_swaps]
-    for k in stops[1:] + [4]:
-        with pytest.raises(ValueError, match="must exceed"):
-            geodesic._extend(traj, len(traj.crossings))
-        stopped, before = traj, _run_fields(traj)
-        traj = geodesic._extend(stopped, k)
-        swaps.append(traj.chart_swaps)
-        # the stopped run keeps what it had, and is extended once
-        assert _run_fields(stopped) == before
-        with pytest.raises(ValueError, match="cannot be extended"):
-            geodesic._extend(stopped, k)
-    assert _run_fields(traj) == _run_fields(ref)
-    if stops == [1, 2]:
-        assert swaps == [1, 2, 3]
-
-
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("start", ["on-section", "off-section"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("start", ["on-section", "off-section", "tangent"])
 def test_crossing_limited_run_stops_at_last_crossing(monkeypatch, k, start):
     """Stopping at the k-th crossing leaves the crossings bit-identical to a
-    full run, and the last solver segment ends there."""
-    surf = PolarSurface.sectoral(3, 0.3)
-    if start == "on-section":
-        y0 = equator_state(3, 0.3, 0.4, 0.2)
+    longer run, and the last solver segment ends there.  The tangent case
+    is the closed-orbit search's one run for all periods: on sectoral(2,
+    0.3) from the section point (0.5, 0.1) the runs asked for 1, 2 or 3
+    crossings are prefixes of the run asked for 4, in crossings and
+    crossing Jacobians, though it swaps charts before crossing 1, between
+    crossings 1 and 2 and between 2 and 4, and its start on the section
+    fires the event once more than it counts."""
+    from harmgeo.poincare import _equator_state_tangents
+
+    s_max, kwargs = 50.0, {}
+    if start == "tangent":
+        surf = PolarSurface.sectoral(2, 0.3)
+        y0 = equator_state(2, 0.3, 0.5, 0.1)
+        s_max = 220.0
+        kwargs = {"renormalize": False, "tangents": _equator_state_tangents(2, 0.3, y0)}
+        full = integrate(surf, y0, s_max, n_crossings=4, **kwargs)
+        assert full.chart_swaps == 3
     else:
-        y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
-    full = integrate(surf, y0, 50.0)
+        surf = PolarSurface.sectoral(3, 0.3)
+        if start == "on-section":
+            y0 = equator_state(3, 0.3, 0.4, 0.2)
+        else:
+            y0 = normalize_speed(surf, [1.2, 0.4, 0.3, 0.5])
+        full = integrate(surf, y0, s_max)
     ends = []
     stepper = geodesic.solve_ivp
 
@@ -504,9 +479,12 @@ def test_crossing_limited_run_stops_at_last_crossing(monkeypatch, k, start):
         return sol
 
     monkeypatch.setattr(geodesic, "solve_ivp", recording_solve_ivp)
-    limited = integrate(surf, y0, 50.0, n_crossings=k)
+    limited = integrate(surf, y0, s_max, n_crossings=k, **kwargs)
     assert len(full.crossings) > k
     assert np.array_equal(limited.crossings, full.crossings[:k])
+    if start == "tangent":
+        assert np.array_equal(limited.crossing_jacobians, full.crossing_jacobians[:k])
+        assert limited.chart_swaps == min(k, 2)
     assert ends[-1] == limited.crossings[-1, 0]
 
 

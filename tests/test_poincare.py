@@ -670,25 +670,16 @@ def _orbit_fields(found):
 @pytest.fixture
 def runs(monkeypatch):
     """(how, n_crossings, rtol, stepper calls it made) of every integrate
-    call and every run extension the search makes."""
+    call the search makes."""
     made = []
-    integrate, extend = poincare.integrate, poincare._extend
-    tols = {}
+    integrate = poincare.integrate
 
     def integrated(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        tols[id(traj)] = kwargs["rtol"]
         made.append(("integrate", kwargs["n_crossings"], kwargs["rtol"], traj.nfev))
         return traj
 
-    def extended(traj, k):
-        out = extend(traj, k)
-        tols[id(out)] = tols[id(traj)]
-        made.append(("extend", k, tols[id(traj)], out.nfev - traj.nfev))
-        return out
-
     monkeypatch.setattr(poincare, "integrate", integrated)
-    monkeypatch.setattr(poincare, "_extend", extended)
     return made
 
 
@@ -754,12 +745,12 @@ def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     """On sectoral(2, 0.1) the two planar classes close on their first
     pass, and the perpendicular class fails at periods 1-4 on its first
     pass.  One fine run per planar class gives its first return; the
-    perpendicular class makes one screening run to return 1 at rtol 1e-6,
-    extended return by return, where the all-fine shared run took one fine
-    run through returns 1-4 and one run per period made six.  The
-    stepper's calls: 11,076 per period, 5,340 all-fine shared, 3,889
-    screened at 1e-8 from period 2, 2,988 screened at 1e-8 from period 1
-    and 2,268 screened at 1e-6 from period 1."""
+    perpendicular class makes one screening run through returns 1-4 at
+    rtol 1e-6, where the all-fine shared run took one fine run through
+    returns 1-4 and one run per period made six.  The stepper's calls:
+    11,076 per period, 5,340 all-fine shared, 3,889 screened at 1e-8 from
+    period 2, 2,988 screened at 1e-8 from period 1 and 2,268 screened at
+    1e-6 from period 1."""
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         find_closed_geodesics(2, 0.1)
@@ -772,15 +763,14 @@ def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     runs.clear()
     find_closed_geodesics(2, 0.1)
     assert [(how, k, tol) for how, k, tol, _ in runs] == [
-        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 1, 1e-6),
-        ("extend", 2, 1e-6), ("extend", 3, 1e-6), ("extend", 4, 1e-6),
+        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 4, 1e-6),
     ]
     shared = [nfev for *_, nfev in runs]
     assert shared[:2] == alone[:2]
     # the perpendicular class: the screening run takes 1,030 calls through
     # returns 1-4, where the 1e-8 one took 1,750, a fine first return 901
     # and the all-fine shared run through returns 1-4 4,102
-    assert alone[5] == 4102 and shared[2:] == [277, 207, 291, 255]
+    assert alone[5] == 4102 and shared[2] == 1030
     assert sum(shared) == alone[0] + alone[1] + 1030 == 2268
 
 
@@ -815,6 +805,25 @@ def test_planar_classes_close_on_their_first_fine_pass(monkeypatch, runs, n, eps
     find_closed_geodesics(n, eps, families=("planar",))
     assert [(how, k, tol) for how, k, tol, _ in runs] == [("integrate", 1, 1e-12)] * 2
     assert [res[:2] for res in refined] == [(1, (0.0, 0.0)), (1, (math.pi / n, 0.0))]
+
+
+@pytest.mark.parametrize("n, eps", [(8, 0.5), (9, 0.9)])
+def test_strongly_hyperbolic_planar_orbits_are_kept(n, eps):
+    """A planar orbit with |tr M| in the millions carries integration error
+    along its unstable direction, which holds its residual above 1e-10
+    while Newton's step from it is far below (1.3e-14 at (8, 0.5), where
+    the residual is 1.1e-8): the fine pass is accepted
+    on its step, and all 2n planar orbits of period 1 are kept, each at
+    (k*pi/n, 0) exactly.  At (8, 0.5) the 8 with tr M about 7.0e6 were
+    dropped by the residual test alone, at (9, 0.9) all 18."""
+    found = find_closed_geodesics(n, eps, families=("planar",))
+    assert [(g.crossings, g.phi, g.phi_dot) for g in found] == [
+        (1, k * math.pi / n, 0.0) for k in range(2 * n)
+    ]
+    hyperbolic = [g for g in found if g.classification == "hyperbolic"]
+    assert len(hyperbolic) == (n if n == 8 else 2 * n)
+    assert min(abs(g.trace) for g in hyperbolic) > 6e6
+    assert max(g.residual for g in hyperbolic) > 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -909,11 +918,9 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
 
     n, eps = 2, 0.1
     rep = 0.5 * math.pi / n  # the perpendicular class
-    integrate, extend = poincare.integrate, poincare._extend
+    integrate = poincare.integrate
 
     def clipped(traj):
-        if len(traj.crossings) != k:
-            return traj
         crossings, jacs = traj.crossings.copy(), traj.crossing_jacobians
         if case == "run ends":
             crossings, jacs = crossings[:k - 1], jacs[:k - 1]
@@ -923,10 +930,10 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
 
     def integrated(surf, y0, *args, **kwargs):
         traj = integrate(surf, y0, *args, **kwargs)
-        return clipped(traj) if y0[1] == rep else traj
+        # only the screening run, which is asked for all max_period returns
+        return clipped(traj) if y0[1] == rep and kwargs["n_crossings"] == 4 else traj
 
     monkeypatch.setattr(poincare, "integrate", integrated)
-    monkeypatch.setattr(poincare, "_extend", lambda traj, k: clipped(extend(traj, k)))
     tried = _periods_tried(monkeypatch)
     with pytest.raises(RuntimeError, match=f"no {k}-th return within the arc-length budget"):
         find_closed_geodesics(n, eps)
@@ -942,26 +949,28 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
 
 
 def test_failed_shared_run_falls_back_to_runs_per_period(monkeypatch):
-    """A screening run that fails on its way to some return leaves that
-    period and every later one to a run of its own, which gives the same
-    orbits."""
-    extend = poincare._extend
+    """A screening run that fails leaves every period to a first pass of
+    its own, which gives the same orbits."""
+    integrate = poincare.integrate
     failed = []
 
-    def failing(traj, k):
-        if k == 3 and not failed:
+    def failing(*args, **kwargs):
+        # the screening run: the first screened run, asked for all returns
+        if kwargs["rtol"] == poincare._SCREEN_TOL and not failed:
+            assert kwargs["n_crossings"] == 3
             failed.append(True)
             raise RuntimeError("chart rotation failed to leave the pole")
-        return extend(traj, k)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(poincare, "_extend", failing)
+    monkeypatch.setattr(poincare, "integrate", failing)
     tried = _periods_tried(monkeypatch)
     found = find_closed_geodesics(2, 0.3, max_period=3)
     monkeypatch.undo()
-    assert failed
-    # the perpendicular class closes at period 3, from a first pass of its own
+    assert failed == [True]
+    # the perpendicular class closes at period 3, each period from a first
+    # pass of its own
     assert [(p, first is None, ok) for p, first, ok in tried[2:]] == [
-        (1, False, False), (2, False, False), (3, True, True)
+        (1, True, False), (2, True, False), (3, True, True)
     ]
     assert _orbit_fields(found) == _orbit_fields(find_closed_geodesics(2, 0.3, max_period=3))
 
