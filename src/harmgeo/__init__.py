@@ -17,6 +17,11 @@ numbers, and real roots come from one exact layer (Sturm sequences in
 loads only to build a result that is an array, when a caller first reads it
 (a ``Trajectory``'s fields, section points, monodromies,
 ``clairaut_values``).
+
+A cold start loads only what its run uses: the exact half loads
+``fractions`` and ``dataclasses``, and the numeric half's first call on a
+sectoral surface none of them, nor ``json``, ``csv``, ``textwrap`` or NumPy,
+which the functions that use them import.
 """
 
 import importlib

@@ -11,8 +11,6 @@ decimal string ("0.25"); both are parsed exactly, so "0.1" means 1/10.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import re
 import sys
@@ -48,6 +46,8 @@ def _eps_name(template: str, eps: Fraction) -> str:
     name = template.format(eps=tag)
     if len(name.encode()) <= _NAME_MAX:
         return name
+    import hashlib
+
     digest = hashlib.sha256(str(eps).encode()).hexdigest()[:16]
     return template.format(eps=f"{tag[:32]}_{digest}")
 
@@ -204,6 +204,8 @@ def cmd_psection(args, out: Path) -> int:
 
 
 def cmd_closed(args, out: Path) -> int:
+    import json
+
     from .poincare import find_closed_geodesics
 
     found = find_closed_geodesics(args.n, float(args.eps),
@@ -244,6 +246,8 @@ def cmd_closed(args, out: Path) -> int:
 
 
 def cmd_lemma1(args, out: Path) -> int:
+    import json
+
     from .geodesic import lemma1_critical_eps, lemma1_poly
 
     # an eps with no surface is refused before the bisection runs

@@ -26,7 +26,7 @@ import functools
 import linecache
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 EPS = 2.0**-52
 SAFETY = 0.9
@@ -133,8 +133,9 @@ _D = [
 ]
 
 
-@dataclass
-class OdeResult:
+class OdeResult(
+    namedtuple("OdeResult", "t y t_events y_events samples nfev rejected status")
+):
     """What one :func:`solve_ivp` run did.
 
     ``t`` holds the start and the end of every accepted step; a run stopped
@@ -142,17 +143,11 @@ class OdeResult:
     ``t[-1]``.  ``t_events[i]`` and ``y_events[i]`` list the roots of event
     i and the states there; ``samples`` the states at the requested sample
     times the run reached.  ``nfev`` counts right-hand-side calls and
-    ``rejected`` the steps the controller refused.
+    ``rejected`` the steps the controller refused.  ``status`` is
+    "finished" at the end of the span, "terminated" by an event.
     """
 
-    t: list
-    y: list
-    t_events: list
-    y_events: list
-    samples: list
-    nfev: int
-    rejected: int
-    status: str  # "finished" at the end of the span, "terminated" by an event
+    __slots__ = ()
 
 
 def _rms(xs) -> float:

@@ -8,11 +8,8 @@ length once the initial velocity is normalized to 2H = 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
-from dataclasses import MISSING, dataclass, field, fields
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import kernels
@@ -49,7 +46,7 @@ def _flat(floats) -> list:
 
 
 class _Floats:
-    """A dataclass field kept as the floats it is given and read as float64
+    """A record field kept as the floats it is given and read as float64
     arrays, built on the first read: only then is NumPy imported.  ``row``
     is the shape of one row, which an empty field keeps; a crossing
     Jacobian's row (2, j) takes j from the trajectory.  With ``each`` the
@@ -60,17 +57,15 @@ class _Floats:
     freed.  :meth:`kept` reads the floats, or the arrays that replaced
     them, without building one."""
 
-    def __init__(self, row, default=MISSING, each=False):
-        self.row, self.default, self.each = row, default, each
+    def __init__(self, row, each=False):
+        self.row, self.each = row, each
 
     def __set_name__(self, owner, name):
         self.raw, self.built = f"_{name}", f"_{name}_array"
 
     def __get__(self, obj, owner=None):
-        if obj is None:  # a dataclass reads its default here
-            if self.default is MISSING:
-                raise AttributeError(self.raw[1:])
-            return self.default
+        if obj is None:
+            return self
         raw, built = obj.__dict__[self.raw], obj.__dict__.get(self.built)
         if built is None and raw is not None:
             row = self.row
@@ -99,9 +94,10 @@ class _Floats:
 
 
 class _KeptFloatsEq:
-    """``==`` for a dataclass declared with ``eq=False`` whose array fields
-    are :class:`_Floats`: field by field, those fields by the floats they
-    keep, so that no array is built."""
+    """Base of the result records whose array fields are :class:`_Floats`.
+    Their fields are the names the class annotates, in order.  ``==``
+    compares them field by field, the array fields by the floats they
+    keep, so that no array is built; ``repr`` lists every field."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -111,7 +107,11 @@ class _KeptFloatsEq:
             spec = type(obj).__dict__.get(name)
             return spec.kept(obj) if isinstance(spec, _Floats) else getattr(obj, name)
 
-        return all(kept(self, f.name) == kept(other, f.name) for f in fields(self) if f.compare)
+        return all(kept(self, name) == kept(other, name) for name in type(self).__annotations__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _rows(flat, width):
@@ -119,7 +119,6 @@ def _rows(flat, width):
     return zip(*[iter(flat)] * width)
 
 
-@dataclass(eq=False)
 class Trajectory(_KeptFloatsEq):
     """Sampled geodesic in the body chart, plus equator-crossing events.
 
@@ -138,15 +137,23 @@ class Trajectory(_KeptFloatsEq):
     chart_swaps: int
     status: str  # "completed", or "crossings" when n_crossings stopped it
     # shape (k, 2, j) with ``tangents``: d(phi, phi_dot) of each crossing
-    crossing_jacobians: Optional[np.ndarray] = _Floats(None, default=None)
+    crossing_jacobians: Optional[np.ndarray] = _Floats(None)
     # stepper work: right-hand-side calls, accepted and rejected steps
-    nfev: int = 0
-    steps: int = 0
-    rejected_steps: int = 0
-    # j, the number of variations a tangent run carried
-    _n_tangents: int = field(default=0, init=False, repr=False, compare=False)
+    nfev: int
+    steps: int
+    rejected_steps: int
+    _n_tangents = 0  # j, the number of variations a tangent run carried
+
+    def __init__(self, s, states, h2, crossings, chart_swaps, status,
+                 crossing_jacobians=None, nfev=0, steps=0, rejected_steps=0):
+        self.s, self.states, self.h2, self.crossings = s, states, h2, crossings
+        self.chart_swaps, self.status = chart_swaps, status
+        self.crossing_jacobians = crossing_jacobians
+        self.nfev, self.steps, self.rejected_steps = nfev, steps, rejected_steps
 
     def to_csv(self, path) -> None:
+        import csv
+
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["s", "theta", "phi", "theta_dot", "phi_dot", "h2"])
@@ -581,6 +588,8 @@ def lemma1_poly(n: int, eps) -> dict[int, Poly]:
     """Exact expansion f(u, c) = sum_k u^k * (poly in c): coinciding
     exponents summed, zero terms dropped.  The u^0 term is the round
     sphere's 1, and 1 + eps^2 when n = 1."""
+    from fractions import Fraction
+
     from .algebra import Poly
 
     eps = Fraction(eps)
@@ -603,18 +612,11 @@ def lemma1_poly(n: int, eps) -> dict[int, Poly]:
     return {k: pc for k, pc in out.items() if pc}
 
 
-def lemma1_value(n: int, eps, u0, c0) -> Fraction:
-    """Exact f(u0, c0) for rational arguments."""
-    eps, u0, c0 = Fraction(eps), Fraction(u0), Fraction(c0)
-    poly = lemma1_poly(n, eps)
-    return sum((pc(c0) * u0**e for e, pc in poly.items()), Fraction(0))
-
-
 def lemma1_equator_cubic(n: int, eps) -> Poly:
     """f(1, c) as an exact cubic polynomial in c."""
     from .algebra import Poly
 
-    poly = lemma1_poly(n, Fraction(eps))
+    poly = lemma1_poly(n, eps)
     total = Poly.zero()
     for _, pc in poly.items():
         total = total + pc
@@ -653,6 +655,8 @@ def nve_dual_residual(n: int, eps, n_checks: int = 64) -> float:
     equally spaced arc lengths of one circuit, both ends included.  Both
     start from (1, 0) at phi = pi/(2n).
     """
+    from fractions import Fraction
+
     from .algebra import Poly, RatFunc
     from .nve import equatorial_nve
 
@@ -721,6 +725,8 @@ def lemma1_critical_eps(n: int, tol: float = 1e-9) -> float:
     sequence (:meth:`Poly.count_roots`).  Below the threshold the restoring
     force points toward the equator everywhere on the equator itself.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
     if not 0.0 < tol < math.inf:  # an infinite tol would skip the bisection

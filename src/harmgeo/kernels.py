@@ -50,7 +50,6 @@ import functools
 import linecache
 import math
 import re
-import textwrap
 
 BACKEND = "python"  # the only kernel implementation; reported in run metadata
 
@@ -295,7 +294,8 @@ _PARAMETERS = {"sectoral": "eps", "chart": "eps, q, rot"}
 
 
 def _function(header, *texts, ret):
-    return header + "\n" + textwrap.indent("".join(texts) + f"return {ret}\n", "    ")
+    body = ("".join(texts) + f"return {ret}\n").splitlines(True)
+    return header + "\n" + "".join("    " + line if line.strip() else line for line in body)
 
 
 def _compile(source, filename):

@@ -9,12 +9,9 @@ return map is an area-preserving map of the (phi, phi_dot) cylinder.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
@@ -87,7 +84,6 @@ def _equator_state_tangents(n: int, eps: float, y) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class SectionData(_KeptFloatsEq):
     """A seeded section run.  Each trajectory's crossings are kept as rows
     of floats, and ``trajectories`` builds its arrays from them on its
@@ -101,7 +97,12 @@ class SectionData(_KeptFloatsEq):
     # list of (k, 3) arrays: s, phi mod 2pi, phi_dot
     trajectories: list = _Floats((3,), each=True)
     initials: list  # list of (phi0, phi_dot0)
-    failures: list = field(default_factory=list)
+    failures: list
+
+    def __init__(self, n, eps, seed, n_crossings, trajectories, initials, failures=None):
+        self.n, self.eps, self.seed, self.n_crossings = n, eps, seed, n_crossings
+        self.trajectories, self.initials = trajectories, initials
+        self.failures = [] if failures is None else failures
 
     def all_points(self) -> np.ndarray:
         return _as_array([row for rows in self._trajectories for row in rows], (3,))
@@ -352,7 +353,6 @@ def _wrap(dphi: float) -> float:
     return (dphi + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(eq=False)
 class ClosedGeodesic(_KeptFloatsEq):
     """A closed orbit of the return map.  The monodromy is kept as its
     floats, and ``trace``, ``det`` and ``classification`` read them: only
@@ -365,6 +365,11 @@ class ClosedGeodesic(_KeptFloatsEq):
     length: float  # period measured in arc length
     monodromy: np.ndarray = _Floats((2,))  # shape (2, 2)
     residual: float
+
+    def __init__(self, family, phi, phi_dot, crossings, length, monodromy, residual):
+        self.family, self.phi, self.phi_dot = family, phi, phi_dot
+        self.crossings, self.length = crossings, length
+        self.monodromy, self.residual = monodromy, residual
 
     @property
     def trace(self) -> float:
@@ -659,6 +664,8 @@ def equator_monodromy(
 
 
 def section_to_csv(section: SectionData, path) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["traj_id", "crossing_index", "s", "phi", "phi_dot"])
@@ -668,6 +675,8 @@ def section_to_csv(section: SectionData, path) -> None:
 
 
 def section_to_json(section: SectionData, path) -> None:
+    import json
+
     data = {
         "n": section.n,
         "eps": section.eps,

@@ -23,10 +23,8 @@ one.  Associated Legendre functions here carry no Condon-Shortley phase.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import kernels
 
@@ -68,6 +66,8 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
 def _legendre_q_exact(l: int, m: int) -> list:
     """The coefficients of Q = d^m P_l/dx^m as Fractions, lowest degree
     first, from P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k)."""
+    from fractions import Fraction
+
     if m < 0 or l < m:
         raise ValueError("need 0 <= m <= l")
     c = [0] * (l + 1)
@@ -191,13 +191,10 @@ def _check_deformation(eps: float, h_max: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Metric2:
+class Metric2(namedtuple("Metric2", "g_tt g_tp g_pp")):
     """First fundamental form in (theta, phi) coordinates."""
 
-    g_tt: float
-    g_tp: float
-    g_pp: float
+    __slots__ = ()
 
     @property
     def det(self) -> float:
@@ -266,6 +263,8 @@ class PolarSurface:
         """Build from a dict or JSON string, e.g.
         {"family": "sectoral", "n": 3, "eps": 0.2}."""
         if isinstance(spec, str):
+            import json
+
             spec = json.loads(spec)
         fam = spec.get("family")
         if fam == "sectoral":
@@ -297,15 +296,6 @@ class PolarSurface:
             g_tp=r_t * r_p,
             g_pp=r_p * r_p + r * r * st2,
         )
-
-    def christoffels_at(self, theta: float, phi: float) -> dict:
-        """Symbols keyed 'ttt', 'ttp', 'tpp', 'ptt', 'ptp', 'ppp' (upper index
-        first)."""
-        if abs(math.sin(theta)) <= POLE_TOL:
-            raise PoleError(f"polar chart degenerate at theta = {theta}")
-        out = kernels.christoffel(theta, *self._partials(theta, phi))
-        keys = ("g_tt", "g_tp", "g_pp", "det", "ttt", "ttp", "tpp", "ptt", "ptp", "ppp")
-        return {k: v for k, v in zip(keys[4:], out[4:])}
 
     def hamiltonian2(self, theta, phi, theta_dot, phi_dot) -> float:
         """2H = g_tt td^2 + 2 g_tp td pd + g_pp pd^2 (arc length when == 1)."""

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -546,6 +547,84 @@ def test_numeric_half_loads_no_exact_algebra():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# a cold start's first calls, each with the modules it must not load: the
+# numeric half loads no dataclasses, fractions, json, csv, textwrap or NumPy
+# (the zonal and tesseral constructors do load fractions, for the exact
+# Legendre coefficients), and the exact half none of the numeric modules
+_COLD_NUMERIC = ("dataclasses", "fractions", "json", "csv", "textwrap", "numpy")
+_COLD_STARTS = {
+    "section": (
+        "from harmgeo.poincare import generate_section\n"
+        "generate_section(3, 0.3, n_traj=1, n_crossings=1, rtol=1e-10, atol=1e-10)\n",
+        _COLD_NUMERIC,
+    ),
+    "trace": (
+        "from harmgeo.geodesic import integrate\n"
+        "from harmgeo.surface import PolarSurface\n"
+        "integrate(PolarSurface.sectoral(3, 0.2), [1.2, 0.4, 0.3, 0.6], 1.0, n_samples=2)\n",
+        _COLD_NUMERIC,
+    ),
+    "orbits": (
+        "from harmgeo.poincare import return_map\n"
+        "return_map(2, 0.1, 0.0, 0.0)\n",
+        _COLD_NUMERIC,
+    ),
+    "closed": (
+        "from harmgeo.poincare import find_closed_geodesics\n"
+        "assert find_closed_geodesics(2, 0.1, max_period=1)\n",
+        _COLD_NUMERIC,
+    ),
+    "occupancy": (
+        "from harmgeo.poincare import generate_section, max_trajectory_occupancy, occupancy\n"
+        "sec = generate_section(3, 0.3, n_traj=2, n_crossings=5)\n"
+        "assert occupancy(sec) > 0 and max_trajectory_occupancy(sec) > 0\n",
+        _COLD_NUMERIC,
+    ),
+    # the CLI parses eps exactly, so it loads fractions itself
+    "cli trace": (
+        "from harmgeo.cli import main\n"
+        "assert main(['--out-dir', OUT, 'trace', '--n', '3', '--eps', '0.2', '--length', '10',\n"
+        "             '--samples', '50']) == 0\n",
+        ("dataclasses", "json", "hashlib", "textwrap", "numpy"),
+    ),
+    "cli psection": (
+        "from harmgeo.cli import main\n"
+        "for fmt in ('csv', 'svg'):\n"
+        "    assert main(['--out-dir', OUT, '--format', fmt, 'psection', '--n', '3', '--eps',\n"
+        "                 '0.3', '--traj', '2', '--crossings', '3']) == 0\n",
+        ("dataclasses", "json", "hashlib", "textwrap", "numpy"),
+    ),
+    "kovacic": (
+        "from fractions import Fraction\n"
+        "from harmgeo.kovacic import FuchsianODE\n"
+        "from harmgeo.nve import equatorial_nve\n"
+        "FuchsianODE.from_nve(equatorial_nve(2, Fraction(1, 10)))\n",
+        tuple(f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLD_STARTS))
+def test_cold_start_loads_only_what_it_uses(tmp_path, case):
+    """In a fresh interpreter, ``import harmgeo`` and a first call load none
+    of the modules that call's path does not use."""
+    import harmgeo
+
+    first_call, unused = _COLD_STARTS[case]
+    src = str(Path(harmgeo.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        f"OUT = {str(tmp_path)!r}\n"
+        "import harmgeo\n"
+        f"{first_call}"
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", case
 
 
 def test_package_names_resolve_on_first_access():

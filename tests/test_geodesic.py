@@ -19,7 +19,6 @@ from harmgeo.geodesic import (
     lemma1_critical_eps,
     lemma1_equator_cubic,
     lemma1_poly,
-    lemma1_value,
     normalize_speed,
     nve_dual_residual,
     sphere_closure_error,
@@ -686,6 +685,12 @@ def test_lemma1_poly_is_pinned(n):
         poly = sorted(lemma1_poly(n, eps).items())
         terms = {str(k): [str(c) for c in pc.coeffs] for k, pc in poly}
         assert hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:16] == digest, eps
+
+
+def lemma1_value(n, eps, u0, c0):
+    """Exact f(u0, c0) of :func:`lemma1_poly` for rational arguments."""
+    eps, u0, c0 = Fraction(eps), Fraction(u0), Fraction(c0)
+    return sum((pc(c0) * u0**e for e, pc in lemma1_poly(n, eps).items()), Fraction(0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])

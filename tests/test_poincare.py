@@ -912,9 +912,8 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     periods below k are unchanged.  The class screens from period 1, so
     each first pass, that of period 1 included, is that of a run of its own
     at the screening tolerance."""
-    import dataclasses
-
     from harmgeo.cli import main
+    from harmgeo.geodesic import Trajectory
 
     n, eps = 2, 0.1
     rep = 0.5 * math.pi / n  # the perpendicular class
@@ -926,7 +925,10 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
             crossings, jacs = crossings[:k - 1], jacs[:k - 1]
         else:
             crossings[k - 1, 0] = 40.0 * k + 60.0 + 1e-9
-        return dataclasses.replace(traj, crossings=crossings, crossing_jacobians=jacs)
+        return Trajectory(
+            traj.s, traj.states, traj.h2, crossings, traj.chart_swaps, traj.status, jacs,
+            traj.nfev, traj.steps, traj.rejected_steps,
+        )
 
     def integrated(surf, y0, *args, **kwargs):
         traj = integrate(surf, y0, *args, **kwargs)
