@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import warnings
 from typing import TYPE_CHECKING, Optional
 
 from .dop853 import check_tolerances
@@ -502,33 +503,41 @@ def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     return _as_array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], (2,))
 
 
-def _refine_seed(n, eps, phi0, max_period, screened):
-    """(period, x, residual, monodromy, length) at the first period in
-    1..max_period for which Newton from (phi0, 0) converges, or None.
+def _planar_class(n, eps, rep):
+    """(1, x, residual, monodromy, length) of the planar class on the mirror
+    plane phi = ``rep`` from one fine pass at (rep, 0) and no Newton step,
+    or None with a RuntimeWarning (see :func:`find_closed_geodesics`)."""
+    first = _kth_return(n, eps, rep, 0.0, 1, tangent=True)
+    res = _newton_fixed_point(n, eps, (rep, 0.0), 1, max_iter=1, first=first)
+    if res is None:
+        ph, pd, _, ((a, _), (_, d)) = first
+        warnings.warn(f"planar class phi = {rep!r} did not close on its fine pass: residual "
+                      f"{max(abs(_wrap(ph - rep)), abs(pd)):.3g}, tr M {a + d:.3g}",
+                      RuntimeWarning, stacklevel=3)
+        return None
+    return (1, *res)
 
-    A ``screened`` seed (the perpendicular class) makes one tangent run
-    from the seed at the screening tolerance _SCREEN_TOL = 1e-6, with the
-    budget of max_period returns, and period k's Newton takes return k of
-    that run as its first pass.  Its Newtons screen at 1e-6 too and hand
-    over to 1e-12 below residual 1e-4 (see :func:`_newton_fixed_point`), so
-    its orbits come from 1e-12 passes.  Up to its k-th return the run takes
-    the steps of a run that stops there, save for a step that the shorter
-    budget would have clipped.  A k-th return that the run lacks, or that
-    lies beyond the budget of k returns, raises as a run of its own would,
-    and only when period k is tried.  A run that fails leaves every period
-    to a first pass of its own.  An unscreened seed (the planar classes,
-    which lie on a mirror plane and close at once) makes no shared run:
-    each Newton makes its own first pass, all at 1e-12, so its orbit is
-    that of an all-fine search, bit for bit.  A period whose Newton steps
-    off the energy shell fails like one that steps too far.
+
+def _refine_seed(n, eps, phi0, max_period):
+    """(period, x, residual, monodromy, length) of the perpendicular class
+    at the first period in 1..max_period for which Newton from (phi0, 0)
+    converges, or None.
+
+    One tangent run from the seed at _SCREEN_TOL = 1e-6, with the budget of
+    max_period returns, gives period k's screened Newton (see
+    :func:`_newton_fixed_point`) return k as its first pass.  Up to its k-th
+    return the run takes the steps of a run that stops there, save for a
+    step that the shorter budget would have clipped.  A k-th return that
+    the run lacks, or that lies beyond the budget of k returns, raises as a
+    run of its own would, and only when period k is tried.  A run that fails
+    leaves every period to a first pass of its own.  A period whose Newton
+    steps off the energy shell fails like one that steps too far.
     """
-    tol = _SCREEN_TOL if screened else 1e-12
-    run = None
-    if screened:
-        try:
-            run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, rtol=tol, atol=tol)
-        except RuntimeError:
-            pass
+    tol = _SCREEN_TOL
+    try:
+        run = _section_run(n, eps, phi0, 0.0, max_period, tangent=True, rtol=tol, atol=tol)
+    except RuntimeError:
+        run = None
     for k in range(1, max_period + 1):
         first = None if run is None else _return_of(run, k)
         res = _newton_fixed_point(n, eps, (phi0, 0.0), k, first=first, rtol=tol)
@@ -550,25 +559,26 @@ def find_closed_geodesics(
     +-I, so Newton started from g*x0 is g applied to Newton started from x0,
     with the same period, length, residual and monodromy.  The 4n seeds form
     three classes: planar k even, planar k odd, and every perpendicular seed
-    (the reflection sends k to -k-1).  One seed per class is refined, trying
-    periods 1..max_period until Newton converges; every other seed's result
-    is the class result mapped by its group element.  Seeds keep their
-    order, and a result equal to an earlier one to 6 decimals is dropped.
+    (the reflection sends k to -k-1).  One seed per class is refined, and
+    every other seed's result is the class result mapped by its group
+    element.  Seeds keep their order, and a result equal to an earlier one
+    to 6 decimals is dropped.
 
-    A planar seed lies on a mirror plane of the surface, whose fixed set is
-    totally geodesic, so its meridian geodesic closes at period 1: the two
-    planar classes run at rtol 1e-12 throughout, and their orbits are those
-    of an all-fine search, bit for bit.  The perpendicular class takes the
-    first passes of all periods from one screening run at rtol 1e-6, hands
-    over below residual 1e-4 and confirms at 1e-12 (see
-    :func:`_refine_seed`), so every reported residual, monodromy and length
-    comes from a 1e-12 pass; perpendicular orbits agree with an all-fine
-    search to within 1e-10 at period 1 and to within 1e-8 at periods >= 2.
-    A 1e-12 pass converges on its residual or on its Newton step (see
-    :func:`_newton_fixed_point`), so a strongly hyperbolic orbit can report
-    a residual above 1e-10.  A Newton step off the energy shell, where no
-    section point lies, ends that period's search for the class instead of
-    the whole search.
+    A planar seed lies on a mirror plane, whose fixed set is totally
+    geodesic, so it is itself the period-1 fixed point: each planar class
+    makes one tangent pass at rtol 1e-12 and no Newton step, accepted on its
+    residual or its Newton step (see :func:`_newton_fixed_point`), and a
+    class that fails both tests warns (a RuntimeWarning with its phi, the
+    pass's residual and tr M) and yields no orbit.  The perpendicular class
+    tries periods 1..max_period, with first passes from one screening run at
+    rtol 1e-6, and hands over below residual 1e-4 to 1e-12 passes (see
+    :func:`_refine_seed`); its orbits agree with an all-fine search to
+    within 1e-10 at period 1 and 1e-8 at periods >= 2.  Every reported
+    residual, monodromy and length comes from a 1e-12 pass, and a strongly
+    hyperbolic orbit accepted on its step can report a residual above
+    1e-10.  A Newton step off the energy shell, where no section point
+    lies, ends that period's search for the class instead of the whole
+    search.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
@@ -594,8 +604,8 @@ def find_closed_geodesics(
     seen = set()
     for family, phi0, rep, sign in seeds:
         if (family, rep) not in refined:
-            screened = family == "perpendicular"
-            refined[family, rep] = _refine_seed(n, eps, rep, max_period, screened)
+            refined[family, rep] = (_planar_class(n, eps, rep) if family == "planar"
+                                    else _refine_seed(n, eps, rep, max_period))
         if refined[family, rep] is None:
             continue
         k, x, resid, mono, length = refined[family, rep]

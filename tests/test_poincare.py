@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -466,7 +467,8 @@ def test_closed_search_refines_one_seed_per_dihedral_class(monkeypatch, n):
         return None
 
     monkeypatch.setattr(poincare, "_newton_fixed_point", no_convergence)
-    assert find_closed_geodesics(n, 0.1) == []
+    with pytest.warns(RuntimeWarning, match="planar class"):
+        assert find_closed_geodesics(n, 0.1) == []
     assert len(set(starts)) == 3
 
 
@@ -649,7 +651,7 @@ def test_period_three_perpendicular_orbits():
         assert abs(g.trace - trace) <= 1e-9
 
 
-def _refine_seed_per_period(n, eps, phi0, max_period, screened):
+def _refine_seed_per_period(n, eps, phi0, max_period):
     """The seed refinement with one first pass of its own per period and
     every pass at 1e-12, whatever the class: the all-fine reference."""
     for k in range(1, max_period + 1):
@@ -688,17 +690,19 @@ def runs(monkeypatch):
     [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1), (2, 0.2), (3, 0.3), (4, 0.1), (5, 0.2), (6, 0.1)],
 )
 def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
-    """The planar classes' fine first return, and the shared screening run
+    """The planar classes' one fine pass, and the shared screening run
     with its screened Newtons, give the orbits of a search with one first
-    pass per period and every pass at 1e-12: planar orbits of period 1 bit
-    for bit, perpendicular ones of period 1, which come through the
-    hand-over, within 1e-10, and later ones within 1e-8.  The period-3
-    orbits at (2, 0.3) and the period-4 pair at (2, 0.2), where
-    tr M = 1.994, come through the hand-over too; at (4, 0.1) a period-4
-    Newton wanders and fails on both sides."""
+    pass per period and every pass at 1e-12, for the planar classes too:
+    planar orbits of period 1 bit for bit, perpendicular ones of period 1,
+    which come through the hand-over, within 1e-10, and later ones within
+    1e-8.  The period-3 orbits at (2, 0.3) and the period-4 pair at
+    (2, 0.2), where tr M = 1.994, come through the hand-over too; at
+    (4, 0.1) a period-4 Newton wanders and fails on both sides."""
     shared = find_closed_geodesics(n, eps)
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
+        m.setattr(poincare, "_planar_class",
+                  lambda n_, eps_, rep: _refine_seed_per_period(n_, eps_, rep, 4))
         alone = find_closed_geodesics(n, eps)
     assert [(g.family, g.crossings, g.classification) for g in shared] == [
         (g.family, g.crossings, g.classification) for g in alone
@@ -717,16 +721,22 @@ def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
 def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
     """Every class result's residual, monodromy and length are those of a
     fresh 1e-12 tangent run from its point, bit for bit, whatever period
-    it closed at; each reported orbit carries its class result's."""
+    it closed at, the planar classes' one-pass results included; each
+    reported orbit carries its class result's."""
     refined = []
-    refine = poincare._refine_seed
 
-    def spied(*args):
-        res = refine(*args)
-        refined.append(res)
-        return res
+    def spy(name):
+        refine = getattr(poincare, name)
 
-    monkeypatch.setattr(poincare, "_refine_seed", spied)
+        def spied(*args):
+            res = refine(*args)
+            refined.append(res)
+            return res
+
+        monkeypatch.setattr(poincare, name, spied)
+
+    spy("_planar_class")
+    spy("_refine_seed")
     found = find_closed_geodesics(n, eps)
     results = [res for res in refined if res is not None]
     assert {k for k, *_ in results} == periods
@@ -744,7 +754,8 @@ def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
 def test_shared_first_pass_saves_integrations(monkeypatch, runs):
     """On sectoral(2, 0.1) the two planar classes close on their first
     pass, and the perpendicular class fails at periods 1-4 on its first
-    pass.  One fine run per planar class gives its first return; the
+    pass.  One fine run per planar class gives its first return, as it
+    does in a search with one first pass per period for every class; the
     perpendicular class makes one screening run through returns 1-4 at
     rtol 1e-6, where the all-fine shared run took one fine run through
     returns 1-4 and one run per period made six.  The stepper's calls:
@@ -785,26 +796,75 @@ def test_screened_search_rhs_calls(runs):
     assert sum(nfev for *_, nfev in runs) == 13239
 
 
-@pytest.mark.parametrize("eps", [-0.2, 0.0, 0.1, 0.3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+# (n, eps) -> the planar class, k*pi/n for k odd (1) or even (0), whose one
+# fine pass fails both convergence tests: |tr M| from 3.4e10 to 5.1e19
+PLANAR_EDGE_FAILURES = {
+    (4, 0.9): 1, (6, 0.9): 1, (8, 0.8): 1, (8, 0.9): 1, (10, 0.7): 1, (10, 0.8): 1,
+    (10, 0.9): 1, (10, -0.9): 0, (11, 0.9): 1, (12, 0.6): 1, (12, 0.7): 1, (12, 0.8): 1,
+    (12, 0.9): 1, (12, -0.9): 0,
+}
+
+
+@pytest.mark.parametrize(
+    "n, eps",
+    [(n, eps) for n in range(1, 7) for eps in (-0.2, 0.0, 0.1, 0.3)]
+    + [(4, 0.9), (11, 0.9), (12, 0.6)],
+)
 def test_planar_classes_close_on_their_first_fine_pass(monkeypatch, runs, n, eps):
     """A planar seed lies on a mirror plane phi = k*pi/n, and the fixed
     set of an isometry is totally geodesic, so the seed's meridian geodesic
     closes at once: each planar class makes one fine run to its first
-    return, and Newton returns the seed itself, (k*pi/n, 0.0) exactly, at
-    period 1."""
+    return and no Newton step, and returns the seed itself, (k*pi/n, 0.0)
+    exactly, at period 1.  At (4, 0.9), (11, 0.9) and (12, 0.6) the class
+    phi = pi/n fails both convergence tests on that run and warns; it makes
+    no other run, where a Newton search from the seed through periods 1-4
+    made 32 to 34 more."""
     refined = []
-    refine = poincare._refine_seed
+    planar = poincare._planar_class
 
     def spied(*args):
-        res = refine(*args)
+        res = planar(*args)
         refined.append(res)
         return res
 
-    monkeypatch.setattr(poincare, "_refine_seed", spied)
-    find_closed_geodesics(n, eps, families=("planar",))
+    monkeypatch.setattr(poincare, "_planar_class", spied)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        find_closed_geodesics(n, eps, families=("planar",))
     assert [(how, k, tol) for how, k, tol, _ in runs] == [("integrate", 1, 1e-12)] * 2
-    assert [res[:2] for res in refined] == [(1, (0.0, 0.0)), (1, (math.pi / n, 0.0))]
+    failed = PLANAR_EDGE_FAILURES.get((n, eps))
+    assert [res and res[:2] for res in refined] == [
+        None if failed == parity else (1, (parity * math.pi / n, 0.0)) for parity in (0, 1)
+    ]
+    assert [(w.category, str(w.message).split(" did")[0]) for w in caught] == (
+        [] if failed is None else [(RuntimeWarning, f"planar class phi = {math.pi / n!r}")]
+    )
+
+
+EDGE_GRID = [(n, eps) for n in range(1, 13) for eps in (0.5, 0.6, 0.7, 0.8, 0.9, -0.5, -0.7, -0.9)]
+
+
+@pytest.mark.parametrize("n, eps", EDGE_GRID)
+def test_planar_edge_census(n, eps):
+    """Every planar class closes at period 1 at (k*pi/n, 0) exactly, so the
+    search lists 2n planar orbits, save in the 14 cases of
+    PLANAR_EDGE_FAILURES, where one class's fine pass fails both tests: there
+    it lists the other class's n orbits and warns with the failed class's
+    phi, the pass's residual and tr M, instead of dropping the class
+    silently."""
+    failed = PLANAR_EDGE_FAILURES.get((n, eps))
+    if failed is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = find_closed_geodesics(n, eps, families=("planar",))
+    else:
+        match = rf"planar class phi = {failed * math.pi / n!r} .*residual .*tr M"
+        with pytest.warns(RuntimeWarning, match=match) as caught:
+            found = find_closed_geodesics(n, eps, families=("planar",))
+        assert len(caught) == 1
+    assert [(g.family, g.crossings, g.phi, g.phi_dot) for g in found] == [
+        ("planar", 1, k * math.pi / n, 0.0) for k in range(2 * n) if k % 2 != failed
+    ]
 
 
 @pytest.mark.parametrize("n, eps", [(8, 0.5), (9, 0.9)])
