@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import os
-import warnings
 from typing import TYPE_CHECKING, Optional
 
-from .dop853 import check_tolerances
+from .dop853 import check_tolerances, solve_ivp
 from .geodesic import (
     R_SWAP, _as_array, _flat, _Floats, _KeptFloatsEq, chart_to_body, integrate, normalize_speed,
 )
@@ -441,7 +440,7 @@ def _mat2_power(a, n):
 _SCREEN_TOL = 1e-6
 
 
-def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=1e-12):
+def _newton_fixed_point(n, eps, x0, k, tol=1e-10, first=None, rtol=1e-12):
     """Newton iteration for a period-k point of the return map.
 
     Each step is one integration with the tangent flow at rtol = atol =
@@ -456,19 +455,19 @@ def _newton_fixed_point(n, eps, x0, k, tol=1e-10, max_iter=30, first=None, rtol=
     components are below ``tol``, or when both components of the Newton
     step from it are: along a strongly hyperbolic orbit the integration
     error in the unstable direction can hold the residual above ``tol``
-    while the step is far below it (1.1e-8 and 1.3e-14 at n = 8,
-    eps = 0.5, where tr M is about 7.0e6).  Either way the point of that
+    while the step is far below it (1.1e-8 and 1.3e-14 on a planar orbit
+    shot at n = 8, eps = 0.5, where tr M is about 7.0e6).  Either way the point of that
     pass is returned, with its residual, monodromy and length.  A step
     above 0.5, a step to a point whose |phi_dot| exceeds the energy shell
     (no section point lies there, see :func:`equator_state`) or a singular
     Jacobian gives up at any tolerance: on the round sphere, where M = I,
     a seed closes only if its first residual passes the convergence test,
-    or the hand-over when screened.  Returns (x, residual, monodromy,
-    length) from the converged pass, or None; x is a pair of floats and the
-    monodromy a 2x2 list of rows.
+    or the hand-over when screened, and so do 30 passes.  Returns (x,
+    residual, monodromy, length) from the converged pass, or None; x is a
+    pair of floats and the monodromy a 2x2 list of rows.
     """
     phi, phi_dot = (float(v) for v in x0)
-    for _ in range(max_iter):
+    for _ in range(30):
         if first is None:
             ph, pd, length, jac = _kth_return(
                 n, eps, phi, phi_dot, k, tangent=True, rtol=rtol, atol=rtol
@@ -503,19 +502,37 @@ def monodromy_matrix(n, eps, phi, phi_dot, k) -> np.ndarray:
     return _as_array(_kth_return(n, eps, phi, phi_dot, k, tangent=True)[3], (2,))
 
 
+def _half_map(surf, span, rtol=1e-12, atol=1e-12):
+    """(H, l): the map H of (w, w') by the Jacobi equation along the chart's
+    equator of ``surf`` from phi = 0 to ``span``, as rows, and its arc
+    length l (:meth:`PolarSurface.equator_jacobi_rhs`)."""
+    sol = solve_ivp(surf.equator_jacobi_rhs, (0.0, span), [1.0, 0.0, 0.0, 1.0, 0.0],
+                    rtol=rtol, atol=atol)
+    w0, u0, w1, u1, length = sol.y
+    return ((w0, w1), (u0, u1)), length
+
+
+def _period_map(h):
+    """M = (S H^-1 S) H with S = diag(1, -1): the map over a whole period
+    of a Hill equation whose coefficient is even about both ends of H's
+    half period, where (w, w')(t) -> (w, -w')(-t) makes S H^-1 S the map
+    over the other half.  H^-1 = adj H as det H = 1, and M[0][0] and
+    M[1][1] are the same float."""
+    (h00, h01), (h10, h11) = h
+    a = h00 * h11 + h01 * h10
+    return [[a, 2.0 * h01 * h11], [2.0 * h00 * h10, a]]
+
+
 def _planar_class(n, eps, rep):
-    """(1, x, residual, monodromy, length) of the planar class on the mirror
-    plane phi = ``rep`` from one fine pass at (rep, 0) and no Newton step,
-    or None with a RuntimeWarning (see :func:`find_closed_geodesics`)."""
-    first = _kth_return(n, eps, rep, 0.0, 1, tangent=True)
-    res = _newton_fixed_point(n, eps, (rep, 0.0), 1, max_iter=1, first=first)
-    if res is None:
-        ph, pd, _, ((a, _), (_, d)) = first
-        warnings.warn(f"planar class phi = {rep!r} did not close on its fine pass: residual "
-                      f"{max(abs(_wrap(ph - rep)), abs(pd)):.3g}, tr M {a + d:.3g}",
-                      RuntimeWarning, stacklevel=3)
-        return None
-    return (1, *res)
+    """(1, (rep, 0.0), 0.0, monodromy, length) of the planar class on the
+    mirror plane phi = ``rep``, which is the chart's equator in the chart
+    with chart->body rows (cos rep, 0, sin rep), (sin rep, 0, -cos rep),
+    (0, 1, 0) (R_SWAP at rep = 0); it starts on the section at phi = 0, and
+    phi = pi is the half period."""
+    c, s = math.cos(rep), math.sin(rep)
+    surf = PolarSurface.sectoral(n, eps).in_chart(((c, 0.0, s), (s, 0.0, -c), (0.0, 1.0, 0.0)))
+    h, length = _half_map(surf, math.pi)
+    return 1, (rep, 0.0), 0.0, _period_map(h), 2.0 * length
 
 
 def _refine_seed(n, eps, phi0, max_period):
@@ -549,7 +566,7 @@ def _refine_seed(n, eps, phi0, max_period):
 def find_closed_geodesics(
     n: int, eps: float, families=("planar", "perpendicular"), max_period: int = 4
 ) -> list[ClosedGeodesic]:
-    """Newton-refined fixed points of the return map from symmetry seeds.
+    """Fixed points of the return map from symmetry seeds.
 
     Planar seeds sit on the meridian symmetry planes phi = k*pi/n; the
     perpendicular family starts midway between them.  The dihedral group
@@ -565,20 +582,20 @@ def find_closed_geodesics(
     to 6 decimals is dropped.
 
     A planar seed lies on a mirror plane, whose fixed set is totally
-    geodesic, so it is itself the period-1 fixed point: each planar class
-    makes one tangent pass at rtol 1e-12 and no Newton step, accepted on its
-    residual or its Newton step (see :func:`_newton_fixed_point`), and a
-    class that fails both tests warns (a RuntimeWarning with its phi, the
-    pass's residual and tr M) and yields no orbit.  The perpendicular class
-    tries periods 1..max_period, with first passes from one screening run at
-    rtol 1e-6, and hands over below residual 1e-4 to 1e-12 passes (see
+    geodesic, so it is itself the period-1 fixed point, reported with
+    residual 0.0.  Its Jacobi equation w'' + K*w = 0 is a Hill equation
+    whose coefficient is even about the seed and about the plane's other
+    equator crossing, so one integration over that half period at rtol
+    1e-12 gives the length and the monodromy (:func:`_planar_class`), and
+    no class is lost however unstable.  The perpendicular class tries
+    periods 1..max_period, with first passes from one screening run at rtol
+    1e-6, and hands over below residual 1e-4 to 1e-12 passes (see
     :func:`_refine_seed`); its orbits agree with an all-fine search to
-    within 1e-10 at period 1 and 1e-8 at periods >= 2.  Every reported
-    residual, monodromy and length comes from a 1e-12 pass, and a strongly
-    hyperbolic orbit accepted on its step can report a residual above
-    1e-10.  A Newton step off the energy shell, where no section point
-    lies, ends that period's search for the class instead of the whole
-    search.
+    within 1e-10 at period 1 and 1e-8 at periods >= 2.  Their residual,
+    monodromy and length come from a 1e-12 pass, and a strongly hyperbolic
+    orbit accepted on its step can report a residual above 1e-10.  A Newton
+    step off the energy shell, where no section point lies, ends that
+    period's search for the class instead of the whole search.
     """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
@@ -635,37 +652,18 @@ def equator_monodromy(
     """Monodromy of the equator itself over one full revolution, acting on
     the normal variation (xi, xi') = (delta theta, delta theta_dot).
 
-    The equator never crosses the standard section, so it is followed from
-    the meridian phi = 0 to the meridian phi = 2*pi/n instead: the rotated
-    section frame of ``generate_section(rotated=True)``, turned by 2*pi/n
-    about the axis, with the tangent flow started from e_theta and
-    e_theta_dot.  Near either meridian that frame's (phi, phi_dot) are
-    (-delta theta, -delta theta_dot) to first order, so minus the crossing
-    Jacobian is the map P over one period.  Along the equator the Jacobi
-    equation xi'' + K*xi = 0 has K of period 2*pi/n in phi, and the rotation
-    by 2*pi/n maps the surface and the equator to themselves: a Hill
-    equation, whose monodromy over the revolution is the n-th power of P
-    (Floquet; Magnus & Winkler, *Hill's Equation*, 1966).
+    Along the equator the Jacobi equation xi'' + K*xi = 0 has K of period
+    2*pi/n in phi, even about phi = 0 and phi = pi/n, the traces of mirror
+    planes: a Hill equation, so the map P over one period is
+    :func:`_period_map` of the map over phi in [0, pi/n], and the monodromy
+    over the revolution is P^n (Floquet; Magnus & Winkler, *Hill's
+    Equation*, 1966).  At phi = 0, where r_phi = 0, (w, w') = r*(xi, xi'),
+    so P acts on (xi, xi') as on (w, w').  The half map's |det - 1| is the
+    error figure: det(P^n), formed from entries as large as tr P^n, is
+    rounding noise once they are large.
     """
-    surf = PolarSurface.sectoral(n, eps)
-    y0 = [math.pi / 2, 0.0, 0.0, 1.0 / (1.0 + eps)]  # g_pp = (1 + eps)^2 at phi = 0
-    frame = _ROTATED_FRAME
-    # body -> frame: a turn by -2*pi/n takes the meridian phi = 2*pi/n to
-    # phi = 0, the section of the rotated frame; n = 1 ends on phi = 0 itself
-    if n > 1:
-        c, sn = math.cos(TWO_PI / n), math.sin(TWO_PI / n)
-        # _ROTATED_FRAME @ ((c, sn, 0), (-sn, c, 0), (0, 0, 1)), exactly
-        frame = ((c, sn, 0.0), (0.0, 0.0, 1.0), (sn, -c, 0.0))
-    # on the equator g_pp = r^2 + r_phi^2 <= (1 + |eps| (n + 1))^2
-    s_max = TWO_PI / n * (1.0 + abs(eps) * (n + 1)) + 1.0
-    traj = integrate(
-        surf, y0, s_max, n_crossings=1, rtol=rtol, atol=atol, renormalize=False,
-        section_frame=frame, tangents=[[1, 0], [0, 0], [0, 1], [0, 0]],
-    )
-    if not len(traj._crossings):
-        raise RuntimeError("equator period 2*pi/n not completed")
-    period = [[-x for x in row] for row in traj._crossing_jacobians[0]]
-    return _as_array(_mat2_power(period, n), (2,))
+    h, _ = _half_map(PolarSurface.sectoral(n, eps), math.pi / n, rtol, atol)
+    return _as_array(_mat2_power(_period_map(h), n), (2,))
 
 
 # ---------------------------------------------------------------------------

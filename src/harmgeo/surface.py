@@ -316,6 +316,13 @@ class PolarSurface:
         w' = y[4+j:]."""
         return self._jacobi[len(y)](s, y)
 
+    def equator_jacobi_rhs(self, phi, y):
+        """The Jacobi equation along the chart's equator theta = pi/2, which
+        must be a geodesic, in the chart's phi: for y = (w0, u0, w1, u1, l),
+        (sigma*u0, -sigma*K*w0, sigma*u1, -sigma*K*w1, sigma) with the speed
+        sigma = ds/dphi = sqrt(r^2 + r_phi^2) and u = dw/ds."""
+        return self._jacobi["equator"](phi, y)
+
     def __reduce__(self):
         """Pickle as the constructor's arguments: the bound kernels are
         closures, which do not pickle."""

@@ -286,18 +286,22 @@ def test_psection_csv_bytes_are_pinned(tmp_path, rotated):
 
 
 # leading 16 hex digits of the sha256 of the closed-orbit JSON at (n, eps):
-# every float of each orbit's Newton search, monodromy and eigenvalues,
-# checked on every Python version CI runs.  (2, 3/10) has period-3 orbits,
-# and (1, 1/5) and (3, 1/10) perpendicular orbits of period 1, found by a
-# Newton screened at rtol 1e-6 and confirmed at 1e-12: against the all-fine
-# search their floats differ by at most 6.2e-13 (phi_dot at (2, 3/10)),
-# 5.8e-11 (phi) and 3.2e-14 (phi_dot)
+# every float of each orbit's search, monodromy and eigenvalues, checked on
+# every Python version CI runs.  (2, 3/10) has period-3 orbits, and (1, 1/5)
+# and (3, 1/10) perpendicular orbits of period 1, found by a Newton screened
+# at rtol 1e-6 and confirmed at 1e-12: against the all-fine search their
+# floats differ by at most 6.2e-13 (phi_dot at (2, 3/10)), 5.8e-11 (phi)
+# and 3.2e-14 (phi_dot).  The planar orbits come from their half spans:
+# against the fine shooting pass that gave them before, their trace, det
+# and stability margin move by at most 1.4e-11, their length by 1.0e-12,
+# and their eigenvalues by 1.1e-7 at n = 1, where M is nearly I and they
+# are 1 +- sqrt(M[0][1]*M[1][0]), and by 6.8e-12 elsewhere
 CLOSED_JSON_SHA256 = {
-    (1, "1/5"): "4fbb4cfea47b9abf",
-    (2, "1/10"): "3704b6976f13cac6",
-    (2, "3/10"): "55c9c0dad12ec22b",
-    (3, "1/10"): "330c9bbd5ecfdf97",
-    (4, "1/10"): "9ef641a28e4a8755",
+    (1, "1/5"): "09214edd6bcb1da8",
+    (2, "1/10"): "47bc519d9add4953",
+    (2, "3/10"): "8727926efd6e88ee",
+    (3, "1/10"): "8ffc0af72acabc34",
+    (4, "1/10"): "b4ec6e6249d6639f",
 }
 
 

@@ -457,19 +457,27 @@ def test_return_map_commutes_with_dihedral_symmetry(n, eps, k):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_closed_search_refines_one_seed_per_dihedral_class(monkeypatch, n):
     """Planar seeds k*pi/n form two D_n classes (k even, k odd) and the
-    perpendicular seeds one, so Newton starts from three points."""
-    from harmgeo import poincare
-
-    starts = []
+    perpendicular seeds one: each planar class is built once, from its
+    representative, and Newton starts from one point, which gives up here;
+    every planar seed still gets its orbit."""
+    starts, planar = [], []
 
     def no_convergence(n_, eps, x0, k, **kw):
         starts.append(tuple(x0))
         return None
 
+    build = poincare._planar_class
+
+    def built(n_, eps, rep):
+        planar.append(rep)
+        return build(n_, eps, rep)
+
     monkeypatch.setattr(poincare, "_newton_fixed_point", no_convergence)
-    with pytest.warns(RuntimeWarning, match="planar class"):
-        assert find_closed_geodesics(n, 0.1) == []
-    assert len(set(starts)) == 3
+    monkeypatch.setattr(poincare, "_planar_class", built)
+    found = find_closed_geodesics(n, 0.1)
+    assert planar == [0.0, math.pi / n]
+    assert len(set(starts)) == 1
+    assert [(g.family, g.phi) for g in found] == [("planar", k * math.pi / n) for k in range(2 * n)]
 
 
 def test_closed_search_maps_class_result_to_each_seed(monkeypatch):
@@ -484,6 +492,8 @@ def test_closed_search_maps_class_result_to_each_seed(monkeypatch):
         return np.asarray(x0) + offset, 0.0, np.eye(2), 6.0
 
     monkeypatch.setattr(poincare, "_newton_fixed_point", fake_fixed_point)
+    monkeypatch.setattr(poincare, "_planar_class",
+                        lambda n_, eps, rep: (1, *fake_fixed_point(n_, eps, (rep, 0.0), 1)))
     found = find_closed_geodesics(n, 0.1)
     expected = [("planar", k * math.pi / n, 1) for k in range(2 * n)] + [
         ("perpendicular", (k + 0.5) * math.pi / n, (-1) ** k) for k in range(2 * n)
@@ -661,6 +671,16 @@ def _refine_seed_per_period(n, eps, phi0, max_period):
     return None
 
 
+def _assert_agree(mono, length, jac, s):
+    """A planar class's half-span monodromy and length against a reference,
+    such as a 1e-12 shooting pass from its seed: within 1e-9*max(1, |entry|)
+    for each entry and 1e-11 for the length."""
+    assert abs(length - s) <= 1e-11
+    for row, ref in zip(mono, jac):
+        for x, y in zip(row, ref):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+
 def _orbit_fields(found):
     return [
         (g.family, g.phi, g.phi_dot, g.crossings, g.length, g.residual,
@@ -690,12 +710,13 @@ def runs(monkeypatch):
     [(1, 0.2), (2, 0.1), (2, 0.3), (3, 0.1), (2, 0.2), (3, 0.3), (4, 0.1), (5, 0.2), (6, 0.1)],
 )
 def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
-    """The planar classes' one fine pass, and the shared screening run
-    with its screened Newtons, give the orbits of a search with one first
-    pass per period and every pass at 1e-12, for the planar classes too:
-    planar orbits of period 1 bit for bit, perpendicular ones of period 1,
-    which come through the hand-over, within 1e-10, and later ones within
-    1e-8.  The period-3 orbits at (2, 0.3) and the period-4 pair at
+    """The planar classes' half spans, and the shared screening run with
+    its screened Newtons, give the orbits of a search with one first pass
+    per period and every pass at 1e-12, for the planar classes too: planar
+    orbits of period 1 at the same point, with residual 0.0, the length
+    within 1e-11 and each monodromy entry within 1e-9*max(1, |entry|),
+    perpendicular ones of period 1, which come through the hand-over, within
+    1e-10, and later ones within 1e-8.  The period-3 orbits at (2, 0.3) and the period-4 pair at
     (2, 0.2), where tr M = 1.994, come through the hand-over too; at
     (4, 0.1) a period-4 Newton wanders and fails on both sides."""
     shared = find_closed_geodesics(n, eps)
@@ -709,7 +730,8 @@ def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
     ]
     for g, h in zip(shared, alone):
         if g.crossings == 1 and g.family == "planar":
-            assert _orbit_fields([g]) == _orbit_fields([h])
+            assert (g.phi, g.phi_dot, g.residual) == (h.phi, h.phi_dot, 0.0)
+            _assert_agree(g._monodromy, g.length, h._monodromy, h.length)
         else:
             bound = 1e-10 if g.crossings == 1 else 1e-8
             assert abs(poincare._wrap(g.phi - h.phi)) <= bound
@@ -719,9 +741,11 @@ def test_shared_first_pass_matches_per_period_search(monkeypatch, n, eps):
 
 @pytest.mark.parametrize("n, eps, periods", [(2, 0.2, {1, 4}), (2, 0.3, {1, 3}), (3, 0.1, {1})])
 def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
-    """Every class result's residual, monodromy and length are those of a
-    fresh 1e-12 tangent run from its point, bit for bit, whatever period
-    it closed at, the planar classes' one-pass results included; each
+    """Every perpendicular class result's residual, monodromy and length
+    are those of a fresh 1e-12 tangent run from its point, bit for bit,
+    whatever period it closed at; a planar class result, which no run of
+    the geodesic flow gives, agrees with such a run from its seed to within
+    the bounds of :func:`_assert_agree`, with residual 0.0.  Each
     reported orbit carries its class result's."""
     refined = []
 
@@ -730,7 +754,7 @@ def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
 
         def spied(*args):
             res = refine(*args)
-            refined.append(res)
+            refined.append((name, res))
             return res
 
         monkeypatch.setattr(poincare, name, spied)
@@ -738,10 +762,17 @@ def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
     spy("_planar_class")
     spy("_refine_seed")
     found = find_closed_geodesics(n, eps)
-    results = [res for res in refined if res is not None]
+    results = [res for _, res in refined if res is not None]
     assert {k for k, *_ in results} == periods
-    for k, (phi, phi_dot), residual, mono, length in results:
+    assert [name for name, _ in refined[:2]] == ["_planar_class"] * 2
+    for name, (k, (phi, phi_dot), residual, mono, length) in (
+        (name, res) for name, res in refined if res is not None
+    ):
         ph, pd, s, jac = poincare._kth_return(n, eps, phi, phi_dot, k, tangent=True)
+        if name == "_planar_class":
+            assert (k, phi_dot, residual) == (1, 0.0, 0.0)
+            _assert_agree(mono, length, jac, s)
+            continue
         assert residual == max(abs(poincare._wrap(ph - phi)), abs(pd - phi_dot))
         assert residual < 1e-10
         assert (s, jac) == (length, mono)
@@ -752,57 +783,64 @@ def test_reported_orbits_come_from_fine_passes(monkeypatch, n, eps, periods):
 
 
 def test_shared_first_pass_saves_integrations(monkeypatch, runs):
-    """On sectoral(2, 0.1) the two planar classes close on their first
-    pass, and the perpendicular class fails at periods 1-4 on its first
-    pass.  One fine run per planar class gives its first return, as it
-    does in a search with one first pass per period for every class; the
-    perpendicular class makes one screening run through returns 1-4 at
-    rtol 1e-6, where the all-fine shared run took one fine run through
-    returns 1-4 and one run per period made six.  The stepper's calls:
-    11,076 per period, 5,340 all-fine shared, 3,889 screened at 1e-8 from
-    period 2, 2,988 screened at 1e-8 from period 1 and 2,268 screened at
-    1e-6 from period 1."""
+    """On sectoral(2, 0.1) the two planar classes make no run of the
+    geodesic flow, and the perpendicular class fails at periods 1-4 on its
+    first pass.  It makes one screening run through returns 1-4 at rtol
+    1e-6, where the all-fine shared run took one fine run through returns
+    1-4 and one run per period made four.  The stepper's calls in the
+    perpendicular class: 9,838 per period, 4,102 all-fine shared, 1,750
+    screened at 1e-8 from period 1 and 1,030 screened at 1e-6 from period
+    1.  The search made 2,268 while each planar class shot one fine first
+    return (1,238 calls for the two)."""
     with monkeypatch.context() as m:
         m.setattr(poincare, "_refine_seed", _refine_seed_per_period)
         find_closed_geodesics(2, 0.1)
     assert [(how, k, tol) for how, k, tol, _ in runs] == [
-        ("integrate", k, 1e-12) for k in (1, 1, 1, 2, 3, 4)
+        ("integrate", k, 1e-12) for k in (1, 2, 3, 4)
     ]
     alone = [nfev for *_, nfev in runs]
-    assert sum(alone) == 11076
-    assert alone[0] + alone[1] + alone[5] == 5340 and alone[2] == 901
+    assert sum(alone) == 9838 and alone[0] == 901 and alone[3] == 4102
     runs.clear()
     find_closed_geodesics(2, 0.1)
-    assert [(how, k, tol) for how, k, tol, _ in runs] == [
-        ("integrate", 1, 1e-12), ("integrate", 1, 1e-12), ("integrate", 4, 1e-6),
-    ]
-    shared = [nfev for *_, nfev in runs]
-    assert shared[:2] == alone[:2]
-    # the perpendicular class: the screening run takes 1,030 calls through
-    # returns 1-4, where the 1e-8 one took 1,750, a fine first return 901
-    # and the all-fine shared run through returns 1-4 4,102
-    assert alone[5] == 4102 and shared[2] == 1030
-    assert sum(shared) == alone[0] + alone[1] + 1030 == 2268
+    assert [(how, k, tol, nfev) for how, k, tol, nfev in runs] == [("integrate", 4, 1e-6, 1030)]
+
+
+def test_orbits_pass_rhs_calls(monkeypatch):
+    """The stepper's calls of the half spans in one pass of
+    find_closed_geodesics(2, 0.1) and equator_monodromy(n, 0.1) for n = 2,
+    3, 4: 338 and 302 for the two planar classes, where each shot a fine
+    first return for 649 and 589, and 146, 146 and 170 for the equators,
+    where each followed a whole period of the tangent flow for 305, 389 and
+    473.  With the perpendicular class's 1,030 the pass makes 2,132 calls,
+    3,435 before."""
+    made = []
+    solve = poincare.solve_ivp
+
+    def solved(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        made.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(poincare, "solve_ivp", solved)
+    find_closed_geodesics(2, 0.1, families=("planar",))
+    assert made == [338, 302]
+    made.clear()
+    for n in (2, 3, 4):
+        equator_monodromy(n, 0.1)
+    assert made == [146, 146, 170]
 
 
 def test_screened_search_rhs_calls(runs):
     """find_closed_geodesics(4, 0.1): the two planar classes close at
-    period 1 and the perpendicular class fails every period, its period-4
-    Newton wandering for 8 passes, all screened; the all-fine shared
-    search made 51,572 stepper calls, the one screening periods >= 2 at
-    1e-8 21,801 and the one screening from period 1 at 1e-8 20,516."""
+    period 1 with no run of the geodesic flow, and the perpendicular class
+    fails every period, its period-4 Newton wandering for 8 passes, all
+    screened; the all-fine shared search made 51,572 stepper calls, the one
+    screening periods >= 2 at 1e-8 21,801, the one screening from period 1
+    at 1e-8 20,516 and the one at 1e-6 13,239 while each planar class shot
+    one fine first return, 11,077 without those."""
     found = find_closed_geodesics(4, 0.1)
     assert [g.crossings for g in found] == [1] * 8
-    assert sum(nfev for *_, nfev in runs) == 13239
-
-
-# (n, eps) -> the planar class, k*pi/n for k odd (1) or even (0), whose one
-# fine pass fails both convergence tests: |tr M| from 3.4e10 to 5.1e19
-PLANAR_EDGE_FAILURES = {
-    (4, 0.9): 1, (6, 0.9): 1, (8, 0.8): 1, (8, 0.9): 1, (10, 0.7): 1, (10, 0.8): 1,
-    (10, 0.9): 1, (10, -0.9): 0, (11, 0.9): 1, (12, 0.6): 1, (12, 0.7): 1, (12, 0.8): 1,
-    (12, 0.9): 1, (12, -0.9): 0,
-}
+    assert sum(nfev for *_, nfev in runs) == 11077
 
 
 @pytest.mark.parametrize(
@@ -813,12 +851,11 @@ PLANAR_EDGE_FAILURES = {
 def test_planar_classes_close_on_their_first_fine_pass(monkeypatch, runs, n, eps):
     """A planar seed lies on a mirror plane phi = k*pi/n, and the fixed
     set of an isometry is totally geodesic, so the seed's meridian geodesic
-    closes at once: each planar class makes one fine run to its first
-    return and no Newton step, and returns the seed itself, (k*pi/n, 0.0)
-    exactly, at period 1.  At (4, 0.9), (11, 0.9) and (12, 0.6) the class
-    phi = pi/n fails both convergence tests on that run and warns; it makes
-    no other run, where a Newton search from the seed through periods 1-4
-    made 32 to 34 more."""
+    closes at once: each planar class returns the seed itself, (k*pi/n,
+    0.0) exactly, at period 1 with residual 0.0, from its half span alone,
+    with no run of the geodesic flow, no Newton step and no warning.  At
+    (4, 0.9), (11, 0.9) and (12, 0.6) the class phi = pi/n failed both
+    convergence tests on the one fine pass it was shot with."""
     refined = []
     planar = poincare._planar_class
 
@@ -827,18 +864,18 @@ def test_planar_classes_close_on_their_first_fine_pass(monkeypatch, runs, n, eps
         refined.append(res)
         return res
 
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a planar class took a Newton step")
+
     monkeypatch.setattr(poincare, "_planar_class", spied)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    monkeypatch.setattr(poincare, "_newton_fixed_point", no_newton)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         find_closed_geodesics(n, eps, families=("planar",))
-    assert [(how, k, tol) for how, k, tol, _ in runs] == [("integrate", 1, 1e-12)] * 2
-    failed = PLANAR_EDGE_FAILURES.get((n, eps))
-    assert [res and res[:2] for res in refined] == [
-        None if failed == parity else (1, (parity * math.pi / n, 0.0)) for parity in (0, 1)
+    assert runs == []
+    assert [res[:3] for res in refined] == [
+        (1, (parity * math.pi / n, 0.0), 0.0) for parity in (0, 1)
     ]
-    assert [(w.category, str(w.message).split(" did")[0]) for w in caught] == (
-        [] if failed is None else [(RuntimeWarning, f"planar class phi = {math.pi / n!r}")]
-    )
 
 
 EDGE_GRID = [(n, eps) for n in range(1, 13) for eps in (0.5, 0.6, 0.7, 0.8, 0.9, -0.5, -0.7, -0.9)]
@@ -847,43 +884,153 @@ EDGE_GRID = [(n, eps) for n in range(1, 13) for eps in (0.5, 0.6, 0.7, 0.8, 0.9,
 @pytest.mark.parametrize("n, eps", EDGE_GRID)
 def test_planar_edge_census(n, eps):
     """Every planar class closes at period 1 at (k*pi/n, 0) exactly, so the
-    search lists 2n planar orbits, save in the 14 cases of
-    PLANAR_EDGE_FAILURES, where one class's fine pass fails both tests: there
-    it lists the other class's n orbits and warns with the failed class's
-    phi, the pass's residual and tr M, instead of dropping the class
-    silently."""
-    failed = PLANAR_EDGE_FAILURES.get((n, eps))
-    if failed is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            found = find_closed_geodesics(n, eps, families=("planar",))
-    else:
-        match = rf"planar class phi = {failed * math.pi / n!r} .*residual .*tr M"
-        with pytest.warns(RuntimeWarning, match=match) as caught:
-            found = find_closed_geodesics(n, eps, families=("planar",))
-        assert len(caught) == 1
-    assert [(g.family, g.crossings, g.phi, g.phi_dot) for g in found] == [
-        ("planar", 1, k * math.pi / n, 0.0) for k in range(2 * n) if k % 2 != failed
+    search lists 2n planar orbits in every case of the grid, with no
+    warning.  Shot from its seed, one class failed both convergence tests
+    in 14 of these cases, with |tr M| from 3.4e10 to 4.0e19.  g_pp(phi;
+    -eps) = g_pp(phi + pi/n; eps), so where -eps is on the grid too the
+    class k*pi/n at -eps is the class (k+1)*pi/n at eps, built in another
+    chart: lengths agree within 1e-11 and monodromy entries within
+    1e-9*max(1, |entry|) (3.1e-11 measured) however unstable the orbit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_closed_geodesics(n, eps, families=("planar",))
+    assert [(g.family, g.crossings, g.phi, g.phi_dot, g.residual) for g in found] == [
+        ("planar", 1, k * math.pi / n, 0.0, 0.0) for k in range(2 * n)
     ]
+    if eps < 0.0:
+        turned = find_closed_geodesics(n, -eps, families=("planar",))
+        for g, h in zip(found, turned[1:] + turned[:1]):
+            _assert_agree(g._monodromy, g.length, h._monodromy, h.length)
 
 
 @pytest.mark.parametrize("n, eps", [(8, 0.5), (9, 0.9)])
 def test_strongly_hyperbolic_planar_orbits_are_kept(n, eps):
-    """A planar orbit with |tr M| in the millions carries integration error
-    along its unstable direction, which holds its residual above 1e-10
-    while Newton's step from it is far below (1.3e-14 at (8, 0.5), where
-    the residual is 1.1e-8): the fine pass is accepted
-    on its step, and all 2n planar orbits of period 1 are kept, each at
-    (k*pi/n, 0) exactly.  At (8, 0.5) the 8 with tr M about 7.0e6 were
-    dropped by the residual test alone, at (9, 0.9) all 18."""
+    """A planar orbit with |tr M| in the millions is kept like any other:
+    all 2n planar orbits of period 1, each at (k*pi/n, 0) exactly with
+    residual 0.0.  Shot from its seed such an orbit carried integration
+    error along its unstable direction, which held its residual above
+    1e-10 (1.1e-8 at (8, 0.5)), and at (8, 0.5) the 8 with tr M about
+    7.0e6 were dropped by the residual test alone, at (9, 0.9) all 18.
+    That fine shooting pass still agrees on tr M to within 1e-7 relative
+    (9.0e-9 measured at (9, 0.9))."""
     found = find_closed_geodesics(n, eps, families=("planar",))
-    assert [(g.crossings, g.phi, g.phi_dot) for g in found] == [
-        (1, k * math.pi / n, 0.0) for k in range(2 * n)
+    assert [(g.crossings, g.phi, g.phi_dot, g.residual) for g in found] == [
+        (1, k * math.pi / n, 0.0, 0.0) for k in range(2 * n)
     ]
     hyperbolic = [g for g in found if g.classification == "hyperbolic"]
     assert len(hyperbolic) == (n if n == 8 else 2 * n)
     assert min(abs(g.trace) for g in hyperbolic) > 6e6
-    assert max(g.residual for g in hyperbolic) > 1e-10
+    for g in found[:2]:
+        _, _, _, ((a, _), (_, d)) = poincare._kth_return(n, eps, g.phi, 0.0, 1, tangent=True)
+        assert abs(g.trace - (a + d)) <= 1e-7 * abs(a + d)
+
+
+def _half_maps(monkeypatch):
+    """Each half map H that poincare._half_map gives, as rows."""
+    made = []
+    half_map = poincare._half_map
+
+    def spied(*args):
+        h, length = half_map(*args)
+        made.append(h)
+        return h, length
+
+    monkeypatch.setattr(poincare, "_half_map", spied)
+    return made
+
+
+@pytest.mark.parametrize("n, eps", [(2, 0.1), (7, 0.45), (5, 0.8), (9, 0.9), (12, 0.9), (12, -0.9)])
+def test_half_maps_are_area_preserving(monkeypatch, n, eps):
+    """The Jacobi flow preserves area, so each half map H, of a planar
+    class or of the equator, has det H = 1, and |det H - 1| stays within
+    1e-11*max(1, max|H_ij|)^2, the rounding of det's two products, however
+    unstable the orbit: 1.4e-12 to 8.1e-11 at the equators of (7, 0.45),
+    (5, 0.8), (12, 0.9) and (12, -0.9), where det(P^n) - 1 of the
+    equator's monodromy reads -8.3, 8.8e11, 7.8e90 and -1.1e91.  The
+    period map has M[0][0] == M[1][1] exactly."""
+    made = _half_maps(monkeypatch)
+    found = find_closed_geodesics(n, eps, families=("planar",))
+    equator_monodromy(n, eps)
+    assert len(made) == 3
+    for (h00, h01), (h10, h11) in made:
+        size = max(1.0, abs(h00), abs(h01), abs(h10), abs(h11))
+        assert abs(h00 * h11 - h01 * h10 - 1.0) <= 1e-11 * size * size
+    for g in found:
+        (a, _), (_, d) = g._monodromy
+        assert a == d
+
+
+def _trapezoid_length(n, eps, k):
+    """Length of the plane curve r(a) = 1 + eps*(-1)^k*cos^n(a), the trace
+    of the mirror plane phi = k*pi/n, by the periodic trapezoid rule, with
+    N doubled from 64 until two values agree to 1e-15 relative: it
+    converges geometrically for an analytic periodic integrand (Trefethen &
+    Weideman, SIAM Rev. 56 (2014) 385-458)."""
+    amp, last, size = (-1) ** k * eps, None, 64
+    while True:
+        total = 0.0
+        for i in range(size):
+            a = TWO_PI * i / size
+            c = math.cos(a)
+            total += math.hypot(1.0 + amp * c**n, -amp * n * c ** (n - 1) * math.sin(a))
+        value = TWO_PI * total / size
+        if last is not None and abs(value - last) <= 1e-15 * value:
+            return value
+        last, size = value, 2 * size
+
+
+@pytest.mark.parametrize(
+    "n, eps", [(1, 0.1), (2, 0.1), (3, 0.3), (5, -0.2), (7, 0.45), (8, 0.5), (12, 0.9), (12, -0.9)]
+)
+def test_planar_length_is_the_periodic_trapezoid(n, eps):
+    """Each planar class's length, twice its half span's arc length,
+    agrees with the trapezoid rule to 1e-13 relative (1.4e-14 measured)."""
+    found = find_closed_geodesics(n, eps, families=("planar",))
+    for k, g in enumerate(found[:2]):
+        reference = _trapezoid_length(n, eps, k)
+        assert abs(g.length - reference) <= 1e-13 * reference
+
+
+# P_n(0) for even n
+LEGENDRE_AT_ZERO = {2: -0.5, 4: 0.375, 6: -0.3125}
+
+
+def _planar_traces(n, eps):
+    return [g.trace for g in find_closed_geodesics(n, eps, families=("planar",))[:2]]
+
+
+@pytest.mark.parametrize("n", sorted(LEGENDRE_AT_ZERO))
+def test_planar_traces_follow_first_order_averaging(n):
+    """On r = 1 + eps*Y, first-order averaging over great circles predicts
+    tr M - 2 = -4 pi^2 eps^2 P_n(0)^2 det Hess Y at a critical point of Y's
+    circle mean, and det Hess Y = n^3 on the sphere at every planar normal
+    of Y = Re((x + iy)^n) (ROADMAP item 24).  The measured ratio to it is
+    1 -+ c*eps with c at most 4.8 (0.952 to 1.038), so within 6*eps of 1;
+    the two classes sit on opposite sides, and at eps = 0.005 their mean
+    is within 2e-3 of 1 (0.99874 to 0.99994)."""
+    for eps in (0.005, 0.01):
+        scale = -4.0 * math.pi**2 * eps**2 * LEGENDRE_AT_ZERO[n] ** 2 * n**3
+        ratios = [(t - 2.0) / scale for t in _planar_traces(n, eps)]
+        assert all(abs(r - 1.0) <= 6.0 * eps for r in ratios)
+        if eps == 0.005:
+            assert abs(sum(ratios) / 2.0 - 1.0) <= 2e-3
+
+
+def test_odd_planar_traces_are_fourth_order():
+    """P_3(0) = 0, so first-order averaging predicts nothing at n = 3: there
+    tr M - 2 scales as eps^4, (tr M - 2)/eps^4 is about 174.9 at eps = 0.005
+    and at 0.01 and moves by less than 1% between them."""
+    small, large = ([(t - 2.0) / eps**4 for t in _planar_traces(3, eps)] for eps in (0.005, 0.01))
+    for a, b in zip(small, large):
+        assert 170.0 < a < 180.0 and abs(b / a - 1.0) < 0.01
+
+
+def test_equator_trace_follows_first_order_averaging():
+    """At the pole P_2(0)*Y has Hessian determinant -1 for n = 2, so the
+    equator's (tr M - 2)/eps^2 tends to 4 pi^2: within 1e-4 relative at
+    eps = 0.005 (6.2e-5 measured)."""
+    trace = float(np.trace(equator_monodromy(2, 0.005)))
+    assert abs((trace - 2.0) / 0.005**2 / (4.0 * math.pi**2) - 1.0) <= 1e-4
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -999,8 +1146,7 @@ def test_shared_run_without_kth_return(monkeypatch, tmp_path, capsys, case, k):
     tried = _periods_tried(monkeypatch)
     with pytest.raises(RuntimeError, match=f"no {k}-th return within the arc-length budget"):
         find_closed_geodesics(n, eps)
-    perpendicular = tried[2:]  # after the two planar classes, closed at period 1
-    assert [(p, ok) for p, _, ok in tried[:2]] == [(1, True), (1, True)]
+    perpendicular = tried  # the planar classes take no Newton step
     assert [(p, ok) for p, _, ok in perpendicular] == [(p, False) for p in range(1, k)]
     for p, first, _ in perpendicular:
         tol = poincare._SCREEN_TOL
@@ -1031,7 +1177,7 @@ def test_failed_shared_run_falls_back_to_runs_per_period(monkeypatch):
     assert failed == [True]
     # the perpendicular class closes at period 3, each period from a first
     # pass of its own
-    assert [(p, first is None, ok) for p, first, ok in tried[2:]] == [
+    assert [(p, first is None, ok) for p, first, ok in tried] == [
         (1, True, False), (2, True, False), (3, True, True)
     ]
     assert _orbit_fields(found) == _orbit_fields(find_closed_geodesics(2, 0.3, max_period=3))
@@ -1078,15 +1224,15 @@ def _full_revolution_monodromy(n, eps, rtol=1e-11, atol=1e-11):
 @pytest.mark.parametrize("eps", [0.1, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_equator_monodromy_is_power_of_one_period(n, eps):
-    """The n-th power of the map over one period 2 pi/n of the curvature is
-    the monodromy of the whole revolution, to integration error; n = 1
-    integrates the revolution itself."""
-    mat = equator_monodromy(n, eps)
-    full = _full_revolution_monodromy(n, eps)
-    if n == 1:
-        assert mat.tobytes() == full.tobytes()
-    else:
-        assert np.allclose(mat, full, rtol=0, atol=1e-10)
+    """The n-th power of the map over one period 2 pi/n of the curvature,
+    built from its half, is the monodromy of the whole revolution
+    integrated by the tangent flow, to integration error.  The reference
+    runs at rtol 2.3e-14, where the half-span map is within 6.1e-13 of
+    it.  At the default rtol 1e-11 the half-span map is within 2.0e-10 of
+    it (1.3e-11 at eps = 0.1), and the one-period tangent flow it replaces
+    was within 1.4e-10."""
+    reference = _full_revolution_monodromy(n, eps, rtol=2.3e-14, atol=1e-14)
+    assert np.allclose(equator_monodromy(n, eps), reference, rtol=0, atol=4e-10)
 
 
 # -- writers ------------------------------------------------------------------------
