@@ -27,19 +27,19 @@ sign; the other entries stay bound numbers.
 
 For each surface structure (the body-chart sectoral form, or the chart form
 and its chart pattern; m; the number of coefficients of Q) the formulas are
-joined into the source of ``partials(theta, phi)``, ``rhs(s, y)``, per
-number j of normal parts ``jacobi_rhs(s, y)`` unrolled over them, and
-``equator_jacobi(phi, y)``: the Jacobi equation along the chart's equator,
-a mirror plane's trace, with sin and cos of theta = pi/2 exactly 1 and 0,
-for two normal parts and the arc length.  Each is compiled once per
-process, on first use, and takes sin and cos of theta once.
+joined into the source of ``partials(theta, phi)``, ``rhs(s, y)`` and, per
+number j of normal parts, ``jacobi_rhs(s, y)`` unrolled over them.  Each is
+compiled once per process and takes sin and cos of theta once.
 :func:`chart_kernel` binds a surface's numbers (eps*n; or eps, the
 coefficients of Q and the chart matrix) as folded constants, so a chart whose
 pattern was met before compiles nothing.  Only left-associated constant
 prefixes are folded and every pow but sin^1 stays a pow, so each kernel is
 bit-equal to evaluating its formulas term by term, complex arithmetic
 included.  :meth:`harmgeo.surface.PolarSurface.rhs` and ``jacobi_rhs`` each
-call the bound kernel of their chart.
+call the bound kernel of their chart.  :func:`equator_kernel` binds, on first
+use, one more per structure: ``equator_jacobi(phi, y)``, the Jacobi equation
+for two normal parts and the arc length along the chart's equator theta =
+pi/2 (sin and cos exactly 1 and 0), a mirror plane's trace.
 
 The structure's ``make(<numbers>)`` is the only way into these kernels:
 :func:`sectoral_rhs` binds the body-chart sectoral kernel on each call.
@@ -172,14 +172,6 @@ _JACOBI = """\
 h2 = (rt * td + rp * pd) ** 2 + r * r * (td * td + (st * pd) ** 2)
 """ + _CURVATURE + """\
 k = -K * h2
-"""
-
-# on the chart's equator theta = pi/2, a geodesic where r_theta = 0: two
-# normal parts w with u = dw/ds and the arc length l, in the chart's phi,
-# with sigma = ds/dphi
-_EQUATOR_JACOBI = """\
-sigma = sqrt(r * r + rp * rp)
-sk = -sigma * K
 """
 
 _SIN_COS = "st = sin(theta)\nct = cos(theta)\n"
@@ -325,8 +317,7 @@ def _compiled(key, j=None):
 
     Without ``j``: ``make(<numbers>)`` binds (partials, rhs) to one
     surface's numbers.  With ``j``: ``make(<numbers>)`` binds the
-    jacobi_rhs of states with j normal parts, or with j = "equator" the
-    equator_jacobi of the chart's equator.
+    jacobi_rhs of states with j normal parts.
     """
     form, m, nq, pattern = key
     params = _PARAMETERS[form]
@@ -342,14 +333,6 @@ def _compiled(key, j=None):
         )
         source = _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
         return _compile(source, name + ">")
-    if j == "equator":
-        equator = _function(
-            "def equator_jacobi(phi, y):", "w0, u0, w1, u1, _ = y\nst = 1.0\nct = 0.0\n",
-            parts, _CURVATURE, _EQUATOR_JACOBI,
-            ret="[sigma * u0, sk * w0, sigma * u1, sk * w1, sigma]",
-        )
-        source = _function(f"def make({params}):", consts, equator, ret="equator_jacobi")
-        return _compile(source, name + ", equator>")
     w = [f"w{i}" for i in range(j)]
     dw = [f"dw{i}" for i in range(j)]
     jacobi = _function(
@@ -362,9 +345,21 @@ def _compiled(key, j=None):
     return _compile(source, name + f", j={j}>")
 
 
+@functools.cache
+def _compiled_equator(key):
+    """``make(<numbers>)`` of structure ``key`` binds its equator_jacobi."""
+    consts, parts = _texts(key)
+    equator = _function(  # in the chart's phi, with sigma = ds/dphi and u = dw/ds
+        "def equator_jacobi(phi, y):", "w0, u0, w1, u1, _ = y\nst = 1.0\nct = 0.0\n", parts,
+        _CURVATURE, "sigma = sqrt(r * r + rp * rp)\nsk = -sigma * K\n",
+        ret="[sigma * u0, sk * w0, sigma * u1, sk * w1, sigma]",
+    )
+    source = _function(f"def make({_PARAMETERS[key[0]]}):", consts, equator, ret="equator_jacobi")
+    return _compile(source, f"<geodesic equator kernel {key}>")
+
+
 class _JacobiKernels(dict):
-    """One chart's jacobi_rhs per state length 4 + 2j, and its
-    equator_jacobi under "equator", bound on first use."""
+    """One chart's jacobi_rhs per state length 4 + 2j, bound on first use."""
 
     def __init__(self, key, numbers):
         super().__init__()
@@ -372,12 +367,9 @@ class _JacobiKernels(dict):
         self._numbers = numbers
 
     def __missing__(self, size):
-        if size == "equator":
-            j = size
-        else:
-            j, odd = divmod(size - 4, 2)
-            if odd or j < 0:
-                raise ValueError(f"a Jacobi state has 4 + 2j components, not {size}")
+        j, odd = divmod(size - 4, 2)
+        if odd or j < 0:
+            raise ValueError(f"a Jacobi state has 4 + 2j components, not {size}")
         kernel = self[size] = _compiled(self._key, j)["make"](*self._numbers)
         return kernel
 
@@ -402,6 +394,12 @@ def chart_kernel(m, q, eps, rot=None):
         key, numbers = ("chart", m, len(q), chart_pattern(rot)), (eps, q, rot)
     partials, rhs = _compiled(key)["make"](*numbers)
     return partials, rhs, _JacobiKernels(key, numbers)
+
+
+def equator_kernel(jacobi):
+    """``equator_jacobi(phi, y)`` bound to the structure and numbers of
+    ``jacobi``, the third item that :func:`chart_kernel` returns."""
+    return _compiled_equator(jacobi._key)["make"](*jacobi._numbers)
 
 
 # -- the curvature alone, and one sectoral RHS call -------------------------------

@@ -23,6 +23,7 @@ one.  Associated Legendre functions here carry no Condon-Shortley phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -316,12 +317,14 @@ class PolarSurface:
         w' = y[4+j:]."""
         return self._jacobi[len(y)](s, y)
 
-    def equator_jacobi_rhs(self, phi, y):
+    @functools.cached_property
+    def equator_jacobi_rhs(self):
         """The Jacobi equation along the chart's equator theta = pi/2, which
-        must be a geodesic, in the chart's phi: for y = (w0, u0, w1, u1, l),
-        (sigma*u0, -sigma*K*w0, sigma*u1, -sigma*K*w1, sigma) with the speed
-        sigma = ds/dphi = sqrt(r^2 + r_phi^2) and u = dw/ds."""
-        return self._jacobi["equator"](phi, y)
+        must be a geodesic, in the chart's phi: a function of (phi, y) giving,
+        for y = (w0, u0, w1, u1, l), (sigma*u0, -sigma*K*w0, sigma*u1,
+        -sigma*K*w1, sigma) with the speed sigma = ds/dphi =
+        sqrt(r^2 + r_phi^2) and u = dw/ds.  Bound on first use."""
+        return kernels.equator_kernel(self._jacobi)
 
     def __reduce__(self):
         """Pickle as the constructor's arguments: the bound kernels are
