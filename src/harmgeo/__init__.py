@@ -19,9 +19,10 @@ loads only to build a result that is an array, when a caller first reads it
 ``clairaut_values``).
 
 A cold start loads only what its run uses: the exact half loads
-``fractions`` and ``dataclasses``, and the numeric half's first call on a
-sectoral surface none of them, nor ``json``, ``csv``, ``textwrap`` or NumPy,
-which the functions that use them import.
+``fractions`` but not ``dataclasses``, whose records are named tuples and
+plain classes, and the numeric half's first call on a sectoral surface
+neither, nor ``json``, ``csv``, ``textwrap`` or NumPy, which the functions
+that use them import.
 """
 
 import importlib

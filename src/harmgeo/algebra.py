@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -37,6 +37,42 @@ class NonFuchsianError(ValueError):
 
 class IrregularInfinityError(ValueError):
     """The residues do not sum to zero, so infinity is an irregular point."""
+
+
+class _Record:
+    """Base of the exact half's records that are plain classes.  ``==``
+    compares, and ``repr`` lists, the fields ``_fields`` names, in order, as
+    a dataclass would; a record is mutable and unhashable."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` that refuses every assignment and hashes by the
+    fields ``==`` compares.  Its ``__init__`` stores the fields through
+    ``__dict__``, where a ``cached_property`` keeps its value too."""
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def rational_sqrt(x) -> Fraction | None:
@@ -904,15 +940,12 @@ def _as_ratfunc(x):
     return None if p is None else RatFunc(p)
 
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PartialFractions(namedtuple("PartialFractions", "poles betas deltas beta_inf")):
     """Double-pole expansion sum(beta/(z-a)^2) + sum(delta/(z-a)) of a proper
-    rational function with poles of order at most two."""
+    rational function with poles of order at most two: tuples ``poles``,
+    ``betas`` and ``deltas`` and the field element ``beta_inf``."""
 
-    poles: tuple
-    betas: tuple
-    deltas: tuple
-    beta_inf: FieldElement
+    __slots__ = ()
 
 
 def partial_fractions(f: RatFunc, poles: Sequence[FieldElement]) -> PartialFractions:

@@ -24,7 +24,7 @@ finite, checkable case analysis and not just a failure to find something.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial, lcm
@@ -36,8 +36,10 @@ from .algebra import (
     QuadExt,
     RatFunc,
     _divide_linear,
+    _FrozenRecord,
     _join_disc,
     _poly,
+    _Record,
     _split as _int_parts,
     field_inv,
     sqrt_decompose,
@@ -53,8 +55,7 @@ ALL_N = (1, 2, 4, 6, 12)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuchsianODE:
+class FuchsianODE(_FrozenRecord):
     """xi'' = r xi with regular singular points only.
 
     ``betas``/``deltas`` are the coefficients of (z-a)^-2 and (z-a)^-1 in the
@@ -63,11 +64,11 @@ class FuchsianODE:
     exponents are still produced when 1+4*beta is not a perfect square).
     """
 
-    r: RatFunc
-    poles: tuple
-    betas: tuple
-    deltas: tuple
-    beta_inf: Fraction
+    _fields = ("r", "poles", "betas", "deltas", "beta_inf")
+
+    def __init__(self, r: RatFunc, poles: tuple, betas: tuple, deltas: tuple,
+                 beta_inf: Fraction):
+        self.__dict__.update(r=r, poles=poles, betas=betas, deltas=deltas, beta_inf=beta_inf)
 
     @classmethod
     def from_nve(cls, data) -> "FuchsianODE":
@@ -114,15 +115,12 @@ class FuchsianODE:
         return S, R2, L, cofactors
 
 
-@dataclass(frozen=True)
-class LocalExponents:
+class LocalExponents(namedtuple("LocalExponents", "betas deltas beta_inf")):
     """What the candidates read of xi'' = r xi: ``betas``, ``deltas`` and
     ``beta_inf`` as in :class:`FuchsianODE`.  A delta_j is read only where
     beta_j = 0, and then only whether it is zero."""
 
-    betas: tuple
-    deltas: tuple
-    beta_inf: Fraction
+    __slots__ = ()
 
 
 def _require_rational(x, what: str) -> Fraction:
@@ -138,22 +136,20 @@ def _require_rational(x, what: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(_FrozenRecord):
     """One exponent selection: N (algebraic degree of omega), the residues
     c_j of theta = sum c_j/(z - a_j), one per pole (``exps``), the exponent
     c_inf at infinity (``exp_inf``) and the degree d = c_inf - sum c_j of the
     auxiliary polynomial.  ``labels`` is a human-readable transcript of the
     selection: the sign choices for N = 1, Kovacic's integers otherwise
     (e = 2c for N = 2, f = 12c/N for N >= 4).  Two candidates of one
-    equation and N have equal residues exactly when their ``group`` is equal."""
+    equation and N have equal residues exactly when their ``group`` is
+    equal; ``==`` and ``repr`` leave ``group`` out."""
 
-    N: int
-    d: int
-    exps: tuple
-    exp_inf: object
-    labels: tuple
-    group: tuple = field(default=(), compare=False, repr=False)
+    _fields = ("N", "d", "exps", "exp_inf", "labels")
+
+    def __init__(self, N: int, d: int, exps: tuple, exp_inf, labels: tuple, group: tuple = ()):
+        self.__dict__.update(N=N, d=d, exps=exps, exp_inf=exp_inf, labels=labels, group=group)
 
 
 # Kovacic's integer for a residue c is _SCALE[N]*c: e = 2c, f = 12c/N
@@ -432,18 +428,18 @@ def _descent_solve(N: int, d: int, S: Poly, T: Poly, R2: Poly) -> Optional[Poly]
     return Poly(list(sol) + [Fraction(1)])
 
 
-@dataclass
-class Solution:
-    """Certified output of a successful search."""
+class Solution(_Record):
+    """Certified output of a successful search.  N = 1: xi = exp(int omega).
+    N = 2: omega^2 - phi*omega + psi = 0.  N >= 4: ``minpoly`` holds the
+    coefficients of omega^0..omega^N."""
 
-    N: int
-    d: int
-    theta: RatFunc
-    P: Poly
-    omega: Optional[RatFunc] = None  # N = 1: xi = exp(int omega)
-    phi: Optional[RatFunc] = None  # N = 2: omega^2 - phi*omega + psi = 0
-    psi: Optional[RatFunc] = None
-    minpoly: Optional[tuple] = None  # N >= 4: coefficients of omega^0..omega^N
+    _fields = ("N", "d", "theta", "P", "omega", "phi", "psi", "minpoly")
+
+    def __init__(self, N: int, d: int, theta: RatFunc, P: Poly, omega: Optional[RatFunc] = None,
+                 phi: Optional[RatFunc] = None, psi: Optional[RatFunc] = None,
+                 minpoly: Optional[tuple] = None):
+        self.N, self.d, self.theta, self.P = N, d, theta, P
+        self.omega, self.phi, self.psi, self.minpoly = omega, phi, psi, minpoly
 
 
 # ---------------------------------------------------------------------------
@@ -687,21 +683,16 @@ def verify_solution(ode: FuchsianODE, sol: Solution) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    N: int
-    d: int
-    labels: tuple
-    multiplicity: int
-    searched: bool
-    success: bool
+class LedgerEntry(namedtuple("LedgerEntry", "N d labels multiplicity searched success")):
+    __slots__ = ()
 
 
-@dataclass
-class KovacicResult:
-    solvable: bool
-    solution: Optional[Solution]
-    ledger: list = field(default_factory=list)
+class KovacicResult(_Record):
+    _fields = ("solvable", "solution", "ledger")
+
+    def __init__(self, solvable: bool, solution: Optional[Solution], ledger: Optional[list] = None):
+        self.solvable, self.solution = solvable, solution
+        self.ledger = [] if ledger is None else ledger
 
     @property
     def verdict(self) -> str:

@@ -21,32 +21,28 @@ well, so the result feeds straight into the Kovacic machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import Poly, QuadExt, RatFunc, partial_fractions
+from .algebra import Poly, QuadExt, RatFunc, _FrozenRecord, partial_fractions
 
 
-@dataclass(frozen=True)
-class NVEData:
+class NVEData(_FrozenRecord):
     """Equatorial normal variational equation in the z-domain.
 
     p and q share the denominator ``den``; each is reduced to lowest terms
     on its first read, since only the JSON writer and the dual residual
-    read them."""
+    read them.  ``gpp_equator`` is the metric coefficient g~_phiphi as a
+    polynomial in z."""
 
-    n: int
-    eps: Fraction
-    p_num: Poly
-    q_num: Poly
-    den: Poly
-    r: RatFunc
-    poles: tuple
-    betas: tuple
-    deltas: tuple
-    beta_inf: object
-    gpp_equator: Poly  # metric coefficient g~_phiphi as a polynomial in z
+    _fields = ("n", "eps", "p_num", "q_num", "den", "r", "poles", "betas", "deltas",
+               "beta_inf", "gpp_equator")
+
+    def __init__(self, n: int, eps: Fraction, p_num: Poly, q_num: Poly, den: Poly, r: RatFunc,
+                 poles: tuple, betas: tuple, deltas: tuple, beta_inf, gpp_equator: Poly):
+        self.__dict__.update(n=n, eps=eps, p_num=p_num, q_num=q_num, den=den, r=r, poles=poles,
+                             betas=betas, deltas=deltas, beta_inf=beta_inf,
+                             gpp_equator=gpp_equator)
 
     @cached_property
     def p(self) -> RatFunc:

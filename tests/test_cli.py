@@ -556,8 +556,14 @@ def test_numeric_half_loads_no_exact_algebra():
 # a cold start's first calls, each with the modules it must not load: the
 # numeric half loads no dataclasses, fractions, json, csv, textwrap or NumPy
 # (the zonal and tesseral constructors do load fractions, for the exact
-# Legendre coefficients), and the exact half none of the numeric modules
+# Legendre coefficients, but no dataclasses or inspect), and the exact half
+# no dataclasses, inspect or linecache and none of the numeric modules (json
+# only where a command writes it)
 _COLD_NUMERIC = ("dataclasses", "fractions", "json", "csv", "textwrap", "numpy")
+_NUMERIC_MODULES = tuple(
+    f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")
+)
+_COLD_EXACT = ("dataclasses", "inspect", "linecache", "numpy", *_NUMERIC_MODULES)
 _COLD_STARTS = {
     "section": (
         "from harmgeo.poincare import generate_section\n"
@@ -600,12 +606,33 @@ _COLD_STARTS = {
         "                 '0.3', '--traj', '2', '--crossings', '3']) == 0\n",
         ("dataclasses", "json", "hashlib", "textwrap", "numpy"),
     ),
+    "tesseral": (
+        "from harmgeo.surface import PolarSurface\n"
+        "PolarSurface.tesseral(2, 1, 0.2)\n",
+        ("dataclasses", "inspect", "json", "numpy",
+         *(f"harmgeo.{m}" for m in ("geodesic", "dop853", "poincare"))),
+    ),
     "kovacic": (
         "from fractions import Fraction\n"
         "from harmgeo.kovacic import FuchsianODE\n"
         "from harmgeo.nve import equatorial_nve\n"
         "FuchsianODE.from_nve(equatorial_nve(2, Fraction(1, 10)))\n",
-        tuple(f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")),
+        ("json", *_COLD_EXACT),
+    ),
+    "cli table1": (
+        "from harmgeo.cli import main\n"
+        "assert main(['--out-dir', OUT, 'table1']) == 0\n",
+        _COLD_EXACT,
+    ),
+    "cli kovacic": (
+        "from harmgeo.cli import main\n"
+        "assert main(['--out-dir', OUT, 'kovacic', '--n', '3', '--eps', '1/10']) == 0\n",
+        _COLD_EXACT,
+    ),
+    "cli nve": (
+        "from harmgeo.cli import main\n"
+        "assert main(['--out-dir', OUT, 'nve', '--n', '3', '--eps', '1/4']) == 0\n",
+        _COLD_EXACT,
     ),
 }
 

@@ -334,3 +334,12 @@ def test_exact_cached_parts_are_computed_once():
     assert ode._descent_parts is parts and len(parts) == 4
     with pytest.raises(AttributeError):
         data.p = None
+
+
+def test_exact_named_tuple_records():
+    """``PartialFractions``, ``LocalExponents`` and ``LedgerEntry`` are named
+    tuples: they unpack as tuples and equal a plain tuple of their fields."""
+    for record, args in _exact_records():
+        if isinstance(record, tuple):
+            assert record._fields == _NAMES[type(record)]
+            assert record == args and tuple(record) == args
