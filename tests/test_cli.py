@@ -560,10 +560,10 @@ def test_numeric_half_loads_no_exact_algebra():
 # no dataclasses, inspect or linecache and none of the numeric modules (json
 # only where a command writes it)
 _COLD_NUMERIC = ("dataclasses", "fractions", "json", "csv", "textwrap", "numpy")
-_NUMERIC_MODULES = tuple(
-    f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")
+_COLD_EXACT = (
+    "dataclasses", "inspect", "linecache", "numpy",
+    *(f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")),
 )
-_COLD_EXACT = ("dataclasses", "inspect", "linecache", "numpy", *_NUMERIC_MODULES)
 _COLD_STARTS = {
     "section": (
         "from harmgeo.poincare import generate_section\n"
