@@ -285,6 +285,31 @@ def test_psection_csv_bytes_are_pinned(tmp_path, rotated):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PSECTION_CSV_SHA256[rotated]
 
 
+# leading 16 hex digits of the sha256 of the trace CSV of each geodesic that
+# perfbench's `trace` workload runs (surface, start, length 300, rtol 1e-12):
+# the sectoral body form, the meridian through its swap into the -y axis
+# chart, and the chart form on a zonal and a tesseral surface
+TRACE_CSV_SHA256 = {
+    "sectoral": (["--n", "3", "--eps", "0.2", "--theta0", "1.2", "--phi0", "0.4",
+                  "--theta-dot", "0.3", "--phi-dot", "0.6"], "59a6c8a8f9e89409"),
+    "meridian": (["--n", "3", "--eps", "0.2", "--theta-dot", "-1", "--phi-dot", "0"],
+                 "126a4247694a5d8b"),
+    "zonal": (["--family", "zonal", "--l", "2", "--eps", "0.3", "--theta0", "1.1",
+               "--theta-dot", "0.25", "--phi-dot", "0.7"], "7cc0520f1a2206c2"),
+    "tesseral": (["--family", "tesseral", "--l", "2", "--m", "1", "--eps", "0.2",
+                  "--theta0", "1.1", "--phi0", "0.3", "--theta-dot", "0.25", "--phi-dot", "0.7"],
+                 "47f5c792160e8f2f"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRACE_CSV_SHA256))
+def test_trace_csv_bytes_are_pinned(tmp_path, capsys, family):
+    argv, digest = TRACE_CSV_SHA256[family]
+    assert run(["--out-dir", tmp_path, "trace", *argv, "--length", "300"]) == 0
+    (path,) = tmp_path.glob("trace_*.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
 # leading 16 hex digits of the sha256 of the closed-orbit JSON at (n, eps):
 # every float of each orbit's search, monodromy and eigenvalues, checked on
 # every Python version CI runs.  (2, 3/10) has period-3 orbits, and (1, 1/5)

@@ -143,6 +143,51 @@ def test_events_and_samples_on_the_oscillator():
         assert abs(c) <= 1e-10
 
 
+def _zero_on(lo, hi, zero, sign):
+    """An event ``sign * t`` shifted to return ``zero`` on all of [lo, hi]:
+    it rises (sign 1) or falls (sign -1) through that interval.  Its calls
+    that return a zero are logged by t."""
+    def event(t, y):
+        if lo <= t <= hi:
+            event.zeros.append(t)
+            return zero
+        return sign * (t - lo if t < lo else t - hi)
+
+    event.zeros = []
+    event.direction = sign
+    return event
+
+
+def test_events_ignore_the_sign_of_a_zero_value():
+    """An event that returns +0.0 or -0.0 gives the same roots and states,
+    whether the zero comes at a step end or at a brentq probe; integrate's
+    section event sums only the nonzero terms of its normal and relies on
+    this, as its value can differ only in the sign of a zero."""
+    plain = solve_ivp(_oscillator, (0.0, 10.0), [1.0, 0.0], rtol=1e-10, atol=1e-10)
+    ends = plain.t[1:-1]
+    mid = (ends[4] + ends[5]) / 2
+    width = (ends[5] - ends[4]) / 50
+
+    def run(zero):
+        events = [
+            _zero_on(ends[2], ends[2], zero, 1.0),  # zero at a step end alone
+            _zero_on(ends[7] - 1e-9, ends[7] + 1e-9, zero, -1.0),
+            _zero_on(mid - width, mid + width, zero, 1.0),  # inside one step
+        ]
+        sol = solve_ivp(_oscillator, (0.0, 10.0), [1.0, 0.0], rtol=1e-10, atol=1e-10,
+                        events=events)
+        return sol, events
+
+    (pos, pos_events), (neg, neg_events) = run(0.0), run(-0.0)
+    assert [e.zeros for e in pos_events] == [e.zeros for e in neg_events]
+    zeros = [t for e in pos_events for t in e.zeros]
+    assert {ends[2], ends[7]} <= set(zeros)
+    assert any(t not in plain.t for t in zeros)  # a brentq probe
+    assert all(pos.t_events) and pos.t == plain.t
+    for field in ("t", "y", "t_events", "y_events", "nfev"):
+        assert repr(getattr(pos, field)) == repr(getattr(neg, field)), field
+
+
 def test_step_size_underflow_raises():
     # y' = y^2 from y(0) = 1 blows up at t = 1
     with pytest.raises(RuntimeError, match="step size"):

@@ -515,7 +515,7 @@ def test_chart_constants_built_once_change_no_bit(surf, rot):
     matrix form bit for bit."""
     chart = surf.in_chart(rot)
     eps = surf.params["eps"]
-    for theta, phi, _, _ in _rhs_states(3, count=60):
+    for theta, phi, _, _ in [*_rhs_states(3, count=60), *_SPECIAL_STATES]:
         assert chart.partials(theta, phi) == _partials_from_rot(
             surf.m, surf.q, eps, chart.rot, theta, phi
         )
@@ -622,11 +622,43 @@ KERNEL_CHART_IDS = ["body", "swap", "x-axis", "swap2", "swap3", "swap4", "signed
                     "generic"]
 _ZERO_STATES = [(t, p, a, b) for t in (0.0, -0.0) for p in (0.0, -0.0)
                 for a in (0.0, -0.0) for b in (0.0, -0.0)]
+# theta at the poles and at the double nearest pi/2, where cos(theta) is
+# 6.1e-17 and not 0.0, and phi at signed zeros and the least subnormal
+_SPECIAL_STATES = [(t, p, 0.3, -0.7) for t in (0.0, -0.0, math.pi, math.pi / 2)
+                   for p in (0.0, -0.0, 5e-324)]
+
+
+# pi to 64 significant digits: with it, (k + 1/2) pi for k < 2^61 lies
+# strictly between two known doubles
+_PI_64 = 3141592653589793238462643383279502884197169399375105820974944592
+_PI_SCALE = 10**63
+
+
+def _doubles_around_odd_half_pi(k):
+    """The doubles just below and just above (k + 1/2) pi, found exactly:
+    int / int division rounds correctly."""
+    num, den = (2 * k + 1) * _PI_64, 2 * _PI_SCALE
+    x = num / den
+    a, b = x.as_integer_ratio()
+    if a * den > num * b:
+        return math.nextafter(x, 0.0), x
+    return x, math.nextafter(x, math.inf)
+
+
+def test_cos_of_a_double_is_never_zero():
+    """cos vanishes only at (k + 1/2) pi, which no double equals, so cos of a
+    finite double is never +-0.0: the chart form's text declares ct and cp
+    nonzero and drops the exact zeros added to them.  Checked on both
+    neighbours of (k + 1/2) pi for k up to 1e5 and for k = 2^j, j <= 60."""
+    for k in [*range(10**5 + 1), *(2**j for j in range(61))]:
+        for x in _doubles_around_odd_half_pi(k):
+            assert math.cos(x) != 0.0 and math.cos(-x) != 0.0, (k, x)
 
 
 def _zero_examples(test):
-    """Hypothesis examples at every exact zero state, signs of zero mixed."""
-    for theta, phi, td, pd in _ZERO_STATES:
+    """Hypothesis examples at every exact zero state, signs of zero mixed,
+    and at the special angles above."""
+    for theta, phi, td, pd in _ZERO_STATES + _SPECIAL_STATES:
         test = example(theta=theta, phi=phi, td=td, pd=pd, w=[1.0, -0.0, 0.0, -1.0])(test)
     return test
 
