@@ -11,10 +11,11 @@ every step, root and sample is bit-equal to scipy's and the package needs no
 scipy at run time.  The geodesic systems here have 4 to 12 components, where
 numpy's per-call overhead dominates, so the step is plain Python unrolled
 twice: over the nonzero entries of A, B, E5 and E3, and over the state's
-components.  Its source is generated from the tableau's names the first
-time a state dimension is met and compiled once per dimension (a few ms);
-each component is the expression a loop over the components evaluates,
-so the results are bit-equal to such a loop's.  The interpolant (3 more
+components.  Its source is generated from the tableau, each entry written
+in as its float literal, the first time a state dimension is met and
+compiled once per dimension (a few ms); each component is the expression a
+loop over the components evaluates, so the results are bit-equal to such a
+loop's.  The interpolant (3 more
 right-hand-side calls) is generated the same way and built only on a step
 that holds an event root or a sample.  No float sum goes through sum(),
 whose rounding changed in Python 3.12, so every Python gives the same bits.
@@ -23,10 +24,11 @@ whose rounding changed in Python 3.12, so every Python gives the same bits.
 from __future__ import annotations
 
 import functools
-import linecache
 import math
 import warnings
 from collections import namedtuple
+
+from .kernels import _compile
 
 EPS = 2.0**-52
 SAFETY = 0.9
@@ -187,20 +189,22 @@ def _stepper(d: int):
     """The DOP853 step for states of d components, generated from the
     tableau and compiled once per d.
 
-    ``step(fun, t, y, k0, h, rtol, atol)`` with k0 = fun(t, y) returns the
-    stages (k0..k11, each the object ``fun`` returned), the new state y_new,
-    its derivative fun(t + h, y_new) and scipy's combined error norm
-    |h| e5^2 / sqrt((e5^2 + e3^2 / 100) d), e5 and e3 the weighted 2-norms
-    of the two error estimates: 12 right-hand-side calls.  y and every
-    stage are unpacked into scalars, so a ``fun`` that returns other than d
-    components raises ValueError.  Each component is the expression a loop
-    over the components would evaluate, in the same order, so the results
-    are bit-equal to it.
+    ``step(fun, t, y, k0, h, rtol, atol)`` with k0 = fun(t, y) and h > 0
+    returns the stages (k0..k11, each the object ``fun`` returned), the new
+    state y_new, its derivative fun(t + h, y_new) and scipy's combined error
+    norm |h| e5^2 / sqrt((e5^2 + e3^2 / 100) d), e5 and e3 the weighted
+    2-norms of the two error estimates: 12 right-hand-side calls.  y and
+    every stage are unpacked into scalars, so a ``fun`` that returns other
+    than d components raises ValueError.  Each component is the expression a
+    loop over the components would evaluate, in the same order, with each
+    tableau entry written as its literal and the error scale's max(|y|,
+    |y_new|) as comparisons, so the results are bit-equal to it.
     """
     comps = range(d)
+    tableau = globals()
 
     def combo(prefix, inputs, i):
-        return " + ".join(f"{prefix}{j} * k{j}_{i}" for j in inputs)
+        return " + ".join(f"{tableau[f'{prefix}{j}']!r} * k{j}_{i}" for j in inputs)
 
     def unpack(name, parts):
         return f"    {', '.join(parts)}, = {name}"
@@ -209,13 +213,16 @@ def _stepper(d: int):
              unpack("y", [f"y{i}" for i in comps]),
              unpack("k0", [f"k0_{i}" for i in comps])]
     for s, inputs in enumerate(_STAGE_INPUTS, 1):
-        ts = "t + h" if s == 11 else f"t + C{s} * h"
+        ts = "t + h" if s == 11 else f"t + {tableau[f'C{s}']!r} * h"
         args = ", ".join(f"y{i} + h * ({combo(f'A{s}_', inputs, i)})" for i in comps)
         lines += [f"    k{s} = fun({ts}, [{args}])", unpack(f"k{s}", [f"k{s}_{i}" for i in comps])]
     lines += [f"    n{i} = y{i} + h * ({combo('B', _SOLUTION_INPUTS, i)})" for i in comps]
     lines.append(f"    y_new = [{', '.join(f'n{i}' for i in comps)}]")
+    # atol > 0 absorbs the sign of a zero |y|, and a NaN picks as max() does
     for i in comps:
-        lines += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
+        lines += [f"    a = -y{i} if y{i} < 0.0 else y{i}",
+                  f"    b = -n{i} if n{i} < 0.0 else n{i}",
+                  "    sc = atol + (b if b > a else a) * rtol",
                   f"    d5_{i} = ({combo('E5_', _SOLUTION_INPUTS, i)}) / sc",
                   f"    d3_{i} = ({combo('E3_', _SOLUTION_INPUTS, i)}) / sc"]
     # a loop would start these sums at 0.0, and 0.0 + x is x for a square x
@@ -225,21 +232,11 @@ def _stepper(d: int):
         "    if e5 == 0.0 and e3 == 0.0:",
         "        err = 0.0",
         "    else:",
-        f"        err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * {d})",
+        f"        err = h * e5 / sqrt((e5 + 0.01 * e3) * {d})",
         "    ks = ({})".format(", ".join(f"k{s}" for s in range(12))),
         "    return ks, y_new, fun(t + h, y_new), err",
     ]
-    return _compile(lines, f"<dop853 step, d={d}>", globals())["step"]
-
-
-def _compile(lines, filename, namespace) -> dict:
-    """Compile the generated source ``lines`` under ``filename``, registered
-    with linecache so that tracebacks show it, and return what it defines."""
-    source = "\n".join(lines) + "\n"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    out = {}
-    exec(compile(source, filename, "exec"), namespace, out)
-    return out
+    return _compile("\n".join(lines) + "\n", f"dop853 step, d={d}")["step"]
 
 
 @functools.cache
@@ -257,15 +254,9 @@ def _dense(d: int):
     called, whose rounding changed in Python 3.12.
     """
     comps = range(d)
-    consts = {}
 
-    def combo(row, name, i):
-        terms = []
-        for j, a in enumerate(row):
-            if a:
-                consts[f"{name}_{j}"] = a
-                terms.append(f"{name}_{j} * k{j}_{i}")
-        return " + ".join(["0.0", *terms])
+    def combo(row, i):
+        return " + ".join(["0.0", *(f"{a!r} * k{j}_{i}" for j, a in enumerate(row) if a)])
 
     def unpack(name, parts):
         return f"    {', '.join(parts)}, = {name}"
@@ -276,19 +267,18 @@ def _dense(d: int):
     lines += [unpack(f"ks[{s}]", [f"k{s}_{i}" for i in comps]) for s in range(12)]
     lines.append(unpack("f_new", [f"k12_{i}" for i in comps]))
     for s, (c, row) in enumerate(_EXTRA, 13):
-        consts[f"C{s}"] = c
-        args = ", ".join(f"y{i} + h * ({combo(row, f'X{s}', i)})" for i in comps)
-        lines += [f"    k{s} = fun(t + C{s} * h, [{args}])",
+        args = ", ".join(f"y{i} + h * ({combo(row, i)})" for i in comps)
+        lines += [f"    k{s} = fun(t + {c!r} * h, [{args}])",
                   unpack(f"k{s}", [f"k{s}_{i}" for i in comps])]
     lines += [f"    dy{i} = n{i} - y{i}" for i in comps]
     rows = [
         f"(y{i}, dy{i}, h * k0_{i} - dy{i}, 2.0 * dy{i} - h * (k12_{i} + k0_{i}), "
-        + ", ".join(f"h * ({combo(row, f'D{r}', i)})" for r, row in enumerate(_D))
+        + ", ".join(f"h * ({combo(row, i)})" for row in _D)
         + ")"
         for i in comps
     ]
     lines.append(f"    return [{', '.join(rows)}]")
-    return _compile(lines, f"<dop853 interpolant, d={d}>", consts)["rows"]
+    return _compile("\n".join(lines) + "\n", f"dop853 interpolant, d={d}")["rows"]
 
 
 def _interpolant(fun, t, y, h, ks, y_new, f_new):
@@ -432,24 +422,32 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     out = []
     n_samples = len(samples)
 
+    # max() and min() written as the comparisons they make, NaNs included;
+    # t_new > t, so the step takes h for |h|
     ts = [t]
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        if min_step > h_abs:
+            h_abs = min_step
         refused = False
         while True:
             if h_abs < min_step:
                 raise RuntimeError(f"step size underflow at t = {t!r}")
-            t_new = min(t + h_abs, t_bound)
+            t_new = t + h_abs
+            if t_bound < t_new:
+                t_new = t_bound
             h = t_new - t
             h_abs = h
             ks, y_new, f_new, err = step(fun, t, y, f, h, rtol, atol)
             nfev += 12
             if err < 1.0:
-                factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if refused else factor
+                # after a refused step the step does not grow
+                cap = 1.0 if refused else MAX_FACTOR
+                factor = cap if err == 0.0 else SAFETY * err**ERROR_EXPONENT
+                h_abs *= factor if factor < cap else cap
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            factor = SAFETY * err**ERROR_EXPONENT
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             refused = True
             rejected += 1
 

@@ -8,12 +8,14 @@ length once the initial velocity is normalized to 2H = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from typing import TYPE_CHECKING, Optional
 
 from . import kernels
 from .dop853 import solve_ivp
+from .kernels import _compile
 from .surface import IDENTITY_ROT, POLE_TOL, PolarSurface, PoleError, check_rotation, flat_floats
 
 POLE_GUARD = 0.3
@@ -339,6 +341,27 @@ def _variations(tangents):
     return [flat[i * j:(i + 1) * j] for i in range(4)]
 
 
+# the section event's terms, one per component rz0, rz1, rz2 of the
+# section's normal in the chart
+_SECTION_TERMS = ("rz0 * st * cos(yy[1])", "rz1 * st * sin(yy[1])", "rz2 * cos(yy[0])")
+
+
+@functools.cache
+def _section_event(nonzero):
+    """``make(rz0, rz1, rz2)``, which binds ``section(s, yy)``, the height
+    above the section plane with normal (rz0, rz1, rz2) in the chart, summing
+    the terms of the components flagged in ``nonzero`` in their order.  A
+    term of a zero component is a zero for finite states, so leaving it out
+    changes the value at most in the sign of a zero, which solve_ivp and
+    brentq never read."""
+    terms = [term for term, keep in zip(_SECTION_TERMS, nonzero) if keep]
+    lines = ["def make(rz0, rz1, rz2):", "    def section(s, yy):"]
+    if nonzero[0] or nonzero[1]:
+        lines.append("        st = sin(yy[0])")
+    lines += ["        return " + " + ".join(terms), "    return section"]
+    return _compile("\n".join(lines) + "\n", f"section event {nonzero}")["make"]
+
+
 def integrate(
     surface: PolarSurface,
     y0,
@@ -457,10 +480,7 @@ def integrate(
         # the section's normal in the chart: row 2 of sframe @ mm
         rz0, rz1, rz2 = mm[6:] if sframe is None else _mat_vec(_transpose(mm), sframe[6:])
 
-        def section(s, yy):
-            st = math.sin(yy[0])
-            return rz0 * st * math.cos(yy[1]) + rz1 * st * math.sin(yy[1]) + rz2 * math.cos(yy[0])
-
+        section = _section_event((rz0 != 0.0, rz1 != 0.0, rz2 != 0.0))(rz0, rz1, rz2)
         section.direction = -1.0
         # stop at the last crossing asked for.  A start on the section that
         # heads down through it fires at s ~ 0, an event the s_ev filter

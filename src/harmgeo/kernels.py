@@ -23,19 +23,24 @@ arithmetic, and only the parts that are read are kept.  The chart's matrix
 entries that are exactly +0.0, -0.0, +1.0 or -1.0 (its
 :func:`chart_pattern`) are folded by identities that hold for every finite
 operand, the possible signs of each zero tracked so that no zero changes
-sign; the other entries stay bound numbers.
+sign; the other entries stay bound numbers.  cos(theta) and cos(phi) are
+never zero (cos vanishes only at (k + 1/2)*pi, which no double equals), so
+the exact zeros added to them fold too.  The sectoral form's multipliers
+are floats (an int times a float takes CPython's slower generic path) and
+its powers of sin(theta) pows by an integer.
 
 For each surface structure (the body-chart sectoral form, or the chart form
 and its chart pattern; m; the number of coefficients of Q) the formulas are
 joined into the source of ``partials(theta, phi)``, ``rhs(s, y)`` and, per
 number j of normal parts, ``jacobi_rhs(s, y)`` unrolled over them.  Each is
-compiled once per process and takes sin and cos of theta once.
+compiled once per process, as a module of its own (:func:`_compile`), and
+takes sin and cos of theta once.
 :func:`chart_kernel` binds a surface's numbers (eps*n; or eps, the
 coefficients of Q and the chart matrix) as folded constants, so a chart whose
 pattern was met before compiles nothing.  Only left-associated constant
 prefixes are folded and every pow but sin^1 stays a pow, so each kernel is
-bit-equal to evaluating its formulas term by term, complex arithmetic
-included.  :meth:`harmgeo.surface.PolarSurface.rhs` and ``jacobi_rhs`` each
+bit-equal, at finite angles, to evaluating its formulas term by term,
+complex arithmetic included.  :meth:`harmgeo.surface.PolarSurface.rhs` and ``jacobi_rhs`` each
 call the bound kernel of their chart.  :func:`equator_kernel` binds, on first
 use, one more per structure: ``equator_jacobi(phi, y)``, the Jacobi equation
 for two normal parts and the arc length along the chart's equator theta =
@@ -50,7 +55,6 @@ right-hand side.
 """
 
 import functools
-import linecache
 import math
 import re
 
@@ -122,8 +126,8 @@ def chart_pattern(rot) -> str:
 # r = 1 + eps*sin^n(theta)*cos(n*phi) in the body chart, with sn1 =
 # sin^(n-1)(theta), en = eps*n, nen = -eps*n and nenn = -eps*n*n
 _SECTORAL = """\
-cn = cos({n} * phi)
-sn = sin({n} * phi)
+cn = cos({n:.1f} * phi)
+sn = sin({n:.1f} * phi)
 sn1 = {sn1}
 snn = {snn}
 r = 1.0 + eps * snn * cn
@@ -192,7 +196,10 @@ def _chart_partials(m, nq, pattern):
     from . import floatfold as ff
 
     g = ff.Graph()
-    st, ct, cp, sp = (g.name(x) for x in ("st", "ct", "cp", "sp"))
+    # cos of a finite double is never +-0.0: cos vanishes only at
+    # (k + 1/2) pi, which no double equals
+    st, sp = g.name("st"), g.name("sp")
+    ct, cp = g.name("ct", ff.POS | ff.NEG), g.name("cp", ff.POS | ff.NEG)
     eps = g.name("eps", bound=True)
     rot = [
         g.const(_EXACT[k]) if k in _EXACT else g.name(f"rot{i}", ff.POS | ff.NEG, bound=True)
@@ -279,7 +286,7 @@ def _texts(key):
         if n == 1:  # sin^0 = 1.0 and (n-1)*sin^(n-2) = 0*0.0
             fields = dict(sn1="1.0", snn="st", sn1_="", dsn1_="0.0 * ")
         else:  # (n-1)*sin^(n-2) = 1*1.0 for n = 2
-            dsn1_ = f"{n - 1} * {_sin_power(n - 2)} * " if n > 2 else ""
+            dsn1_ = f"{n - 1:.1f} * {_sin_power(n - 2)} * " if n > 2 else ""
             fields = dict(sn1=_sin_power(n - 1), snn="sn1 * st", sn1_="sn1 * ", dsn1_=dsn1_)
         consts = f"en = eps * {n}\nnen = -eps * {n}\nnenn = nen * {n}\n"
         return consts, _SECTORAL.format(n=n, **fields)
@@ -301,12 +308,26 @@ def _function(header, *texts, ret):
     return header + "\n" + "".join("    " + line if line.strip() else line for line in body)
 
 
-def _compile(source, filename):
-    """Exec ``source`` as a module named ``filename``, registered with
-    linecache so that tracebacks show its lines, and return its namespace."""
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
+class _Sources(dict):
+    """The source of each generated module, by its name.  As the module's
+    ``__loader__`` it lets linecache read the source on demand (its lazy
+    lookup calls ``get_source(__name__)``), so tracebacks show generated
+    lines and no module imports linecache."""
+
+    get_source = dict.get
+
+
+_SOURCES = _Sources()
+
+
+def _compile(source, name):
+    """Exec ``source`` as the module ``name`` in a namespace of its own,
+    which holds sin, cos and sqrt, and return that namespace.  Each name is
+    plain (linecache skips names in angle brackets) and its own file name."""
+    _SOURCES[name] = source
+    namespace = {"__name__": name, "__loader__": _SOURCES,
+                 "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+    exec(compile(source, name, "exec"), namespace)
     return namespace
 
 
@@ -322,7 +343,7 @@ def _compiled(key, j=None):
     form, m, nq, pattern = key
     params = _PARAMETERS[form]
     consts, parts = _texts(key)
-    name = f"<geodesic kernel {form}, m={m}, len(q)={nq}"
+    name = f"geodesic kernel {form}, m={m}, len(q)={nq}"
     if pattern is not None:
         name += f", rot=[{pattern}]"
     if j is None:
@@ -332,7 +353,7 @@ def _compiled(key, j=None):
             ret="td, pd, tdd, pdd",
         )
         source = _function(f"def make({params}):", consts, partials, rhs, ret="partials, rhs")
-        return _compile(source, name + ">")
+        return _compile(source, name)
     w = [f"w{i}" for i in range(j)]
     dw = [f"dw{i}" for i in range(j)]
     jacobi = _function(
@@ -342,7 +363,7 @@ def _compiled(key, j=None):
         ret="[" + ", ".join(["td", "pd", "tdd", "pdd", *dw, *(f"k * {x}" for x in w)]) + "]",
     )
     source = _function(f"def make({params}):", consts, jacobi, ret="jacobi_rhs")
-    return _compile(source, name + f", j={j}>")
+    return _compile(source, name + f", j={j}")
 
 
 @functools.cache
@@ -355,7 +376,7 @@ def _compiled_equator(key):
         ret="[sigma * u0, sk * w0, sigma * u1, sk * w1, sigma]",
     )
     source = _function(f"def make({_PARAMETERS[key[0]]}):", consts, equator, ret="equator_jacobi")
-    return _compile(source, f"<geodesic equator kernel {key}>")
+    return _compile(source, f"geodesic equator kernel {key}")
 
 
 class _JacobiKernels(dict):
@@ -406,7 +427,7 @@ def equator_kernel(jacobi):
 
 _FORMULAS = _compile(
     _function("def curvature(theta, r, rt, rp, rtt, rtp, rpp):", _SIN_COS, _CURVATURE, ret="K"),
-    "<geodesic kernel formulas>",
+    "geodesic kernel formulas",
 )
 
 

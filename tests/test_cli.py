@@ -579,12 +579,15 @@ def test_numeric_half_loads_no_exact_algebra():
 
 
 # a cold start's first calls, each with the modules it must not load: the
-# numeric half loads no dataclasses, fractions, json, csv, textwrap or NumPy
-# (the zonal and tesseral constructors do load fractions, for the exact
-# Legendre coefficients, but no dataclasses or inspect), and the exact half
-# no dataclasses, inspect or linecache and none of the numeric modules (json
-# only where a command writes it)
-_COLD_NUMERIC = ("dataclasses", "fractions", "json", "csv", "textwrap", "numpy")
+# numeric half loads no dataclasses, fractions, json, csv, textwrap, NumPy,
+# linecache or tokenize (the zonal and tesseral constructors do load
+# fractions, for the exact Legendre coefficients, but no dataclasses,
+# inspect or linecache), and the exact half no dataclasses, inspect or
+# linecache and none of the numeric modules (json only where a command
+# writes it)
+_COLD_NUMERIC = (
+    "dataclasses", "fractions", "json", "csv", "textwrap", "numpy", "linecache", "tokenize",
+)
 _COLD_EXACT = (
     "dataclasses", "inspect", "linecache", "numpy",
     *(f"harmgeo.{m}" for m in ("geodesic", "dop853", "surface", "kernels", "poincare")),
@@ -622,19 +625,19 @@ _COLD_STARTS = {
         "from harmgeo.cli import main\n"
         "assert main(['--out-dir', OUT, 'trace', '--n', '3', '--eps', '0.2', '--length', '10',\n"
         "             '--samples', '50']) == 0\n",
-        ("dataclasses", "json", "hashlib", "textwrap", "numpy"),
+        ("dataclasses", "json", "hashlib", "textwrap", "numpy", "linecache", "tokenize"),
     ),
     "cli psection": (
         "from harmgeo.cli import main\n"
         "for fmt in ('csv', 'svg'):\n"
         "    assert main(['--out-dir', OUT, '--format', fmt, 'psection', '--n', '3', '--eps',\n"
         "                 '0.3', '--traj', '2', '--crossings', '3']) == 0\n",
-        ("dataclasses", "json", "hashlib", "textwrap", "numpy"),
+        ("dataclasses", "json", "hashlib", "textwrap", "numpy", "linecache", "tokenize"),
     ),
     "tesseral": (
         "from harmgeo.surface import PolarSurface\n"
         "PolarSurface.tesseral(2, 1, 0.2)\n",
-        ("dataclasses", "inspect", "json", "numpy",
+        ("dataclasses", "inspect", "json", "numpy", "linecache",
          *(f"harmgeo.{m}" for m in ("geodesic", "dop853", "poincare"))),
     ),
     "kovacic": (

@@ -585,11 +585,11 @@ def test_kernels_compile_once_per_structure(monkeypatch):
     # the swapped chart R_SWAP, and the identity chart the tangent run
     # rebuilds its crossings in
     assert sorted(compiled) == [
-        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0], j=2>",
-        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0]>",
-        "<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 1 0 0 0 1]>",
-        "<geodesic kernel sectoral, m=3, len(q)=1, j=2>",
-        "<geodesic kernel sectoral, m=3, len(q)=1>",
+        "geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0]",
+        "geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 -1 0 1 0], j=2",
+        "geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 1 0 0 0 1]",
+        "geodesic kernel sectoral, m=3, len(q)=1",
+        "geodesic kernel sectoral, m=3, len(q)=1, j=2",
     ]
     compiled.clear()
     runs()
@@ -599,7 +599,7 @@ def test_kernels_compile_once_per_structure(monkeypatch):
     assert compiled == []
     # a chart with other exact entries is another structure
     surf.in_chart(np.asarray(R_SWAP).T).rhs(0.0, [1.2, 0.4, 0.3, 0.6])
-    assert compiled == ["<geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 1 0 -1 0]>"]
+    assert compiled == ["geodesic kernel chart, m=3, len(q)=1, rot=[1 0 0 0 0 1 0 -1 0]"]
 
 
 def test_section_frame_must_be_a_rotation():

@@ -1,6 +1,5 @@
 """Surface families: Legendre functions, metric data, Christoffel symbols."""
 
-import linecache
 import math
 import pickle
 
@@ -181,10 +180,13 @@ def _hd_cos(x):
 def _hyperdual_partials(surface):
     """The surface's partials kernel, its structure's ``make`` source
     re-executed with sin and cos taking hyper-dual numbers and bound to the
-    surface's numbers as ``kernels.chart_kernel`` binds them."""
+    surface's numbers as ``kernels.chart_kernel`` binds them.  The source
+    comes from the generated module's loader, as linecache reads it."""
+    module = surface._partials.__globals__
     filename = surface._partials.__code__.co_filename
+    source = module["__loader__"].get_source(module["__name__"])
     namespace = {"sin": _hd_sin, "cos": _hd_cos}
-    exec(compile("".join(linecache.getlines(filename)), filename, "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     eps, q = surface.params["eps"], surface.q
     if surface.rot is None and len(q) == 1:
         return namespace["make"](eps * q[0])[0]
