@@ -25,9 +25,9 @@ entries that are exactly +0.0, -0.0, +1.0 or -1.0 (its
 operand, the possible signs of each zero tracked so that no zero changes
 sign; the other entries stay bound numbers.  cos(theta) and cos(phi) are
 never zero (cos vanishes only at (k + 1/2)*pi, which no double equals), so
-the exact zeros added to them fold too.  The sectoral form's multipliers
-are floats (an int times a float takes CPython's slower generic path) and
-its powers of sin(theta) pows by an integer.
+the exact zeros added to them fold too.  The sectoral form multiplies by
+floats only (an int times a float takes CPython's slower generic path);
+its powers of sin(theta) stay pows by an integer.
 
 For each surface structure (the body-chart sectoral form, or the chart form
 and its chart pattern; m; the number of coefficients of Q) the formulas are
@@ -40,8 +40,8 @@ coefficients of Q and the chart matrix) as folded constants, so a chart whose
 pattern was met before compiles nothing.  Only left-associated constant
 prefixes are folded and every pow but sin^1 stays a pow, so each kernel is
 bit-equal, at finite angles, to evaluating its formulas term by term,
-complex arithmetic included.  :meth:`harmgeo.surface.PolarSurface.rhs` and ``jacobi_rhs`` each
-call the bound kernel of their chart.  :func:`equator_kernel` binds, on first
+complex arithmetic included.  :meth:`harmgeo.surface.PolarSurface.rhs` and
+``jacobi_rhs`` each call the bound kernel of their chart.  :func:`equator_kernel` binds, on first
 use, one more per structure: ``equator_jacobi(phi, y)``, the Jacobi equation
 for two normal parts and the arc length along the chart's equator theta =
 pi/2 (sin and cos exactly 1 and 0), a mirror plane's trace.
