@@ -22,7 +22,8 @@ A cold start loads only what its run uses: the exact half loads
 ``fractions`` but not ``dataclasses``, whose records are named tuples and
 plain classes, and the numeric half's first call on a sectoral surface
 neither, nor ``json``, ``csv``, ``textwrap`` or NumPy, which the functions
-that use them import.
+that use them import, nor ``linecache``: the generated kernels and steps
+hand their sources to tracebacks through their own ``__loader__``.
 """
 
 import importlib
