@@ -421,9 +421,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
     y_events = [[] for _ in events]
     out = []
     n_samples = len(samples)
+    next_sample = samples[0] if n_samples else math.inf
 
-    # max() and min() written as the comparisons they make, NaNs included;
-    # t_new > t, so the step takes h for |h|
+    # no per-step call that the arithmetic does not need: max() and min()
+    # written as the comparisons they make, NaNs included (t_new > t, so the
+    # step takes h for |h|), and the events and samples tested in plain loops
     ts = [t]
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -454,13 +456,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
         sol = None
         t_end, stopped = t_new, False
         if events:
-            g_new = [ev(t_new, y_new) for ev in events]
-            active = [
-                i
-                for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-                if (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0)
-            ]
-            g = g_new
+            active = []
+            for i, ev in enumerate(events):
+                a, b, d = g[i], ev(t_new, y_new), directions[i]
+                g[i] = b
+                if (a <= 0.0 <= b and d >= 0) or (a >= 0.0 >= b and d <= 0):
+                    active.append(i)
             if active:
                 sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
                 nfev += 3
@@ -478,11 +479,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), samples=()) -> OdeResul
                         t_end, stopped = root, True
                         break
 
-        while len(out) < n_samples and samples[len(out)] <= t_end:
+        while next_sample <= t_end:
             if sol is None:
                 sol = _interpolant(fun, t, y, h, ks, y_new, f_new)
                 nfev += 3
-            out.append(sol(samples[len(out)]))
+            out.append(sol(next_sample))
+            next_sample = samples[len(out)] if len(out) < n_samples else math.inf
 
         ts.append(t_end)
         if stopped:
